@@ -19,6 +19,12 @@ for preset in default asan; do
   [[ "${preset}" == "asan" ]] && build_dir="build-asan"
   "${build_dir}/tests/lane_scaling_test" >/dev/null
 
+  # So are the checksum and content-key contracts: CRC32C values persist in
+  # extents, metadata and replication frames, and content keys in the dedup
+  # index, so the hardware CRC must match the table reference bit for bit
+  # and be the path picked on SSE4.2 hosts, and the key goldens must hold.
+  "${build_dir}/tests/base_test" >/dev/null
+
   # So is the fault matrix (end-to-end integrity, retry masking, epoch
   # abort): run it by name too.
   "${build_dir}/tests/fault_matrix_test" >/dev/null
@@ -138,11 +144,13 @@ for preset in default asan; do
 done
 
 # UBSan-only configuration: near-native speed, so the undefined-behavior
-# matrix can cover the lint engine and the crash/restore paths directly.
+# matrix can cover the lint engine, the checksum and content-hash word loads
+# and 128-bit multiplies, and the crash/restore paths directly.
 echo "=== configure/build: ubsan ==="
 cmake --preset ubsan
-cmake --build --preset ubsan -j "${jobs}" --target lint_test crash_matrix_test
+cmake --build --preset ubsan -j "${jobs}" --target lint_test base_test crash_matrix_test
 build-ubsan/tests/lint_test >/dev/null
+build-ubsan/tests/base_test >/dev/null
 build-ubsan/tests/crash_matrix_test >/dev/null
 
 # clang-tidy over src/ + tools/ with the curated .clang-tidy profile. The

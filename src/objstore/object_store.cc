@@ -666,11 +666,18 @@ Result<SimTime> ObjectStore::StoreBlockCow(uint32_t lane, const uint8_t* block, 
   if (options_.codec != CodecId::kRaw) {
     const ExtentCodec* codec = FindExtentCodec(options_.codec);
     if (codec != nullptr) {
-      comp.resize(bs);
       sim_->clock.Advance(sim_->cost.Compress(bs));
-      size_t clen = codec->Compress(block, bs, comp.data());
       // Only commit to the compressed form when it saves at least one device
-      // block — the stored span is what the device actually writes.
+      // block — the stored span is what the device actually writes. A store
+      // block of one device block can never be saved that way, so the pass
+      // is skipped there. The charge above stays: the cost model prices an
+      // attempt on every miss, and simulated time must not depend on this
+      // host-side shortcut.
+      size_t clen = 0;
+      if (DevBlocksPerStoreBlock() > 1) {
+        comp.resize(bs);
+        clen = codec->Compress(block, bs, comp.data());
+      }
       if (clen > 0 && (clen + dev_bs - 1) / dev_bs < DevBlocksPerStoreBlock()) {
         payload = comp.data();
         stored_len = static_cast<uint32_t>(clen);

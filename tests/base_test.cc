@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "src/base/checksum.h"
 #include "src/base/event_queue.h"
 #include "src/base/histogram.h"
@@ -8,6 +15,7 @@
 #include "src/base/rng.h"
 #include "src/base/serializer.h"
 #include "src/base/sim_clock.h"
+#include "src/base/units.h"
 
 namespace aurora {
 namespace {
@@ -76,9 +84,159 @@ TEST(Serializer, OversizedLengthPrefixRejected) {
 }
 
 TEST(Checksum, Crc32cKnownVector) {
-  // RFC 3720 test vector: 32 bytes of zeros.
-  std::vector<uint8_t> zeros(32, 0);
-  EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8a9136aau);
+  // RFC 3720 section B.4 test vectors, on both CRC paths.
+  std::vector<uint8_t> zeros(32, 0x00);
+  std::vector<uint8_t> ones(32, 0xff);
+  std::vector<uint8_t> up(32);
+  std::vector<uint8_t> down(32);
+  for (size_t i = 0; i < 32; i++) {
+    up[i] = static_cast<uint8_t>(i);
+    down[i] = static_cast<uint8_t>(31 - i);
+  }
+  const std::pair<const std::vector<uint8_t>*, uint32_t> vectors[] = {
+      {&zeros, 0x8a9136aau}, {&ones, 0x62a8ab43u}, {&up, 0x46dd794eu}, {&down, 0x113fdb5cu}};
+  for (const auto& [data, want] : vectors) {
+    EXPECT_EQ(Crc32c(data->data(), data->size()), want);
+    EXPECT_EQ(detail::Crc32cTable(data->data(), data->size(), 0), want);
+  }
+}
+
+std::vector<uint8_t> SeededBytes(uint64_t seed, size_t len) {
+  Rng rng(seed);
+  std::vector<uint8_t> out(len);
+  for (uint8_t& b : out) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return out;
+}
+
+TEST(Checksum, Crc32cMatchesTableReferenceAtEveryLengthAndAlignment) {
+  const std::vector<uint8_t> buf = SeededBytes(7, 64 * kKiB + 8);
+  for (size_t offset = 0; offset < 8; offset++) {
+    for (size_t len = 0; len <= 1024; len++) {
+      const uint32_t seed = static_cast<uint32_t>(len * 0x9e3779b9u);
+      ASSERT_EQ(Crc32c(buf.data() + offset, len, seed),
+                detail::Crc32cTable(buf.data() + offset, len, seed))
+          << "offset " << offset << " len " << len;
+    }
+    for (size_t len : {4 * kKiB, 64 * kKiB}) {
+      ASSERT_EQ(Crc32c(buf.data() + offset, len), detail::Crc32cTable(buf.data() + offset, len, 0))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Checksum, Crc32cChainsAtEverySplitPoint) {
+  const std::vector<uint8_t> buf = SeededBytes(11, 4 * kKiB + 7);
+  const uint32_t whole = Crc32c(buf.data(), buf.size());
+  for (size_t split = 0; split <= buf.size(); split++) {
+    const uint32_t head = Crc32c(buf.data(), split);
+    ASSERT_EQ(Crc32c(buf.data() + split, buf.size() - split, head), whole) << "split " << split;
+  }
+}
+
+TEST(Checksum, Sse42HostSelectsHardwareCrc) {
+  // A dispatch bug must fail here, not only show up as a slow benchmark.
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  EXPECT_EQ(detail::Crc32cUsesSse42(), __builtin_cpu_supports("sse4.2") != 0);
+#else
+  EXPECT_FALSE(detail::Crc32cUsesSse42());
+#endif
+}
+
+ContentKey Key(const std::vector<uint8_t>& data) { return ContentHash128(data.data(), data.size()); }
+
+TEST(ContentHash, GoldenKeys) {
+  // Keys persist in the v4 metadata's dedup index; an accidental change to
+  // the construction must fail here.
+  std::vector<uint8_t> aurora = {'a', 'u', 'r', 'o', 'r', 'a'};
+  std::vector<uint8_t> pattern(4 * kKiB);
+  for (size_t i = 0; i < pattern.size(); i++) {
+    pattern[i] = static_cast<uint8_t>(i * 7);
+  }
+  const std::pair<std::vector<uint8_t>, ContentKey> golden[] = {
+      {{}, {0xbdec1badf93aedc6ull, 0x8c4278236871e766ull}},
+      {aurora, {0x8f85c437fe3d891eull, 0x6e8352df5b75d0adull}},
+      {std::vector<uint8_t>(17, 0x5a), {0x178f2a5a81e9b98eull, 0x3e164f26e663bfe4ull}},
+      {std::vector<uint8_t>(4 * kKiB, 0), {0xd75bafdcbda31c92ull, 0x1ab3658fb1d9b43aull}},
+      {pattern, {0x8b71a86cebdd6506ull, 0xf349cea9e6436bc3ull}},
+  };
+  for (const auto& [data, want] : golden) {
+    const ContentKey got = Key(data);
+    EXPECT_EQ(got.hi, want.hi) << "len " << data.size();
+    EXPECT_EQ(got.lo, want.lo) << "len " << data.size();
+  }
+}
+
+TEST(ContentHash, NoEqualKeysAcrossStructuredCorpus) {
+  // Every input below is distinct by construction, so every key must be.
+  std::set<ContentKey> keys;
+  size_t inputs = 0;
+  auto add = [&](const std::vector<uint8_t>& data) {
+    const ContentKey key = Key(data);
+    EXPECT_FALSE(key.IsZero());
+    keys.insert(key);
+    inputs++;
+  };
+  std::vector<uint8_t> page = SeededBytes(3, 4 * kKiB);
+  add(page);
+  // Every single-bit flip of the seeded page.
+  for (size_t bit = 0; bit < page.size() * 8; bit++) {
+    page[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    add(page);
+    page[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  }
+  // Pages that differ from it in one 8-byte word (by more than one bit).
+  for (size_t word = 0; word < page.size() / 8; word++) {
+    std::vector<uint8_t> changed = page;
+    uint64_t v;
+    std::memcpy(&v, changed.data() + word * 8, sizeof(v));
+    v ^= 0x0123456789abcdefull + word;
+    std::memcpy(changed.data() + word * 8, &v, sizeof(v));
+    add(changed);
+  }
+  // Pages with the first 16-byte stripe swapped with another: stripe order
+  // is hashed.
+  for (size_t stripe = 1; stripe < page.size() / 16; stripe++) {
+    std::vector<uint8_t> swapped = page;
+    std::swap_ranges(swapped.begin(), swapped.begin() + 16, swapped.begin() + stripe * 16);
+    add(swapped);
+  }
+  // The all-zero page and zero pages with the first byte stamped, as
+  // BuildAppProfile dirties them (stamp 0 is the zero page itself).
+  std::vector<uint8_t> zero(4 * kKiB, 0);
+  add(zero);
+  for (int stamp = 1; stamp < 256; stamp++) {
+    zero[0] = static_cast<uint8_t>(stamp);
+    add(zero);
+  }
+  // Zero buffers of every length up to four stripes: the length is hashed.
+  for (size_t len = 0; len <= 64; len++) {
+    add(std::vector<uint8_t>(len, 0));
+  }
+  EXPECT_EQ(keys.size(), inputs);
+}
+
+TEST(ContentHash, EachHalfAvalanchesUnderSingleBitFlips) {
+  std::vector<uint8_t> page = SeededBytes(5, 4 * kKiB);
+  const ContentKey base = Key(page);
+  uint64_t hi_flips = 0;
+  uint64_t lo_flips = 0;
+  const size_t bits = page.size() * 8;
+  for (size_t bit = 0; bit < bits; bit++) {
+    page[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    const ContentKey key = Key(page);
+    page[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    hi_flips += static_cast<uint64_t>(std::popcount(key.hi ^ base.hi));
+    lo_flips += static_cast<uint64_t>(std::popcount(key.lo ^ base.lo));
+  }
+  const double hi_share = static_cast<double>(hi_flips) / (64.0 * static_cast<double>(bits));
+  const double lo_share = static_cast<double>(lo_flips) / (64.0 * static_cast<double>(bits));
+  EXPECT_GE(hi_share, 0.45);
+  EXPECT_LE(hi_share, 0.55);
+  EXPECT_GE(lo_share, 0.45);
+  EXPECT_LE(lo_share, 0.55);
 }
 
 TEST(Checksum, DetectsCorruption) {

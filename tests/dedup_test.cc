@@ -23,9 +23,9 @@ namespace {
 constexpr uint32_t kBlock = 8 * 1024;
 constexpr uint64_t kDeviceBlocks = (64 * kMiB) / kPageSize;
 
-StoreOptions DedupOptions(CodecId codec = CodecId::kLz) {
+StoreOptions DedupOptions(CodecId codec = CodecId::kLz, uint32_t block_size = kBlock) {
   StoreOptions options;
-  options.block_size = kBlock;
+  options.block_size = block_size;
   options.segment_blocks = 8;
   options.dedup = true;
   options.codec = codec;
@@ -34,8 +34,8 @@ StoreOptions DedupOptions(CodecId codec = CodecId::kLz) {
 
 // Incompressible, per-seed-unique block: every byte depends on a multiplied
 // index so the LZ pass finds no window matches worth a device block.
-std::vector<uint8_t> Unique(uint8_t seed) {
-  std::vector<uint8_t> out(kBlock);
+std::vector<uint8_t> Unique(uint8_t seed, uint32_t size = kBlock) {
+  std::vector<uint8_t> out(size);
   uint32_t x = 0x9E3779B9u * (seed + 1);
   for (size_t i = 0; i < out.size(); i++) {
     x = x * 1664525u + 1013904223u;
@@ -45,8 +45,8 @@ std::vector<uint8_t> Unique(uint8_t seed) {
 }
 
 // Highly compressible but per-seed-unique: long runs keyed by the seed.
-std::vector<uint8_t> Compressible(uint8_t seed) {
-  std::vector<uint8_t> out(kBlock, seed);
+std::vector<uint8_t> Compressible(uint8_t seed, uint32_t size = kBlock) {
+  std::vector<uint8_t> out(size, seed);
   for (size_t i = 0; i < out.size(); i += 512) {
     out[i] = static_cast<uint8_t>(seed + i / 512);
   }
@@ -188,46 +188,63 @@ TEST(Dedup, PruneDecrementsSharedBlocksInsteadOfFreeingThem) {
   EXPECT_TRUE(m.store->CheckDedupInvariants().ok());
 }
 
+// Store block sizes the codec tests run at: two device blocks, where a
+// compressed block can save one, and exactly one device block, where nothing
+// can be saved and the flush path skips the codec.
+constexpr uint32_t kCodecBlockSizes[] = {kBlock, static_cast<uint32_t>(kPageSize)};
+
 TEST(Dedup, CompressionRoundTripsAndSavesDeviceBytes) {
-  Store m;
-  Oid oid = *m.store->CreateObject(ObjType::kMemory);
-  std::vector<uint8_t> image;
-  for (uint8_t s = 0; s < 6; s++) {
-    std::vector<uint8_t> block = Compressible(s);
-    image.insert(image.end(), block.begin(), block.end());
+  for (uint32_t block_size : kCodecBlockSizes) {
+    SCOPED_TRACE(block_size);
+    Store m(DedupOptions(CodecId::kLz, block_size));
+    Oid oid = *m.store->CreateObject(ObjType::kMemory);
+    std::vector<uint8_t> image;
+    for (uint8_t s = 0; s < 6; s++) {
+      std::vector<uint8_t> block = Compressible(s, block_size);
+      image.insert(image.end(), block.begin(), block.end());
+    }
+    ASSERT_TRUE(m.store->WriteAt(oid, 0, image.data(), image.size()).ok());
+    ASSERT_TRUE(m.store->CommitCheckpoint("c1").ok());
+    if (block_size > kPageSize) {
+      EXPECT_GT(m.store->stats().bytes_compressed_saved, 0u);
+      EXPECT_LT(m.store->stats().bytes_stored, image.size());
+    } else {
+      // Compressible, but a single device block cannot shrink: stored raw.
+      EXPECT_EQ(m.store->stats().bytes_compressed_saved, 0u);
+      EXPECT_EQ(m.store->stats().bytes_stored, image.size());
+    }
+
+    std::vector<uint8_t> back(image.size());
+    ASSERT_TRUE(m.store->ReadAt(oid, 0, back.data(), back.size()).ok());
+    EXPECT_EQ(back, image);
+
+    // Committed extents decode identically after a remount, and the
+    // scrubber verifies their stored spans clean.
+    uint64_t epoch = m.store->current_epoch() - 1;
+    m.Remount();
+    std::fill(back.begin(), back.end(), 0);
+    ASSERT_TRUE(m.store->ReadAtEpoch(epoch, oid, 0, back.data(), back.size()).ok());
+    EXPECT_EQ(back, image);
+    Scrubber scrubber(m.store.get());
+    auto verdict = scrubber.ScrubAll();
+    ASSERT_TRUE(verdict.ok());
+    EXPECT_TRUE(verdict->clean());
   }
-  ASSERT_TRUE(m.store->WriteAt(oid, 0, image.data(), image.size()).ok());
-  ASSERT_TRUE(m.store->CommitCheckpoint("c1").ok());
-  EXPECT_GT(m.store->stats().bytes_compressed_saved, 0u);
-  EXPECT_LT(m.store->stats().bytes_stored, image.size());
-
-  std::vector<uint8_t> back(image.size());
-  ASSERT_TRUE(m.store->ReadAt(oid, 0, back.data(), back.size()).ok());
-  EXPECT_EQ(back, image);
-
-  // Committed compressed extents decode identically after a remount, and the
-  // scrubber verifies their stored spans clean.
-  uint64_t epoch = m.store->current_epoch() - 1;
-  m.Remount();
-  std::fill(back.begin(), back.end(), 0);
-  ASSERT_TRUE(m.store->ReadAtEpoch(epoch, oid, 0, back.data(), back.size()).ok());
-  EXPECT_EQ(back, image);
-  Scrubber scrubber(m.store.get());
-  auto verdict = scrubber.ScrubAll();
-  ASSERT_TRUE(verdict.ok());
-  EXPECT_TRUE(verdict->clean());
 }
 
 TEST(Dedup, IncompressibleBlocksStoreRaw) {
-  Store m;
-  Oid oid = *m.store->CreateObject(ObjType::kMemory);
-  std::vector<uint8_t> block = Unique(11);
-  ASSERT_TRUE(m.store->WriteAt(oid, 0, block.data(), block.size()).ok());
-  EXPECT_EQ(m.store->stats().bytes_compressed_saved, 0u);
-  EXPECT_EQ(m.store->stats().bytes_stored, kBlock);
-  std::vector<uint8_t> back(kBlock);
-  ASSERT_TRUE(m.store->ReadAt(oid, 0, back.data(), back.size()).ok());
-  EXPECT_EQ(back, block);
+  for (uint32_t block_size : kCodecBlockSizes) {
+    SCOPED_TRACE(block_size);
+    Store m(DedupOptions(CodecId::kLz, block_size));
+    Oid oid = *m.store->CreateObject(ObjType::kMemory);
+    std::vector<uint8_t> block = Unique(11, block_size);
+    ASSERT_TRUE(m.store->WriteAt(oid, 0, block.data(), block.size()).ok());
+    EXPECT_EQ(m.store->stats().bytes_compressed_saved, 0u);
+    EXPECT_EQ(m.store->stats().bytes_stored, block_size);
+    std::vector<uint8_t> back(block_size);
+    ASSERT_TRUE(m.store->ReadAt(oid, 0, back.data(), back.size()).ok());
+    EXPECT_EQ(back, block);
+  }
 }
 
 TEST(Dedup, FlushBytesCollapseOnRepetitiveData) {

@@ -12,7 +12,7 @@
 #include "bench/bench_common.h"
 #include "src/apps/kv_server.h"
 #include "src/apps/workloads.h"
-#include "src/base/histogram.h"
+#include "src/obs/metrics.h"
 
 namespace aurora {
 namespace {
@@ -48,7 +48,7 @@ RunResult RunClosedLoop(SimDuration period, SimDuration sim_time, int conns) {
   }
 
   EtcWorkload workload(config.num_keys, 1234);
-  LatencyHistogram latency;
+  SimHistogram latency;
   SimClock& clock = m.sim.clock;
   SimTime start = clock.now();
   SimTime deadline = start + sim_time;

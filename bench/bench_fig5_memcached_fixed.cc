@@ -12,8 +12,8 @@
 #include "bench/bench_common.h"
 #include "src/apps/kv_server.h"
 #include "src/apps/workloads.h"
-#include "src/base/histogram.h"
 #include "src/base/rng.h"
+#include "src/obs/metrics.h"
 
 namespace aurora {
 namespace {
@@ -44,7 +44,7 @@ RunResult RunFixedLoad(SimDuration period, double target_ops_per_sec, SimDuratio
 
   EtcWorkload workload(config.num_keys, 77);
   Rng arrivals(99);
-  LatencyHistogram latency;
+  SimHistogram latency;
   SimClock& clock = m.sim.clock;
   SimTime start = clock.now();
   SimTime deadline = start + sim_time;

@@ -20,7 +20,7 @@
 #include "src/apps/aurora_kv.h"
 #include "src/apps/lsm_db.h"
 #include "src/apps/workloads.h"
-#include "src/base/histogram.h"
+#include "src/obs/metrics.h"
 
 namespace aurora {
 namespace {
@@ -75,7 +75,7 @@ RunResult RunLsm(bool wal, bool wal_sync, bool transparent_aurora) {
   }
 
   PrefixDistWorkload workload(kNumKeys, 4242);
-  LatencyHistogram write_latency;
+  SimHistogram write_latency;
   SimClock& clock = m.sim.clock;
   SimTime start = clock.now();
   for (uint64_t i = 0; i < kOps; i++) {
@@ -125,7 +125,7 @@ RunResult RunAuroraKv() {
   AURORA_IGNORE_STATUS(m.sls->JournalReset(db.journal()), "journal reset is a workload step; failure would distort the bench visibly");
 
   PrefixDistWorkload workload(kNumKeys, 4242);
-  LatencyHistogram write_latency;
+  SimHistogram write_latency;
   SimClock& clock = m.sim.clock;
   SimTime start = clock.now();
   for (uint64_t i = 0; i < kOps; i++) {

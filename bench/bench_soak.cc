@@ -1,15 +1,15 @@
 // Long-horizon soak: the segment log under a retention policy must hold
-// space flat over 10^4+ epochs of overwrite churn while the legacy free-list
-// path (which keeps every epoch until someone prunes) grows without bound,
-// and paced background compaction must not move the foreground flush tail.
+// space flat over 10^4+ epochs of overwrite churn, and paced background
+// compaction must not move the foreground flush tail.
 //
 //   Part A: 12,000 epochs, hot/cold churn, retention keep=4, online GC.
 //           Used blocks at end-of-run must be within 10% of the mid-run
 //           steady state ("<label> end/mid used" row; ci.sh gates on it).
-//   Part B: the same churn on the legacy layout with no retention: used
-//           blocks keep climbing (the ROADMAP item 5 failure mode).
 //   Part C: fig3 write profile (random 64 KiB writes, 10 ms sync cadence)
 //           with GC enabled vs disabled: flush-makespan p99 ratio <= 1.15.
+//
+// Part B ran the same churn on the retired free-list layout; its figures are
+// frozen in EXPERIMENTS.md.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -26,7 +26,7 @@ namespace {
 // Syscall entry/exit + copyin for one file system call (as in bench_fig3).
 constexpr SimDuration kSyscallCost = 2000;
 
-// --- Parts A and B: store-level churn soak -----------------------------------
+// --- Part A: store-level churn soak ---------------------------------------------
 
 constexpr uint32_t kChurnBlock = 8 * 1024;
 constexpr uint64_t kColdBlocks = 24;
@@ -42,11 +42,10 @@ struct ChurnStore {
   std::unique_ptr<ObjectStore> store;
   Oid oid = kInvalidOid;
 
-  explicit ChurnStore(StoreLayout layout) {
+  ChurnStore() {
     device = std::make_unique<MemBlockDevice>(&sim.clock, (512 * kMiB) / kPageSize);
     StoreOptions options;
     options.block_size = kChurnBlock;
-    options.layout = layout;
     options.segment_blocks = 8;
     store = *ObjectStore::Format(device.get(), &sim, options);
     oid = *store->CreateObject(ObjType::kMemory);
@@ -71,7 +70,7 @@ struct ChurnStore {
 // Part A: segment log + retention (keep the newest `keep` epochs, exactly
 // the policy Sls::ApplyRetention applies) + online compaction.
 void RunSegmentSoak(BenchReport& report, uint64_t epochs) {
-  ChurnStore m(StoreLayout::kSegmentLog);
+  ChurnStore m;
   constexpr uint64_t kKeepEpochs = 4;
   GcConfig config;
   config.bytes_per_sec = 512 * kMiB;  // paced like a background scrubber
@@ -108,25 +107,6 @@ void RunSegmentSoak(BenchReport& report, uint64_t epochs) {
   PrintRow("cross-epoch dedup hits",
            static_cast<double>(m.store->stats().dedup_hits - first_epoch_hits), 0, "hits");
   report.AddMetrics("soak_segment_log", m.sim);
-}
-
-// Part B: the legacy allocator with nothing pruning history — the status
-// quo this refactor replaces. Shorter horizon: it never gives space back.
-void RunLegacyGrowth(BenchReport& report, uint64_t epochs) {
-  ChurnStore m(StoreLayout::kLegacy);
-  uint64_t used_mid = 0;
-  for (uint64_t e = 1; e <= epochs; e++) {
-    m.Epoch(e);
-    if (e == epochs / 2) {
-      used_mid = m.store->UsedPhysicalBlocks();
-    }
-  }
-  uint64_t used_end = m.store->UsedPhysicalBlocks();
-  PrintRow("legacy used blocks (mid-run)", static_cast<double>(used_mid), 0, "blocks");
-  PrintRow("legacy used blocks (end)", static_cast<double>(used_end), 0, "blocks");
-  PrintRow("legacy end/mid used", static_cast<double>(used_end) / static_cast<double>(used_mid),
-           1.10, "ratio");
-  report.AddMetrics("soak_legacy", m.sim);
 }
 
 // --- Part C: foreground flush tail under background GC -----------------------
@@ -194,11 +174,6 @@ int main() {
               "(flat: end-of-run used blocks within 10% of mid-run steady state)");
   PrintColumns();
   RunSegmentSoak(report, 12000);
-
-  PrintHeader("Soak part B: legacy free-list layout, no retention, 1500 epochs\n"
-              "(the allocator never gives history back; used blocks keep climbing)");
-  PrintColumns();
-  RunLegacyGrowth(report, 1500);
 
   PrintHeader("Soak part C: fig3 write profile, flush-makespan p99, GC on vs off\n"
               "(paced background compaction must stay out of the foreground tail)");

@@ -30,7 +30,7 @@ for preset in default asan; do
   "${build_dir}/tests/fault_matrix_test" >/dev/null
 
   # And the stop-path contract (clean epochs elide protection + shootdowns,
-  # legacy vs incremental images byte-identical, cache invalidation per op).
+  # restored images equal the written bytes, cache invalidation per op).
   "${build_dir}/tests/stop_path_test" >/dev/null
 
   # The segment-log GC contract: compaction keeps churn space flat, never
@@ -145,13 +145,17 @@ done
 
 # UBSan-only configuration: near-native speed, so the undefined-behavior
 # matrix can cover the lint engine, the checksum and content-hash word loads
-# and 128-bit multiplies, and the crash/restore paths directly.
+# and 128-bit multiplies, the crash/restore paths, and the stop path and
+# segment-log GC directly.
 echo "=== configure/build: ubsan ==="
 cmake --preset ubsan
-cmake --build --preset ubsan -j "${jobs}" --target lint_test base_test crash_matrix_test
+cmake --build --preset ubsan -j "${jobs}" --target lint_test base_test crash_matrix_test \
+  stop_path_test segment_gc_test
 build-ubsan/tests/lint_test >/dev/null
 build-ubsan/tests/base_test >/dev/null
 build-ubsan/tests/crash_matrix_test >/dev/null
+build-ubsan/tests/stop_path_test >/dev/null
+build-ubsan/tests/segment_gc_test >/dev/null
 
 # clang-tidy over src/ + tools/ with the curated .clang-tidy profile. The
 # container image does not ship clang-tidy, so its absence is tolerated — but

@@ -207,11 +207,6 @@ Result<std::vector<std::string>> SlsCli::Gc(bool run) {
   ObjectStore* store = sls_->store();
   std::vector<std::string> out;
   char line[256];
-  if (store->layout() != StoreLayout::kSegmentLog) {
-    out.push_back("gc: store uses the legacy layout; nothing to compact");
-    return out;
-  }
-
   if (run) {
     AURORA_ASSIGN_OR_RETURN(GcRunReport report, sls_->gc()->Run());
     std::snprintf(line, sizeof(line),

@@ -9,9 +9,9 @@
 #include <string>
 #include <vector>
 
-#include "src/base/histogram.h"
 #include "src/base/units.h"
 #include "src/objstore/oid.h"
+#include "src/obs/metrics.h"
 #include "src/posix/process.h"
 #include "src/posix/socket.h"
 #include "src/vm/system_shadow.h"
@@ -22,10 +22,9 @@ class CheckpointBackend;
 
 // How long committed epochs stay restorable. Applied after every durable
 // full checkpoint of the group (store backend only): epochs outside the
-// policy are pruned from the store directory, their deadlists freed, and —
-// on the segment-log layout — the compactor immediately gets the resulting
-// dead space to reclaim. Both limits 0 (the default) keeps every epoch, the
-// pre-policy behavior.
+// policy are pruned from the store directory, their deadlists freed, and the
+// compactor immediately gets the resulting dead space to reclaim. Both
+// limits 0 (the default) keeps every epoch, the pre-policy behavior.
 struct RetentionPolicy {
   // Keep at most this many newest committed epochs (0 = unlimited).
   uint64_t keep_epochs = 0;
@@ -50,11 +49,6 @@ class ConsistencyGroup {
   SimDuration period = 10 * kMillisecond;
   bool external_sync = true;
   bool collapse_reversed = true;  // Aurora's collapse direction (ablatable)
-  // Ablation toggle: reinstate the pre-incremental stopped window — full
-  // write-protect sweeps over every object, one shootdown per address space
-  // regardless of dirtied state, and all OS state serialized inside the stop
-  // (no warm serialization cache).
-  bool legacy_stop_path = false;
 
   // Checkpoint destination. Null means the machine's object store; set a
   // registered backend via Sls::SetBackend before the first checkpoint.
@@ -113,7 +107,7 @@ class ConsistencyGroup {
   bool suspended = false;
 
   // Bookkeeping for observability.
-  LatencyHistogram stop_times;
+  SimHistogram stop_times;
   uint64_t checkpoints_taken = 0;
   uint64_t bytes_flushed_total = 0;
   // Epochs abandoned after exhausted I/O retries (graceful degradation): the

@@ -385,8 +385,8 @@ SimDuration SerializeProcess(const CostModel& cost, BinaryWriter* w, const Proce
 Result<std::vector<uint8_t>> SerializeOsState(SimContext* sim, const ConsistencyGroup& group,
                                               uint64_t epoch, Oid namespace_oid,
                                               const EnsureOidFn& ensure_oid,
-                                              SerializeStats* stats, SerializeMode mode,
-                                              SerializeCache* cache) {
+                                              SerializeStats* stats, SerializeCache* cache,
+                                              SerializeMode mode) {
   BinaryWriter w;
   w.PutU32(kManifestMagic);
   w.PutU32(kManifestVersion);
@@ -394,9 +394,6 @@ Result<std::vector<uint8_t>> SerializeOsState(SimContext* sim, const Consistency
   w.PutU64(epoch);
   w.PutU64(namespace_oid.value);
 
-  if (cache == nullptr) {
-    mode = SerializeMode::kLegacy;  // nothing to warm or assemble from
-  }
   // Entity records are always built fresh (the simulator's own CPU work is
   // free); the cache decides only what simulated time each record costs.
   // A cached blob that byte-matches the fresh record proves the entity was
@@ -405,7 +402,7 @@ Result<std::vector<uint8_t>> SerializeOsState(SimContext* sim, const Consistency
   auto emit = [&](uint8_t kind, uint64_t id, uint64_t gen, const BinaryWriter& sub,
                   SimDuration fresh_cost) {
     entity_bytes += sub.size();
-    if (mode == SerializeMode::kLegacy) {
+    if (cache == nullptr) {
       sim->clock.Advance(fresh_cost);
     } else {
       auto key = std::make_pair(kind, id);
@@ -512,11 +509,11 @@ Result<std::vector<uint8_t>> SerializeOsState(SimContext* sim, const Consistency
     stats->descriptions = g.descriptions.size();
     stats->bytes = w.size();
   }
-  // Final marshal: legacy pays for the whole manifest (entities were charged
-  // gather-only inline, as before); cached modes already paid per-entity
+  // Final marshal: a cacheless pass pays for the whole manifest (entities
+  // were charged gather-only inline); cached modes already paid per-entity
   // marshal, so only the glue bytes (header, section counts, memory table)
   // remain.
-  if (mode == SerializeMode::kLegacy) {
+  if (cache == nullptr) {
     sim->clock.Advance(sim->cost.Serialize(w.size()));
   } else {
     sim->clock.Advance(sim->cost.Serialize(w.size() - entity_bytes));

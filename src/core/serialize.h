@@ -40,12 +40,10 @@ struct SerializeStats {
 // Assigns (or returns the existing) store OID for a VM object.
 using EnsureOidFn = std::function<Oid(VmObject*)>;
 
-// How a serialization pass charges the cost model. The manifest bytes are
-// identical in every mode; only the simulated time differs.
+// How a cached serialization pass charges the cost model. The manifest bytes
+// are identical in every mode, and to a cacheless pass; only the simulated
+// time differs.
 enum class SerializeMode {
-  // Single-pass: every entity charged fresh gather + marshal cost inline
-  // (the pre-cache stop-the-world behavior).
-  kLegacy,
   // Out-of-window warm pass: entities whose generation is unchanged since
   // the cached blob cost one cache-line touch; changed entities charge
   // fresh. Fills the cache; the returned manifest is discarded.
@@ -84,13 +82,14 @@ struct SerializeCache {
 };
 
 // Serializes the group's OS state into a manifest blob, charging the cost
-// model for each object gathered (Table 4's checkpoint column). `mode` and
-// `cache` select the incremental charging scheme described above; the
-// default reproduces the legacy single-pass cost exactly.
+// model for each object gathered. Without a cache every entity pays a cold
+// gather inline and the whole manifest pays one marshal (Table 4's
+// checkpoint column); with one, `mode` selects the incremental charging
+// scheme described above.
 [[nodiscard]] Result<std::vector<uint8_t>> SerializeOsState(
     SimContext* sim, const ConsistencyGroup& group, uint64_t epoch, Oid namespace_oid,
-    const EnsureOidFn& ensure_oid, SerializeStats* stats,
-    SerializeMode mode = SerializeMode::kLegacy, SerializeCache* cache = nullptr);
+    const EnsureOidFn& ensure_oid, SerializeStats* stats, SerializeCache* cache = nullptr,
+    SerializeMode mode = SerializeMode::kAssemble);
 
 // Resolves a memory OID to a VM object during restore. `chain_complete`
 // means the returned object already carries its whole ancestry (the

@@ -258,16 +258,13 @@ void Sls::CkptPreSerialize(CheckpointContext* ctx) {
   // stopped window. The manifest built here is discarded (its header names
   // an epoch and namespace OID that do not exist yet); only the cache
   // survives into CkptSerialize.
-  if (ctx->group->legacy_stop_path) {
-    return;
-  }
   size_t span = sim_->tracer.Begin("ckpt.preserialize");
   SerializeCache& cache = serialize_caches_[ctx->group];
   cache.pass++;
   auto ensure = [this, ctx](VmObject* obj) { return EnsureMemoryOid(ctx->backend, obj); };
   Result<std::vector<uint8_t>> warm =
       SerializeOsState(sim_, *ctx->group, ctx->backend->current_epoch(), kInvalidOid, ensure,
-                       nullptr, SerializeMode::kWarmCache, &cache);
+                       nullptr, &cache, SerializeMode::kWarmCache);
   if (!warm.ok()) {
     // Not fatal: the in-window pass simply runs against a colder cache.
     sim_->metrics.counter("ckpt.preserialize_failures").Add(1);
@@ -299,16 +296,12 @@ Status Sls::CkptSerialize(CheckpointContext* ctx) {
   // In-window pass: assemble from the blobs CkptPreSerialize warmed; only
   // entities mutated since then (quiesce state changes, drained AIO) pay
   // fresh gather cost inside the stop.
-  SerializeMode mode =
-      ctx->group->legacy_stop_path ? SerializeMode::kLegacy : SerializeMode::kAssemble;
-  SerializeCache* cache =
-      ctx->group->legacy_stop_path ? nullptr : &serialize_caches_[ctx->group];
+  SerializeCache& cache = serialize_caches_[ctx->group];
   AURORA_ASSIGN_OR_RETURN(ctx->manifest,
                           SerializeOsState(sim_, *ctx->group, ctx->backend->current_epoch(),
-                                           ns_oid, ensure, &ctx->result.os_state, mode, cache));
-  if (cache != nullptr) {
-    cache->Prune();
-  }
+                                           ns_oid, ensure, &ctx->result.os_state, &cache,
+                                           SerializeMode::kAssemble));
+  cache.Prune();
   ctx->result.os_serialize_time = serialize_watch.Elapsed();
   sim_->tracer.End(serialize_span);
   return Status::Ok();
@@ -319,15 +312,12 @@ void Sls::CkptShadow(CheckpointContext* ctx) {
   size_t shadow_span = sim_->tracer.Begin("ckpt.shadow");
   SimStopwatch shadow_watch(sim_->clock);
   SystemShadowStats shadow_stats;
-  ShadowOptions options;
-  options.skip_clean = !ctx->group->legacy_stop_path;
-  options.elide_shootdowns = !ctx->group->legacy_stop_path;
   ctx->pairs = CreateSystemShadows(
       ctx->maps, sim_,
       [this](VmObject* old_top, std::shared_ptr<VmObject> new_top) {
         kernel_->RebindShmObjects(old_top, new_top);
       },
-      &shadow_stats, options);
+      &shadow_stats);
   for (const ShadowPair& pair : ctx->pairs) {
     snapshots_[ctx->group][pair.frozen->sls_oid()] = pair.frozen;
   }
@@ -536,7 +526,7 @@ void Sls::ApplyRetention(CheckpointContext* ctx) {
       sim_->metrics.counter("ckpt.retention_prune_failures").Add();
     }
   }
-  if (gc_auto_ && store_->layout() == StoreLayout::kSegmentLog) {
+  if (gc_auto_) {
     Result<GcRunReport> run = gc()->Run();
     if (!run.ok()) {
       // Compaction failure never fails the checkpoint: the dead space just

@@ -179,8 +179,8 @@ class Sls {
   // --- Retention + segment GC ----------------------------------------------
   // Arms automatic epoch pruning for the group: after every durable full
   // checkpoint through the store backend, epochs outside the policy are
-  // dropped from the store directory and (on the segment-log layout, unless
-  // SetAutoGc(false)) a compaction pass reclaims the dead space.
+  // dropped from the store directory and (unless SetAutoGc(false)) a
+  // compaction pass reclaims the dead space.
   void SetRetentionPolicy(ConsistencyGroup* group, const RetentionPolicy& policy) {
     group->retention = policy;
   }

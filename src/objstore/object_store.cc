@@ -22,6 +22,10 @@ constexpr uint32_t kJournalMagic = 0x4155524a;  // "AURJ"
 //     stored_len, and the persisted dedup index (content key -> phys +
 //     refcount) serialized alongside the segment table.
 constexpr uint32_t kVersion = 4;
+// The meta blob's layout byte. 0 was the free-list allocator, retired; the
+// byte stays so the blob format (and kVersion) is unchanged.
+constexpr uint8_t kFreeListLayout = 0;
+constexpr uint8_t kSegmentLogLayout = 1;
 constexpr int kSuperSlots = 8;
 constexpr size_t kSuperNameMax = 64;
 
@@ -74,6 +78,9 @@ struct Superblock {
     return sb;
   }
 };
+
+// The store-wide codec option: kRaw or a registered codec id.
+bool IsStoreCodec(CodecId id) { return id == CodecId::kRaw || FindExtentCodec(id) != nullptr; }
 
 struct JournalRecordHeader {
   uint32_t magic = kJournalMagic;
@@ -191,6 +198,12 @@ Result<std::unique_ptr<ObjectStore>> ObjectStore::Format(BlockDevice* device, Si
   if (options.block_size % device->block_size() != 0) {
     return Status::Error(Errc::kInvalidArgument, "store block size not a device multiple");
   }
+  if (options.segment_blocks < 2) {
+    return Status::Error(Errc::kInvalidArgument, "segment_blocks too small");
+  }
+  if (!IsStoreCodec(options.codec)) {
+    return Status::Error(Errc::kInvalidArgument, "unknown store codec");
+  }
   auto store = std::unique_ptr<ObjectStore>(new ObjectStore(device, sim, options));
   store->total_blocks_ = device->block_count() / store->DevBlocksPerStoreBlock();
   if (store->total_blocks_ < 8) {
@@ -207,20 +220,14 @@ Result<std::unique_ptr<ObjectStore>> ObjectStore::Format(BlockDevice* device, Si
   for (uint64_t b = 0; b < ring_blocks; b++) {
     store->BitSet(b, true);
   }
-  store->alloc_cursor_ = std::max<uint64_t>(store->alloc_cursor_, ring_blocks);
-  if (store->options_.layout == StoreLayout::kSegmentLog) {
-    if (store->options_.segment_blocks < 2) {
-      return Status::Error(Errc::kInvalidArgument, "segment_blocks too small");
-    }
-    if (ring_blocks > store->options_.segment_blocks) {
-      return Status::Error(Errc::kInvalidArgument, "superblock ring exceeds one segment");
-    }
-    store->InitSegments();
-    // Segment 0 is the first metadata segment; its cursor starts past the
-    // superblock ring so the first blob lands exactly where kLegacy put it.
-    store->SegTransition(0, SegState::kMeta, /*lane=*/0, /*cursor=*/ring_blocks);
-    store->open_meta_seg_ = 0;
+  if (ring_blocks > store->options_.segment_blocks) {
+    return Status::Error(Errc::kInvalidArgument, "superblock ring exceeds one segment");
   }
+  store->InitSegments();
+  // Segment 0 is the first metadata segment; its cursor starts past the
+  // superblock ring.
+  store->SegTransition(0, SegState::kMeta, /*lane=*/0, /*cursor=*/ring_blocks);
+  store->open_meta_seg_ = 0;
   AURORA_ASSIGN_OR_RETURN(SimTime done, store->CommitCheckpoint("format"));
   sim->clock.AdvanceTo(done);
   return store;
@@ -260,7 +267,11 @@ Result<std::unique_ptr<ObjectStore>> ObjectStore::Open(BlockDevice* device, SimC
       continue;
     }
     std::memcpy(blob.data(), raw.data(), sb.meta_len);
-    if (!store->DeserializeMeta(blob).ok()) {
+    Status parsed = store->DeserializeMeta(blob);
+    if (parsed.code() == Errc::kNotSupported) {
+      return parsed;  // the layout is fixed at format time; no epoch can help
+    }
+    if (!parsed.ok()) {
       continue;  // torn metadata: fall back to the previous checkpoint
     }
     store->epoch_ = sb.epoch + 1;
@@ -289,24 +300,6 @@ void ObjectStore::BitSet(uint64_t block, bool v) {
   } else {
     bitmap_[block / 8] &= static_cast<uint8_t>(~(1u << (block % 8)));
   }
-}
-
-Result<uint64_t> ObjectStore::AllocBlock(uint32_t lane) {
-  if (options_.layout == StoreLayout::kSegmentLog) {
-    return AppendBlock(lane);
-  }
-  for (uint64_t scanned = 0; scanned < total_blocks_; scanned++) {
-    uint64_t candidate = alloc_cursor_;
-    alloc_cursor_ = (alloc_cursor_ + 1 == total_blocks_) ? 1 : alloc_cursor_ + 1;
-    if (!BitGet(candidate)) {
-      BitSet(candidate, true);
-      stats_.blocks_allocated++;
-      sim_->metrics.counter("store.blocks_allocated").Add();
-      sim_->clock.Advance(sim_->cost.lock_acquire);
-      return candidate;
-    }
-  }
-  return Status::Error(Errc::kNoSpace, "store full");
 }
 
 // --- Segment log -------------------------------------------------------------
@@ -565,34 +558,11 @@ uint64_t ObjectStore::TranslatePhys(uint64_t phys, uint64_t view_epoch) const {
   return phys;
 }
 
-Result<uint64_t> ObjectStore::AllocContiguous(uint64_t nblocks) {
-  uint64_t run = 0;
-  for (uint64_t b = 1; b < total_blocks_; b++) {
-    if (!BitGet(b)) {
-      run++;
-      if (run == nblocks) {
-        uint64_t start = b - nblocks + 1;
-        for (uint64_t i = start; i <= b; i++) {
-          BitSet(i, true);
-        }
-        stats_.blocks_allocated += nblocks;
-        sim_->metrics.counter("store.blocks_allocated").Add(nblocks);
-        return start;
-      }
-    } else {
-      run = 0;
-    }
-  }
-  return Status::Error(Errc::kNoSpace, "no contiguous run available");
-}
-
 void ObjectStore::FreeBlock(uint64_t block) {
   BitSet(block, false);
   stats_.blocks_freed++;
   sim_->metrics.counter("store.blocks_freed").Add();
-  if (options_.layout == StoreLayout::kSegmentLog && !segments_.empty()) {
-    MaybeReclaimSegment(SegmentOf(block));
-  }
+  MaybeReclaimSegment(SegmentOf(block));
 }
 
 void ObjectStore::KillExtent(const Extent& extent) {
@@ -663,28 +633,27 @@ Result<SimTime> ObjectStore::StoreBlockCow(uint32_t lane, const uint8_t* block, 
   uint32_t stored_len = 0;
   uint8_t codec_id = static_cast<uint8_t>(CodecId::kRaw);
   std::vector<uint8_t> comp;
-  if (options_.codec != CodecId::kRaw) {
-    const ExtentCodec* codec = FindExtentCodec(options_.codec);
-    if (codec != nullptr) {
-      sim_->clock.Advance(sim_->cost.Compress(bs));
-      // Only commit to the compressed form when it saves at least one device
-      // block — the stored span is what the device actually writes. A store
-      // block of one device block can never be saved that way, so the pass
-      // is skipped there. The charge above stays: the cost model prices an
-      // attempt on every miss, and simulated time must not depend on this
-      // host-side shortcut.
-      size_t clen = 0;
-      if (DevBlocksPerStoreBlock() > 1) {
-        comp.resize(bs);
-        clen = codec->Compress(block, bs, comp.data());
-      }
-      if (clen > 0 && (clen + dev_bs - 1) / dev_bs < DevBlocksPerStoreBlock()) {
-        payload = comp.data();
-        stored_len = static_cast<uint32_t>(clen);
-        codec_id = static_cast<uint8_t>(options_.codec);
-        stats_.bytes_compressed_saved += bs - clen;
-        sim_->metrics.counter("ckpt.bytes_compressed").Add(bs - clen);
-      }
+  // Format and DeserializeMeta admit only known codec ids, so a null codec
+  // here means kRaw.
+  if (const ExtentCodec* codec = FindExtentCodec(options_.codec)) {
+    sim_->clock.Advance(sim_->cost.Compress(bs));
+    // Only commit to the compressed form when it saves at least one device
+    // block — the stored span is what the device actually writes. A store
+    // block of one device block can never be saved that way, so the pass
+    // is skipped there. The charge above stays: the cost model prices an
+    // attempt on every miss, and simulated time must not depend on this
+    // host-side shortcut.
+    size_t clen = 0;
+    if (DevBlocksPerStoreBlock() > 1) {
+      comp.resize(bs);
+      clen = codec->Compress(block, bs, comp.data());
+    }
+    if (clen > 0 && (clen + dev_bs - 1) / dev_bs < DevBlocksPerStoreBlock()) {
+      payload = comp.data();
+      stored_len = static_cast<uint32_t>(clen);
+      codec_id = static_cast<uint8_t>(options_.codec);
+      stats_.bytes_compressed_saved += bs - clen;
+      sim_->metrics.counter("ckpt.bytes_compressed").Add(bs - clen);
     }
   }
   uint32_t span = stored_len != 0 ? stored_len : bs;
@@ -696,7 +665,7 @@ Result<SimTime> ObjectStore::StoreBlockCow(uint32_t lane, const uint8_t* block, 
     std::memcpy(padded.data(), payload, span);
     payload = padded.data();
   }
-  AURORA_ASSIGN_OR_RETURN(uint64_t phys, AllocBlock(lane));
+  AURORA_ASSIGN_OR_RETURN(uint64_t phys, AppendBlock(lane));
   AURORA_ASSIGN_OR_RETURN(SimTime wdone, DevWrite(lane, DevLba(phys), payload, ndev));
   stats_.bytes_stored += static_cast<uint64_t>(ndev) * dev_bs;
   if (lane_bytes != nullptr) {
@@ -719,9 +688,6 @@ uint64_t ObjectStore::FreeBlocks() const {
 }
 
 uint64_t ObjectStore::UsedPhysicalBlocks() const {
-  if (options_.layout != StoreLayout::kSegmentLog || segments_.empty()) {
-    return total_blocks_ - FreeBlocks();
-  }
   uint64_t used = 0;
   for (uint64_t seg = 0; seg < segments_.size(); seg++) {
     if (segments_[seg].state != SegState::kFree) {
@@ -833,13 +799,7 @@ Status ObjectStore::DeleteObject(Oid oid) {
     return Status::Error(Errc::kNotFound, "no such object");
   }
   if (it->second.non_cow) {
-    if (options_.layout == StoreLayout::kSegmentLog) {
-      FreeJournalRun(it->second.journal_start, it->second.journal_blocks);
-    } else {
-      for (uint64_t b = 0; b < it->second.journal_blocks; b++) {
-        FreeBlock(it->second.journal_start + b);
-      }
-    }
+    FreeJournalRun(it->second.journal_start, it->second.journal_blocks);
   }
   for (auto& [logical, extent] : it->second.extents) {
     KillExtent(extent);
@@ -917,7 +877,7 @@ void ObjectStore::SetFlushLanes(uint32_t lanes) {
 
 uint32_t ObjectStore::NextFlushLane() {
   // Deterministic but decorrelated from physical placement: sequential
-  // AllocBlock numbers stripe over the array's children with the same linear
+  // AppendBlock numbers stripe over the array's children with the same linear
   // cursor, so `cursor % lanes` would move in lock-step with the stripe map
   // and pin every child to a single queue (gcd of the two strides), which
   // parallelizes nothing. The splitmix64 finalizer spreads each child's
@@ -1156,27 +1116,25 @@ std::vector<uint8_t> ObjectStore::SerializeMeta() const {
   // v3 layout section. Everything here is fixed-width per element and the
   // element counts cannot change between the two serialization passes of a
   // commit (AllocMetaRun moves cursors, never the segment count).
-  w.PutU8(static_cast<uint8_t>(options_.layout));
+  w.PutU8(kSegmentLogLayout);
   w.PutU32(options_.segment_blocks);
-  if (options_.layout == StoreLayout::kSegmentLog) {
-    w.PutU64(segments_.size());
-    for (const Segment& s : segments_) {
-      w.PutU8(static_cast<uint8_t>(s.state));
-      w.PutU32(s.lane);
-      w.PutU64(s.cursor);
-    }
-    w.PutU64(reloc_.size());
-    for (const auto& [old_phys, entry] : reloc_) {
-      w.PutU64(old_phys);
-      w.PutU64(entry.new_phys);
-      w.PutU64(entry.reloc_epoch);
-    }
-    w.PutU64(open_meta_seg_);
-    w.PutU64(open_data_seg_.size());
-    for (const auto& [lane, seg] : open_data_seg_) {
-      w.PutU32(lane);
-      w.PutU64(seg);
-    }
+  w.PutU64(segments_.size());
+  for (const Segment& s : segments_) {
+    w.PutU8(static_cast<uint8_t>(s.state));
+    w.PutU32(s.lane);
+    w.PutU64(s.cursor);
+  }
+  w.PutU64(reloc_.size());
+  for (const auto& [old_phys, entry] : reloc_) {
+    w.PutU64(old_phys);
+    w.PutU64(entry.new_phys);
+    w.PutU64(entry.reloc_epoch);
+  }
+  w.PutU64(open_meta_seg_);
+  w.PutU64(open_data_seg_.size());
+  for (const auto& [lane, seg] : open_data_seg_) {
+    w.PutU32(lane);
+    w.PutU64(seg);
   }
 
   // v4 dedup index. Fixed-width per element and keyed by content, so the
@@ -1285,46 +1243,48 @@ Status ObjectStore::DeserializeMeta(const std::vector<uint8_t>& blob) {
   bitmap_ = std::move(bitmap);
 
   AURORA_ASSIGN_OR_RETURN(uint8_t layout, r.U8());
-  options_.layout = static_cast<StoreLayout>(layout);
+  if (layout == kFreeListLayout) {
+    return Status::Error(Errc::kNotSupported, "free-list layout retired");
+  }
+  if (layout != kSegmentLogLayout) {
+    return Status::Error(Errc::kCorrupt, "unknown store layout " + std::to_string(layout));
+  }
   AURORA_ASSIGN_OR_RETURN(options_.segment_blocks, r.U32());
   segments_.clear();
   open_data_seg_.clear();
   reloc_.clear();
-  open_meta_seg_ = 0;
-  if (options_.layout == StoreLayout::kSegmentLog) {
-    AURORA_ASSIGN_OR_RETURN(uint64_t nsegs, r.U64());
-    segments_.reserve(nsegs);
-    for (uint64_t i = 0; i < nsegs; i++) {
-      AURORA_ASSIGN_OR_RETURN(uint8_t state, r.U8());
-      uint32_t lane = 0;
-      uint64_t cursor = 0;
-      AURORA_ASSIGN_OR_RETURN(lane, r.U32());
-      AURORA_ASSIGN_OR_RETURN(cursor, r.U64());
-      // MountSegState applies the remount policy: the blob we are recovering
-      // from is durable, so no surviving pointer references an evacuated
-      // (zombie) segment — it comes back free.
-      segments_.push_back(MountSegState(static_cast<SegState>(state), lane, cursor));
-    }
-    AURORA_ASSIGN_OR_RETURN(uint64_t nreloc, r.U64());
-    for (uint64_t i = 0; i < nreloc; i++) {
-      uint64_t old_phys = 0;
-      RelocEntry entry;
-      AURORA_ASSIGN_OR_RETURN(old_phys, r.U64());
-      AURORA_ASSIGN_OR_RETURN(entry.new_phys, r.U64());
-      AURORA_ASSIGN_OR_RETURN(entry.reloc_epoch, r.U64());
-      reloc_[old_phys] = entry;
-    }
-    AURORA_ASSIGN_OR_RETURN(open_meta_seg_, r.U64());
-    AURORA_ASSIGN_OR_RETURN(uint64_t nopen, r.U64());
-    for (uint64_t i = 0; i < nopen; i++) {
-      uint32_t lane = 0;
-      uint64_t seg = 0;
-      AURORA_ASSIGN_OR_RETURN(lane, r.U32());
-      AURORA_ASSIGN_OR_RETURN(seg, r.U64());
-      open_data_seg_[lane] = seg;
-      if (lane != kGcLane && lane < flush_lanes_) {
-        queue_hints_.HintOpenSegment(static_cast<int>(lane), seg);
-      }
+  AURORA_ASSIGN_OR_RETURN(uint64_t nsegs, r.U64());
+  segments_.reserve(nsegs);
+  for (uint64_t i = 0; i < nsegs; i++) {
+    AURORA_ASSIGN_OR_RETURN(uint8_t state, r.U8());
+    uint32_t lane = 0;
+    uint64_t cursor = 0;
+    AURORA_ASSIGN_OR_RETURN(lane, r.U32());
+    AURORA_ASSIGN_OR_RETURN(cursor, r.U64());
+    // MountSegState applies the remount policy: the blob we are recovering
+    // from is durable, so no surviving pointer references an evacuated
+    // (zombie) segment — it comes back free.
+    segments_.push_back(MountSegState(static_cast<SegState>(state), lane, cursor));
+  }
+  AURORA_ASSIGN_OR_RETURN(uint64_t nreloc, r.U64());
+  for (uint64_t i = 0; i < nreloc; i++) {
+    uint64_t old_phys = 0;
+    RelocEntry entry;
+    AURORA_ASSIGN_OR_RETURN(old_phys, r.U64());
+    AURORA_ASSIGN_OR_RETURN(entry.new_phys, r.U64());
+    AURORA_ASSIGN_OR_RETURN(entry.reloc_epoch, r.U64());
+    reloc_[old_phys] = entry;
+  }
+  AURORA_ASSIGN_OR_RETURN(open_meta_seg_, r.U64());
+  AURORA_ASSIGN_OR_RETURN(uint64_t nopen, r.U64());
+  for (uint64_t i = 0; i < nopen; i++) {
+    uint32_t lane = 0;
+    uint64_t seg = 0;
+    AURORA_ASSIGN_OR_RETURN(lane, r.U32());
+    AURORA_ASSIGN_OR_RETURN(seg, r.U64());
+    open_data_seg_[lane] = seg;
+    if (lane != kGcLane && lane < flush_lanes_) {
+      queue_hints_.HintOpenSegment(static_cast<int>(lane), seg);
     }
   }
 
@@ -1334,6 +1294,9 @@ Status ObjectStore::DeserializeMeta(const std::vector<uint8_t>& blob) {
   options_.dedup = dedup_on != 0;
   AURORA_ASSIGN_OR_RETURN(uint8_t codec_id, r.U8());
   options_.codec = static_cast<CodecId>(codec_id);
+  if (!IsStoreCodec(options_.codec)) {
+    return Status::Error(Errc::kCorrupt, "unknown store codec id " + std::to_string(codec_id));
+  }
   dedup_.clear();
   dedup_by_phys_.clear();
   AURORA_ASSIGN_OR_RETURN(uint64_t ndedup, r.U64());
@@ -1386,15 +1349,9 @@ Result<SimTime> ObjectStore::CommitCheckpoint(const std::string& name) {
   // allocating the metadata blocks between passes cannot change the size.
   std::vector<uint8_t> blob = SerializeMeta();
   uint64_t nblocks = (blob.size() + options_.block_size - 1) / options_.block_size;
-  const bool seglog = options_.layout == StoreLayout::kSegmentLog;
-  uint64_t meta_block = 0;
-  if (seglog) {
-    // AllocMetaRun only moves bits and fixed-width segment cursors, so the
-    // two-pass size-stability argument holds exactly as for AllocContiguous.
-    AURORA_ASSIGN_OR_RETURN(meta_block, AllocMetaRun(nblocks));
-  } else {
-    AURORA_ASSIGN_OR_RETURN(meta_block, AllocContiguous(nblocks));
-  }
+  // AllocMetaRun only moves bits and fixed-width segment cursors, so the
+  // second pass serializes to the same size.
+  AURORA_ASSIGN_OR_RETURN(uint64_t meta_block, AllocMetaRun(nblocks));
   blob = SerializeMeta();
   sim_->clock.Advance(sim_->cost.Serialize(blob.size()));
 
@@ -1408,13 +1365,7 @@ Result<SimTime> ObjectStore::CommitCheckpoint(const std::string& name) {
   if (!meta_wrote.ok()) {
     // A failed commit leaves the epoch open for another attempt; it must not
     // leak its metadata blocks or record a checkpoint nobody can read.
-    if (seglog) {
-      FreeMetaRun(meta_block, nblocks);
-    } else {
-      for (uint64_t b = 0; b < nblocks; b++) {
-        FreeBlock(meta_block + b);
-      }
-    }
+    FreeMetaRun(meta_block, nblocks);
     return meta_wrote.status();
   }
   SimTime meta_done = *meta_wrote;
@@ -1424,13 +1375,7 @@ Result<SimTime> ObjectStore::CommitCheckpoint(const std::string& name) {
   Status super = WriteSuperblock(meta_block, blob.size(), &super_done);
   if (!super.ok()) {
     checkpoints_.pop_back();
-    if (seglog) {
-      FreeMetaRun(meta_block, nblocks);
-    } else {
-      for (uint64_t b = 0; b < nblocks; b++) {
-        FreeBlock(meta_block + b);
-      }
-    }
+    FreeMetaRun(meta_block, nblocks);
     return super;
   }
 
@@ -1439,13 +1384,11 @@ Result<SimTime> ObjectStore::CommitCheckpoint(const std::string& name) {
   stats_.commits++;
   sim_->metrics.counter("store.commits").Add();
   sim_->metrics.counter("store.meta_bytes").Add(blob.size());
-  if (seglog) {
-    // Segments evacuated by GC during the epoch just sealed are now
-    // unreferenced by every durable pointer: the rewritten table is on media
-    // and the superblock points at it.
-    ReclaimZombies();
-    PublishSegmentGauges();
-  }
+  // Segments evacuated by GC during the epoch just sealed are now
+  // unreferenced by every durable pointer: the rewritten table is on media
+  // and the superblock points at it.
+  ReclaimZombies();
+  PublishSegmentGauges();
   return done;
 }
 
@@ -1490,7 +1433,7 @@ Status ObjectStore::DeleteCheckpointsBefore(uint64_t epoch) {
   // Relocation entries exist for readers of blobs older than the move. Once
   // every retained checkpoint is at least as new as reloc_epoch, no reader
   // can present an old enough view and the entry expires.
-  if (options_.layout == StoreLayout::kSegmentLog && !reloc_.empty()) {
+  if (!reloc_.empty()) {
     uint64_t min_retained = epoch_;
     for (const CheckpointRecord& c : checkpoints_) {
       min_retained = std::min(min_retained, c.epoch);
@@ -1681,12 +1624,7 @@ Result<Oid> ObjectStore::CreateJournal(uint64_t capacity_bytes) {
   // usable record capacity is one device block less than requested.
   const uint32_t dev_bs = device_->block_size();
   uint64_t nblocks = (capacity_bytes + options_.block_size - 1) / options_.block_size;
-  uint64_t start = 0;
-  if (options_.layout == StoreLayout::kSegmentLog) {
-    AURORA_ASSIGN_OR_RETURN(start, AllocJournalRun(nblocks));
-  } else {
-    AURORA_ASSIGN_OR_RETURN(start, AllocContiguous(nblocks));
-  }
+  AURORA_ASSIGN_OR_RETURN(uint64_t start, AllocJournalRun(nblocks));
   Oid oid{next_oid_++};
   ObjectInfo info;
   info.type = ObjType::kJournal;
@@ -1713,9 +1651,6 @@ Status ObjectStore::JournalAppend(Oid oid, const void* data, uint64_t len) {
   uint64_t record_len = JournalRecordHeader::kSize + len;
   uint64_t padded = (record_len + dev_bs - 1) / dev_bs * dev_bs;
   uint64_t capacity = info.journal_blocks * options_.block_size;
-  if (info.journal_write_off == 0) {
-    info.journal_write_off = dev_bs;  // legacy objects: skip the header block
-  }
   if (info.journal_write_off + padded > capacity) {
     return Status::Error(Errc::kNoSpace, "journal full");
   }

@@ -14,13 +14,12 @@
 //   * Non-COW journal objects for the sls_journal API: preallocated extents
 //     updated in place with self-describing records, giving the 28 us
 //     synchronous 4 KiB append of section 7.
-//   * Log-structured layout (the default): the device is carved into
-//     fixed-size segments and every COW write appends to a per-lane open
-//     segment. Overwrites only mark the old block dead; whole segments are
-//     reclaimed when pruning (or the background SegmentGc) drains them, so
-//     long-horizon runs see flat space usage instead of allocator
-//     exhaustion. StoreLayout::kLegacy keeps the original free-list
-//     allocator as a comparison baseline.
+//   * Log-structured layout: the device is carved into fixed-size segments
+//     and every COW write appends to a per-lane open segment. Overwrites
+//     only mark the old block dead; whole segments are reclaimed when
+//     pruning (or the background SegmentGc) drains them, so long-horizon
+//     runs see flat space usage instead of allocator exhaustion. Every
+//     segment-state change goes through SegTransition's lifecycle graph.
 #ifndef SRC_OBJSTORE_OBJECT_STORE_H_
 #define SRC_OBJSTORE_OBJECT_STORE_H_
 
@@ -56,17 +55,8 @@ struct CheckpointInfo {
   SimTime committed_at = 0;
 };
 
-// On-device data layout. kSegmentLog is the default epoch data path; kLegacy
-// retains the original bitmap free-list allocator for byte-identity and
-// space-growth comparisons.
-enum class StoreLayout : uint8_t {
-  kLegacy = 0,
-  kSegmentLog = 1,
-};
-
 struct StoreOptions {
   uint32_t block_size = 64 * 1024;  // paper configures 64 KiB everywhere
-  StoreLayout layout = StoreLayout::kSegmentLog;
   uint32_t segment_blocks = 64;  // store blocks per log segment
   // Content-addressed dedup on the COW write path (DESIGN.md section 17):
   // a block whose content key is already indexed installs a reference to the
@@ -91,7 +81,7 @@ struct StoreStats {
   uint64_t dedup_hits = 0;
 };
 
-// Point-in-time view of the segment log (all zero under kLegacy).
+// Point-in-time view of the segment log.
 struct SegmentStats {
   uint64_t segments_total = 0;
   uint64_t segments_free = 0;
@@ -114,6 +104,7 @@ class ObjectStore {
   [[nodiscard]] static Result<std::unique_ptr<ObjectStore>> Format(
       BlockDevice* device, SimContext* sim, StoreOptions options = StoreOptions());
   // Mounts an existing store, recovering to the last complete checkpoint.
+  // A store formatted with the retired free-list layout is kNotSupported.
   [[nodiscard]] static Result<std::unique_ptr<ObjectStore>> Open(BlockDevice* device,
                                                                  SimContext* sim);
 
@@ -146,7 +137,7 @@ class ObjectStore {
 
   // --- Parallel flush lanes -------------------------------------------------
   // Fans the flusher's store-block I/O across `lanes` device submission
-  // queues, round-robin per store block. Block placement (AllocBlock call
+  // queues, round-robin per store block. Block placement (AppendBlock call
   // order) and contents are unaffected, so the stored bytes are identical for
   // any lane count; only completion times change. 1 (the default) is the
   // historical serial timeline, exactly.
@@ -201,13 +192,11 @@ class ObjectStore {
   uint64_t DedupEntries() const { return dedup_.size(); }
   [[nodiscard]] Status CheckDedupInvariants() const;
   uint64_t FreeBlocks() const;
-  // Physically occupied store blocks: in the segment log this counts every
-  // block below a non-free segment's append cursor (dead-but-unreclaimed
-  // space included), which is what long-horizon space usage actually is.
-  // Under kLegacy it is total - FreeBlocks().
+  // Physically occupied store blocks: every block below a non-free
+  // segment's append cursor (dead-but-unreclaimed space included), which is
+  // what long-horizon space usage actually is.
   uint64_t UsedPhysicalBlocks() const;
   SegmentStats GetSegmentStats() const;
-  StoreLayout layout() const { return options_.layout; }
   uint32_t segment_blocks() const { return options_.segment_blocks; }
   uint32_t block_size() const { return options_.block_size; }
   BlockDevice* device() { return device_; }
@@ -303,8 +292,6 @@ class ObjectStore {
     return store_block * DevBlocksPerStoreBlock();
   }
 
-  [[nodiscard]] Result<uint64_t> AllocBlock(uint32_t lane = 0);
-  [[nodiscard]] Result<uint64_t> AllocContiguous(uint64_t nblocks);
   void FreeBlock(uint64_t block);
   // Drops one live reference to an extent's physical block. Shared (indexed)
   // blocks decrement their refcount; the last reference retires the block
@@ -334,7 +321,7 @@ class ObjectStore {
   [[nodiscard]] Result<SimTime> LoadExtentAsync(uint32_t queue, const Extent& extent,
                                                 uint64_t phys, uint8_t* block);
 
-  // Segment-log internals (no-ops / errors under kLegacy).
+  // Segment-log internals.
   uint64_t SegmentOf(uint64_t block) const { return block / options_.segment_blocks; }
   uint64_t SegBase(uint64_t seg) const { return seg * options_.segment_blocks; }
   uint64_t SegCapacity(uint64_t seg) const;
@@ -362,7 +349,8 @@ class ObjectStore {
   static void DedupDropRef(DedupEntry& entry);
   [[nodiscard]] Result<uint64_t> AllocSegment(SegState state, uint32_t lane);
   // Append one block into the lane's open data segment, opening a new one
-  // when full. Used by AllocBlock (segment mode) and the compactor.
+  // when full. The only data-block allocator: the COW write path and the
+  // compactor both place blocks through it.
   [[nodiscard]] Result<uint64_t> AppendBlock(uint32_t lane);
   // Contiguous run for a metadata blob, appended into meta segments.
   [[nodiscard]] Result<uint64_t> AllocMetaRun(uint64_t nblocks);
@@ -432,9 +420,8 @@ class ObjectStore {
 
   std::vector<uint8_t> bitmap_;  // one bit per store block (live/referenced)
   uint64_t total_blocks_ = 0;
-  uint64_t alloc_cursor_ = 1;
 
-  // Segment-log state (empty under kLegacy).
+  // Segment-log state.
   std::vector<Segment> segments_;
   std::map<uint32_t, uint64_t> open_data_seg_;  // lane -> open segment
   uint64_t open_meta_seg_ = 0;

@@ -60,9 +60,6 @@ bool SegmentGc::TakeTokens(uint64_t bytes) {
 Result<GcRunReport> SegmentGc::Run() {
   GcRunReport report;
   ObjectStore* s = store_;
-  if (s->options_.layout != StoreLayout::kSegmentLog || s->segments_.empty()) {
-    return report;
-  }
   MetricsRegistry& metrics = s->sim_->metrics;
   metrics.counter("gc.runs").Add();
   ScopedSpan span(&s->sim_->tracer, "gc");

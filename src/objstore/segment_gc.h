@@ -72,9 +72,9 @@ class SegmentGc {
   explicit SegmentGc(ObjectStore* store, GcConfig config = GcConfig())
       : store_(store), config_(config) {}
 
-  // One compaction pass. A no-op (empty report) under StoreLayout::kLegacy.
-  // Only in-memory pointers move; durability of the relocation follows from
-  // the next CommitCheckpoint, which also reclaims the emptied segments.
+  // One compaction pass. Only in-memory pointers move; durability of the
+  // relocation follows from the next CommitCheckpoint, which also reclaims
+  // the emptied segments.
   [[nodiscard]] Result<GcRunReport> Run();
 
   const GcConfig& config() const { return config_; }

@@ -43,9 +43,9 @@ class Gauge {
   int64_t value_ = 0;
 };
 
-// Log-bucketed histogram of simulated durations (HdrHistogram-style), same
-// scheme as LatencyHistogram but self-contained so the obs layer has no
-// link-time dependencies.
+// Log-bucketed histogram of simulated durations (HdrHistogram-style): 32
+// sub-buckets per power of two, so tail percentiles from nanoseconds to
+// kiloseconds keep ~3% resolution in bounded memory.
 class SimHistogram {
  public:
   SimHistogram();
@@ -61,7 +61,8 @@ class SimHistogram {
   double MeanNanos() const {
     return count_ ? static_cast<double>(sum_) / static_cast<double>(count_) : 0;
   }
-  // Upper bound of the bucket holding percentile p in [0,100].
+  // Upper bound of the first bucket whose cumulative count reaches
+  // p/100 * count() (p in [0,100]), capped at Max().
   SimDuration Percentile(double p) const;
 
  private:

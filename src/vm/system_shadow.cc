@@ -74,24 +74,47 @@ uint64_t RebindEntries(VmObject* old_top, const std::shared_ptr<VmObject>& new_t
         entry.object = new_top;
         uint64_t n = ProtectDirtyRuns(map, entry, runs, sim);
         protected_ptes += n;
-        if (per_map != nullptr) {
-          (*per_map)[i] += n;
-        }
+        (*per_map)[i] += n;
       }
     }
   }
   return protected_ptes;
 }
 
+// Freezes `top` under a fresh shadow that inherits its store OID and
+// repoints every reference in `maps` (and, through `rebind`, external
+// descriptors) at the shadow. Per-map downgrade counts accumulate into
+// `per_map` for the caller's shootdown pass. `top` is taken by value because
+// rebinding overwrites the map entries' shared_ptrs.
+ShadowPair ShadowTop(std::shared_ptr<VmObject> top, const std::vector<VmMap*>& maps,
+                     SimContext* sim, const ShadowRebindFn& rebind, SystemShadowStats* stats,
+                     std::vector<uint64_t>* per_map) {
+  VmObject* raw = top.get();
+  auto shadow = VmObject::CreateShadow(top);
+  shadow->set_sls_oid(top->sls_oid());  // same logical region on disk
+  top->Freeze();
+  sim->clock.Advance(sim->cost.small_alloc + sim->cost.lock_acquire);
+  uint64_t invalidated = RebindEntries(raw, shadow, maps, sim, per_map);
+  if (rebind) {
+    rebind(raw, shadow);
+  }
+  if (stats != nullptr) {
+    stats->objects_shadowed++;
+    stats->ptes_invalidated += invalidated;
+  }
+  sim->metrics.counter("vm.objects_shadowed").Add();
+  sim->metrics.counter("vm.ptes_protected").Add(invalidated);
+  return ShadowPair{top, shadow};
+}
+
 // One TLB shootdown round covers every range invalidated this pass (batched
 // IPIs, as the kernel does) — but only address spaces that actually lost a
 // writable translation have anything to flush. Untouched pmaps are elided
-// (counted, so the savings are observable) unless the legacy full-sweep
-// behavior was requested.
+// (counted, so the savings are observable).
 void ChargeShootdowns(const std::vector<VmMap*>& maps, const std::vector<uint64_t>& per_map,
-                      const ShadowOptions& options, SimContext* sim, SystemShadowStats* stats) {
+                      SimContext* sim, SystemShadowStats* stats) {
   for (size_t i = 0; i < maps.size(); i++) {
-    if (options.elide_shootdowns && per_map[i] == 0) {
+    if (per_map[i] == 0) {
       if (stats != nullptr) {
         stats->shootdowns_elided++;
       }
@@ -110,8 +133,7 @@ void ChargeShootdowns(const std::vector<VmMap*>& maps, const std::vector<uint64_
 
 std::vector<ShadowPair> CreateSystemShadows(const std::vector<VmMap*>& maps, SimContext* sim,
                                             const ShadowRebindFn& rebind,
-                                            SystemShadowStats* stats,
-                                            const ShadowOptions& options) {
+                                            SystemShadowStats* stats) {
   // Pass 1: collect the distinct writable top objects across the group in
   // discovery order (map, then ascending start address). The dedup set makes
   // each object shadowed exactly once no matter how many processes or
@@ -122,7 +144,7 @@ std::vector<ShadowPair> CreateSystemShadows(const std::vector<VmMap*>& maps, Sim
   for (VmMap* map : maps) {
     for (auto& [start, entry] : map->entries()) {
       if (ShouldShadow(entry) && seen.insert(entry.object.get()).second) {
-        if (options.skip_clean && !NeedsShadow(entry.object.get())) {
+        if (!NeedsShadow(entry.object.get())) {
           // Clean top: its store object already holds exactly this content
           // (or the region was never written and restores as zero fill).
           if (stats != nullptr) {
@@ -140,48 +162,19 @@ std::vector<ShadowPair> CreateSystemShadows(const std::vector<VmMap*>& maps, Sim
   std::vector<ShadowPair> pairs;
   pairs.reserve(tops.size());
   for (const std::shared_ptr<VmObject>& top : tops) {
-    VmObject* raw = top.get();
-    auto shadow = VmObject::CreateShadow(top);
-    shadow->set_sls_oid(top->sls_oid());  // same logical region on disk
-    top->Freeze();
-    sim->clock.Advance(sim->cost.small_alloc + sim->cost.lock_acquire);
-    uint64_t invalidated = RebindEntries(raw, shadow, maps, sim, &per_map);
-    if (rebind) {
-      rebind(raw, shadow);
-    }
-    if (stats != nullptr) {
-      stats->objects_shadowed++;
-      stats->ptes_invalidated += invalidated;
-    }
-    sim->metrics.counter("vm.objects_shadowed").Add();
-    sim->metrics.counter("vm.ptes_protected").Add(invalidated);
-    pairs.push_back(ShadowPair{top, shadow});
+    pairs.push_back(ShadowTop(top, maps, sim, rebind, stats, &per_map));
   }
-
-  ChargeShootdowns(maps, per_map, options, sim, stats);
+  ChargeShootdowns(maps, per_map, sim, stats);
   return pairs;
 }
 
 ShadowPair ShadowOneObject(std::shared_ptr<VmObject> top, const std::vector<VmMap*>& maps,
                            SimContext* sim, const ShadowRebindFn& rebind,
-                           SystemShadowStats* stats, const ShadowOptions& options) {
-  auto shadow = VmObject::CreateShadow(top);
-  shadow->set_sls_oid(top->sls_oid());
-  top->Freeze();
-  sim->clock.Advance(sim->cost.small_alloc + sim->cost.lock_acquire);
+                           SystemShadowStats* stats) {
   std::vector<uint64_t> per_map(maps.size(), 0);
-  uint64_t invalidated = RebindEntries(top.get(), shadow, maps, sim, &per_map);
-  if (rebind) {
-    rebind(top.get(), shadow);
-  }
-  if (stats != nullptr) {
-    stats->objects_shadowed++;
-    stats->ptes_invalidated += invalidated;
-  }
-  sim->metrics.counter("vm.objects_shadowed").Add();
-  sim->metrics.counter("vm.ptes_protected").Add(invalidated);
-  ChargeShootdowns(maps, per_map, options, sim, stats);
-  return ShadowPair{top, shadow};
+  ShadowPair pair = ShadowTop(std::move(top), maps, sim, rebind, stats, &per_map);
+  ChargeShootdowns(maps, per_map, sim, stats);
+  return pair;
 }
 
 bool CollapseAfterFlush(const ShadowPair& pair, const std::vector<VmMap*>& maps, bool reversed,

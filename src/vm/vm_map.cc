@@ -7,7 +7,7 @@
 namespace aurora {
 
 Result<uint64_t> VmMap::FindFreeRange(uint64_t hint, uint64_t size) const {
-  uint64_t candidate = hint ? hint : alloc_cursor_;
+  uint64_t candidate = hint ? hint : map_cursor_;
   for (int attempts = 0; attempts < 2; attempts++) {
     // Scan forward from `candidate` until [candidate, candidate+size)
     // collides with nothing — neither the entry before it (which may extend
@@ -55,7 +55,7 @@ Result<uint64_t> VmMap::Map(uint64_t hint, uint64_t size, int prot,
   entries_[start] = std::move(entry);
   generation_++;
   if (hint == 0) {
-    alloc_cursor_ = start + size + kPageSize;
+    map_cursor_ = start + size + kPageSize;
   }
   sim_->clock.Advance(sim_->cost.small_alloc + sim_->cost.lock_acquire);
   return start;
@@ -230,7 +230,7 @@ Result<std::unique_ptr<VmMap>> VmMap::Fork() {
   const CostModel& cost = sim_->cost;
   SimClock* clock = &sim_->clock;
   auto child = std::make_unique<VmMap>(sim_);
-  child->alloc_cursor_ = alloc_cursor_;
+  child->map_cursor_ = map_cursor_;
   for (auto& [start, entry] : entries_) {
     VmMapEntry child_entry = entry;
     if (entry.copy_on_write && (entry.prot & kProtWrite) != 0 &&

@@ -110,7 +110,7 @@ class VmMap {
   Pmap pmap_;
   VmFaultStats fault_stats_;  // aurora-lint: allow(gen): fault counters are diagnostics, not serialized
   uint64_t generation_ = 1;
-  uint64_t alloc_cursor_ = 0x10000000;  // bump pointer for hint-less maps
+  uint64_t map_cursor_ = 0x10000000;  // bump pointer for hint-less maps
 };
 
 }  // namespace aurora

@@ -9,7 +9,6 @@
 
 #include "src/base/checksum.h"
 #include "src/base/event_queue.h"
-#include "src/base/histogram.h"
 #include "src/base/id_allocator.h"
 #include "src/base/result.h"
 #include "src/base/rng.h"
@@ -331,30 +330,6 @@ TEST(Zipf, BoundsAndSkew) {
   }
   // Heavily skewed: the head must dominate the tail.
   EXPECT_GT(counts[0], counts[500] * 5);
-}
-
-TEST(Histogram, Percentiles) {
-  LatencyHistogram h;
-  for (int i = 1; i <= 1000; i++) {
-    h.Record(static_cast<SimDuration>(i) * kMicrosecond);
-  }
-  EXPECT_EQ(h.count(), 1000u);
-  EXPECT_NEAR(ToMicros(h.Percentile(50)), 500, 40);
-  EXPECT_NEAR(ToMicros(h.Percentile(99)), 990, 60);
-  EXPECT_EQ(h.Max(), 1000 * kMicrosecond);
-  EXPECT_EQ(h.Min(), kMicrosecond);
-}
-
-TEST(Histogram, MergeAndReset) {
-  LatencyHistogram a;
-  LatencyHistogram b;
-  a.Record(100);
-  b.Record(300);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.Max(), 300u);
-  a.Reset();
-  EXPECT_EQ(a.count(), 0u);
 }
 
 TEST(IdAllocator, AllocateReserveRelease) {

@@ -218,7 +218,6 @@ TEST(CrashMatrix, EveryCrashPointDuringCompactionRecoversExactImage) {
   auto run = [&](MemBlockDevice* device, SimContext* sim) {
     StoreOptions options;
     options.block_size = bs;
-    options.layout = StoreLayout::kSegmentLog;
     options.segment_blocks = 8;
     // Raw store: this sweep pins the compaction write sequence; the dedup
     // variant of the sweep lives in the dedup fuse tests below.
@@ -347,7 +346,6 @@ TEST(CrashMatrix, EveryCrashPointKeepsDedupIndexConsistent) {
   auto run = [&](MemBlockDevice* device, SimContext* sim) {
     StoreOptions options;
     options.block_size = bs;
-    options.layout = StoreLayout::kSegmentLog;
     options.segment_blocks = 8;
     options.dedup = true;
     options.codec = CodecId::kLz;

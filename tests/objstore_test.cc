@@ -2,7 +2,9 @@
 
 #include <cstring>
 
+#include "src/base/checksum.h"
 #include "src/base/rng.h"
+#include "src/base/serializer.h"
 #include "src/base/sim_context.h"
 #include "src/objstore/object_store.h"
 #include "src/storage/block_device.h"
@@ -256,6 +258,128 @@ TEST_F(ObjStoreTest, PrunedEpochEvictsCachedTable) {
   // The surviving checkpoint stays readable.
   ASSERT_TRUE(store_->ReadAtEpoch(e2, oid, 0, back.data(), back.size()).ok());
   EXPECT_EQ(back, v2);
+}
+
+// The newest committed meta blob, located through the superblock ring, with
+// the offsets of its option bytes found by walking the v4 blob layout.
+struct NewestMetaBlob {
+  uint64_t lba = 0;          // first device block of the blob
+  uint32_t dev_blocks = 0;   // device blocks the blob spans
+  std::vector<uint8_t> raw;  // those device blocks, blob first
+  uint64_t len = 0;          // blob bytes, trailing CRC32C included
+  size_t layout_off = 0;
+  size_t codec_off = 0;
+};
+
+NewestMetaBlob FindNewestMetaBlob(MemBlockDevice* device) {
+  // Superblock: magic u32, version u32, epoch u64, block_size u32,
+  // total_blocks u64, meta_block u64, meta_len u64, ... (little-endian).
+  const uint32_t dev_bs = device->block_size();
+  NewestMetaBlob out;
+  uint64_t newest = 0;
+  uint32_t store_bs = 0;
+  uint64_t meta_block = 0;
+  std::vector<uint8_t> slot(dev_bs);
+  for (uint64_t s = 0; s < 8; s++) {
+    EXPECT_TRUE(device->ReadSync(s, slot.data(), 1).ok());
+    BinaryReader r(slot);
+    if (*r.U32() != 0x41555253 || *r.U32() != 4) {
+      continue;
+    }
+    uint64_t epoch = *r.U64();
+    uint32_t bs = *r.U32();
+    EXPECT_TRUE(r.U64().ok());  // total_blocks
+    uint64_t block = *r.U64();
+    uint64_t len = *r.U64();
+    if (epoch > newest) {
+      newest = epoch;
+      store_bs = bs;
+      meta_block = block;
+      out.len = len;
+    }
+  }
+  EXPECT_GT(newest, 0u);
+  out.lba = meta_block * (store_bs / dev_bs);
+  out.dev_blocks = static_cast<uint32_t>((out.len + dev_bs - 1) / dev_bs);
+  out.raw.resize(static_cast<size_t>(out.dev_blocks) * dev_bs);
+  EXPECT_TRUE(device->ReadSync(out.lba, out.raw.data(), out.dev_blocks).ok());
+
+  BinaryReader r(out.raw.data(), out.len - 4);
+  auto skip = [&r](uint64_t n) {
+    std::vector<uint8_t> field(n);
+    EXPECT_TRUE(r.Raw(field.data(), field.size()).ok());
+  };
+  EXPECT_EQ(*r.U32(), 0x4155524du);  // "AURM"
+  skip(16);                          // epoch, next_oid
+  EXPECT_EQ(*r.U64(), 0u) << "walker expects no objects";
+  EXPECT_EQ(*r.U64(), 0u) << "walker expects no deadlists";
+  uint64_t nckpts = *r.U64();
+  for (uint64_t i = 0; i < nckpts; i++) {
+    skip(8);                       // epoch
+    EXPECT_TRUE(r.String().ok());  // name
+    skip(24);                      // committed_at, meta_block, meta_len
+  }
+  skip(8);                      // total_blocks
+  EXPECT_TRUE(r.Bytes().ok());  // block bitmap
+  out.layout_off = r.pos();
+  skip(1 + 4);          // layout, segment_blocks
+  skip(*r.U64() * 13);  // segments: state u8, lane u32, cursor u64
+  skip(*r.U64() * 24);  // relocation map entries
+  skip(8);              // open meta segment
+  skip(*r.U64() * 12);  // open data segments: lane u32, segment u64
+  skip(1);              // dedup flag
+  out.codec_off = r.pos();
+  return out;
+}
+
+// Writes `blob` back with one byte replaced and the trailing CRC32C
+// re-sealed, so only the typed option check can reject it.
+void WritePatchedBlob(MemBlockDevice* device, const NewestMetaBlob& blob, size_t off,
+                      uint8_t value) {
+  std::vector<uint8_t> raw = blob.raw;
+  raw[off] = value;
+  uint32_t crc = Crc32c(raw.data(), blob.len - 4);
+  for (size_t i = 0; i < 4; i++) {
+    raw[blob.len - 4 + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  ASSERT_TRUE(device->WriteSync(blob.lba, raw.data(), blob.dev_blocks).ok());
+}
+
+TEST_F(ObjStoreTest, BadMetaOptionBytesAreTypedErrors) {
+  NewestMetaBlob blob = FindNewestMetaBlob(device_.get());
+  ASSERT_EQ(blob.raw[blob.layout_off], 1) << "segment-log layout byte";
+  ASSERT_EQ(blob.raw[blob.codec_off], static_cast<uint8_t>(CodecId::kLz));
+
+  struct Case {
+    size_t off;
+    uint8_t value;
+    Errc want;
+  };
+  const Case cases[] = {
+      {blob.layout_off, 1, Errc::kOk},            // control: walk and re-seal are exact
+      {blob.layout_off, 0, Errc::kNotSupported},  // the retired free-list layout
+      {blob.layout_off, 2, Errc::kCorrupt},
+      {blob.layout_off, 0xff, Errc::kCorrupt},
+      {blob.codec_off, static_cast<uint8_t>(CodecId::kRaw), Errc::kOk},
+      {blob.codec_off, 2, Errc::kCorrupt},
+      {blob.codec_off, 0xff, Errc::kCorrupt},
+  };
+  for (const Case& c : cases) {
+    WritePatchedBlob(device_.get(), blob, c.off, c.value);
+    auto opened = ObjectStore::Open(device_.get(), &sim_);
+    Errc got = opened.ok() ? Errc::kOk : opened.status().code();
+    EXPECT_EQ(got, c.want) << "byte " << c.off << " = " << static_cast<int>(c.value)
+                           << " opened as " << ErrcName(got);
+  }
+  WritePatchedBlob(device_.get(), blob, blob.layout_off, 1);
+
+  // The layout is fixed at format time, so an intact older epoch cannot
+  // help: layout 0 in the newest blob is kNotSupported, not a fallback.
+  ASSERT_TRUE(store_->CommitCheckpoint("second").ok());
+  NewestMetaBlob second = FindNewestMetaBlob(device_.get());
+  ASSERT_NE(second.lba, blob.lba);
+  WritePatchedBlob(device_.get(), second, second.layout_off, 0);
+  EXPECT_EQ(ObjectStore::Open(device_.get(), &sim_).status().code(), Errc::kNotSupported);
 }
 
 // Crash-injection property: arm the device fuse at every write count within

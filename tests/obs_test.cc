@@ -93,6 +93,14 @@ TEST(Metrics, HistogramMerge) {
   EXPECT_EQ(a.sum(), 75u);
   EXPECT_EQ(a.Min(), 5u);
   EXPECT_EQ(a.Max(), 40u);
+
+  a.Reset();
+  EXPECT_EQ(a.count(), 0u);
+  EXPECT_EQ(a.sum(), 0u);
+  EXPECT_EQ(a.Max(), 0u);
+  EXPECT_EQ(a.Percentile(99), 0u);
+  a.Record(7);  // buckets were cleared too, not just the summary fields
+  EXPECT_EQ(a.Percentile(100), 7u);
 }
 
 // --- Span tracer -------------------------------------------------------------

@@ -33,10 +33,9 @@ std::vector<uint8_t> Pattern(size_t len, uint8_t seed) {
   return out;
 }
 
-StoreOptions SmallSegments(StoreLayout layout = StoreLayout::kSegmentLog) {
+StoreOptions SmallSegments() {
   StoreOptions options;
   options.block_size = kBlock;
-  options.layout = layout;
   options.segment_blocks = 8;
   // These tests pin down raw relocation mechanics (block counts, token
   // pacing, segment liveness); dedup/compression would collapse the
@@ -266,30 +265,12 @@ TEST(SegmentGc, TokenBucketPacesRelocationIo) {
   EXPECT_FALSE(rest->throttled);
 }
 
-TEST(SegmentGc, LegacyLayoutIsANoop) {
-  SimContext sim;
-  MemBlockDevice device(&sim.clock, kDeviceBlocks);
-  auto store = *ObjectStore::Format(&device, &sim, SmallSegments(StoreLayout::kLegacy));
-  Oid oid = *store->CreateObject(ObjType::kMemory);
-  std::vector<uint8_t> data = Pattern(8 * kBlock, 1);
-  ASSERT_TRUE(store->WriteAt(oid, 0, data.data(), data.size()).ok());
-  ASSERT_TRUE(store->CommitCheckpoint("c1").ok());
-
-  SegmentGc gc(store.get());
-  auto report = gc.Run();
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->segments_examined, 0u);
-  EXPECT_EQ(report->blocks_relocated, 0u);
-  SegmentStats stats = store->GetSegmentStats();
-  EXPECT_EQ(stats.segments_total, 0u);
-}
-
 // --- Sls-level retention + auto-GC ------------------------------------------
 
 struct Machine {
-  explicit Machine(StoreOptions options = StoreOptions()) {
+  Machine() {
     device = MakePaperTestbedStore(&sim.clock, 1 * kGiB);
-    store = *ObjectStore::Format(device.get(), &sim, options);
+    store = *ObjectStore::Format(device.get(), &sim);
     fs = std::make_unique<AuroraFs>(&sim, store.get());
     kernel = std::make_unique<Kernel>(&sim);
     sls = std::make_unique<Sls>(&sim, kernel.get(), store.get(), fs.get());
@@ -311,9 +292,12 @@ struct Machine {
 };
 
 // Runs `epochs` checkpoints of a deterministic dirty-page workload and
-// returns the final heap bytes (read back after reboot + restore).
+// returns the final heap bytes (read back after reboot + restore). When
+// `written` is non-null it receives what the workload wrote: the content
+// model the restored heap must equal.
 std::vector<uint8_t> RunRetainedWorkload(Machine& m, bool retention, int epochs,
-                                         uint64_t mem_bytes = 2 * kMiB) {
+                                         uint64_t mem_bytes = 2 * kMiB,
+                                         std::vector<uint8_t>* written = nullptr) {
   Process* proc = *m.kernel->CreateProcess("app");
   auto obj = VmObject::CreateAnonymous(mem_bytes);
   uint64_t addr = *proc->vm().Map(0x400000, mem_bytes, kProtRead | kProtWrite, obj, 0, false);
@@ -323,11 +307,14 @@ std::vector<uint8_t> RunRetainedWorkload(Machine& m, bool retention, int epochs,
     m.sls->SetRetentionPolicy(group, RetentionPolicy{.keep_epochs = 3});
   }
 
+  std::vector<uint8_t> model(mem_bytes, 0);
   Rng rng(0x6C06);
   for (int e = 0; e < epochs; e++) {
     for (int w = 0; w < 150; w++) {
       uint64_t v = rng.Next();
-      EXPECT_TRUE(proc->vm().Write(addr + rng.Below(mem_bytes - 8), &v, sizeof(v)).ok());
+      uint64_t off = rng.Below(mem_bytes - 8);
+      EXPECT_TRUE(proc->vm().Write(addr + off, &v, sizeof(v)).ok());
+      std::memcpy(model.data() + off, &v, sizeof(v));
     }
     auto ckpt = m.sls->Checkpoint(group);
     EXPECT_TRUE(ckpt.ok());
@@ -336,6 +323,9 @@ std::vector<uint8_t> RunRetainedWorkload(Machine& m, bool retention, int epochs,
     }
   }
 
+  if (written != nullptr) {
+    *written = model;
+  }
   m.Reboot();
   auto restored = m.sls->Restore("app");
   EXPECT_TRUE(restored.ok());
@@ -373,22 +363,17 @@ TEST(SegmentGc, AutoGcNeverChangesRestoredImage) {
   // GC-on vs GC-off: identical workloads, byte-identical restored heaps.
   Machine gc_on;
   Machine gc_off;
-  std::vector<uint8_t> with_gc = RunRetainedWorkload(gc_on, /*retention=*/true, 10);
+  std::vector<uint8_t> written;
+  std::vector<uint8_t> with_gc =
+      RunRetainedWorkload(gc_on, /*retention=*/true, 10, 2 * kMiB, &written);
   std::vector<uint8_t> without_gc = RunRetainedWorkload(gc_off, /*retention=*/false, 10);
   ASSERT_FALSE(with_gc.empty());
   EXPECT_EQ(with_gc, without_gc)
       << "retention + compaction changed what the application restores to";
+  EXPECT_EQ(without_gc, written) << "the restored heap is not what the workload wrote";
   EXPECT_GT(gc_on.sim.metrics.counter("gc.runs").value(), 0u);
   EXPECT_EQ(gc_off.sim.metrics.counter("gc.runs").value(), 0u)
       << "auto-GC must not run for groups without a retention policy";
-
-  // Legacy vs segment-log: the layout must be invisible to applications.
-  StoreOptions legacy;
-  legacy.layout = StoreLayout::kLegacy;
-  Machine legacy_machine(legacy);
-  std::vector<uint8_t> legacy_heap = RunRetainedWorkload(legacy_machine, /*retention=*/false, 10);
-  EXPECT_EQ(legacy_heap, without_gc)
-      << "segment-log restored image diverges from the legacy allocator's";
 }
 
 }  // namespace

@@ -140,33 +140,6 @@ TEST(StopPath, SparseDirtySetReprotectsExactlyTheDirtyPages) {
   EXPECT_EQ(second->pages_flushed, sparse.size());
 }
 
-// The legacy toggle restores the old accounting: every epoch pays a
-// shootdown per address space whether or not anything was dirtied.
-TEST(StopPath, LegacyPathChargesShootdownPerEpoch) {
-  Machine m;
-  auto [proc, addr] = MakeAppProcess(m, 4 * kMiB);
-  ConsistencyGroup* group = *m.sls->CreateGroup("app");
-  ASSERT_TRUE(m.sls->Attach(group, proc).ok());
-  group->legacy_stop_path = true;
-
-  ASSERT_TRUE(proc->vm().DirtyRange(addr, 64 * kPageSize).ok());
-  auto cold = m.sls->Checkpoint(group);
-  ASSERT_TRUE(cold.ok());
-  m.sim.clock.AdvanceTo(cold->durable_at);
-
-  uint64_t shootdowns0 = m.Counter("vm.tlb_shootdowns");
-  const int kCleanEpochs = 3;
-  for (int i = 0; i < kCleanEpochs; i++) {
-    auto clean = m.sls->Checkpoint(group);
-    ASSERT_TRUE(clean.ok());
-    m.sim.clock.AdvanceTo(clean->durable_at);
-  }
-  EXPECT_EQ(m.Counter("vm.tlb_shootdowns"), shootdowns0 + kCleanEpochs)
-      << "legacy path charges one shootdown per address space per epoch";
-  EXPECT_EQ(m.Counter("ckpt.serialize_cache_hits"), 0u)
-      << "legacy path must not consult the serialization cache";
-}
-
 // Populates one machine with a table6-flavored workload: an app process with
 // a sizeable heap plus a rich descriptor table.
 struct RichApp {
@@ -202,57 +175,41 @@ std::vector<uint8_t> ReadBackMemory(Process* proc, uint64_t addr, uint64_t bytes
   return out;
 }
 
-// Runs the same deterministic multi-epoch workload on a fresh machine and
-// returns the restored heap contents after a reboot.
-std::vector<uint8_t> RunEpochsAndRestore(bool legacy, SimDuration* last_stop) {
+// (b) Incremental protection never loses a write: after several sparse
+// dirty epochs, a reboot + restore brings back exactly the bytes the
+// workload wrote (a content model kept beside the run), even though each
+// epoch re-protected and flushed only its dirty pages.
+TEST(StopPath, IncrementalImageMatchesWrittenBytes) {
   Machine m;
   RichApp app = BuildRichApp(m, 2 * kMiB);
   ConsistencyGroup* group = *m.sls->CreateGroup("app");
-  EXPECT_TRUE(m.sls->Attach(group, app.proc).ok());
-  group->legacy_stop_path = legacy;
+  ASSERT_TRUE(m.sls->Attach(group, app.proc).ok());
 
+  std::vector<uint8_t> model(app.mem_bytes, 0);
   Rng rng(0xA77);
   for (int epoch = 0; epoch < 4; epoch++) {
     for (int w = 0; w < 200; w++) {
       uint64_t v = rng.Next();
-      EXPECT_TRUE(
-          app.proc->vm().Write(app.addr + rng.Below(app.mem_bytes - 8), &v, sizeof(v)).ok());
+      uint64_t off = rng.Below(app.mem_bytes - 8);
+      ASSERT_TRUE(app.proc->vm().Write(app.addr + off, &v, sizeof(v)).ok());
+      std::memcpy(model.data() + off, &v, sizeof(v));
     }
     auto ckpt = m.sls->Checkpoint(group);
-    EXPECT_TRUE(ckpt.ok());
-    if (ckpt.ok()) {
-      *last_stop = ckpt->stop_time;
-      m.sim.clock.AdvanceTo(ckpt->durable_at);
-    }
+    ASSERT_TRUE(ckpt.ok());
+    m.sim.clock.AdvanceTo(ckpt->durable_at);
   }
 
   m.Reboot();
   auto restored = m.sls->Restore("app");
-  EXPECT_TRUE(restored.ok());
-  if (!restored.ok()) {
-    return {};
-  }
-  EXPECT_EQ(restored->group->processes.size(), 1u);
-  return ReadBackMemory(restored->group->processes[0], app.addr, app.mem_bytes);
+  ASSERT_TRUE(restored.ok());
+  ASSERT_EQ(restored->group->processes.size(), 1u);
+  std::vector<uint8_t> image =
+      ReadBackMemory(restored->group->processes[0], app.addr, app.mem_bytes);
+  EXPECT_TRUE(image == model) << "the restored heap is not what the workload wrote";
 }
 
-// (b) Incremental protection leaves restored images byte-identical to the
-// full-sweep engine, and its steady-state stop is strictly cheaper.
-TEST(StopPath, IncrementalImageMatchesLegacyByteForByte) {
-  SimDuration legacy_stop = 0;
-  SimDuration incremental_stop = 0;
-  std::vector<uint8_t> legacy_image = RunEpochsAndRestore(true, &legacy_stop);
-  std::vector<uint8_t> incremental_image = RunEpochsAndRestore(false, &incremental_stop);
-  ASSERT_FALSE(legacy_image.empty());
-  ASSERT_EQ(legacy_image.size(), incremental_image.size());
-  EXPECT_TRUE(legacy_image == incremental_image)
-      << "restored heaps diverge between the legacy and incremental stop paths";
-  EXPECT_LT(incremental_stop, legacy_stop)
-      << "the incremental path should shrink the stopped window";
-}
-
-// The manifest bytes are identical in every serialization mode; only the
-// charged time differs.
+// The manifest bytes are identical in every serialization mode and to the
+// cacheless pass; only the charged time differs.
 TEST(StopPath, SerializerModesProduceIdenticalBytes) {
   Machine m;
   RichApp app = BuildRichApp(m, 1 * kMiB);
@@ -260,22 +217,21 @@ TEST(StopPath, SerializerModesProduceIdenticalBytes) {
   ASSERT_TRUE(m.sls->Attach(group, app.proc).ok());
 
   FakeOids oids;
-  auto legacy = SerializeOsState(&m.sim, *group, 7, kInvalidOid, oids.Fn(), nullptr,
-                                 SerializeMode::kLegacy, nullptr);
-  ASSERT_TRUE(legacy.ok());
+  auto cold = SerializeOsState(&m.sim, *group, 7, kInvalidOid, oids.Fn(), nullptr);
+  ASSERT_TRUE(cold.ok());
 
   SerializeCache cache;
   cache.pass++;
-  auto warm = SerializeOsState(&m.sim, *group, 7, kInvalidOid, oids.Fn(), nullptr,
-                               SerializeMode::kWarmCache, &cache);
+  auto warm = SerializeOsState(&m.sim, *group, 7, kInvalidOid, oids.Fn(), nullptr, &cache,
+                               SerializeMode::kWarmCache);
   ASSERT_TRUE(warm.ok());
   cache.pass++;
-  auto assembled = SerializeOsState(&m.sim, *group, 7, kInvalidOid, oids.Fn(), nullptr,
-                                    SerializeMode::kAssemble, &cache);
+  auto assembled = SerializeOsState(&m.sim, *group, 7, kInvalidOid, oids.Fn(), nullptr, &cache,
+                                    SerializeMode::kAssemble);
   ASSERT_TRUE(assembled.ok());
 
-  EXPECT_TRUE(*legacy == *warm);
-  EXPECT_TRUE(*legacy == *assembled);
+  EXPECT_TRUE(*cold == *warm);
+  EXPECT_TRUE(*cold == *assembled);
 }
 
 // (c) Each mutating kernel op invalidates exactly the cached blobs it
@@ -295,8 +251,8 @@ TEST(StopPath, CacheInvalidationPerMutatingOp) {
   SerializeCache cache;
   auto run_pass = [&]() {
     cache.pass++;
-    auto r = SerializeOsState(&m.sim, *group, 3, kInvalidOid, oids.Fn(), nullptr,
-                              SerializeMode::kAssemble, &cache);
+    auto r = SerializeOsState(&m.sim, *group, 3, kInvalidOid, oids.Fn(), nullptr, &cache,
+                              SerializeMode::kAssemble);
     EXPECT_TRUE(r.ok());
   };
   struct Deltas {

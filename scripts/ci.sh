@@ -50,6 +50,11 @@ for preset in default asan; do
   "${build_dir}/tests/replication_test" >/dev/null
   "${build_dir}/tests/restore_fault_test" >/dev/null
 
+  # The epoch wire format shared by sls send/recv and the replica stream:
+  # pinned frame goldens, and a seeded mutation harness in which every
+  # mutant is a typed error or an exact image, and no replica mutant applies.
+  "${build_dir}/tests/epoch_stream_test" >/dev/null
+
   # Static-analysis gate: every tree — src, tools, tests, bench — must lint
   # clean under all six rule families, and the linter must prove its rules
   # still fire on the fixtures.
@@ -145,17 +150,23 @@ done
 
 # UBSan-only configuration: near-native speed, so the undefined-behavior
 # matrix can cover the lint engine, the checksum and content-hash word loads
-# and 128-bit multiplies, the crash/restore paths, and the stop path and
-# segment-log GC directly.
+# and 128-bit multiplies, the crash/restore paths, the stop path and
+# segment-log GC, and the epoch wire format with its replica and failover
+# paths directly.
 echo "=== configure/build: ubsan ==="
 cmake --preset ubsan
 cmake --build --preset ubsan -j "${jobs}" --target lint_test base_test crash_matrix_test \
-  stop_path_test segment_gc_test
+  stop_path_test segment_gc_test epoch_stream_test backend_conformance_test replication_test \
+  restore_fault_test
 build-ubsan/tests/lint_test >/dev/null
 build-ubsan/tests/base_test >/dev/null
 build-ubsan/tests/crash_matrix_test >/dev/null
 build-ubsan/tests/stop_path_test >/dev/null
 build-ubsan/tests/segment_gc_test >/dev/null
+build-ubsan/tests/epoch_stream_test >/dev/null
+build-ubsan/tests/backend_conformance_test >/dev/null
+build-ubsan/tests/replication_test >/dev/null
+build-ubsan/tests/restore_fault_test >/dev/null
 
 # clang-tidy over src/ + tools/ with the curated .clang-tidy profile. The
 # container image does not ship clang-tidy, so its absence is tolerated — but

@@ -51,9 +51,6 @@ struct CostModel {
   // --- Network -------------------------------------------------------------
   SimDuration net_rtt = 140 * kMicrosecond;      // 10 GbE round trip incl. client stack
   double net_bytes_per_ns = 1.1;                 // ~9 Gb/s effective
-  // How long a sender waits on an unacknowledged stream send before it
-  // declares the transfer lost and reconnects (see NetBackend link faults).
-  SimDuration net_send_timeout = 2 * kMillisecond;
 
   // --- Flush-path dedup / compression --------------------------------------
   // Content hashing runs at near-memcpy speed (one pass, multiplicative

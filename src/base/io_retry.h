@@ -2,8 +2,8 @@
 //
 // Real NVMe and network stacks mask transient errors (command timeouts,
 // link resets) by retrying a bounded number of times before surfacing the
-// failure. Aurora's store and net backends share this policy so the fault
-// matrix exercises one retry semantics everywhere:
+// failure. Every device IO of Aurora's store goes through this policy, so
+// the fault matrix exercises one retry semantics everywhere:
 //   * only Errc::kIoError is retried — it marks transient faults. A CRC
 //     mismatch (kCorrupt) means the media returned wrong bytes; retrying
 //     cannot help and would mask real corruption.

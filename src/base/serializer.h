@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/result.h"
@@ -19,6 +20,8 @@ namespace aurora {
 class BinaryWriter {
  public:
   BinaryWriter() = default;
+  // Appends to `data`, which the writer takes over until Take().
+  explicit BinaryWriter(std::vector<uint8_t> data) : data_(std::move(data)) {}
 
   void PutU8(uint8_t v) { Append(&v, 1); }
   void PutU16(uint16_t v) { AppendLe(v); }
@@ -40,6 +43,14 @@ class BinaryWriter {
 
   // Raw append without a length prefix (fixed-size payloads, e.g. pages).
   void PutRaw(const void* data, size_t len) { Append(data, len); }
+
+  // Overwrites the u64 at `pos`, for a field known only after what follows
+  // it (a frame's length).
+  void PatchU64(size_t pos, uint64_t v) {
+    for (size_t i = 0; i < sizeof(v); i++) {
+      data_[pos + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
 
   const std::vector<uint8_t>& data() const { return data_; }
   std::vector<uint8_t> Take() { return std::move(data_); }
@@ -126,6 +137,17 @@ class BinaryReader {
     std::memcpy(out, data_ + pos_, len);
     pos_ += len;
     return Status::Ok();
+  }
+
+  // Skips `len` bytes and returns where they start: a zero-copy read that
+  // stays valid as long as the buffer does.
+  [[nodiscard]] Result<const uint8_t*> View(size_t len) {
+    if (len > Remaining()) {
+      return Status::Error(Errc::kCorrupt, "view overruns buffer");
+    }
+    const uint8_t* at = data_ + pos_;
+    pos_ += len;
+    return at;
   }
 
   size_t Remaining() const { return len_ - pos_; }

@@ -15,7 +15,7 @@ inline constexpr uint64_t kGiB = 1024 * kMiB;
 inline constexpr uint64_t kPageSize = 4 * kKiB;
 inline constexpr uint64_t kPageShift = 12;
 
-constexpr uint64_t PagesOf(uint64_t bytes) { return (bytes + kPageSize - 1) / kPageSize; }
+constexpr uint64_t PagesOf(uint64_t bytes) { return bytes / kPageSize + (bytes % kPageSize != 0); }
 constexpr uint64_t PageTrunc(uint64_t addr) { return addr & ~(kPageSize - 1); }
 constexpr uint64_t PageRound(uint64_t addr) { return (addr + kPageSize - 1) & ~(kPageSize - 1); }
 

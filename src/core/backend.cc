@@ -1,16 +1,25 @@
 #include "src/core/backend.h"
 
 #include <algorithm>
-#include <cstring>
-
-#include "src/base/checksum.h"
-#include "src/base/serializer.h"
 
 namespace aurora {
 
 namespace {
-constexpr uint32_t kStreamMagic = 0x41534e44;  // "ASND"
+
+// CheckpointBackend::InstallPager for every backend: only a parentless object
+// with an oid may be paged (a catch-all pager installed mid-chain would shadow
+// the links below it), and an existing pager stays.
+bool BackWithPager(VmObject* base, VmObject::Pager pager) {
+  if (base->parent() != nullptr || base->sls_oid() == 0) {
+    return base->has_pager();
+  }
+  if (!base->has_pager()) {
+    base->set_pager(std::move(pager));
+  }
+  return true;
 }
+
+}  // namespace
 
 // -----------------------------------------------------------------------------
 // StoreBackend
@@ -29,10 +38,8 @@ Result<SimTime> StoreBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t*
   runs.reserve(obj->pages().size());
   for (const auto& [pgidx, frame] : obj->pages()) {
     runs.push_back(ObjectStore::IoRun{pgidx * kPageSize, frame->data.data(), kPageSize});
-    if (pages != nullptr) {
-      (*pages)++;
-    }
   }
+  *pages += runs.size();
   if (runs.empty()) {
     return sim_->clock.now();
   }
@@ -42,9 +49,7 @@ Result<SimTime> StoreBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t*
   uint64_t stored_before = store_->stats().bytes_stored;
   AURORA_ASSIGN_OR_RETURN(SimTime done, store_->WriteAtBatch(oid, runs));
   uint64_t shipped = store_->stats().bytes_stored - stored_before;
-  if (bytes != nullptr) {
-    *bytes += shipped;
-  }
+  *bytes += shipped;
   // The flusher walks the object with its lock held; COW faults copying
   // from it contend (see VmObject::busy_until).
   obj->set_busy_until(done);
@@ -152,21 +157,11 @@ Result<MemoryResolverFn> StoreBackend::MakeResolver(uint64_t epoch, RestoreMode 
 }
 
 bool StoreBackend::InstallPager(VmObject* base) {
-  // Only legal for parentless anonymous objects: a catch-all pager installed
-  // mid-chain would shadow the links below it.
-  if (base->parent() != nullptr || base->sls_oid() == 0) {
-    return base->has_pager();
-  }
-  if (base->has_pager()) {
-    return true;
-  }
   ObjectStore* store = store_;
   Oid oid{base->sls_oid()};
-  base->set_pager([store, oid](uint64_t pgidx, uint8_t* out) {
-    auto blocks = store->ReadAt(oid, pgidx * kPageSize, out, kPageSize);
-    return blocks.ok();
+  return BackWithPager(base, [store, oid](uint64_t pgidx, uint8_t* out) {
+    return store->ReadAt(oid, pgidx * kPageSize, out, kPageSize).ok();
   });
-  return true;
 }
 
 // -----------------------------------------------------------------------------
@@ -174,14 +169,9 @@ bool StoreBackend::InstallPager(VmObject* base) {
 // -----------------------------------------------------------------------------
 
 Result<Oid> MemoryBackend::CreateMemoryObject(uint64_t size_hint) {
-  Oid oid{AllocOid()};
-  DeclareObject(oid.value, size_hint);
+  Oid oid{next_oid_++};
+  objects_[oid.value].size = size_hint;
   return oid;
-}
-
-void MemoryBackend::DeclareObject(uint64_t oid, uint64_t size) {
-  ObjectImage& img = objects_[oid];
-  img.size = std::max(img.size, size);
 }
 
 void MemoryBackend::StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx,
@@ -193,45 +183,14 @@ void MemoryBackend::StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx
 
 Result<SimTime> MemoryBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                 uint64_t* bytes) {
-  // Dedup against pages already staged in the image table: a page whose
-  // content the table holds flushes as a 16-byte reference instead of a
-  // 4 KiB copy. The cache hit is validated against the actual staged bytes
-  // (the source page may have been restaged since), never trusted blindly.
   uint64_t copied = 0;
-  uint64_t staged = 0;
   for (const auto& [pgidx, frame] : obj->pages()) {
-    staged++;
-    if (pages != nullptr) {
-      (*pages)++;
-    }
-    sim_->clock.Advance(sim_->cost.ContentHash(kPageSize));
-    ContentKey key = ContentHash128(frame->data.data(), kPageSize);
-    bool hit = false;
-    auto cached = content_cache_.find(key);
-    if (cached != content_cache_.end()) {
-      const ObjectImage* img = FindObject(cached->second.first);
-      if (img != nullptr) {
-        auto page = img->pages.find(cached->second.second);
-        hit = page != img->pages.end() &&
-              std::memcmp(page->second.data(), frame->data.data(), kPageSize) == 0;
-      }
-    }
     StagePage(oid.value, obj->size(), pgidx, frame->data.data());
-    if (hit) {
-      copied += kDedupRefBytes;
-      sim_->metrics.counter("ckpt.bytes_deduped").Add(kPageSize - kDedupRefBytes);
-      if (bytes != nullptr) {
-        *bytes += kDedupRefBytes;
-      }
-    } else {
-      copied += kPageSize;
-      content_cache_[key] = {oid.value, pgidx};
-      if (bytes != nullptr) {
-        *bytes += kPageSize;
-      }
-    }
+    copied += kPageSize;
   }
-  if (staged == 0) {
+  *pages += copied / kPageSize;
+  *bytes += copied;
+  if (copied == 0) {
     return sim_->clock.now();
   }
   int lane = flusher_.NextLane();
@@ -244,7 +203,7 @@ Result<SimTime> MemoryBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t
 
 Result<CheckpointBackend::CommitInfo> MemoryBackend::CommitEpoch(
     const std::string& ckpt_name, const std::vector<uint8_t>& manifest, Oid replaces_manifest) {
-  (void)replaces_manifest;  // images are append-only; Seal retires nothing
+  (void)replaces_manifest;  // images are append-only; SealAt retires nothing
   // Commit is a join point: the manifest copy starts only after every flusher
   // lane drained, and nothing later may start before the commit finished.
   SimTime done = std::max(sim_->clock.now(), flusher_.Makespan());
@@ -261,14 +220,7 @@ Result<CheckpointBackend::CommitInfo> MemoryBackend::CommitEpoch(
     }
   }
   sim_->metrics.counter("backend." + name_ + ".epochs_committed").Add();
-  return Seal(std::move(group), ckpt_name, manifest, done);
-}
-
-CheckpointBackend::CommitInfo MemoryBackend::Seal(std::string group, std::string ckpt_name,
-                                                  std::vector<uint8_t> manifest,
-                                                  SimTime committed_at) {
-  return SealAt(epoch_, std::move(group), std::move(ckpt_name), std::move(manifest),
-                committed_at);
+  return SealAt(epoch_, std::move(group), ckpt_name, manifest, done);
 }
 
 CheckpointBackend::CommitInfo MemoryBackend::SealAt(uint64_t epoch, std::string group,
@@ -299,7 +251,7 @@ CheckpointBackend::CommitInfo MemoryBackend::SealAt(uint64_t epoch, std::string 
   rec.ckpt_name = std::move(ckpt_name);
   rec.committed_at = committed_at;
   if (!manifest.empty()) {
-    rec.manifest_oid = Oid{AllocOid()};
+    rec.manifest_oid = Oid{next_oid_++};
     info.manifest_oid = rec.manifest_oid;
     rec.manifest = std::move(manifest);
   }
@@ -335,11 +287,44 @@ Result<CheckpointBackend::LoadedManifest> MemoryBackend::LoadManifest(
     const std::string& group_name, uint64_t epoch) {
   AURORA_ASSIGN_OR_RETURN(const ImageRecord* rec, FindImage(group_name, epoch));
   sim_->clock.Advance(sim_->cost.MemCopy(rec->manifest.size()));
-  LoadedManifest loaded;
-  loaded.epoch = rec->epoch;
-  loaded.oid = rec->manifest_oid;
-  loaded.blob = rec->manifest;
-  return loaded;
+  return LoadedManifest{rec->epoch, rec->manifest_oid, rec->manifest};
+}
+
+std::shared_ptr<VmObject> MemoryBackend::Materialize(uint64_t oid, uint64_t size,
+                                                     uint64_t* pages) const {
+  auto obj = VmObject::CreateAnonymous(size);
+  if (const ObjectImage* img = FindObject(oid)) {
+    for (const auto& [pgidx, data] : img->pages) {
+      obj->InstallPage(pgidx, data.data());
+    }
+    *pages += img->pages.size();
+  }
+  return obj;
+}
+
+VmObject::Pager MemoryBackend::ImagePager(uint64_t oid, SimContext* sim,
+                                          SimDuration per_fault) const {
+  return [this, oid, sim, per_fault](uint64_t pgidx, uint8_t* out) {
+    const ObjectImage* img = FindObject(oid);
+    if (img == nullptr) {
+      return false;
+    }
+    auto page = img->pages.find(pgidx);
+    if (page == img->pages.end()) {
+      return false;
+    }
+    sim->clock.Advance(per_fault);
+    std::copy(page->second.begin(), page->second.end(), out);
+    return true;
+  };
+}
+
+MemoryResolverFn MemoryBackend::LazyResolver(SimContext* sim, SimDuration per_fault) const {
+  return [this, sim, per_fault](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
+    auto obj = VmObject::CreateAnonymous(size);
+    obj->set_pager(ImagePager(oid.value, sim, per_fault));
+    return ResolvedMemory{std::move(obj), false};
+  };
 }
 
 Result<MemoryResolverFn> MemoryBackend::MakeResolver(uint64_t epoch, RestoreMode mode,
@@ -351,315 +336,30 @@ Result<MemoryResolverFn> MemoryBackend::MakeResolver(uint64_t epoch, RestoreMode
     auto lanes = std::make_shared<LaneSchedule>(flusher_.lanes(), *stream_done);
     return MemoryResolverFn(
         [this, stream_done, lanes](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-          auto obj = VmObject::CreateAnonymous(size);
-          uint64_t copied = 0;
-          if (const ObjectImage* img = FindObject(oid.value)) {
-            for (const auto& [pgidx, data] : img->pages) {
-              obj->InstallPage(pgidx, data.data());
-              copied += kPageSize;
-            }
-          }
+          uint64_t pages = 0;
+          auto obj = Materialize(oid.value, size, &pages);
           int lane = lanes->NextLane();
-          SimTime done = lanes->StartOn(lane, 0) + sim_->cost.MemCopy(copied);
+          SimTime done = lanes->StartOn(lane, 0) + sim_->cost.MemCopy(pages * kPageSize);
           lanes->Occupy(lane, done);
           *stream_done = std::max(*stream_done, done);
           return ResolvedMemory{std::move(obj), false};
         });
   }
   if (mode == RestoreMode::kLazy) {
-    return MemoryResolverFn([this](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-      auto obj = VmObject::CreateAnonymous(size);
-      SimContext* sim = sim_;
-      MemoryBackend* backend = this;
-      uint64_t key = oid.value;
-      obj->set_pager([sim, backend, key](uint64_t pgidx, uint8_t* out) {
-        const ObjectImage* img = backend->FindObject(key);
-        if (img == nullptr) {
-          return false;
-        }
-        auto page = img->pages.find(pgidx);
-        if (page == img->pages.end()) {
-          return false;
-        }
-        sim->clock.Advance(sim->cost.MemCopy(kPageSize));
-        std::copy(page->second.begin(), page->second.end(), out);
-        return true;
-      });
-      return ResolvedMemory{std::move(obj), false};
-    });
+    return LazyResolver(sim_, sim_->cost.MemCopy(kPageSize));
   }
   return Status::Error(Errc::kInvalidArgument, "kFromMemory resolves without a backend");
 }
 
 bool MemoryBackend::InstallPager(VmObject* base) {
-  if (base->parent() != nullptr || base->sls_oid() == 0) {
-    return base->has_pager();
-  }
-  if (base->has_pager()) {
-    return true;
-  }
-  SimContext* sim = sim_;
-  MemoryBackend* backend = this;
-  uint64_t key = base->sls_oid();
-  base->set_pager([sim, backend, key](uint64_t pgidx, uint8_t* out) {
-    const ObjectImage* img = backend->FindObject(key);
-    if (img == nullptr) {
-      return false;
-    }
-    auto page = img->pages.find(pgidx);
-    if (page == img->pages.end()) {
-      return false;
-    }
-    sim->clock.Advance(sim->cost.MemCopy(kPageSize));
-    std::copy(page->second.begin(), page->second.end(), out);
-    return true;
-  });
-  return true;
-}
-
-// -----------------------------------------------------------------------------
-// NetBackend
-// -----------------------------------------------------------------------------
-
-Result<SimTime> NetBackend::QueueTransferOn(int lane, uint64_t payload) {
-  SimTime start = lanes_.StartOn(lane, sim_->clock.now());
-  if (link_.drop_rate > 0.0) {
-    // Lossy link: each timed-out attempt pushes the lane's start time out by
-    // the send timeout plus the reconnect round trip. The guard keeps the
-    // zero-fault profile from consuming RNG draws (bit-identical timeline).
-    int attempt = 1;
-    while (link_rng_.NextBool(link_.drop_rate)) {
-      sim_->metrics.counter("net.timeouts").Add();
-      if (attempt >= link_.max_attempts) {
-        // Retry exhaustion means the peer is unreachable, not that the
-        // local device failed: record it as a partition and fail typed so
-        // callers can tell "link down" from "disk died".
-        sim_->metrics.counter("io.giveups").Add();
-        sim_->metrics.counter("net.partitions").Add();
-        return Status::Error(Errc::kUnavailable, "network peer unreachable: send timed out");
-      }
-      attempt++;
-      sim_->metrics.counter("io.retries").Add();
-      sim_->metrics.counter("net.reconnects").Add();
-      start += sim_->cost.net_send_timeout + sim_->cost.net_rtt;
-    }
-  }
-  // The wire's byte time is shared across stream lanes; per-stream latency
-  // (the NetTransfer half-RTT) overlaps. One lane: the stream timeline
-  // includes the wire time plus latency, so the bucket below never binds and
-  // this is exactly the historical serial link.
-  wire_busy_ = std::max(wire_busy_, start) +
-               static_cast<SimDuration>(static_cast<double>(payload) / sim_->cost.net_bytes_per_ns);
-  SimTime done = std::max(start + sim_->cost.NetTransfer(payload), wire_busy_);
-  lanes_.Occupy(lane, done);
-  sim_->metrics.counter("backend." + name_ + ".bytes_shipped").Add(payload);
-  sim_->metrics.histogram("backend." + name_ + ".transfer_time").Record(done - sim_->clock.now());
-  return done;
-}
-
-Result<Oid> NetBackend::CreateMemoryObject(uint64_t size_hint) {
-  // Object naming piggybacks on the stream framing; no transfer of its own.
-  uint64_t oid = remote_->AllocOid();
-  remote_->DeclareObject(oid, size_hint);
-  return Oid{oid};
-}
-
-Result<SimTime> NetBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
-                                             uint64_t* bytes) {
-  // The page set splits round-robin over the stream lanes; each lane ships
-  // its share as one framed transfer. One lane = the whole object in a
-  // single transfer, the historical behavior. Pages whose content the peer's
-  // image table already holds ship as a header + content-key reference; the
-  // sender validates its cache against the remote image (staged earlier by
-  // us, so host-visible) before trusting the hit.
-  std::vector<uint64_t> lane_payload(static_cast<size_t>(lanes_.lanes()), 0);
-  uint64_t page_index = 0;
-  for (const auto& [pgidx, frame] : obj->pages()) {
-    sim_->clock.Advance(sim_->cost.ContentHash(kPageSize));
-    ContentKey key = ContentHash128(frame->data.data(), kPageSize);
-    bool hit = false;
-    auto cached = content_cache_.find(key);
-    if (cached != content_cache_.end()) {
-      const MemoryBackend::ObjectImage* img = remote_->FindObject(cached->second.first);
-      if (img != nullptr) {
-        auto page = img->pages.find(cached->second.second);
-        hit = page != img->pages.end() &&
-              std::memcmp(page->second.data(), frame->data.data(), kPageSize) == 0;
-      }
-    }
-    remote_->StagePage(oid.value, obj->size(), pgidx, frame->data.data());
-    uint64_t wire = kPageHeaderBytes + (hit ? kDedupRefBytes : kPageSize);
-    lane_payload[page_index++ % lane_payload.size()] += wire;
-    if (hit) {
-      sim_->metrics.counter("ckpt.bytes_deduped").Add(kPageSize - kDedupRefBytes);
-    } else {
-      content_cache_[key] = {oid.value, pgidx};
-    }
-    if (pages != nullptr) {
-      (*pages)++;
-    }
-    if (bytes != nullptr) {
-      *bytes += hit ? kDedupRefBytes : kPageSize;
-    }
-  }
-  if (page_index == 0) {
-    return sim_->clock.now();
-  }
-  // Asynchronous NIC push: queue behind earlier transfers, don't stall the
-  // application. Durability is arrival at the peer's image table.
-  SimTime done = sim_->clock.now();
-  for (size_t lane = 0; lane < lane_payload.size(); lane++) {
-    if (lane_payload[lane] > 0) {
-      AURORA_ASSIGN_OR_RETURN(SimTime lane_done,
-                              QueueTransferOn(static_cast<int>(lane), lane_payload[lane]));
-      done = std::max(done, lane_done);
-    }
-  }
-  obj->set_busy_until(done);
-  return done;
-}
-
-Result<CheckpointBackend::CommitInfo> NetBackend::CommitEpoch(
-    const std::string& ckpt_name, const std::vector<uint8_t>& manifest, Oid replaces_manifest) {
-  (void)replaces_manifest;  // the peer's image table is append-only
-  std::string group;
-  if (!manifest.empty()) {
-    auto head = PeekManifest(manifest);
-    if (head.ok()) {
-      group = head->name;
-    }
-  }
-  // Commit record + manifest ride one framed message, sent only after every
-  // stream lane drained (the peer must hold all pages before it seals the
-  // epoch); later transfers queue behind the commit on every lane.
-  lanes_ = LaneSchedule(lanes_.lanes(), std::max(sim_->clock.now(), lanes_.Makespan()));
-  AURORA_ASSIGN_OR_RETURN(SimTime done, QueueTransferOn(0, manifest.size() + 64));
-  lanes_ = LaneSchedule(lanes_.lanes(), done);
-  sim_->metrics.counter("backend." + name_ + ".epochs_committed").Add();
-  return remote_->Seal(std::move(group), ckpt_name, manifest, done);
-}
-
-Result<CheckpointBackend::LoadedManifest> NetBackend::LoadManifest(const std::string& group_name,
-                                                                   uint64_t epoch) {
-  AURORA_ASSIGN_OR_RETURN(const MemoryBackend::ImageRecord* rec,
-                          remote_->FindImage(group_name, epoch));
-  // Foreground pull: the restore blocks on the round trip.
-  sim_->clock.Advance(sim_->cost.NetTransfer(rec->manifest.size()));
-  LoadedManifest loaded;
-  loaded.epoch = rec->epoch;
-  loaded.oid = rec->manifest_oid;
-  loaded.blob = rec->manifest;
-  return loaded;
-}
-
-Result<MemoryResolverFn> NetBackend::MakeResolver(uint64_t epoch, RestoreMode mode,
-                                                  std::shared_ptr<SimTime> stream_done) {
-  (void)epoch;
-  MemoryBackend* remote = remote_;
-  SimContext* sim = sim_;
-  if (mode == RestoreMode::kFull) {
-    // Pull streams: independent objects arrive on parallel lanes (latency
-    // halves overlap, wire byte time is shared) while the OS state rebuilds;
-    // the caller advances to the makespan at the end. One lane is the
-    // historical back-to-back link.
-    auto lanes = std::make_shared<LaneSchedule>(lanes_.lanes(), *stream_done);
-    auto wire = std::make_shared<SimTime>(*stream_done);
-    return MemoryResolverFn(
-        [remote, sim, stream_done, lanes, wire](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-          auto obj = VmObject::CreateAnonymous(size);
-          uint64_t payload = 0;
-          if (const MemoryBackend::ObjectImage* img = remote->FindObject(oid.value)) {
-            for (const auto& [pgidx, data] : img->pages) {
-              obj->InstallPage(pgidx, data.data());
-              payload += kPageSize + kPageHeaderBytes;
-            }
-          }
-          int lane = lanes->NextLane();
-          SimTime start = lanes->StartOn(lane, 0);
-          *wire = std::max(*wire, start) +
-                  static_cast<SimDuration>(static_cast<double>(payload) /
-                                           sim->cost.net_bytes_per_ns);
-          SimTime done = std::max(start + sim->cost.NetTransfer(payload), *wire);
-          lanes->Occupy(lane, done);
-          *stream_done = std::max(*stream_done, done);
-          return ResolvedMemory{std::move(obj), false};
-        });
-  }
-  if (mode == RestoreMode::kLazy) {
-    return MemoryResolverFn([remote, sim](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-      auto obj = VmObject::CreateAnonymous(size);
-      uint64_t key = oid.value;
-      obj->set_pager([remote, sim, key](uint64_t pgidx, uint8_t* out) {
-        const MemoryBackend::ObjectImage* img = remote->FindObject(key);
-        if (img == nullptr) {
-          return false;
-        }
-        auto page = img->pages.find(pgidx);
-        if (page == img->pages.end()) {
-          return false;
-        }
-        // Remote paging: one synchronous round trip per fault.
-        sim->clock.Advance(sim->cost.NetTransfer(kPageSize + kPageHeaderBytes));
-        std::copy(page->second.begin(), page->second.end(), out);
-        return true;
-      });
-      return ResolvedMemory{std::move(obj), false};
-    });
-  }
-  return Status::Error(Errc::kInvalidArgument, "kFromMemory resolves without a backend");
-}
-
-bool NetBackend::InstallPager(VmObject* base) {
-  if (base->parent() != nullptr || base->sls_oid() == 0) {
-    return base->has_pager();
-  }
-  if (base->has_pager()) {
-    return true;
-  }
-  MemoryBackend* remote = remote_;
-  SimContext* sim = sim_;
-  uint64_t key = base->sls_oid();
-  base->set_pager([remote, sim, key](uint64_t pgidx, uint8_t* out) {
-    const MemoryBackend::ObjectImage* img = remote->FindObject(key);
-    if (img == nullptr) {
-      return false;
-    }
-    auto page = img->pages.find(pgidx);
-    if (page == img->pages.end()) {
-      return false;
-    }
-    sim->clock.Advance(sim->cost.NetTransfer(kPageSize + kPageHeaderBytes));
-    std::copy(page->second.begin(), page->second.end(), out);
-    return true;
-  });
-  return true;
-}
-
-// -----------------------------------------------------------------------------
-// ReplFrame
-// -----------------------------------------------------------------------------
-
-uint32_t ReplFrame::ComputeCrc() const {
-  const uint64_t head[4] = {epoch, attempt, seq, commit ? 1ull : 0ull};
-  uint32_t c = Crc32c(head, sizeof(head));
-  const uint64_t obj[2] = {oid, object_size};
-  c = Crc32c(obj, sizeof(obj), c);
-  for (const auto& [pgidx, data] : pages) {
-    c = Crc32c(&pgidx, sizeof(pgidx), c);
-    c = Crc32c(data.data(), data.size(), c);
-  }
-  c = Crc32c(group.data(), group.size(), c);
-  c = Crc32c(ckpt_name.data(), ckpt_name.size(), c);
-  c = Crc32c(manifest.data(), manifest.size(), c);
-  c = Crc32c(&nframes, sizeof(nframes), c);
-  return c;
+  return BackWithPager(base, ImagePager(base->sls_oid(), sim_, sim_->cost.MemCopy(kPageSize)));
 }
 
 // -----------------------------------------------------------------------------
 // ReplicaLink
 // -----------------------------------------------------------------------------
 
-bool ReplicaLink::Push(ReplFrame frame) {
+bool ReplicaLink::Push(WireFrame frame) {
   if (fuse_armed_ && partition_fuse_ == 0) {
     partitioned_ = true;
     fuse_armed_ = false;
@@ -679,15 +379,15 @@ bool ReplicaLink::Push(ReplFrame frame) {
   return true;
 }
 
-std::vector<ReplFrame> ReplicaLink::TakeDeliverable() {
-  std::vector<ReplFrame> out = std::move(wire_);
+std::vector<WireFrame> ReplicaLink::TakeDeliverable() {
+  std::vector<WireFrame> out = std::move(wire_);
   wire_.clear();
   // The zero-rate guards keep fault-free runs from consuming RNG draws
-  // (bit-identical timelines, same discipline as the lossy-link model).
+  // (bit-identical timelines).
   if (faults_.duplicate_rate > 0.0) {
-    std::vector<ReplFrame> with_dups;
+    std::vector<WireFrame> with_dups;
     with_dups.reserve(out.size());
-    for (ReplFrame& f : out) {
+    for (WireFrame& f : out) {
       bool dup = rng_.NextBool(faults_.duplicate_rate);
       with_dups.push_back(std::move(f));
       if (dup) {
@@ -722,7 +422,7 @@ Status ReplicaStandby::LeaseCheck() const {
   if (link_->last_heartbeat() == 0) {
     return Status::Ok();  // never heard from a primary; nothing to wait out
   }
-  if (standby_sim_->clock.now() <= link_->last_heartbeat() + lease_) {
+  if (sim_->clock.now() <= link_->last_heartbeat() + lease_) {
     return Status::Error(Errc::kBusy,
                          "primary lease still fresh; refusing failover (split-brain guard)");
   }
@@ -730,37 +430,42 @@ Status ReplicaStandby::LeaseCheck() const {
 }
 
 void ReplicaStandby::Pump() {
-  MetricsRegistry& metrics = standby_sim_->metrics;
-  for (ReplFrame& f : link_->TakeDeliverable()) {
-    if (f.epoch <= applied_epoch_) {
+  MetricsRegistry& metrics = sim_->metrics;
+  for (WireFrame& f : link_->TakeDeliverable()) {
+    Result<FrameHeader> head = PeekFrame(f.bytes);
+    if (!head.ok() || head->length != f.bytes.size()) {
+      // Nothing in a damaged header can be trusted to place the frame.
+      metrics.counter("repl.crc_failures").Add();
+      continue;
+    }
+    const FrameId& id = head->id;
+    if (id.epoch <= applied_epoch_) {
       // Replayed delivery of an epoch already applied: legal under
       // at-least-once delivery, and ingest is idempotent.
       metrics.counter("repl.dup_frames_ignored").Add();
       continue;
     }
-    PendingEpoch& p = pending_[f.epoch];
-    if (f.attempt < p.attempt) {
+    PendingEpoch& p = pending_[id.epoch];
+    if (id.attempt < p.attempt) {
       // Leftover of an aborted ship this epoch already superseded.
       metrics.counter("repl.stale_attempt_frames").Add();
       continue;
     }
-    if (f.attempt > p.attempt) {
+    if (id.attempt > p.attempt) {
       // Fresh re-ship after the primary aborted this epoch's stream: the
       // new attempt supersedes whatever the old one delivered.
       p = PendingEpoch{};
-      p.attempt = f.attempt;
+      p.attempt = id.attempt;
     }
-    if (p.frames.count(f.seq) > 0) {
+    if (p.frames.count(id.seq) > 0) {
       metrics.counter("repl.dup_frames_ignored").Add();
       continue;
     }
-    p.max_seq_seen = std::max(p.max_seq_seen, f.seq);
     p.last_arrival = std::max(p.last_arrival, f.arrival);
-    if (f.commit) {
-      p.nframes = f.nframes;
+    if (head->kind == FrameKind::kCommit) {
+      p.nframes = id.seq + 1;  // the commit frame is the epoch's last
     }
-    uint64_t seq = f.seq;
-    p.frames.emplace(seq, std::move(f));
+    p.frames.emplace(id.seq, std::move(f));
     metrics.counter("repl.frames_ingested").Add();
   }
   ApplyReady();
@@ -778,87 +483,63 @@ void ReplicaStandby::ApplyReady() {
     if (it == pending_.end()) {
       break;
     }
-    PendingEpoch& p = it->second;
-    if (p.nframes == 0 || p.frames.size() < p.nframes) {
+    if (it->second.nframes == 0 || it->second.frames.size() < it->second.nframes) {
       break;  // still streaming (or the commit frame is still in flight)
     }
-    if (!ValidateEpoch(p)) {
+    PendingEpoch p = std::move(it->second);
+    pending_.erase(it);
+    std::vector<std::span<const uint8_t>> frames;
+    frames.reserve(p.frames.size());
+    for (const auto& [seq, f] : p.frames) {
+      frames.emplace_back(f.bytes);
+    }
+    Result<DecodedEpoch> decoded = DecodeEpoch(frames);
+    if (!decoded.ok()) {
       // Torn or corrupted epoch: discard it whole and poison the chain.
       // Later epochs are deltas on top of this one, so nothing applies past
       // the gap until the link (at-least-once) re-delivers this epoch intact.
       poisoned_epoch_ = next;
-      pending_.erase(it);
-      standby_sim_->metrics.counter("repl.epochs_rolled_back").Add();
+      sim_->metrics.counter("repl.crc_failures").Add();
+      sim_->metrics.counter("repl.epochs_rolled_back").Add();
       break;
     }
     validated_epoch_ = next;
-    PendingEpoch taken = std::move(p);
-    pending_.erase(it);
-    ApplyEpoch(next, std::move(taken));
+    ApplyEpoch(*decoded, p.last_arrival);
     if (poisoned_epoch_ == next) {
       poisoned_epoch_ = 0;  // a clean re-delivery healed the chain
     }
   }
 }
 
-bool ReplicaStandby::ValidateEpoch(const PendingEpoch& p) {
-  if (p.nframes == 0 || p.frames.size() != p.nframes) {
-    return false;
-  }
-  uint64_t expect = 0;
-  for (const auto& [seq, f] : p.frames) {
-    if (seq != expect++) {
-      return false;  // a seq gap means frames.size() lied via duplicates
-    }
-    if (f.ComputeCrc() != f.crc) {
-      standby_sim_->metrics.counter("repl.crc_failures").Add();
-      return false;
-    }
-  }
-  return p.frames.rbegin()->second.commit;
-}
-
-void ReplicaStandby::ApplyEpoch(uint64_t epoch, PendingEpoch&& p) {
-  SimTime start = std::max(standby_sim_->clock.now(),
-                           std::max(ingest_busy_until_, p.last_arrival));
-  uint64_t bytes = 0;
+void ReplicaStandby::ApplyEpoch(const DecodedEpoch& epoch, SimTime last_arrival) {
+  SimTime start = std::max(sim_->clock.now(), std::max(ingest_busy_until_, last_arrival));
   uint64_t pages = 0;
-  const ReplFrame* commit = nullptr;
-  for (auto& [seq, f] : p.frames) {
-    if (f.commit) {
-      commit = &f;
-      continue;
-    }
-    std::shared_ptr<VmObject>& warm = warm_[f.oid];
-    if (warm == nullptr || warm->size() < f.object_size) {
+  for (const DecodedObject& obj : epoch.objects) {
+    std::shared_ptr<VmObject>& warm = warm_[obj.oid];
+    if (warm == nullptr || warm->size() < obj.size) {
       // VmObject sizes are fixed at creation: growth rebuilds the warm image
-      // at the new size, carrying the previously patched pages over.
-      auto grown = VmObject::CreateAnonymous(f.object_size);
-      if (warm != nullptr) {
-        for (const auto& [pgidx, frame] : warm->pages()) {
-          grown->InstallPage(pgidx, frame->data.data());
-        }
-      }
-      warm = std::move(grown);
+      // at the new size from the image table, which holds every page
+      // patched into it so far.
+      uint64_t carried = 0;
+      warm = Materialize(obj.oid, obj.size, &carried);
     }
-    for (const auto& [pgidx, data] : f.pages) {
-      StagePage(f.oid, f.object_size, pgidx, data.data());
-      warm->InstallPage(pgidx, data.data());
-      pages++;
-      bytes += kPageSize;
+    for (const PageView& page : obj.pages) {
+      StagePage(obj.oid, obj.size, page.pgidx, page.data);
+      warm->InstallPage(page.pgidx, page.data);
     }
+    pages += obj.pages.size();
   }
   // Ingest runs on the standby's own cores: CRC validation plus the copy
   // into the image table and the warm patch. It accumulates into the ingest
   // timeline rather than advancing the clock — a restore joins it once.
-  ingest_busy_until_ = start + standby_sim_->cost.ContentHash(bytes) +
-                       standby_sim_->cost.MemCopy(2 * bytes);
-  if (commit != nullptr) {
-    SealAt(epoch, commit->group, commit->ckpt_name, commit->manifest, ingest_busy_until_);
-  }
-  applied_epoch_ = epoch;
+  uint64_t bytes = pages * kPageSize;
+  ingest_busy_until_ =
+      start + sim_->cost.ContentHash(bytes) + sim_->cost.MemCopy(2 * bytes);
+  const EpochCommit& commit = epoch.commit;
+  SealAt(epoch.epoch, commit.group, commit.ckpt_name, commit.manifest, ingest_busy_until_);
+  applied_epoch_ = epoch.epoch;
   pages_applied_total_ += pages;
-  MetricsRegistry& metrics = standby_sim_->metrics;
+  MetricsRegistry& metrics = sim_->metrics;
   metrics.counter("repl.epochs_applied").Add();
   metrics.counter("repl.pages_applied").Add(pages);
   metrics.counter("repl.bytes_applied").Add(bytes);
@@ -870,11 +551,13 @@ bool ReplicaStandby::CorruptPendingPage(uint64_t epoch) {
     return false;
   }
   for (auto& [seq, f] : it->second.frames) {
-    if (f.commit || f.pages.empty()) {
+    Result<FrameHeader> head = PeekFrame(f.bytes);
+    if (!head.ok() || head->kind != FrameKind::kData) {
       continue;
     }
-    f.pages.begin()->second[0] ^= 0xFF;  // CRC left stale on purpose
-    standby_sim_->metrics.counter("repl.injected_corruptions").Add();
+    // A replica data frame ends with a raw page; the CRC is left stale.
+    f.bytes[f.bytes.size() - kFrameCrcBytes - 1] ^= 0xFF;
+    sim_->metrics.counter("repl.injected_corruptions").Add();
     return true;
   }
   return false;
@@ -887,7 +570,7 @@ Result<ReplicaStandby::FailoverPlan> ReplicaStandby::PrepareFailover(bool force)
   if (!force) {
     AURORA_RETURN_IF_ERROR(LeaseCheck());
   }
-  MetricsRegistry& metrics = standby_sim_->metrics;
+  MetricsRegistry& metrics = sim_->metrics;
   uint64_t applied_before = applied_epoch_;
   uint64_t pages_before = pages_applied_total_;
   // Validated speculation: whatever is already through the wire — including
@@ -919,21 +602,16 @@ void ReplicaStandby::Demote() {
   warm_.clear();
   // The previous warm set now belongs to the promoted incarnation: rebuild
   // fresh images from the applied table, charged to the ingest timeline.
-  uint64_t bytes = 0;
+  uint64_t pages = 0;
   for (const auto& [oid, img] : object_table()) {
     if (img.size == 0 && img.pages.empty()) {
       continue;
     }
-    auto obj = VmObject::CreateAnonymous(img.size);
-    for (const auto& [pgidx, data] : img.pages) {
-      obj->InstallPage(pgidx, data.data());
-      bytes += kPageSize;
-    }
-    warm_[oid] = std::move(obj);
+    warm_[oid] = Materialize(oid, img.size, &pages);
   }
-  ingest_busy_until_ = std::max(ingest_busy_until_, standby_sim_->clock.now()) +
-                       standby_sim_->cost.MemCopy(bytes);
-  standby_sim_->metrics.counter("repl.demotions").Add();
+  ingest_busy_until_ = std::max(ingest_busy_until_, sim_->clock.now()) +
+                       sim_->cost.MemCopy(pages * kPageSize);
+  sim_->metrics.counter("repl.demotions").Add();
 }
 
 Result<MemoryResolverFn> ReplicaStandby::MakeResolver(uint64_t epoch, RestoreMode mode,
@@ -945,26 +623,20 @@ Result<MemoryResolverFn> ReplicaStandby::MakeResolver(uint64_t epoch, RestoreMod
   // no copy, the restore just joins the ingest timeline. Only objects the
   // stream never shipped pages for materialize cold from the image table.
   *stream_done = std::max(*stream_done, ingest_busy_until_);
-  SimContext* sim = standby_sim_;
   return MemoryResolverFn(
-      [this, sim, stream_done](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
+      [this, stream_done](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
         auto warm = warm_.find(oid.value);
         if (warm != warm_.end() && warm->second->size() >= size) {
           std::shared_ptr<VmObject> obj = std::move(warm->second);
           warm_.erase(warm);
-          sim->metrics.counter("repl.warm_restores").Add();
+          sim_->metrics.counter("repl.warm_restores").Add();
           return ResolvedMemory{std::move(obj), false};
         }
-        auto obj = VmObject::CreateAnonymous(size);
-        uint64_t copied = 0;
-        if (const ObjectImage* img = FindObject(oid.value)) {
-          for (const auto& [pgidx, data] : img->pages) {
-            obj->InstallPage(pgidx, data.data());
-            copied += kPageSize;
-          }
-        }
-        *stream_done = std::max(*stream_done, ingest_busy_until_ + sim->cost.MemCopy(copied));
-        sim->metrics.counter("repl.cold_restores").Add();
+        uint64_t pages = 0;
+        auto obj = Materialize(oid.value, size, &pages);
+        *stream_done = std::max(*stream_done,
+                                ingest_busy_until_ + sim_->cost.MemCopy(pages * kPageSize));
+        sim_->metrics.counter("repl.cold_restores").Add();
         return ResolvedMemory{std::move(obj), false};
       });
 }
@@ -992,8 +664,51 @@ std::vector<std::string> ReplicaStandby::Describe() const {
 // ReplicaBackend
 // -----------------------------------------------------------------------------
 
-Result<SimTime> ReplicaBackend::ShipFrame(ReplFrame frame, uint64_t payload_bytes) {
-  MetricsRegistry& metrics = prim_sim_->metrics;
+namespace {
+
+// One transfer of `payload` bytes on the least-loaded of `lanes`, starting no
+// earlier than `not_before`; returns its arrival. The wire's byte time
+// (`*wire`) is shared across lanes while the per-stream latency (the
+// NetTransfer half-RTT) overlaps. With one lane the stream timeline includes
+// the wire time plus latency, so the shared wire never binds: the serial link.
+SimTime LaneTransfer(const CostModel& cost, LaneSchedule* lanes, SimTime* wire,
+                     SimTime not_before, uint64_t payload) {
+  int lane = lanes->NextLane();
+  SimTime start = lanes->StartOn(lane, not_before);
+  *wire = std::max(*wire, start) +
+          static_cast<SimDuration>(static_cast<double>(payload) / cost.net_bytes_per_ns);
+  SimTime done = std::max(start + cost.NetTransfer(payload), *wire);
+  lanes->Occupy(lane, done);
+  return done;
+}
+
+}  // namespace
+
+SimTime ReplicaBackend::QueueTransfer(uint64_t payload) {
+  SimTime done = LaneTransfer(sim_->cost, &lanes_, &wire_busy_, sim_->clock.now(), payload);
+  sim_->metrics.counter("backend." + name_ + ".bytes_shipped").Add(payload);
+  sim_->metrics.histogram("backend." + name_ + ".transfer_time").Record(done - sim_->clock.now());
+  return done;
+}
+
+bool ReplicaBackend::AwaitLink() {
+  SimDuration backoff = hb_.backoff;
+  for (int attempt = 1; link_->partitioned(); attempt++) {
+    sim_->metrics.counter("net.timeouts").Add();
+    if (attempt >= hb_.max_attempts) {
+      sim_->metrics.counter("net.partitions").Add();
+      return false;
+    }
+    sim_->metrics.counter("io.retries").Add();
+    sim_->metrics.counter("net.reconnects").Add();
+    sim_->clock.Advance(backoff);
+    backoff *= 2;
+  }
+  return true;
+}
+
+Result<SimTime> ReplicaBackend::ShipFrame(std::vector<uint8_t> frame, uint64_t payload_bytes) {
+  MetricsRegistry& metrics = sim_->metrics;
   if (crash_armed_ && crash_fuse_ == 0) {
     crashed_ = true;
   }
@@ -1001,29 +716,15 @@ Result<SimTime> ReplicaBackend::ShipFrame(ReplFrame frame, uint64_t payload_byte
     streaming_ = false;
     return Status::Error(Errc::kUnavailable, "primary crashed");
   }
-  // Partition probe with exponential backoff: heartbeat-scale retries, then
-  // a typed giveup so the epoch aborts upstream instead of wedging.
-  SimDuration backoff = hb_.backoff;
-  for (int attempt = 1; link_->partitioned(); attempt++) {
-    metrics.counter("net.timeouts").Add();
-    if (attempt >= hb_.max_attempts) {
-      metrics.counter("io.giveups").Add();
-      metrics.counter("net.partitions").Add();
-      streaming_ = false;  // a later retry re-ships the epoch under a new attempt id
-      return Status::Error(Errc::kUnavailable,
-                           "replica link partitioned: send retries exhausted");
-    }
-    metrics.counter("io.retries").Add();
-    metrics.counter("net.reconnects").Add();
-    prim_sim_->clock.Advance(backoff);
-    backoff *= 2;
+  // Heartbeat-scale retries, then a typed giveup so the epoch aborts
+  // upstream instead of wedging.
+  if (!AwaitLink()) {
+    metrics.counter("io.giveups").Add();
+    streaming_ = false;  // a later retry re-ships the epoch under a new attempt id
+    return Status::Error(Errc::kUnavailable, "replica link partitioned: send retries exhausted");
   }
-  AURORA_ASSIGN_OR_RETURN(SimTime arrival, QueueTransfer(payload_bytes));
-  frame.sent_at = prim_sim_->clock.now();
-  frame.arrival = arrival;
-  frame.crc = frame.ComputeCrc();
-  SimTime sent_at = frame.sent_at;
-  if (!link_->Push(std::move(frame))) {
+  SimTime arrival = QueueTransfer(payload_bytes);
+  if (!link_->Push(WireFrame{std::move(frame), arrival})) {
     // The partition fuse blew on this very frame: a mid-epoch cut.
     metrics.counter("net.partitions").Add();
     streaming_ = false;
@@ -1031,7 +732,7 @@ Result<SimTime> ReplicaBackend::ShipFrame(ReplFrame frame, uint64_t payload_byte
   }
   // Every frame doubles as a heartbeat — a healthy stream keeps the lease
   // fresh without dedicated liveness traffic.
-  link_->RecordHeartbeat(sent_at);
+  link_->RecordHeartbeat(sim_->clock.now());
   metrics.counter("repl.frames_shipped").Add();
   if (crash_armed_) {
     if (crash_fuse_ > 0) {
@@ -1045,29 +746,18 @@ Result<SimTime> ReplicaBackend::ShipFrame(ReplFrame frame, uint64_t payload_byte
 }
 
 Status ReplicaBackend::SendHeartbeat() {
-  MetricsRegistry& metrics = prim_sim_->metrics;
   if (crashed_) {
     return Status::Error(Errc::kUnavailable, "primary crashed");
   }
-  SimDuration backoff = hb_.backoff;
-  for (int attempt = 1; link_->partitioned(); attempt++) {
-    metrics.counter("net.timeouts").Add();
-    if (attempt >= hb_.max_attempts) {
-      metrics.counter("net.partitions").Add();
-      return Status::Error(Errc::kUnavailable, "replica link partitioned: heartbeat lost");
-    }
-    metrics.counter("io.retries").Add();
-    metrics.counter("net.reconnects").Add();
-    prim_sim_->clock.Advance(backoff);
-    backoff *= 2;
+  if (!AwaitLink()) {
+    return Status::Error(Errc::kUnavailable, "replica link partitioned: heartbeat lost");
   }
-  link_->RecordHeartbeat(prim_sim_->clock.now());
-  metrics.counter("repl.heartbeats").Add();
+  link_->RecordHeartbeat(sim_->clock.now());
+  sim_->metrics.counter("repl.heartbeats").Add();
   return Status::Ok();
 }
 
-Result<SimTime> ReplicaBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
-                                                 uint64_t* bytes) {
+FrameId ReplicaBackend::NextFrameId() {
   if (!streaming_) {
     // (Re)start this epoch's stream. A fresh attempt id makes the standby
     // discard partial frames from an earlier aborted ship of the same epoch
@@ -1076,30 +766,31 @@ Result<SimTime> ReplicaBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_
     seq_ = 0;
     streaming_ = true;
   }
-  ReplFrame frame;
-  frame.epoch = epoch_;
-  frame.attempt = attempt_;
-  frame.seq = seq_;
-  frame.oid = oid.value;
-  frame.object_size = obj->size();
-  // Raw pages, no dedup references: the standby validates each frame as a
-  // self-contained unit, so a reference into state it might not hold yet
-  // could never be checked. Bandwidth is the NetBackend's problem space.
-  uint64_t payload = 0;
+  return FrameId{epoch_, attempt_, seq_};
+}
+
+Result<Oid> ReplicaBackend::CreateMemoryObject(uint64_t size_hint) {
+  // Object naming piggybacks on the stream framing; no transfer of its own.
+  return standby_->CreateMemoryObject(size_hint);
+}
+
+Result<SimTime> ReplicaBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
+                                                 uint64_t* bytes) {
+  FrameId id = NextFrameId();
+  if (obj->pages().empty()) {
+    return sim_->clock.now();
+  }
+  std::vector<PageView> views;
+  views.reserve(obj->pages().size());
   for (const auto& [pgidx, pf] : obj->pages()) {
-    frame.pages[pgidx].assign(pf->data.data(), pf->data.data() + kPageSize);
-    payload += kPageSize + kPageHeaderBytes;
-    if (pages != nullptr) {
-      (*pages)++;
-    }
-    if (bytes != nullptr) {
-      *bytes += kPageSize;
-    }
+    views.push_back(PageView{pgidx, pf->data.data()});
   }
-  if (frame.pages.empty()) {
-    return prim_sim_->clock.now();
-  }
-  AURORA_ASSIGN_OR_RETURN(SimTime done, ShipFrame(std::move(frame), payload));
+  std::vector<uint8_t> frame;
+  AppendDataFrame(id, oid.value, obj->size(), views, nullptr, &frame);
+  *pages += views.size();
+  *bytes += views.size() * kPageSize;
+  AURORA_ASSIGN_OR_RETURN(
+      SimTime done, ShipFrame(std::move(frame), views.size() * (kPageSize + kPageHeaderBytes)));
   seq_++;
   obj->set_busy_until(done);
   return done;
@@ -1108,11 +799,7 @@ Result<SimTime> ReplicaBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_
 Result<CheckpointBackend::CommitInfo> ReplicaBackend::CommitEpoch(
     const std::string& ckpt_name, const std::vector<uint8_t>& manifest, Oid replaces_manifest) {
   (void)replaces_manifest;  // the standby's image table is append-only
-  if (!streaming_) {
-    attempt_++;
-    seq_ = 0;
-    streaming_ = true;
-  }
+  FrameId id = NextFrameId();
   std::string group;
   if (!manifest.empty()) {
     auto head = PeekManifest(manifest);
@@ -1120,15 +807,9 @@ Result<CheckpointBackend::CommitInfo> ReplicaBackend::CommitEpoch(
       group = head->name;
     }
   }
-  ReplFrame frame;
-  frame.epoch = epoch_;
-  frame.attempt = attempt_;
-  frame.seq = seq_;
-  frame.commit = true;
-  frame.group = group;
-  frame.ckpt_name = ckpt_name;
-  frame.manifest = manifest;
-  frame.nframes = seq_ + 1;
+  // Each epoch is a delta on the one before; the commit frame is the last.
+  std::vector<uint8_t> frame;
+  AppendCommitFrame(id, EpochCommit{group, ckpt_name, manifest, epoch_ - 1, id.seq + 1}, &frame);
   // The commit frame leaves only after every stream lane drained: the
   // standby must hold the whole epoch before its commit record.
   lanes_ = LaneSchedule(lanes_.lanes(), std::max(sim_->clock.now(), lanes_.Makespan()));
@@ -1147,7 +828,7 @@ Result<CheckpointBackend::CommitInfo> ReplicaBackend::CommitEpoch(
   seq_ = 0;
   streaming_ = false;
   epoch_++;
-  prim_sim_->metrics.counter("backend." + name() + ".epochs_committed").Add();
+  sim_->metrics.counter("backend." + name_ + ".epochs_committed").Add();
   // Continuous ingest: the standby pumps on every commit (the co-hosted
   // simulation's stand-in for its ingest loop).
   standby_->Pump();
@@ -1156,6 +837,47 @@ Result<CheckpointBackend::CommitInfo> ReplicaBackend::CommitEpoch(
     info.manifest_oid = (*rec)->manifest_oid;
   }
   return info;
+}
+
+Result<CheckpointBackend::LoadedManifest> ReplicaBackend::LoadManifest(
+    const std::string& group_name, uint64_t epoch) {
+  AURORA_ASSIGN_OR_RETURN(const MemoryBackend::ImageRecord* rec,
+                          standby_->FindImage(group_name, epoch));
+  // Foreground pull: the restore blocks on the round trip.
+  sim_->clock.Advance(sim_->cost.NetTransfer(rec->manifest.size()));
+  return LoadedManifest{rec->epoch, rec->manifest_oid, rec->manifest};
+}
+
+Result<MemoryResolverFn> ReplicaBackend::MakeResolver(uint64_t epoch, RestoreMode mode,
+                                                      std::shared_ptr<SimTime> stream_done) {
+  (void)epoch;
+  const ReplicaStandby* standby = standby_;
+  SimContext* sim = sim_;
+  if (mode == RestoreMode::kFull) {
+    // Pull streams: independent objects arrive on parallel lanes while the
+    // OS state rebuilds; the caller advances to the makespan at the end.
+    auto lanes = std::make_shared<LaneSchedule>(lanes_.lanes(), *stream_done);
+    auto wire = std::make_shared<SimTime>(*stream_done);
+    return MemoryResolverFn(
+        [standby, sim, stream_done, lanes, wire](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
+          uint64_t pages = 0;
+          auto obj = standby->Materialize(oid.value, size, &pages);
+          SimTime done = LaneTransfer(sim->cost, lanes.get(), wire.get(), 0,
+                                      pages * (kPageSize + kPageHeaderBytes));
+          *stream_done = std::max(*stream_done, done);
+          return ResolvedMemory{std::move(obj), false};
+        });
+  }
+  if (mode == RestoreMode::kLazy) {
+    // Remote paging: one synchronous round trip per fault.
+    return standby->LazyResolver(sim, sim->cost.NetTransfer(kPageSize + kPageHeaderBytes));
+  }
+  return Status::Error(Errc::kInvalidArgument, "kFromMemory resolves without a backend");
+}
+
+bool ReplicaBackend::InstallPager(VmObject* base) {
+  SimDuration per_fault = sim_->cost.NetTransfer(kPageSize + kPageHeaderBytes);
+  return BackWithPager(base, standby_->ImagePager(base->sls_oid(), sim_, per_fault));
 }
 
 // -----------------------------------------------------------------------------
@@ -1213,113 +935,6 @@ Result<CheckpointBackend::LoadedManifest> LoadManifestFromStore(ObjectStore* sto
   AURORA_RETURN_IF_ERROR(
       store->ReadAtEpoch(loaded.epoch, loaded.oid, 0, loaded.blob.data(), loaded.blob.size()));
   return loaded;
-}
-
-// -----------------------------------------------------------------------------
-// Migration stream codec
-// -----------------------------------------------------------------------------
-
-namespace {
-constexpr uint8_t kStreamBlockRaw = 0;
-constexpr uint8_t kStreamBlockRef = 1;
-}  // namespace
-
-std::vector<uint8_t> EncodeCheckpointStream(const StreamPayload& payload) {
-  BinaryWriter w;
-  w.PutU32(kStreamMagic);
-  w.PutU64(payload.epoch);
-  w.PutU64(payload.since_epoch);
-  w.PutBytes(payload.manifest.data(), payload.manifest.size());
-  w.PutU64(payload.objects.size());
-  // Blocks already emitted in this stream, by content. A repeated block
-  // encodes as a back-reference the receiver resolves locally; the memcmp
-  // guards against a (vanishingly unlikely) content-key collision turning
-  // into silent corruption on the peer. References name the source by its
-  // position in the stream (object index, block), not by oid — the same oid
-  // can legitimately appear more than once (objects shared across processes).
-  std::map<ContentKey, std::pair<uint64_t, uint64_t>> seen;  // key -> (obj index, block)
-  for (uint64_t idx = 0; idx < payload.objects.size(); idx++) {
-    const auto& [oid, data] = payload.objects[idx];
-    w.PutU64(oid);
-    w.PutU64(data.size);
-    w.PutU64(data.blocks.size());
-    for (const auto& [block, raw] : data.blocks) {
-      w.PutU64(block);
-      ContentKey key = ContentHash128(raw.data(), raw.size());
-      const std::vector<uint8_t>* src = nullptr;
-      auto cached = seen.find(key);
-      if (cached != seen.end()) {
-        const auto& blocks = payload.objects[cached->second.first].second.blocks;
-        auto it = blocks.find(cached->second.second);
-        src = it == blocks.end() ? nullptr : &it->second;
-      }
-      if (src != nullptr && src->size() == raw.size() &&
-          std::memcmp(src->data(), raw.data(), raw.size()) == 0) {
-        w.PutU8(kStreamBlockRef);
-        w.PutU64(cached->second.first);
-        w.PutU64(cached->second.second);
-      } else {
-        w.PutU8(kStreamBlockRaw);
-        w.PutRaw(raw.data(), raw.size());
-        seen[key] = {idx, block};
-      }
-    }
-  }
-  return w.Take();
-}
-
-Result<StreamPayload> DecodeCheckpointStream(const std::vector<uint8_t>& bytes,
-                                             uint32_t block_size) {
-  BinaryReader r(bytes);
-  AURORA_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
-  if (magic != kStreamMagic) {
-    return Status::Error(Errc::kCorrupt, "bad checkpoint stream");
-  }
-  StreamPayload payload;
-  AURORA_ASSIGN_OR_RETURN(payload.epoch, r.U64());
-  AURORA_ASSIGN_OR_RETURN(payload.since_epoch, r.U64());
-  AURORA_ASSIGN_OR_RETURN(payload.manifest, r.Bytes());
-  AURORA_ASSIGN_OR_RETURN(uint64_t nmem, r.U64());
-  for (uint64_t i = 0; i < nmem; i++) {
-    AURORA_ASSIGN_OR_RETURN(uint64_t oid, r.U64());
-    StreamPayload::ObjectData data;
-    AURORA_ASSIGN_OR_RETURN(data.size, r.U64());
-    AURORA_ASSIGN_OR_RETURN(uint64_t nblocks, r.U64());
-    for (uint64_t b = 0; b < nblocks; b++) {
-      AURORA_ASSIGN_OR_RETURN(uint64_t block, r.U64());
-      AURORA_ASSIGN_OR_RETURN(uint8_t tag, r.U8());
-      if (tag == kStreamBlockRaw) {
-        std::vector<uint8_t> raw(block_size);
-        AURORA_RETURN_IF_ERROR(r.Raw(raw.data(), raw.size()));
-        data.blocks[block] = std::move(raw);
-      } else if (tag == kStreamBlockRef) {
-        // Back-reference to a block decoded earlier in this same stream —
-        // by stream position: a completed object's index, or this object's
-        // own index for an earlier block of it.
-        uint64_t src_idx = 0;
-        uint64_t src_block = 0;
-        AURORA_ASSIGN_OR_RETURN(src_idx, r.U64());
-        AURORA_ASSIGN_OR_RETURN(src_block, r.U64());
-        const std::vector<uint8_t>* src = nullptr;
-        if (src_idx == i) {
-          auto it = data.blocks.find(src_block);
-          src = it == data.blocks.end() ? nullptr : &it->second;
-        } else if (src_idx < payload.objects.size()) {
-          const auto& blocks = payload.objects[src_idx].second.blocks;
-          auto it = blocks.find(src_block);
-          src = it == blocks.end() ? nullptr : &it->second;
-        }
-        if (src == nullptr) {
-          return Status::Error(Errc::kCorrupt, "stream dedup ref names an unseen block");
-        }
-        data.blocks[block] = *src;
-      } else {
-        return Status::Error(Errc::kCorrupt, "bad stream block tag");
-      }
-    }
-    payload.objects.emplace_back(oid, std::move(data));
-  }
-  return payload;
 }
 
 }  // namespace aurora

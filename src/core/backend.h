@@ -2,7 +2,8 @@
 //
 // Aurora ships checkpoints to interchangeable destinations: the local COW
 // object store, RAM-resident snapshot images (the memory-backend ablation),
-// and a remote machine over the NIC (`sls send` / `sls recv`). The Sls
+// and a warm standby on a remote machine over the NIC, in the epoch wire
+// format `sls send` / `sls recv` also speak (src/core/epoch_stream.h). The Sls
 // checkpoint/restore engine talks to all of them through CheckpointBackend,
 // so the pipeline stages — quiesce, serialize, shadow, resume, async flush,
 // commit, release — are written once and the destination only decides where
@@ -26,18 +27,12 @@
 #include "src/base/result.h"
 #include "src/base/rng.h"
 #include "src/base/sim_context.h"
+#include "src/core/epoch_stream.h"
 #include "src/core/serialize.h"
 #include "src/fs/aurora_fs.h"
 #include "src/objstore/object_store.h"
 
 namespace aurora {
-
-// Size of a dedup reference record on a backend's wire/flusher path: the
-// 128-bit content key naming a page the destination already holds. Shipping
-// a reference instead of the page is where `ckpt.bytes_deduped` comes from
-// on the memory and net backends (the store backend dedups inside
-// ObjectStore::StoreBlockCow instead).
-constexpr uint64_t kDedupRefBytes = 16;
 
 enum class CheckpointMode {
   kFull,        // serialize + shadow + flush to the backend + commit
@@ -72,8 +67,8 @@ class CheckpointBackend {
   // kInvalidOid and the manifest simply records no namespace.
   [[nodiscard]] virtual Result<Oid> PersistNamespace() = 0;
   // Ships every resident page of `obj` to the object named `oid`, returning
-  // the simulated time the pages are durable at the destination. Increments
-  // *pages / *bytes per page shipped when non-null.
+  // the simulated time the pages are durable at the destination. Adds the
+  // pages shipped to *pages and the bytes they took to *bytes.
   [[nodiscard]] virtual Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                          uint64_t* bytes) = 0;
   // Flushes file data dirtied since the last checkpoint (checkpoint
@@ -165,8 +160,8 @@ class StoreBackend : public CheckpointBackend {
 // MemoryBackend: RAM-resident checkpoint images (the paper's memory-backend
 // ablation). An asynchronous flusher copies pages into per-object images at
 // memcpy bandwidth; images survive process teardown but not machine reboot.
-// Also serves as the receiving side of a NetBackend: the NIC stages pages
-// into a peer machine's MemoryBackend image table.
+// ReplicaStandby builds on it: a standby applies the primary's epochs into
+// the same image table.
 // -----------------------------------------------------------------------------
 class MemoryBackend : public CheckpointBackend {
  public:
@@ -210,28 +205,36 @@ class MemoryBackend : public CheckpointBackend {
       uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) override;
   bool InstallPager(VmObject* base) override;
 
-  // Cost-free staging primitives for a NetBackend feeding this image table
-  // from across the link (the sender charges the NIC, not our flusher).
-  uint64_t AllocOid() { return next_oid_++; }
-  void DeclareObject(uint64_t oid, uint64_t size);
+  // Cost-free staging primitives for a replica stream feeding this image
+  // table from across the link (the sender charges the NIC, not our flusher).
   void StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx, const uint8_t* data);
-  CommitInfo Seal(std::string group, std::string ckpt_name, std::vector<uint8_t> manifest,
-                  SimTime committed_at);
-  // Seal at a caller-chosen epoch number (a replica applying the primary's
+  // Seals an epoch at a caller-chosen number (a replica applying the primary's
   // stream keeps the primary's epoch numbering). Idempotent per
   // (group, epoch): resealing an epoch the table already holds returns the
   // existing record — at-least-once delivery must not duplicate images.
   CommitInfo SealAt(uint64_t epoch, std::string group, std::string ckpt_name,
                     std::vector<uint8_t> manifest, SimTime committed_at);
 
+  // A fresh object of `size` holding every staged page of `oid`; adds the
+  // pages copied to *pages.
+  std::shared_ptr<VmObject> Materialize(uint64_t oid, uint64_t size, uint64_t* pages) const;
+  // Demand pager over the image of `oid`: a fault copies the staged page
+  // and charges `per_fault` to `sim`'s clock (a local copy, or a pull across
+  // a link); a page the image lacks fails the fault.
+  VmObject::Pager ImagePager(uint64_t oid, SimContext* sim, SimDuration per_fault) const;
+  // The kLazy resolver over this table: every object pages in on demand
+  // through ImagePager.
+  MemoryResolverFn LazyResolver(SimContext* sim, SimDuration per_fault) const;
+
   const ObjectImage* FindObject(uint64_t oid) const;
   const std::map<uint64_t, ObjectImage>& object_table() const { return objects_; }
   [[nodiscard]] Result<const ImageRecord*> FindImage(const std::string& group_name,
                                                      uint64_t epoch) const;
-  const std::vector<ImageRecord>& images() const { return images_; }
+
+ protected:
+  SimContext* sim_;
 
  private:
-  SimContext* sim_;
   std::string name_;
   uint64_t next_oid_ = 1;
   uint64_t epoch_ = 1;
@@ -241,138 +244,33 @@ class MemoryBackend : public CheckpointBackend {
   LaneSchedule flusher_{1};
   std::map<uint64_t, ObjectImage> objects_;
   std::vector<ImageRecord> images_;
-  // Content cache: key -> (oid, pgidx) of a staged page known to hold that
-  // content. Entries can go stale when the source page is restaged with new
-  // bytes, so every hit is validated against the image before it is trusted.
-  std::map<ContentKey, std::pair<uint64_t, uint64_t>> content_cache_;
 };
 
 // -----------------------------------------------------------------------------
-// NetBackend: checkpoints stream to a peer machine's MemoryBackend over the
-// simulated NIC. Every page batch and manifest is charged
-// CostModel::NetTransfer on a dedicated link timeline (transfers queue
-// behind one another), subsuming what `sls send` does per stream; restores
-// pull the image back across the link. The peer's MemoryBackend may belong
-// to another simulated machine — its clock is never touched from here.
-// -----------------------------------------------------------------------------
-class NetBackend : public CheckpointBackend {
- public:
-  // Lossy-link model: each queued transfer independently times out with
-  // probability drop_rate; a timeout charges net_send_timeout + one RTT for
-  // the reconnect before the retry. Bounded like disk I/O retries — after
-  // max_attempts the send fails typed with kUnavailable (the peer is
-  // partitioned away, counted in net.partitions) and the epoch aborts
-  // upstream.
-  struct LinkFaultProfile {
-    uint64_t seed = 0x6E657431;  // "net1"
-    double drop_rate = 0.0;
-    int max_attempts = 4;
-  };
-
-  NetBackend(SimContext* sim, MemoryBackend* remote, std::string name = "net")
-      : sim_(sim), remote_(remote), name_(std::move(name)) {}
-
-  void SetLinkFaults(const LinkFaultProfile& profile) {
-    link_ = profile;
-    link_rng_ = Rng(profile.seed);
-  }
-
-  const std::string& name() const override { return name_; }
-  void SetFlushLanes(int lanes) override { lanes_ = LaneSchedule(lanes, lanes_.Makespan()); }
-  uint64_t current_epoch() const override { return remote_->current_epoch(); }
-  [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override;
-  [[nodiscard]] Result<Oid> PersistNamespace() override { return kInvalidOid; }
-  [[nodiscard]] Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
-                                                 uint64_t* bytes) override;
-  [[nodiscard]] Result<SimTime> FlushFilesystem() override { return sim_->clock.now(); }
-  [[nodiscard]] Result<CommitInfo> CommitEpoch(const std::string& ckpt_name,
-                                               const std::vector<uint8_t>& manifest,
-                                               Oid replaces_manifest) override;
-  [[nodiscard]] Result<LoadedManifest> LoadManifest(const std::string& group_name,
-                                                    uint64_t epoch) override;
-  [[nodiscard]] Status RestoreNamespace(uint64_t /*epoch*/, Oid /*ns_oid*/) override {
-    return Status::Error(Errc::kNotSupported, "net backend holds no namespace");
-  }
-  [[nodiscard]] Result<MemoryResolverFn> MakeResolver(
-      uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) override;
-  bool InstallPager(VmObject* base) override;
-
-  MemoryBackend* remote() { return remote_; }
-
- protected:
-  // Per-page wire framing: page index + length (matches the migration
-  // stream's per-block header granularity).
-  static constexpr uint64_t kPageHeaderBytes = 16;
-
-  // Queues `payload` bytes onto stream lane `lane`, returning arrival time.
-  // Never advances the local clock — checkpoint shipping is asynchronous.
-  // Lanes model concurrent streams: their latency halves overlap, while the
-  // wire's byte occupancy is shared (wire_busy_). With one lane the stream
-  // timeline always covers the wire bucket, i.e. the historical serial link.
-  // Fails with kUnavailable when the lossy-link profile exhausts its
-  // retries (a partition, counted in net.partitions).
-  [[nodiscard]] Result<SimTime> QueueTransferOn(int lane, uint64_t payload);
-  [[nodiscard]] Result<SimTime> QueueTransfer(uint64_t payload) {
-    return QueueTransferOn(lanes_.NextLane(), payload);
-  }
-
-  SimContext* sim_;
-  MemoryBackend* remote_;
-  std::string name_;
-  LaneSchedule lanes_{1};
-  SimTime wire_busy_ = 0;
-  LinkFaultProfile link_;
-  Rng link_rng_;
-  // Sender-side record of content the peer's image table already holds
-  // (key -> (oid, pgidx) staged earlier). Validated against the remote image
-  // on every hit, so a restaged page can never cause a wrong reference.
-  std::map<ContentKey, std::pair<uint64_t, uint64_t>> content_cache_;
-};
-
-// -----------------------------------------------------------------------------
-// Warm-standby live replication (DESIGN.md section 18, ROADMAP item 3).
+// Warm-standby live replication (DESIGN.md section 18).
 //
 // A second simulated machine continuously ingests the primary's epoch stream
 // into a ready-to-run image table. The pieces:
 //
 //   ReplicaBackend  (primary side)  — a CheckpointBackend that ships every
-//       epoch as CRC-framed stream messages over a ReplicaLink, plus the
-//       heartbeat that keeps the standby's lease fresh.
+//       epoch as CRC-sealed frames (src/core/epoch_stream.h) over a
+//       ReplicaLink, plus the heartbeat that keeps the standby's lease fresh.
 //   ReplicaLink     (the wire)      — at-least-once, possibly out-of-order
 //       delivery: frames can be duplicated or reordered (seeded), and the
 //       link can partition — cleanly or mid-epoch via a frame fuse.
 //   ReplicaStandby  (standby side)  — the replica state machine: reassembles
-//       frames into pending epochs, CRC-validates, and applies complete
-//       epochs in order into warm VmObject images; tracks applied/validated
-//       watermarks; PrepareFailover() promotes on the last durable epoch
-//       with validated speculation (see DESIGN.md section 18 for the state
-//       machine and failover invariants).
+//       frames into pending epochs, validates each complete one through
+//       DecodeEpoch, and applies them in order into warm VmObject images;
+//       tracks applied/validated watermarks; PrepareFailover() promotes on
+//       the last durable epoch with validated speculation (see DESIGN.md
+//       section 18 for the state machine and failover invariants).
 // -----------------------------------------------------------------------------
 
-// One replication stream message: a batch of one object's pages, or the
-// epoch's commit record (manifest + expected frame count). The CRC covers
-// the payload and its placement metadata, so a frame corrupted in the
-// standby's staging buffers (latent-sector analogue) fails validation.
-struct ReplFrame {
-  uint64_t epoch = 0;
-  uint64_t attempt = 0;  // re-ship attempt after an aborted epoch
-  uint64_t seq = 0;      // position within the epoch's stream, commit last
-  bool commit = false;
-  // Data-frame payload.
-  uint64_t oid = 0;
-  uint64_t object_size = 0;
-  std::map<uint64_t, std::vector<uint8_t>> pages;  // pgidx -> one 4 KiB page
-  // Commit-frame payload.
-  std::string group;
-  std::string ckpt_name;
-  std::vector<uint8_t> manifest;
-  uint64_t nframes = 0;  // frames in this epoch, commit frame included
-  uint32_t crc = 0;
-  SimTime sent_at = 0;
-  SimTime arrival = 0;  // when the bytes are through the wire
-
-  // CRC over payload + placement metadata (both sides compute this).
-  uint32_t ComputeCrc() const;
+// One frame on the replica wire: its encoded bytes and when they are
+// through the wire.
+struct WireFrame {
+  std::vector<uint8_t> bytes;
+  SimTime arrival = 0;
 };
 
 // The primary -> standby wire. The sender pushes frames (refusing them while
@@ -404,9 +302,9 @@ class ReplicaLink {
 
   // Sender side: false when the frame could not be put on the wire
   // (partitioned). A frame is delivered whole or not at all.
-  bool Push(ReplFrame frame);
+  bool Push(WireFrame frame);
   // Receiver side: every wire frame, in delivery order.
-  std::vector<ReplFrame> TakeDeliverable();
+  std::vector<WireFrame> TakeDeliverable();
 
   void RecordHeartbeat(SimTime t) { last_heartbeat_ = std::max(last_heartbeat_, t); }
   SimTime last_heartbeat() const { return last_heartbeat_; }
@@ -414,7 +312,7 @@ class ReplicaLink {
   uint64_t frames_pushed() const { return frames_pushed_; }
 
  private:
-  std::vector<ReplFrame> wire_;
+  std::vector<WireFrame> wire_;
   FaultProfile faults_;
   Rng rng_{0x7265706C};
   bool partitioned_ = false;
@@ -431,14 +329,14 @@ class ReplicaLink {
 class ReplicaStandby : public MemoryBackend {
  public:
   ReplicaStandby(SimContext* sim, ReplicaLink* link, std::string name = "standby")
-      : MemoryBackend(sim, std::move(name)), standby_sim_(sim), link_(link) {}
-
-  enum class EpochState { kStreaming, kValidated, kApplied, kRolledBack };
+      : MemoryBackend(sim, std::move(name)), link_(link) {}
 
   // --- Continuous ingest ---------------------------------------------------
-  // Drains the link, reassembles pending epochs (deduping replayed frames
-  // and whole replayed epochs), CRC-validates complete ones and applies them
-  // in epoch order. A validation failure rolls the epoch back and poisons
+  // Drains the link, reassembles pending epochs by frame header (deduping
+  // replayed frames and whole replayed epochs), validates complete ones
+  // through DecodeEpoch and applies them in epoch order. A frame whose
+  // header does not parse cannot be placed and is dropped; its epoch waits
+  // for re-delivery. A validation failure rolls the epoch back and poisons
   // the chain: later epochs are deltas on top of the lost one, so they wait
   // until the at-least-once link re-delivers the lost epoch intact rather
   // than composing into a torn image.
@@ -459,8 +357,9 @@ class ReplicaStandby : public MemoryBackend {
   [[nodiscard]] Status LeaseCheck() const;
 
   // --- Fault injection (standby-side latent sector analogue) ---------------
-  // Flips one byte of an already-received pending page of `epoch`, so the
-  // apply-time CRC validation must catch it. False if nothing to corrupt.
+  // Flips the last page byte of an already-received pending data frame of
+  // `epoch`, so the apply-time CRC validation must catch it. False if
+  // nothing to corrupt.
   bool CorruptPendingPage(uint64_t epoch);
 
   // --- Failover ------------------------------------------------------------
@@ -492,19 +391,16 @@ class ReplicaStandby : public MemoryBackend {
 
  private:
   struct PendingEpoch {
-    std::map<uint64_t, ReplFrame> frames;  // seq -> frame
+    std::map<uint64_t, WireFrame> frames;  // seq -> frame
     uint64_t attempt = 0;
     uint64_t nframes = 0;  // 0 until the commit frame arrives
-    uint64_t max_seq_seen = 0;
     SimTime last_arrival = 0;
   };
 
   // Applies every contiguous complete epoch above the watermark.
   void ApplyReady();
-  [[nodiscard]] bool ValidateEpoch(const PendingEpoch& pending);
-  void ApplyEpoch(uint64_t epoch, PendingEpoch&& pending);
+  void ApplyEpoch(const DecodedEpoch& epoch, SimTime last_arrival);
 
-  SimContext* standby_sim_;
   ReplicaLink* link_;
   std::map<uint64_t, PendingEpoch> pending_;
   uint64_t applied_epoch_ = 0;
@@ -522,11 +418,15 @@ class ReplicaStandby : public MemoryBackend {
   std::map<uint64_t, std::shared_ptr<VmObject>> warm_;
 };
 
-// Primary side: ships every checkpoint epoch as a framed stream over the
-// ReplicaLink. Extends NetBackend for the lane/wire timing model and the
-// pull-back restore path; the flush path is replaced by frame assembly so
-// partitions, reordering and duplication act on whole frames.
-class ReplicaBackend : public NetBackend {
+// Primary side: ships every checkpoint epoch over the ReplicaLink, one data
+// frame per object written and then the commit frame, and pulls images back
+// across the link on restore. Pages ship raw, never as references: the
+// standby validates each epoch on its own, so a reference into an epoch it
+// may not hold could never be checked. NIC timing: each frame queues on one
+// of the stream lanes; latency halves overlap across lanes while the wire's
+// byte time is shared, and with one lane the stream timeline always covers
+// the wire, i.e. the serial link.
+class ReplicaBackend : public CheckpointBackend {
  public:
   struct HeartbeatProfile {
     SimDuration lease = 50 * kMillisecond;
@@ -536,10 +436,7 @@ class ReplicaBackend : public NetBackend {
 
   ReplicaBackend(SimContext* sim, ReplicaStandby* standby, ReplicaLink* link,
                  std::string name = "replica")
-      : NetBackend(sim, standby, std::move(name)),
-        prim_sim_(sim),
-        standby_(standby),
-        link_(link) {
+      : sim_(sim), standby_(standby), link_(link), name_(std::move(name)) {
     standby->ConfigureLease(hb_.lease);
   }
 
@@ -559,25 +456,52 @@ class ReplicaBackend : public NetBackend {
   // typed kUnavailable when the link is partitioned away.
   [[nodiscard]] Status SendHeartbeat();
 
+  const std::string& name() const override { return name_; }
+  void SetFlushLanes(int lanes) override { lanes_ = LaneSchedule(lanes, lanes_.Makespan()); }
   uint64_t current_epoch() const override { return epoch_; }
+  [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override;
+  [[nodiscard]] Result<Oid> PersistNamespace() override { return kInvalidOid; }
   [[nodiscard]] Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                  uint64_t* bytes) override;
+  [[nodiscard]] Result<SimTime> FlushFilesystem() override { return sim_->clock.now(); }
   [[nodiscard]] Result<CommitInfo> CommitEpoch(const std::string& ckpt_name,
                                                const std::vector<uint8_t>& manifest,
                                                Oid replaces_manifest) override;
+  [[nodiscard]] Result<LoadedManifest> LoadManifest(const std::string& group_name,
+                                                    uint64_t epoch) override;
+  [[nodiscard]] Status RestoreNamespace(uint64_t /*epoch*/, Oid /*ns_oid*/) override {
+    return Status::Error(Errc::kNotSupported, "replica backend holds no namespace");
+  }
+  [[nodiscard]] Result<MemoryResolverFn> MakeResolver(
+      uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) override;
+  bool InstallPager(VmObject* base) override;
 
   ReplicaStandby* standby() { return standby_; }
-  ReplicaLink* link() { return link_; }
 
  private:
-  // Pushes one frame through the link, retrying with exponential backoff
-  // while partitioned; typed kUnavailable + net.partitions on giveup.
-  [[nodiscard]] Result<SimTime> ShipFrame(ReplFrame frame, uint64_t payload_bytes);
+  // Modeled wire bytes of a page beyond its 4 KiB: page index + length.
+  static constexpr uint64_t kPageHeaderBytes = 16;
 
-  SimContext* prim_sim_;
+  // The frame id for the next frame of this epoch's stream, opening the
+  // stream under a fresh attempt id unless one is already open.
+  FrameId NextFrameId();
+  // Queues `payload` bytes on the next stream lane and returns their arrival
+  // time. Never advances the local clock: shipping is asynchronous.
+  SimTime QueueTransfer(uint64_t payload);
+  // Waits out a partition with exponential backoff; false once the
+  // heartbeat profile's attempts are spent (counted in net.partitions).
+  bool AwaitLink();
+  // Pushes one frame through the link once AwaitLink clears it; typed
+  // kUnavailable when the link stays partitioned or cuts mid-epoch.
+  [[nodiscard]] Result<SimTime> ShipFrame(std::vector<uint8_t> frame, uint64_t payload_bytes);
+
+  SimContext* sim_;
   ReplicaStandby* standby_;
   ReplicaLink* link_;
+  std::string name_;
   HeartbeatProfile hb_;
+  LaneSchedule lanes_{1};
+  SimTime wire_busy_ = 0;  // the wire's byte time, shared by every lane
   uint64_t epoch_ = 1;
   uint64_t attempt_ = 0;   // bumped when an epoch stream (re)starts
   uint64_t seq_ = 0;       // next frame seq within the current epoch
@@ -598,31 +522,6 @@ class ReplicaBackend : public NetBackend {
 // FindManifestInStore plus the final manifest read.
 [[nodiscard]] Result<CheckpointBackend::LoadedManifest> LoadManifestFromStore(
     ObjectStore* store, const std::string& group_name, uint64_t epoch);
-
-// -----------------------------------------------------------------------------
-// Migration stream codec (`sls send` / `sls recv` wire format, magic "ASND").
-// Layout: u32 magic, u64 epoch, u64 since_epoch, bytes manifest, u64 nmem,
-// then per object: u64 oid, u64 size, u64 nblocks, nblocks x (u64 block,
-// u8 tag, payload). Tag 0 = raw store-block payload; tag 1 = dedup
-// reference (u64 src_oid, u64 src_block) naming an earlier block of the
-// same stream with identical contents — the receiver copies it locally
-// instead of pulling the bytes across the wire.
-// -----------------------------------------------------------------------------
-struct StreamPayload {
-  uint64_t epoch = 0;
-  uint64_t since_epoch = 0;
-  std::vector<uint8_t> manifest;
-  struct ObjectData {
-    uint64_t size = 0;
-    std::map<uint64_t, std::vector<uint8_t>> blocks;  // block index -> raw block
-  };
-  // Source oid -> contents; iteration order is the wire order.
-  std::vector<std::pair<uint64_t, ObjectData>> objects;
-};
-
-std::vector<uint8_t> EncodeCheckpointStream(const StreamPayload& payload);
-[[nodiscard]] Result<StreamPayload> DecodeCheckpointStream(const std::vector<uint8_t>& bytes,
-                                                           uint32_t block_size);
 
 }  // namespace aurora
 

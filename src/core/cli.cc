@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "src/core/coredump.h"
+#include "src/core/epoch_stream.h"
 #include "src/objstore/scrubber.h"
 
 namespace aurora {
@@ -379,36 +380,60 @@ Result<CheckpointStream> SlsCli::Send(const std::string& group_name, uint64_t ep
   ObjectStore* store = sls_->store();
   AURORA_ASSIGN_OR_RETURN(CheckpointBackend::LoadedManifest loaded,
                           LoadManifestFromStore(store, group_name, epoch));
+  AURORA_ASSIGN_OR_RETURN(auto listed, ManifestMemoryObjects(loaded.blob));
+  // One data frame per distinct oid: an object mapped by several processes
+  // ships once, sized as RestoreOsState sizes it (by its last listing).
+  std::map<uint64_t, uint64_t> memory;
+  for (const auto& [oid, size] : listed) {
+    memory[oid] = size;
+  }
 
-  StreamPayload payload;
-  payload.epoch = loaded.epoch;
-  payload.since_epoch = since_epoch;
-  payload.manifest = std::move(loaded.blob);
-  AURORA_ASSIGN_OR_RETURN(auto memory, ManifestMemoryObjects(payload.manifest));
+  // Every frame goes into one buffer with one content table, so a page
+  // repeated anywhere in the stream, across objects too, ships once.
+  CheckpointStream stream;
+  PageRefTable refs;
+  FrameId id{loaded.epoch, 0, 0};
   uint32_t bs = store->block_size();
-  std::vector<uint8_t> buf(bs);
+  uint64_t pages_per_block = bs / kPageSize;
+  std::vector<uint8_t> blocks_data;
   for (const auto& [oid, size] : memory) {
-    StreamPayload::ObjectData data;
-    data.size = size;
     // A manifest object with no extents yields an empty block list, not an
     // error; a real lookup failure must fail the migration rather than ship
     // a silently empty object.
     AURORA_ASSIGN_OR_RETURN(
         std::vector<uint64_t> blocks,
-        since_epoch == 0 ? store->BlocksAtEpoch(payload.epoch, Oid{oid})
-                         : store->ChangedBlocksSince(since_epoch, payload.epoch, Oid{oid}));
-    for (uint64_t block : blocks) {
+        since_epoch == 0 ? store->BlocksAtEpoch(loaded.epoch, Oid{oid})
+                         : store->ChangedBlocksSince(since_epoch, loaded.epoch, Oid{oid}));
+    blocks_data.resize(blocks.size() * bs);
+    std::vector<PageView> pages;
+    for (size_t i = 0; i < blocks.size(); i++) {
+      uint8_t* block = blocks_data.data() + i * bs;
       AURORA_RETURN_IF_ERROR(
-          store->ReadAtEpoch(payload.epoch, Oid{oid}, block * bs, buf.data(), bs));
-      data.blocks[block] = buf;
+          store->ReadAtEpoch(loaded.epoch, Oid{oid}, blocks[i] * bs, block, bs));
+      uint64_t first = blocks[i] * pages_per_block;
+      for (uint64_t p = 0; p < pages_per_block && first + p < PagesOf(size); p++) {
+        pages.push_back(PageView{first + p, block + p * kPageSize});
+      }
     }
-    payload.objects.emplace_back(oid, std::move(data));
+    if (pages.empty()) {
+      continue;
+    }
+    AppendDataFrame(id, oid, size, pages, &refs, &stream.bytes);
+    id.seq++;
   }
-
-  std::vector<uint8_t> bytes = EncodeCheckpointStream(payload);
+  std::string ckpt_name;
+  for (const CheckpointInfo& c : store->ListCheckpoints()) {
+    if (c.epoch == loaded.epoch) {
+      ckpt_name = c.name;
+    }
+  }
+  AppendCommitFrame(id,
+                    EpochCommit{group_name, ckpt_name, std::move(loaded.blob), since_epoch,
+                                id.seq + 1},
+                    &stream.bytes);
   // Ship it: one streaming transfer over the 10 GbE link.
-  sls_->sim()->clock.Advance(sls_->sim()->cost.NetTransfer(bytes.size()));
-  return CheckpointStream{std::move(bytes)};
+  sls_->sim()->clock.Advance(sls_->sim()->cost.NetTransfer(stream.bytes.size()));
+  return stream;
 }
 
 Result<RestoreResult> SlsCli::Recv(const CheckpointStream& stream, MigrationSession* session) {
@@ -416,23 +441,23 @@ Result<RestoreResult> SlsCli::Recv(const CheckpointStream& stream, MigrationSess
   SimStopwatch watch(sim->clock);
   sim->clock.Advance(sim->cost.NetTransfer(stream.bytes.size()));
 
-  // Same codec NetBackend speaks; Recv is the store-and-instantiate side.
-  uint32_t bs = sls_->store()->block_size();
-  AURORA_ASSIGN_OR_RETURN(StreamPayload payload,
-                          DecodeCheckpointStream(stream.bytes, bs));
-  if (payload.since_epoch != 0 &&
+  // The whole epoch validates before anything is instantiated. Decoded
+  // pages point into `stream`.
+  AURORA_ASSIGN_OR_RETURN(auto frames, SplitFrames(stream.bytes));
+  AURORA_ASSIGN_OR_RETURN(DecodedEpoch epoch, DecodeEpoch(frames));
+  const EpochCommit& commit = epoch.commit;
+  if (commit.since_epoch != 0 &&
       (session == nullptr || session->last_epoch == 0 ||
-       payload.since_epoch > session->last_epoch)) {
+       commit.since_epoch > session->last_epoch)) {
     return Status::Error(Errc::kBadState,
                          "incremental stream without a matching base image");
   }
   // At-least-once delivery: a replayed stream (same source epoch the session
   // already applied, or older) must be idempotent, not instantiate a second
   // copy. The standby instance built from the first delivery stays as-is.
-  if (session != nullptr && payload.epoch != 0 && payload.epoch <= session->last_epoch) {
+  if (session != nullptr && epoch.epoch != 0 && epoch.epoch <= session->last_epoch) {
     sim->metrics.counter("net.dup_epochs_ignored").Add();
-    AURORA_ASSIGN_OR_RETURN(RestoredGroup head, PeekManifest(payload.manifest));
-    ConsistencyGroup* dup_group = sls_->FindGroup(head.name);
+    ConsistencyGroup* dup_group = sls_->FindGroup(commit.group);
     if (dup_group == nullptr) {
       return Status::Error(Errc::kBadState, "replayed epoch for a group never instantiated");
     }
@@ -443,15 +468,9 @@ Result<RestoreResult> SlsCli::Recv(const CheckpointStream& stream, MigrationSess
     return dup;
   }
 
-  // Index the staged contents by source oid for the resolver.
-  std::map<uint64_t, const StreamPayload::ObjectData*> staged;
-  for (const auto& [oid, data] : payload.objects) {
-    staged[oid] = &data;
-  }
-
   auto new_session_objects =
       std::make_shared<std::map<uint64_t, std::shared_ptr<VmObject>>>();
-  auto resolve = [&staged, bs, session, new_session_objects](
+  auto resolve = [&epoch, session, new_session_objects](
                      Oid oid, uint64_t size) -> Result<ResolvedMemory> {
     auto obj = VmObject::CreateAnonymous(size);
     // Base image from the previous round, if any (incremental composition).
@@ -463,12 +482,15 @@ Result<RestoreResult> SlsCli::Recv(const CheckpointStream& stream, MigrationSess
         }
       }
     }
-    auto it = staged.find(oid.value);
-    if (it != staged.end()) {
-      for (const auto& [block, data] : it->second->blocks) {
-        for (uint64_t p = 0; p < bs / kPageSize; p++) {
-          obj->InstallPage(block * (bs / kPageSize) + p, data.data() + p * kPageSize);
+    for (const DecodedObject& staged : epoch.objects) {
+      if (staged.oid != oid.value) {
+        continue;
+      }
+      for (const PageView& page : staged.pages) {
+        if (page.pgidx >= PagesOf(size)) {
+          return Status::Error(Errc::kCorrupt, "stream page beyond the manifest's object size");
         }
+        obj->InstallPage(page.pgidx, page.data);
       }
     }
     (*new_session_objects)[oid.value] = obj;
@@ -477,7 +499,7 @@ Result<RestoreResult> SlsCli::Recv(const CheckpointStream& stream, MigrationSess
 
   AURORA_ASSIGN_OR_RETURN(
       RestoredGroup restored,
-      RestoreOsState(sim, sls_->kernel(), sls_->fs(), payload.manifest, resolve));
+      RestoreOsState(sim, sls_->kernel(), sls_->fs(), commit.manifest, resolve));
 
   // Source-store OIDs mean nothing here: clear them so this machine's first
   // checkpoint assigns fresh local objects and flushes everything once.
@@ -510,7 +532,7 @@ Result<RestoreResult> SlsCli::Recv(const CheckpointStream& stream, MigrationSess
   group->suspended = false;
 
   if (session != nullptr) {
-    session->last_epoch = payload.epoch;
+    session->last_epoch = epoch.epoch;
     session->source_objects = std::move(*new_session_objects);
   }
 

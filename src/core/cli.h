@@ -11,8 +11,10 @@
 
 namespace aurora {
 
-// Serialized checkpoint stream: manifest plus the memory-object contents,
-// suitable for piping to a file or a remote host.
+// Serialized checkpoint stream: one epoch in the epoch wire format
+// (src/core/epoch_stream.h), a data frame per memory object and then the
+// commit frame with the manifest. Suitable for piping to a file or a
+// remote host.
 struct CheckpointStream {
   std::vector<uint8_t> bytes;
 };
@@ -46,7 +48,7 @@ class SlsCli {
                                               RestoreMode mode = RestoreMode::kFull,
                                               const std::string& backend_name = "");
   // sls ckpt --backend=<name>: routes the group's future checkpoints through
-  // the named backend (store / memory / net). Legal only while the group has
+  // the named backend (store / memory / replica). Legal only while the group has
   // no checkpoint state in flight.
   [[nodiscard]] Status SetBackend(const std::string& group_name, const std::string& backend_name);
   // sls ckpt --in-flight-epochs=<n>: epoch-overlap backpressure knob for
@@ -99,13 +101,16 @@ class SlsCli {
   [[nodiscard]] Result<std::vector<std::string>> Repl(const std::string& backend_name);
 
   // sls send: serializes the group's newest durable checkpoint (manifest +
-  // memory) into a stream, charging network transfer time. With
-  // `since_epoch` nonzero, only blocks written after that epoch are shipped
-  // (pre-copy rounds / continuous high availability).
+  // memory) into a stream, charging network transfer time. A page repeated
+  // anywhere in the stream ships once. With `since_epoch` nonzero, only
+  // blocks written after that epoch are shipped (pre-copy rounds /
+  // continuous high availability).
   [[nodiscard]] Result<CheckpointStream> Send(const std::string& group_name, uint64_t epoch = 0,
                                               uint64_t since_epoch = 0);
-  // sls recv: instantiates a received stream on *this* machine's SLS. Store
-  // OIDs are re-assigned locally at the first checkpoint after arrival.
+  // sls recv: validates the whole stream, then instantiates it on *this*
+  // machine's SLS; a damaged stream is kCorrupt (kNotSupported for an
+  // unknown format version). Store OIDs are re-assigned locally at the
+  // first checkpoint after arrival.
   // With a session, incremental streams compose onto the previously
   // received image and the session is updated for the next round.
   [[nodiscard]] Result<RestoreResult> Recv(const CheckpointStream& stream,

@@ -550,6 +550,9 @@ Result<std::vector<std::pair<uint64_t, uint64_t>>> ManifestMemoryObjects(
   (void)epoch;
   (void)ns;
   AURORA_ASSIGN_OR_RETURN(uint64_t count, r.U64());
+  if (count > r.Remaining() / 16) {  // each entry is a u64 oid and a u64 size
+    return Status::Error(Errc::kCorrupt, "memory-object count overruns the manifest");
+  }
   std::vector<std::pair<uint64_t, uint64_t>> out;
   out.reserve(count);
   for (uint64_t i = 0; i < count; i++) {

@@ -9,8 +9,8 @@
 //
 // Stop time covers quiesce through resume; everything after overlaps
 // application execution. The flush/commit half talks to a pluggable
-// CheckpointBackend (store, memory, net), so local checkpoints, the
-// memory-backend ablation and remote checkpoints share one engine.
+// CheckpointBackend (store, memory, replica), so local checkpoints, the
+// memory-backend ablation and the warm standby share one engine.
 #ifndef SRC_CORE_SLS_H_
 #define SRC_CORE_SLS_H_
 

@@ -1214,6 +1214,9 @@ Status ObjectStore::DeserializeMeta(const std::vector<uint8_t>& blob) {
   for (uint64_t i = 0; i < ndead; i++) {
     AURORA_ASSIGN_OR_RETURN(uint64_t epoch, r.U64());
     AURORA_ASSIGN_OR_RETURN(uint64_t nentries, r.U64());
+    if (nentries > r.Remaining() / 24) {  // birth, phys, crc, stored_len
+      return Status::Error(Errc::kCorrupt, "deadlist entry count overruns the meta blob");
+    }
     auto& list = deadlists_[epoch];
     list.reserve(nentries);
     for (uint64_t j = 0; j < nentries; j++) {
@@ -1254,6 +1257,9 @@ Status ObjectStore::DeserializeMeta(const std::vector<uint8_t>& blob) {
   open_data_seg_.clear();
   reloc_.clear();
   AURORA_ASSIGN_OR_RETURN(uint64_t nsegs, r.U64());
+  if (nsegs > r.Remaining() / 13) {  // state, lane, cursor
+    return Status::Error(Errc::kCorrupt, "segment count overruns the meta blob");
+  }
   segments_.reserve(nsegs);
   for (uint64_t i = 0; i < nsegs; i++) {
     AURORA_ASSIGN_OR_RETURN(uint8_t state, r.U8());

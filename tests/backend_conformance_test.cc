@@ -46,12 +46,6 @@ class BackendConformance : public ::testing::TestWithParam<const char*> {
     if (which == "memory") {
       return m.sls->RegisterBackend(std::make_unique<MemoryBackend>(&m.sim));
     }
-    if (which == "net") {
-      // net: the peer image table stands in for the remote machine.
-      auto* peer = static_cast<MemoryBackend*>(
-          m.sls->RegisterBackend(std::make_unique<MemoryBackend>(&m.sim, "peer")));
-      return m.sls->RegisterBackend(std::make_unique<NetBackend>(&m.sim, peer));
-    }
     // replica: continuous ingest standby behind a fault-injectable link.
     link_ = std::make_unique<ReplicaLink>();
     auto* standby = static_cast<ReplicaStandby*>(
@@ -131,7 +125,7 @@ TEST_P(BackendConformance, CheckpointTeardownRestoreRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformance,
-                         ::testing::Values("store", "memory", "net", "replica"));
+                         ::testing::Values("store", "memory", "replica"));
 
 }  // namespace
 }  // namespace aurora

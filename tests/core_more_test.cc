@@ -299,6 +299,33 @@ TEST(SlsManifest, PeekAndMemoryListing) {
   EXPECT_FALSE(m.sls->FindManifest("nope", 0).ok());
 }
 
+TEST(SlsManifest, HugeMemoryObjectCountIsCorrupt) {
+  // The memory-object count must not size an allocation before the entries
+  // it counts are known to be there: reserving 2^40 entries throws
+  // std::bad_alloc.
+  Machine m;
+  Process* proc = *m.kernel->CreateProcess("huge");
+  auto obj = VmObject::CreateAnonymous(64 * kKiB);
+  ASSERT_TRUE(proc->vm().Map(0x400000, 64 * kKiB, kProtRead | kProtWrite, obj, 0, false).ok());
+  ConsistencyGroup* g = *m.sls->CreateGroup("huge");
+  ASSERT_TRUE(m.sls->Attach(g, proc).ok());
+  auto ckpt = *m.sls->Checkpoint(g);
+  auto found = *m.sls->FindManifest("huge", ckpt.epoch);
+  std::vector<uint8_t> manifest(*m.store->SizeAtEpoch(found.first, found.second));
+  ASSERT_TRUE(
+      m.store->ReadAtEpoch(found.first, found.second, 0, manifest.data(), manifest.size()).ok());
+  // magic, version, u64-prefixed name, epoch, namespace oid, then the count.
+  const size_t count_off = 4 + 4 + 8 + std::string("huge").size() + 8 + 8;
+  ASSERT_EQ(manifest[count_off], ManifestMemoryObjects(manifest)->size());
+  for (uint64_t count : {uint64_t{1} << 40, uint64_t{1} << 63}) {
+    std::vector<uint8_t> bad = manifest;
+    for (size_t i = 0; i < 8; i++) {
+      bad[count_off + i] = static_cast<uint8_t>(count >> (8 * i));
+    }
+    EXPECT_EQ(ManifestMemoryObjects(bad).status().code(), Errc::kCorrupt) << count;
+  }
+}
+
 TEST(SlsSysV, SegmentsSurviveRestoreWithIdsAndSharing) {
   Machine m;
   Process* a = *m.kernel->CreateProcess("a");

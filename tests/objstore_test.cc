@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/base/checksum.h"
@@ -267,7 +268,9 @@ struct NewestMetaBlob {
   uint32_t dev_blocks = 0;   // device blocks the blob spans
   std::vector<uint8_t> raw;  // those device blocks, blob first
   uint64_t len = 0;          // blob bytes, trailing CRC32C included
+  size_t deadlists_off = 0;
   size_t layout_off = 0;
+  size_t segments_off = 0;
   size_t codec_off = 0;
 };
 
@@ -312,6 +315,7 @@ NewestMetaBlob FindNewestMetaBlob(MemBlockDevice* device) {
   EXPECT_EQ(*r.U32(), 0x4155524du);  // "AURM"
   skip(16);                          // epoch, next_oid
   EXPECT_EQ(*r.U64(), 0u) << "walker expects no objects";
+  out.deadlists_off = r.pos();
   EXPECT_EQ(*r.U64(), 0u) << "walker expects no deadlists";
   uint64_t nckpts = *r.U64();
   for (uint64_t i = 0; i < nckpts; i++) {
@@ -323,6 +327,7 @@ NewestMetaBlob FindNewestMetaBlob(MemBlockDevice* device) {
   EXPECT_TRUE(r.Bytes().ok());  // block bitmap
   out.layout_off = r.pos();
   skip(1 + 4);          // layout, segment_blocks
+  out.segments_off = r.pos();
   skip(*r.U64() * 13);  // segments: state u8, lane u32, cursor u64
   skip(*r.U64() * 24);  // relocation map entries
   skip(8);              // open meta segment
@@ -332,12 +337,12 @@ NewestMetaBlob FindNewestMetaBlob(MemBlockDevice* device) {
   return out;
 }
 
-// Writes `blob` back with one byte replaced and the trailing CRC32C
-// re-sealed, so only the typed option check can reject it.
+// Writes `blob` back with `patch` laid over its bytes at `off` and the
+// trailing CRC32C re-sealed, so only the typed checks can reject it.
 void WritePatchedBlob(MemBlockDevice* device, const NewestMetaBlob& blob, size_t off,
-                      uint8_t value) {
+                      const std::vector<uint8_t>& patch) {
   std::vector<uint8_t> raw = blob.raw;
-  raw[off] = value;
+  std::copy(patch.begin(), patch.end(), raw.begin() + static_cast<ptrdiff_t>(off));
   uint32_t crc = Crc32c(raw.data(), blob.len - 4);
   for (size_t i = 0; i < 4; i++) {
     raw[blob.len - 4 + i] = static_cast<uint8_t>(crc >> (8 * i));
@@ -365,21 +370,56 @@ TEST_F(ObjStoreTest, BadMetaOptionBytesAreTypedErrors) {
       {blob.codec_off, 0xff, Errc::kCorrupt},
   };
   for (const Case& c : cases) {
-    WritePatchedBlob(device_.get(), blob, c.off, c.value);
+    WritePatchedBlob(device_.get(), blob, c.off, {c.value});
     auto opened = ObjectStore::Open(device_.get(), &sim_);
     Errc got = opened.ok() ? Errc::kOk : opened.status().code();
     EXPECT_EQ(got, c.want) << "byte " << c.off << " = " << static_cast<int>(c.value)
                            << " opened as " << ErrcName(got);
   }
-  WritePatchedBlob(device_.get(), blob, blob.layout_off, 1);
+  WritePatchedBlob(device_.get(), blob, blob.layout_off, {1});
 
   // The layout is fixed at format time, so an intact older epoch cannot
   // help: layout 0 in the newest blob is kNotSupported, not a fallback.
   ASSERT_TRUE(store_->CommitCheckpoint("second").ok());
   NewestMetaBlob second = FindNewestMetaBlob(device_.get());
   ASSERT_NE(second.lba, blob.lba);
-  WritePatchedBlob(device_.get(), second, second.layout_off, 0);
+  WritePatchedBlob(device_.get(), second, second.layout_off, {0});
   EXPECT_EQ(ObjectStore::Open(device_.get(), &sim_).status().code(), Errc::kNotSupported);
+}
+
+std::vector<uint8_t> Le64Bytes(uint64_t v) {
+  std::vector<uint8_t> out(8);
+  for (size_t i = 0; i < 8; i++) {
+    out[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+  return out;
+}
+
+TEST_F(ObjStoreTest, HugeMetaCountsAreCorrupt) {
+  // A count read from the blob must not size an allocation before the bytes
+  // it counts are known to be there: a deadlist entry count or a segment
+  // count of 2^40 or 2^63 is kCorrupt, not std::bad_alloc.
+  NewestMetaBlob blob = FindNewestMetaBlob(device_.get());
+  for (uint64_t count : {uint64_t{1} << 40, uint64_t{1} << 63}) {
+    // One deadlist: its epoch is whatever u64 follows, its entry count the
+    // u64 after that.
+    std::vector<uint8_t> deadlist = Le64Bytes(1);
+    auto epoch_at = blob.raw.begin() + static_cast<ptrdiff_t>(blob.deadlists_off + 8);
+    deadlist.insert(deadlist.end(), epoch_at, epoch_at + 8);
+    std::vector<uint8_t> entries = Le64Bytes(count);
+    deadlist.insert(deadlist.end(), entries.begin(), entries.end());
+    const std::pair<size_t, std::vector<uint8_t>> cases[] = {
+        {blob.deadlists_off, deadlist},
+        {blob.segments_off, Le64Bytes(count)},
+    };
+    for (const auto& [off, patch] : cases) {
+      WritePatchedBlob(device_.get(), blob, off, patch);
+      EXPECT_EQ(ObjectStore::Open(device_.get(), &sim_).status().code(), Errc::kCorrupt)
+          << "count " << count << " at byte " << off;
+    }
+  }
+  WritePatchedBlob(device_.get(), blob, blob.layout_off, {1});
+  EXPECT_TRUE(ObjectStore::Open(device_.get(), &sim_).ok()) << "control: the unpatched blob";
 }
 
 // Crash-injection property: arm the device fuse at every write count within

@@ -193,27 +193,22 @@ TEST(Replication, CorruptedPendingEpochRollsBackThenHeals) {
   // it) and flip a byte of a received page before the commit frame lands —
   // the standby-side latent-sector analogue. Apply-time CRC validation must
   // roll the whole epoch back rather than apply the damaged page.
-  ReplFrame data;
-  data.epoch = 2;
-  data.seq = 0;
-  data.oid = 999;
-  data.object_size = kPageSize;
-  data.pages[0] = std::vector<uint8_t>(kPageSize, 0xAB);
-  data.crc = data.ComputeCrc();
+  std::vector<uint8_t> page(kPageSize, 0xAB);
+  WireFrame data;
+  AppendDataFrame(FrameId{2, 0, 0}, 999, kPageSize, {PageView{0, page.data()}}, nullptr,
+                  &data.bytes);
   ASSERT_TRUE(m.link.Push(data));
   m.standby->Pump();
   ASSERT_EQ(m.standby->pending_epochs(), 1u);
   ASSERT_TRUE(m.standby->CorruptPendingPage(2));
 
-  ReplFrame commit;
-  commit.epoch = 2;
-  commit.seq = 1;
-  commit.commit = true;
-  commit.group = "app";
-  commit.ckpt_name = "forged";
-  commit.manifest = {1, 2, 3};
-  commit.nframes = 2;
-  commit.crc = commit.ComputeCrc();
+  EpochCommit record;
+  record.group = "app";
+  record.ckpt_name = "forged";
+  record.manifest = {1, 2, 3};
+  record.nframes = 2;
+  WireFrame commit;
+  AppendCommitFrame(FrameId{2, 0, 1}, record, &commit.bytes);
   ASSERT_TRUE(m.link.Push(commit));
   m.standby->Pump();
 

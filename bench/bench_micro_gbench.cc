@@ -6,6 +6,8 @@
 // implementation regressions.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "bench/bench_common.h"
 #include "src/base/checksum.h"
 #include "src/base/rng.h"
@@ -56,8 +58,56 @@ void BM_ContentHash128(benchmark::State& state) {
 }
 BENCHMARK(BM_ContentHash128)->Arg(4096)->Arg(65536);
 
-void BM_LzCompress(benchmark::State& state) {
-  std::vector<uint8_t> data = PageLikeInput(static_cast<size_t>(state.range(0)));
+// Seeded random bytes: the LZ finder's all-literal regime.
+std::vector<uint8_t> RandomInput(size_t len) {
+  Rng rng(len + 1);
+  std::vector<uint8_t> buf(len);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return buf;
+}
+
+// 64-byte log records with a sequential hex id and a seeded hex field, like
+// churn_gc's record chunks: the finder's all-match regime.
+std::vector<uint8_t> HexRecordInput(size_t len) {
+  static constexpr char kRecord[] =
+      "rec ................ field=...... status=ok                    \n";
+  static constexpr char kHex[] = "0123456789abcdef";
+  Rng rng(len + 2);
+  const uint64_t base = rng.Next();
+  std::vector<uint8_t> buf(len);
+  for (size_t rec = 0; rec < len; rec += 64) {
+    const uint64_t id = base + rec;
+    const uint64_t field = rng.Next();
+    for (size_t col = 0; col < 64 && rec + col < len; col++) {
+      char c = kRecord[col];
+      if (col >= 4 && col < 20) {
+        c = kHex[(id >> (60 - 4 * (col - 4))) & 15];
+      } else if (col >= 27 && col < 33) {
+        c = kHex[(field >> (4 * (col - 27))) & 15];
+      }
+      buf[rec + col] = static_cast<uint8_t>(c);
+    }
+  }
+  return buf;
+}
+
+// The stream for input with no match at all: eight literals under each 0xff
+// control byte. Compress declines such input (the stream outgrows the
+// block), so the literal decode path gets its stream from here.
+std::vector<uint8_t> AllLiteralStream(const std::vector<uint8_t>& data) {
+  std::vector<uint8_t> stream;
+  for (size_t i = 0; i < data.size(); i += 8) {
+    size_t n = std::min<size_t>(8, data.size() - i);
+    stream.push_back(static_cast<uint8_t>((1u << n) - 1));
+    stream.insert(stream.end(), data.begin() + static_cast<std::ptrdiff_t>(i),
+                  data.begin() + static_cast<std::ptrdiff_t>(i + n));
+  }
+  return stream;
+}
+
+void RunLzCompress(benchmark::State& state, const std::vector<uint8_t>& data) {
   std::vector<uint8_t> out(data.size());
   LzExtentCodec codec;
   for (auto _ : state) {
@@ -65,7 +115,26 @@ void BM_LzCompress(benchmark::State& state) {
     benchmark::DoNotOptimize(codec.Compress(data.data(), data.size(), out.data()));
     benchmark::ClobberMemory();
   }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(data.size()));
+}
+
+void RunLzDecompress(benchmark::State& state, const std::vector<uint8_t>& data,
+                     const std::vector<uint8_t>& compressed) {
+  LzExtentCodec codec;
+  std::vector<uint8_t> back(data.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(back.data());
+    benchmark::DoNotOptimize(
+        codec.Decompress(compressed.data(), compressed.size(), back.data(), back.size()).ok());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(data.size()));
+}
+
+void BM_LzCompress(benchmark::State& state) {
+  RunLzCompress(state, PageLikeInput(static_cast<size_t>(state.range(0))));
 }
 BENCHMARK(BM_LzCompress)->Arg(4096)->Arg(65536);
 
@@ -78,16 +147,27 @@ void BM_LzDecompress(benchmark::State& state) {
     state.SkipWithError("input did not compress");
     return;
   }
-  std::vector<uint8_t> back(data.size());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(back.data());
-    benchmark::DoNotOptimize(
-        codec.Decompress(compressed.data(), compressed.size(), back.data(), back.size()).ok());
-    benchmark::ClobberMemory();
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+  RunLzDecompress(state, data, compressed);
 }
 BENCHMARK(BM_LzDecompress)->Arg(4096)->Arg(65536);
+
+// One content class per row. BM_LzCompress's page-like input averages the
+// two regimes, which behave very differently.
+void BM_LzCompressContent(benchmark::State& state, std::vector<uint8_t> (*make)(size_t)) {
+  RunLzCompress(state, make(static_cast<size_t>(state.range(0))));
+}
+BENCHMARK_CAPTURE(BM_LzCompressContent, random, &RandomInput)->Arg(65536);
+BENCHMARK_CAPTURE(BM_LzCompressContent, hex_records, &HexRecordInput)->Arg(65536);
+
+void BM_LzDecompressContent(benchmark::State& state, std::vector<uint8_t> (*make)(size_t)) {
+  std::vector<uint8_t> data = make(static_cast<size_t>(state.range(0)));
+  std::vector<uint8_t> compressed(data.size());
+  LzExtentCodec codec;
+  compressed.resize(codec.Compress(data.data(), data.size(), compressed.data()));
+  RunLzDecompress(state, data, compressed.empty() ? AllLiteralStream(data) : compressed);
+}
+BENCHMARK_CAPTURE(BM_LzDecompressContent, random, &RandomInput)->Arg(65536);
+BENCHMARK_CAPTURE(BM_LzDecompressContent, hex_records, &HexRecordInput)->Arg(65536);
 
 void BM_CowFaultPromotion(benchmark::State& state) {
   SimContext sim;

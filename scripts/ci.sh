@@ -42,6 +42,12 @@ for preset in default asan; do
   # moves a shared block exactly once (DESIGN.md section 17).
   "${build_dir}/tests/dedup_test" >/dev/null
 
+  # The LZ stream format is on-media (stored lengths set device bytes):
+  # pinned compressor goldens, no write past dst[len], and a seeded mutation
+  # harness in which every Decompress call matches the byte-at-a-time
+  # reference and stays inside its output buffer.
+  "${build_dir}/tests/extent_codec_test" >/dev/null
+
   # The replication contract (DESIGN.md section 18): every backend honors
   # the conformance round-trip, the standby state machine survives
   # duplication/reordering/partitions/corruption, and the failover matrix
@@ -150,14 +156,15 @@ done
 
 # UBSan-only configuration: near-native speed, so the undefined-behavior
 # matrix can cover the lint engine, the checksum and content-hash word loads
-# and 128-bit multiplies, the crash/restore paths, the stop path and
-# segment-log GC, and the epoch wire format with its replica and failover
-# paths directly.
+# and 128-bit multiplies, the LZ codec's word loads and count-trailing-zeros
+# with the dedup flush path around it, the crash/restore paths, the stop
+# path and segment-log GC, and the epoch wire format with its replica and
+# failover paths directly.
 echo "=== configure/build: ubsan ==="
 cmake --preset ubsan
 cmake --build --preset ubsan -j "${jobs}" --target lint_test base_test crash_matrix_test \
   stop_path_test segment_gc_test epoch_stream_test backend_conformance_test replication_test \
-  restore_fault_test
+  restore_fault_test extent_codec_test dedup_test
 build-ubsan/tests/lint_test >/dev/null
 build-ubsan/tests/base_test >/dev/null
 build-ubsan/tests/crash_matrix_test >/dev/null
@@ -167,6 +174,8 @@ build-ubsan/tests/epoch_stream_test >/dev/null
 build-ubsan/tests/backend_conformance_test >/dev/null
 build-ubsan/tests/replication_test >/dev/null
 build-ubsan/tests/restore_fault_test >/dev/null
+build-ubsan/tests/extent_codec_test >/dev/null
+build-ubsan/tests/dedup_test >/dev/null
 
 # clang-tidy over src/ + tools/ with the curated .clang-tidy profile. The
 # container image does not ship clang-tidy, so its absence is tolerated — but

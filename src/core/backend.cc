@@ -69,7 +69,7 @@ Result<CheckpointBackend::CommitInfo> StoreBackend::CommitEpoch(
         store_->WriteAt(info.manifest_oid, 0, manifest.data(), manifest.size());
     if (!wrote.ok()) {
       // Drop the half-written manifest from the live table; leaving it would
-      // let FindManifestInStore return a manifest the commit never covered.
+      // let LoadManifestFromStore return a manifest the commit never covered.
       DropStrandedManifest(info.manifest_oid);
       return wrote.status();
     }
@@ -884,9 +884,9 @@ bool ReplicaBackend::InstallPager(VmObject* base) {
 // Shared store helpers
 // -----------------------------------------------------------------------------
 
-Result<std::pair<uint64_t, Oid>> FindManifestInStore(ObjectStore* store,
-                                                     const std::string& group_name,
-                                                     uint64_t epoch) {
+Result<CheckpointBackend::LoadedManifest> LoadManifestFromStore(ObjectStore* store,
+                                                                const std::string& group_name,
+                                                                uint64_t epoch) {
   std::vector<CheckpointInfo> ckpts = store->ListCheckpoints();
   std::sort(ckpts.begin(), ckpts.end(),
             [](const CheckpointInfo& a, const CheckpointInfo& b) { return a.epoch > b.epoch; });
@@ -913,7 +913,7 @@ Result<std::pair<uint64_t, Oid>> FindManifestInStore(ObjectStore* store,
       }
       auto head = PeekManifest(blob);
       if (head.ok() && head->name == group_name) {
-        return std::make_pair(c.epoch, oid);
+        return CheckpointBackend::LoadedManifest{c.epoch, oid, std::move(blob)};
       }
     }
     if (epoch != 0) {
@@ -921,20 +921,6 @@ Result<std::pair<uint64_t, Oid>> FindManifestInStore(ObjectStore* store,
     }
   }
   return Status::Error(Errc::kNotFound, "no checkpoint manifest for group " + group_name);
-}
-
-Result<CheckpointBackend::LoadedManifest> LoadManifestFromStore(ObjectStore* store,
-                                                                const std::string& group_name,
-                                                                uint64_t epoch) {
-  AURORA_ASSIGN_OR_RETURN(auto found, FindManifestInStore(store, group_name, epoch));
-  CheckpointBackend::LoadedManifest loaded;
-  loaded.epoch = found.first;
-  loaded.oid = found.second;
-  AURORA_ASSIGN_OR_RETURN(uint64_t size, store->SizeAtEpoch(loaded.epoch, loaded.oid));
-  loaded.blob.resize(size);
-  AURORA_RETURN_IF_ERROR(
-      store->ReadAtEpoch(loaded.epoch, loaded.oid, 0, loaded.blob.data(), loaded.blob.size()));
-  return loaded;
 }
 
 }  // namespace aurora

@@ -64,8 +64,11 @@ class CheckpointBackend {
   // Names a new memory-region object in this backend's namespace.
   [[nodiscard]] virtual Result<Oid> CreateMemoryObject(uint64_t size_hint) = 0;
   // Persists the file-system namespace; backends without a filesystem return
-  // kInvalidOid and the manifest simply records no namespace.
-  [[nodiscard]] virtual Result<Oid> PersistNamespace() = 0;
+  // kInvalidOid and the manifest simply records no namespace. `replaces` is
+  // the namespace object the group's previous checkpoint persisted; it leaves
+  // the live table once the new one is written (it stays readable at its own
+  // epoch).
+  [[nodiscard]] virtual Result<Oid> PersistNamespace(Oid replaces) = 0;
   // Ships every resident page of `obj` to the object named `oid`, returning
   // the simulated time the pages are durable at the destination. Adds the
   // pages shipped to *pages and the bytes they took to *bytes.
@@ -127,7 +130,9 @@ class StoreBackend : public CheckpointBackend {
   }
   uint64_t current_epoch() const override { return store_->current_epoch(); }
   [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override;
-  [[nodiscard]] Result<Oid> PersistNamespace() override { return fs_->PersistNamespace(); }
+  [[nodiscard]] Result<Oid> PersistNamespace(Oid replaces) override {
+    return fs_->PersistNamespace(replaces);
+  }
   [[nodiscard]] Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                  uint64_t* bytes) override;
   [[nodiscard]] Result<SimTime> FlushFilesystem() override { return fs_->FlushAll(); }
@@ -189,7 +194,7 @@ class MemoryBackend : public CheckpointBackend {
   }
   uint64_t current_epoch() const override { return epoch_; }
   [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override;
-  [[nodiscard]] Result<Oid> PersistNamespace() override { return kInvalidOid; }
+  [[nodiscard]] Result<Oid> PersistNamespace(Oid /*replaces*/) override { return kInvalidOid; }
   [[nodiscard]] Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                  uint64_t* bytes) override;
   [[nodiscard]] Result<SimTime> FlushFilesystem() override { return sim_->clock.now(); }
@@ -460,7 +465,7 @@ class ReplicaBackend : public CheckpointBackend {
   void SetFlushLanes(int lanes) override { lanes_ = LaneSchedule(lanes, lanes_.Makespan()); }
   uint64_t current_epoch() const override { return epoch_; }
   [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override;
-  [[nodiscard]] Result<Oid> PersistNamespace() override { return kInvalidOid; }
+  [[nodiscard]] Result<Oid> PersistNamespace(Oid /*replaces*/) override { return kInvalidOid; }
   [[nodiscard]] Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                  uint64_t* bytes) override;
   [[nodiscard]] Result<SimTime> FlushFilesystem() override { return sim_->clock.now(); }
@@ -516,10 +521,7 @@ class ReplicaBackend : public CheckpointBackend {
 // lookup is implemented exactly once).
 // -----------------------------------------------------------------------------
 // Scans committed checkpoints newest-first for a manifest whose header names
-// `group_name`; `epoch` 0 = newest. Returns (epoch, manifest oid).
-[[nodiscard]] Result<std::pair<uint64_t, Oid>> FindManifestInStore(
-    ObjectStore* store, const std::string& group_name, uint64_t epoch);
-// FindManifestInStore plus the final manifest read.
+// `group_name`; `epoch` 0 = newest. Returns the manifest the scan read.
 [[nodiscard]] Result<CheckpointBackend::LoadedManifest> LoadManifestFromStore(
     ObjectStore* store, const std::string& group_name, uint64_t epoch);
 

@@ -95,6 +95,9 @@ class ConsistencyGroup {
   // Latest committed manifest for this group.
   Oid last_manifest;
   uint64_t last_manifest_epoch = 0;
+  // Namespace object the group's latest full checkpoint persisted; the next
+  // one replaces it, so each group keeps one live.
+  Oid last_namespace;
 
   // External synchrony: messages buffered until the covering checkpoint is
   // durable.

@@ -290,7 +290,8 @@ Status Sls::CkptSerialize(CheckpointContext* ctx) {
   SimStopwatch serialize_watch(sim_->clock);
   Oid ns_oid = kInvalidOid;
   if (ctx->mode == CheckpointMode::kFull) {
-    AURORA_ASSIGN_OR_RETURN(ns_oid, ctx->backend->PersistNamespace());
+    AURORA_ASSIGN_OR_RETURN(ns_oid, ctx->backend->PersistNamespace(ctx->group->last_namespace));
+    ctx->group->last_namespace = ns_oid;
   }
   auto ensure = [this, ctx](VmObject* obj) { return EnsureMemoryOid(ctx->backend, obj); };
   // In-window pass: assemble from the blobs CkptPreSerialize warmed; only
@@ -702,7 +703,9 @@ Result<uint64_t> Sls::SendExternal(ConsistencyGroup* group,
 
 Result<std::pair<uint64_t, Oid>> Sls::FindManifest(const std::string& group_name,
                                                    uint64_t epoch) {
-  return FindManifestInStore(store_, group_name, epoch);
+  AURORA_ASSIGN_OR_RETURN(CheckpointBackend::LoadedManifest loaded,
+                          LoadManifestFromStore(store_, group_name, epoch));
+  return std::make_pair(loaded.epoch, loaded.oid);
 }
 
 void Sls::WrapRestoredTops(ConsistencyGroup* group) {
@@ -732,6 +735,7 @@ Status Sls::RestoreLoadManifest(RestoreContext* ctx) {
   AURORA_ASSIGN_OR_RETURN(CheckpointBackend::LoadedManifest loaded,
                           ctx->backend->LoadManifest(ctx->group_name, ctx->epoch));
   ctx->manifest_epoch = loaded.epoch;
+  ctx->manifest_oid = loaded.oid;
   ctx->manifest = std::move(loaded.blob);
   return Status::Ok();
 }
@@ -807,6 +811,15 @@ Status Sls::RestoreRebindGroup(RestoreContext* ctx) {
   if (ctx->mode != RestoreMode::kFromMemory && ctx->backend != store_backend_) {
     // Future checkpoints continue into the backend we restored from.
     group->backend = ctx->backend;
+  }
+  if (ctx->mode != RestoreMode::kFromMemory && !group->last_manifest.valid()) {
+    // A group with no checkpoint of its own (a fresh Sls after a reboot)
+    // adopts the manifest and namespace objects it restored from, so its
+    // next checkpoint replaces them instead of leaving them live beside its
+    // own, where a later restore's manifest scan could pick the stale one.
+    group->last_manifest = ctx->manifest_oid;
+    group->last_manifest_epoch = ctx->manifest_epoch;
+    group->last_namespace = ctx->restored.namespace_oid;
   }
 
   // Every region named by the manifest is durable at this epoch (or, for

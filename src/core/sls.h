@@ -79,6 +79,7 @@ struct RestoreContext {
   ConsistencyGroup* old_group = nullptr;
   std::vector<uint8_t> manifest;
   uint64_t manifest_epoch = 0;
+  Oid manifest_oid;
   MemoryResolverFn resolve;
   RestoredGroup restored;
   RestoreResult result;

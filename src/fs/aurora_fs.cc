@@ -62,7 +62,7 @@ void AuroraFs::ReleaseBacking(Vnode* vn) {
   }
 }
 
-Result<Oid> AuroraFs::PersistNamespace() {
+Result<Oid> AuroraFs::PersistNamespace(Oid replaces) {
   BinaryWriter w;
   auto paths = List();
   w.PutU64(paths.size());
@@ -76,10 +76,22 @@ Result<Oid> AuroraFs::PersistNamespace() {
     w.PutU64((*vn)->size());
   }
   AURORA_ASSIGN_OR_RETURN(Oid ns, store_->CreateObject(ObjType::kManifest));
-  AURORA_ASSIGN_OR_RETURN(SimTime done, store_->WriteAt(ns, 0, w.data().data(), w.size()));
   // The durability time folds into the covering checkpoint's commit; the
   // namespace blob rides the same epoch as the commit record that names it.
-  (void)done;
+  Result<SimTime> wrote = store_->WriteAt(ns, 0, w.data().data(), w.size());
+  if (!wrote.ok()) {
+    AURORA_IGNORE_STATUS(store_->DeleteObject(ns),
+                         "cleanup after a failed write; a stranded blob costs the manifest scan a read");
+    return wrote.status();
+  }
+  if (replaces.valid()) {
+    // Deleted before the commit so the removal lands in the same epoch. A
+    // retry after an aborted epoch finds it already gone (kNotFound): benign.
+    Status deleted = store_->DeleteObject(replaces);
+    if (!deleted.ok() && deleted.code() != Errc::kNotFound) {
+      sim_->metrics.counter("fs.namespace_delete_failures").Add();
+    }
+  }
   return ns;
 }
 

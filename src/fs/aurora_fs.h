@@ -26,9 +26,11 @@ class AuroraFs : public BufferedFs {
   ObjectStore* store() { return store_; }
   static Oid OidOf(const Vnode* vn) { return Oid{vn->ino()}; }
 
-  // Serializes the name table into a store object so restores recover the
-  // namespace; called by the orchestrator during checkpoint flush.
-  [[nodiscard]] Result<Oid> PersistNamespace();
+  // Serializes the name table into a new store object so restores recover
+  // the namespace; called by the orchestrator during checkpoint flush. Once
+  // it is written, `replaces` (the previous one, or kInvalidOid) leaves the
+  // live table; it stays readable at the epochs that hold it.
+  [[nodiscard]] Result<Oid> PersistNamespace(Oid replaces);
   [[nodiscard]] Status RestoreNamespace(uint64_t epoch, Oid ns_oid);
 
  protected:

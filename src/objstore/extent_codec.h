@@ -43,11 +43,16 @@ class ExtentCodec {
                                           uint8_t* dst, size_t dst_len) const = 0;
 };
 
-// Byte-oriented LZSS-class codec: greedy longest-match against a 4 KiB
-// sliding window, literals and (offset, length) copies tagged by a control
-// byte every 8 tokens. Deterministic, allocation-free on the hot path, and
-// self-contained — exactly enough to make checkpoint pages (zero runs,
-// repeated records) shrink without pulling in an external library.
+// Byte-oriented LZSS-class codec over a 4 KiB sliding window: literals and
+// (offset, length) copies of 3-18 bytes, tagged by a control byte every 8
+// tokens. The match finder probes one candidate per position, the latest
+// earlier position whose 3-byte prefix has the same hash, and takes the
+// match whenever at least 3 bytes agree; it does not search for a longer
+// one. Deterministic, allocation-free on the hot path, and self-contained —
+// exactly enough to make checkpoint pages (zero runs, repeated records)
+// shrink without pulling in an external library. The exact stream is part
+// of the on-media format (stored lengths set device bytes), pinned by
+// tests/extent_codec_test.cc.
 class LzExtentCodec : public ExtentCodec {
  public:
   CodecId id() const override { return CodecId::kLz; }

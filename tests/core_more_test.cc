@@ -515,5 +515,82 @@ TEST(SlsStopTimes, HistogramAccumulates) {
   EXPECT_LT(g->bytes_flushed_total, 10u * 32 * kPageSize / 2);
 }
 
+// Every full checkpoint persists the file system's name table as a store
+// object, and a restore searches the live table for the group's manifest.
+// The previous name table leaves the live table once the next is written, so
+// neither the live table nor a lazy restore grows with history — across a
+// restore and a reboot — while an older retained epoch still restores the
+// file names it had.
+TEST(SlsNamespace, LiveTableAndRestoreStayFlatOverCheckpoints) {
+  Machine m;
+  constexpr uint64_t kAddr = 0x400000;
+  constexpr uint64_t kBytes = 256 * kKiB;
+  Process* proc = *m.kernel->CreateProcess("ns");
+  auto obj = VmObject::CreateAnonymous(kBytes);
+  ASSERT_TRUE(proc->vm().Map(kAddr, kBytes, kProtRead | kProtWrite, obj, 0, false).ok());
+  ASSERT_TRUE(proc->vm().DirtyRange(kAddr, kBytes).ok());
+  ASSERT_TRUE(m.kernel->Open(*proc, "first.txt", kOpenRead | kOpenWrite, true).ok());
+  ConsistencyGroup* g = *m.sls->CreateGroup("ns");
+  ASSERT_TRUE(m.sls->Attach(g, proc).ok());
+  const uint64_t first_epoch = m.sls->Checkpoint(g)->epoch;
+  ASSERT_TRUE(m.kernel->Open(*proc, "later.txt", kOpenRead | kOpenWrite, true).ok());
+
+  auto lazy_restore = [&]() {
+    RestoreResult r = *m.sls->Restore("ns", 0, RestoreMode::kLazy);
+    g = r.group;
+    proc = g->processes[0];
+    return r.restore_time;
+  };
+  size_t live_early = 0;
+  SimDuration lazy_early = 0;
+  int reboot_fd = -1;
+  for (uint64_t k = 1; k <= 200; k++) {
+    ASSERT_TRUE(proc->vm().Write(kAddr + (k % 64) * kPageSize, &k, sizeof(k)).ok());
+    ASSERT_TRUE(m.sls->Checkpoint(g).ok()) << "checkpoint " << k;
+    if (k == 10) {
+      live_early = m.store->ListObjects().size();
+      lazy_early = lazy_restore();
+    }
+    if (k == 100) {
+      m.Reboot();
+      g = m.sls->Restore("ns")->group;
+      proc = g->processes[0];
+      reboot_fd = *m.kernel->Open(*proc, "later.txt", kOpenRead, false);
+    }
+  }
+  EXPECT_EQ(m.store->ListObjects().size(), live_early);
+  // The restored state itself differs a little (one more descriptor), so
+  // flat means within 10 %; at 200 checkpoints the history scan was 6x.
+  EXPECT_NEAR(static_cast<double>(lazy_restore()), static_cast<double>(lazy_early),
+              0.1 * static_cast<double>(lazy_early));
+  EXPECT_TRUE(proc->fds().Get(reboot_fd).ok())
+      << "the restore must read the newest manifest, not the one from before the reboot";
+
+  m.Reboot();
+  ASSERT_TRUE(m.sls->Restore("ns", first_epoch).ok());
+  EXPECT_TRUE(m.fs->Lookup("first.txt").ok());
+  EXPECT_FALSE(m.fs->Lookup("later.txt").ok());
+}
+
+// Each group replaces only its own namespace object: a group whose newest
+// manifest predates another group's checkpoints still restores its names.
+TEST(SlsNamespace, GroupRestoresAfterAnotherGroupCheckpoints) {
+  Machine m;
+  Process* a = *m.kernel->CreateProcess("a");
+  ASSERT_TRUE(m.kernel->Open(*a, "a.txt", kOpenRead | kOpenWrite, true).ok());
+  ConsistencyGroup* ga = *m.sls->CreateGroup("a");
+  ASSERT_TRUE(m.sls->Attach(ga, a).ok());
+  ASSERT_TRUE(m.sls->Checkpoint(ga).ok());
+  Process* b = *m.kernel->CreateProcess("b");
+  ConsistencyGroup* gb = *m.sls->CreateGroup("b");
+  ASSERT_TRUE(m.sls->Attach(gb, b).ok());
+  ASSERT_TRUE(m.sls->Checkpoint(gb).ok());
+  ASSERT_TRUE(m.sls->Checkpoint(gb).ok());
+
+  m.Reboot();
+  ASSERT_TRUE(m.sls->Restore("a").ok());
+  EXPECT_TRUE(m.fs->Lookup("a.txt").ok());
+}
+
 }  // namespace
 }  // namespace aurora

@@ -114,7 +114,7 @@ TEST_F(AuroraFsTest, NamespacePersistAndRestore) {
   auto b = *fs_->Create("beta");
   ASSERT_TRUE(b->Write(0, "BB", 2).ok());
   ASSERT_TRUE(fs_->FlushAll().ok());
-  auto ns = *fs_->PersistNamespace();
+  auto ns = *fs_->PersistNamespace(kInvalidOid);
   uint64_t epoch = store_->current_epoch();
   ASSERT_TRUE(store_->CommitCheckpoint("ns").ok());
 

@@ -47,7 +47,9 @@ class FailingBackend : public CheckpointBackend {
   Result<Oid> CreateMemoryObject(uint64_t size_hint) override {
     return inner_->CreateMemoryObject(size_hint);
   }
-  Result<Oid> PersistNamespace() override { return inner_->PersistNamespace(); }
+  Result<Oid> PersistNamespace(Oid replaces) override {
+    return inner_->PersistNamespace(replaces);
+  }
   Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                    uint64_t* bytes) override {
     return inner_->WriteObjectPages(oid, obj, pages, bytes);

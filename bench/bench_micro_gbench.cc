@@ -11,9 +11,9 @@
 #include "bench/bench_common.h"
 #include "src/base/checksum.h"
 #include "src/base/rng.h"
-#include "src/base/serializer.h"
 #include "src/core/serialize.h"
 #include "src/objstore/extent_codec.h"
+#include "src/objstore/store_format.h"
 
 namespace aurora {
 namespace {
@@ -238,14 +238,9 @@ BENCHMARK(BM_SerializeOsState);
 void BM_JournalRecordFormat(benchmark::State& state) {
   std::vector<uint8_t> payload(static_cast<size_t>(state.range(0)), 0x3d);
   for (auto _ : state) {
-    BinaryWriter w;
-    w.PutU32(0x4155524a);
-    w.PutU64(1);
-    w.PutU64(2);
-    w.PutU64(payload.size());
-    w.PutU32(Crc32c(payload.data(), payload.size()));
-    w.PutRaw(payload.data(), payload.size());
-    benchmark::DoNotOptimize(w.data().data());
+    std::vector<uint8_t> record =
+        EncodeJournalRecord(1, 2, payload.data(), payload.size(), kPageSize);
+    benchmark::DoNotOptimize(record.data());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }

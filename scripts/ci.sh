@@ -61,6 +61,18 @@ for preset in default asan; do
   # mutant is a typed error or an exact image, and no replica mutant applies.
   "${build_dir}/tests/epoch_stream_test" >/dev/null
 
+  # The store's on-media formats: the image golden pins every superblock,
+  # metadata blob and journal block byte for byte, four decoder crashes stay
+  # fixed, and in the mutation harness every superblock, journal and
+  # metadata mutant is a typed error or round-trips, and mounting, scrubbing
+  # and reading a damaged image stay typed.
+  "${build_dir}/tests/store_golden_test" >/dev/null
+  "${build_dir}/tests/store_format_test" >/dev/null
+
+  # The manifest decoders under the same harness: no mutant crashes, leaves
+  # a half-built process or allocates past the test's bound.
+  "${build_dir}/tests/manifest_harness_test" >/dev/null
+
   # Static-analysis gate: every tree — src, tools, tests, bench — must lint
   # clean under all six rule families, and the linter must prove its rules
   # still fire on the fixtures.
@@ -158,13 +170,15 @@ done
 # matrix can cover the lint engine, the checksum and content-hash word loads
 # and 128-bit multiplies, the LZ codec's word loads and count-trailing-zeros
 # with the dedup flush path around it, the crash/restore paths, the stop
-# path and segment-log GC, and the epoch wire format with its replica and
-# failover paths directly.
+# path and segment-log GC, the epoch wire format with its replica and
+# failover paths, and the store-format and manifest decoders with the object
+# store and SLS suites around them directly.
 echo "=== configure/build: ubsan ==="
 cmake --preset ubsan
 cmake --build --preset ubsan -j "${jobs}" --target lint_test base_test crash_matrix_test \
   stop_path_test segment_gc_test epoch_stream_test backend_conformance_test replication_test \
-  restore_fault_test extent_codec_test dedup_test
+  restore_fault_test extent_codec_test dedup_test store_golden_test store_format_test \
+  manifest_harness_test objstore_test core_more_test
 build-ubsan/tests/lint_test >/dev/null
 build-ubsan/tests/base_test >/dev/null
 build-ubsan/tests/crash_matrix_test >/dev/null
@@ -176,6 +190,11 @@ build-ubsan/tests/replication_test >/dev/null
 build-ubsan/tests/restore_fault_test >/dev/null
 build-ubsan/tests/extent_codec_test >/dev/null
 build-ubsan/tests/dedup_test >/dev/null
+build-ubsan/tests/store_golden_test >/dev/null
+build-ubsan/tests/store_format_test >/dev/null
+build-ubsan/tests/manifest_harness_test >/dev/null
+build-ubsan/tests/objstore_test >/dev/null
+build-ubsan/tests/core_more_test >/dev/null
 
 # clang-tidy over src/ + tools/ with the curated .clang-tidy profile. The
 # container image does not ship clang-tidy, so its absence is tolerated — but

@@ -129,12 +129,15 @@ class BinaryReader {
     return std::string(b->begin(), b->end());
   }
 
-  // Reads `len` raw bytes into `out` (fixed-size payloads).
+  // Reads `len` raw bytes into `out` (fixed-size payloads). `out` may be
+  // null when `len` is 0, as an empty vector's data() is.
   [[nodiscard]] Status Raw(void* out, size_t len) {
     if (len > Remaining()) {
       return Status::Error(Errc::kCorrupt, "raw field overruns buffer");
     }
-    std::memcpy(out, data_ + pos_, len);
+    if (len != 0) {
+      std::memcpy(out, data_ + pos_, len);
+    }
     pos_ += len;
     return Status::Ok();
   }

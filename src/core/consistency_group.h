@@ -48,7 +48,6 @@ class ConsistencyGroup {
   // Checkpoint policy. 10 ms (100x per second) is the paper's default.
   SimDuration period = 10 * kMillisecond;
   bool external_sync = true;
-  bool collapse_reversed = true;  // Aurora's collapse direction (ablatable)
 
   // Checkpoint destination. Null means the machine's object store; set a
   // registered backend via Sls::SetBackend before the first checkpoint.

@@ -521,34 +521,34 @@ Result<std::vector<uint8_t>> SerializeOsState(SimContext* sim, const Consistency
   return w.Take();
 }
 
-Result<RestoredGroup> PeekManifest(const std::vector<uint8_t>& manifest) {
-  BinaryReader r(manifest);
-  AURORA_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
-  AURORA_ASSIGN_OR_RETURN(uint32_t version, r.U32());
+namespace {
+
+// The manifest header: magic, version, group name, epoch and namespace oid.
+// The one place it is parsed; `r` is left at the memory-object section.
+Result<RestoredGroup> ReadManifestHeader(BinaryReader* r) {
+  AURORA_ASSIGN_OR_RETURN(uint32_t magic, r->U32());
+  AURORA_ASSIGN_OR_RETURN(uint32_t version, r->U32());
   if (magic != kManifestMagic || version != kManifestVersion) {
     return Status::Error(Errc::kCorrupt, "bad manifest header");
   }
   RestoredGroup out;
-  AURORA_ASSIGN_OR_RETURN(out.name, r.String());
-  AURORA_ASSIGN_OR_RETURN(out.epoch, r.U64());
-  AURORA_ASSIGN_OR_RETURN(out.namespace_oid.value, r.U64());
+  AURORA_ASSIGN_OR_RETURN(out.name, r->String());
+  AURORA_ASSIGN_OR_RETURN(out.epoch, r->U64());
+  AURORA_ASSIGN_OR_RETURN(out.namespace_oid.value, r->U64());
   return out;
+}
+
+}  // namespace
+
+Result<RestoredGroup> PeekManifest(const std::vector<uint8_t>& manifest) {
+  BinaryReader r(manifest);
+  return ReadManifestHeader(&r);
 }
 
 Result<std::vector<std::pair<uint64_t, uint64_t>>> ManifestMemoryObjects(
     const std::vector<uint8_t>& manifest) {
   BinaryReader r(manifest);
-  AURORA_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
-  AURORA_ASSIGN_OR_RETURN(uint32_t version, r.U32());
-  if (magic != kManifestMagic || version != kManifestVersion) {
-    return Status::Error(Errc::kCorrupt, "bad manifest header");
-  }
-  AURORA_ASSIGN_OR_RETURN(std::string name, r.String());
-  AURORA_ASSIGN_OR_RETURN(uint64_t epoch, r.U64());
-  AURORA_ASSIGN_OR_RETURN(uint64_t ns, r.U64());
-  (void)name;
-  (void)epoch;
-  (void)ns;
+  AURORA_RETURN_IF_ERROR(ReadManifestHeader(&r).status());
   AURORA_ASSIGN_OR_RETURN(uint64_t count, r.U64());
   if (count > r.Remaining() / 16) {  // each entry is a u64 oid and a u64 size
     return Status::Error(Errc::kCorrupt, "memory-object count overruns the manifest");
@@ -567,15 +567,7 @@ Result<RestoredGroup> RestoreOsState(SimContext* sim, Kernel* kernel, AuroraFs* 
                                      const std::vector<uint8_t>& manifest,
                                      const MemoryResolverFn& resolve) {
   BinaryReader r(manifest);
-  AURORA_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
-  AURORA_ASSIGN_OR_RETURN(uint32_t version, r.U32());
-  if (magic != kManifestMagic || version != kManifestVersion) {
-    return Status::Error(Errc::kCorrupt, "bad manifest header");
-  }
-  RestoredGroup out;
-  AURORA_ASSIGN_OR_RETURN(out.name, r.String());
-  AURORA_ASSIGN_OR_RETURN(out.epoch, r.U64());
-  AURORA_ASSIGN_OR_RETURN(out.namespace_oid.value, r.U64());
+  AURORA_ASSIGN_OR_RETURN(RestoredGroup out, ReadManifestHeader(&r));
 
   // A mid-restore failure (truncated manifest, resolver error, mapping
   // conflict) must not leak half-built state: every process created below
@@ -808,6 +800,8 @@ Result<RestoredGroup> RestoreOsState(SimContext* sim, Kernel* kernel, AuroraFs* 
         obj = dev;
         break;
       }
+      default:
+        return Status::Error(Errc::kCorrupt, "unknown file object type");
     }
     objects[kid] = std::move(obj);
   }
@@ -847,9 +841,12 @@ Result<RestoredGroup> RestoreOsState(SimContext* sim, Kernel* kernel, AuroraFs* 
     pc.socket->recv_buf[pc.segment].control = std::move(cm);
   }
   for (const auto& [kid, peer_kid] : socket_peers) {
+    // A later record may reuse a socket's kid, and a damaged peer kid may
+    // name any object: link only two sockets.
     auto a = objects.find(kid);
     auto b = objects.find(peer_kid);
-    if (a != objects.end() && b != objects.end()) {
+    if (a != objects.end() && b != objects.end() && a->second->type() == FileType::kSocket &&
+        b->second->type() == FileType::kSocket) {
       auto sa = std::static_pointer_cast<Socket>(a->second);
       auto sb = std::static_pointer_cast<Socket>(b->second);
       sa->peer = sb;
@@ -880,6 +877,9 @@ Result<RestoredGroup> RestoreOsState(SimContext* sim, Kernel* kernel, AuroraFs* 
     AURORA_ASSIGN_OR_RETURN(int64_t exit_status, r.I64());
     proc->exit_status = static_cast<int>(exit_status);
     AURORA_ASSIGN_OR_RETURN(uint64_t ephemeral_children, r.U64());
+    if (ephemeral_children > Kernel::kMaxPid) {
+      return Status::Error(Errc::kCorrupt, "ephemeral-child count exceeds the pid space");
+    }
     if (ephemeral_children > 0) {
       sigchld_posts.push_back({proc, ephemeral_children});
     }
@@ -963,6 +963,9 @@ Result<RestoredGroup> RestoreOsState(SimContext* sim, Kernel* kernel, AuroraFs* 
         top = kernel->vdso();
       } else {
         AURORA_ASSIGN_OR_RETURN(uint64_t chain_len, r.U64());
+        if (chain_len > r.Remaining() / sizeof(uint64_t)) {
+          return Status::Error(Errc::kCorrupt, "shadow-chain length overruns the manifest");
+        }
         std::vector<uint64_t> chain(chain_len);
         for (uint64_t c = 0; c < chain_len; c++) {
           AURORA_ASSIGN_OR_RETURN(chain[c], r.U64());
@@ -982,6 +985,14 @@ Result<RestoredGroup> RestoreOsState(SimContext* sim, Kernel* kernel, AuroraFs* 
         for (size_t c = chain.size(); c-- > 0;) {
           AURORA_ASSIGN_OR_RETURN(ResolvedMemory rm, resolve_cached(chain[c]));
           if (below != nullptr && !rm.chain_complete && rm.object->parent() == nullptr) {
+            // A damaged manifest can name one object twice, in one chain or
+            // across two; linking it below itself would make a cycle that a
+            // fault's chain walk never leaves.
+            for (const VmObject* o = below.get(); o != nullptr; o = o->parent()) {
+              if (o == rm.object.get()) {
+                return Status::Error(Errc::kCorrupt, "shadow chain links an object below itself");
+              }
+            }
             rm.object->ReplaceParent(below);
           }
           below = rm.object;

@@ -229,12 +229,14 @@ void Sls::CkptCollapse(CheckpointContext* ctx) {
   // section 6: chains capped at two). After a collapse the in-memory
   // snapshot for that region is the merged base. The flushed data was staged
   // at flush time — only its durability may still lie in the future — so
-  // collapsing under an in-flight flush is safe.
+  // collapsing under an in-flight flush is safe. The direction is always
+  // Aurora's reversed collapse; bench_ablations compares the classic one by
+  // calling CollapseAfterFlush itself.
   ConsistencyGroup* group = ctx->group;
   size_t collapse_span = sim_->tracer.Begin("ckpt.collapse");
   for (const ShadowPair& pair : group->pending_collapse) {
     uint64_t oid = pair.frozen->sls_oid();
-    if (CollapseAfterFlush(pair, ctx->maps, group->collapse_reversed, sim_)) {
+    if (CollapseAfterFlush(pair, ctx->maps, /*reversed=*/true, sim_)) {
       std::shared_ptr<VmObject> base = pair.live->parent_ref();
       snapshots_[group][oid] = base;
       if (group->evict_after_flush && base != nullptr && base->parent() == nullptr &&
@@ -814,12 +816,24 @@ Status Sls::RestoreRebindGroup(RestoreContext* ctx) {
   }
   if (ctx->mode != RestoreMode::kFromMemory && !group->last_manifest.valid()) {
     // A group with no checkpoint of its own (a fresh Sls after a reboot)
-    // adopts the manifest and namespace objects it restored from, so its
-    // next checkpoint replaces them instead of leaving them live beside its
-    // own, where a later restore's manifest scan could pick the stale one.
+    // adopts the manifest and namespace objects live at the newest committed
+    // epoch, so its next checkpoint replaces them instead of leaving them
+    // live beside its own, where a later restore's manifest scan could pick
+    // the stale one. A restore of epoch 0 (the group's newest) or of the
+    // newest committed epoch read exactly those; only after restoring an
+    // older epoch is the newest manifest read to find them.
     group->last_manifest = ctx->manifest_oid;
     group->last_manifest_epoch = ctx->manifest_epoch;
     group->last_namespace = ctx->restored.namespace_oid;
+    if (ctx->epoch != 0 && ctx->manifest_epoch + 1 < ctx->backend->current_epoch()) {
+      auto live = ctx->backend->LoadManifest(ctx->group_name, 0);
+      auto head = live.ok() ? PeekManifest(live->blob) : live.status();
+      if (head.ok()) {
+        group->last_manifest = live->oid;
+        group->last_manifest_epoch = live->epoch;
+        group->last_namespace = head->namespace_oid;
+      }
+    }
   }
 
   // Every region named by the manifest is durable at this epoch (or, for

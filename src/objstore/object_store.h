@@ -37,34 +37,15 @@
 #include "src/base/sim_context.h"
 #include "src/objstore/extent_codec.h"
 #include "src/objstore/oid.h"
+#include "src/objstore/store_format.h"
 #include "src/storage/block_device.h"
 
 namespace aurora {
-
-enum class ObjType : uint8_t {
-  kPosixRecord = 1,  // serialized POSIX object state
-  kMemory = 2,       // VM object pages
-  kFile = 3,         // Aurora file system file data
-  kJournal = 4,      // non-COW write-ahead journal
-  kManifest = 5,     // per-checkpoint application manifest
-};
 
 struct CheckpointInfo {
   uint64_t epoch = 0;
   std::string name;
   SimTime committed_at = 0;
-};
-
-struct StoreOptions {
-  uint32_t block_size = 64 * 1024;  // paper configures 64 KiB everywhere
-  uint32_t segment_blocks = 64;  // store blocks per log segment
-  // Content-addressed dedup on the COW write path (DESIGN.md section 17):
-  // a block whose content key is already indexed installs a reference to the
-  // existing physical block instead of writing a new one. Off keeps the
-  // pre-dedup byte-for-byte flush behavior (ablation baseline).
-  bool dedup = true;
-  // Per-extent compressor applied to dedup misses; kRaw stores verbatim.
-  CodecId codec = CodecId::kLz;
 };
 
 struct StoreStats {
@@ -111,7 +92,7 @@ class ObjectStore {
   // --- Objects -------------------------------------------------------------
   [[nodiscard]] Result<Oid> CreateObject(ObjType type, uint64_t size_hint = 0);
   [[nodiscard]] Status DeleteObject(Oid oid);
-  bool Exists(Oid oid) const { return objects_.count(oid) > 0; }
+  bool Exists(Oid oid) const { return meta_.objects.count(oid) > 0; }
   [[nodiscard]] Result<ObjType> TypeOf(Oid oid) const;
   [[nodiscard]] Result<uint64_t> SizeOf(Oid oid) const;
   [[nodiscard]] Status SetSize(Oid oid, uint64_t size);
@@ -169,7 +150,7 @@ class ObjectStore {
   // the superblock. Returns the durability time (all prior data writes plus
   // the metadata/superblock writes). The caller decides whether to block.
   [[nodiscard]] Result<SimTime> CommitCheckpoint(const std::string& name);
-  uint64_t current_epoch() const { return epoch_; }
+  uint64_t current_epoch() const { return meta_.epoch; }
   std::vector<CheckpointInfo> ListCheckpoints() const;
   // Frees blocks only needed by checkpoints older than `epoch`.
   [[nodiscard]] Status DeleteCheckpointsBefore(uint64_t epoch);
@@ -189,7 +170,7 @@ class ObjectStore {
   // its physical block, the reverse map must mirror the index exactly, and no
   // indexed block may sit on a deadlist. Swept by crash_matrix_test at every
   // fuse point and by the scrubber.
-  uint64_t DedupEntries() const { return dedup_.size(); }
+  uint64_t DedupEntries() const { return meta_.dedup_index.size(); }
   [[nodiscard]] Status CheckDedupInvariants() const;
   uint64_t FreeBlocks() const;
   // Physically occupied store blocks: every block below a non-free
@@ -197,8 +178,8 @@ class ObjectStore {
   // what long-horizon space usage actually is.
   uint64_t UsedPhysicalBlocks() const;
   SegmentStats GetSegmentStats() const;
-  uint32_t segment_blocks() const { return options_.segment_blocks; }
-  uint32_t block_size() const { return options_.block_size; }
+  uint32_t segment_blocks() const { return meta_.options.segment_blocks; }
+  uint32_t block_size() const { return meta_.options.block_size; }
   BlockDevice* device() { return device_; }
   SimContext* sim() { return sim_; }
 
@@ -206,88 +187,13 @@ class ObjectStore {
   friend class Scrubber;
   friend class SegmentGc;
 
-  struct Extent {
-    uint64_t phys = 0;   // store-block number
-    uint64_t birth = 0;  // epoch that installed this reference
-    uint32_t crc = 0;    // CRC32C of the stored payload (full block when raw)
-    // 0 = raw full block. Otherwise the payload is `stored_len` bytes of
-    // codec output occupying ceil(stored_len / dev_bs) device blocks at the
-    // head of the store block.
-    uint32_t stored_len = 0;
-    uint8_t codec = 0;   // CodecId of the stored payload
-  };
-  struct ObjectInfo {
-    ObjType type = ObjType::kPosixRecord;
-    uint64_t size = 0;
-    // Journal fields.
-    bool non_cow = false;
-    uint64_t journal_start = 0;   // first store block of the preallocated extent
-    uint64_t journal_blocks = 0;  // extent length
-    uint64_t journal_gen = 0;
-    uint64_t journal_write_off = 0;  // bytes, volatile (recovered by scan)
-    uint64_t journal_next_seq = 0;   // volatile
-    std::map<uint64_t, Extent> extents;  // logical block -> physical
-  };
-  struct DeadEntry {
-    uint64_t birth = 0;
-    uint64_t phys = 0;
-    uint32_t crc = 0;         // lets GC verify the block when relocating it
-    uint32_t stored_len = 0;  // stored payload length (0 = raw full block)
-  };
-  // Dedup index entry (content key -> physical block + refcount). The
-  // refcount counts live-table extents only; once it reaches zero the block
-  // leaves the index and dies through the normal deadlist path using
-  // `first_birth` (the epoch that physically wrote it), which bounds every
-  // retained checkpoint that can still reference it.
-  struct DedupEntry {
-    uint64_t phys = 0;
-    uint64_t refs = 0;
-    uint64_t first_birth = 0;
-    uint32_t crc = 0;
-    uint32_t stored_len = 0;
-    uint8_t codec = 0;
-  };
-
-  // --- Segment log ----------------------------------------------------------
-  enum class SegState : uint8_t {
-    kFree = 0,     // no valid data, available to the allocator
-    kOpen = 1,     // a flush lane (or GC) is appending into it
-    kSealed = 2,   // full data segment; GC victim candidate
-    kMeta = 3,     // metadata blobs (+ the superblock ring in segment 0)
-    kJournal = 4,  // non-COW journal extents, updated in place
-    kZombie = 5,   // evacuated by GC; reclaimed after the next commit
-    // Failed its CRC walk during GC evacuation. Persisted with the segment
-    // table so a remount never re-selects it; it stays pinned (never
-    // reclaimed, never a victim) until the scrubber's repair story evolves.
-    kQuarantine = 6,
-  };
-  struct Segment {
-    SegState state = SegState::kFree;
-    uint32_t lane = 0;    // owning flush lane while kOpen (kGcLane for GC)
-    uint64_t cursor = 0;  // blocks appended so far (next append offset)
-  };
-  // Relocation map entry: blocks that used to live at the key physical block
-  // were moved to `new_phys` during epoch `reloc_epoch`. Committed metadata
-  // blobs older than reloc_epoch still reference the old location, so
-  // historic reads translate through this map until those epochs are pruned.
-  struct RelocEntry {
-    uint64_t new_phys = 0;
-    uint64_t reloc_epoch = 0;
-  };
   // Lane key for the compactor's destination segment; never collides with a
   // real flush lane (those are < ncpus).
   static constexpr uint32_t kGcLane = 0xFFFFFFFFu;
-  struct CheckpointRecord {
-    uint64_t epoch = 0;
-    std::string name;
-    SimTime committed_at = 0;
-    uint64_t meta_block = 0;  // store block of the metadata blob
-    uint64_t meta_len = 0;    // bytes
-  };
 
   ObjectStore(BlockDevice* device, SimContext* sim, StoreOptions options);
 
-  uint32_t DevBlocksPerStoreBlock() const { return options_.block_size / device_->block_size(); }
+  uint32_t DevBlocksPerStoreBlock() const { return block_size() / device_->block_size(); }
   uint64_t DevLba(uint64_t store_block) const {
     return store_block * DevBlocksPerStoreBlock();
   }
@@ -322,8 +228,8 @@ class ObjectStore {
                                                 uint64_t phys, uint8_t* block);
 
   // Segment-log internals.
-  uint64_t SegmentOf(uint64_t block) const { return block / options_.segment_blocks; }
-  uint64_t SegBase(uint64_t seg) const { return seg * options_.segment_blocks; }
+  uint64_t SegmentOf(uint64_t block) const { return block / segment_blocks(); }
+  uint64_t SegBase(uint64_t seg) const { return seg * segment_blocks(); }
   uint64_t SegCapacity(uint64_t seg) const;
   uint64_t SegLiveBlocks(uint64_t seg) const;
   void InitSegments();
@@ -357,8 +263,9 @@ class ObjectStore {
   // Rollback for a failed commit: clears the run's bits and, when the run is
   // the open meta segment's tail, rewinds its cursor.
   void FreeMetaRun(uint64_t start, uint64_t nblocks);
-  // Whole-segment journal allocation (in-place extents stay out of GC's way).
-  [[nodiscard]] Result<uint64_t> AllocJournalRun(uint64_t nblocks);
+  // A run of whole, contiguous free segments moved to `state`: journals
+  // (in-place extents stay out of GC's way) and oversized metadata blobs.
+  [[nodiscard]] Result<uint64_t> AllocSegmentRun(SegState state, uint64_t nblocks);
   void FreeJournalRun(uint64_t start, uint64_t nblocks);
   // Reclaims a fully dead sealed/meta segment back to the free pool.
   void MaybeReclaimSegment(uint64_t seg);
@@ -388,12 +295,32 @@ class ObjectStore {
   // CRC recorded when its extent was written. kCorrupt on mismatch.
   [[nodiscard]] Status VerifyBlockCrc(const Extent& extent, const uint8_t* data);
 
-  std::vector<uint8_t> SerializeMeta() const;
-  [[nodiscard]] Status DeserializeMeta(const std::vector<uint8_t>& blob);
+  // The one metadata reader: a single device read of the blob's run, then
+  // DecodeMeta against this store's geometry. Open, historic-epoch reads
+  // and the scrubber all go through it.
+  [[nodiscard]] Result<StoreMeta> ReadMeta(uint64_t meta_block, uint64_t meta_len);
   [[nodiscard]] Status WriteSuperblock(uint64_t meta_block, uint64_t meta_len, SimTime* done);
+
+  // A journal walked from its durable generation header: the acknowledged
+  // records and the offset the next append goes to.
+  struct JournalScan {
+    uint64_t gen = 0;
+    std::vector<std::vector<uint8_t>> records;
+    uint64_t end = 0;
+  };
+  [[nodiscard]] Result<JournalScan> ScanJournal(const ObjectInfo& info);
   [[nodiscard]] Status RecoverJournalOffsets();
 
+  // The live table's entry for `oid`: kNotFound when it is absent or, with
+  // `journal`, not a journal.
+  [[nodiscard]] Result<ObjectInfo*> FindObject(Oid oid, bool journal = false);
   [[nodiscard]] Result<const ObjectInfo*> LoadEpochTable(uint64_t epoch, Oid oid);
+  // Reads an object's table entry as a blob of `view_epoch` recorded it,
+  // translating through the relocation map. The live table is the view of
+  // the current epoch, which no relocation entry postdates. With
+  // `completion` set, reads pipeline asynchronously (see ReadAtEpoch).
+  [[nodiscard]] Status ReadExtents(const ObjectInfo& info, uint64_t view_epoch, uint64_t off,
+                                   void* out, uint64_t len, SimTime* completion);
 
   // Picks the submission queue for the next flush-path store block and
   // mirrors per-lane occupancy into the metrics registry.
@@ -409,28 +336,13 @@ class ObjectStore {
 
   BlockDevice* device_;
   SimContext* sim_;
-  StoreOptions options_;
   IoRetryPolicy retry_;
 
-  uint64_t epoch_ = 1;  // current, uncommitted epoch
-  uint64_t next_oid_ = 1;
-  std::unordered_map<Oid, ObjectInfo> objects_;
-  std::map<uint64_t, std::vector<DeadEntry>> deadlists_;  // sealed per epoch
-  std::vector<CheckpointRecord> checkpoints_;
-
-  std::vector<uint8_t> bitmap_;  // one bit per store block (live/referenced)
-  uint64_t total_blocks_ = 0;
-
-  // Segment-log state.
-  std::vector<Segment> segments_;
-  std::map<uint32_t, uint64_t> open_data_seg_;  // lane -> open segment
-  uint64_t open_meta_seg_ = 0;
-  std::map<uint64_t, RelocEntry> reloc_;  // old phys -> current location
-
-  // Content-addressed dedup index (persisted in the meta blob) and its
-  // reverse map, rebuilt on deserialize. Ordered by key so serialization is
-  // deterministic.
-  std::map<ContentKey, DedupEntry> dedup_;
+  // The persisted tables: the object table, deadlists, checkpoint
+  // directory, allocation bitmap, segment log, dedup index and the flush
+  // options. EncodeMeta writes them in place at every commit.
+  StoreMeta meta_;
+  // Reverse map of the dedup index (phys -> key), rebuilt at mount.
   std::unordered_map<uint64_t, ContentKey> dedup_by_phys_;
 
   // Completion time of the latest data write in the current epoch; commits

@@ -1,9 +1,5 @@
 #include "src/objstore/scrubber.h"
 
-#include <cstring>
-
-#include "src/base/checksum.h"
-
 namespace aurora {
 
 ScrubEpochVerdict Scrubber::ScrubRecord(uint64_t epoch, const std::string& name,
@@ -14,28 +10,21 @@ ScrubEpochVerdict Scrubber::ScrubRecord(uint64_t epoch, const std::string& name,
   verdict.name = name;
 
   ObjectStore* s = store_;
-  const uint32_t bs = s->options_.block_size;
-  uint64_t nblocks = (meta_len + bs - 1) / bs;
-  std::vector<uint8_t> raw(nblocks * bs);
-  if (!s->DevReadSync(s->DevLba(meta_block), raw.data(),
-                      static_cast<uint32_t>(nblocks * s->DevBlocksPerStoreBlock()))
-           .ok()) {
+  // The blob's own CRC and range checks catch metadata corruption.
+  auto meta = s->ReadMeta(meta_block, meta_len);
+  if (!meta.ok()) {
     verdict.meta_ok = false;
-    verdict.io_errors++;
-    return verdict;
-  }
-  std::vector<uint8_t> blob(raw.begin(), raw.begin() + static_cast<long>(meta_len));
-  // Parse into a scratch store so the live table is untouched; the blob's own
-  // CRC catches metadata corruption.
-  ObjectStore scratch(s->device_, s->sim_, s->options_);
-  if (!scratch.DeserializeMeta(blob).ok()) {
-    verdict.meta_ok = false;
-    verdict.crc_errors++;
+    Errc code = meta.status().code();
+    if (code == Errc::kCorrupt || code == Errc::kNotSupported) {
+      verdict.crc_errors++;  // read, but did not decode
+    } else {
+      verdict.io_errors++;
+    }
     return verdict;
   }
 
-  std::vector<uint8_t> buf(bs);
-  for (const auto& [oid, info] : scratch.objects_) {
+  std::vector<uint8_t> buf(s->block_size());
+  for (const auto& [oid, info] : meta->objects) {
     if (info.non_cow) {
       continue;  // journal records carry their own CRCs, verified at replay
     }
@@ -75,7 +64,7 @@ ScrubEpochVerdict Scrubber::ScrubRecord(uint64_t epoch, const std::string& name,
 Result<ScrubReport> Scrubber::ScrubAll() {
   ScrubReport report;
   store_->sim_->metrics.counter("scrub.runs").Add();
-  for (const ObjectStore::CheckpointRecord& record : store_->checkpoints_) {
+  for (const CheckpointRecord& record : store_->meta_.checkpoints) {
     report.epochs.push_back(
         ScrubRecord(record.epoch, record.name, record.meta_block, record.meta_len, &report));
   }
@@ -83,7 +72,7 @@ Result<ScrubReport> Scrubber::ScrubAll() {
 }
 
 Result<ScrubEpochVerdict> Scrubber::ScrubEpoch(uint64_t epoch) {
-  for (const ObjectStore::CheckpointRecord& record : store_->checkpoints_) {
+  for (const CheckpointRecord& record : store_->meta_.checkpoints) {
     if (record.epoch == epoch) {
       return ScrubRecord(record.epoch, record.name, record.meta_block, record.meta_len, nullptr);
     }

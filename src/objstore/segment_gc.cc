@@ -25,8 +25,8 @@ struct LiveGroup {
 
 uint64_t SegmentGc::quarantined_segments() const {
   uint64_t n = 0;
-  for (const ObjectStore::Segment& seg : store_->segments_) {
-    n += seg.state == ObjectStore::SegState::kQuarantine ? 1 : 0;
+  for (const Segment& seg : store_->meta_.segments) {
+    n += seg.state == SegState::kQuarantine ? 1 : 0;
   }
   return n;
 }
@@ -64,7 +64,7 @@ Result<GcRunReport> SegmentGc::Run() {
   metrics.counter("gc.runs").Add();
   ScopedSpan span(&s->sim_->tracer, "gc");
 
-  const uint64_t bs = s->options_.block_size;
+  const uint64_t bs = s->block_size();
 
   // --- Victim selection ------------------------------------------------------
   // Sealed data segments under the utilization threshold. Segments holding a
@@ -72,9 +72,9 @@ Result<GcRunReport> SegmentGc::Run() {
   // entry under the same old address (the address was reused after an earlier
   // relocation expired its segment), which the single-hop map cannot express.
   std::vector<std::pair<uint64_t, uint64_t>> victims;  // (live, seg)
-  for (uint64_t seg = 0; seg < s->segments_.size(); seg++) {
-    const ObjectStore::Segment& info = s->segments_[seg];
-    if (info.state != ObjectStore::SegState::kSealed || info.cursor == 0) {
+  for (uint64_t seg = 0; seg < s->meta_.segments.size(); seg++) {
+    const Segment& info = s->meta_.segments[seg];
+    if (info.state != SegState::kSealed || info.cursor == 0) {
       continue;
     }
     report.segments_examined++;
@@ -90,8 +90,8 @@ Result<GcRunReport> SegmentGc::Run() {
       continue;
     }
     uint64_t base = s->SegBase(seg);
-    auto key = s->reloc_.lower_bound(base);
-    if (key != s->reloc_.end() && key->first < base + s->SegCapacity(seg)) {
+    auto key = s->meta_.reloc.lower_bound(base);
+    if (key != s->meta_.reloc.end() && key->first < base + s->SegCapacity(seg)) {
       continue;
     }
     victims.emplace_back(live, seg);
@@ -124,7 +124,7 @@ Result<GcRunReport> SegmentGc::Run() {
     g.crc = crc;
     g.stored_len = stored_len;
   };
-  for (auto& [oid, info] : s->objects_) {
+  for (auto& [oid, info] : s->meta_.objects) {
     if (info.non_cow) {
       continue;  // journal extents live in kJournal segments, never victims
     }
@@ -132,8 +132,8 @@ Result<GcRunReport> SegmentGc::Run() {
       add_ref(&extent.phys, extent.birth, extent.crc, extent.stored_len);
     }
   }
-  for (auto& [kill_epoch, entries] : s->deadlists_) {
-    for (ObjectStore::DeadEntry& e : entries) {
+  for (auto& [kill_epoch, entries] : s->meta_.deadlists) {
+    for (DeadEntry& e : entries) {
       add_ref(&e.phys, e.birth, e.crc, e.stored_len);
     }
   }
@@ -144,8 +144,8 @@ Result<GcRunReport> SegmentGc::Run() {
     for (auto& [phys, group] : groups) {
       auto rev = s->dedup_by_phys_.find(phys);
       if (rev != s->dedup_by_phys_.end()) {
-        auto idx = s->dedup_.find(rev->second);
-        if (idx != s->dedup_.end()) {
+        auto idx = s->meta_.dedup_index.find(rev->second);
+        if (idx != s->meta_.dedup_index.end()) {
           group.min_birth = std::min(group.min_birth, idx->second.first_birth);
         }
       }
@@ -181,7 +181,7 @@ Result<GcRunReport> SegmentGc::Run() {
           report.io_errors++;
           metrics.counter("gc.io_errors").Add();
         }
-        s->SegTransition(seg, ObjectStore::SegState::kQuarantine);
+        s->SegTransition(seg, SegState::kQuarantine);
         metrics.counter("gc.segments_quarantined").Add();
         evacuated = false;
         break;
@@ -215,18 +215,18 @@ Result<GcRunReport> SegmentGc::Run() {
       if (rev != s->dedup_by_phys_.end()) {
         ContentKey key = rev->second;
         s->dedup_by_phys_.erase(rev);
-        auto idx = s->dedup_.find(key);
-        if (idx != s->dedup_.end()) {
+        auto idx = s->meta_.dedup_index.find(key);
+        if (idx != s->meta_.dedup_index.end()) {
           idx->second.phys = new_phys;
           s->dedup_by_phys_[new_phys] = key;
         }
       }
       s->BitSet(old_phys, false);
-      if (group.min_birth < s->epoch_) {
+      if (group.min_birth < s->meta_.epoch) {
         // Some committed blob references the old address; translate until
         // every such epoch is pruned. Blocks born in the current epoch have
         // no committed referencer and need no entry.
-        s->reloc_[old_phys] = ObjectStore::RelocEntry{new_phys, s->epoch_};
+        s->meta_.reloc[old_phys] = RelocEntry{new_phys, s->meta_.epoch};
       }
       moved[old_phys] = new_phys;
       report.blocks_relocated++;
@@ -237,7 +237,7 @@ Result<GcRunReport> SegmentGc::Run() {
       // are rewritten to the fresh location, keeping their original epoch
       // stamp, so every map value is always the block's current address
       // (translation stays single-hop).
-      for (auto& [old_phys, entry] : s->reloc_) {
+      for (auto& [old_phys, entry] : s->meta_.reloc) {
         auto m = moved.find(entry.new_phys);
         if (m != moved.end()) {
           entry.new_phys = m->second;
@@ -247,7 +247,7 @@ Result<GcRunReport> SegmentGc::Run() {
     if (evacuated) {
       // Fully drained: park as a zombie until the next commit persists the
       // rewritten table; ReclaimZombies then returns it to the free pool.
-      s->SegTransition(seg, ObjectStore::SegState::kZombie);
+      s->SegTransition(seg, SegState::kZombie);
       report.segments_compacted++;
       metrics.counter("gc.segments_compacted").Add();
     }

@@ -28,21 +28,25 @@ const char* FileTypeName(FileType t) {
   return "unknown";
 }
 
-int FdTable::Install(std::shared_ptr<FileDescription> desc, bool cloexec) {
-  generation_++;
+Result<int> FdTable::Install(std::shared_ptr<FileDescription> desc, bool cloexec) {
   for (size_t i = 0; i < slots_.size(); i++) {
     if (slots_[i].desc == nullptr) {
+      generation_++;
       slots_[i] = Slot{std::move(desc), cloexec};
       return static_cast<int>(i);
     }
   }
+  if (slots_.size() >= static_cast<size_t>(kMaxFds)) {
+    return Status::Error(Errc::kNoSpace, "descriptor table full");
+  }
+  generation_++;
   slots_.push_back(Slot{std::move(desc), cloexec});
   return static_cast<int>(slots_.size() - 1);
 }
 
 Status FdTable::InstallAt(int fd, std::shared_ptr<FileDescription> desc, bool cloexec) {
-  if (fd < 0) {
-    return Status::Error(Errc::kInvalidArgument, "negative fd");
+  if (fd < 0 || fd >= kMaxFds) {
+    return Status::Error(Errc::kInvalidArgument, "fd outside the descriptor limit");
   }
   if (static_cast<size_t>(fd) >= slots_.size()) {
     slots_.resize(static_cast<size_t>(fd) + 1);

@@ -85,9 +85,16 @@ class FdTable {
     bool close_on_exec = false;
   };
 
-  // Installs `desc` at the lowest free fd; returns the fd.
-  int Install(std::shared_ptr<FileDescription> desc, bool cloexec = false);
-  // dup2 semantics: closes `fd` if open, then installs there.
+  // The per-process descriptor limit (RLIMIT_NOFILE): every install keeps
+  // descriptors below it, so a descriptor number taken from a checkpoint
+  // image cannot size the table.
+  static constexpr int kMaxFds = 1 << 16;
+
+  // Installs `desc` at the lowest free fd; returns the fd, or kNoSpace when
+  // every descriptor below kMaxFds is taken.
+  [[nodiscard]] Result<int> Install(std::shared_ptr<FileDescription> desc, bool cloexec = false);
+  // dup2 semantics: closes `fd` if open, then installs there. kInvalidArgument
+  // outside [0, kMaxFds).
   [[nodiscard]] Status InstallAt(int fd, std::shared_ptr<FileDescription> desc,
                                  bool cloexec = false);
 

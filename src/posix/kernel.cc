@@ -18,6 +18,18 @@ std::shared_ptr<VmObject> MakeVdso(uint64_t generation) {
   return vdso;
 }
 
+// Installs both ends of a pipe or pty: both land, or neither stays.
+Result<std::pair<int, int>> InstallPair(Process& proc, std::shared_ptr<FileDescription> first,
+                                        std::shared_ptr<FileDescription> second) {
+  AURORA_ASSIGN_OR_RETURN(int a, proc.fds().Install(std::move(first)));
+  auto b = proc.fds().Install(std::move(second));
+  if (!b.ok()) {
+    AURORA_RETURN_IF_ERROR(proc.fds().Close(a));
+    return b.status();
+  }
+  return std::make_pair(a, *b);
+}
+
 }  // namespace
 
 Kernel::Kernel(SimContext* sim) : sim_(sim) { vdso_ = MakeVdso(vdso_generation_); }
@@ -361,9 +373,7 @@ Result<std::pair<int, int>> Kernel::MakePipe(Process& proc) {
   auto wr = std::make_shared<FileDescription>();
   wr->object = pipe;
   wr->open_flags = kOpenWrite;
-  int rfd = proc.fds().Install(std::move(rd));
-  int wfd = proc.fds().Install(std::move(wr));
-  return std::make_pair(rfd, wfd);
+  return InstallPair(proc, std::move(rd), std::move(wr));
 }
 
 Result<int> Kernel::MakeSocket(Process& proc, SocketDomain domain, SocketProto proto) {
@@ -395,9 +405,7 @@ Result<std::pair<int, int>> Kernel::MakePty(Process& proc) {
   auto slave = std::make_shared<FileDescription>();
   slave->object = pty;
   slave->open_flags = kOpenRead | kOpenWrite | kOpenAppend;  // append bit marks the slave side
-  int mfd = proc.fds().Install(std::move(master));
-  int sfd = proc.fds().Install(std::move(slave));
-  return std::make_pair(mfd, sfd);
+  return InstallPair(proc, std::move(master), std::move(slave));
 }
 
 Result<int> Kernel::ShmOpen(Process& proc, const std::string& name, uint64_t size) {

@@ -126,6 +126,9 @@ class Kernel {
   // writes had to be waited out.
   uint64_t QuiesceAio(Process& proc);
 
+  // The pid space: no process has more children than it holds.
+  static constexpr uint64_t kMaxPid = 99999;
+
  private:
   // Observability: bumps "kernel.syscalls" plus "kernel.syscall.<name>".
   void CountSyscall(const char* name);
@@ -133,7 +136,7 @@ class Kernel {
   SimContext* sim_;
   Filesystem* rootfs_ = nullptr;
 
-  IdAllocator pid_alloc_{2, 99999};
+  IdAllocator pid_alloc_{2, kMaxPid};
   IdAllocator tid_alloc_{100000, 999999};
   std::vector<std::unique_ptr<Process>> processes_;
 

@@ -2,6 +2,7 @@
 // group lifecycle, UDP/SysV coverage, CLI surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/base/sim_context.h"
@@ -160,7 +161,7 @@ TEST(SlsSockets, ConnectedPairRelinkedWithinGroup) {
   auto server_end = *client->ConnectTo(listener);
   auto sdesc = std::make_shared<FileDescription>();
   sdesc->object = server_end;
-  int sfd = b->fds().Install(sdesc);
+  int sfd = *b->fds().Install(sdesc);
   ASSERT_TRUE(client->Send("hello", 5).ok());
   uint32_t saved_snd_seq = client->snd_seq;
 
@@ -392,7 +393,7 @@ TEST(SlsSockets, ShutdownStateSurvivesRestore) {
   auto server_end = *client->ConnectTo(listener);
   auto sdesc = std::make_shared<FileDescription>();
   sdesc->object = server_end;
-  int sfd = a->fds().Install(sdesc);
+  int sfd = *a->fds().Install(sdesc);
   client->Shutdown();
 
   ConsistencyGroup* g = *m.sls->CreateGroup("a");
@@ -590,6 +591,54 @@ TEST(SlsNamespace, GroupRestoresAfterAnotherGroupCheckpoints) {
   m.Reboot();
   ASSERT_TRUE(m.sls->Restore("a").ok());
   EXPECT_TRUE(m.fs->Lookup("a.txt").ok());
+}
+
+// After restoring an older epoch, the group's next checkpoint must replace
+// the manifest and names live at the newest epoch. Otherwise they stay live
+// beside its own, and a later restore of the newest epoch loads them: the
+// names and descriptors of an epoch the application had rolled back past.
+void OlderEpochRestoreThenCheckpoint(bool reboot_before_restore) {
+  Machine m;
+  Process* proc = *m.kernel->CreateProcess("ns");
+  ConsistencyGroup* g = *m.sls->CreateGroup("ns");
+  ASSERT_TRUE(m.sls->Attach(g, proc).ok());
+  ASSERT_TRUE(m.kernel->Open(*proc, "a.txt", kOpenRead | kOpenWrite, true).ok());
+  const uint64_t first = m.sls->Checkpoint(g)->epoch;
+  ASSERT_TRUE(m.kernel->Open(*proc, "b.txt", kOpenRead | kOpenWrite, true).ok());
+  ASSERT_TRUE(m.sls->Checkpoint(g).ok());
+  if (reboot_before_restore) {
+    m.Reboot();
+  }
+  auto rolled_back = m.sls->Restore("ns", first);
+  ASSERT_TRUE(rolled_back.ok()) << rolled_back.status().message();
+  proc = rolled_back->group->processes[0];
+  ASSERT_TRUE(m.kernel->Open(*proc, "c.txt", kOpenRead | kOpenWrite, true).ok());
+  ASSERT_TRUE(m.sls->Checkpoint(rolled_back->group).ok());
+  // A namespace restore adds the checkpoint's names and removes none, so
+  // only a file system rebuilt by the reboot has lost b.txt.
+  ASSERT_TRUE(m.fs->Lookup("c.txt").ok());
+  ASSERT_EQ(m.fs->Lookup("b.txt").ok(), !reboot_before_restore);
+
+  m.Reboot();
+  auto restored = m.sls->Restore("ns");
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  EXPECT_TRUE(m.fs->Lookup("c.txt").ok());
+  EXPECT_EQ(m.fs->Lookup("b.txt").ok(), !reboot_before_restore);
+  // The process holds e3's descriptors: one of them is c.txt.
+  auto c = m.fs->Lookup("c.txt");
+  ASSERT_TRUE(c.ok());
+  const auto& slots = restored->group->processes[0]->fds().slots();
+  EXPECT_TRUE(std::any_of(slots.begin(), slots.end(), [&](const FdTable::Slot& slot) {
+    return slot.desc != nullptr && slot.desc->object == *c;
+  }));
+}
+
+TEST(SlsNamespace, OlderEpochRestoreAfterRebootThenCheckpointRestoresItsNames) {
+  OlderEpochRestoreThenCheckpoint(/*reboot_before_restore=*/true);
+}
+
+TEST(SlsNamespace, OlderEpochRestoreThenCheckpointRestoresItsNames) {
+  OlderEpochRestoreThenCheckpoint(/*reboot_before_restore=*/false);
 }
 
 }  // namespace

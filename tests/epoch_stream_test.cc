@@ -10,10 +10,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
-#include <new>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,34 +27,19 @@
 #include "src/fs/aurora_fs.h"
 #include "src/objstore/object_store.h"
 #include "src/storage/block_device.h"
-
-// Every allocation in this binary goes through here so the harness can bound
-// the largest single request a decoder makes. Requests above the ceiling
-// fail as if the heap were exhausted, which keeps a runaway decode from
-// taking the host's memory with it.
-namespace {
-size_t g_largest_alloc = 0;
-constexpr size_t kAllocCeiling = size_t{256} << 20;
-// What a decode may allocate beyond its input's size: the text of an error
-// (a stream cut to a few bytes still earns a message).
-constexpr size_t kErrorTextAllowance = 64;
-}  // namespace
-
-// Out of line, so the compiler never sees free() meet operator new's result.
-[[gnu::noinline]] void* operator new(size_t n) {
-  g_largest_alloc = std::max(g_largest_alloc, n);
-  if (n <= kAllocCeiling) {
-    if (void* p = std::malloc(n == 0 ? 1 : n)) {
-      return p;
-    }
-  }
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, size_t /*n*/) noexcept { std::free(p); }
+#include "tests/mutation_harness.h"
 
 namespace aurora {
 namespace {
+
+using mutation::g_largest_alloc;
+using mutation::GetLe64;
+using mutation::PutLe64;
+using mutation::Tally;
+
+// What a decode may allocate beyond its input's size: the text of an error
+// (a stream cut to a few bytes still earns a message).
+constexpr size_t kErrorTextAllowance = 64;
 
 // One simulated machine: devices, store, file system, kernel and SLS.
 struct Machine {
@@ -164,27 +147,13 @@ std::unique_ptr<SentApp> SendApp() {
   return app;
 }
 
-uint64_t Le64(const std::vector<uint8_t>& b, size_t off) {
-  uint64_t v = 0;
-  for (size_t i = 0; i < 8; i++) {
-    v |= static_cast<uint64_t>(b[off + i]) << (8 * i);
-  }
-  return v;
-}
-
-void PutLe64(std::vector<uint8_t>* b, size_t off, uint64_t v) {
-  for (size_t i = 0; i < 8; i++) {
-    (*b)[off + i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
 // Frame boundaries of a stream, walked through the documented header
 // layout (magic "AEPF" at +0, u64 length at +6): each frame's [start, end).
 std::vector<std::pair<size_t, size_t>> FrameSpans(const std::vector<uint8_t>& s) {
   std::vector<std::pair<size_t, size_t>> out;
   size_t pos = 0;
   while (pos + 14 <= s.size() && std::memcmp(s.data() + pos, "AEPF", 4) == 0) {
-    uint64_t len = Le64(s, pos + 6);
+    uint64_t len = GetLe64(s, pos + 6);
     if (len < 14 || len > s.size() - pos) {
       break;
     }
@@ -211,12 +180,12 @@ std::vector<size_t> CountFieldOffsets(const std::vector<uint8_t>& s) {
     at += 16;           // frame count, since_epoch
     for (int field = 0; field < 3 && at + 8 <= end; field++) {
       out.push_back(at);
-      uint64_t len = Le64(s, at);
+      uint64_t len = GetLe64(s, at);
       if (field == 2 && at + 8 + 16 <= end) {
         // Manifest: u32 magic, u32 version, u64-prefixed group name, u64
         // epoch, u64 namespace oid, then the memory-object count.
         size_t m = at + 8 + 8;
-        uint64_t name_len = Le64(s, m);
+        uint64_t name_len = GetLe64(s, m);
         if (name_len < end - m) {
           out.push_back(m + 8 + name_len + 16);
         }
@@ -246,9 +215,7 @@ std::vector<Mutant> MakeMutants(const std::vector<uint8_t>& s, uint64_t seed) {
   Rng rng(seed);
   for (int i = 0; i < 3000; i++) {
     Mutant m{MutantKind::kBytes, s};
-    for (uint64_t k = 1 + rng.Below(4); k > 0; k--) {
-      m.bytes[rng.Below(s.size())] ^= static_cast<uint8_t>(1 + rng.Below(255));
-    }
+    mutation::FlipBytes(rng, &m.bytes);
     out.push_back(std::move(m));
   }
   std::vector<std::pair<size_t, size_t>> frames = FrameSpans(s);
@@ -263,16 +230,13 @@ std::vector<Mutant> MakeMutants(const std::vector<uint8_t>& s, uint64_t seed) {
     }
   }
   for (size_t cut : cuts) {
-    out.push_back(Mutant{MutantKind::kTruncate, std::vector<uint8_t>(s.begin(), s.begin() + cut)});
+    out.push_back(Mutant{MutantKind::kTruncate, mutation::Truncated(s, cut)});
   }
   for (size_t off : CountFieldOffsets(s)) {
-    for (uint64_t v : {uint64_t{1} << 40, uint64_t{1} << 63}) {
-      if (off + 8 > s.size()) {
-        continue;
+    for (uint64_t v : mutation::kForgedCounts) {
+      if (off + 8 <= s.size()) {
+        out.push_back(Mutant{MutantKind::kCountField, mutation::WithU64(s, off, v)});
       }
-      Mutant m{MutantKind::kCountField, s};
-      PutLe64(&m.bytes, off, v);
-      out.push_back(std::move(m));
     }
   }
   auto frame = [&s, &frames](size_t i) {
@@ -322,14 +286,6 @@ std::vector<uint8_t> PagePattern(uint8_t salt) {
     page[i] = static_cast<uint8_t>(i * 7 + salt);
   }
   return page;
-}
-
-std::string Summary(const std::map<std::string, uint64_t>& tally) {
-  std::string out;
-  for (const auto& [outcome, n] : tally) {
-    out += " " + outcome + "=" + std::to_string(n);
-  }
-  return out;
 }
 
 // --- Frame format ------------------------------------------------------------
@@ -561,7 +517,7 @@ TEST(EpochStreamMutation, RecvRejectsOrRestoresExactlyEveryMutant) {
   ASSERT_GE(mutants.size(), 3000u);
 
   // Outcome counts by name; only "rejected" and "exact" may occur.
-  std::map<std::string, uint64_t> tally;
+  Tally tally;
   for (const Mutant& mutant : mutants) {
     Machine dst;
     CheckpointStream stream{mutant.bytes};
@@ -569,22 +525,22 @@ TEST(EpochStreamMutation, RecvRejectsOrRestoresExactlyEveryMutant) {
     try {
       auto restored = SlsCli(dst.sls.get()).Recv(stream);
       if (g_largest_alloc > std::max(stream.bytes.size(), kErrorTextAllowance)) {
-        tally["over_allocated"]++;
+        tally.Add("over_allocated");
       }
       if (!restored.ok()) {
         Errc code = restored.status().code();
-        tally[code == Errc::kCorrupt || code == Errc::kNotSupported ? "rejected" : "untyped"]++;
+        tally.Add(code == Errc::kCorrupt || code == Errc::kNotSupported ? "rejected" : "untyped");
         if (!dst.kernel->AllProcesses().empty()) {
-          tally["left_processes"]++;  // a failed receive left a half-built group
+          tally.Add("left_processes");  // a failed receive left a half-built group
         }
       } else {
-        tally[MatchesModel(*restored, app->model) ? "exact" : "wrong_image"]++;
+        tally.Add(MatchesModel(*restored, app->model) ? "exact" : "wrong_image");
       }
     } catch (const std::exception&) {
-      tally["crashed"]++;
+      tally.Add("crashed");
     }
   }
-  std::string summary = Summary(tally);
+  std::string summary = tally.Summary();
   std::fprintf(stderr, "recv: %zu mutants of a %zu-byte stream:%s\n", mutants.size(),
                app->stream.bytes.size(), summary.c_str());
   EXPECT_EQ(tally["rejected"] + tally["exact"], mutants.size()) << summary;
@@ -676,7 +632,7 @@ TEST(EpochStreamMutation, StandbyNeverAppliesAMutatedEpoch) {
 
   // Outcome counts by name; only "never_applied" and, for the duplicates
   // and swaps the link itself may produce, "applied_exactly" may occur.
-  std::map<std::string, uint64_t> tally;
+  Tally tally;
   for (const Mutant& mutant : mutants) {
     // Byte-level mutants keep the frame cuts; whole-frame mutants reorder
     // whole frames, so they are re-cut at their own headers.
@@ -716,23 +672,23 @@ TEST(EpochStreamMutation, StandbyNeverAppliesAMutatedEpoch) {
       bool applied = standby.last_applied_epoch() == 2;
       if (benign) {
         bool exact = applied && SameImages(standby.object_table(), after_second);
-        tally[exact ? "applied_exactly" : "benign_not_applied"]++;
+        tally.Add(exact ? "applied_exactly" : "benign_not_applied");
         continue;
       }
       if (applied || !SameImages(standby.object_table(), after_first)) {
-        tally["applied"]++;
+        tally.Add("applied");
         continue;
       }
       // Failover rolls back whatever of the epoch was placed.
       auto plan = standby.PrepareFailover(/*force=*/true);
       bool placed = sim.metrics.CounterValue("repl.frames_ingested") > ingested_first;
       bool rolled_back = plan.ok() && plan->epoch == 1 && (plan->rolled_back || !placed);
-      tally[rolled_back ? "never_applied" : "not_rolled_back"]++;
+      tally.Add(rolled_back ? "never_applied" : "not_rolled_back");
     } catch (const std::exception&) {
-      tally["crashed"]++;
+      tally.Add("crashed");
     }
   }
-  std::string summary = Summary(tally);
+  std::string summary = tally.Summary();
   std::fprintf(stderr, "replica: %zu mutants of a %zu-byte epoch:%s\n", mutants.size(),
                stream.size(), summary.c_str());
   EXPECT_EQ(tally["never_applied"] + tally["applied_exactly"], mutants.size()) << summary;

@@ -14,13 +14,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "src/base/checksum.h"
 #include "src/base/rng.h"
 #include "src/objstore/extent_codec.h"
+#include "tests/mutation_harness.h"
 
 namespace aurora {
 namespace {
@@ -326,21 +326,13 @@ std::vector<Mutant> MakeMutants(const std::vector<Base>& bases, uint64_t seed) {
     const size_t len = bases[b].input.size();
     for (int k = 0; k < 160; k++) {  // 1-4 byte flips
       Mutant m{MutantKind::kFlip, b, s, len};
-      for (uint64_t n = rng.Range(1, 4); n > 0; n--) {
-        m.stream[rng.Below(s.size())] ^= static_cast<uint8_t>(rng.Range(1, 255));
-      }
+      mutation::FlipBytes(rng, &m.stream);
       out.push_back(std::move(m));
     }
     for (int k = 0; k < 24; k++) {
-      out.push_back(Mutant{MutantKind::kTruncate, b,
-                           std::vector<uint8_t>(s.begin(), s.begin() + static_cast<std::ptrdiff_t>(
-                                                                            rng.Below(s.size()))),
-                           len});
-      Mutant grown{MutantKind::kAppend, b, s, len};
-      for (uint64_t n = rng.Range(1, 16); n > 0; n--) {
-        grown.stream.push_back(static_cast<uint8_t>(rng.Next()));
-      }
-      out.push_back(std::move(grown));
+      out.push_back(
+          Mutant{MutantKind::kTruncate, b, mutation::Truncated(s, rng.Below(s.size())), len});
+      out.push_back(Mutant{MutantKind::kAppend, b, mutation::Appended(rng, s), len});
     }
     for (size_t delta = 1; delta <= 64; delta *= 2) {
       out.push_back(Mutant{MutantKind::kDstLen, b, s, len + delta});
@@ -386,16 +378,13 @@ TEST(ExtentCodecMutation, DecompressMatchesTheReferenceAndStaysInBounds) {
   const std::vector<Mutant> mutants = MakeMutants(bases, 0x6c7a6d75);
   ASSERT_GE(mutants.size(), 3000u);
 
-  constexpr size_t kGuard = 64;
-  std::map<std::string, size_t> tally;
+  mutation::Tally tally;
   for (const Mutant& m : mutants) {
-    std::vector<uint8_t> buf(kGuard + m.dst_len + kGuard, 0x5a);
-    uint8_t* dst = buf.data() + kGuard;
+    mutation::GuardedBuffer buf(m.dst_len);
+    uint8_t* dst = buf.data();
     Status st = codec.Decompress(m.stream.data(), m.stream.size(), dst, m.dst_len);
-    for (size_t k = 0; k < kGuard; k++) {
-      ASSERT_EQ(buf[k], 0x5a) << KindName(m.kind) << ": write before dst";
-      ASSERT_EQ(buf[kGuard + m.dst_len + k], 0x5a) << KindName(m.kind) << ": write past dst_len";
-    }
+    ASSERT_TRUE(buf.BeforeIntact()) << KindName(m.kind) << ": write before dst";
+    ASSERT_TRUE(buf.AfterIntact()) << KindName(m.kind) << ": write past dst_len";
     std::vector<uint8_t> want(m.dst_len);
     bool ref_ok = ReferenceDecode(m.stream, &want);
     ASSERT_EQ(st.ok(), ref_ok) << KindName(m.kind) << ": " << st.message();
@@ -415,14 +404,10 @@ TEST(ExtentCodecMutation, DecompressMatchesTheReferenceAndStaysInBounds) {
     if (m.kind != MutantKind::kFlip) {
       EXPECT_EQ(outcome, "corrupt") << KindName(m.kind);
     }
-    tally[std::string(KindName(m.kind)) + "/" + outcome]++;
-  }
-  std::string summary;
-  for (const auto& [key, count] : tally) {
-    summary += " " + key + "=" + std::to_string(count);
+    tally.Add(std::string(KindName(m.kind)) + "/" + outcome);
   }
   std::fprintf(stderr, "lz decompress: %zu mutants of %zu streams:%s\n", mutants.size(),
-               bases.size(), summary.c_str());
+               bases.size(), tally.Summary().c_str());
 }
 
 }  // namespace

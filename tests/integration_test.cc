@@ -359,7 +359,7 @@ TEST(SocketIntegration, InFlightFdPassingSurvivesRestore) {
   // Install the accepted end into the receiver's fd table.
   auto accepted_desc = std::make_shared<FileDescription>();
   accepted_desc->object = server_end_sock;
-  int accepted_fd = receiver->fds().Install(accepted_desc);
+  int accepted_fd = *receiver->fds().Install(accepted_desc);
 
   ControlMessage cm;
   cm.fds.push_back(wdesc);

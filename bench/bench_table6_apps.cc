@@ -55,7 +55,7 @@ Measured MeasureApp(const AppProfile& profile) {
     auto mem = m.sls->Checkpoint(g, "", CheckpointMode::kMemoryOnly);
     if (!mem.ok()) std::abort();  // a failed operation invalidates the measurement
     out.mem_ckpt_ms = ToMillis(mem->stop_time);
-    auto restored = m.sls->Restore(profile.name, 0, RestoreMode::kFromMemory);
+    auto restored = m.sls->RestoreFromMemory(profile.name);
     if (!restored.ok()) std::abort();  // a failed operation invalidates the measurement
     out.mem_restore_ms = ToMillis(restored->restore_time);
   }

@@ -171,30 +171,22 @@ done
 # and 128-bit multiplies, the LZ codec's word loads and count-trailing-zeros
 # with the dedup flush path around it, the crash/restore paths, the stop
 # path and segment-log GC, the epoch wire format with its replica and
-# failover paths, and the store-format and manifest decoders with the object
-# store and SLS suites around them directly.
+# failover paths, the store-format and manifest decoders with the object
+# store and SLS suites around them, and every restore source (store,
+# standby, in-memory snapshot and sls recv) directly. One list names each
+# suite once: it is both built and run.
+ubsan_tests=(
+  lint_test base_test crash_matrix_test stop_path_test segment_gc_test epoch_stream_test
+  backend_conformance_test replication_test restore_fault_test extent_codec_test dedup_test
+  store_golden_test store_format_test manifest_harness_test objstore_test core_more_test
+  core_test integration_test
+)
 echo "=== configure/build: ubsan ==="
 cmake --preset ubsan
-cmake --build --preset ubsan -j "${jobs}" --target lint_test base_test crash_matrix_test \
-  stop_path_test segment_gc_test epoch_stream_test backend_conformance_test replication_test \
-  restore_fault_test extent_codec_test dedup_test store_golden_test store_format_test \
-  manifest_harness_test objstore_test core_more_test
-build-ubsan/tests/lint_test >/dev/null
-build-ubsan/tests/base_test >/dev/null
-build-ubsan/tests/crash_matrix_test >/dev/null
-build-ubsan/tests/stop_path_test >/dev/null
-build-ubsan/tests/segment_gc_test >/dev/null
-build-ubsan/tests/epoch_stream_test >/dev/null
-build-ubsan/tests/backend_conformance_test >/dev/null
-build-ubsan/tests/replication_test >/dev/null
-build-ubsan/tests/restore_fault_test >/dev/null
-build-ubsan/tests/extent_codec_test >/dev/null
-build-ubsan/tests/dedup_test >/dev/null
-build-ubsan/tests/store_golden_test >/dev/null
-build-ubsan/tests/store_format_test >/dev/null
-build-ubsan/tests/manifest_harness_test >/dev/null
-build-ubsan/tests/objstore_test >/dev/null
-build-ubsan/tests/core_more_test >/dev/null
+cmake --build --preset ubsan -j "${jobs}" --target "${ubsan_tests[@]}"
+for test in "${ubsan_tests[@]}"; do
+  "build-ubsan/tests/${test}" >/dev/null
+done
 
 # clang-tidy over src/ + tools/ with the curated .clang-tidy profile. The
 # container image does not ship clang-tidy, so its absence is tolerated — but

@@ -134,26 +134,23 @@ Result<MemoryResolverFn> StoreBackend::MakeResolver(uint64_t epoch, RestoreMode 
           return ResolvedMemory{std::move(obj), false};
         });
   }
-  if (mode == RestoreMode::kLazy) {
-    return MemoryResolverFn([store, epoch](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-      auto obj = VmObject::CreateAnonymous(size);
-      auto blocks = store->BlocksAtEpoch(epoch, oid);
-      auto present = std::make_shared<std::set<uint64_t>>();
-      if (blocks.ok()) {
-        present->insert(blocks->begin(), blocks->end());
+  return MemoryResolverFn([store, epoch](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
+    auto obj = VmObject::CreateAnonymous(size);
+    auto blocks = store->BlocksAtEpoch(epoch, oid);
+    auto present = std::make_shared<std::set<uint64_t>>();
+    if (blocks.ok()) {
+      present->insert(blocks->begin(), blocks->end());
+    }
+    uint32_t bs = store->block_size();
+    obj->set_pager([store, epoch, oid, present, bs](uint64_t pgidx, uint8_t* out) {
+      uint64_t block = pgidx * kPageSize / bs;
+      if (present->count(block) == 0) {
+        return false;
       }
-      uint32_t bs = store->block_size();
-      obj->set_pager([store, epoch, oid, present, bs](uint64_t pgidx, uint8_t* out) {
-        uint64_t block = pgidx * kPageSize / bs;
-        if (present->count(block) == 0) {
-          return false;
-        }
-        return store->ReadAtEpoch(epoch, oid, pgidx * kPageSize, out, kPageSize).ok();
-      });
-      return ResolvedMemory{std::move(obj), false};
+      return store->ReadAtEpoch(epoch, oid, pgidx * kPageSize, out, kPageSize).ok();
     });
-  }
-  return Status::Error(Errc::kInvalidArgument, "kFromMemory resolves without a backend");
+    return ResolvedMemory{std::move(obj), false};
+  });
 }
 
 bool StoreBackend::InstallPager(VmObject* base) {
@@ -345,10 +342,7 @@ Result<MemoryResolverFn> MemoryBackend::MakeResolver(uint64_t epoch, RestoreMode
           return ResolvedMemory{std::move(obj), false};
         });
   }
-  if (mode == RestoreMode::kLazy) {
-    return LazyResolver(sim_, sim_->cost.MemCopy(kPageSize));
-  }
-  return Status::Error(Errc::kInvalidArgument, "kFromMemory resolves without a backend");
+  return LazyResolver(sim_, sim_->cost.MemCopy(kPageSize));
 }
 
 bool MemoryBackend::InstallPager(VmObject* base) {
@@ -422,7 +416,7 @@ Status ReplicaStandby::LeaseCheck() const {
   if (link_->last_heartbeat() == 0) {
     return Status::Ok();  // never heard from a primary; nothing to wait out
   }
-  if (sim_->clock.now() <= link_->last_heartbeat() + lease_) {
+  if (sim_->clock.now() <= link_->last_heartbeat() + kLease) {
     return Status::Error(Errc::kBusy,
                          "primary lease still fresh; refusing failover (split-brain guard)");
   }
@@ -692,10 +686,10 @@ SimTime ReplicaBackend::QueueTransfer(uint64_t payload) {
 }
 
 bool ReplicaBackend::AwaitLink() {
-  SimDuration backoff = hb_.backoff;
+  SimDuration backoff = kSendBackoff;
   for (int attempt = 1; link_->partitioned(); attempt++) {
     sim_->metrics.counter("net.timeouts").Add();
-    if (attempt >= hb_.max_attempts) {
+    if (attempt >= kSendAttempts) {
       sim_->metrics.counter("net.partitions").Add();
       return false;
     }
@@ -868,11 +862,8 @@ Result<MemoryResolverFn> ReplicaBackend::MakeResolver(uint64_t epoch, RestoreMod
           return ResolvedMemory{std::move(obj), false};
         });
   }
-  if (mode == RestoreMode::kLazy) {
-    // Remote paging: one synchronous round trip per fault.
-    return standby->LazyResolver(sim, sim->cost.NetTransfer(kPageSize + kPageHeaderBytes));
-  }
-  return Status::Error(Errc::kInvalidArgument, "kFromMemory resolves without a backend");
+  // Remote paging: one synchronous round trip per fault.
+  return standby->LazyResolver(sim, sim->cost.NetTransfer(kPageSize + kPageHeaderBytes));
 }
 
 bool ReplicaBackend::InstallPager(VmObject* base) {

@@ -40,9 +40,8 @@ enum class CheckpointMode {
 };
 
 enum class RestoreMode {
-  kFull,        // materialize all pages from the backend eagerly
-  kLazy,        // restore OS state only; pages fault in on demand
-  kFromMemory,  // rollback to the in-memory snapshot (no backend reads)
+  kFull,  // materialize all pages from the backend eagerly
+  kLazy,  // restore OS state only; pages fault in on demand
 };
 
 class CheckpointBackend {
@@ -356,8 +355,10 @@ class ReplicaStandby : public MemoryBackend {
   SimTime ingest_busy_until() const { return ingest_busy_until_; }
 
   // --- Heartbeat lease -----------------------------------------------------
-  void ConfigureLease(SimDuration lease) { lease_ = lease; }
-  SimDuration lease() const { return lease_; }
+  // How long a heartbeat (or any frame, which doubles as one) keeps the
+  // primary's lease fresh.
+  static constexpr SimDuration kLease = 50 * kMillisecond;
+  SimDuration lease() const { return kLease; }
   // kBusy while the primary's lease is still fresh (split-brain guard).
   [[nodiscard]] Status LeaseCheck() const;
 
@@ -416,7 +417,6 @@ class ReplicaStandby : public MemoryBackend {
   uint64_t poisoned_epoch_ = 0;
   SimTime ingest_busy_until_ = 0;
   uint64_t pages_applied_total_ = 0;  // lifetime pages patched into warm images
-  SimDuration lease_ = 50 * kMillisecond;
   bool promoted_ = false;
   // Ready-to-run images, continuously patched at apply time. Handing one to
   // the promoted incarnation removes it from the table.
@@ -433,22 +433,10 @@ class ReplicaStandby : public MemoryBackend {
 // the wire, i.e. the serial link.
 class ReplicaBackend : public CheckpointBackend {
  public:
-  struct HeartbeatProfile {
-    SimDuration lease = 50 * kMillisecond;
-    int max_attempts = 4;                     // sends retried before giving up
-    SimDuration backoff = 2 * kMillisecond;   // doubles per retry
-  };
-
   ReplicaBackend(SimContext* sim, ReplicaStandby* standby, ReplicaLink* link,
                  std::string name = "replica")
-      : sim_(sim), standby_(standby), link_(link), name_(std::move(name)) {
-    standby->ConfigureLease(hb_.lease);
-  }
+      : sim_(sim), standby_(standby), link_(link), name_(std::move(name)) {}
 
-  void ConfigureHeartbeat(const HeartbeatProfile& profile) {
-    hb_ = profile;
-    standby_->ConfigureLease(profile.lease);
-  }
   // Crash fuse: the primary dies after pushing `n` more frames. Later
   // backend calls fail kUnavailable; the wire prefix stays deliverable.
   void CrashAfterFrames(uint64_t n) {
@@ -486,6 +474,10 @@ class ReplicaBackend : public CheckpointBackend {
  private:
   // Modeled wire bytes of a page beyond its 4 KiB: page index + length.
   static constexpr uint64_t kPageHeaderBytes = 16;
+  // A send waits out a partition for this many attempts before giving up,
+  // the backoff doubling after each, from the first.
+  static constexpr int kSendAttempts = 4;
+  static constexpr SimDuration kSendBackoff = 2 * kMillisecond;
 
   // The frame id for the next frame of this epoch's stream, opening the
   // stream under a fresh attempt id unless one is already open.
@@ -493,8 +485,8 @@ class ReplicaBackend : public CheckpointBackend {
   // Queues `payload` bytes on the next stream lane and returns their arrival
   // time. Never advances the local clock: shipping is asynchronous.
   SimTime QueueTransfer(uint64_t payload);
-  // Waits out a partition with exponential backoff; false once the
-  // heartbeat profile's attempts are spent (counted in net.partitions).
+  // Waits out a partition with exponential backoff; false once
+  // kSendAttempts are spent (counted in net.partitions).
   bool AwaitLink();
   // Pushes one frame through the link once AwaitLink clears it; typed
   // kUnavailable when the link stays partitioned or cuts mid-epoch.
@@ -504,7 +496,6 @@ class ReplicaBackend : public CheckpointBackend {
   ReplicaStandby* standby_;
   ReplicaLink* link_;
   std::string name_;
-  HeartbeatProfile hb_;
   LaneSchedule lanes_{1};
   SimTime wire_busy_ = 0;  // the wire's byte time, shared by every lane
   uint64_t epoch_ = 1;

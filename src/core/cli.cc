@@ -277,10 +277,8 @@ Result<std::vector<std::string>> SlsCli::Gc(bool run) {
   for (ConsistencyGroup* group : sls_->Groups()) {
     const RetentionPolicy& policy = group->retention;
     if (policy.enabled()) {
-      std::snprintf(line, sizeof(line), "retention: %-16s keep_epochs=%llu max_age=%.0fms",
-                    group->name().c_str(),
-                    static_cast<unsigned long long>(policy.keep_epochs),
-                    ToMillis(policy.max_age));
+      std::snprintf(line, sizeof(line), "retention: %-16s keep_epochs=%llu",
+                    group->name().c_str(), static_cast<unsigned long long>(policy.keep_epochs));
     } else {
       std::snprintf(line, sizeof(line), "retention: %-16s disabled (all epochs kept)",
                     group->name().c_str());
@@ -468,10 +466,16 @@ Result<RestoreResult> SlsCli::Recv(const CheckpointStream& stream, MigrationSess
     return dup;
   }
 
-  auto new_session_objects =
-      std::make_shared<std::map<uint64_t, std::shared_ptr<VmObject>>>();
-  auto resolve = [&epoch, session, new_session_objects](
-                     Oid oid, uint64_t size) -> Result<ResolvedMemory> {
+  // Without a session a stream never replaces a running group; with one,
+  // each round supersedes the instance the previous round built.
+  AURORA_ASSIGN_OR_RETURN(RestoredGroup head, PeekManifest(commit.manifest));
+  ConsistencyGroup* running = sls_->FindGroup(head.name);
+  if (session == nullptr && running != nullptr && !running->processes.empty()) {
+    return Status::Error(Errc::kExists, "group already running on this machine");
+  }
+
+  std::map<uint64_t, std::shared_ptr<VmObject>> received;
+  auto resolve = [&epoch, session, &received](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
     auto obj = VmObject::CreateAnonymous(size);
     // Base image from the previous round, if any (incremental composition).
     if (session != nullptr) {
@@ -493,52 +497,15 @@ Result<RestoreResult> SlsCli::Recv(const CheckpointStream& stream, MigrationSess
         obj->InstallPage(page.pgidx, page.data);
       }
     }
-    (*new_session_objects)[oid.value] = obj;
+    received[oid.value] = obj;
     return ResolvedMemory{obj, false};
   };
-
-  AURORA_ASSIGN_OR_RETURN(
-      RestoredGroup restored,
-      RestoreOsState(sim, sls_->kernel(), sls_->fs(), commit.manifest, resolve));
-
-  // Source-store OIDs mean nothing here: clear them so this machine's first
-  // checkpoint assigns fresh local objects and flushes everything once.
-  for (Process* proc : restored.processes) {
-    for (auto& [start, entry] : proc->vm().entries()) {
-      std::shared_ptr<VmObject> obj = entry.object;
-      while (obj != nullptr) {
-        obj->set_sls_oid(0);
-        obj = obj->parent_ref();
-      }
-    }
-  }
-
-  ConsistencyGroup* group = sls_->FindGroup(restored.name);
-  if (group == nullptr) {
-    AURORA_ASSIGN_OR_RETURN(group, sls_->CreateGroup(restored.name));
-  } else if (!group->processes.empty()) {
-    if (session == nullptr) {
-      return Status::Error(Errc::kExists, "group already running on this machine");
-    }
-    // Continuous migration: the new round supersedes the standby instance.
-    for (Process* proc : group->processes) {
-      sls_->kernel()->DestroyProcess(proc);
-    }
-    group->processes.clear();
-  }
-  group->processes = restored.processes;
-  group->persisted_oids.clear();
-  group->pending_collapse.clear();
-  group->suspended = false;
-
+  AURORA_ASSIGN_OR_RETURN(RestoreResult result,
+                          sls_->RestoreReceived(head.name, commit.manifest, resolve));
   if (session != nullptr) {
     session->last_epoch = epoch.epoch;
-    session->source_objects = std::move(*new_session_objects);
+    session->source_objects = std::move(received);
   }
-
-  RestoreResult result;
-  result.group = group;
-  result.epoch = restored.epoch;
   result.restore_time = watch.Elapsed();
   return result;
 }

@@ -108,11 +108,13 @@ class SlsCli {
   [[nodiscard]] Result<CheckpointStream> Send(const std::string& group_name, uint64_t epoch = 0,
                                               uint64_t since_epoch = 0);
   // sls recv: validates the whole stream, then instantiates it on *this*
-  // machine's SLS; a damaged stream is kCorrupt (kNotSupported for an
-  // unknown format version). Store OIDs are re-assigned locally at the
-  // first checkpoint after arrival.
+  // machine's SLS through Sls::RestoreReceived; a damaged stream is kCorrupt
+  // (kNotSupported for an unknown format version). Store OIDs are
+  // re-assigned locally at the first checkpoint after arrival.
   // With a session, incremental streams compose onto the previously
-  // received image and the session is updated for the next round.
+  // received image, the new round replaces the running instance, and the
+  // session is updated for the next round. Without one, a group already
+  // running here is refused (kExists) and left as it was.
   [[nodiscard]] Result<RestoreResult> Recv(const CheckpointStream& stream,
                                            MigrationSession* session = nullptr);
 

@@ -23,14 +23,12 @@ class CheckpointBackend;
 // How long committed epochs stay restorable. Applied after every durable
 // full checkpoint of the group (store backend only): epochs outside the
 // policy are pruned from the store directory, their deadlists freed, and the
-// compactor immediately gets the resulting dead space to reclaim. Both
-// limits 0 (the default) keeps every epoch, the pre-policy behavior.
+// compactor immediately gets the resulting dead space to reclaim. A limit of
+// 0 (the default) keeps every epoch, the pre-policy behavior.
 struct RetentionPolicy {
   // Keep at most this many newest committed epochs (0 = unlimited).
   uint64_t keep_epochs = 0;
-  // Prune epochs committed more than this long ago (0 = no age limit).
-  SimDuration max_age = 0;
-  bool enabled() const { return keep_epochs > 0 || max_age > 0; }
+  bool enabled() const { return keep_epochs > 0; }
 };
 
 class ConsistencyGroup {
@@ -65,7 +63,7 @@ class ConsistencyGroup {
   // Durability times of flushes not yet known durable, pruned against now.
   std::vector<SimTime> inflight_durable;
   // One record per committed full checkpoint, for backpressure tests and
-  // the overlap ablation. Kept as a ring capped at ckpt_history_cap newest
+  // the overlap ablation. Kept as a ring capped at kCkptHistoryCap newest
   // records (a group checkpointing 100x/s would otherwise grow O(epochs)
   // memory over million-epoch runs); inflight_durable shares the cap.
   struct CkptRecord {
@@ -73,8 +71,8 @@ class ConsistencyGroup {
     SimTime durable = 0;  // when its flush + commit became durable
     uint64_t epoch = 0;
   };
+  static constexpr size_t kCkptHistoryCap = 1024;
   std::deque<CkptRecord> ckpt_history;
-  size_t ckpt_history_cap = 1024;
 
   // Memory overcommitment (paper section 6): when set, pages are dropped
   // from memory as soon as their checkpoint flush completes — the unified

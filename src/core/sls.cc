@@ -132,6 +132,12 @@ std::vector<VmMap*> Sls::GroupMaps(ConsistencyGroup* group) {
   return maps;
 }
 
+ShadowRebindFn Sls::RebindShm() {
+  return [this](VmObject* old_top, std::shared_ptr<VmObject> new_top) {
+    kernel_->RebindShmObjects(old_top, new_top);
+  };
+}
+
 Result<Sls::EvictStats> Sls::EvictPages(ConsistencyGroup* group, uint64_t target_pages) {
   EvictStats stats;
   CheckpointBackend* backend = GroupBackend(group);
@@ -315,12 +321,7 @@ void Sls::CkptShadow(CheckpointContext* ctx) {
   size_t shadow_span = sim_->tracer.Begin("ckpt.shadow");
   SimStopwatch shadow_watch(sim_->clock);
   SystemShadowStats shadow_stats;
-  ctx->pairs = CreateSystemShadows(
-      ctx->maps, sim_,
-      [this](VmObject* old_top, std::shared_ptr<VmObject> new_top) {
-        kernel_->RebindShmObjects(old_top, new_top);
-      },
-      &shadow_stats);
+  ctx->pairs = CreateSystemShadows(ctx->maps, sim_, RebindShm(), &shadow_stats);
   for (const ShadowPair& pair : ctx->pairs) {
     snapshots_[ctx->group][pair.frozen->sls_oid()] = pair.frozen;
   }
@@ -435,12 +436,12 @@ Status Sls::CkptCommit(CheckpointContext* ctx) {
   }
   // Pathological manual-checkpoint loops can outrun the time-based pruning
   // above; the ring cap bounds both books regardless.
-  if (inflight.size() > group->ckpt_history_cap) {
+  if (inflight.size() > ConsistencyGroup::kCkptHistoryCap) {
     inflight.erase(inflight.begin(),
-                   inflight.end() - static_cast<long>(group->ckpt_history_cap));
+                   inflight.end() - static_cast<long>(ConsistencyGroup::kCkptHistoryCap));
   }
   group->ckpt_history.push_back({ctx->begin, ctx->durable, commit.epoch});
-  while (group->ckpt_history.size() > group->ckpt_history_cap) {
+  while (group->ckpt_history.size() > ConsistencyGroup::kCkptHistoryCap) {
     group->ckpt_history.pop_front();
   }
 
@@ -491,25 +492,10 @@ void Sls::ApplyRetention(CheckpointContext* ctx) {
   }
   const RetentionPolicy& policy = ctx->group->retention;
   std::vector<CheckpointInfo> checkpoints = store_->ListCheckpoints();
-  // Cutoff: the smallest epoch the policy still keeps. Both limits apply;
-  // the stricter one wins.
+  // Cutoff: the smallest epoch the policy still keeps.
   uint64_t cutoff = 0;
-  if (policy.keep_epochs > 0 && checkpoints.size() > policy.keep_epochs) {
+  if (checkpoints.size() > policy.keep_epochs) {
     cutoff = checkpoints[checkpoints.size() - policy.keep_epochs].epoch;
-  }
-  if (policy.max_age > 0) {
-    SimTime now = sim_->clock.now();
-    SimTime horizon = now > policy.max_age ? now - policy.max_age : 0;
-    // The smallest epoch young enough to keep; if every epoch is stale the
-    // newest still survives (DeleteCheckpointsBefore keeps the recovery point).
-    uint64_t age_cutoff = checkpoints.empty() ? 0 : checkpoints.back().epoch;
-    for (const CheckpointInfo& info : checkpoints) {
-      if (info.committed_at >= horizon) {
-        age_cutoff = info.epoch;
-        break;
-      }
-    }
-    cutoff = std::max(cutoff, age_cutoff);
   }
   // Never prune any group's newest restorable manifest: clamp the cutoff to
   // the oldest last-manifest epoch across every store-backed group.
@@ -703,70 +689,57 @@ Result<uint64_t> Sls::SendExternal(ConsistencyGroup* group,
   return len;
 }
 
-Result<std::pair<uint64_t, Oid>> Sls::FindManifest(const std::string& group_name,
-                                                   uint64_t epoch) {
-  AURORA_ASSIGN_OR_RETURN(CheckpointBackend::LoadedManifest loaded,
-                          LoadManifestFromStore(store_, group_name, epoch));
-  return std::make_pair(loaded.epoch, loaded.oid);
-}
-
-void Sls::WrapRestoredTops(ConsistencyGroup* group) {
+std::vector<ShadowPair> Sls::WrapRestoredTops(ConsistencyGroup* group) {
   // One batched shadow pass (one TLB shootdown per address space): the
-  // restored tops freeze as already-persisted bases and new empty shadows
-  // take the writes, so the first post-restore checkpoint is incremental.
-  std::vector<VmMap*> maps = GroupMaps(group);
-  std::vector<ShadowPair> pairs = CreateSystemShadows(
-      maps, sim_,
-      [this](VmObject* old_top, std::shared_ptr<VmObject> new_top) {
-        kernel_->RebindShmObjects(old_top, new_top);
-      },
-      nullptr);
-  (void)pairs;  // frozen bases are already persisted; nothing to flush
+  // restored tops freeze as checkpointed bases and new empty shadows take
+  // the writes, so the first post-restore checkpoint is incremental.
+  return CreateSystemShadows(GroupMaps(group), sim_, RebindShm(), nullptr);
 }
 
 // --- Restore pipeline stages ------------------------------------------------
 
 Status Sls::RestoreLoadManifest(RestoreContext* ctx) {
-  if (ctx->mode == RestoreMode::kFromMemory) {
-    if (ctx->old_group == nullptr || last_manifest_blobs_.count(ctx->old_group) == 0) {
-      return Status::Error(Errc::kNotFound, "no in-memory checkpoint for " + ctx->group_name);
-    }
-    ctx->manifest = last_manifest_blobs_[ctx->old_group];
+  if (ctx->source == RestoreContext::Source::kBackend) {
+    AURORA_ASSIGN_OR_RETURN(CheckpointBackend::LoadedManifest loaded,
+                            ctx->backend->LoadManifest(ctx->group_name, ctx->epoch));
+    ctx->manifest_epoch = loaded.epoch;
+    ctx->manifest_oid = loaded.oid;
+    ctx->manifest = std::move(loaded.blob);
     return Status::Ok();
   }
-  AURORA_ASSIGN_OR_RETURN(CheckpointBackend::LoadedManifest loaded,
-                          ctx->backend->LoadManifest(ctx->group_name, ctx->epoch));
-  ctx->manifest_epoch = loaded.epoch;
-  ctx->manifest_oid = loaded.oid;
-  ctx->manifest = std::move(loaded.blob);
+  if (ctx->source == RestoreContext::Source::kSnapshot) {
+    auto blob = last_manifest_blobs_.find(ctx->old_group);
+    if (blob == last_manifest_blobs_.end()) {
+      return Status::Error(Errc::kNotFound, "no in-memory checkpoint for " + ctx->group_name);
+    }
+    ctx->manifest = blob->second;
+  }
+  // In memory and on the wire the epoch is the one the manifest records.
+  AURORA_ASSIGN_OR_RETURN(RestoredGroup head, PeekManifest(ctx->manifest));
+  ctx->manifest_epoch = head.epoch;
   return Status::Ok();
 }
 
 Status Sls::RestoreBuildResolver(RestoreContext* ctx) {
-  if (ctx->mode == RestoreMode::kFromMemory) {
-    // Capture the snapshot map by value: the group's map is rebuilt below
-    // while the resolver is still in use.
-    std::map<uint64_t, std::shared_ptr<VmObject>> old_snapshots;
-    if (ctx->old_group != nullptr && snapshots_.count(ctx->old_group) > 0) {
-      old_snapshots = snapshots_[ctx->old_group];
+  if (ctx->source == RestoreContext::Source::kBackend) {
+    if (ctx->mode == RestoreMode::kFull) {
+      ctx->stream_done = std::make_shared<SimTime>(sim_->clock.now());
     }
-    ctx->resolve = [old_snapshots](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-      auto it = old_snapshots.find(oid.value);
-      if (it == old_snapshots.end()) {
-        // Region created after the last checkpoint: empty anonymous memory.
+    AURORA_ASSIGN_OR_RETURN(ctx->resolve, ctx->backend->MakeResolver(ctx->manifest_epoch,
+                                                                     ctx->mode, ctx->stream_done));
+  } else if (ctx->source == RestoreContext::Source::kSnapshot) {
+    // The frozen objects are the image: they map as they are, whole chains
+    // included. The rebind leaves the snapshot map as it is.
+    const auto& snapshot = snapshots_[ctx->old_group];
+    ctx->resolve = [&snapshot](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
+      auto it = snapshot.find(oid.value);
+      if (it == snapshot.end()) {
+        // Region never shadowed by a checkpoint: empty anonymous memory.
         return ResolvedMemory{VmObject::CreateAnonymous(size), true};
       }
       return ResolvedMemory{it->second, true};
     };
-    return Status::Ok();
   }
-  std::shared_ptr<SimTime> stream_done;
-  if (ctx->mode == RestoreMode::kFull) {
-    stream_done = std::make_shared<SimTime>(sim_->clock.now());
-    full_restore_done_ = stream_done;
-  }
-  AURORA_ASSIGN_OR_RETURN(
-      ctx->resolve, ctx->backend->MakeResolver(ctx->manifest_epoch, ctx->mode, stream_done));
   return Status::Ok();
 }
 
@@ -781,8 +754,10 @@ void Sls::RestoreTeardownOld(RestoreContext* ctx) {
 }
 
 Status Sls::RestoreNamespaceStage(RestoreContext* ctx) {
-  // Namespace first so vnode lookups by inode succeed.
-  if (ctx->mode == RestoreMode::kFromMemory) {
+  // Namespace first so vnode lookups by inode succeed. Only a backend holds
+  // a checkpoint's file names: a rollback in memory keeps the live file
+  // system, and a stream carries none.
+  if (ctx->source != RestoreContext::Source::kBackend) {
     return Status::Ok();
   }
   auto head = PeekManifest(ctx->manifest);
@@ -806,15 +781,29 @@ Status Sls::RestoreRebindGroup(RestoreContext* ctx) {
   }
   group->processes = ctx->restored.processes;
   group->suspended = false;
-  group->pending_collapse.clear();
-  group->unflushed_frozen.clear();
   group->pending_sends.clear();
   group->inflight_durable.clear();
-  if (ctx->mode != RestoreMode::kFromMemory && ctx->backend != store_backend_) {
+  // The one place a restore sets checkpoint bookkeeping, by source kind.
+  if (ctx->source == RestoreContext::Source::kBackend) {
+    RebindToBackend(ctx, group);
+  } else if (ctx->source == RestoreContext::Source::kSnapshot) {
+    RebindToSnapshot(group);
+  } else {
+    RebindToStream(group);
+  }
+  ctx->result.group = group;
+  ctx->result.epoch = ctx->manifest_epoch;
+  return Status::Ok();
+}
+
+void Sls::RebindToBackend(RestoreContext* ctx, ConsistencyGroup* group) {
+  group->pending_collapse.clear();
+  group->unflushed_frozen.clear();
+  if (ctx->backend != store_backend_) {
     // Future checkpoints continue into the backend we restored from.
     group->backend = ctx->backend;
   }
-  if (ctx->mode != RestoreMode::kFromMemory && !group->last_manifest.valid()) {
+  if (!group->last_manifest.valid()) {
     // A group with no checkpoint of its own (a fresh Sls after a reboot)
     // adopts the manifest and namespace objects live at the newest committed
     // epoch, so its next checkpoint replaces them instead of leaving them
@@ -836,13 +825,11 @@ Status Sls::RestoreRebindGroup(RestoreContext* ctx) {
     }
   }
 
-  // Every region named by the manifest is durable at this epoch (or, for
-  // memory restores, lives in the retained snapshot objects).
+  // Every region named by the manifest is durable at this epoch, and the
+  // restored image is the group's in-memory snapshot.
   group->persisted_oids.clear();
   auto& snapshot_map = snapshots_[group];
-  if (ctx->mode != RestoreMode::kFromMemory) {
-    snapshot_map.clear();
-  }
+  snapshot_map.clear();
   WrapRestoredTops(group);
   for (Process* proc : group->processes) {
     for (auto& [start, entry] : proc->vm().entries()) {
@@ -859,44 +846,104 @@ Status Sls::RestoreRebindGroup(RestoreContext* ctx) {
     }
   }
   last_manifest_blobs_[group] = ctx->manifest;
+}
 
-  ctx->result.group = group;
-  ctx->result.epoch =
-      ctx->mode == RestoreMode::kFromMemory ? ctx->restored.epoch : ctx->manifest_epoch;
-  return Status::Ok();
+void Sls::RebindToSnapshot(ConsistencyGroup* group) {
+  // A rollback in memory changes nothing the store holds: the persisted
+  // oids, the memory-only shadows still owed to the next full checkpoint and
+  // the snapshot map all stay. Only the live side of a shadow pair changes.
+  // A live object a later checkpoint froze is part of the restored image;
+  // any other one the teardown discarded, and the restored shadow above the
+  // pair's frozen object now takes the writes a collapse must reparent.
+  std::vector<ShadowPair> restored = WrapRestoredTops(group);
+  for (std::vector<ShadowPair>* pairs : {&group->pending_collapse, &group->unflushed_frozen}) {
+    for (ShadowPair& pair : *pairs) {
+      if (pair.live->frozen()) {
+        continue;
+      }
+      auto wrap = std::find_if(restored.begin(), restored.end(),
+                               [&pair](const ShadowPair& w) { return w.frozen == pair.frozen; });
+      if (wrap == restored.end()) {
+        // No writable entry maps the frozen object, but a read-only entry or
+        // an unmapped shm segment may: shadow it too, or a collapse would
+        // empty it under them.
+        restored.push_back(ShadowOneObject(pair.frozen, GroupMaps(group), sim_, RebindShm()));
+        wrap = restored.end() - 1;
+      }
+      pair.live = wrap->live;
+    }
+  }
+}
+
+void Sls::RebindToStream(ConsistencyGroup* group) {
+  // The sender's oids mean nothing here: this machine's first checkpoint
+  // names fresh objects and flushes the whole image once. Nothing is
+  // persisted yet, and there is no in-memory checkpoint to roll back to.
+  for (Process* proc : group->processes) {
+    for (auto& [start, entry] : proc->vm().entries()) {
+      for (VmObject* obj = entry.object.get(); obj != nullptr; obj = obj->parent()) {
+        obj->set_sls_oid(0);
+      }
+    }
+  }
+  group->persisted_oids.clear();
+  group->pending_collapse.clear();
+  group->unflushed_frozen.clear();
+  snapshots_.erase(group);
+  last_manifest_blobs_.erase(group);
+}
+
+Result<RestoreResult> Sls::RunRestore(RestoreContext* ctx) {
+  SimStopwatch watch(sim_->clock);
+  sim_->tracer.NewScope();
+  size_t restore_span = sim_->tracer.Begin("restore");
+  ctx->old_group = FindGroup(ctx->group_name);
+
+  // Load + resolver-build run before teardown: early failures (missing
+  // manifest, bad epoch) leave the running application untouched.
+  AURORA_RETURN_IF_ERROR(RestoreLoadManifest(ctx));
+  AURORA_RETURN_IF_ERROR(RestoreBuildResolver(ctx));
+  RestoreTeardownOld(ctx);
+  AURORA_RETURN_IF_ERROR(RestoreNamespaceStage(ctx));
+  AURORA_RETURN_IF_ERROR(RestoreMaterialize(ctx));
+  AURORA_RETURN_IF_ERROR(RestoreRebindGroup(ctx));
+
+  if (ctx->stream_done != nullptr) {
+    sim_->clock.AdvanceTo(*ctx->stream_done);
+  }
+  ctx->result.restore_time = watch.Elapsed();
+  sim_->tracer.End(restore_span);
+  sim_->metrics.counter("restore.restores").Add();
+  sim_->metrics.histogram("restore.time").Record(ctx->result.restore_time);
+  return ctx->result;
 }
 
 Result<RestoreResult> Sls::Restore(const std::string& group_name, uint64_t epoch,
                                    RestoreMode mode, CheckpointBackend* backend) {
-  SimStopwatch watch(sim_->clock);
-  sim_->tracer.NewScope();
-  size_t restore_span = sim_->tracer.Begin("restore");
-
   RestoreContext ctx;
   ctx.group_name = group_name;
+  ctx.backend = backend != nullptr ? backend : store_backend_;
   ctx.epoch = epoch;
   ctx.mode = mode;
-  ctx.backend = backend != nullptr ? backend : store_backend_;
-  ctx.old_group = FindGroup(group_name);
+  return RunRestore(&ctx);
+}
 
-  // Load + resolver-build run before teardown: early failures (missing
-  // manifest, bad epoch) leave the running application untouched.
-  AURORA_RETURN_IF_ERROR(RestoreLoadManifest(&ctx));
-  AURORA_RETURN_IF_ERROR(RestoreBuildResolver(&ctx));
-  RestoreTeardownOld(&ctx);
-  AURORA_RETURN_IF_ERROR(RestoreNamespaceStage(&ctx));
-  AURORA_RETURN_IF_ERROR(RestoreMaterialize(&ctx));
-  AURORA_RETURN_IF_ERROR(RestoreRebindGroup(&ctx));
+Result<RestoreResult> Sls::RestoreFromMemory(const std::string& group_name) {
+  RestoreContext ctx;
+  ctx.source = RestoreContext::Source::kSnapshot;
+  ctx.group_name = group_name;
+  return RunRestore(&ctx);
+}
 
-  if (mode == RestoreMode::kFull && full_restore_done_ != nullptr) {
-    sim_->clock.AdvanceTo(*full_restore_done_);
-    full_restore_done_.reset();
-  }
-  ctx.result.restore_time = watch.Elapsed();
-  sim_->tracer.End(restore_span);
-  sim_->metrics.counter("restore.restores").Add();
-  sim_->metrics.histogram("restore.time").Record(ctx.result.restore_time);
-  return ctx.result;
+Result<RestoreResult> Sls::RestoreReceived(const std::string& group_name,
+                                           std::vector<uint8_t> manifest,
+                                           MemoryResolverFn resolve) {
+  RestoreContext ctx;
+  ctx.source = RestoreContext::Source::kStream;
+  ctx.group_name = group_name;
+  ctx.manifest = std::move(manifest);
+  ctx.resolve = std::move(resolve);
+  return RunRestore(&ctx);
 }
 
 Result<CheckpointResult> Sls::Suspend(ConsistencyGroup* group) {
@@ -944,11 +991,7 @@ Result<CheckpointResult> Sls::MemCheckpoint(Process* proc, uint64_t addr) {
   Oid oid = EnsureMemoryOid(backend, entry->object.get());
   // Copy the shared_ptr: rebinding replaces entry->object itself.
   std::shared_ptr<VmObject> region = entry->object;
-  ShadowPair pair = ShadowOneObject(
-      region, maps, sim_,
-      [this](VmObject* old_top, std::shared_ptr<VmObject> new_top) {
-        kernel_->RebindShmObjects(old_top, new_top);
-      });
+  ShadowPair pair = ShadowOneObject(region, maps, sim_, RebindShm());
   snapshots_[group][oid.value] = pair.frozen;
 
   CheckpointResult result;

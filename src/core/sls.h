@@ -70,17 +70,29 @@ struct CheckpointContext {
   CheckpointResult result;
 };
 
-// State threaded through the restore pipeline stages.
+// State threaded through the restore pipeline stages. Every restore runs the
+// same stages over one source, which supplies the epoch, the manifest and
+// the page resolver; the rebind stage sets the group's checkpoint
+// bookkeeping from the source's kind.
 struct RestoreContext {
+  enum class Source {
+    kBackend,   // a registered backend at an epoch
+    kSnapshot,  // the group's in-memory snapshot (rollback, no backend reads)
+    kStream,    // a decoded `sls recv` epoch
+  };
+  Source source = Source::kBackend;
   std::string group_name;
+  // kBackend: the backend, the epoch asked for (0 = newest) and the mode.
+  CheckpointBackend* backend = nullptr;
   uint64_t epoch = 0;
   RestoreMode mode = RestoreMode::kFull;
-  CheckpointBackend* backend = nullptr;
   ConsistencyGroup* old_group = nullptr;
-  std::vector<uint8_t> manifest;
+  std::vector<uint8_t> manifest;  // kStream: supplied by the receiver
   uint64_t manifest_epoch = 0;
   Oid manifest_oid;
-  MemoryResolverFn resolve;
+  MemoryResolverFn resolve;  // kStream: supplied by the receiver
+  // Completion of an eager backend restore's reads; the restore ends there.
+  std::shared_ptr<SimTime> stream_done;
   RestoredGroup restored;
   RestoreResult result;
 };
@@ -131,6 +143,18 @@ class Sls {
   [[nodiscard]] Result<RestoreResult> Restore(const std::string& group_name, uint64_t epoch = 0,
                                               RestoreMode mode = RestoreMode::kFull,
                                               CheckpointBackend* backend = nullptr);
+  // Rolls the group back to its newest checkpoint of either kind, from the
+  // in-memory snapshot and without backend reads. The store keeps what it
+  // holds, and memory-only epochs still flush with the next full checkpoint.
+  // kNotFound when the group has no in-memory checkpoint.
+  [[nodiscard]] Result<RestoreResult> RestoreFromMemory(const std::string& group_name);
+  // Instantiates a received epoch (sls recv): `manifest` names `group_name`,
+  // and `resolve` builds each memory object from the received pages. A
+  // running incarnation of the group is replaced. The objects drop the
+  // sender's oids, so the first local checkpoint writes the whole image.
+  [[nodiscard]] Result<RestoreResult> RestoreReceived(const std::string& group_name,
+                                                      std::vector<uint8_t> manifest,
+                                                      MemoryResolverFn resolve);
 
   // sls suspend / resume: checkpoint, then tear the processes down; restore
   // later (possibly after reboot).
@@ -191,9 +215,6 @@ class Sls {
   SegmentGc* gc();
 
   // --- Introspection -------------------------------------------------------
-  // Locates the manifest for `group_name` at `epoch` (0 = latest).
-  [[nodiscard]] Result<std::pair<uint64_t, Oid>> FindManifest(const std::string& group_name,
-                                                              uint64_t epoch);
   std::vector<CheckpointInfo> ListCheckpoints() const { return store_->ListCheckpoints(); }
 
   SimContext* sim() { return sim_; }
@@ -221,26 +242,35 @@ class Sls {
   // failure, re-queueing its frozen shadows for the next checkpoint.
   void CkptAbortEpoch(CheckpointContext* ctx, const Status& cause);
 
-  // Restore pipeline stages, in order. Fallible stages run before teardown
-  // where possible so early failures leave the old incarnation untouched.
+  // The restore pipeline: runs the stages below, in order, over the source
+  // `ctx` names. Fallible stages run before teardown where possible so early
+  // failures leave the old incarnation untouched.
+  [[nodiscard]] Result<RestoreResult> RunRestore(RestoreContext* ctx);
   [[nodiscard]] Status RestoreLoadManifest(RestoreContext* ctx);
   [[nodiscard]] Status RestoreBuildResolver(RestoreContext* ctx);
   void RestoreTeardownOld(RestoreContext* ctx);
   [[nodiscard]] Status RestoreNamespaceStage(RestoreContext* ctx);
   [[nodiscard]] Status RestoreMaterialize(RestoreContext* ctx);
   [[nodiscard]] Status RestoreRebindGroup(RestoreContext* ctx);
+  // The rebind stage's bookkeeping, one per source kind.
+  void RebindToBackend(RestoreContext* ctx, ConsistencyGroup* group);
+  void RebindToSnapshot(ConsistencyGroup* group);
+  void RebindToStream(ConsistencyGroup* group);
 
   CheckpointBackend* GroupBackend(ConsistencyGroup* group) {
     return group->backend != nullptr ? group->backend : store_backend_;
   }
   Oid EnsureMemoryOid(CheckpointBackend* backend, VmObject* obj);
   std::vector<VmMap*> GroupMaps(ConsistencyGroup* group);
+  // Repoints shm segments from a shadowed top to its new shadow.
+  ShadowRebindFn RebindShm();
   // Walks entry + shm chains, flushing never-persisted lower links.
   [[nodiscard]] Result<SimTime> FlushUnpersistedChains(CheckpointContext* ctx);
   void ReleasePendingSends(ConsistencyGroup* group);
   // Wraps every restored top object in a live shadow so the next checkpoint
-  // is incremental rather than a full rewrite.
-  void WrapRestoredTops(ConsistencyGroup* group);
+  // is incremental rather than a full rewrite. Returns the (restored top,
+  // new shadow) pairs.
+  std::vector<ShadowPair> WrapRestoredTops(ConsistencyGroup* group);
   // Post-commit epilogue: prunes epochs outside the group's retention policy
   // and, when auto-GC is on, runs one compaction pass over the freed space.
   void ApplyRetention(CheckpointContext* ctx);
@@ -256,8 +286,8 @@ class Sls {
   uint64_t next_group_id_ = 1;
   std::vector<std::unique_ptr<ConsistencyGroup>> groups_;
 
-  // In-memory snapshot objects per group (oid -> frozen object), for
-  // RestoreMode::kFromMemory and collapse bookkeeping.
+  // In-memory snapshot per group: the newest checkpoint's frozen object
+  // per oid and its manifest, for RestoreFromMemory.
   std::map<ConsistencyGroup*, std::map<uint64_t, std::shared_ptr<VmObject>>> snapshots_;
   std::map<ConsistencyGroup*, std::vector<uint8_t>> last_manifest_blobs_;
   // Per-group serialized-blob caches for the warm/assemble serialization
@@ -270,8 +300,6 @@ class Sls {
   // retention prune unless disabled.
   std::unique_ptr<SegmentGc> gc_;
   bool gc_auto_ = true;
-  // Completion time of an in-progress eager restore's read stream.
-  std::shared_ptr<SimTime> full_restore_done_;
 
   void ScheduleNextPeriodic(ConsistencyGroup* group, std::shared_ptr<bool> alive);
   std::map<ConsistencyGroup*, std::shared_ptr<bool>> periodic_;

@@ -16,10 +16,9 @@ bool ShouldShadow(const VmMapEntry& entry) {
   if ((entry.prot & kProtWrite) == 0) {
     return false;
   }
-  const VmObject* obj = entry.object.get();
   // Vnode-backed mappings persist through the file system's own COW; device
   // memory is recreated at restore (vDSO/HPET injection).
-  return obj->type() == VmObjectType::kAnonymous && !obj->exclude_from_checkpoint();
+  return entry.object->type() == VmObjectType::kAnonymous;
 }
 
 // A top object took writes since it became the top iff it holds pages: a

@@ -158,10 +158,6 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   uint64_t sls_oid() const { return sls_oid_; }
   void set_sls_oid(uint64_t oid) { sls_oid_ = oid; }
 
-  // Excluded regions (sls_mctl MEMCTL_EXCLUDE) are not checkpointed.
-  bool exclude_from_checkpoint() const { return exclude_; }
-  void set_exclude_from_checkpoint(bool v) { exclude_ = v; }
-
   // For vnode-backed objects: the inode whose pager fills pages, so
   // checkpoints can record the file identity instead of the page contents.
   uint64_t backing_ino() const { return backing_ino_; }
@@ -192,7 +188,6 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   VmObjectType type_;
   uint64_t size_;
   bool frozen_ = false;
-  bool exclude_ = false;
   uint64_t sls_oid_ = 0;
   uint64_t backing_ino_ = 0;
   SimTime busy_until_ = 0;

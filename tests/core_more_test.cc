@@ -287,17 +287,16 @@ TEST(SlsManifest, PeekAndMemoryListing) {
   ConsistencyGroup* g = *m.sls->CreateGroup("peek");
   ASSERT_TRUE(m.sls->Attach(g, proc).ok());
   auto ckpt = *m.sls->Checkpoint(g);
-  auto found = *m.sls->FindManifest("peek", ckpt.epoch);
-  std::vector<uint8_t> manifest(*m.store->SizeAtEpoch(found.first, found.second));
-  ASSERT_TRUE(
-      m.store->ReadAtEpoch(found.first, found.second, 0, manifest.data(), manifest.size()).ok());
+  auto found = *LoadManifestFromStore(m.store.get(), "peek", ckpt.epoch);
+  EXPECT_EQ(found.epoch, ckpt.epoch);
+  const std::vector<uint8_t>& manifest = found.blob;
   auto head = *PeekManifest(manifest);
   EXPECT_EQ(head.name, "peek");
   EXPECT_EQ(head.epoch, ckpt.epoch);
   auto memory = *ManifestMemoryObjects(manifest);
   ASSERT_FALSE(memory.empty());
   EXPECT_EQ(memory[0].second % kPageSize, 0u);
-  EXPECT_FALSE(m.sls->FindManifest("nope", 0).ok());
+  EXPECT_FALSE(LoadManifestFromStore(m.store.get(), "nope", 0).ok());
 }
 
 TEST(SlsManifest, HugeMemoryObjectCountIsCorrupt) {
@@ -311,10 +310,7 @@ TEST(SlsManifest, HugeMemoryObjectCountIsCorrupt) {
   ConsistencyGroup* g = *m.sls->CreateGroup("huge");
   ASSERT_TRUE(m.sls->Attach(g, proc).ok());
   auto ckpt = *m.sls->Checkpoint(g);
-  auto found = *m.sls->FindManifest("huge", ckpt.epoch);
-  std::vector<uint8_t> manifest(*m.store->SizeAtEpoch(found.first, found.second));
-  ASSERT_TRUE(
-      m.store->ReadAtEpoch(found.first, found.second, 0, manifest.data(), manifest.size()).ok());
+  std::vector<uint8_t> manifest = LoadManifestFromStore(m.store.get(), "huge", ckpt.epoch)->blob;
   // magic, version, u64-prefixed name, epoch, namespace oid, then the count.
   const size_t count_off = 4 + 4 + 8 + std::string("huge").size() + 8 + 8;
   ASSERT_EQ(manifest[count_off], ManifestMemoryObjects(manifest)->size());
@@ -430,7 +426,7 @@ TEST(SlsRestoreModes, MemoryRestoreOfForkedAppAfterMemOnlyCheckpoint) {
 
   uint64_t junk = 1;
   ASSERT_TRUE(child->vm().Write(addr, &junk, sizeof(junk)).ok());
-  auto restored = *m.sls->Restore("p", 0, RestoreMode::kFromMemory);
+  auto restored = *m.sls->RestoreFromMemory("p");
   ASSERT_EQ(restored.group->processes.size(), 2u);
   Process* rc = restored.group->processes[1];
   uint64_t got = 0;
@@ -438,6 +434,131 @@ TEST(SlsRestoreModes, MemoryRestoreOfForkedAppAfterMemOnlyCheckpoint) {
   EXPECT_EQ(got, 0xfaceu) << "fork-parent data must survive a memory restore";
   ASSERT_TRUE(rc->vm().Read(addr + 8, &got, sizeof(got)).ok());
   EXPECT_EQ(got, 0xbeadu);
+}
+
+// Fills page `page` of the mapping at `base` with `byte`.
+void FillPage(Process* proc, uint64_t base, uint64_t page, uint8_t byte) {
+  std::vector<uint8_t> bytes(kPageSize, byte);
+  ASSERT_TRUE(proc->vm().Write(base + page * kPageSize, bytes.data(), bytes.size()).ok());
+}
+
+// The byte at the start of page `page` of the mapping at `base`.
+uint8_t PageByte(Process* proc, uint64_t base, uint64_t page) {
+  uint8_t byte = 0xEE;
+  EXPECT_TRUE(proc->vm().Read(base + page * kPageSize, &byte, 1).ok());
+  return byte;
+}
+
+TEST(SlsRestoreModes, MemoryRollbackStillFlushesMemoryOnlyEpochs) {
+  // A restore from memory rolls back over memory-only epochs whose pages the
+  // store has never seen; the next full checkpoint must still flush them.
+  // Variant 0: one memory-only epoch; 1: two stacked ones; 2: a region first
+  // mapped after the last full checkpoint.
+  constexpr uint64_t kData = 0x400000;
+  constexpr uint64_t kLate = 0x800000;
+  for (int variant = 0; variant < 3; variant++) {
+    SCOPED_TRACE("variant " + std::to_string(variant));
+    Machine m;
+    Process* proc = *m.kernel->CreateProcess("owed");
+    auto obj = VmObject::CreateAnonymous(64 * kKiB);
+    ASSERT_TRUE(proc->vm().Map(kData, 64 * kKiB, kProtRead | kProtWrite, obj, 0, false).ok());
+    ConsistencyGroup* g = *m.sls->CreateGroup("owed");
+    ASSERT_TRUE(m.sls->Attach(g, proc).ok());
+    FillPage(proc, kData, 0, 'A');
+    ASSERT_TRUE(m.sls->Checkpoint(g).ok());
+
+    FillPage(proc, kData, 0, 'B');
+    FillPage(proc, kData, 1, 'B');
+    if (variant == 2) {
+      auto late = VmObject::CreateAnonymous(64 * kKiB);
+      ASSERT_TRUE(proc->vm().Map(kLate, 64 * kKiB, kProtRead | kProtWrite, late, 0, false).ok());
+      FillPage(proc, kLate, 0, 'N');
+    }
+    ASSERT_TRUE(m.sls->Checkpoint(g, "", CheckpointMode::kMemoryOnly).ok());
+    if (variant == 1) {
+      FillPage(proc, kData, 1, 'C');
+      ASSERT_TRUE(m.sls->Checkpoint(g, "", CheckpointMode::kMemoryOnly).ok());
+    }
+
+    auto rolled = *m.sls->RestoreFromMemory("owed");
+    ASSERT_TRUE(m.sls->Checkpoint(rolled.group).ok());
+    m.Reboot();
+    auto again = *m.sls->Restore("owed");
+    Process* rp = again.group->processes[0];
+    EXPECT_EQ(PageByte(rp, kData, 0), 'B');
+    EXPECT_EQ(PageByte(rp, kData, 1), variant == 1 ? 'C' : 'B');
+    if (variant == 2) {
+      EXPECT_EQ(PageByte(rp, kLate, 0), 'N');
+    }
+  }
+}
+
+TEST(SlsRestoreModes, MemoryRollbackKeepsFrozenObjectsNoWritableEntryMaps) {
+  // A rollback maps a snapshot object that no writable entry maps — a region
+  // made read-only (variant 0), or a shm segment unmapped (variant 1), after
+  // the memory-only checkpoint that froze it. Later collapses must neither
+  // empty it under the running image nor skip flushing its pages.
+  constexpr uint64_t kData = 0x400000;
+  for (int variant = 0; variant < 2; variant++) {
+    SCOPED_TRACE("variant " + std::to_string(variant));
+    Machine m;
+    Process* proc = *m.kernel->CreateProcess("frozen");
+    int shm_fd = *m.kernel->ShmOpen(*proc, "/seg", 64 * kKiB);
+    uint64_t shm_addr = *m.kernel->ShmMap(*proc, shm_fd);
+    auto obj = VmObject::CreateAnonymous(64 * kKiB);
+    ASSERT_TRUE(proc->vm().Map(kData, 64 * kKiB, kProtRead | kProtWrite, obj, 0, false).ok());
+    uint64_t base = variant == 0 ? kData : shm_addr;
+    ConsistencyGroup* g = *m.sls->CreateGroup("frozen");
+    ASSERT_TRUE(m.sls->Attach(g, proc).ok());
+    FillPage(proc, base, 0, 'A');
+    ASSERT_TRUE(m.sls->Checkpoint(g).ok());
+    FillPage(proc, base, 0, 'B');
+    ASSERT_TRUE(m.sls->Checkpoint(g, "", CheckpointMode::kMemoryOnly).ok());
+    if (variant == 0) {
+      ASSERT_TRUE(proc->vm().Protect(kData, 64 * kKiB, kProtRead).ok());
+    } else {
+      ASSERT_TRUE(proc->vm().Unmap(shm_addr, 64 * kKiB).ok());
+    }
+    ASSERT_TRUE(m.sls->Checkpoint(g, "", CheckpointMode::kMemoryOnly).ok());
+
+    auto rolled = *m.sls->RestoreFromMemory("frozen");
+    for (int i = 0; i < 3; i++) {
+      ASSERT_TRUE(m.sls->Checkpoint(rolled.group).ok());
+    }
+    Process* rp = rolled.group->processes[0];
+    if (variant == 1) {
+      base = *m.kernel->ShmMap(*rp, shm_fd);
+    }
+    EXPECT_EQ(PageByte(rp, base, 0), 'B') << "the running image";
+    m.Reboot();
+    auto again = *m.sls->Restore("frozen");
+    rp = again.group->processes[0];
+    if (variant == 1) {
+      base = *m.kernel->ShmMap(*rp, shm_fd);
+    }
+    EXPECT_EQ(PageByte(rp, base, 0), 'B') << "the durable image";
+  }
+}
+
+TEST(SlsRestoreModes, RepeatedMemoryRollbackStaysAtTheNewestCheckpoint) {
+  Machine m;
+  Process* proc = *m.kernel->CreateProcess("twice");
+  constexpr uint64_t kData = 0x400000;
+  auto obj = VmObject::CreateAnonymous(64 * kKiB);
+  ASSERT_TRUE(proc->vm().Map(kData, 64 * kKiB, kProtRead | kProtWrite, obj, 0, false).ok());
+  ConsistencyGroup* g = *m.sls->CreateGroup("twice");
+  ASSERT_TRUE(m.sls->Attach(g, proc).ok());
+  FillPage(proc, kData, 0, 'A');
+  ASSERT_TRUE(m.sls->Checkpoint(g).ok());
+  FillPage(proc, kData, 0, 'B');
+  ASSERT_TRUE(m.sls->Checkpoint(g).ok());
+
+  for (int round = 0; round < 2; round++) {
+    auto rolled = *m.sls->RestoreFromMemory("twice");
+    Process* rp = rolled.group->processes[0];
+    EXPECT_EQ(PageByte(rp, kData, 0), 'B') << "round " << round;
+    FillPage(rp, kData, 0, 'X');
+  }
 }
 
 TEST(SlsFilesystem, CheckpointConsistencyForFiles) {

@@ -344,7 +344,7 @@ TEST(SlsCheckpoint, MemoryOnlyCheckpointRollsBackWithoutIo) {
 
   uint64_t v2 = 2222;
   ASSERT_TRUE(proc->vm().Write(addr, &v2, sizeof(v2)).ok());
-  auto restored = m.sls->Restore("mem", 0, RestoreMode::kFromMemory);
+  auto restored = m.sls->RestoreFromMemory("mem");
   ASSERT_TRUE(restored.ok());
   uint64_t got = 0;
   ASSERT_TRUE(restored->group->processes[0]->vm().Read(addr, &got, sizeof(got)).ok());

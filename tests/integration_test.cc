@@ -401,20 +401,32 @@ TEST_P(RandomWorkloadTest, RandomOpsThenCrashAlwaysRecoverLastCheckpoint) {
 
   Rng rng(GetParam());
   std::vector<uint8_t> live(1 * kMiB, 0);
-  std::vector<uint8_t> committed;
+  std::vector<uint8_t> committed;  // the image at the newest full checkpoint
+  std::vector<uint8_t> newest;     // at the newest checkpoint of either kind
   for (int step = 0; step < 300; step++) {
+    proc = group->processes[0];  // a restore replaces the process
     double dice = rng.NextDouble();
-    if (dice < 0.85) {
+    if (dice < 0.82) {
       uint64_t off = rng.Below(1 * kMiB - 8);
       uint64_t v = rng.Next();
       ASSERT_TRUE(proc->vm().Write(addr + off, &v, sizeof(v)).ok());
       std::memcpy(live.data() + off, &v, sizeof(v));
-    } else if (dice < 0.97) {
+    } else if (dice < 0.94) {
       ASSERT_TRUE(m.sls->Checkpoint(group).ok());
       committed = live;
-    } else {
+      newest = live;
+    } else if (dice < 0.97) {
       ASSERT_TRUE(m.sls->Checkpoint(group, "", CheckpointMode::kMemoryOnly).ok());
       // memory-only checkpoints are not durable: committed stays.
+      newest = live;
+    } else if (!newest.empty()) {
+      // Rollback in memory: the durable image stays, the live one rewinds.
+      auto rolled = m.sls->RestoreFromMemory("rand");
+      ASSERT_TRUE(rolled.ok()) << rolled.status().message();
+      live = newest;
+      std::vector<uint8_t> got(1 * kMiB);
+      ASSERT_TRUE(group->processes[0]->vm().Read(addr, got.data(), got.size()).ok());
+      ASSERT_EQ(got, live) << "step " << step << ": rollback must land on the newest checkpoint";
     }
   }
   if (committed.empty()) {

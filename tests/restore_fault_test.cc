@@ -3,14 +3,18 @@
 // kernel, and a subsequent clean restore must still work.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/base/serializer.h"
 #include "src/base/sim_context.h"
 #include "src/core/backend.h"
 #include "src/core/cli.h"
+#include "src/core/epoch_stream.h"
 #include "src/core/sls.h"
 #include "src/fs/aurora_fs.h"
 #include "src/objstore/object_store.h"
@@ -223,6 +227,178 @@ TEST(RestoreFault, TruncatedManifestSweepNeverLeaks) {
 
   failing->truncate_manifest_to = UINT64_MAX;
   ExpectCleanRestoreWorks(m, addr, pattern);
+}
+
+// -----------------------------------------------------------------------------
+// The in-memory and received restore sources: a restore from memory with no
+// snapshot, and sls recv into a machine where the group already runs. Each
+// failure must either leave the old incarnation running (refused before
+// teardown) or leave an empty kernel that holds no shm segment and no hidden
+// vnode reference the failed restore took (failed after teardown).
+// -----------------------------------------------------------------------------
+
+// Starts an app with a POSIX shm segment and an open file as group "app";
+// returns the file's descriptor slot.
+int StartShmApp(Machine& m) {
+  Process* proc = *m.kernel->CreateProcess("app");
+  int shm_fd = *m.kernel->ShmOpen(*proc, "/seg", 64 * kKiB);
+  uint64_t shm_addr = *m.kernel->ShmMap(*proc, shm_fd);
+  const char note[] = "shared";
+  EXPECT_TRUE(proc->vm().Write(shm_addr, note, sizeof(note)).ok());
+  int fd = *m.kernel->Open(*proc, "state.db", kOpenRead | kOpenWrite, true);
+  EXPECT_TRUE(m.kernel->WriteFd(*proc, fd, "persist me", 10).ok());
+  ConsistencyGroup* group = *m.sls->CreateGroup("app");
+  EXPECT_TRUE(m.sls->Attach(group, proc).ok());
+  return fd;
+}
+
+// Checkpoints group "app" and sends that checkpoint.
+CheckpointStream CheckpointAndSend(Machine& src) {
+  EXPECT_TRUE(src.sls->Checkpoint(src.sls->FindGroup("app")).ok());
+  auto stream = SlsCli(src.sls.get()).Send("app");
+  EXPECT_TRUE(stream.ok());
+  return stream.ok() ? *stream : CheckpointStream{};
+}
+
+// What a failed restore must leave alone on the destination.
+struct RunningState {
+  std::vector<Process*> processes;
+  std::map<std::string, std::shared_ptr<SharedMemory>> posix_shm;
+  std::shared_ptr<Vnode> file;  // the app's open file
+  uint32_t hidden_refs = 0;
+};
+
+RunningState CaptureRunning(Machine& m, int fd) {
+  RunningState state;
+  state.processes = m.kernel->AllProcesses();
+  state.posix_shm = m.kernel->posix_shm();
+  EXPECT_EQ(state.processes.size(), 1u);
+  for (Process* proc : state.processes) {
+    state.file = std::static_pointer_cast<Vnode>((*proc->fds().Get(fd))->object);
+    state.hidden_refs = state.file->hidden_refs();
+  }
+  return state;
+}
+
+void ExpectRunningOrCleanlyGone(Machine& m, const RunningState& before) {
+  std::vector<Process*> now = m.kernel->AllProcesses();
+  if (!now.empty()) {
+    EXPECT_EQ(now, before.processes) << "refused before teardown: the old incarnation runs";
+    EXPECT_EQ(m.kernel->posix_shm(), before.posix_shm);
+    ASSERT_NE(m.sls->FindGroup("app"), nullptr);
+    EXPECT_EQ(m.sls->FindGroup("app")->processes, before.processes);
+  }
+  for (const auto& [name, segment] : m.kernel->posix_shm()) {
+    auto held = before.posix_shm.find(name);
+    EXPECT_TRUE(held != before.posix_shm.end() && held->second == segment)
+        << name << " names a segment the failed restore adopted";
+  }
+  ASSERT_NE(before.file, nullptr);
+  EXPECT_EQ(before.file->hidden_refs(), before.hidden_refs)
+      << "the failed restore left a hidden vnode reference";
+}
+
+// `stream` resealed with a manifest in which `proc`'s descriptor slot `fd`
+// names a description no record defines.
+CheckpointStream WithUnknownDescriptor(const CheckpointStream& stream, Process* proc, int fd) {
+  auto frames = *SplitFrames(stream.bytes);
+  DecodedEpoch epoch = *DecodeEpoch(frames);
+  std::vector<uint8_t>& manifest = epoch.commit.manifest;
+  // `proc`'s descriptor table as the manifest records it: the open-slot
+  // count, then per open slot its index, description kid and close-on-exec.
+  const auto& slots = proc->fds().slots();
+  uint64_t open = 0;
+  for (const auto& slot : slots) {
+    open += slot.desc != nullptr ? 1 : 0;
+  }
+  BinaryWriter w;
+  w.PutU64(open);
+  size_t kid_at = 0;
+  for (size_t slot = 0; slot < slots.size(); slot++) {
+    if (slots[slot].desc != nullptr) {
+      w.PutI64(static_cast<int64_t>(slot));
+      kid_at = slot == static_cast<size_t>(fd) ? w.size() : kid_at;
+      w.PutU64(slots[slot].desc->kernel_id);
+      w.PutBool(slots[slot].close_on_exec);
+    }
+  }
+  std::vector<uint8_t> table = w.Take();
+  auto at = std::search(manifest.begin(), manifest.end(), table.begin(), table.end());
+  EXPECT_NE(at, manifest.end());
+  if (at != manifest.end()) {
+    EXPECT_EQ(std::search(at + 1, manifest.end(), table.begin(), table.end()), manifest.end());
+    std::fill(at + kid_at, at + kid_at + 8, uint8_t{0xEE});
+  }
+  // Every data frame stays; only the commit frame, the last, is resealed.
+  std::span<const uint8_t> commit = frames.back();
+  CheckpointStream out;
+  out.bytes.assign(stream.bytes.begin(),
+                   stream.bytes.begin() + (commit.data() - stream.bytes.data()));
+  AppendCommitFrame(PeekFrame(commit)->id, epoch.commit, &out.bytes);
+  return out;
+}
+
+TEST(RestoreFault, MemoryRestoreWithoutASnapshotIsRefusedBeforeTeardown) {
+  // Two groups with no in-memory checkpoint: one that never checkpointed,
+  // and one that arrived by sls recv, which brings none.
+  for (bool received : {false, true}) {
+    SCOPED_TRACE(received ? "received" : "never checkpointed");
+    Machine src;
+    Machine dst;
+    int fd = StartShmApp(src);
+    Machine& m = received ? dst : src;
+    if (received) {
+      ASSERT_TRUE(SlsCli(dst.sls.get()).Recv(CheckpointAndSend(src)).ok());
+    }
+    RunningState before = CaptureRunning(m, fd);
+
+    auto res = m.sls->RestoreFromMemory("app");
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status().code(), Errc::kNotFound);
+    EXPECT_EQ(m.kernel->AllProcesses(), before.processes);
+    ExpectRunningOrCleanlyGone(m, before);
+  }
+}
+
+TEST(RestoreFault, RefusedRecvLeavesTheRunningGroupUntouched) {
+  // A second delivery of the same stream without a session must not
+  // replace the group the first one started, nor leave anything behind.
+  Machine src;
+  int fd = StartShmApp(src);
+  CheckpointStream stream = CheckpointAndSend(src);
+  Machine dst;
+  SlsCli cli(dst.sls.get());
+  ASSERT_TRUE(cli.Recv(stream).ok());
+  RunningState before = CaptureRunning(dst, fd);
+  ASSERT_EQ(before.posix_shm.count("/seg"), 1u);
+
+  auto again = cli.Recv(stream);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), Errc::kExists);
+  EXPECT_EQ(dst.kernel->AllProcesses(), before.processes) << "no orphan process";
+  EXPECT_EQ(dst.kernel->posix_shm(), before.posix_shm) << "/seg still names the running segment";
+  ExpectRunningOrCleanlyGone(dst, before);
+}
+
+TEST(RestoreFault, SessionRecvOfAnUnknownDescriptorLeaksNothing) {
+  // A session's next round replaces the running instance; a manifest that
+  // fails to materialize must not take the running segment's name with it.
+  Machine src;
+  int fd = StartShmApp(src);
+  CheckpointStream first = CheckpointAndSend(src);
+  CheckpointStream second =
+      WithUnknownDescriptor(CheckpointAndSend(src), src.sls->FindGroup("app")->processes[0], fd);
+
+  Machine dst;
+  SlsCli cli(dst.sls.get());
+  MigrationSession session;
+  ASSERT_TRUE(cli.Recv(first, &session).ok());
+  RunningState before = CaptureRunning(dst, fd);
+
+  auto res = cli.Recv(second, &session);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), Errc::kCorrupt);
+  ExpectRunningOrCleanlyGone(dst, before);
 }
 
 // -----------------------------------------------------------------------------

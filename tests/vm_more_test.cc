@@ -171,16 +171,6 @@ TEST_F(VmMoreTest, MapPlacementRespectsHintsAndGaps) {
   EXPECT_FALSE(map.Map(0, kPageSize + 1, kProtRead, o1, 0, false).ok());
 }
 
-TEST_F(VmMoreTest, ExcludedObjectFlagBlocksShadowing) {
-  VmMap map(&sim_);
-  auto obj = VmObject::CreateAnonymous(kPageSize);
-  obj->set_exclude_from_checkpoint(true);
-  AURORA_IGNORE_STATUS(map.Map(0x100000, kPageSize, kProtRead | kProtWrite, obj, 0, false), "mapping exists only to add payload; the address is unused");
-  std::vector<VmMap*> maps{&map};
-  auto pairs = CreateSystemShadows(maps, &sim_, nullptr, nullptr);
-  EXPECT_TRUE(pairs.empty());
-}
-
 // Property: interleaved faults in two maps sharing an object + periodic
 // shadow/collapse cycles preserve a sequentially-consistent byte image.
 class SharedShadowCycleTest : public ::testing::TestWithParam<uint64_t> {};

@@ -55,10 +55,12 @@ class BenchReport {
   bool written_ = false;
 };
 
-// One simulated machine matching the paper's testbed storage.
+// One simulated machine matching the paper's testbed storage, with
+// `flush_lanes` flush lanes for its lifetime (SimContext::flush_lanes).
 struct BenchMachine {
   explicit BenchMachine(uint64_t store_bytes = 8 * kGiB, uint32_t store_block = 64 * 1024,
-                        StoreOptions base = {}) {
+                        StoreOptions base = {}, int flush_lanes = 1) {
+    sim.flush_lanes = flush_lanes;
     device = MakePaperTestbedStore(&sim.clock, store_bytes, kPageSize, &sim.metrics);
     StoreOptions options = base;
     options.block_size = store_block;

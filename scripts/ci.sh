@@ -172,14 +172,15 @@ done
 # with the dedup flush path around it, the crash/restore paths, the stop
 # path and segment-log GC, the epoch wire format with its replica and
 # failover paths, the store-format and manifest decoders with the object
-# store and SLS suites around them, and every restore source (store,
-# standby, in-memory snapshot and sls recv) directly. One list names each
-# suite once: it is both built and run.
+# store and SLS suites around them, every restore source (store,
+# standby, in-memory snapshot and sls recv) directly, and the device queues
+# with the flush lanes over them. One list names each suite once: it is both
+# built and run.
 ubsan_tests=(
   lint_test base_test crash_matrix_test stop_path_test segment_gc_test epoch_stream_test
   backend_conformance_test replication_test restore_fault_test extent_codec_test dedup_test
   store_golden_test store_format_test manifest_harness_test objstore_test core_more_test
-  core_test integration_test
+  core_test integration_test storage_test lane_scaling_test
 )
 echo "=== configure/build: ubsan ==="
 cmake --preset ubsan

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <map>
 #include <vector>
 
 #include "src/base/cost_model.h"
@@ -43,37 +42,8 @@ class LaneSchedule {
   SimTime Makespan() const { return *std::max_element(free_.begin(), free_.end()); }
   int lanes() const { return static_cast<int>(free_.size()); }
 
-  // --- Segment-aware striping hints ----------------------------------------
-  // The store reports which lane currently owns an open segment (a hot
-  // appender holding the tail of the log); background work asks ColdestLane
-  // for a queue that avoids them. Hints survive Occupy but not reassignment
-  // (the owner re-registers after SetFlushLanes rebuilds the schedule).
-  void HintOpenSegment(int lane, uint64_t seg) {
-    if (lane >= 0 && lane < lanes()) {
-      open_segment_[lane] = seg;
-    }
-  }
-  void ClearSegmentHint(int lane) { open_segment_.erase(lane); }
-  bool HasSegmentHint(int lane) const { return open_segment_.count(lane) > 0; }
-  // Earliest-free lane among lanes with no open segment; when every lane is
-  // a hot appender, degrades to the globally earliest-free lane (which with
-  // one lane is the historical lane 0).
-  int ColdestLane() const {
-    int best = -1;
-    for (int lane = 0; lane < lanes(); lane++) {
-      if (open_segment_.count(lane) > 0) {
-        continue;
-      }
-      if (best < 0 || free_[static_cast<size_t>(lane)] < free_[static_cast<size_t>(best)]) {
-        best = lane;
-      }
-    }
-    return best >= 0 ? best : NextLane();
-  }
-
  private:
   std::vector<SimTime> free_;
-  std::map<int, uint64_t> open_segment_;  // lane -> its open segment
 };
 
 struct SimContext {
@@ -91,10 +61,14 @@ struct SimContext {
   // Paper testbed: dual Xeon Silver 4116 = 24 cores / 48 threads. IPI and
   // TLB shootdown costs scale with the cores an application runs on.
   int ncpus = 24;
-  // How many cores the checkpoint flusher may fork across (<= ncpus). Each
-  // lane drives its own device submission queue; 1 keeps the historical
-  // serial flush timeline exactly.
+  // How many cores the checkpoint flusher forks across, fixed per machine:
+  // set it before building the store and the backends, which read
+  // FlushLanes() once, when they are built. Each lane drives its own device
+  // submission queue; 1 keeps the historical serial flush timeline exactly.
   int flush_lanes = 1;
+  // The lane count every component builds with: flush_lanes clamped to
+  // [1, ncpus].
+  int FlushLanes() const { return std::max(1, std::min(flush_lanes, ncpus)); }
 };
 
 }  // namespace aurora

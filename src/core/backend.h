@@ -50,13 +50,6 @@ class CheckpointBackend {
 
   virtual const std::string& name() const = 0;
 
-  // Fans this backend's flush/restore work over `lanes` parallel lanes
-  // (cores driving device queues, flusher threads, or NIC streams). Work
-  // completion becomes the makespan over lanes instead of a serial sum;
-  // 1 lane is the exact historical serial timeline. Backends without a
-  // parallelizable flusher ignore it.
-  virtual void SetFlushLanes(int lanes) { (void)lanes; }
-
   // --- Checkpoint destination ----------------------------------------------
   // Epoch the next commit will seal (matches ObjectStore::current_epoch()).
   virtual uint64_t current_epoch() const = 0;
@@ -124,9 +117,6 @@ class StoreBackend : public CheckpointBackend {
       : sim_(sim), store_(store), fs_(fs) {}
 
   const std::string& name() const override { return name_; }
-  void SetFlushLanes(int lanes) override {
-    store_->SetFlushLanes(static_cast<uint32_t>(lanes < 1 ? 1 : lanes));
-  }
   uint64_t current_epoch() const override { return store_->current_epoch(); }
   [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override;
   [[nodiscard]] Result<Oid> PersistNamespace(Oid replaces) override {
@@ -170,7 +160,7 @@ class StoreBackend : public CheckpointBackend {
 class MemoryBackend : public CheckpointBackend {
  public:
   explicit MemoryBackend(SimContext* sim, std::string name = "memory")
-      : sim_(sim), name_(std::move(name)) {}
+      : sim_(sim), name_(std::move(name)), flusher_(sim->FlushLanes()) {}
 
   struct ObjectImage {
     uint64_t size = 0;
@@ -186,11 +176,6 @@ class MemoryBackend : public CheckpointBackend {
   };
 
   const std::string& name() const override { return name_; }
-  void SetFlushLanes(int lanes) override {
-    // Reconfiguring is a barrier: new lanes all start where the old
-    // schedule would have drained, so no queued work is forgotten.
-    flusher_ = LaneSchedule(lanes, flusher_.Makespan());
-  }
   uint64_t current_epoch() const override { return epoch_; }
   [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override;
   [[nodiscard]] Result<Oid> PersistNamespace(Oid /*replaces*/) override { return kInvalidOid; }
@@ -242,10 +227,11 @@ class MemoryBackend : public CheckpointBackend {
   std::string name_;
   uint64_t next_oid_ = 1;
   uint64_t epoch_ = 1;
-  // Asynchronous flusher lanes: each object's copy lands on the least-loaded
-  // lane and starts no earlier than that lane's previous drain, so
-  // back-to-back checkpoints queue up. One lane = the serial flusher.
-  LaneSchedule flusher_{1};
+  // Asynchronous flusher lanes, one per machine flush lane: each object's
+  // copy lands on the least-loaded lane and starts no earlier than that
+  // lane's previous drain, so back-to-back checkpoints queue up. One lane =
+  // the serial flusher.
+  LaneSchedule flusher_;
   std::map<uint64_t, ObjectImage> objects_;
   std::vector<ImageRecord> images_;
 };
@@ -435,7 +421,11 @@ class ReplicaBackend : public CheckpointBackend {
  public:
   ReplicaBackend(SimContext* sim, ReplicaStandby* standby, ReplicaLink* link,
                  std::string name = "replica")
-      : sim_(sim), standby_(standby), link_(link), name_(std::move(name)) {}
+      : sim_(sim),
+        standby_(standby),
+        link_(link),
+        name_(std::move(name)),
+        lanes_(sim->FlushLanes()) {}
 
   // Crash fuse: the primary dies after pushing `n` more frames. Later
   // backend calls fail kUnavailable; the wire prefix stays deliverable.
@@ -450,7 +440,6 @@ class ReplicaBackend : public CheckpointBackend {
   [[nodiscard]] Status SendHeartbeat();
 
   const std::string& name() const override { return name_; }
-  void SetFlushLanes(int lanes) override { lanes_ = LaneSchedule(lanes, lanes_.Makespan()); }
   uint64_t current_epoch() const override { return epoch_; }
   [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override;
   [[nodiscard]] Result<Oid> PersistNamespace(Oid /*replaces*/) override { return kInvalidOid; }
@@ -496,7 +485,7 @@ class ReplicaBackend : public CheckpointBackend {
   ReplicaStandby* standby_;
   ReplicaLink* link_;
   std::string name_;
-  LaneSchedule lanes_{1};
+  LaneSchedule lanes_;  // one NIC stream per machine flush lane
   SimTime wire_busy_ = 0;  // the wire's byte time, shared by every lane
   uint64_t epoch_ = 1;
   uint64_t attempt_ = 0;   // bumped when an epoch stream (re)starts

@@ -70,13 +70,6 @@ Status SlsCli::SetInFlightEpochs(const std::string& group_name, uint32_t limit) 
   return Status::Ok();
 }
 
-Result<int> SlsCli::SetFlushLanes(int lanes) {
-  if (lanes < 1) {
-    return Status::Error(Errc::kInvalidArgument, "flush lane count must be >= 1");
-  }
-  return sls_->SetFlushLanes(lanes);
-}
-
 std::vector<std::string> SlsCli::Ps() {
   std::vector<std::string> out;
   for (ConsistencyGroup* group : sls_->Groups()) {

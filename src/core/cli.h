@@ -55,10 +55,6 @@ class SlsCli {
   // periodic checkpoints. 1 (default) = a new epoch never starts before the
   // previous flush is durable; 2 = one flush may still be in flight.
   [[nodiscard]] Status SetInFlightEpochs(const std::string& group_name, uint32_t limit);
-  // sls ckpt --flush-lanes=<n>: fans checkpoint flush / eager restore over n
-  // cores, each driving its own device queue (machine-wide, all backends).
-  // Returns the applied value, clamped to [1, ncpus].
-  [[nodiscard]] Result<int> SetFlushLanes(int lanes);
   // sls ps: human-readable listing of groups and their checkpoints.
   std::vector<std::string> Ps();
   // sls stat: human-readable snapshot of the machine-wide metrics registry —

@@ -18,6 +18,8 @@ Sls::Sls(SimContext* sim, Kernel* kernel, ObjectStore* store, AuroraFs* fs)
     : sim_(sim), kernel_(kernel), store_(store), fs_(fs) {
   kernel_->set_rootfs(fs_);
   store_backend_ = RegisterBackend(std::make_unique<StoreBackend>(sim_, store_, fs_));
+  // The machine's flush width, fixed when it was built.
+  sim_->metrics.gauge("flush.lanes").Set(static_cast<int64_t>(sim_->FlushLanes()));
 }
 
 Sls::~Sls() = default;
@@ -34,16 +36,6 @@ CheckpointBackend* Sls::FindBackend(const std::string& name) {
     }
   }
   return nullptr;
-}
-
-int Sls::SetFlushLanes(int lanes) {
-  lanes = std::max(1, std::min(lanes, sim_->ncpus));
-  sim_->flush_lanes = lanes;
-  for (auto& b : backends_) {
-    b->SetFlushLanes(lanes);
-  }
-  sim_->metrics.gauge("flush.lanes").Set(static_cast<int64_t>(lanes));
-  return lanes;
 }
 
 Status Sls::SetBackend(ConsistencyGroup* group, const std::string& backend_name) {
@@ -896,7 +888,8 @@ void Sls::RebindToStream(ConsistencyGroup* group) {
 Result<RestoreResult> Sls::RunRestore(RestoreContext* ctx) {
   SimStopwatch watch(sim_->clock);
   sim_->tracer.NewScope();
-  size_t restore_span = sim_->tracer.Begin("restore");
+  // Closes on every exit: a failed stage ends the span where it failed.
+  ScopedSpan restore_span(&sim_->tracer, "restore");
   ctx->old_group = FindGroup(ctx->group_name);
 
   // Load + resolver-build run before teardown: early failures (missing
@@ -912,7 +905,6 @@ Result<RestoreResult> Sls::RunRestore(RestoreContext* ctx) {
     sim_->clock.AdvanceTo(*ctx->stream_done);
   }
   ctx->result.restore_time = watch.Elapsed();
-  sim_->tracer.End(restore_span);
   sim_->metrics.counter("restore.restores").Add();
   sim_->metrics.histogram("restore.time").Record(ctx->result.restore_time);
   return ctx->result;
@@ -1000,15 +992,19 @@ Result<CheckpointResult> Sls::MemCheckpoint(Process* proc, uint64_t addr) {
   // Asynchronous flush of the shadowed region, then a manifest-less backend
   // commit so the atomic checkpoint is independently durable and composes
   // with the most recent full checkpoint at restore.
-  AURORA_ASSIGN_OR_RETURN(
-      SimTime flushed,
-      backend->WriteObjectPages(oid, pair.frozen.get(), &result.pages_flushed,
-                                &result.bytes_flushed));
+  Result<SimTime> flushed = backend->WriteObjectPages(oid, pair.frozen.get(),
+                                                      &result.pages_flushed, &result.bytes_flushed);
+  Result<CheckpointBackend::CommitInfo> commit =
+      flushed.ok() ? backend->CommitEpoch("memckpt", {}, kInvalidOid) : flushed.status();
+  if (!commit.ok()) {
+    // The region's oid may already count as persisted, so a chain walk would
+    // skip the frozen shadow: keep it owed the way an aborted epoch does.
+    group->unflushed_frozen.push_back(std::move(pair));
+    return commit.status();
+  }
   group->persisted_oids.insert(oid.value);
-  AURORA_ASSIGN_OR_RETURN(CheckpointBackend::CommitInfo commit,
-                          backend->CommitEpoch("memckpt", {}, kInvalidOid));
-  result.epoch = commit.epoch;
-  result.durable_at = std::max(flushed, commit.durable_at);
+  result.epoch = commit->epoch;
+  result.durable_at = std::max(*flushed, commit->durable_at);
   last_durable_[group] = std::max(last_durable_[group], result.durable_at);
   group->pending_collapse.push_back(pair);
   sim_->metrics.counter("ckpt.memckpts").Add();

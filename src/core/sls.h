@@ -119,11 +119,6 @@ class Sls {
   // the group has no checkpoint state (fresh or just restored through the
   // same backend) — mixing destinations mid-chain would strand pages.
   [[nodiscard]] Status SetBackend(ConsistencyGroup* group, const std::string& backend_name);
-  // Fans checkpoint flush and eager restore across `lanes` cores, each
-  // driving its own device submission queue / flusher / NIC stream, on every
-  // registered backend. Clamped to [1, ncpus]; 1 (the default) is the exact
-  // serial timeline. Returns the clamped value.
-  int SetFlushLanes(int lanes);
 
   // --- Checkpoint / restore ------------------------------------------------
   [[nodiscard]] Result<CheckpointResult> Checkpoint(ConsistencyGroup* group,
@@ -164,7 +159,10 @@ class Sls {
 
   // --- Aurora API (Table 3) ------------------------------------------------
   // sls_memckpt: atomic asynchronous checkpoint of the region containing
-  // `addr`, without whole-application serialization.
+  // `addr`, without whole-application serialization. When the flush or the
+  // commit fails (the device gave up after its retries), the call returns
+  // that error, and the region's frozen pages stay owed to the group: they
+  // flush with its next full checkpoint, as an aborted epoch's do.
   [[nodiscard]] Result<CheckpointResult> MemCheckpoint(Process* proc, uint64_t addr);
   // sls_journal: non-COW synchronous journal objects.
   [[nodiscard]] Result<Oid> JournalCreate(uint64_t capacity_bytes);

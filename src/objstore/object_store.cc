@@ -11,27 +11,41 @@
 namespace aurora {
 
 ObjectStore::ObjectStore(BlockDevice* device, SimContext* sim, StoreOptions options)
-    : device_(device), sim_(sim), retry_(IoRetryPolicy::FromCost(sim->cost)) {
+    : device_(device),
+      sim_(sim),
+      retry_(IoRetryPolicy::FromCost(sim->cost)),
+      lanes_(sim->FlushLanes()) {
   meta_.options = options;
 }
 
 // --- Device IO with bounded retry --------------------------------------------
 
-Result<SimTime> ObjectStore::DevWrite(uint32_t queue, uint64_t lba, const void* data,
-                                      uint32_t ndev) {
-  return RetryIo(sim_, retry_, [&] { return device_->WriteAsyncOn(queue, lba, data, ndev); });
+namespace {
+// The completion rule of every store I/O: a caller without a completion
+// waits for the device, any other caller collects the latest completion.
+Status Complete(SimClock* clock, const Result<SimTime>& done, SimTime* completion) {
+  if (!done.ok()) {
+    return done.status();
+  }
+  if (completion == nullptr) {
+    clock->AdvanceTo(*done);
+  } else {
+    *completion = std::max(*completion, *done);
+  }
+  return Status::Ok();
+}
+}  // namespace
+
+Status ObjectStore::DevWrite(uint32_t queue, uint64_t lba, const void* data, uint32_t ndev,
+                             SimTime* completion) {
+  auto submit = [&] { return device_->WriteAsync(queue, lba, data, ndev); };
+  return Complete(&sim_->clock, RetryIo(sim_, retry_, submit), completion);
 }
 
-Result<SimTime> ObjectStore::DevRead(uint32_t queue, uint64_t lba, void* out, uint32_t ndev) {
-  return RetryIo(sim_, retry_, [&] { return device_->ReadAsyncOn(queue, lba, out, ndev); });
-}
-
-Status ObjectStore::DevWriteSync(uint64_t lba, const void* data, uint32_t ndev) {
-  return RetryIo(sim_, retry_, [&] { return device_->WriteSync(lba, data, ndev); });
-}
-
-Status ObjectStore::DevReadSync(uint64_t lba, void* out, uint32_t ndev) {
-  return RetryIo(sim_, retry_, [&] { return device_->ReadSync(lba, out, ndev); });
+Status ObjectStore::DevRead(uint32_t queue, uint64_t lba, void* out, uint32_t ndev,
+                            SimTime* completion) {
+  auto submit = [&] { return device_->ReadAsync(queue, lba, out, ndev); };
+  return Complete(&sim_->clock, RetryIo(sim_, retry_, submit), completion);
 }
 
 Status ObjectStore::VerifyBlockCrc(const Extent& extent, const uint8_t* data) {
@@ -46,7 +60,7 @@ Status ObjectStore::VerifyBlockCrc(const Extent& extent, const uint8_t* data) {
 
 Status ObjectStore::ReadBlockVerified(uint64_t phys, uint32_t crc, uint32_t stored_len,
                                       uint8_t* buf) {
-  AURORA_RETURN_IF_ERROR(DevReadSync(DevLba(phys), buf, DevBlocksForStored(stored_len)));
+  AURORA_RETURN_IF_ERROR(DevRead(0, DevLba(phys), buf, DevBlocksForStored(stored_len), nullptr));
   return VerifyBlockCrc(Extent{phys, 0, crc, stored_len, 0}, buf);
 }
 
@@ -75,33 +89,19 @@ Status ObjectStore::DecodeStored(const Extent& extent, const uint8_t* stored, ui
   return codec->Decompress(stored, extent.stored_len, block, block_size());
 }
 
-Status ObjectStore::LoadExtentSync(const Extent& extent, uint64_t phys, uint8_t* block) {
-  if (extent.stored_len == 0) {
-    AURORA_RETURN_IF_ERROR(DevReadSync(DevLba(phys), block, DevBlocksPerStoreBlock()));
-    return DecodeStored(extent, block, block);
+Status ObjectStore::LoadExtent(uint32_t queue, const Extent& extent, uint64_t phys,
+                               uint8_t* block, SimTime* completion) {
+  // A raw extent reads straight into `block`; a coded one into a scratch
+  // buffer of its stored span.
+  const uint32_t ndev = DevBlocksForStored(extent.stored_len);
+  std::vector<uint8_t> scratch;
+  uint8_t* stored = block;
+  if (extent.stored_len != 0) {
+    scratch.resize(static_cast<size_t>(ndev) * device_->block_size());
+    stored = scratch.data();
   }
-  std::vector<uint8_t> scratch(static_cast<size_t>(DevBlocksForStored(extent.stored_len)) *
-                               device_->block_size());
-  AURORA_RETURN_IF_ERROR(
-      DevReadSync(DevLba(phys), scratch.data(), DevBlocksForStored(extent.stored_len)));
-  return DecodeStored(extent, scratch.data(), block);
-}
-
-Result<SimTime> ObjectStore::LoadExtentAsync(uint32_t queue, const Extent& extent, uint64_t phys,
-                                             uint8_t* block) {
-  if (extent.stored_len == 0) {
-    AURORA_ASSIGN_OR_RETURN(SimTime done,
-                            DevRead(queue, DevLba(phys), block, DevBlocksPerStoreBlock()));
-    AURORA_RETURN_IF_ERROR(DecodeStored(extent, block, block));
-    return done;
-  }
-  std::vector<uint8_t> scratch(static_cast<size_t>(DevBlocksForStored(extent.stored_len)) *
-                               device_->block_size());
-  AURORA_ASSIGN_OR_RETURN(
-      SimTime done,
-      DevRead(queue, DevLba(phys), scratch.data(), DevBlocksForStored(extent.stored_len)));
-  AURORA_RETURN_IF_ERROR(DecodeStored(extent, scratch.data(), block));
-  return done;
+  AURORA_RETURN_IF_ERROR(DevRead(queue, DevLba(phys), stored, ndev, completion));
+  return DecodeStored(extent, stored, block);
 }
 
 Result<std::unique_ptr<ObjectStore>> ObjectStore::Format(BlockDevice* device, SimContext* sim,
@@ -145,15 +145,15 @@ Result<std::unique_ptr<ObjectStore>> ObjectStore::Format(BlockDevice* device, Si
 }
 
 Result<std::unique_ptr<ObjectStore>> ObjectStore::Open(BlockDevice* device, SimContext* sim) {
+  // One store mounts the first candidate whose blob verifies; until then it
+  // holds just the candidate's geometry, which ReadMeta reads against.
+  auto store = std::unique_ptr<ObjectStore>(new ObjectStore(device, sim, StoreOptions()));
   // Scan the superblock ring; prefer the highest epoch whose metadata blob
   // also verifies. A torn commit leaves the previous checkpoint intact.
   std::vector<Superblock> candidates;
-  IoRetryPolicy policy = IoRetryPolicy::FromCost(sim->cost);
   std::vector<uint8_t> buf(device->block_size());
   for (int slot = 0; slot < kSuperSlots; slot++) {
-    if (!RetryIo(sim, policy, [&] {
-           return device->ReadSync(static_cast<uint64_t>(slot), buf.data(), 1);
-         }).ok()) {
+    if (!store->DevRead(0, static_cast<uint64_t>(slot), buf.data(), 1, nullptr).ok()) {
       continue;
     }
     auto sb = DecodeSuperblock(buf.data(), buf.size(), device->block_size(),
@@ -164,9 +164,6 @@ Result<std::unique_ptr<ObjectStore>> ObjectStore::Open(BlockDevice* device, SimC
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const Superblock& a, const Superblock& b) { return a.epoch > b.epoch; });
-  // One store mounts the first candidate whose blob verifies; until then it
-  // holds just the candidate's geometry, which ReadMeta reads against.
-  auto store = std::unique_ptr<ObjectStore>(new ObjectStore(device, sim, StoreOptions()));
   for (const Superblock& sb : candidates) {
     store->meta_.options.block_size = sb.block_size;
     store->meta_.total_blocks = sb.total_blocks;
@@ -183,11 +180,6 @@ Result<std::unique_ptr<ObjectStore>> ObjectStore::Open(BlockDevice* device, SimC
     // pointer references an evacuated (zombie) segment — it comes back free.
     for (Segment& seg : m.segments) {
       seg = MountSegState(seg.state, seg.lane, seg.cursor);
-    }
-    for (const auto& [lane, seg] : m.open_data_seg) {
-      if (lane != kGcLane && lane < store->flush_lanes_) {
-        store->queue_hints_.HintOpenSegment(static_cast<int>(lane), seg);
-      }
     }
     // The dedup index's reverse map is derived state, rebuilt here rather
     // than persisted.
@@ -206,8 +198,9 @@ Result<std::unique_ptr<ObjectStore>> ObjectStore::Open(BlockDevice* device, SimC
 Result<StoreMeta> ObjectStore::ReadMeta(uint64_t meta_block, uint64_t meta_len) {
   uint64_t nblocks = MetaRunBlocks(meta_len, block_size());
   std::vector<uint8_t> raw(nblocks * block_size());
-  AURORA_RETURN_IF_ERROR(DevReadSync(DevLba(meta_block), raw.data(),
-                                     static_cast<uint32_t>(nblocks * DevBlocksPerStoreBlock())));
+  AURORA_RETURN_IF_ERROR(DevRead(0, DevLba(meta_block), raw.data(),
+                                 static_cast<uint32_t>(nblocks * DevBlocksPerStoreBlock()),
+                                 nullptr));
   return DecodeMeta(raw.data(), meta_len, block_size(), meta_.total_blocks);
 }
 
@@ -323,11 +316,6 @@ Result<uint64_t> ObjectStore::AppendBlock(uint32_t lane) {
     }
     AURORA_ASSIGN_OR_RETURN(uint64_t seg, AllocSegment(SegState::kOpen, lane));
     it = meta_.open_data_seg.insert_or_assign(lane, seg).first;
-    if (lane != kGcLane) {
-      // Segment-aware striping hint: this queue now owns an open appender,
-      // so background GC writes should steer elsewhere.
-      queue_hints_.HintOpenSegment(static_cast<int>(lane), seg);
-    }
   }
   Segment& seg = meta_.segments[it->second];
   uint64_t phys = SegBase(it->second) + seg.cursor;
@@ -564,7 +552,8 @@ Result<SimTime> ObjectStore::StoreBlockCow(uint32_t lane, const uint8_t* block, 
     payload = padded.data();
   }
   AURORA_ASSIGN_OR_RETURN(uint64_t phys, AppendBlock(lane));
-  AURORA_ASSIGN_OR_RETURN(SimTime wdone, DevWrite(lane, DevLba(phys), payload, ndev));
+  SimTime wdone = sim_->clock.now();
+  AURORA_RETURN_IF_ERROR(DevWrite(lane, DevLba(phys), payload, ndev, &wdone));
   stats_.bytes_stored += static_cast<uint64_t>(ndev) * dev_bs;
   if (lane_bytes != nullptr) {
     *lane_bytes += static_cast<uint64_t>(ndev) * dev_bs;
@@ -750,30 +739,6 @@ std::vector<Oid> ObjectStore::ListObjects() const {
   return out;
 }
 
-void ObjectStore::SetFlushLanes(uint32_t lanes) {
-  if (lanes < 1) {
-    lanes = 1;
-  }
-  flush_lanes_ = lanes;
-  lane_last_done_.assign(lanes, sim_->clock.now());
-  device_->SetQueueCount(lanes);
-  queue_hints_ = LaneSchedule(static_cast<int>(lanes), sim_->clock.now());
-  // Lanes that no longer exist will never append again; seal their open
-  // segments so the compactor can consider them instead of stranding them.
-  for (auto it = meta_.open_data_seg.begin(); it != meta_.open_data_seg.end();) {
-    if (it->first != kGcLane && it->first >= lanes) {
-      SegTransition(it->second, SegState::kSealed);
-      sim_->metrics.counter("store.segments_sealed").Add();
-      it = meta_.open_data_seg.erase(it);
-    } else {
-      if (it->first != kGcLane) {
-        queue_hints_.HintOpenSegment(static_cast<int>(it->first), it->second);
-      }
-      ++it;
-    }
-  }
-}
-
 uint32_t ObjectStore::NextFlushLane() {
   // Deterministic but decorrelated from physical placement: sequential
   // AppendBlock numbers stripe over the array's children with the same linear
@@ -785,7 +750,7 @@ uint32_t ObjectStore::NextFlushLane() {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   z ^= z >> 31;
-  return static_cast<uint32_t>(z % flush_lanes_);
+  return static_cast<uint32_t>(z % static_cast<uint64_t>(lanes_.lanes()));
 }
 
 void ObjectStore::RecordLaneIo(uint32_t lane, uint64_t bytes, SimTime done) {
@@ -793,60 +758,11 @@ void ObjectStore::RecordLaneIo(uint32_t lane, uint64_t bytes, SimTime done) {
   sim_->metrics.counter(prefix + ".bytes").Add(bytes);
   // Busy time: how much this I/O extended the lane's timeline beyond where
   // it already stood (idle gaps are not busy).
-  SimTime since = std::max(lane_last_done_[lane], sim_->clock.now());
+  SimTime since = lanes_.StartOn(static_cast<int>(lane), sim_->clock.now());
   if (done > since) {
     sim_->metrics.counter(prefix + ".busy_time").Add(static_cast<uint64_t>(done - since));
   }
-  lane_last_done_[lane] = std::max(lane_last_done_[lane], done);
-  queue_hints_.Occupy(static_cast<int>(lane), done);
-}
-
-Result<SimTime> ObjectStore::WriteAt(Oid oid, uint64_t off, const void* data, uint64_t len) {
-  AURORA_ASSIGN_OR_RETURN(ObjectInfo * info, FindObject(oid));
-  if (info->non_cow) {
-    return Status::Error(Errc::kInvalidArgument, "journal objects use JournalAppend");
-  }
-  const uint32_t bs = block_size();
-  const auto* src = static_cast<const uint8_t*>(data);
-  SimTime done = sim_->clock.now();
-  std::vector<uint8_t> buf(bs);
-  uint64_t pos = off;
-  uint64_t remaining = len;
-  while (remaining > 0) {
-    uint64_t logical = pos / bs;
-    uint64_t in_block = pos % bs;
-    uint64_t chunk = std::min<uint64_t>(remaining, bs - in_block);
-
-    auto old = info->extents.find(logical);
-    if (chunk < bs && old != info->extents.end()) {
-      // Partial overwrite of an existing block: COW read-modify-write. The
-      // CRC check keeps a silently corrupted block from being folded into
-      // the rewrite and laundered under a fresh checksum.
-      AURORA_RETURN_IF_ERROR(LoadExtentSync(old->second, old->second.phys, buf.data()));
-    } else {
-      std::memset(buf.data(), 0, bs);
-    }
-    std::memcpy(buf.data() + in_block, src, chunk);
-
-    Extent ext;
-    AURORA_ASSIGN_OR_RETURN(SimTime wdone,
-                            StoreBlockCow(NextFlushLane(), buf.data(), &ext, nullptr));
-    done = std::max(done, wdone);
-
-    if (old != info->extents.end()) {
-      KillExtent(old->second);
-      old->second = ext;
-    } else {
-      info->extents[logical] = ext;
-    }
-    pos += chunk;
-    src += chunk;
-    remaining -= chunk;
-  }
-  info->size = std::max(info->size, off + len);
-  last_data_write_done_ = std::max(last_data_write_done_, done);
-  sim_->metrics.counter("store.bytes_written").Add(len);
-  return done;
+  lanes_.Occupy(static_cast<int>(lane), done);
 }
 
 Result<SimTime> ObjectStore::WriteAtBatch(Oid oid, const std::vector<IoRun>& runs) {
@@ -890,11 +806,9 @@ Result<SimTime> ObjectStore::WriteAtBatch(Oid oid, const std::vector<IoRun>& run
     if (old != info->extents.end() && covered < bs) {
       // Asynchronous RMW read: data is host-resident; the device time folds
       // into this block's write completion rather than stalling the caller.
-      auto rdone = LoadExtentAsync(lane, old->second, old->second.phys, buf.data());
-      if (!rdone.ok()) {
-        return rdone.status();
-      }
-      done = std::max(done, *rdone);
+      // The CRC check keeps a silently corrupted block from being folded
+      // into the rewrite and laundered under a fresh checksum.
+      AURORA_RETURN_IF_ERROR(LoadExtent(lane, old->second, old->second.phys, buf.data(), &done));
       lane_bytes += static_cast<uint64_t>(DevBlocksForStored(old->second.stored_len)) *
                     device_->block_size();
       sim_->metrics.counter("store.rmw_folds").Add();
@@ -903,10 +817,10 @@ Result<SimTime> ObjectStore::WriteAtBatch(Oid oid, const std::vector<IoRun>& run
     }
     for (const IoRun& r : block_runs) {
       std::memcpy(buf.data() + (r.off % bs), r.data, r.len);
-      sim_->metrics.counter("store.bytes_written").Add(r.len);
     }
     Extent ext;
     AURORA_ASSIGN_OR_RETURN(SimTime wdone, StoreBlockCow(lane, buf.data(), &ext, &lane_bytes));
+    sim_->metrics.counter("store.bytes_written").Add(covered);
     done = std::max(done, wdone);
     if (lane_bytes > 0) {
       RecordLaneIo(lane, lane_bytes, wdone);
@@ -940,9 +854,7 @@ Status ObjectStore::WriteSuperblock(uint64_t meta_block, uint64_t meta_len, SimT
   std::vector<uint8_t> raw = EncodeSuperblock(sb);
   raw.resize(device_->block_size(), 0);
   uint64_t slot = meta_.epoch % kSuperSlots;
-  AURORA_ASSIGN_OR_RETURN(SimTime t, DevWrite(0, slot, raw.data(), 1));
-  *done = t;
-  return Status::Ok();
+  return DevWrite(0, slot, raw.data(), 1, done);
 }
 
 Result<SimTime> ObjectStore::CommitCheckpoint(const std::string& name) {
@@ -966,26 +878,26 @@ Result<SimTime> ObjectStore::CommitCheckpoint(const std::string& name) {
 
   std::vector<uint8_t> padded(nblocks * block_size(), 0);
   std::memcpy(padded.data(), blob.data(), blob.size());
-  auto meta_wrote = DevWrite(0, DevLba(meta_block), padded.data(),
-                             static_cast<uint32_t>(nblocks * DevBlocksPerStoreBlock()));
+  // Durability covers every data write of the epoch plus the metadata and
+  // superblock writes below.
+  SimTime done = last_data_write_done_;
+  Status meta_wrote = DevWrite(0, DevLba(meta_block), padded.data(),
+                               static_cast<uint32_t>(nblocks * DevBlocksPerStoreBlock()), &done);
   if (!meta_wrote.ok()) {
     // A failed commit leaves the epoch open for another attempt; it must not
     // leak its metadata blocks or record a checkpoint nobody can read.
     FreeMetaRun(meta_block, nblocks);
-    return meta_wrote.status();
+    return meta_wrote;
   }
-  SimTime meta_done = *meta_wrote;
 
   meta_.checkpoints.push_back(record);
-  SimTime super_done = 0;
-  Status super = WriteSuperblock(meta_block, blob.size(), &super_done);
+  Status super = WriteSuperblock(meta_block, blob.size(), &done);
   if (!super.ok()) {
     meta_.checkpoints.pop_back();
     FreeMetaRun(meta_block, nblocks);
     return super;
   }
 
-  SimTime done = std::max({meta_done, super_done, last_data_write_done_});
   meta_.epoch++;
   stats_.commits++;
   sim_->metrics.counter("store.commits").Add();
@@ -1102,15 +1014,12 @@ Status ObjectStore::ReadExtents(const ObjectInfo& info, uint64_t view_epoch, uin
       // The recorded location translates through the relocation map in case
       // GC moved the block after the viewed epoch committed.
       uint64_t phys = TranslatePhys(ext->second.phys, view_epoch);
-      if (completion != nullptr) {
-        // Streaming restore: reads pipeline, and with flush lanes configured
-        // they also fan out over the device submission queues.
-        AURORA_ASSIGN_OR_RETURN(SimTime t,
-                                LoadExtentAsync(NextFlushLane(), ext->second, phys, buf.data()));
-        done = std::max(done, t);
-      } else {
-        AURORA_RETURN_IF_ERROR(LoadExtentSync(ext->second, phys, buf.data()));
-      }
+      // Streaming restore (a completion to report) pipelines its reads over
+      // the flush lanes' submission queues; a synchronous read waits on
+      // queue 0.
+      bool stream = completion != nullptr;
+      AURORA_RETURN_IF_ERROR(LoadExtent(stream ? NextFlushLane() : 0, ext->second, phys,
+                                        buf.data(), stream ? &done : nullptr));
       std::memcpy(dst, buf.data() + in_block, chunk);
     }
     pos += chunk;
@@ -1212,7 +1121,7 @@ Result<Oid> ObjectStore::CreateJournal(uint64_t capacity_bytes) {
   info.journal_write_off = dev_bs;  // record area starts after the header
   // Persist the initial generation.
   auto header = EncodeJournalHeader(info.journal_gen, dev_bs);
-  AURORA_RETURN_IF_ERROR(DevWriteSync(DevLba(start), header.data(), 1));
+  AURORA_RETURN_IF_ERROR(DevWrite(0, DevLba(start), header.data(), 1, nullptr));
   meta_.objects[oid] = std::move(info);
   return oid;
 }
@@ -1230,11 +1139,11 @@ Status ObjectStore::JournalAppend(Oid oid, const void* data, uint64_t len) {
   uint64_t lba = DevLba(info->journal_start) + info->journal_write_off / dev_bs;
   // Synchronous in-place write: this is the 28 us path of section 7. The
   // caller blocks for the full command, so there is no cross-device
-  // pipelining; charge the calibrated synchronous rate.
-  auto submitted = DevWrite(0, lba, buf.data(), static_cast<uint32_t>(padded / dev_bs));
-  if (!submitted.ok()) {
-    return submitted.status();
-  }
+  // pipelining; it is charged the calibrated synchronous rate instead of the
+  // striped device's completion.
+  SimTime device_done = 0;
+  AURORA_RETURN_IF_ERROR(
+      DevWrite(0, lba, buf.data(), static_cast<uint32_t>(padded / dev_bs), &device_done));
   sim_->clock.Advance(sim_->cost.NvmeWrite(padded));
   info->journal_write_off += padded;
   info->journal_next_seq++;
@@ -1251,7 +1160,7 @@ Status ObjectStore::JournalReset(Oid oid) {
   // be acknowledged; otherwise a crash could replay stale records or lose
   // acknowledged ones.
   auto header = EncodeJournalHeader(info->journal_gen, device_->block_size());
-  AURORA_RETURN_IF_ERROR(DevWriteSync(DevLba(info->journal_start), header.data(), 1));
+  AURORA_RETURN_IF_ERROR(DevWrite(0, DevLba(info->journal_start), header.data(), 1, nullptr));
   info->journal_write_off = device_->block_size();
   info->journal_next_seq = 0;
   return Status::Ok();
@@ -1271,13 +1180,13 @@ Result<ObjectStore::JournalScan> ObjectStore::ScanJournal(const ObjectInfo& info
   // The DURABLE generation comes from the header block, not the (possibly
   // stale) checkpointed metadata.
   std::vector<uint8_t> block(dev_bs);
-  AURORA_RETURN_IF_ERROR(DevReadSync(base, block.data(), 1));
+  AURORA_RETURN_IF_ERROR(DevRead(0, base, block.data(), 1, nullptr));
   if (auto gen = DecodeJournalHeader(block.data(), block.size()); gen.ok()) {
     scan.gen = *gen;
   }
   while (scan.end + dev_bs <= capacity) {
     uint64_t lba = base + scan.end / dev_bs;
-    AURORA_RETURN_IF_ERROR(DevReadSync(lba, block.data(), 1));
+    AURORA_RETURN_IF_ERROR(DevRead(0, lba, block.data(), 1, nullptr));
     auto head = DecodeJournalRecordHead(block.data(), block.size(), dev_bs);
     if (!head.ok() || head->gen != scan.gen || head->seq != scan.records.size() ||
         head->span > capacity - scan.end) {
@@ -1285,7 +1194,7 @@ Result<ObjectStore::JournalScan> ObjectStore::ScanJournal(const ObjectInfo& info
     }
     std::vector<uint8_t> full(head->span);
     AURORA_RETURN_IF_ERROR(
-        DevReadSync(lba, full.data(), static_cast<uint32_t>(head->span / dev_bs)));
+        DevRead(0, lba, full.data(), static_cast<uint32_t>(head->span / dev_bs), nullptr));
     auto payload = DecodeJournalPayload(*head, full.data(), full.size());
     if (!payload.ok()) {
       break;  // torn record: everything before it is the durable prefix

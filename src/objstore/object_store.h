@@ -99,38 +99,33 @@ class ObjectStore {
   std::vector<Oid> ListObjects() const;
 
   // Byte-granularity COW I/O against the current (uncommitted) epoch.
-  // WriteAt returns the simulated device completion time so checkpoint
+  // Writes return the simulated device completion time so checkpoint
   // flushes can overlap writes and wait for the latest completion only.
-  [[nodiscard]] Result<SimTime> WriteAt(Oid oid, uint64_t off, const void* data, uint64_t len);
-  [[nodiscard]] Status ReadAt(Oid oid, uint64_t off, void* out, uint64_t len);
-
-  // Batched sub-block COW update: all runs touching one store block are
-  // folded into a single read-modify-write of that block, and the RMW reads
-  // are asynchronous. This is the checkpoint flusher's path — page-granular
-  // dirty sets must not cause one 64 KiB rewrite per 4 KiB page, nor
-  // foreground stalls on device reads.
+  //
+  // WriteAtBatch is the store's one block-write loop. All runs touching one
+  // store block fold into a single read-modify-write of that block, and the
+  // RMW reads are asynchronous: page-granular dirty sets must not cause one
+  // 64 KiB rewrite per 4 KiB page, nor foreground stalls on device reads.
+  // Each store block is one flush lane's unit of work; the machine's lanes
+  // (SimContext::flush_lanes) fan the blocks over device submission queues.
+  // Block placement (AppendBlock call order) and contents do not depend on
+  // the lane count, so the stored bytes are identical for any lane count;
+  // only completion times change. WriteAt is its one-run form.
   struct IoRun {
     uint64_t off = 0;
     const uint8_t* data = nullptr;
     uint64_t len = 0;
   };
   [[nodiscard]] Result<SimTime> WriteAtBatch(Oid oid, const std::vector<IoRun>& runs);
-
-  // --- Parallel flush lanes -------------------------------------------------
-  // Fans the flusher's store-block I/O across `lanes` device submission
-  // queues, round-robin per store block. Block placement (AppendBlock call
-  // order) and contents are unaffected, so the stored bytes are identical for
-  // any lane count; only completion times change. 1 (the default) is the
-  // historical serial timeline, exactly.
-  void SetFlushLanes(uint32_t lanes);
-  uint32_t flush_lanes() const { return flush_lanes_; }
+  [[nodiscard]] Result<SimTime> WriteAt(Oid oid, uint64_t off, const void* data, uint64_t len) {
+    return WriteAtBatch(oid, {IoRun{off, static_cast<const uint8_t*>(data), len}});
+  }
+  [[nodiscard]] Status ReadAt(Oid oid, uint64_t off, void* out, uint64_t len);
 
   // Reads from a committed checkpoint's view of the object (restore and
-  // lazy-restore paging).
-  // Reads from a committed epoch. With `completion` null the call is
-  // synchronous; otherwise reads are pipelined asynchronously and the
-  // device completion time is reported through `completion` (restore
-  // streaming).
+  // lazy-restore paging). With `completion` null the call is synchronous;
+  // otherwise reads are pipelined asynchronously and the device completion
+  // time is reported through `completion` (restore streaming).
   [[nodiscard]] Status ReadAtEpoch(uint64_t epoch, Oid oid, uint64_t off, void* out, uint64_t len,
                                    SimTime* completion = nullptr);
   [[nodiscard]] Result<uint64_t> SizeAtEpoch(uint64_t epoch, Oid oid);
@@ -221,11 +216,11 @@ class ObjectStore {
   // codec). `stored` may alias `block` for raw extents.
   [[nodiscard]] Status DecodeStored(const Extent& extent, const uint8_t* stored,
                                     uint8_t* block);
-  // Read + verify + decode an extent's block, synchronously or on an async
-  // submission queue (completion time returned).
-  [[nodiscard]] Status LoadExtentSync(const Extent& extent, uint64_t phys, uint8_t* block);
-  [[nodiscard]] Result<SimTime> LoadExtentAsync(uint32_t queue, const Extent& extent,
-                                                uint64_t phys, uint8_t* block);
+  // Read + verify + decode an extent's block on submission queue `queue`,
+  // under DevRead's completion rule. A waiting read reaches its completion
+  // before DecodeStored charges the decompression.
+  [[nodiscard]] Status LoadExtent(uint32_t queue, const Extent& extent, uint64_t phys,
+                                  uint8_t* block, SimTime* completion);
 
   // Segment-log internals.
   uint64_t SegmentOf(uint64_t block) const { return block / segment_blocks(); }
@@ -283,14 +278,15 @@ class ObjectStore {
                                          uint8_t* buf);
   void PublishSegmentGauges();
 
-  // All device IO funnels through these wrappers so transient faults are
+  // All device IO funnels through these two calls so transient faults are
   // retried with the shared bounded policy; hard errors (kCorrupt, bounds)
-  // pass through untouched. Offsets are device LBAs / device blocks.
-  [[nodiscard]] Result<SimTime> DevWrite(uint32_t queue, uint64_t lba, const void* data,
-                                         uint32_t ndev);
-  [[nodiscard]] Result<SimTime> DevRead(uint32_t queue, uint64_t lba, void* out, uint32_t ndev);
-  [[nodiscard]] Status DevWriteSync(uint64_t lba, const void* data, uint32_t ndev);
-  [[nodiscard]] Status DevReadSync(uint64_t lba, void* out, uint32_t ndev);
+  // pass through untouched. Offsets are device LBAs / device blocks. With
+  // `completion` null the call waits: the clock advances to the device's
+  // completion. Otherwise the completion folds into *completion (max).
+  [[nodiscard]] Status DevWrite(uint32_t queue, uint64_t lba, const void* data, uint32_t ndev,
+                                SimTime* completion);
+  [[nodiscard]] Status DevRead(uint32_t queue, uint64_t lba, void* out, uint32_t ndev,
+                               SimTime* completion);
   // End-to-end integrity: checks a full store block just read against the
   // CRC recorded when its extent was written. kCorrupt on mismatch.
   [[nodiscard]] Status VerifyBlockCrc(const Extent& extent, const uint8_t* data);
@@ -299,6 +295,7 @@ class ObjectStore {
   // DecodeMeta against this store's geometry. Open, historic-epoch reads
   // and the scrubber all go through it.
   [[nodiscard]] Result<StoreMeta> ReadMeta(uint64_t meta_block, uint64_t meta_len);
+  // Writes this epoch's superblock slot; its completion folds into *done.
   [[nodiscard]] Status WriteSuperblock(uint64_t meta_block, uint64_t meta_len, SimTime* done);
 
   // A journal walked from its durable generation header: the acknowledged
@@ -322,17 +319,14 @@ class ObjectStore {
   [[nodiscard]] Status ReadExtents(const ObjectInfo& info, uint64_t view_epoch, uint64_t off,
                                    void* out, uint64_t len, SimTime* completion);
 
-  // Picks the submission queue for the next flush-path store block and
-  // mirrors per-lane occupancy into the metrics registry.
+  // Picks the submission queue for the next flush-path store block, and
+  // records a block's lane I/O on the lane timeline and in the metrics.
   uint32_t NextFlushLane();
   void RecordLaneIo(uint32_t lane, uint64_t bytes, SimTime done);
-  // Device queue for GC relocation writes: the coldest queue that owns no
-  // open data segment (segment-aware striping hint), so evacuation traffic
-  // stays off the hottest flush lane. One lane = the historical queue 0.
-  uint32_t GcWriteQueue() const {
-    int lane = queue_hints_.ColdestLane();
-    return lane < 0 ? 0 : static_cast<uint32_t>(lane);
-  }
+  // Device queue for GC relocation writes: the earliest-free flush lane, so
+  // evacuation traffic queues behind the least flush work (queue 0 with one
+  // lane).
+  uint32_t GcWriteQueue() const { return static_cast<uint32_t>(lanes_.NextLane()); }
 
   BlockDevice* device_;
   SimContext* sim_;
@@ -349,16 +343,11 @@ class ObjectStore {
   // must not declare durability before it.
   SimTime last_data_write_done_ = 0;
 
-  // Flush-lane state: how many submission queues the flusher fans over, the
-  // round-robin cursor that assigns store blocks to lanes, and the previous
-  // per-lane completion (for busy-time accounting in the metrics).
-  uint32_t flush_lanes_ = 1;
+  // The machine's flush lanes, fixed when the store is built: each lane's
+  // timeline (busy-time accounting, GcWriteQueue) and the cursor that
+  // assigns store blocks to lanes.
+  LaneSchedule lanes_;
   uint64_t lane_cursor_ = 0;
-  std::vector<SimTime> lane_last_done_ = {0};
-  // Mirror of the flush lanes' occupancy plus the open-segment -> queue
-  // mapping, consulted by GcWriteQueue so background relocation lands on the
-  // coldest queue instead of colliding with an open appender.
-  LaneSchedule queue_hints_{1};
 
   // Cache of historic epoch tables for ReadAtEpoch.
   std::map<uint64_t, std::unordered_map<Oid, ObjectInfo>> epoch_cache_;

@@ -193,19 +193,19 @@ Result<GcRunReport> SegmentGc::Run() {
         break;
       }
       uint64_t new_phys = *appended;
-      // Relocation writes ride the coldest device queue (segment-aware lane
-      // hint), not queue 0 — queue 0 is usually the hottest open appender.
-      auto wrote = s->DevWrite(s->GcWriteQueue(), s->DevLba(new_phys), buf.data(),
-                               s->DevBlocksForStored(group.stored_len));
+      // Relocation writes ride the earliest-free flush lane's queue. The
+      // commit that publishes the rewritten pointer must not declare
+      // durability before the relocated data is on media, so the write's
+      // completion folds into the epoch's last data write.
+      Status wrote = s->DevWrite(s->GcWriteQueue(), s->DevLba(new_phys), buf.data(),
+                                 s->DevBlocksForStored(group.stored_len),
+                                 &s->last_data_write_done_);
       if (!wrote.ok()) {
         // Undo the append's liveness; the gap stays dead until reclaim.
         s->BitSet(new_phys, false);
         evacuated = false;
         break;
       }
-      // The commit that publishes the rewritten pointer must not declare
-      // durability before the relocated data is on media.
-      s->last_data_write_done_ = std::max(s->last_data_write_done_, *wrote);
       for (uint64_t* slot : group.slots) {
         *slot = new_phys;
       }

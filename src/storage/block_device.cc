@@ -6,7 +6,7 @@
 namespace aurora {
 
 Status BlockDevice::WriteSync(uint64_t lba, const void* data, uint32_t nblocks) {
-  auto done = WriteAsync(lba, data, nblocks);
+  auto done = WriteAsync(0, lba, data, nblocks);
   if (!done.ok()) {
     return done.status();
   }
@@ -15,7 +15,7 @@ Status BlockDevice::WriteSync(uint64_t lba, const void* data, uint32_t nblocks) 
 }
 
 Status BlockDevice::ReadSync(uint64_t lba, void* out, uint32_t nblocks) {
-  auto done = ReadAsync(lba, out, nblocks);
+  auto done = ReadAsync(0, lba, out, nblocks);
   if (!done.ok()) {
     return done.status();
   }
@@ -29,7 +29,7 @@ MemBlockDevice::MemBlockDevice(SimClock* clock, uint64_t block_count, uint32_t b
 
 SimTime MemBlockDevice::CompleteIo(uint32_t queue, uint64_t bytes, SimDuration latency,
                                    double bw, double stretch) {
-  SimTime& free_at = queue_free_[queue % queue_free_.size()];
+  SimTime& free_at = queue_free_[queue % kDeviceQueues];
   SimTime start = std::max(clock_->now(), free_at);
   if (metrics_ != nullptr) {
     // Queue occupancy: how long this command waited behind earlier transfers
@@ -53,30 +53,8 @@ SimTime MemBlockDevice::CompleteIo(uint32_t queue, uint64_t bytes, SimDuration l
   return queue_done + latency;
 }
 
-void MemBlockDevice::SetQueueCount(uint32_t queues) {
-  if (queues < 1) {
-    queues = 1;
-  }
-  // Shrinking must not lose pending occupancy: fold the dropped timelines
-  // into the surviving last queue.
-  if (queues < queue_free_.size()) {
-    SimTime tail = queue_free_[queues - 1];
-    for (size_t q = queues; q < queue_free_.size(); q++) {
-      tail = std::max(tail, queue_free_[q]);
-    }
-    queue_free_.resize(queues);
-    queue_free_[queues - 1] = tail;
-  } else {
-    queue_free_.resize(queues, clock_->now());
-  }
-}
-
-Result<SimTime> MemBlockDevice::WriteAsync(uint64_t lba, const void* data, uint32_t nblocks) {
-  return WriteAsyncOn(0, lba, data, nblocks);
-}
-
-Result<SimTime> MemBlockDevice::WriteAsyncOn(uint32_t queue, uint64_t lba, const void* data,
-                                             uint32_t nblocks) {
+Result<SimTime> MemBlockDevice::WriteAsync(uint32_t queue, uint64_t lba, const void* data,
+                                           uint32_t nblocks) {
   if (lba + nblocks > block_count_) {
     return Status::Error(Errc::kOutOfRange, "write past end of device");
   }
@@ -129,12 +107,8 @@ Result<SimTime> MemBlockDevice::WriteAsyncOn(uint32_t queue, uint64_t lba, const
                     profile_.write_bytes_per_ns, stretch);
 }
 
-Result<SimTime> MemBlockDevice::ReadAsync(uint64_t lba, void* out, uint32_t nblocks) {
-  return ReadAsyncOn(0, lba, out, nblocks);
-}
-
-Result<SimTime> MemBlockDevice::ReadAsyncOn(uint32_t queue, uint64_t lba, void* out,
-                                            uint32_t nblocks) {
+Result<SimTime> MemBlockDevice::ReadAsync(uint32_t queue, uint64_t lba, void* out,
+                                          uint32_t nblocks) {
   if (lba + nblocks > block_count_) {
     return Status::Error(Errc::kOutOfRange, "read past end of device");
   }
@@ -218,38 +192,24 @@ Result<SimTime> StripedDevice::ForEachRun(uint64_t lba, uint32_t nblocks, Op op)
   return done;
 }
 
-Result<SimTime> StripedDevice::WriteAsync(uint64_t lba, const void* data, uint32_t nblocks) {
-  return WriteAsyncOn(0, lba, data, nblocks);
-}
-
-Result<SimTime> StripedDevice::ReadAsync(uint64_t lba, void* out, uint32_t nblocks) {
-  return ReadAsyncOn(0, lba, out, nblocks);
-}
-
-Result<SimTime> StripedDevice::WriteAsyncOn(uint32_t queue, uint64_t lba, const void* data,
-                                            uint32_t nblocks) {
+Result<SimTime> StripedDevice::WriteAsync(uint32_t queue, uint64_t lba, const void* data,
+                                          uint32_t nblocks) {
   const auto* src = static_cast<const uint8_t*>(data);
   return ForEachRun(lba, nblocks,
                     [&](BlockDevice* dev, uint64_t child_lba, uint32_t offset, uint32_t run) {
-                      return dev->WriteAsyncOn(
+                      return dev->WriteAsync(
                           queue, child_lba, src + static_cast<size_t>(offset) * block_size_, run);
                     });
 }
 
-Result<SimTime> StripedDevice::ReadAsyncOn(uint32_t queue, uint64_t lba, void* out,
-                                           uint32_t nblocks) {
+Result<SimTime> StripedDevice::ReadAsync(uint32_t queue, uint64_t lba, void* out,
+                                         uint32_t nblocks) {
   auto* dst = static_cast<uint8_t*>(out);
   return ForEachRun(lba, nblocks,
                     [&](BlockDevice* dev, uint64_t child_lba, uint32_t offset, uint32_t run) {
-                      return dev->ReadAsyncOn(
+                      return dev->ReadAsync(
                           queue, child_lba, dst + static_cast<size_t>(offset) * block_size_, run);
                     });
-}
-
-void StripedDevice::SetQueueCount(uint32_t queues) {
-  for (auto& c : children_) {
-    c->SetQueueCount(queues);
-  }
 }
 
 void StripedDevice::InstallFaults(uint64_t seed, const std::vector<FaultRule>& rules) {

@@ -13,6 +13,7 @@
 #ifndef SRC_STORAGE_BLOCK_DEVICE_H_
 #define SRC_STORAGE_BLOCK_DEVICE_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -43,6 +44,12 @@ struct DeviceProfile {
   double channel_bytes_per_ns = 0;
 };
 
+// Submission queues per device, each with its own timeline from the moment
+// the device is built. Queue ids fold modulo this count, which is above the
+// paper testbed's core count (SimContext::ncpus caps the flush lanes), so
+// no two lanes share a queue there.
+inline constexpr uint32_t kDeviceQueues = 64;
+
 struct DeviceStats {
   uint64_t reads = 0;
   uint64_t writes = 0;
@@ -57,32 +64,18 @@ class BlockDevice {
   virtual uint32_t block_size() const = 0;
   virtual uint64_t block_count() const = 0;
 
-  // Submits an I/O at the current simulated time. Data moves immediately
-  // (host memory); the returned SimTime is when the device reports
-  // completion. Callers that need durability wait for it (WriteSync) or
-  // collect completion times and wait for the max (async checkpoint flush).
-  [[nodiscard]] virtual Result<SimTime> WriteAsync(uint64_t lba, const void* data,
+  // Submits an I/O on submission queue `queue` (modulo kDeviceQueues) at
+  // the current simulated time. Data moves immediately (host memory); the
+  // returned SimTime is when the device reports completion. Queues have
+  // independent timelines, so I/Os on different queues pipeline. Callers
+  // that need durability wait for the completion (WriteSync) or collect
+  // completion times and wait for the max (async checkpoint flush).
+  [[nodiscard]] virtual Result<SimTime> WriteAsync(uint32_t queue, uint64_t lba, const void* data,
                                                    uint32_t nblocks) = 0;
-  [[nodiscard]] virtual Result<SimTime> ReadAsync(uint64_t lba, void* out, uint32_t nblocks) = 0;
+  [[nodiscard]] virtual Result<SimTime> ReadAsync(uint32_t queue, uint64_t lba, void* out,
+                                                  uint32_t nblocks) = 0;
 
-  // Multi-queue submission: like Write/ReadAsync but on submission queue
-  // `queue` (modulo the configured queue count). Queues have independent
-  // timelines, so I/Os on different queues pipeline; the plain entry points
-  // are queue 0. Devices that do not model queues ignore the hint.
-  [[nodiscard]] virtual Result<SimTime> WriteAsyncOn(uint32_t queue, uint64_t lba, const void* data,
-                                                     uint32_t nblocks) {
-    (void)queue;
-    return WriteAsync(lba, data, nblocks);
-  }
-  [[nodiscard]] virtual Result<SimTime> ReadAsyncOn(uint32_t queue, uint64_t lba, void* out,
-                                                    uint32_t nblocks) {
-    (void)queue;
-    return ReadAsync(lba, out, nblocks);
-  }
-  // Resizes the submission-queue set (>= 1). Existing queue timelines are
-  // preserved where possible; a no-op on devices without queue modeling.
-  virtual void SetQueueCount(uint32_t queues) { (void)queues; }
-
+  // Queue-0 submissions that wait for their completion.
   [[nodiscard]] Status WriteSync(uint64_t lba, const void* data, uint32_t nblocks);
   [[nodiscard]] Status ReadSync(uint64_t lba, void* out, uint32_t nblocks);
 
@@ -117,14 +110,10 @@ class MemBlockDevice : public BlockDevice {
   uint32_t block_size() const override { return block_size_; }
   uint64_t block_count() const override { return block_count_; }
 
-  [[nodiscard]] Result<SimTime> WriteAsync(uint64_t lba, const void* data,
+  [[nodiscard]] Result<SimTime> WriteAsync(uint32_t queue, uint64_t lba, const void* data,
                                            uint32_t nblocks) override;
-  [[nodiscard]] Result<SimTime> ReadAsync(uint64_t lba, void* out, uint32_t nblocks) override;
-  [[nodiscard]] Result<SimTime> WriteAsyncOn(uint32_t queue, uint64_t lba, const void* data,
-                                             uint32_t nblocks) override;
-  [[nodiscard]] Result<SimTime> ReadAsyncOn(uint32_t queue, uint64_t lba, void* out,
-                                            uint32_t nblocks) override;
-  void SetQueueCount(uint32_t queues) override;
+  [[nodiscard]] Result<SimTime> ReadAsync(uint32_t queue, uint64_t lba, void* out,
+                                          uint32_t nblocks) override;
 
   SimClock* clock() override { return clock_; }
   DeviceStats stats() const override { return stats_; }
@@ -173,9 +162,10 @@ class MemBlockDevice : public BlockDevice {
   DeviceStats stats_;
   MetricsRegistry* metrics_ = nullptr;
   std::unique_ptr<FaultInjector> injector_;
-  // Per-submission-queue timelines: when each queue is free for its next
-  // transfer. One queue by default, which is the historical serial model.
-  std::vector<SimTime> queue_free_{0};
+  // Per-submission-queue timelines, all idle from construction: when each
+  // queue is free for its next transfer. A caller that uses one queue sees
+  // a serial device.
+  std::array<SimTime, kDeviceQueues> queue_free_{};
   // Shared media/PCIe occupancy across queues; only binds when the profile
   // sets channel_bytes_per_ns and more than one queue is active.
   SimTime channel_busy_ = 0;
@@ -196,14 +186,10 @@ class StripedDevice : public BlockDevice {
   uint32_t block_size() const override { return block_size_; }
   uint64_t block_count() const override { return block_count_; }
 
-  [[nodiscard]] Result<SimTime> WriteAsync(uint64_t lba, const void* data,
+  [[nodiscard]] Result<SimTime> WriteAsync(uint32_t queue, uint64_t lba, const void* data,
                                            uint32_t nblocks) override;
-  [[nodiscard]] Result<SimTime> ReadAsync(uint64_t lba, void* out, uint32_t nblocks) override;
-  [[nodiscard]] Result<SimTime> WriteAsyncOn(uint32_t queue, uint64_t lba, const void* data,
-                                             uint32_t nblocks) override;
-  [[nodiscard]] Result<SimTime> ReadAsyncOn(uint32_t queue, uint64_t lba, void* out,
-                                            uint32_t nblocks) override;
-  void SetQueueCount(uint32_t queues) override;
+  [[nodiscard]] Result<SimTime> ReadAsync(uint32_t queue, uint64_t lba, void* out,
+                                          uint32_t nblocks) override;
 
   SimClock* clock() override { return children_[0]->clock(); }
   DeviceStats stats() const override;

@@ -331,7 +331,7 @@ TEST(Dedup, QuarantinedSegmentStaysPinnedAcrossRemount) {
   uint64_t victim_phys = *before->data_phys.begin();
   uint32_t dps = kBlock / m.device.block_size();
   std::vector<uint8_t> garbage(kBlock, 0xEE);
-  ASSERT_TRUE(m.device.WriteAsync(victim_phys * dps, garbage.data(), dps).ok());
+  ASSERT_TRUE(m.device.WriteAsync(0, victim_phys * dps, garbage.data(), dps).ok());
 
   GcConfig config;
   config.utilization_threshold = 1.1;

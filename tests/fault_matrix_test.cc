@@ -15,7 +15,8 @@
 //    byte-identical to running with no injector at all.
 //  - Flush failure aborts only the in-flight epoch: the application keeps
 //    running on the last durable epoch and the dirty pages ride the next
-//    successful checkpoint.
+//    successful checkpoint. So do the pages of a failed sls_memckpt.
+//  - A restore that fails closes its trace span at the time it failed.
 //  - The scrubber finds every injected flip that lands in a committed data
 //    block, with no false positives.
 #include <gtest/gtest.h>
@@ -492,6 +493,85 @@ TEST(EpochAbort, PreviousEpochRestorableAfterAbort) {
   std::vector<uint8_t> got(128 * kKiB);
   ASSERT_TRUE(back->vm().Read(addr, got.data(), got.size()).ok());
   EXPECT_EQ(got, v1);
+}
+
+// A failed sls_memckpt must not lose the region's pages from the store: its
+// frozen shadow stays owed to the group and rides the next full checkpoint,
+// even though the region's oid already counts as persisted.
+TEST(EpochAbort, FailedMemCheckpointPagesRideTheNextCheckpoint) {
+  FaultMachine m;
+  constexpr uint64_t kRegion = 256 * kKiB;
+  Process* proc = *m.kernel->CreateProcess("app");
+  auto obj = VmObject::CreateAnonymous(kRegion);
+  uint64_t addr = *proc->vm().Map(0x400000, kRegion, kProtRead | kProtWrite, obj, 0, false);
+  ConsistencyGroup* group = *m.sls->CreateGroup("app");
+  ASSERT_TRUE(m.sls->Attach(group, proc).ok());
+
+  std::vector<uint8_t> v1(kRegion, 0x11);
+  ASSERT_TRUE(proc->vm().Write(addr, v1.data(), v1.size()).ok());
+  auto first = m.sls->Checkpoint(group, "one");
+  ASSERT_TRUE(first.ok());
+  ASSERT_FALSE(first->aborted);
+  ASSERT_TRUE(m.sls->Barrier(group).ok());
+
+  // The atomic region checkpoint runs into a total write outage.
+  std::vector<uint8_t> v2(kRegion, 0x22);
+  ASSERT_TRUE(proc->vm().Write(addr, v2.data(), v2.size()).ok());
+  m.device->InstallFaults(0x3E3C, {RateRule(0.0, 1.0)});
+  auto atomic = m.sls->MemCheckpoint(proc, addr);
+  ASSERT_FALSE(atomic.ok());
+  EXPECT_EQ(atomic.status().code(), Errc::kIoError);
+
+  // Device recovers; one more page changes and a full checkpoint commits.
+  m.device->ClearFaults();
+  std::vector<uint8_t> v3(kPageSize, 0x33);
+  ASSERT_TRUE(proc->vm().Write(addr, v3.data(), v3.size()).ok());
+  auto full = m.sls->Checkpoint(group, "two");
+  ASSERT_TRUE(full.ok()) << full.status().message();
+  ASSERT_FALSE(full->aborted);
+  ASSERT_TRUE(m.sls->Barrier(group).ok());
+
+  std::vector<uint8_t> want = v2;
+  std::copy(v3.begin(), v3.end(), want.begin());
+  std::vector<uint8_t> running(kRegion);
+  ASSERT_TRUE(proc->vm().Read(addr, running.data(), running.size()).ok());
+  ASSERT_EQ(running, want);
+
+  m.Reboot();
+  auto restored = m.sls->Restore("app");
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  std::vector<uint8_t> got(kRegion);
+  ASSERT_TRUE(restored->group->processes[0]->vm().Read(addr, got.data(), got.size()).ok());
+  EXPECT_EQ(got, want) << "the failed memckpt's pages never reached the store";
+}
+
+// A restore that fails closes its trace span where it failed, after the
+// time its retries spent, instead of leaving it open at its begin time.
+TEST(FaultMatrix, FailedRestoreClosesItsSpan) {
+  FaultMachine m;
+  Process* proc = *m.kernel->CreateProcess("app");
+  auto obj = VmObject::CreateAnonymous(128 * kKiB);
+  uint64_t addr = *proc->vm().Map(0x400000, 128 * kKiB, kProtRead | kProtWrite, obj, 0, false);
+  ConsistencyGroup* group = *m.sls->CreateGroup("app");
+  ASSERT_TRUE(m.sls->Attach(group, proc).ok());
+  std::vector<uint8_t> v1(128 * kKiB, 0x44);
+  ASSERT_TRUE(proc->vm().Write(addr, v1.data(), v1.size()).ok());
+  ASSERT_TRUE(m.sls->Checkpoint(group, "one").ok());
+  ASSERT_TRUE(m.sls->Barrier(group).ok());
+
+  // Total read outage after a reboot: the restore cannot read its manifest.
+  m.Reboot();
+  m.device->InstallFaults(0x5EAD, {RateRule(1.0, 0.0)});
+  SimTime began = m.sim.clock.now();
+  auto restored = m.sls->Restore("app");
+  ASSERT_FALSE(restored.ok());
+  SimTime failed_at = m.sim.clock.now();
+  ASSERT_GT(failed_at, began) << "the read retries must spend simulated time";
+
+  std::vector<Span> spans = m.sim.tracer.SpansNamed("restore");
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans.back().begin, began);
+  EXPECT_EQ(spans.back().end, failed_at);
 }
 
 }  // namespace

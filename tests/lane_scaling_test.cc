@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/base/sim_context.h"
@@ -19,9 +20,11 @@ namespace aurora {
 namespace {
 
 // The paper testbed: four NVMe devices striped at 64 KiB, 64 KiB store
-// blocks — the configuration SetFlushLanes fans its queues over.
+// blocks — the configuration the flush lanes fan their queues over. The
+// lane count is fixed when the machine is built.
 struct Machine {
-  Machine() {
+  explicit Machine(int lanes) {
+    sim.flush_lanes = lanes;
     device = MakePaperTestbedStore(&sim.clock, 2 * kGiB, kPageSize, &sim.metrics);
     StoreOptions options;
     options.block_size = 64 * kKiB;
@@ -51,9 +54,8 @@ struct LaneRun {
 
 // The fig3 append profile: a fresh region dirtied front to back, then one
 // full checkpoint — the flush is a single streaming burst.
-LaneRun RunAppendCheckpoint(int lanes) {
+LaneRun RunAppendCheckpoint(Machine& m) {
   constexpr uint64_t kMem = 64 * kMiB;
-  Machine m;
   Process* proc = *m.kernel->CreateProcess("append");
   auto obj = VmObject::CreateAnonymous(kMem);
   uint64_t addr = *proc->vm().Map(0x400000, kMem, kProtRead | kProtWrite, obj, 0, false);
@@ -64,7 +66,6 @@ LaneRun RunAppendCheckpoint(int lanes) {
   }
   ConsistencyGroup* group = *m.sls->CreateGroup("append");
   EXPECT_TRUE(m.sls->Attach(group, proc).ok());
-  EXPECT_EQ(m.sls->SetFlushLanes(lanes), std::min(lanes, m.sim.ncpus));
 
   SimTime t0 = m.sim.clock.now();
   auto ckpt = m.sls->Checkpoint(group, "lanes");
@@ -83,6 +84,12 @@ LaneRun RunAppendCheckpoint(int lanes) {
     run.contents.emplace(oid, std::move(data));
   }
   return run;
+}
+
+LaneRun RunAppendCheckpoint(int lanes) {
+  Machine m(lanes);
+  EXPECT_EQ(m.sim.metrics.gauge("flush.lanes").value(), lanes);
+  return RunAppendCheckpoint(m);
 }
 
 TEST(LaneScaling, MakespanMonotoneAndParallelSpeedup) {
@@ -115,6 +122,26 @@ TEST(LaneScaling, StoreContentsByteIdenticalAcrossLaneCounts) {
           << "object " << a->first.value << " diverged at lanes=" << lanes;
     }
   }
+}
+
+// A machine asked for more lanes than it has cores runs one lane per core:
+// the gauge reports the clamped width, and the flush touches no lane past it.
+TEST(LaneScaling, LaneCountClampedToNcpus) {
+  constexpr int kAsked = 64;
+  Machine m(kAsked);
+  const int ncpus = m.sim.ncpus;
+  ASSERT_LT(ncpus, kAsked);
+  EXPECT_EQ(m.sim.metrics.gauge("flush.lanes").value(), ncpus);
+
+  LaneRun run = RunAppendCheckpoint(m);
+  ASSERT_GT(run.flush_makespan, 0);
+  const auto& counters = m.sim.metrics.counters();
+  for (int lane = 0; lane < kAsked; lane++) {
+    bool used = counters.count("flush.lane" + std::to_string(lane) + ".bytes") > 0;
+    EXPECT_EQ(used, lane < ncpus) << "lane " << lane;
+  }
+  // The clamped machine flushes exactly like one built with ncpus lanes.
+  EXPECT_EQ(run.flush_makespan, RunAppendCheckpoint(ncpus).flush_makespan);
 }
 
 }  // namespace

@@ -41,8 +41,8 @@ TEST(MemBlockDevice, BoundsChecked) {
   SimClock clock;
   MemBlockDevice dev(&clock, 8);
   std::vector<uint8_t> buf(kPageSize);
-  EXPECT_FALSE(dev.WriteAsync(8, buf.data(), 1).ok());
-  EXPECT_FALSE(dev.ReadAsync(7, buf.data(), 2).ok());
+  EXPECT_FALSE(dev.WriteAsync(0, 8, buf.data(), 1).ok());
+  EXPECT_FALSE(dev.ReadAsync(0, 7, buf.data(), 2).ok());
 }
 
 TEST(MemBlockDevice, LatencyModel) {
@@ -66,7 +66,7 @@ TEST(MemBlockDevice, PipeliningOverlapsLatency) {
   // time is ~transfer-bound plus ONE latency, not 100 latencies.
   SimTime last = 0;
   for (int i = 0; i < 100; i++) {
-    auto done = dev.WriteAsync(static_cast<uint64_t>(i), buf.data(), 1);
+    auto done = dev.WriteAsync(0, static_cast<uint64_t>(i), buf.data(), 1);
     ASSERT_TRUE(done.ok());
     last = std::max(last, *done);
   }
@@ -74,6 +74,33 @@ TEST(MemBlockDevice, PipeliningOverlapsLatency) {
   // Transfer-bound plus one latency — far below 100 serialized latencies.
   EXPECT_LT(last, profile.write_latency + 400 * kMicrosecond);
   EXPECT_LT(last, 100 * profile.write_latency / 2);
+}
+
+// Every submission queue has its own timeline from the moment the device is
+// built: a write on queue 3 issued alongside one on queue 0 completes as if
+// it were alone, while two writes on queue 0 serialize.
+TEST(MemBlockDevice, QueueTimelinesIndependentFromConstruction) {
+  DeviceProfile profile;
+  std::vector<uint8_t> buf(16 * kPageSize);
+  SimClock alone_clock;
+  MemBlockDevice alone(&alone_clock, 1024);
+  auto solo = alone.WriteAsync(0, 0, buf.data(), 16);
+  ASSERT_TRUE(solo.ok());
+
+  SimClock clock;
+  MemBlockDevice dev(&clock, 1024);
+  auto on_q0 = dev.WriteAsync(0, 0, buf.data(), 16);
+  auto on_q3 = dev.WriteAsync(3, 16, buf.data(), 16);
+  ASSERT_TRUE(on_q0.ok());
+  ASSERT_TRUE(on_q3.ok());
+  EXPECT_EQ(*on_q0, *solo);
+  EXPECT_EQ(*on_q3, *solo) << "queue 3 must not wait behind queue 0";
+
+  // A second write on queue 0 starts when the first transfer frees the
+  // queue, so it completes one transfer (plus command overhead) later.
+  auto behind = dev.WriteAsync(0, 32, buf.data(), 16);
+  ASSERT_TRUE(behind.ok());
+  EXPECT_EQ(*behind, 2 * *solo - profile.write_latency);
 }
 
 TEST(MemBlockDevice, CrashTearsAndDropsWrites) {
@@ -121,7 +148,7 @@ TEST(StripedDevice, BandwidthAggregates) {
   SimTime t0 = clock.now();
   SimTime done = t0;
   for (uint64_t i = 0; i < 64; i++) {
-    auto t = striped->WriteAsync(i * (chunk.size() / striped->block_size()), chunk.data(),
+    auto t = striped->WriteAsync(0, i * (chunk.size() / striped->block_size()), chunk.data(),
                                  static_cast<uint32_t>(chunk.size() / striped->block_size()));
     ASSERT_TRUE(t.ok());
     done = std::max(done, *t);

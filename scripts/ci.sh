@@ -6,6 +6,13 @@ cd "$(dirname "$0")/.."
 
 jobs="${1:-$(nproc)}"
 
+# The measured value of the results row labelled $2 in the BENCH json $1
+# (empty when the row is missing).
+row() {
+  awk -F': ' -v label="\"label\": \"$2\"" \
+      'index($0, label){grab=1} grab && /"measured"/{gsub(/,/,"",$2); print $2; exit}' "$1"
+}
+
 for preset in default asan; do
   echo "=== configure/build/test: ${preset} ==="
   cmake --preset "${preset}"
@@ -112,11 +119,38 @@ for preset in default asan; do
     echo "CI FAIL: ckpt.bytes_deduped is ${deduped:-missing} in the dedup_on ablation run" >&2
     exit 1
   fi
-  ratio=$(awk -F': ' '/"label": "dedup flush ratio"/{grab=1}
-                      grab && /"measured"/{gsub(/,/,"",$2); print $2; exit}' \
-          "${build_dir}/BENCH_ablations.json")
+  ratio=$(row "${build_dir}/BENCH_ablations.json" "dedup flush ratio")
   if [[ -z "${ratio}" ]] || ! awk -v r="${ratio}" 'BEGIN{exit !(r <= 0.34)}'; then
     echo "CI FAIL: dedup flush ratio not <= 0.34x of raw (ratio = ${ratio:-missing})" >&2
+    exit 1
+  fi
+
+  # The flush lanes carry the flusher's CPU (DESIGN.md section 12), so on
+  # the ablation's content-stage machine four lanes at least halve the
+  # append flush's makespan.
+  lanes1=$(row "${build_dir}/BENCH_ablations.json" "flush lanes=1 makespan")
+  lanes4=$(row "${build_dir}/BENCH_ablations.json" "flush lanes=4 makespan")
+  if [[ -z "${lanes1}" ]] || [[ -z "${lanes4}" ]] ||
+     ! awk -v a="${lanes4}" -v b="${lanes1}" 'BEGIN{exit !(a <= 0.5 * b)}'; then
+    echo "CI FAIL: 4 flush lanes not <= 0.5x of 1 lane (${lanes4:-missing} vs ${lanes1:-missing} ms)" >&2
+    exit 1
+  fi
+
+  # Epoch overlap must pay off: with two flushes in flight the same window
+  # fits more epochs than with one.
+  limit1=$(row "${build_dir}/BENCH_ablations.json" "overlap limit=1 epochs")
+  limit2=$(row "${build_dir}/BENCH_ablations.json" "overlap limit=2 epochs")
+  if [[ -z "${limit1}" ]] || [[ -z "${limit2}" ]] ||
+     ! awk -v a="${limit2}" -v b="${limit1}" 'BEGIN{exit !(a > b)}'; then
+    echo "CI FAIL: overlap limit=2 epochs (${limit2:-missing}) not > limit=1 (${limit1:-missing})" >&2
+    exit 1
+  fi
+
+  # Retries are not free, but a 1 % transient fault rate costs the flush
+  # under 5 % (the row is in percent).
+  fault=$(row "${build_dir}/BENCH_ablations.json" "fault rate=0.010000 overhead vs clean")
+  if [[ -z "${fault}" ]] || ! awk -v r="${fault}" 'BEGIN{exit !(r > 0 && r < 5)}'; then
+    echo "CI FAIL: 1% fault-rate flush overhead not in (0, 5) % (${fault:-missing})" >&2
     exit 1
   fi
 
@@ -128,9 +162,7 @@ for preset in default asan; do
     echo "CI FAIL: gc.segments_reclaimed missing from ${build_dir}/BENCH_soak.json" >&2
     exit 1
   fi
-  flat=$(awk -F': ' '/"label": "segment-log end\/mid used"/{grab=1}
-                     grab && /"measured"/{gsub(/,/,"",$2); print $2; exit}' \
-         "${build_dir}/BENCH_soak.json")
+  flat=$(row "${build_dir}/BENCH_soak.json" "segment-log end/mid used")
   if [[ -z "${flat}" ]] || ! awk -v r="${flat}" 'BEGIN{exit !(r <= 1.10)}'; then
     echo "CI FAIL: segment-log soak space not flat (end/mid = ${flat:-missing})" >&2
     exit 1
@@ -138,9 +170,7 @@ for preset in default asan; do
 
   # Cross-epoch dedup: content first stored in an earlier epoch must keep
   # resolving to index hits over the long horizon, not just within a flush.
-  xhits=$(awk -F': ' '/"label": "cross-epoch dedup hits"/{grab=1}
-                      grab && /"measured"/{gsub(/,/,"",$2); print $2; exit}' \
-          "${build_dir}/BENCH_soak.json")
+  xhits=$(row "${build_dir}/BENCH_soak.json" "cross-epoch dedup hits")
   if [[ -z "${xhits}" ]] || ! awk -v h="${xhits}" 'BEGIN{exit !(h > 0)}'; then
     echo "CI FAIL: no cross-epoch dedup hits in the soak (hits = ${xhits:-missing})" >&2
     exit 1
@@ -150,16 +180,12 @@ for preset in default asan; do
   # full image (>= 4x faster than the cold path), and no run — including the
   # mid-stream-crash period sweep — may ever promote a torn image.
   (cd "${build_dir}" && ./bench/bench_replication >/dev/null)
-  repl_ratio=$(awk -F': ' '/"label": "delta\/cold failover ratio"/{grab=1}
-                           grab && /"measured"/{gsub(/,/,"",$2); print $2; exit}' \
-               "${build_dir}/BENCH_replication.json")
+  repl_ratio=$(row "${build_dir}/BENCH_replication.json" "delta/cold failover ratio")
   if [[ -z "${repl_ratio}" ]] || ! awk -v r="${repl_ratio}" 'BEGIN{exit !(r < 0.25)}'; then
     echo "CI FAIL: delta failover not < 0.25x of cold restore (ratio = ${repl_ratio:-missing})" >&2
     exit 1
   fi
-  torn=$(awk -F': ' '/"label": "torn promotions"/{grab=1}
-                     grab && /"measured"/{gsub(/,/,"",$2); print $2; exit}' \
-         "${build_dir}/BENCH_replication.json")
+  torn=$(row "${build_dir}/BENCH_replication.json" "torn promotions")
   if [[ -z "${torn}" ]] || ! awk -v t="${torn}" 'BEGIN{exit !(t == 0)}'; then
     echo "CI FAIL: torn promotions in replication bench (count = ${torn:-missing})" >&2
     exit 1

@@ -91,7 +91,7 @@ Result<RdbSaveResult> RedisLike::BgSave(BlockDevice* device) {
   for (uint64_t b = 0; b < blocks; b += 64) {
     uint32_t n = static_cast<uint32_t>(std::min<uint64_t>(64, blocks - b));
     if (b + n < device->block_count()) {
-      Result<SimTime> wrote = device->WriteAsync(0, b, chunk.data(), n);
+      Result<SimTime> wrote = device->WriteAsync(0, sim_->clock.now(), b, chunk.data(), n);
       if (!wrote.ok()) {
         kernel_->DestroyProcess(child);
         return wrote.status();

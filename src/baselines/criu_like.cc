@@ -100,7 +100,8 @@ Result<CriuBreakdown> CriuLike::Checkpoint(const std::vector<Process*>& procs) {
       next_image_lba_ = 0;
     }
     AURORA_ASSIGN_OR_RETURN(SimTime wrote,
-                            device_->WriteAsync(0, next_image_lba_ + b, chunk.data(), n));
+                            device_->WriteAsync(0, sim_->clock.now(), next_image_lba_ + b,
+                                                chunk.data(), n));
     last_write_done = std::max(last_write_done, wrote);
   }
   next_image_lba_ += blocks;

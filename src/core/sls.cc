@@ -417,12 +417,10 @@ Status Sls::CkptCommit(CheckpointContext* ctx) {
   ctx->result.durable_at = ctx->durable;
   last_durable_[group] = ctx->durable;
 
-  // Epoch-overlap bookkeeping for the periodic scheduler and benches.
+  // Epoch-overlap bookkeeping for the in-flight window and benches.
   SimTime now = sim_->clock.now();
   auto& inflight = group->inflight_durable;
-  inflight.erase(std::remove_if(inflight.begin(), inflight.end(),
-                                [now](SimTime t) { return t <= now; }),
-                 inflight.end());
+  PruneInFlight(group);
   if (ctx->durable > now) {
     inflight.push_back(ctx->durable);
   }
@@ -553,8 +551,26 @@ void Sls::CkptAbortEpoch(CheckpointContext* ctx, const Status& cause) {
   }
 }
 
+SimTime Sls::PruneInFlight(ConsistencyGroup* group) {
+  SimTime now = sim_->clock.now();
+  auto& inflight = group->inflight_durable;
+  inflight.erase(std::remove_if(inflight.begin(), inflight.end(),
+                                [now](SimTime t) { return t <= now; }),
+                 inflight.end());
+  if (inflight.empty() || inflight.size() < group->max_in_flight_epochs) {
+    return now;
+  }
+  return *std::min_element(inflight.begin(), inflight.end());
+}
+
 Result<CheckpointResult> Sls::Checkpoint(ConsistencyGroup* group, const std::string& name,
                                          CheckpointMode mode) {
+  if (mode == CheckpointMode::kFull) {
+    // A flushing checkpoint waits for room in the in-flight window before
+    // it begins, however it was called: the flush lanes must not run
+    // unboundedly ahead of back-to-back callers.
+    sim_->clock.AdvanceTo(PruneInFlight(group));
+  }
   CheckpointContext ctx;
   ctx.group = group;
   ctx.backend = GroupBackend(group);
@@ -630,14 +646,9 @@ void Sls::ScheduleNextPeriodic(ConsistencyGroup* group, std::shared_ptr<bool> al
     // section 7 serializes on durability; limit 2 overlaps epoch N+1's
     // serialization with epoch N's flush). Wait out the earliest flush when
     // the window is full, then rearm the period.
-    SimTime now = sim_->clock.now();
-    auto& inflight = group->inflight_durable;
-    inflight.erase(std::remove_if(inflight.begin(), inflight.end(),
-                                  [now](SimTime t) { return t <= now; }),
-                   inflight.end());
-    if (inflight.size() >= group->max_in_flight_epochs) {
-      SimTime earliest = *std::min_element(inflight.begin(), inflight.end());
-      sim_->events.At(earliest, [this, group, alive]() {
+    SimTime open_at = PruneInFlight(group);
+    if (open_at > sim_->clock.now()) {
+      sim_->events.At(open_at, [this, group, alive]() {
         if (*alive) {
           ScheduleNextPeriodic(group, alive);
         }

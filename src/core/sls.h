@@ -121,6 +121,9 @@ class Sls {
   [[nodiscard]] Status SetBackend(ConsistencyGroup* group, const std::string& backend_name);
 
   // --- Checkpoint / restore ------------------------------------------------
+  // A full checkpoint begins only when fewer than
+  // `group->max_in_flight_epochs` earlier flushes are still in flight;
+  // otherwise the clock first advances to the earliest one's durability.
   [[nodiscard]] Result<CheckpointResult> Checkpoint(ConsistencyGroup* group,
                                                     const std::string& name = "",
                                                     CheckpointMode mode = CheckpointMode::kFull);
@@ -299,6 +302,11 @@ class Sls {
   std::unique_ptr<SegmentGc> gc_;
   bool gc_auto_ = true;
 
+  // The in-flight window (group->max_in_flight_epochs), shared by
+  // Checkpoint, CkptCommit and the periodic scheduler: forgets flushes
+  // durable by now, and returns now when the window has room for another
+  // flush, else when its earliest flush becomes durable.
+  SimTime PruneInFlight(ConsistencyGroup* group);
   void ScheduleNextPeriodic(ConsistencyGroup* group, std::shared_ptr<bool> alive);
   std::map<ConsistencyGroup*, std::shared_ptr<bool>> periodic_;
 };

@@ -64,7 +64,8 @@ Result<SimTime> FfsLikeFs::PersistBlock(Vnode* vn, uint64_t block_idx, const Cac
   if (it == placement_.end()) {
     it = placement_.emplace(key, AllocDeviceRun()).first;
   }
-  return device_->WriteAsync(0, it->second, cb.data.data(), DevBlocksPerFsBlock());
+  return device_->WriteAsync(0, sim_->clock.now(), it->second, cb.data.data(),
+                             DevBlocksPerFsBlock());
 }
 
 // --- ZFS ---------------------------------------------------------------------
@@ -113,7 +114,7 @@ Result<SimTime> ZfsLikeFs::PersistBlock(Vnode* vn, uint64_t block_idx, const Cac
   uint64_t lba = AllocDeviceRun();
   placement_[{vn->ino(), block_idx}] = lba;
   sim_->clock.Advance(1200);  // block-pointer rewrite up the merkle path
-  return device_->WriteAsync(0, lba, cb.data.data(), DevBlocksPerFsBlock());
+  return device_->WriteAsync(0, sim_->clock.now(), lba, cb.data.data(), DevBlocksPerFsBlock());
 }
 
 }  // namespace aurora

@@ -37,15 +37,15 @@ Status Complete(SimClock* clock, const Result<SimTime>& done, SimTime* completio
 }  // namespace
 
 Status ObjectStore::DevWrite(uint32_t queue, uint64_t lba, const void* data, uint32_t ndev,
-                             SimTime* completion) {
-  auto submit = [&] { return device_->WriteAsync(queue, lba, data, ndev); };
-  return Complete(&sim_->clock, RetryIo(sim_, retry_, submit), completion);
+                             SimTime* completion, SimTime* lane) {
+  auto submit = [&](SimTime at) { return device_->WriteAsync(queue, at, lba, data, ndev); };
+  return Complete(&sim_->clock, RetryIo(sim_, retry_, lane, submit), completion);
 }
 
 Status ObjectStore::DevRead(uint32_t queue, uint64_t lba, void* out, uint32_t ndev,
                             SimTime* completion) {
-  auto submit = [&] { return device_->ReadAsync(queue, lba, out, ndev); };
-  return Complete(&sim_->clock, RetryIo(sim_, retry_, submit), completion);
+  auto submit = [&](SimTime) { return device_->ReadAsync(queue, lba, out, ndev); };
+  return Complete(&sim_->clock, RetryIo(sim_, retry_, nullptr, submit), completion);
 }
 
 Status ObjectStore::VerifyBlockCrc(const Extent& extent, const uint8_t* data) {
@@ -493,9 +493,13 @@ void ObjectStore::KillExtent(const Extent& extent) {
 Result<SimTime> ObjectStore::StoreBlockCow(uint32_t lane, const uint8_t* block, Extent* out,
                                            uint64_t* lane_bytes) {
   const uint32_t bs = block_size();
+  // The flusher's CPU work on this block runs on its lane, from when the
+  // lane finished its previous block's CPU work; the application's clock
+  // does not move for it. The block's write is submitted when it ends.
+  SimTime cpu = lanes_.StartOn(static_cast<int>(lane), sim_->clock.now());
   ContentKey key;
   if (meta_.options.dedup) {
-    sim_->clock.Advance(sim_->cost.ContentHash(bs));
+    cpu += sim_->cost.ContentHash(bs);
     key = ContentHash128(block, bs);
     auto hit = meta_.dedup_index.find(key);
     if (hit != meta_.dedup_index.end()) {
@@ -509,7 +513,8 @@ Result<SimTime> ObjectStore::StoreBlockCow(uint32_t lane, const uint8_t* block, 
       stats_.dedup_hits++;
       sim_->metrics.counter("ckpt.bytes_deduped").Add(bs);
       sim_->metrics.counter("store.dedup_hits").Add();
-      return sim_->clock.now();
+      lanes_.Occupy(static_cast<int>(lane), cpu);
+      return cpu;
     }
   }
 
@@ -519,21 +524,16 @@ Result<SimTime> ObjectStore::StoreBlockCow(uint32_t lane, const uint8_t* block, 
   uint32_t stored_len = 0;
   uint8_t codec_id = static_cast<uint8_t>(CodecId::kRaw);
   std::vector<uint8_t> comp;
-  // Format and DeserializeMeta admit only known codec ids, so a null codec
-  // here means kRaw.
-  if (const ExtentCodec* codec = FindExtentCodec(meta_.options.codec)) {
-    sim_->clock.Advance(sim_->cost.Compress(bs));
-    // Only commit to the compressed form when it saves at least one device
-    // block — the stored span is what the device actually writes. A store
-    // block of one device block can never be saved that way, so the pass
-    // is skipped there. The charge above stays: the cost model prices an
-    // attempt on every miss, and simulated time must not depend on this
-    // host-side shortcut.
-    size_t clen = 0;
-    if (DevBlocksPerStoreBlock() > 1) {
-      comp.resize(bs);
-      clen = codec->Compress(block, bs, comp.data());
-    }
+  // Format and DecodeMeta admit only known codec ids, so a null codec here
+  // means kRaw. Only commit to the compressed form when it saves at least
+  // one device block — the stored span is what the device actually writes.
+  // A store block of one device block can never be saved that way, so it
+  // never runs the codec and pays for no attempt.
+  const ExtentCodec* codec = FindExtentCodec(meta_.options.codec);
+  if (codec != nullptr && DevBlocksPerStoreBlock() > 1) {
+    cpu += sim_->cost.Compress(bs);
+    comp.resize(bs);
+    size_t clen = codec->Compress(block, bs, comp.data());
     if (clen > 0 && (clen + dev_bs - 1) / dev_bs < DevBlocksPerStoreBlock()) {
       payload = comp.data();
       stored_len = static_cast<uint32_t>(clen);
@@ -552,8 +552,11 @@ Result<SimTime> ObjectStore::StoreBlockCow(uint32_t lane, const uint8_t* block, 
     payload = padded.data();
   }
   AURORA_ASSIGN_OR_RETURN(uint64_t phys, AppendBlock(lane));
-  SimTime wdone = sim_->clock.now();
-  AURORA_RETURN_IF_ERROR(DevWrite(lane, DevLba(phys), payload, ndev, &wdone));
+  // A retried write backs off on the lane, which the backoff keeps busy.
+  SimTime wdone = cpu;
+  Status wrote = DevWrite(lane, DevLba(phys), payload, ndev, &wdone, &cpu);
+  lanes_.Occupy(static_cast<int>(lane), cpu);
+  AURORA_RETURN_IF_ERROR(wrote);
   stats_.bytes_stored += static_cast<uint64_t>(ndev) * dev_bs;
   if (lane_bytes != nullptr) {
     *lane_bytes += static_cast<uint64_t>(ndev) * dev_bs;
@@ -753,16 +756,17 @@ uint32_t ObjectStore::NextFlushLane() {
   return static_cast<uint32_t>(z % static_cast<uint64_t>(lanes_.lanes()));
 }
 
-void ObjectStore::RecordLaneIo(uint32_t lane, uint64_t bytes, SimTime done) {
+void ObjectStore::RecordLaneIo(uint32_t lane, uint64_t bytes, SimTime since) {
   const std::string prefix = "flush.lane" + std::to_string(lane);
-  sim_->metrics.counter(prefix + ".bytes").Add(bytes);
-  // Busy time: how much this I/O extended the lane's timeline beyond where
-  // it already stood (idle gaps are not busy).
-  SimTime since = lanes_.StartOn(static_cast<int>(lane), sim_->clock.now());
-  if (done > since) {
-    sim_->metrics.counter(prefix + ".busy_time").Add(static_cast<uint64_t>(done - since));
+  if (bytes > 0) {
+    sim_->metrics.counter(prefix + ".bytes").Add(bytes);
   }
-  lanes_.Occupy(static_cast<int>(lane), done);
+  // Busy time: how far the block's CPU work (and any retry backoff) moved
+  // the lane's timeline past where it stood (idle gaps are not busy).
+  SimTime until = lanes_.StartOn(static_cast<int>(lane), sim_->clock.now());
+  if (until > since) {
+    sim_->metrics.counter(prefix + ".busy_time").Add(static_cast<uint64_t>(until - since));
+  }
 }
 
 Result<SimTime> ObjectStore::WriteAtBatch(Oid oid, const std::vector<IoRun>& runs) {
@@ -819,12 +823,11 @@ Result<SimTime> ObjectStore::WriteAtBatch(Oid oid, const std::vector<IoRun>& run
       std::memcpy(buf.data() + (r.off % bs), r.data, r.len);
     }
     Extent ext;
+    const SimTime lane_from = lanes_.StartOn(static_cast<int>(lane), sim_->clock.now());
     AURORA_ASSIGN_OR_RETURN(SimTime wdone, StoreBlockCow(lane, buf.data(), &ext, &lane_bytes));
     sim_->metrics.counter("store.bytes_written").Add(covered);
     done = std::max(done, wdone);
-    if (lane_bytes > 0) {
-      RecordLaneIo(lane, lane_bytes, wdone);
-    }
+    RecordLaneIo(lane, lane_bytes, lane_from);
     if (old != info->extents.end()) {
       KillExtent(old->second);
       old->second = ext;
@@ -863,14 +866,12 @@ Result<SimTime> ObjectStore::CommitCheckpoint(const std::string& name) {
   // its own location; the superblock carries that.)
   CheckpointRecord record{meta_.epoch, name, sim_->clock.now()};
 
-  // Two-pass serialization: the bitmap's serialized size is fixed, so
-  // allocating the metadata blocks between passes cannot change the size.
-  std::vector<uint8_t> blob = EncodeMeta(meta_);
-  uint64_t nblocks = MetaRunBlocks(blob.size(), block_size());
-  // AllocMetaRun only moves bits and fixed-width segment cursors, so the
-  // second pass serializes to the same size.
+  // The blob must record its own run's allocation, so the run is sized
+  // before the blob is encoded. AllocMetaRun only moves bits and
+  // fixed-width segment cursors, so it does not change the size.
+  uint64_t nblocks = MetaRunBlocks(EncodedMetaSize(meta_), block_size());
   AURORA_ASSIGN_OR_RETURN(uint64_t meta_block, AllocMetaRun(nblocks));
-  blob = EncodeMeta(meta_);
+  std::vector<uint8_t> blob = EncodeMeta(meta_);
   sim_->clock.Advance(sim_->cost.Serialize(blob.size()));
 
   record.meta_block = meta_block;

@@ -204,9 +204,11 @@ class ObjectStore {
   // --- Flush-path dedup / compression (DESIGN.md section 17) ----------------
   // Stages one full store block of content: consult the dedup index (hit =
   // install a reference, no device write), else run the configured codec and
-  // append the stored payload to `lane`. Returns the device completion time
-  // (now() for an index hit) and fills `out`; `lane_bytes`, when non-null,
-  // accumulates the physical bytes this call charged to the lane.
+  // append the stored payload to `lane`. The content hash and the codec run
+  // on the lane's timeline, not the clock, and the write is submitted when
+  // they end. Returns the device completion time (the hash's end for an
+  // index hit) and fills `out`; `lane_bytes`, when non-null, accumulates the
+  // physical bytes this call charged to the lane.
   [[nodiscard]] Result<SimTime> StoreBlockCow(uint32_t lane, const uint8_t* block,
                                               Extent* out, uint64_t* lane_bytes);
   // Device blocks occupied by a stored payload (full store block when raw).
@@ -282,9 +284,11 @@ class ObjectStore {
   // retried with the shared bounded policy; hard errors (kCorrupt, bounds)
   // pass through untouched. Offsets are device LBAs / device blocks. With
   // `completion` null the call waits: the clock advances to the device's
-  // completion. Otherwise the completion folds into *completion (max).
+  // completion. Otherwise the completion folds into *completion (max). A
+  // write is submitted now, or with `lane` set at *lane: a flush lane's
+  // timeline, which a retry's backoff then moves instead of the clock.
   [[nodiscard]] Status DevWrite(uint32_t queue, uint64_t lba, const void* data, uint32_t ndev,
-                                SimTime* completion);
+                                SimTime* completion, SimTime* lane = nullptr);
   [[nodiscard]] Status DevRead(uint32_t queue, uint64_t lba, void* out, uint32_t ndev,
                                SimTime* completion);
   // End-to-end integrity: checks a full store block just read against the
@@ -320,12 +324,13 @@ class ObjectStore {
                                    void* out, uint64_t len, SimTime* completion);
 
   // Picks the submission queue for the next flush-path store block, and
-  // records a block's lane I/O on the lane timeline and in the metrics.
+  // records a block's lane I/O bytes and the busy time its CPU work added to
+  // the lane's timeline since `since`.
   uint32_t NextFlushLane();
-  void RecordLaneIo(uint32_t lane, uint64_t bytes, SimTime done);
+  void RecordLaneIo(uint32_t lane, uint64_t bytes, SimTime since);
   // Device queue for GC relocation writes: the earliest-free flush lane, so
-  // evacuation traffic queues behind the least flush work (queue 0 with one
-  // lane).
+  // evacuation traffic rides the lane with the least flush work ahead of it
+  // (queue 0 with one lane).
   uint32_t GcWriteQueue() const { return static_cast<uint32_t>(lanes_.NextLane()); }
 
   BlockDevice* device_;
@@ -344,8 +349,10 @@ class ObjectStore {
   SimTime last_data_write_done_ = 0;
 
   // The machine's flush lanes, fixed when the store is built: each lane's
-  // timeline (busy-time accounting, GcWriteQueue) and the cursor that
-  // assigns store blocks to lanes.
+  // timeline, which is when its CPU finishes the flush work already handed
+  // to it (the content hash, the codec and retry backoffs; a block's write
+  // is submitted at the lane's time and completes on the device's queue),
+  // and the cursor that assigns store blocks to lanes.
   LaneSchedule lanes_;
   uint64_t lane_cursor_ = 0;
 

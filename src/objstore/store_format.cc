@@ -26,9 +26,10 @@ constexpr uint8_t kSegmentLogLayout = 1;
 
 // Encoded element sizes of the metadata tables, which cap each table's
 // element count by the bytes left so a forged count fails before it loops
-// or allocates: object header (without extents), extent, deadlist header,
-// dead entry, checkpoint record (empty name), segment, relocation entry,
-// open-segment entry and dedup entry.
+// or allocates, and size a blob before it is encoded: object header
+// (without extents), extent, deadlist header, dead entry, checkpoint record
+// (empty name), segment, relocation entry, open-segment entry and dedup
+// entry.
 constexpr size_t kObjectBytes = 8 + 1 + 8 + 1 + 8 + 8 + 8 + 8;
 constexpr size_t kExtentBytes = 8 + 8 + 8 + 4 + 4 + 1;
 constexpr size_t kDeadlistBytes = 8 + 8;
@@ -192,8 +193,9 @@ std::vector<uint8_t> EncodeMeta(const StoreMeta& m) {
   w.PutBytes(m.bitmap.data(), m.bitmap.size());
 
   // v3 layout section. Everything here is fixed-width per element and the
-  // element counts cannot change between the two encodings of a commit
-  // (the metadata-run allocation moves cursors, never the segment count).
+  // element counts cannot change between sizing and encoding a commit's
+  // blob (the metadata-run allocation moves cursors, never the segment
+  // count).
   w.PutU8(kSegmentLogLayout);
   w.PutU32(m.options.segment_blocks);
   w.PutU64(m.segments.size());
@@ -216,7 +218,7 @@ std::vector<uint8_t> EncodeMeta(const StoreMeta& m) {
   }
 
   // v4 dedup index. Fixed-width per element and keyed by content, so the
-  // entry count is stable across the two encodings of a commit (the
+  // entry count is stable between sizing and encoding a commit's blob (the
   // metadata-run allocation never stores or kills data blocks). The
   // flush-path options ride along so a store formatted with dedup off
   // (ablation baseline) stays off after a remount instead of silently
@@ -235,6 +237,28 @@ std::vector<uint8_t> EncodeMeta(const StoreMeta& m) {
     w.PutU8(entry.codec);
   }
   return Seal(&w);
+}
+
+uint64_t EncodedMetaSize(const StoreMeta& m) {
+  uint64_t n = 4 + 8 + 8;  // magic, epoch, next oid
+  n += 8 + m.objects.size() * kObjectBytes;
+  for (const auto& [oid, info] : m.objects) {
+    n += info.extents.size() * kExtentBytes;
+  }
+  n += 8 + m.deadlists.size() * kDeadlistBytes;
+  for (const auto& [epoch, entries] : m.deadlists) {
+    n += entries.size() * kDeadEntryBytes;
+  }
+  n += 8 + m.checkpoints.size() * kCheckpointBytes;
+  for (const CheckpointRecord& c : m.checkpoints) {
+    n += c.name.size();
+  }
+  n += 8 + 8 + m.bitmap.size();  // total blocks, bitmap
+  n += 1 + 4 + 8 + m.segments.size() * kSegmentBytes;
+  n += 8 + m.reloc.size() * kRelocBytes;
+  n += 8 + 8 + m.open_data_seg.size() * kOpenSegBytes;
+  n += 1 + 1 + 8 + m.dedup_index.size() * kDedupBytes;
+  return n + sizeof(uint32_t);  // seal
 }
 
 Result<StoreMeta> DecodeMeta(const uint8_t* data, size_t len, uint32_t block_size,

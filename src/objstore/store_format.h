@@ -197,6 +197,9 @@ inline uint64_t MetaRunBlocks(uint64_t meta_len, uint32_t block_size) {
   return meta_len / block_size + (meta_len % block_size != 0 ? 1 : 0);
 }
 std::vector<uint8_t> EncodeMeta(const StoreMeta& meta);
+// EncodeMeta(meta).size(), counted without encoding: every table element is
+// fixed-width except a checkpoint record's name.
+uint64_t EncodedMetaSize(const StoreMeta& meta);
 // Decodes a blob of a store with `block_size`-byte blocks and
 // `total_blocks` blocks, as its superblock states them.
 [[nodiscard]] Result<StoreMeta> DecodeMeta(const uint8_t* data, size_t len, uint32_t block_size,

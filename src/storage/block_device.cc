@@ -1,12 +1,13 @@
 #include "src/storage/block_device.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 namespace aurora {
 
 Status BlockDevice::WriteSync(uint64_t lba, const void* data, uint32_t nblocks) {
-  auto done = WriteAsync(0, lba, data, nblocks);
+  auto done = WriteAsync(0, clock()->now(), lba, data, nblocks);
   if (!done.ok()) {
     return done.status();
   }
@@ -27,14 +28,16 @@ MemBlockDevice::MemBlockDevice(SimClock* clock, uint64_t block_count, uint32_t b
                                DeviceProfile profile)
     : clock_(clock), block_count_(block_count), block_size_(block_size), profile_(profile) {}
 
-SimTime MemBlockDevice::CompleteIo(uint32_t queue, uint64_t bytes, SimDuration latency,
-                                   double bw, double stretch) {
+SimTime MemBlockDevice::CompleteIo(uint32_t queue, SimTime submit, uint64_t bytes,
+                                   SimDuration latency, double bw, double stretch) {
+  assert(submit >= clock_->now() && "an I/O cannot be submitted in the past");
   SimTime& free_at = queue_free_[queue % kDeviceQueues];
-  SimTime start = std::max(clock_->now(), free_at);
+  SimTime start = std::max(submit, free_at);
   if (metrics_ != nullptr) {
     // Queue occupancy: how long this command waited behind earlier transfers
-    // before its submission queue became free. Zero when the queue was idle.
-    metrics_->histogram("device.queue_delay").Record(start - clock_->now());
+    // after its submission before its queue became free. Zero when the
+    // queue was idle.
+    metrics_->histogram("device.queue_delay").Record(start - submit);
   }
   auto transfer =
       static_cast<SimDuration>(static_cast<double>(bytes) / bw * stretch);
@@ -53,8 +56,8 @@ SimTime MemBlockDevice::CompleteIo(uint32_t queue, uint64_t bytes, SimDuration l
   return queue_done + latency;
 }
 
-Result<SimTime> MemBlockDevice::WriteAsync(uint32_t queue, uint64_t lba, const void* data,
-                                           uint32_t nblocks) {
+Result<SimTime> MemBlockDevice::WriteAsync(uint32_t queue, SimTime submit, uint64_t lba,
+                                           const void* data, uint32_t nblocks) {
   if (lba + nblocks > block_count_) {
     return Status::Error(Errc::kOutOfRange, "write past end of device");
   }
@@ -103,8 +106,8 @@ Result<SimTime> MemBlockDevice::WriteAsync(uint32_t queue, uint64_t lba, const v
     metrics_->counter("device.writes").Add(nblocks);
     metrics_->counter("device.bytes_written").Add(static_cast<uint64_t>(nblocks) * block_size_);
   }
-  return CompleteIo(queue, static_cast<uint64_t>(nblocks) * block_size_, profile_.write_latency,
-                    profile_.write_bytes_per_ns, stretch);
+  return CompleteIo(queue, submit, static_cast<uint64_t>(nblocks) * block_size_,
+                    profile_.write_latency, profile_.write_bytes_per_ns, stretch);
 }
 
 Result<SimTime> MemBlockDevice::ReadAsync(uint32_t queue, uint64_t lba, void* out,
@@ -141,8 +144,8 @@ Result<SimTime> MemBlockDevice::ReadAsync(uint32_t queue, uint64_t lba, void* ou
     metrics_->counter("device.reads").Add(nblocks);
     metrics_->counter("device.bytes_read").Add(static_cast<uint64_t>(nblocks) * block_size_);
   }
-  return CompleteIo(queue, static_cast<uint64_t>(nblocks) * block_size_, profile_.read_latency,
-                    profile_.read_bytes_per_ns, stretch);
+  return CompleteIo(queue, clock_->now(), static_cast<uint64_t>(nblocks) * block_size_,
+                    profile_.read_latency, profile_.read_bytes_per_ns, stretch);
 }
 
 void MemBlockDevice::InstallFaults(uint64_t seed, const std::vector<FaultRule>& rules) {
@@ -192,13 +195,13 @@ Result<SimTime> StripedDevice::ForEachRun(uint64_t lba, uint32_t nblocks, Op op)
   return done;
 }
 
-Result<SimTime> StripedDevice::WriteAsync(uint32_t queue, uint64_t lba, const void* data,
-                                          uint32_t nblocks) {
+Result<SimTime> StripedDevice::WriteAsync(uint32_t queue, SimTime submit, uint64_t lba,
+                                          const void* data, uint32_t nblocks) {
   const auto* src = static_cast<const uint8_t*>(data);
   return ForEachRun(lba, nblocks,
                     [&](BlockDevice* dev, uint64_t child_lba, uint32_t offset, uint32_t run) {
-                      return dev->WriteAsync(
-                          queue, child_lba, src + static_cast<size_t>(offset) * block_size_, run);
+                      return dev->WriteAsync(queue, submit, child_lba,
+                                             src + static_cast<size_t>(offset) * block_size_, run);
                     });
 }
 

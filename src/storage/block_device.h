@@ -64,14 +64,17 @@ class BlockDevice {
   virtual uint32_t block_size() const = 0;
   virtual uint64_t block_count() const = 0;
 
-  // Submits an I/O on submission queue `queue` (modulo kDeviceQueues) at
-  // the current simulated time. Data moves immediately (host memory); the
-  // returned SimTime is when the device reports completion. Queues have
-  // independent timelines, so I/Os on different queues pipeline. Callers
-  // that need durability wait for the completion (WriteSync) or collect
-  // completion times and wait for the max (async checkpoint flush).
-  [[nodiscard]] virtual Result<SimTime> WriteAsync(uint32_t queue, uint64_t lba, const void* data,
-                                                   uint32_t nblocks) = 0;
+  // Submits an I/O on submission queue `queue` (modulo kDeviceQueues). A
+  // write is submitted at `submit`, which is never earlier than now: a
+  // flush lane submits a block when its CPU work on it ends, which may lie
+  // ahead of the application's clock. A read is submitted now. Data moves
+  // immediately (host memory); the returned SimTime is when the device
+  // reports completion. Queues have independent timelines, so I/Os on
+  // different queues pipeline. Callers that need durability wait for the
+  // completion (WriteSync) or collect completion times and wait for the max
+  // (async checkpoint flush).
+  [[nodiscard]] virtual Result<SimTime> WriteAsync(uint32_t queue, SimTime submit, uint64_t lba,
+                                                   const void* data, uint32_t nblocks) = 0;
   [[nodiscard]] virtual Result<SimTime> ReadAsync(uint32_t queue, uint64_t lba, void* out,
                                                   uint32_t nblocks) = 0;
 
@@ -110,8 +113,8 @@ class MemBlockDevice : public BlockDevice {
   uint32_t block_size() const override { return block_size_; }
   uint64_t block_count() const override { return block_count_; }
 
-  [[nodiscard]] Result<SimTime> WriteAsync(uint32_t queue, uint64_t lba, const void* data,
-                                           uint32_t nblocks) override;
+  [[nodiscard]] Result<SimTime> WriteAsync(uint32_t queue, SimTime submit, uint64_t lba,
+                                           const void* data, uint32_t nblocks) override;
   [[nodiscard]] Result<SimTime> ReadAsync(uint32_t queue, uint64_t lba, void* out,
                                           uint32_t nblocks) override;
 
@@ -150,10 +153,11 @@ class MemBlockDevice : public BlockDevice {
   size_t ResidentBlocks() const { return blocks_.size(); }
 
  private:
-  // `stretch` multiplies the transfer time (tail-latency injection); the
-  // exact 1.0 of the no-fault path leaves the timeline bit-identical.
-  SimTime CompleteIo(uint32_t queue, uint64_t bytes, SimDuration latency, double bw,
-                     double stretch = 1.0);
+  // The transfer starts at max(submit, queue free). `stretch` multiplies
+  // the transfer time (tail-latency injection); the exact 1.0 of the
+  // no-fault path leaves the timeline bit-identical.
+  SimTime CompleteIo(uint32_t queue, SimTime submit, uint64_t bytes, SimDuration latency,
+                     double bw, double stretch = 1.0);
 
   SimClock* clock_;
   uint64_t block_count_;
@@ -186,8 +190,8 @@ class StripedDevice : public BlockDevice {
   uint32_t block_size() const override { return block_size_; }
   uint64_t block_count() const override { return block_count_; }
 
-  [[nodiscard]] Result<SimTime> WriteAsync(uint32_t queue, uint64_t lba, const void* data,
-                                           uint32_t nblocks) override;
+  [[nodiscard]] Result<SimTime> WriteAsync(uint32_t queue, SimTime submit, uint64_t lba,
+                                           const void* data, uint32_t nblocks) override;
   [[nodiscard]] Result<SimTime> ReadAsync(uint32_t queue, uint64_t lba, void* out,
                                           uint32_t nblocks) override;
 

@@ -247,6 +247,58 @@ TEST(Dedup, IncompressibleBlocksStoreRaw) {
   }
 }
 
+// The content stage is flusher CPU, and it runs on the block's flush lane
+// (DESIGN.md section 12): hashing and compressing a batch leaves the
+// application's clock short of even one block's content charge, while the
+// batch's completion includes every block's, which one lane runs back to
+// back.
+TEST(Dedup, ContentChargesRunOnTheLaneNotTheClock) {
+  Store m;
+  Oid oid = *m.store->CreateObject(ObjType::kMemory);
+  constexpr uint8_t kBlocks = 16;
+  std::vector<uint8_t> image;
+  for (uint8_t s = 0; s < kBlocks; s++) {
+    std::vector<uint8_t> block = Compressible(s);
+    image.insert(image.end(), block.begin(), block.end());
+  }
+  const SimDuration content = m.sim.cost.ContentHash(kBlock) + m.sim.cost.Compress(kBlock);
+  const SimTime t0 = m.sim.clock.now();
+  auto done = m.store->WriteAt(oid, 0, image.data(), image.size());
+  ASSERT_TRUE(done.ok());
+  EXPECT_LT(m.sim.clock.now() - t0, m.sim.cost.ContentHash(kBlock))
+      << "the application paid for the flusher's hashing or compression";
+  EXPECT_GE(*done - t0, kBlocks * content)
+      << "the flush's completion must include every block's content charges";
+  EXPECT_GT(m.store->stats().bytes_compressed_saved, 0u);
+
+  std::vector<uint8_t> back(image.size());
+  ASSERT_TRUE(m.store->ReadAt(oid, 0, back.data(), back.size()).ok());
+  EXPECT_EQ(back, image);
+}
+
+// A store block of one device block never runs the codec, so it charges no
+// compression: its flush completes exactly when a raw store's does.
+TEST(Dedup, OneDeviceBlockStoreChargesNoCompression) {
+  auto flush = [](CodecId codec) {
+    StoreOptions options = DedupOptions(codec, static_cast<uint32_t>(kPageSize));
+    options.dedup = false;
+    Store m(options);
+    Oid oid = *m.store->CreateObject(ObjType::kMemory);
+    std::vector<uint8_t> image;
+    for (uint8_t s = 0; s < 4; s++) {
+      std::vector<uint8_t> block = Compressible(s, static_cast<uint32_t>(kPageSize));
+      image.insert(image.end(), block.begin(), block.end());
+    }
+    const SimTime t0 = m.sim.clock.now();
+    auto done = m.store->WriteAt(oid, 0, image.data(), image.size());
+    EXPECT_TRUE(done.ok());
+    return done.ok() ? *done - t0 : SimDuration{0};
+  };
+  const SimDuration raw = flush(CodecId::kRaw);
+  ASSERT_GT(raw, 0);
+  EXPECT_EQ(flush(CodecId::kLz), raw);
+}
+
 TEST(Dedup, FlushBytesCollapseOnRepetitiveData) {
   // The tentpole acceptance shape: a dirty set whose content repeats must
   // flush >= 3x fewer physical bytes than its logical size.
@@ -331,7 +383,7 @@ TEST(Dedup, QuarantinedSegmentStaysPinnedAcrossRemount) {
   uint64_t victim_phys = *before->data_phys.begin();
   uint32_t dps = kBlock / m.device.block_size();
   std::vector<uint8_t> garbage(kBlock, 0xEE);
-  ASSERT_TRUE(m.device.WriteAsync(0, victim_phys * dps, garbage.data(), dps).ok());
+  ASSERT_TRUE(m.device.WriteAsync(0, m.sim.clock.now(), victim_phys * dps, garbage.data(), dps).ok());
 
   GcConfig config;
   config.utilization_threshold = 1.1;

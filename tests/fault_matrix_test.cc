@@ -3,7 +3,9 @@
 // SLS-level graceful-degradation contract.
 //
 //  - Transient read/write errors at modest rates are masked by the bounded
-//    retry policy; contents stay byte-identical and io.retries counts.
+//    retry policy; contents stay byte-identical and io.retries counts. A
+//    flush lane's retried write backs off on the lane: it delays
+//    durability, not the application's clock.
 //  - Latent sector errors and silent bit flips are never silently read
 //    back: every read either returns the committed bytes or a typed
 //    kIoError / kCorrupt.
@@ -117,6 +119,53 @@ TEST(FaultMatrix, TransientWriteErrorsMaskedByRetry) {
   EXPECT_EQ(sim.metrics.counter("io.giveups").value(), 0u);
   EXPECT_TRUE(ExpectReadTypedOrExact(store.get(), w.obj1, Workload::kObj1Blocks, 1));
   EXPECT_TRUE(ExpectReadTypedOrExact(store.get(), w.obj2, Workload::kObj2Blocks, 2));
+}
+
+// A flush lane's block write that fails transiently is resubmitted after a
+// backoff on the lane's own timeline: the write's completion, and with it
+// the checkpoint's durability, moves later, while the application's clock
+// stays where a clean write leaves it.
+TEST(FaultMatrix, RetriedLaneWriteDelaysDurabilityNotTheClock) {
+  struct Flush {
+    SimDuration clock_moved = 0;
+    SimDuration completion = 0;
+    uint64_t retries = 0;
+  };
+  auto flush = [](bool faulty) {
+    Flush out;
+    SimContext sim;
+    MemBlockDevice device(&sim.clock, kDeviceBlocks);
+    device.set_metrics(&sim.metrics);
+    StoreOptions raw;
+    raw.dedup = false;
+    raw.codec = CodecId::kRaw;
+    auto store = *ObjectStore::Format(&device, &sim, raw);
+    Oid oid = *store->CreateObject(ObjType::kMemory);
+    std::vector<uint8_t> block = Pattern(store->block_size(), 7);
+    if (faulty) {
+      // This seed fails the block's first write attempt and passes its
+      // second.
+      device.InstallFaults(0x5EED5, {RateRule(0.0, 0.5)});
+    }
+    const SimTime t0 = sim.clock.now();
+    auto done = store->WriteAt(oid, 0, block.data(), block.size());
+    device.ClearFaults();
+    EXPECT_TRUE(done.ok());
+    out.clock_moved = sim.clock.now() - t0;
+    out.completion = done.ok() ? *done - t0 : 0;
+    out.retries = sim.metrics.counter("io.retries").value();
+    EXPECT_TRUE(ExpectReadTypedOrExact(store.get(), oid, 1, 7));
+    return out;
+  };
+  const Flush clean = flush(false);
+  const Flush retried = flush(true);
+  ASSERT_EQ(clean.retries, 0u);
+  ASSERT_EQ(retried.retries, 1u) << "the seed must fail exactly the first attempt";
+  EXPECT_EQ(retried.clock_moved, clean.clock_moved)
+      << "a lane's retry backoff stalled the application";
+  EXPECT_EQ(retried.completion,
+            clean.completion + IoRetryPolicy::FromCost(CostModel()).initial_backoff)
+      << "the backoff must delay the write's completion";
 }
 
 TEST(FaultMatrix, TransientReadErrorsMaskedByRetry) {

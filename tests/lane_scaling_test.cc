@@ -23,15 +23,17 @@ namespace {
 // blocks — the configuration the flush lanes fan their queues over. The
 // lane count is fixed when the machine is built.
 struct Machine {
-  explicit Machine(int lanes) {
+  explicit Machine(int lanes, bool content_stage = false) {
     sim.flush_lanes = lanes;
     device = MakePaperTestbedStore(&sim.clock, 2 * kGiB, kPageSize, &sim.metrics);
     StoreOptions options;
     options.block_size = 64 * kKiB;
-    // Raw store: lane scaling measures device-bandwidth parallelism, which
-    // only shows when every page actually hits the device at full size.
-    options.dedup = false;
-    options.codec = CodecId::kRaw;
+    // Raw store by default: lane scaling then measures device-bandwidth
+    // parallelism, which only shows when every page actually hits the
+    // device at full size. With the content stage on, the flush is bound by
+    // the lanes' hashing and compression instead.
+    options.dedup = content_stage;
+    options.codec = content_stage ? CodecId::kLz : CodecId::kRaw;
     store = *ObjectStore::Format(device.get(), &sim, options);
     fs = std::make_unique<AuroraFs>(&sim, store.get());
     kernel = std::make_unique<Kernel>(&sim);
@@ -86,8 +88,8 @@ LaneRun RunAppendCheckpoint(Machine& m) {
   return run;
 }
 
-LaneRun RunAppendCheckpoint(int lanes) {
-  Machine m(lanes);
+LaneRun RunAppendCheckpoint(int lanes, bool content_stage = false) {
+  Machine m(lanes, content_stage);
   EXPECT_EQ(m.sim.metrics.gauge("flush.lanes").value(), lanes);
   return RunAppendCheckpoint(m);
 }
@@ -107,6 +109,19 @@ TEST(LaneScaling, MakespanMonotoneAndParallelSpeedup) {
       << "4 lanes must give >= 2x on the append flush, got "
       << static_cast<double>(one.flush_makespan) / static_cast<double>(four.flush_makespan)
       << "x";
+}
+
+// The content stage's hashing and compression run on each block's lane, so
+// more lanes split that CPU work as they split device queues.
+TEST(LaneScaling, ContentStageSpeedsUpWithLanes) {
+  LaneRun one = RunAppendCheckpoint(1, true);
+  LaneRun four = RunAppendCheckpoint(4, true);
+  ASSERT_GT(one.flush_makespan, 0);
+  EXPECT_LE(2 * four.flush_makespan, one.flush_makespan)
+      << "4 lanes must give >= 2x on the content-stage flush, got "
+      << static_cast<double>(one.flush_makespan) / static_cast<double>(four.flush_makespan)
+      << "x";
+  EXPECT_TRUE(four.contents == one.contents) << "the lane count changed what was stored";
 }
 
 TEST(LaneScaling, StoreContentsByteIdenticalAcrossLaneCounts) {

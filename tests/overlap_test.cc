@@ -1,7 +1,8 @@
 // Epoch-overlap backpressure: with the default in-flight limit of 1 a new
-// periodic epoch never begins before the previous flush is durable; with
-// limit 2 serialization overlaps the in-flight flush (and still commits in
-// order), reducing checkpoint-to-checkpoint stall.
+// epoch never begins before the previous flush is durable, whether the
+// periodic timer or a direct Sls::Checkpoint call opens it; with limit 2
+// serialization overlaps the in-flight flush (and still commits in order),
+// reducing checkpoint-to-checkpoint stall.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -85,6 +86,41 @@ TEST(EpochOverlap, LimitOneNeverStartsBeforePreviousFlushIsDurable) {
   ConsistencyGroup* group = RunDirtyWorkload(m, 1, 50 * kMillisecond);
   const auto& h = group->ckpt_history;
   ASSERT_GE(h.size(), 3u);
+  for (size_t i = 1; i < h.size(); i++) {
+    EXPECT_GE(h[i].begin, h[i - 1].durable)
+        << "epoch " << h[i].epoch << " began before epoch " << h[i - 1].epoch
+        << " was durable";
+  }
+}
+
+// Back-to-back direct checkpoints obey the same window as the timer: with
+// limit 1, each waits for the previous flush to be durable before it begins,
+// although its caller asked for it at once.
+TEST(EpochOverlap, DirectCheckpointsHonorTheInFlightLimit) {
+  Machine m;
+  constexpr uint64_t kDirty = 8 * kMiB;
+  constexpr uint64_t kMem = kDirty + 4 * kPageSize;
+  Process* proc = *m.kernel->CreateProcess("direct");
+  auto obj = VmObject::CreateAnonymous(kMem);
+  uint64_t addr = *proc->vm().Map(0x400000, kMem, kProtRead | kProtWrite, obj, 0, false);
+  uint64_t value = 0;
+  for (uint64_t off = 0; off < kDirty; off += kPageSize) {
+    value++;
+    ASSERT_TRUE(proc->vm().Write(addr + off, &value, sizeof(value)).ok());
+  }
+  ConsistencyGroup* group = *m.sls->CreateGroup("direct");
+  ASSERT_TRUE(m.sls->Attach(group, proc).ok());
+  group->max_in_flight_epochs = 1;
+
+  for (uint64_t i = 0; i < 3; i++) {
+    value++;
+    ASSERT_TRUE(proc->vm().Write(addr + kDirty + i * kPageSize, &value, sizeof(value)).ok());
+    ASSERT_TRUE(m.sls->Checkpoint(group).ok());
+  }
+  const auto& h = group->ckpt_history;
+  ASSERT_EQ(h.size(), 3u);
+  ASSERT_GT(h[0].durable, h[0].begin + 10 * kMillisecond)
+      << "the first flush must outlast the calls that follow it";
   for (size_t i = 1; i < h.size(); i++) {
     EXPECT_GE(h[i].begin, h[i - 1].durable)
         << "epoch " << h[i].epoch << " began before epoch " << h[i - 1].epoch

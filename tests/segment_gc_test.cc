@@ -214,7 +214,7 @@ TEST(SegmentGc, CorruptBlockIsQuarantinedAndLeftForScrub) {
   uint64_t victim_phys = *before->data_phys.begin();
   uint32_t dps = kBlock / device.block_size();
   std::vector<uint8_t> garbage(kBlock, 0xEE);
-  ASSERT_TRUE(device.WriteAsync(0, victim_phys * dps, garbage.data(), dps).ok());
+  ASSERT_TRUE(device.WriteAsync(0, sim.clock.now(), victim_phys * dps, garbage.data(), dps).ok());
 
   GcConfig config;
   config.utilization_threshold = 1.1;  // every sealed segment is a victim

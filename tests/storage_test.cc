@@ -41,7 +41,7 @@ TEST(MemBlockDevice, BoundsChecked) {
   SimClock clock;
   MemBlockDevice dev(&clock, 8);
   std::vector<uint8_t> buf(kPageSize);
-  EXPECT_FALSE(dev.WriteAsync(0, 8, buf.data(), 1).ok());
+  EXPECT_FALSE(dev.WriteAsync(0, clock.now(), 8, buf.data(), 1).ok());
   EXPECT_FALSE(dev.ReadAsync(0, 7, buf.data(), 2).ok());
 }
 
@@ -66,7 +66,7 @@ TEST(MemBlockDevice, PipeliningOverlapsLatency) {
   // time is ~transfer-bound plus ONE latency, not 100 latencies.
   SimTime last = 0;
   for (int i = 0; i < 100; i++) {
-    auto done = dev.WriteAsync(0, static_cast<uint64_t>(i), buf.data(), 1);
+    auto done = dev.WriteAsync(0, clock.now(), static_cast<uint64_t>(i), buf.data(), 1);
     ASSERT_TRUE(done.ok());
     last = std::max(last, *done);
   }
@@ -84,13 +84,13 @@ TEST(MemBlockDevice, QueueTimelinesIndependentFromConstruction) {
   std::vector<uint8_t> buf(16 * kPageSize);
   SimClock alone_clock;
   MemBlockDevice alone(&alone_clock, 1024);
-  auto solo = alone.WriteAsync(0, 0, buf.data(), 16);
+  auto solo = alone.WriteAsync(0, alone_clock.now(), 0, buf.data(), 16);
   ASSERT_TRUE(solo.ok());
 
   SimClock clock;
   MemBlockDevice dev(&clock, 1024);
-  auto on_q0 = dev.WriteAsync(0, 0, buf.data(), 16);
-  auto on_q3 = dev.WriteAsync(3, 16, buf.data(), 16);
+  auto on_q0 = dev.WriteAsync(0, clock.now(), 0, buf.data(), 16);
+  auto on_q3 = dev.WriteAsync(3, clock.now(), 16, buf.data(), 16);
   ASSERT_TRUE(on_q0.ok());
   ASSERT_TRUE(on_q3.ok());
   EXPECT_EQ(*on_q0, *solo);
@@ -98,9 +98,43 @@ TEST(MemBlockDevice, QueueTimelinesIndependentFromConstruction) {
 
   // A second write on queue 0 starts when the first transfer frees the
   // queue, so it completes one transfer (plus command overhead) later.
-  auto behind = dev.WriteAsync(0, 32, buf.data(), 16);
+  auto behind = dev.WriteAsync(0, clock.now(), 32, buf.data(), 16);
   ASSERT_TRUE(behind.ok());
   EXPECT_EQ(*behind, 2 * *solo - profile.write_latency);
+}
+
+// A write submitted ahead of the clock (a flush lane that finished its CPU
+// work later) starts at max(submission, queue free), and its queue delay is
+// measured from the submission, not from now.
+TEST(MemBlockDevice, TransferStartsAtSubmissionOrQueueFree) {
+  DeviceProfile profile;
+  std::vector<uint8_t> buf(16 * kPageSize);
+  SimClock alone_clock;
+  MemBlockDevice alone(&alone_clock, 1024);
+  auto solo = alone.WriteAsync(0, alone_clock.now(), 0, buf.data(), 16);
+  ASSERT_TRUE(solo.ok());
+  const SimDuration service = *solo - alone_clock.now();
+
+  SimClock clock;
+  MetricsRegistry metrics;
+  MemBlockDevice dev(&clock, 1024);
+  dev.set_metrics(&metrics);
+  const SimTime later = clock.now() + 100 * kMicrosecond;
+  auto idle = dev.WriteAsync(0, later, 0, buf.data(), 16);
+  ASSERT_TRUE(idle.ok());
+  EXPECT_EQ(*idle, later + service) << "an idle queue starts the transfer at submission";
+  EXPECT_EQ(clock.now(), 0) << "submitting ahead of the clock must not move it";
+
+  // Submitted at `later` too, behind the first transfer: it starts when the
+  // queue frees, and waited exactly that long after its submission.
+  auto behind = dev.WriteAsync(0, later, 16, buf.data(), 16);
+  ASSERT_TRUE(behind.ok());
+  const SimDuration queue_wait = *idle - profile.write_latency - later;
+  EXPECT_EQ(*behind, later + queue_wait + service);
+  const SimHistogram& delay = metrics.histogram("device.queue_delay");
+  EXPECT_EQ(delay.count(), 2u);
+  EXPECT_EQ(delay.Min(), 0);
+  EXPECT_EQ(delay.Max(), queue_wait);
 }
 
 TEST(MemBlockDevice, CrashTearsAndDropsWrites) {
@@ -148,7 +182,8 @@ TEST(StripedDevice, BandwidthAggregates) {
   SimTime t0 = clock.now();
   SimTime done = t0;
   for (uint64_t i = 0; i < 64; i++) {
-    auto t = striped->WriteAsync(0, i * (chunk.size() / striped->block_size()), chunk.data(),
+    auto t = striped->WriteAsync(0, clock.now(), i * (chunk.size() / striped->block_size()),
+                                 chunk.data(),
                                  static_cast<uint32_t>(chunk.size() / striped->block_size()));
     ASSERT_TRUE(t.ok());
     done = std::max(done, *t);

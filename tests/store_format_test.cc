@@ -433,6 +433,24 @@ void ExerciseDevice(FixtureStore* f, Tally* tally) {
   }
 }
 
+// CommitCheckpoint sizes the metadata run without encoding the blob, so the
+// counted size must be the encoded size for every blob the fixture's
+// commits wrote, from the first (format) to the last (after the reopen).
+TEST(StoreFormat, EncodedMetaSizeIsTheEncodedLength) {
+  auto f = BuildFixtureStore();
+  BlockDevice* dev = f->device.get();
+  size_t blobs = 0;
+  for (const auto& [slot, sb] : ValidSlots(dev)) {
+    std::vector<uint8_t> blob = ReadMetaBlob(dev, sb);
+    auto meta = DecodeMeta(blob.data(), blob.size(), sb.block_size, sb.total_blocks);
+    ASSERT_TRUE(meta.ok()) << "slot " << slot << ": " << meta.status().message();
+    EXPECT_EQ(EncodedMetaSize(*meta), sb.meta_len) << "slot " << slot;
+    EXPECT_EQ(EncodedMetaSize(*meta), EncodeMeta(*meta).size()) << "slot " << slot;
+    blobs++;
+  }
+  EXPECT_GE(blobs, 6u);
+}
+
 TEST(StoreFormatMutation, MetaBlobMutantsAreTypedOrRoundTripAndMountTyped) {
   auto f = BuildFixtureStore();
   BlockDevice* dev = f->device.get();
@@ -463,11 +481,17 @@ TEST(StoreFormatMutation, MetaBlobMutantsAreTypedOrRoundTripAndMountTyped) {
   Tally decoded;
   Tally mounted;
   size_t largest_alloc = 0;
+  size_t sized = 0;
   f->store.reset();
   for (const auto& m : mutants) {
     mutation::g_largest_alloc = 0;
     auto probe = DecodeMeta(m.data(), m.size(), sb.block_size, sb.total_blocks);
     largest_alloc = std::max(largest_alloc, mutation::g_largest_alloc);
+    if (probe.ok()) {
+      // A commit sizes its blob's run before encoding it.
+      EXPECT_EQ(EncodedMetaSize(*probe), EncodeMeta(*probe).size());
+      sized++;
+    }
     TallyDecode<StoreMeta>(
         &decoded, m,
         [&](const std::vector<uint8_t>& b) {
@@ -480,6 +504,7 @@ TEST(StoreFormatMutation, MetaBlobMutantsAreTypedOrRoundTripAndMountTyped) {
     }
   }
   WriteDevice(dev, lba, original);
+  EXPECT_GT(sized, 0u);
   ExpectAllTyped(decoded, "meta blob");
   std::fprintf(stderr, "meta blob on the device:%s\n", mounted.Summary().c_str());
   EXPECT_EQ(mounted["crashed"], 0u) << mounted.Summary();

@@ -36,6 +36,10 @@ for preset in default asan; do
   # abort): run it by name too.
   "${build_dir}/tests/fault_matrix_test" >/dev/null
 
+  # And the in-flight window: every checkpoint that flushes — periodic,
+  # direct or sls_memckpt — waits for room in it before it begins.
+  "${build_dir}/tests/overlap_test" >/dev/null
+
   # And the stop-path contract (clean epochs elide protection + shootdowns,
   # restored images equal the written bytes, cache invalidation per op).
   "${build_dir}/tests/stop_path_test" >/dev/null
@@ -199,14 +203,16 @@ done
 # path and segment-log GC, the epoch wire format with its replica and
 # failover paths, the store-format and manifest decoders with the object
 # store and SLS suites around them, every restore source (store,
-# standby, in-memory snapshot and sls recv) directly, and the device queues
-# with the flush lanes over them. One list names each suite once: it is both
-# built and run.
+# standby, in-memory snapshot and sls recv) directly, the device queues
+# with the flush lanes over them, and the checkpoint pipeline's window,
+# abort path and region scope (overlap, fault matrix, Aurora API). One list
+# names each suite once: it is both built and run.
 ubsan_tests=(
   lint_test base_test crash_matrix_test stop_path_test segment_gc_test epoch_stream_test
   backend_conformance_test replication_test restore_fault_test extent_codec_test dedup_test
   store_golden_test store_format_test manifest_harness_test objstore_test core_more_test
-  core_test integration_test storage_test lane_scaling_test
+  core_test integration_test storage_test lane_scaling_test overlap_test fault_matrix_test
+  api_test
 )
 echo "=== configure/build: ubsan ==="
 cmake --preset ubsan

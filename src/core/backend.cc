@@ -57,7 +57,7 @@ Result<SimTime> StoreBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t*
   return done;
 }
 
-Result<CheckpointBackend::CommitInfo> StoreBackend::CommitEpoch(
+Result<CheckpointDestination::CommitInfo> StoreBackend::CommitEpoch(
     const std::string& ckpt_name, const std::vector<uint8_t>& manifest, Oid replaces_manifest) {
   CommitInfo info;
   SimTime manifest_done = sim_->clock.now();
@@ -162,194 +162,6 @@ bool StoreBackend::InstallPager(VmObject* base) {
 }
 
 // -----------------------------------------------------------------------------
-// MemoryBackend
-// -----------------------------------------------------------------------------
-
-Result<Oid> MemoryBackend::CreateMemoryObject(uint64_t size_hint) {
-  Oid oid{next_oid_++};
-  objects_[oid.value].size = size_hint;
-  return oid;
-}
-
-void MemoryBackend::StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx,
-                              const uint8_t* data) {
-  ObjectImage& img = objects_[oid];
-  img.size = std::max(img.size, object_size);
-  img.pages[pgidx].assign(data, data + kPageSize);
-}
-
-Result<SimTime> MemoryBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
-                                                uint64_t* bytes) {
-  uint64_t copied = 0;
-  for (const auto& [pgidx, frame] : obj->pages()) {
-    StagePage(oid.value, obj->size(), pgidx, frame->data.data());
-    copied += kPageSize;
-  }
-  *pages += copied / kPageSize;
-  *bytes += copied;
-  if (copied == 0) {
-    return sim_->clock.now();
-  }
-  int lane = flusher_.NextLane();
-  SimTime done = flusher_.StartOn(lane, sim_->clock.now()) + sim_->cost.MemCopy(copied);
-  flusher_.Occupy(lane, done);
-  obj->set_busy_until(done);
-  sim_->metrics.counter("backend." + name_ + ".bytes_shipped").Add(copied);
-  return done;
-}
-
-Result<CheckpointBackend::CommitInfo> MemoryBackend::CommitEpoch(
-    const std::string& ckpt_name, const std::vector<uint8_t>& manifest, Oid replaces_manifest) {
-  (void)replaces_manifest;  // images are append-only; SealAt retires nothing
-  // Commit is a join point: the manifest copy starts only after every flusher
-  // lane drained, and nothing later may start before the commit finished.
-  SimTime done = std::max(sim_->clock.now(), flusher_.Makespan());
-  if (!manifest.empty()) {
-    done += sim_->cost.MemCopy(manifest.size());
-    sim_->metrics.counter("backend." + name_ + ".bytes_shipped").Add(manifest.size());
-  }
-  flusher_ = LaneSchedule(flusher_.lanes(), done);
-  std::string group;
-  if (!manifest.empty()) {
-    auto head = PeekManifest(manifest);
-    if (head.ok()) {
-      group = head->name;
-    }
-  }
-  sim_->metrics.counter("backend." + name_ + ".epochs_committed").Add();
-  return SealAt(epoch_, std::move(group), ckpt_name, manifest, done);
-}
-
-CheckpointBackend::CommitInfo MemoryBackend::SealAt(uint64_t epoch, std::string group,
-                                                    std::string ckpt_name,
-                                                    std::vector<uint8_t> manifest,
-                                                    SimTime committed_at) {
-  if (!group.empty()) {
-    // At-least-once ingest: resealing a (group, epoch) the table already
-    // holds returns the original record instead of appending a duplicate.
-    for (const ImageRecord& rec : images_) {
-      if (rec.epoch == epoch && rec.group == group) {
-        sim_->metrics.counter("net.dup_epochs_ignored").Add();
-        CommitInfo info;
-        info.epoch = rec.epoch;
-        info.manifest_oid = rec.manifest_oid;
-        info.durable_at = rec.committed_at;
-        return info;
-      }
-    }
-  }
-  CommitInfo info;
-  info.epoch = epoch;
-  info.durable_at = committed_at;
-  epoch_ = std::max(epoch_, epoch + 1);
-  ImageRecord rec;
-  rec.epoch = info.epoch;
-  rec.group = std::move(group);
-  rec.ckpt_name = std::move(ckpt_name);
-  rec.committed_at = committed_at;
-  if (!manifest.empty()) {
-    rec.manifest_oid = Oid{next_oid_++};
-    info.manifest_oid = rec.manifest_oid;
-    rec.manifest = std::move(manifest);
-  }
-  images_.push_back(std::move(rec));
-  return info;
-}
-
-const MemoryBackend::ObjectImage* MemoryBackend::FindObject(uint64_t oid) const {
-  auto it = objects_.find(oid);
-  return it == objects_.end() ? nullptr : &it->second;
-}
-
-Result<const MemoryBackend::ImageRecord*> MemoryBackend::FindImage(const std::string& group_name,
-                                                                   uint64_t epoch) const {
-  for (auto it = images_.rbegin(); it != images_.rend(); ++it) {
-    if (it->manifest.empty()) {
-      continue;  // manifest-less seal (sls_memckpt)
-    }
-    if (epoch != 0 && it->epoch != epoch) {
-      continue;
-    }
-    if (it->group == group_name) {
-      return &*it;
-    }
-    if (epoch != 0) {
-      break;
-    }
-  }
-  return Status::Error(Errc::kNotFound, "no checkpoint image for group " + group_name);
-}
-
-Result<CheckpointBackend::LoadedManifest> MemoryBackend::LoadManifest(
-    const std::string& group_name, uint64_t epoch) {
-  AURORA_ASSIGN_OR_RETURN(const ImageRecord* rec, FindImage(group_name, epoch));
-  sim_->clock.Advance(sim_->cost.MemCopy(rec->manifest.size()));
-  return LoadedManifest{rec->epoch, rec->manifest_oid, rec->manifest};
-}
-
-std::shared_ptr<VmObject> MemoryBackend::Materialize(uint64_t oid, uint64_t size,
-                                                     uint64_t* pages) const {
-  auto obj = VmObject::CreateAnonymous(size);
-  if (const ObjectImage* img = FindObject(oid)) {
-    for (const auto& [pgidx, data] : img->pages) {
-      obj->InstallPage(pgidx, data.data());
-    }
-    *pages += img->pages.size();
-  }
-  return obj;
-}
-
-VmObject::Pager MemoryBackend::ImagePager(uint64_t oid, SimContext* sim,
-                                          SimDuration per_fault) const {
-  return [this, oid, sim, per_fault](uint64_t pgidx, uint8_t* out) {
-    const ObjectImage* img = FindObject(oid);
-    if (img == nullptr) {
-      return false;
-    }
-    auto page = img->pages.find(pgidx);
-    if (page == img->pages.end()) {
-      return false;
-    }
-    sim->clock.Advance(per_fault);
-    std::copy(page->second.begin(), page->second.end(), out);
-    return true;
-  };
-}
-
-MemoryResolverFn MemoryBackend::LazyResolver(SimContext* sim, SimDuration per_fault) const {
-  return [this, sim, per_fault](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-    auto obj = VmObject::CreateAnonymous(size);
-    obj->set_pager(ImagePager(oid.value, sim, per_fault));
-    return ResolvedMemory{std::move(obj), false};
-  };
-}
-
-Result<MemoryResolverFn> MemoryBackend::MakeResolver(uint64_t epoch, RestoreMode mode,
-                                                     std::shared_ptr<SimTime> stream_done) {
-  (void)epoch;  // images are written once; any epoch sees the same pages
-  if (mode == RestoreMode::kFull) {
-    // Independent objects materialize on parallel lanes (same width as the
-    // flusher); the caller advances to the makespan once at the end.
-    auto lanes = std::make_shared<LaneSchedule>(flusher_.lanes(), *stream_done);
-    return MemoryResolverFn(
-        [this, stream_done, lanes](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-          uint64_t pages = 0;
-          auto obj = Materialize(oid.value, size, &pages);
-          int lane = lanes->NextLane();
-          SimTime done = lanes->StartOn(lane, 0) + sim_->cost.MemCopy(pages * kPageSize);
-          lanes->Occupy(lane, done);
-          *stream_done = std::max(*stream_done, done);
-          return ResolvedMemory{std::move(obj), false};
-        });
-  }
-  return LazyResolver(sim_, sim_->cost.MemCopy(kPageSize));
-}
-
-bool MemoryBackend::InstallPager(VmObject* base) {
-  return BackWithPager(base, ImagePager(base->sls_oid(), sim_, sim_->cost.MemCopy(kPageSize)));
-}
-
-// -----------------------------------------------------------------------------
 // ReplicaLink
 // -----------------------------------------------------------------------------
 
@@ -403,6 +215,111 @@ std::vector<WireFrame> ReplicaLink::TakeDeliverable() {
 // -----------------------------------------------------------------------------
 // ReplicaStandby
 // -----------------------------------------------------------------------------
+
+Oid ReplicaStandby::NameObject(uint64_t size_hint) {
+  Oid oid{next_oid_++};
+  objects_[oid.value].size = size_hint;
+  return oid;
+}
+
+void ReplicaStandby::StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx,
+                               const uint8_t* data) {
+  ObjectImage& img = objects_[oid];
+  img.size = std::max(img.size, object_size);
+  img.pages[pgidx].assign(data, data + kPageSize);
+}
+
+void ReplicaStandby::SealAt(uint64_t epoch, std::string group, std::string ckpt_name,
+                            std::vector<uint8_t> manifest, SimTime committed_at) {
+  if (!group.empty()) {
+    // At-least-once ingest: resealing a (group, epoch) the table already
+    // holds keeps the original record instead of appending a duplicate.
+    for (const ImageRecord& rec : images_) {
+      if (rec.epoch == epoch && rec.group == group) {
+        sim_->metrics.counter("net.dup_epochs_ignored").Add();
+        return;
+      }
+    }
+  }
+  ImageRecord rec;
+  rec.epoch = epoch;
+  rec.group = std::move(group);
+  rec.ckpt_name = std::move(ckpt_name);
+  rec.committed_at = committed_at;
+  if (!manifest.empty()) {
+    rec.manifest_oid = Oid{next_oid_++};
+    rec.manifest = std::move(manifest);
+  }
+  images_.push_back(std::move(rec));
+}
+
+Result<const ReplicaStandby::ImageRecord*> ReplicaStandby::FindImage(
+    const std::string& group_name, uint64_t epoch) const {
+  for (auto it = images_.rbegin(); it != images_.rend(); ++it) {
+    if (it->manifest.empty()) {
+      continue;  // manifest-less seal (sls_memckpt)
+    }
+    if (epoch != 0 && it->epoch != epoch) {
+      continue;
+    }
+    if (it->group == group_name) {
+      return &*it;
+    }
+    if (epoch != 0) {
+      break;
+    }
+  }
+  return Status::Error(Errc::kNotFound, "no checkpoint image for group " + group_name);
+}
+
+Result<CheckpointBackend::LoadedManifest> ReplicaStandby::LoadManifest(
+    const std::string& group_name, uint64_t epoch) {
+  AURORA_ASSIGN_OR_RETURN(const ImageRecord* rec, FindImage(group_name, epoch));
+  sim_->clock.Advance(sim_->cost.MemCopy(rec->manifest.size()));
+  return LoadedManifest{rec->epoch, rec->manifest_oid, rec->manifest};
+}
+
+std::shared_ptr<VmObject> ReplicaStandby::Materialize(uint64_t oid, uint64_t size,
+                                                      uint64_t* pages) const {
+  auto obj = VmObject::CreateAnonymous(size);
+  auto img = objects_.find(oid);
+  if (img != objects_.end()) {
+    for (const auto& [pgidx, data] : img->second.pages) {
+      obj->InstallPage(pgidx, data.data());
+    }
+    *pages += img->second.pages.size();
+  }
+  return obj;
+}
+
+VmObject::Pager ReplicaStandby::ImagePager(uint64_t oid, SimContext* sim,
+                                           SimDuration per_fault) const {
+  return [this, oid, sim, per_fault](uint64_t pgidx, uint8_t* out) {
+    auto img = objects_.find(oid);
+    if (img == objects_.end()) {
+      return false;
+    }
+    auto page = img->second.pages.find(pgidx);
+    if (page == img->second.pages.end()) {
+      return false;
+    }
+    sim->clock.Advance(per_fault);
+    std::copy(page->second.begin(), page->second.end(), out);
+    return true;
+  };
+}
+
+MemoryResolverFn ReplicaStandby::LazyResolver(SimContext* sim, SimDuration per_fault) const {
+  return [this, sim, per_fault](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
+    auto obj = VmObject::CreateAnonymous(size);
+    obj->set_pager(ImagePager(oid.value, sim, per_fault));
+    return ResolvedMemory{std::move(obj), false};
+  };
+}
+
+bool ReplicaStandby::InstallPager(VmObject* base) {
+  return BackWithPager(base, ImagePager(base->sls_oid(), sim_, sim_->cost.MemCopy(kPageSize)));
+}
 
 uint64_t ReplicaStandby::newest_seen_epoch() const {
   uint64_t newest = applied_epoch_;
@@ -597,7 +514,7 @@ void ReplicaStandby::Demote() {
   // The previous warm set now belongs to the promoted incarnation: rebuild
   // fresh images from the applied table, charged to the ingest timeline.
   uint64_t pages = 0;
-  for (const auto& [oid, img] : object_table()) {
+  for (const auto& [oid, img] : objects_) {
     if (img.size == 0 && img.pages.empty()) {
       continue;
     }
@@ -610,8 +527,25 @@ void ReplicaStandby::Demote() {
 
 Result<MemoryResolverFn> ReplicaStandby::MakeResolver(uint64_t epoch, RestoreMode mode,
                                                       std::shared_ptr<SimTime> stream_done) {
-  if (!promoted_ || mode != RestoreMode::kFull) {
-    return MemoryBackend::MakeResolver(epoch, mode, stream_done);
+  (void)epoch;  // images are written once; any epoch sees the same pages
+  if (mode == RestoreMode::kLazy) {
+    return LazyResolver(sim_, sim_->cost.MemCopy(kPageSize));
+  }
+  if (!promoted_) {
+    // Cold restore: independent objects materialize on parallel lanes (one
+    // per machine flush lane); the caller advances to the makespan once at
+    // the end.
+    auto lanes = std::make_shared<LaneSchedule>(sim_->FlushLanes(), *stream_done);
+    return MemoryResolverFn(
+        [this, stream_done, lanes](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
+          uint64_t pages = 0;
+          auto obj = Materialize(oid.value, size, &pages);
+          int lane = lanes->NextLane();
+          SimTime done = lanes->StartOn(lane, 0) + sim_->cost.MemCopy(pages * kPageSize);
+          lanes->Occupy(lane, done);
+          *stream_done = std::max(*stream_done, done);
+          return ResolvedMemory{std::move(obj), false};
+        });
   }
   // Warm failover: the continuously-patched images ARE the restored memory —
   // no copy, the restore just joins the ingest timeline. Only objects the
@@ -765,7 +699,7 @@ FrameId ReplicaBackend::NextFrameId() {
 
 Result<Oid> ReplicaBackend::CreateMemoryObject(uint64_t size_hint) {
   // Object naming piggybacks on the stream framing; no transfer of its own.
-  return standby_->CreateMemoryObject(size_hint);
+  return standby_->NameObject(size_hint);
 }
 
 Result<SimTime> ReplicaBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
@@ -790,7 +724,7 @@ Result<SimTime> ReplicaBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_
   return done;
 }
 
-Result<CheckpointBackend::CommitInfo> ReplicaBackend::CommitEpoch(
+Result<CheckpointDestination::CommitInfo> ReplicaBackend::CommitEpoch(
     const std::string& ckpt_name, const std::vector<uint8_t>& manifest, Oid replaces_manifest) {
   (void)replaces_manifest;  // the standby's image table is append-only
   FrameId id = NextFrameId();
@@ -835,7 +769,7 @@ Result<CheckpointBackend::CommitInfo> ReplicaBackend::CommitEpoch(
 
 Result<CheckpointBackend::LoadedManifest> ReplicaBackend::LoadManifest(
     const std::string& group_name, uint64_t epoch) {
-  AURORA_ASSIGN_OR_RETURN(const MemoryBackend::ImageRecord* rec,
+  AURORA_ASSIGN_OR_RETURN(const ReplicaStandby::ImageRecord* rec,
                           standby_->FindImage(group_name, epoch));
   // Foreground pull: the restore blocks on the round trip.
   sim_->clock.Advance(sim_->cost.NetTransfer(rec->manifest.size()));

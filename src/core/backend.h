@@ -1,13 +1,20 @@
 // Pluggable checkpoint backends (paper section 4, Table 2).
 //
 // Aurora ships checkpoints to interchangeable destinations: the local COW
-// object store, RAM-resident snapshot images (the memory-backend ablation),
-// and a warm standby on a remote machine over the NIC, in the epoch wire
-// format `sls send` / `sls recv` also speak (src/core/epoch_stream.h). The Sls
-// checkpoint/restore engine talks to all of them through CheckpointBackend,
-// so the pipeline stages — quiesce, serialize, shadow, resume, async flush,
-// commit, release — are written once and the destination only decides where
-// bytes land and what each transfer costs.
+// object store, and a warm standby on a remote machine over the NIC, in the
+// epoch wire format `sls send` / `sls recv` also speak
+// (src/core/epoch_stream.h). The interface is split by role:
+//
+//   CheckpointBackend      — a restore source: manifests, the namespace,
+//       memory resolvers and demand pagers. The standby's image table is
+//       one (ReplicaStandby), and so is every destination.
+//   CheckpointDestination  — a source that also takes checkpoints: object
+//       naming, page shipping, the namespace and the epoch commit. The store
+//       (StoreBackend) and the replica stream (ReplicaBackend) are the two.
+//
+// The Sls checkpoint pipeline talks to a destination and the restore
+// pipeline to a source, so the stages are written once and the backend only
+// decides where bytes land and what each transfer costs.
 //
 // Durability timing model: WriteObjectPages/CommitEpoch stage their data
 // synchronously (the simulation's state is updated immediately) but return
@@ -44,13 +51,41 @@ enum class RestoreMode {
   kLazy,  // restore OS state only; pages fault in on demand
 };
 
+// A restore source.
 class CheckpointBackend {
  public:
   virtual ~CheckpointBackend() = default;
 
   virtual const std::string& name() const = 0;
 
-  // --- Checkpoint destination ----------------------------------------------
+  struct LoadedManifest {
+    uint64_t epoch = 0;
+    Oid oid;
+    std::vector<uint8_t> blob;
+  };
+  // Finds and reads the manifest for `group_name` at `epoch` (0 = newest).
+  [[nodiscard]] virtual Result<LoadedManifest> LoadManifest(const std::string& group_name,
+                                                            uint64_t epoch) = 0;
+  // Rolls the file-system namespace back to the checkpointed one.
+  [[nodiscard]] virtual Status RestoreNamespace(uint64_t epoch, Oid ns_oid) = 0;
+  // Builds the memory resolver RestoreOsState uses to materialize each
+  // region object. kFull resolvers stream eagerly and accumulate their read
+  // completion into *stream_done (the caller advances to it once at the
+  // end); kLazy resolvers install demand pagers.
+  [[nodiscard]] virtual Result<MemoryResolverFn> MakeResolver(
+      uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) = 0;
+
+  // --- Unified checkpoint/swap path (paper section 6) ----------------------
+  // Backs the fully-durable, parentless object `base` with this backend so
+  // dropped frames stream back on fault. Returns false when `base` cannot be
+  // safely paged (no oid, mid-chain, ...) — the caller must then keep its
+  // frames resident.
+  virtual bool InstallPager(VmObject* base) = 0;
+};
+
+// A checkpoint destination: a restore source that also takes checkpoints.
+class CheckpointDestination : public CheckpointBackend {
+ public:
   // Epoch the next commit will seal (matches ObjectStore::current_epoch()).
   virtual uint64_t current_epoch() const = 0;
   // Names a new memory-region object in this backend's namespace.
@@ -82,36 +117,15 @@ class CheckpointBackend {
                                                        const std::vector<uint8_t>& manifest,
                                                        Oid replaces_manifest) = 0;
 
-  // --- Restore source ------------------------------------------------------
-  struct LoadedManifest {
-    uint64_t epoch = 0;
-    Oid oid;
-    std::vector<uint8_t> blob;
-  };
-  // Finds and reads the manifest for `group_name` at `epoch` (0 = newest).
-  [[nodiscard]] virtual Result<LoadedManifest> LoadManifest(const std::string& group_name,
-                                                            uint64_t epoch) = 0;
-  // Rolls the file-system namespace back to the checkpointed one.
-  [[nodiscard]] virtual Status RestoreNamespace(uint64_t epoch, Oid ns_oid) = 0;
-  // Builds the memory resolver RestoreOsState uses to materialize each
-  // region object. kFull resolvers stream eagerly and accumulate their read
-  // completion into *stream_done (the caller advances to it once at the
-  // end); kLazy resolvers install demand pagers.
-  [[nodiscard]] virtual Result<MemoryResolverFn> MakeResolver(
-      uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) = 0;
-
-  // --- Unified checkpoint/swap path (paper section 6) ----------------------
-  // Backs the fully-durable, parentless object `base` with this backend so
-  // dropped frames stream back on fault. Returns false when `base` cannot be
-  // safely paged (no oid, mid-chain, ...) — the caller must then keep its
-  // frames resident.
-  virtual bool InstallPager(VmObject* base) = 0;
+  // Whether `source` holds this destination's objects under the names this
+  // destination gave them, so a group restored from it keeps those names.
+  virtual bool SharesNames(const CheckpointBackend* source) const { return source == this; }
 };
 
 // -----------------------------------------------------------------------------
 // StoreBackend: today's path — the local COW object store + AuroraFS.
 // -----------------------------------------------------------------------------
-class StoreBackend : public CheckpointBackend {
+class StoreBackend : public CheckpointDestination {
  public:
   StoreBackend(SimContext* sim, ObjectStore* store, AuroraFs* fs)
       : sim_(sim), store_(store), fs_(fs) {}
@@ -148,92 +162,6 @@ class StoreBackend : public CheckpointBackend {
   ObjectStore* store_;
   AuroraFs* fs_;
   std::string name_ = "store";
-};
-
-// -----------------------------------------------------------------------------
-// MemoryBackend: RAM-resident checkpoint images (the paper's memory-backend
-// ablation). An asynchronous flusher copies pages into per-object images at
-// memcpy bandwidth; images survive process teardown but not machine reboot.
-// ReplicaStandby builds on it: a standby applies the primary's epochs into
-// the same image table.
-// -----------------------------------------------------------------------------
-class MemoryBackend : public CheckpointBackend {
- public:
-  explicit MemoryBackend(SimContext* sim, std::string name = "memory")
-      : sim_(sim), name_(std::move(name)), flusher_(sim->FlushLanes()) {}
-
-  struct ObjectImage {
-    uint64_t size = 0;
-    std::map<uint64_t, std::vector<uint8_t>> pages;  // pgidx -> one 4 KiB page
-  };
-  struct ImageRecord {
-    uint64_t epoch = 0;
-    std::string group;
-    std::string ckpt_name;
-    Oid manifest_oid;
-    std::vector<uint8_t> manifest;
-    SimTime committed_at = 0;
-  };
-
-  const std::string& name() const override { return name_; }
-  uint64_t current_epoch() const override { return epoch_; }
-  [[nodiscard]] Result<Oid> CreateMemoryObject(uint64_t size_hint) override;
-  [[nodiscard]] Result<Oid> PersistNamespace(Oid /*replaces*/) override { return kInvalidOid; }
-  [[nodiscard]] Result<SimTime> WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
-                                                 uint64_t* bytes) override;
-  [[nodiscard]] Result<SimTime> FlushFilesystem() override { return sim_->clock.now(); }
-  [[nodiscard]] Result<CommitInfo> CommitEpoch(const std::string& ckpt_name,
-                                               const std::vector<uint8_t>& manifest,
-                                               Oid replaces_manifest) override;
-  [[nodiscard]] Result<LoadedManifest> LoadManifest(const std::string& group_name,
-                                                    uint64_t epoch) override;
-  [[nodiscard]] Status RestoreNamespace(uint64_t /*epoch*/, Oid /*ns_oid*/) override {
-    return Status::Error(Errc::kNotSupported, "memory backend holds no namespace");
-  }
-  [[nodiscard]] Result<MemoryResolverFn> MakeResolver(
-      uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) override;
-  bool InstallPager(VmObject* base) override;
-
-  // Cost-free staging primitives for a replica stream feeding this image
-  // table from across the link (the sender charges the NIC, not our flusher).
-  void StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx, const uint8_t* data);
-  // Seals an epoch at a caller-chosen number (a replica applying the primary's
-  // stream keeps the primary's epoch numbering). Idempotent per
-  // (group, epoch): resealing an epoch the table already holds returns the
-  // existing record — at-least-once delivery must not duplicate images.
-  CommitInfo SealAt(uint64_t epoch, std::string group, std::string ckpt_name,
-                    std::vector<uint8_t> manifest, SimTime committed_at);
-
-  // A fresh object of `size` holding every staged page of `oid`; adds the
-  // pages copied to *pages.
-  std::shared_ptr<VmObject> Materialize(uint64_t oid, uint64_t size, uint64_t* pages) const;
-  // Demand pager over the image of `oid`: a fault copies the staged page
-  // and charges `per_fault` to `sim`'s clock (a local copy, or a pull across
-  // a link); a page the image lacks fails the fault.
-  VmObject::Pager ImagePager(uint64_t oid, SimContext* sim, SimDuration per_fault) const;
-  // The kLazy resolver over this table: every object pages in on demand
-  // through ImagePager.
-  MemoryResolverFn LazyResolver(SimContext* sim, SimDuration per_fault) const;
-
-  const ObjectImage* FindObject(uint64_t oid) const;
-  const std::map<uint64_t, ObjectImage>& object_table() const { return objects_; }
-  [[nodiscard]] Result<const ImageRecord*> FindImage(const std::string& group_name,
-                                                     uint64_t epoch) const;
-
- protected:
-  SimContext* sim_;
-
- private:
-  std::string name_;
-  uint64_t next_oid_ = 1;
-  uint64_t epoch_ = 1;
-  // Asynchronous flusher lanes, one per machine flush lane: each object's
-  // copy lands on the least-loaded lane and starts no earlier than that
-  // lane's previous drain, so back-to-back checkpoints queue up. One lane =
-  // the serial flusher.
-  LaneSchedule flusher_;
-  std::map<uint64_t, ObjectImage> objects_;
-  std::vector<ImageRecord> images_;
 };
 
 // -----------------------------------------------------------------------------
@@ -313,13 +241,60 @@ class ReplicaLink {
 };
 
 // Standby side: ingests the epoch stream, validates, applies, and promotes.
-// Extends MemoryBackend so the applied image table serves every existing
-// restore path (cold restore, lazy paging, conformance); the warm VmObject
-// images on top make failover O(dirty-since-last-applied-epoch).
-class ReplicaStandby : public MemoryBackend {
+// A restore source only: it owns the applied image table, which serves the
+// cold and lazy restore paths, and the warm VmObject images on top make
+// failover O(dirty-since-last-applied-epoch). It takes no checkpoints, so a
+// group promoted from it keeps the checkpoint destination it had.
+class ReplicaStandby : public CheckpointBackend {
  public:
   ReplicaStandby(SimContext* sim, ReplicaLink* link, std::string name = "standby")
-      : MemoryBackend(sim, std::move(name)), link_(link) {}
+      : sim_(sim), link_(link), name_(std::move(name)) {}
+
+  // One object of the applied image table, and one sealed epoch.
+  struct ObjectImage {
+    uint64_t size = 0;
+    std::map<uint64_t, std::vector<uint8_t>> pages;  // pgidx -> one 4 KiB page
+  };
+  struct ImageRecord {
+    uint64_t epoch = 0;
+    std::string group;
+    std::string ckpt_name;
+    Oid manifest_oid;
+    std::vector<uint8_t> manifest;
+    SimTime committed_at = 0;
+  };
+
+  const std::string& name() const override { return name_; }
+  [[nodiscard]] Result<LoadedManifest> LoadManifest(const std::string& group_name,
+                                                    uint64_t epoch) override;
+  [[nodiscard]] Status RestoreNamespace(uint64_t /*epoch*/, Oid /*ns_oid*/) override {
+    return Status::Error(Errc::kNotSupported, "standby holds no namespace");
+  }
+  // Warm/delta restore for a prepared failover; otherwise a cold copy out of
+  // the image table (kFull) or demand paging from it (kLazy).
+  [[nodiscard]] Result<MemoryResolverFn> MakeResolver(
+      uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) override;
+  bool InstallPager(VmObject* base) override;
+
+  // The stream's object names are the standby's: the primary's
+  // ReplicaBackend names each new region here, and the table records its
+  // size.
+  Oid NameObject(uint64_t size_hint);
+
+  // A fresh object of `size` holding every applied page of `oid`; adds the
+  // pages copied to *pages.
+  std::shared_ptr<VmObject> Materialize(uint64_t oid, uint64_t size, uint64_t* pages) const;
+  // Demand pager over the image of `oid`: a fault copies the applied page
+  // and charges `per_fault` to `sim`'s clock (a local copy, or a pull across
+  // a link); a page the image lacks fails the fault.
+  VmObject::Pager ImagePager(uint64_t oid, SimContext* sim, SimDuration per_fault) const;
+  // The kLazy resolver over this table: every object pages in on demand
+  // through ImagePager.
+  MemoryResolverFn LazyResolver(SimContext* sim, SimDuration per_fault) const;
+
+  const std::map<uint64_t, ObjectImage>& object_table() const { return objects_; }
+  [[nodiscard]] Result<const ImageRecord*> FindImage(const std::string& group_name,
+                                                     uint64_t epoch) const;
 
   // --- Continuous ingest ---------------------------------------------------
   // Drains the link, reassembles pending epochs by frame header (deduping
@@ -373,11 +348,6 @@ class ReplicaStandby : public MemoryBackend {
   // previous ones now belong to the promoted incarnation).
   void Demote();
 
-  // Warm/delta restore for a prepared failover; cold MemoryBackend path
-  // otherwise.
-  [[nodiscard]] Result<MemoryResolverFn> MakeResolver(
-      uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) override;
-
   // Status lines for `sls repl`.
   std::vector<std::string> Describe() const;
 
@@ -392,8 +362,18 @@ class ReplicaStandby : public MemoryBackend {
   // Applies every contiguous complete epoch above the watermark.
   void ApplyReady();
   void ApplyEpoch(const DecodedEpoch& epoch, SimTime last_arrival);
+  void StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx, const uint8_t* data);
+  // Seals an applied epoch under the primary's epoch number. Idempotent per
+  // (group, epoch): at-least-once delivery must not duplicate images.
+  void SealAt(uint64_t epoch, std::string group, std::string ckpt_name,
+              std::vector<uint8_t> manifest, SimTime committed_at);
 
+  SimContext* sim_;
   ReplicaLink* link_;
+  std::string name_;
+  uint64_t next_oid_ = 1;
+  std::map<uint64_t, ObjectImage> objects_;
+  std::vector<ImageRecord> images_;
   std::map<uint64_t, PendingEpoch> pending_;
   uint64_t applied_epoch_ = 0;
   uint64_t validated_epoch_ = 0;
@@ -417,7 +397,7 @@ class ReplicaStandby : public MemoryBackend {
 // of the stream lanes; latency halves overlap across lanes while the wire's
 // byte time is shared, and with one lane the stream timeline always covers
 // the wire, i.e. the serial link.
-class ReplicaBackend : public CheckpointBackend {
+class ReplicaBackend : public CheckpointDestination {
  public:
   ReplicaBackend(SimContext* sim, ReplicaStandby* standby, ReplicaLink* link,
                  std::string name = "replica")
@@ -457,6 +437,10 @@ class ReplicaBackend : public CheckpointBackend {
   [[nodiscard]] Result<MemoryResolverFn> MakeResolver(
       uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) override;
   bool InstallPager(VmObject* base) override;
+  // The standby names every object this backend ships.
+  bool SharesNames(const CheckpointBackend* source) const override {
+    return source == this || source == standby_;
+  }
 
   ReplicaStandby* standby() { return standby_; }
 

@@ -48,8 +48,9 @@ class SlsCli {
                                               RestoreMode mode = RestoreMode::kFull,
                                               const std::string& backend_name = "");
   // sls ckpt --backend=<name>: routes the group's future checkpoints through
-  // the named backend (store / memory / replica). Legal only while the group has
-  // no checkpoint state in flight.
+  // the named destination (store, or a registered replica). Legal only while
+  // the group has no checkpoint state in flight; a source-only backend (a
+  // standby) is refused.
   [[nodiscard]] Status SetBackend(const std::string& group_name, const std::string& backend_name);
   // sls ckpt --in-flight-epochs=<n>: epoch-overlap backpressure knob for
   // periodic checkpoints. 1 (default) = a new epoch never starts before the

@@ -4,9 +4,11 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/units.h"
@@ -18,7 +20,7 @@
 
 namespace aurora {
 
-class CheckpointBackend;
+class CheckpointDestination;
 
 // How long committed epochs stay restorable. Applied after every durable
 // full checkpoint of the group (store backend only): epochs outside the
@@ -29,6 +31,34 @@ struct RetentionPolicy {
   // Keep at most this many newest committed epochs (0 = unlimited).
   uint64_t keep_epochs = 0;
   bool enabled() const { return keep_epochs > 0; }
+};
+
+// Per-group cache of serialized entity blobs, keyed by (entity kind, kernel
+// identity) and guarded by the entity's generation counter. A generation
+// match with differing bytes counts as stale (a missed generation bump) and
+// is recharged fresh, so a bookkeeping bug can cost time but never
+// correctness: the emitted manifest always carries freshly-serialized bytes.
+// See SerializeMode (src/core/serialize.h) for how the passes charge it.
+struct SerializeCache {
+  struct Entry {
+    uint64_t gen = 0;
+    std::vector<uint8_t> bytes;
+    uint64_t pass = 0;  // last pass that touched this entry
+  };
+  std::map<std::pair<uint8_t, uint64_t>, Entry> entries;
+  uint64_t pass = 0;
+
+  // Drops entries no pass has touched recently (exited processes, closed
+  // descriptors) so the cache tracks the live entity set.
+  void Prune() {
+    for (auto it = entries.begin(); it != entries.end();) {
+      if (it->second.pass + 2 < pass) {
+        it = entries.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
 };
 
 class ConsistencyGroup {
@@ -48,21 +78,21 @@ class ConsistencyGroup {
   bool external_sync = true;
 
   // Checkpoint destination. Null means the machine's object store; set a
-  // registered backend via Sls::SetBackend before the first checkpoint.
-  CheckpointBackend* backend = nullptr;
+  // registered destination via Sls::SetBackend before the first checkpoint.
+  CheckpointDestination* backend = nullptr;
 
   // Epoch retention (see RetentionPolicy). Driven by Sls after each durable
   // full checkpoint; disabled by default.
   RetentionPolicy retention;
 
   // Epoch overlap: how many checkpoint flushes may still be in flight when
-  // the periodic scheduler opens a new epoch. 1 (the paper's behavior)
-  // serializes epochs on durability; 2 overlaps epoch N+1's serialization
-  // with epoch N's flush.
+  // a checkpoint (periodic, direct or sls_memckpt) begins. 1 (the paper's
+  // behavior) serializes epochs on durability; 2 overlaps epoch N+1's
+  // serialization with epoch N's flush.
   uint32_t max_in_flight_epochs = 1;
   // Durability times of flushes not yet known durable, pruned against now.
   std::vector<SimTime> inflight_durable;
-  // One record per committed full checkpoint, for backpressure tests and
+  // One record per committed flushing checkpoint, for backpressure tests and
   // the overlap ablation. Kept as a ring capped at kCkptHistoryCap newest
   // records (a group checkpointing 100x/s would otherwise grow O(epochs)
   // memory over million-epoch runs); inflight_durable shares the cap.
@@ -88,6 +118,20 @@ class ConsistencyGroup {
   // collapsed into a persisted base (otherwise those writes would be lost).
   std::vector<ShadowPair> unflushed_frozen;
   std::set<uint64_t> persisted_oids;
+
+  // The in-memory checkpoint, for RestoreFromMemory: the newest
+  // checkpoint's frozen object per oid and its manifest. Empty when the group
+  // has none.
+  std::map<uint64_t, std::shared_ptr<VmObject>> snapshot;
+  std::vector<uint8_t> last_manifest_blob;
+  // Serialized-blob cache for the warm/assemble serialization passes.
+  SerializeCache serialize_cache;
+  // When the group's newest checkpoint became durable (0 before any), for
+  // sls_barrier and the abort path.
+  SimTime last_durable = 0;
+  // Liveness token of the periodic checkpoint timer; null when none runs.
+  // The timer clears it when it stops on its own (group suspended or empty).
+  std::shared_ptr<bool> periodic;
 
   // Latest committed manifest for this group.
   Oid last_manifest;

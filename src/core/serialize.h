@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -52,33 +51,6 @@ enum class SerializeMode {
   // lookup plus a memcpy of the cached blob instead of the kernel-structure
   // gather walk; only entities mutated since the warm pass reserialize.
   kAssemble,
-};
-
-// Per-group cache of serialized entity blobs, keyed by (entity kind, kernel
-// identity) and guarded by the entity's generation counter. A generation
-// match with differing bytes counts as stale (a missed generation bump) and
-// is recharged fresh, so a bookkeeping bug can cost time but never
-// correctness: the emitted manifest always carries freshly-serialized bytes.
-struct SerializeCache {
-  struct Entry {
-    uint64_t gen = 0;
-    std::vector<uint8_t> bytes;
-    uint64_t pass = 0;  // last pass that touched this entry
-  };
-  std::map<std::pair<uint8_t, uint64_t>, Entry> entries;
-  uint64_t pass = 0;
-
-  // Drops entries no pass has touched recently (exited processes, closed
-  // descriptors) so the cache tracks the live entity set.
-  void Prune() {
-    for (auto it = entries.begin(); it != entries.end();) {
-      if (it->second.pass + 2 < pass) {
-        it = entries.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
 };
 
 // Serializes the group's OS state into a manifest blob, charging the cost

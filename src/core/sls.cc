@@ -17,7 +17,9 @@ constexpr SimDuration kMemCkptHandoff = 72 * kMicrosecond;
 Sls::Sls(SimContext* sim, Kernel* kernel, ObjectStore* store, AuroraFs* fs)
     : sim_(sim), kernel_(kernel), store_(store), fs_(fs) {
   kernel_->set_rootfs(fs_);
-  store_backend_ = RegisterBackend(std::make_unique<StoreBackend>(sim_, store_, fs_));
+  auto store_backend = std::make_unique<StoreBackend>(sim_, store_, fs_);
+  store_backend_ = store_backend.get();
+  RegisterBackend(std::move(store_backend));
   // The machine's flush width, fixed when it was built.
   sim_->metrics.gauge("flush.lanes").Set(static_cast<int64_t>(sim_->FlushLanes()));
 }
@@ -39,9 +41,14 @@ CheckpointBackend* Sls::FindBackend(const std::string& name) {
 }
 
 Status Sls::SetBackend(ConsistencyGroup* group, const std::string& backend_name) {
-  CheckpointBackend* backend = FindBackend(backend_name);
-  if (backend == nullptr) {
+  CheckpointBackend* source = FindBackend(backend_name);
+  if (source == nullptr) {
     return Status::Error(Errc::kNotFound, "no such backend: " + backend_name);
+  }
+  auto* backend = dynamic_cast<CheckpointDestination*>(source);
+  if (backend == nullptr) {
+    return Status::Error(Errc::kNotSupported,
+                         "backend " + backend_name + " is a restore source only");
   }
   if (GroupBackend(group) == backend) {
     return Status::Ok();
@@ -103,7 +110,7 @@ std::vector<ConsistencyGroup*> Sls::Groups() {
   return out;
 }
 
-Oid Sls::EnsureMemoryOid(CheckpointBackend* backend, VmObject* obj) {
+Oid Sls::EnsureMemoryOid(CheckpointDestination* backend, VmObject* obj) {
   if (obj->sls_oid() != 0) {
     return Oid{obj->sls_oid()};
   }
@@ -193,7 +200,7 @@ Result<SimTime> Sls::FlushUnpersistedChains(CheckpointContext* ctx) {
         }
         done = std::max(done, *t);
         group->persisted_oids.insert(oid.value);
-        snapshots_[group][oid.value] = obj;
+        group->snapshot[oid.value] = obj;
       }
       is_top = false;
       obj = obj->parent_ref();
@@ -236,7 +243,7 @@ void Sls::CkptCollapse(CheckpointContext* ctx) {
     uint64_t oid = pair.frozen->sls_oid();
     if (CollapseAfterFlush(pair, ctx->maps, /*reversed=*/true, sim_)) {
       std::shared_ptr<VmObject> base = pair.live->parent_ref();
-      snapshots_[group][oid] = base;
+      group->snapshot[oid] = base;
       if (group->evict_after_flush && base != nullptr && base->parent() == nullptr &&
           group->persisted_oids.count(base->sls_oid()) > 0 &&
           ctx->backend->InstallPager(base.get())) {
@@ -259,7 +266,7 @@ void Sls::CkptPreSerialize(CheckpointContext* ctx) {
   // an epoch and namespace OID that do not exist yet); only the cache
   // survives into CkptSerialize.
   size_t span = sim_->tracer.Begin("ckpt.preserialize");
-  SerializeCache& cache = serialize_caches_[ctx->group];
+  SerializeCache& cache = ctx->group->serialize_cache;
   cache.pass++;
   auto ensure = [this, ctx](VmObject* obj) { return EnsureMemoryOid(ctx->backend, obj); };
   Result<std::vector<uint8_t>> warm =
@@ -297,7 +304,7 @@ Status Sls::CkptSerialize(CheckpointContext* ctx) {
   // In-window pass: assemble from the blobs CkptPreSerialize warmed; only
   // entities mutated since then (quiesce state changes, drained AIO) pay
   // fresh gather cost inside the stop.
-  SerializeCache& cache = serialize_caches_[ctx->group];
+  SerializeCache& cache = ctx->group->serialize_cache;
   AURORA_ASSIGN_OR_RETURN(ctx->manifest,
                           SerializeOsState(sim_, *ctx->group, ctx->backend->current_epoch(),
                                            ns_oid, ensure, &ctx->result.os_state, &cache,
@@ -308,18 +315,28 @@ Status Sls::CkptSerialize(CheckpointContext* ctx) {
   return Status::Ok();
 }
 
+void Sls::CkptHandoff(CheckpointContext* ctx) {
+  ctx->stop_begin = sim_->clock.now();
+  sim_->clock.Advance(kMemCkptHandoff);
+  EnsureMemoryOid(ctx->backend, ctx->region.get());
+}
+
 void Sls::CkptShadow(CheckpointContext* ctx) {
-  // System shadowing across the whole group.
+  // System shadowing across the whole group, or of the one region.
   size_t shadow_span = sim_->tracer.Begin("ckpt.shadow");
   SimStopwatch shadow_watch(sim_->clock);
-  SystemShadowStats shadow_stats;
-  ctx->pairs = CreateSystemShadows(ctx->maps, sim_, RebindShm(), &shadow_stats);
-  for (const ShadowPair& pair : ctx->pairs) {
-    snapshots_[ctx->group][pair.frozen->sls_oid()] = pair.frozen;
+  if (!ctx->whole_group()) {
+    ctx->pairs.push_back(ShadowOneObject(ctx->region, ctx->maps, sim_, RebindShm()));
+  } else {
+    SystemShadowStats shadow_stats;
+    ctx->pairs = CreateSystemShadows(ctx->maps, sim_, RebindShm(), &shadow_stats);
+    // PTEs downgraded inside this stop — with dirty-driven protection this
+    // scales with pages written since the last epoch, not image size.
+    sim_->metrics.counter("ckpt.ptes_reprotected").Add(shadow_stats.ptes_invalidated);
   }
-  // PTEs downgraded inside this stop — with dirty-driven protection this
-  // scales with pages written since the last epoch, not image size.
-  sim_->metrics.counter("ckpt.ptes_reprotected").Add(shadow_stats.ptes_invalidated);
+  for (const ShadowPair& pair : ctx->pairs) {
+    ctx->group->snapshot[pair.frozen->sls_oid()] = pair.frozen;
+  }
   ctx->result.shadow_time = shadow_watch.Elapsed();
   sim_->tracer.End(shadow_span);
 }
@@ -331,7 +348,7 @@ void Sls::CkptResume(CheckpointContext* ctx) {
   ctx->result.stop_time = sim_->clock.now() - ctx->stop_begin;
   group->stop_times.Record(ctx->result.stop_time);
   group->checkpoints_taken++;
-  last_manifest_blobs_[group] = ctx->manifest;
+  group->last_manifest_blob = ctx->manifest;
 
   sim_->metrics.counter("ckpt.checkpoints").Add();
   sim_->metrics.histogram("ckpt.stop_time").Record(ctx->result.stop_time);
@@ -348,20 +365,21 @@ void Sls::CkptRetainInMemory(CheckpointContext* ctx) {
   }
   sim_->metrics.counter("ckpt.memory_only").Add();
   ctx->result.durable_at = sim_->clock.now();
-  last_durable_[ctx->group] = ctx->result.durable_at;
+  ctx->group->last_durable = ctx->result.durable_at;
 }
 
 Status Sls::CkptAsyncFlush(CheckpointContext* ctx) {
-  // Frozen shadows stream their dirty pages into their region objects; chain
-  // links never persisted flush once. Shadows left behind by memory-only
-  // checkpoints flush first (oldest data).
+  // Frozen shadows stream their dirty pages into their region objects. A
+  // group checkpoint first flushes the shadows memory-only checkpoints left
+  // behind (oldest data), then its own, then chain links never persisted
+  // (once) and the file system; a region checkpoint flushes its one shadow.
   ConsistencyGroup* group = ctx->group;
   size_t flush_span = sim_->tracer.Begin("ckpt.flush");
   ctx->durable = sim_->clock.now();
-  for (const ShadowPair& pair : group->unflushed_frozen) {
+  auto flush = [this, ctx, group](const ShadowPair& pair) -> Status {
     Oid oid{pair.frozen->sls_oid()};
     if (!oid.valid()) {
-      continue;
+      return Status::Ok();  // excluded region
     }
     AURORA_ASSIGN_OR_RETURN(SimTime t,
                             ctx->backend->WriteObjectPages(oid, pair.frozen.get(),
@@ -369,26 +387,24 @@ Status Sls::CkptAsyncFlush(CheckpointContext* ctx) {
                                                            &ctx->result.bytes_flushed));
     ctx->durable = std::max(ctx->durable, t);
     group->persisted_oids.insert(oid.value);
+    return Status::Ok();
+  };
+  if (ctx->whole_group()) {
+    for (const ShadowPair& pair : group->unflushed_frozen) {
+      AURORA_RETURN_IF_ERROR(flush(pair));
+    }
   }
   for (const ShadowPair& pair : ctx->pairs) {
-    Oid oid{pair.frozen->sls_oid()};
-    if (!oid.valid()) {
-      continue;  // excluded region
-    }
-    AURORA_ASSIGN_OR_RETURN(SimTime t,
-                            ctx->backend->WriteObjectPages(oid, pair.frozen.get(),
-                                                           &ctx->result.pages_flushed,
-                                                           &ctx->result.bytes_flushed));
-    ctx->durable = std::max(ctx->durable, t);
-    group->persisted_oids.insert(oid.value);
+    AURORA_RETURN_IF_ERROR(flush(pair));
   }
-  AURORA_ASSIGN_OR_RETURN(SimTime chains_done, FlushUnpersistedChains(ctx));
-  ctx->durable = std::max(ctx->durable, chains_done);
-
-  // File system dirty data obeys checkpoint consistency: it flushes with the
-  // checkpoint, which is why fsync can be a no-op.
-  AURORA_ASSIGN_OR_RETURN(SimTime fs_done, ctx->backend->FlushFilesystem());
-  ctx->durable = std::max(ctx->durable, fs_done);
+  if (ctx->whole_group()) {
+    AURORA_ASSIGN_OR_RETURN(SimTime chains_done, FlushUnpersistedChains(ctx));
+    ctx->durable = std::max(ctx->durable, chains_done);
+    // File system dirty data obeys checkpoint consistency: it flushes with
+    // the checkpoint, which is why fsync can be a no-op.
+    AURORA_ASSIGN_OR_RETURN(SimTime fs_done, ctx->backend->FlushFilesystem());
+    ctx->durable = std::max(ctx->durable, fs_done);
+  }
   // The flush phase ends when its last asynchronous write lands, which is in
   // the simulated future relative to now (the application already resumed).
   sim_->tracer.EndAt(flush_span, ctx->durable);
@@ -396,26 +412,31 @@ Status Sls::CkptAsyncFlush(CheckpointContext* ctx) {
 }
 
 Status Sls::CkptCommit(CheckpointContext* ctx) {
+  // A region checkpoint has no manifest: its commit composes with the
+  // group's newest full checkpoint at restore, and the shadows memory-only
+  // checkpoints left behind stay owed to the next full one.
   ConsistencyGroup* group = ctx->group;
   size_t commit_span = sim_->tracer.Begin("ckpt.commit");
   AURORA_ASSIGN_OR_RETURN(
-      CheckpointBackend::CommitInfo commit,
+      CheckpointDestination::CommitInfo commit,
       ctx->backend->CommitEpoch(ctx->name, ctx->manifest, group->last_manifest));
   ctx->durable = std::max(ctx->durable, commit.durable_at);
   sim_->tracer.EndAt(commit_span, commit.durable_at);
 
-  group->last_manifest = commit.manifest_oid;
-  group->last_manifest_epoch = commit.epoch;
-  // Collapse order matters: oldest (deepest) shadows first.
-  group->pending_collapse = std::move(group->unflushed_frozen);
-  group->unflushed_frozen.clear();
+  if (ctx->whole_group()) {
+    group->last_manifest = commit.manifest_oid;
+    group->last_manifest_epoch = commit.epoch;
+    // Collapse order matters: oldest (deepest) shadows first.
+    group->pending_collapse = std::move(group->unflushed_frozen);
+    group->unflushed_frozen.clear();
+  }
   for (ShadowPair& pair : ctx->pairs) {
     group->pending_collapse.push_back(std::move(pair));
   }
   group->bytes_flushed_total += ctx->result.bytes_flushed;
   ctx->result.epoch = commit.epoch;
   ctx->result.durable_at = ctx->durable;
-  last_durable_[group] = ctx->durable;
+  group->last_durable = std::max(group->last_durable, ctx->durable);
 
   // Epoch-overlap bookkeeping for the in-flight window and benches.
   SimTime now = sim_->clock.now();
@@ -542,8 +563,7 @@ void Sls::CkptAbortEpoch(CheckpointContext* ctx, const Status& cause) {
   sim_->metrics.counter("ckpt.epochs_aborted").Add();
   ctx->result.aborted = true;
   ctx->result.epoch = 0;
-  auto durable = last_durable_.find(group);
-  ctx->result.durable_at = durable != last_durable_.end() ? durable->second : 0;
+  ctx->result.durable_at = group->last_durable;
   if (!abort_logged_) {
     abort_logged_ = true;
     std::fprintf(stderr, "sls: checkpoint epoch aborted (%s); continuing on last durable epoch\n",
@@ -565,81 +585,107 @@ SimTime Sls::PruneInFlight(ConsistencyGroup* group) {
 
 Result<CheckpointResult> Sls::Checkpoint(ConsistencyGroup* group, const std::string& name,
                                          CheckpointMode mode) {
-  if (mode == CheckpointMode::kFull) {
+  CheckpointContext ctx;
+  ctx.group = group;
+  ctx.name = name;
+  ctx.mode = mode;
+  return RunCheckpoint(&ctx);
+}
+
+Result<CheckpointResult> Sls::RunCheckpoint(CheckpointContext* ctx) {
+  ConsistencyGroup* group = ctx->group;
+  if (ctx->mode == CheckpointMode::kFull) {
     // A flushing checkpoint waits for room in the in-flight window before
     // it begins, however it was called: the flush lanes must not run
     // unboundedly ahead of back-to-back callers.
     sim_->clock.AdvanceTo(PruneInFlight(group));
   }
-  CheckpointContext ctx;
-  ctx.group = group;
-  ctx.backend = GroupBackend(group);
-  ctx.name = name;
-  ctx.mode = mode;
-  ctx.maps = GroupMaps(group);
-  ctx.begin = sim_->clock.now();
+  ctx->backend = GroupBackend(group);
+  ctx->maps = GroupMaps(group);
+  ctx->begin = sim_->clock.now();
   sim_->tracer.NewScope();
 
-  CkptCollapse(&ctx);
-  CkptPreSerialize(&ctx);
-  CkptQuiesce(&ctx);
-  Status serialized = CkptSerialize(&ctx);
-  if (!serialized.ok()) {
-    // Never leave the group quiesced: even a failed serialize resumes the
-    // application. Full CkptResume would clobber last_manifest_blobs_ with
-    // the partial manifest, so only the kernel-level resume happens here.
-    // The stop clock only reads as stop time if quiesce actually started it;
-    // an abort before quiesce must not fabricate a pause.
-    kernel_->Resume(group->processes);
-    ctx.result.stop_time = ctx.quiesced ? sim_->clock.now() - ctx.stop_begin : 0;
-    if (!IsIoFailure(serialized)) {
-      return serialized;
+  if (ctx->whole_group()) {
+    CkptCollapse(ctx);
+    CkptPreSerialize(ctx);
+    CkptQuiesce(ctx);
+    Status serialized = CkptSerialize(ctx);
+    if (!serialized.ok()) {
+      // Never leave the group quiesced: even a failed serialize resumes the
+      // application. Full CkptResume would clobber the group's manifest blob
+      // with the partial manifest, so only the kernel-level resume happens
+      // here. The stop clock only reads as stop time if quiesce actually
+      // started it; an abort before quiesce must not fabricate a pause.
+      kernel_->Resume(group->processes);
+      ctx->result.stop_time = ctx->quiesced ? sim_->clock.now() - ctx->stop_begin : 0;
+      if (!IsIoFailure(serialized)) {
+        return serialized;
+      }
+      CkptAbortEpoch(ctx, serialized);
+      return ctx->result;
     }
-    CkptAbortEpoch(&ctx, serialized);
-    return ctx.result;
+    CkptShadow(ctx);
+    CkptResume(ctx);
+    if (ctx->mode == CheckpointMode::kMemoryOnly) {
+      CkptRetainInMemory(ctx);
+      return ctx->result;
+    }
+  } else {
+    // The region's owner is the caller, so nothing quiesces: the stop is
+    // the handoff and the region's shadow.
+    CkptHandoff(ctx);
+    CkptShadow(ctx);
+    ctx->result.stop_time = sim_->clock.now() - ctx->stop_begin;
+    sim_->metrics.counter("ckpt.memckpts").Add();
+    sim_->metrics.histogram("ckpt.memckpt_stop").Record(ctx->result.stop_time);
   }
-  CkptShadow(&ctx);
-  CkptResume(&ctx);
-  if (mode == CheckpointMode::kMemoryOnly) {
-    CkptRetainInMemory(&ctx);
-    return ctx.result;
-  }
-  Status flushed = CkptAsyncFlush(&ctx);
+  Status flushed = CkptAsyncFlush(ctx);
   if (flushed.ok()) {
-    flushed = CkptCommit(&ctx);
+    flushed = CkptCommit(ctx);
   }
   if (!flushed.ok()) {
     if (!IsIoFailure(flushed)) {
       return flushed;
     }
-    CkptAbortEpoch(&ctx, flushed);
-    return ctx.result;
+    CkptAbortEpoch(ctx, flushed);
+    // sls_memckpt reports the failure to its caller; a group checkpoint
+    // degrades and returns the aborted epoch.
+    if (!ctx->whole_group()) {
+      return flushed;
+    }
+    return ctx->result;
   }
-  CkptRelease(&ctx);
-  ApplyRetention(&ctx);
-  return ctx.result;
+  if (ctx->whole_group()) {
+    CkptRelease(ctx);
+    ApplyRetention(ctx);
+  }
+  return ctx->result;
 }
 
 void Sls::StartPeriodicCheckpoints(ConsistencyGroup* group) {
-  if (periodic_.count(group) > 0) {
+  if (group->periodic != nullptr) {
     return;
   }
-  auto alive = std::make_shared<bool>(true);
-  periodic_[group] = alive;
-  ScheduleNextPeriodic(group, alive);
+  group->periodic = std::make_shared<bool>(true);
+  ScheduleNextPeriodic(group, group->periodic);
 }
 
 void Sls::StopPeriodicCheckpoints(ConsistencyGroup* group) {
-  auto it = periodic_.find(group);
-  if (it != periodic_.end()) {
-    *it->second = false;
-    periodic_.erase(it);
+  if (group->periodic != nullptr) {
+    *group->periodic = false;
+    group->periodic.reset();
   }
 }
 
 void Sls::ScheduleNextPeriodic(ConsistencyGroup* group, std::shared_ptr<bool> alive) {
   sim_->events.After(group->period, [this, group, alive]() {
-    if (!*alive || group->suspended || group->processes.empty()) {
+    if (!*alive) {
+      return;
+    }
+    if (group->suspended || group->processes.empty()) {
+      // Nothing to checkpoint: the chain ends, and a later
+      // StartPeriodicCheckpoints arms a new one.
+      StopPeriodicCheckpoints(group);
       return;
     }
     // Backpressure: at most max_in_flight_epochs flushes outstanding (paper
@@ -711,11 +757,10 @@ Status Sls::RestoreLoadManifest(RestoreContext* ctx) {
     return Status::Ok();
   }
   if (ctx->source == RestoreContext::Source::kSnapshot) {
-    auto blob = last_manifest_blobs_.find(ctx->old_group);
-    if (blob == last_manifest_blobs_.end()) {
+    if (ctx->old_group == nullptr || ctx->old_group->last_manifest_blob.empty()) {
       return Status::Error(Errc::kNotFound, "no in-memory checkpoint for " + ctx->group_name);
     }
-    ctx->manifest = blob->second;
+    ctx->manifest = ctx->old_group->last_manifest_blob;
   }
   // In memory and on the wire the epoch is the one the manifest records.
   AURORA_ASSIGN_OR_RETURN(RestoredGroup head, PeekManifest(ctx->manifest));
@@ -725,6 +770,12 @@ Status Sls::RestoreLoadManifest(RestoreContext* ctx) {
 
 Status Sls::RestoreBuildResolver(RestoreContext* ctx) {
   if (ctx->source == RestoreContext::Source::kBackend) {
+    if (ctx->mode == RestoreMode::kLazy && !RestoredDestination(ctx)->SharesNames(ctx->backend)) {
+      // A lazy image keeps paging from the source, and a destination that
+      // names objects differently would only ever get its resident pages.
+      return Status::Error(Errc::kNotSupported, "lazy restore from " + ctx->backend->name() +
+                                                    " into a group that checkpoints elsewhere");
+    }
     if (ctx->mode == RestoreMode::kFull) {
       ctx->stream_done = std::make_shared<SimTime>(sim_->clock.now());
     }
@@ -733,7 +784,7 @@ Status Sls::RestoreBuildResolver(RestoreContext* ctx) {
   } else if (ctx->source == RestoreContext::Source::kSnapshot) {
     // The frozen objects are the image: they map as they are, whole chains
     // included. The rebind leaves the snapshot map as it is.
-    const auto& snapshot = snapshots_[ctx->old_group];
+    const auto& snapshot = ctx->old_group->snapshot;
     ctx->resolve = [&snapshot](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
       auto it = snapshot.find(oid.value);
       if (it == snapshot.end()) {
@@ -799,13 +850,32 @@ Status Sls::RestoreRebindGroup(RestoreContext* ctx) {
   return Status::Ok();
 }
 
+CheckpointDestination* Sls::RestoredDestination(const RestoreContext* ctx) {
+  auto* source = dynamic_cast<CheckpointDestination*>(ctx->backend);
+  if (source != nullptr && source != store_backend_) {
+    return source;
+  }
+  return ctx->old_group != nullptr ? GroupBackend(ctx->old_group) : store_backend_;
+}
+
 void Sls::RebindToBackend(RestoreContext* ctx, ConsistencyGroup* group) {
+  // Future checkpoints continue into the destination a destination source
+  // names; a source-only backend (a promoted standby) takes none and leaves
+  // the group's destination as it was.
+  CheckpointDestination* destination = RestoredDestination(ctx);
+  if (destination != store_backend_) {
+    group->backend = destination;
+  }
+  if (!destination->SharesNames(ctx->backend)) {
+    // The image's object names are the source's and mean nothing to the
+    // destination, so the group rebinds as a received stream does. The
+    // restored tops are wrapped all the same, at the same cost.
+    WrapRestoredTops(group);
+    RebindToStream(group);
+    return;
+  }
   group->pending_collapse.clear();
   group->unflushed_frozen.clear();
-  if (ctx->backend != store_backend_) {
-    // Future checkpoints continue into the backend we restored from.
-    group->backend = ctx->backend;
-  }
   if (!group->last_manifest.valid()) {
     // A group with no checkpoint of its own (a fresh Sls after a reboot)
     // adopts the manifest and namespace objects live at the newest committed
@@ -817,7 +887,7 @@ void Sls::RebindToBackend(RestoreContext* ctx, ConsistencyGroup* group) {
     group->last_manifest = ctx->manifest_oid;
     group->last_manifest_epoch = ctx->manifest_epoch;
     group->last_namespace = ctx->restored.namespace_oid;
-    if (ctx->epoch != 0 && ctx->manifest_epoch + 1 < ctx->backend->current_epoch()) {
+    if (ctx->epoch != 0 && ctx->manifest_epoch + 1 < destination->current_epoch()) {
       auto live = ctx->backend->LoadManifest(ctx->group_name, 0);
       auto head = live.ok() ? PeekManifest(live->blob) : live.status();
       if (head.ok()) {
@@ -831,7 +901,7 @@ void Sls::RebindToBackend(RestoreContext* ctx, ConsistencyGroup* group) {
   // Every region named by the manifest is durable at this epoch, and the
   // restored image is the group's in-memory snapshot.
   group->persisted_oids.clear();
-  auto& snapshot_map = snapshots_[group];
+  auto& snapshot_map = group->snapshot;
   snapshot_map.clear();
   WrapRestoredTops(group);
   for (Process* proc : group->processes) {
@@ -848,7 +918,7 @@ void Sls::RebindToBackend(RestoreContext* ctx, ConsistencyGroup* group) {
       }
     }
   }
-  last_manifest_blobs_[group] = ctx->manifest;
+  group->last_manifest_blob = ctx->manifest;
 }
 
 void Sls::RebindToSnapshot(ConsistencyGroup* group) {
@@ -892,8 +962,8 @@ void Sls::RebindToStream(ConsistencyGroup* group) {
   group->persisted_oids.clear();
   group->pending_collapse.clear();
   group->unflushed_frozen.clear();
-  snapshots_.erase(group);
-  last_manifest_blobs_.erase(group);
+  group->snapshot.clear();
+  group->last_manifest_blob.clear();
 }
 
 Result<RestoreResult> Sls::RunRestore(RestoreContext* ctx) {
@@ -957,8 +1027,13 @@ Result<CheckpointResult> Sls::Suspend(ConsistencyGroup* group) {
     kernel_->DestroyProcess(proc);
   }
   group->processes.clear();
+  // The in-memory checkpoint goes with the processes: the shadows, the
+  // snapshot it pins and the serialize cache. The backend keeps the image.
   group->pending_collapse.clear();
   group->unflushed_frozen.clear();
+  group->snapshot.clear();
+  group->last_manifest_blob.clear();
+  group->serialize_cache = SerializeCache{};
   group->suspended = true;
   return result;
 }
@@ -975,52 +1050,20 @@ Result<CheckpointResult> Sls::MemCheckpoint(Process* proc, uint64_t addr) {
   if (entry->object->type() != VmObjectType::kAnonymous) {
     return Status::Error(Errc::kNotSupported, "atomic checkpoints cover anonymous memory");
   }
-  ConsistencyGroup* group = nullptr;
+  CheckpointContext ctx;
   for (auto& g : groups_) {
     if (std::find(g->processes.begin(), g->processes.end(), proc) != g->processes.end()) {
-      group = g.get();
+      ctx.group = g.get();
       break;
     }
   }
-  if (group == nullptr) {
+  if (ctx.group == nullptr) {
     return Status::Error(Errc::kBadState, "process not in a consistency group");
   }
-  CheckpointBackend* backend = GroupBackend(group);
-
-  SimStopwatch watch(sim_->clock);
-  sim_->clock.Advance(kMemCkptHandoff);
-
-  std::vector<VmMap*> maps = GroupMaps(group);
-  Oid oid = EnsureMemoryOid(backend, entry->object.get());
-  // Copy the shared_ptr: rebinding replaces entry->object itself.
-  std::shared_ptr<VmObject> region = entry->object;
-  ShadowPair pair = ShadowOneObject(region, maps, sim_, RebindShm());
-  snapshots_[group][oid.value] = pair.frozen;
-
-  CheckpointResult result;
-  result.stop_time = watch.Elapsed();
-
-  // Asynchronous flush of the shadowed region, then a manifest-less backend
-  // commit so the atomic checkpoint is independently durable and composes
-  // with the most recent full checkpoint at restore.
-  Result<SimTime> flushed = backend->WriteObjectPages(oid, pair.frozen.get(),
-                                                      &result.pages_flushed, &result.bytes_flushed);
-  Result<CheckpointBackend::CommitInfo> commit =
-      flushed.ok() ? backend->CommitEpoch("memckpt", {}, kInvalidOid) : flushed.status();
-  if (!commit.ok()) {
-    // The region's oid may already count as persisted, so a chain walk would
-    // skip the frozen shadow: keep it owed the way an aborted epoch does.
-    group->unflushed_frozen.push_back(std::move(pair));
-    return commit.status();
-  }
-  group->persisted_oids.insert(oid.value);
-  result.epoch = commit->epoch;
-  result.durable_at = std::max(*flushed, commit->durable_at);
-  last_durable_[group] = std::max(last_durable_[group], result.durable_at);
-  group->pending_collapse.push_back(pair);
-  sim_->metrics.counter("ckpt.memckpts").Add();
-  sim_->metrics.histogram("ckpt.memckpt_stop").Record(result.stop_time);
-  return result;
+  ctx.name = "memckpt";
+  // Copy the shared_ptr: the shadow replaces entry->object itself.
+  ctx.region = entry->object;
+  return RunCheckpoint(&ctx);
 }
 
 Result<Oid> Sls::JournalCreate(uint64_t capacity_bytes) {
@@ -1038,10 +1081,7 @@ Result<std::vector<std::vector<uint8_t>>> Sls::JournalReplay(Oid journal) {
 }
 
 Status Sls::Barrier(ConsistencyGroup* group) {
-  auto it = last_durable_.find(group);
-  if (it != last_durable_.end()) {
-    sim_->clock.AdvanceTo(it->second);
-  }
+  sim_->clock.AdvanceTo(group->last_durable);
   ReleasePendingSends(group);
   return Status::Ok();
 }

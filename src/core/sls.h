@@ -8,13 +8,13 @@
 //   backend commit -> release externally-synchronized messages.
 //
 // Stop time covers quiesce through resume; everything after overlaps
-// application execution. The flush/commit half talks to a pluggable
-// CheckpointBackend (store, memory, replica), so local checkpoints, the
-// memory-backend ablation and the warm standby share one engine.
+// application execution. The pipeline runs over a scope: the whole group,
+// or the one region sls_memckpt names, which skips the group-only stages.
+// The flush/commit half talks to a pluggable CheckpointDestination (store or
+// replica), so local checkpoints and the warm standby share one engine.
 #ifndef SRC_CORE_SLS_H_
 #define SRC_CORE_SLS_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,17 +54,21 @@ struct RestoreResult {
   SimDuration restore_time = 0;
 };
 
-// State threaded through the checkpoint pipeline stages.
+// State threaded through the checkpoint pipeline stages. A checkpoint covers
+// a scope: the whole group, or the one region sls_memckpt names.
 struct CheckpointContext {
   ConsistencyGroup* group = nullptr;
-  CheckpointBackend* backend = nullptr;
+  CheckpointDestination* backend = nullptr;
   std::string name;
   CheckpointMode mode = CheckpointMode::kFull;
+  // The region scope's object; null when the checkpoint covers the group.
+  std::shared_ptr<VmObject> region;
+  bool whole_group() const { return region == nullptr; }
   std::vector<VmMap*> maps;
   std::vector<uint8_t> manifest;
   std::vector<ShadowPair> pairs;  // shadows frozen by this checkpoint
   SimTime begin = 0;              // pipeline entry (epoch-overlap bookkeeping)
-  SimTime stop_begin = 0;         // quiesce start; stop = resume - stop_begin
+  SimTime stop_begin = 0;         // stop start; stop = resume - stop_begin
   bool quiesced = false;          // stop clock is running (guards abort paths)
   SimTime durable = 0;            // folds each stage's completion time
   CheckpointResult result;
@@ -110,20 +114,23 @@ class Sls {
   std::vector<ConsistencyGroup*> Groups();
 
   // --- Checkpoint backends -------------------------------------------------
-  // Registers a backend under backend->name(); returns the raw pointer for
-  // convenience. The "store" backend is registered by the constructor.
+  // Registers a backend (a restore source, or a destination that is also
+  // one) under backend->name(); returns the raw pointer for convenience.
+  // The "store" backend is registered by the constructor.
   CheckpointBackend* RegisterBackend(std::unique_ptr<CheckpointBackend> backend);
   CheckpointBackend* FindBackend(const std::string& name);
-  CheckpointBackend* store_backend() { return store_backend_; }
+  CheckpointDestination* store_backend() { return store_backend_; }
   // Routes the group's checkpoints through `backend_name`. Only legal while
   // the group has no checkpoint state (fresh or just restored through the
   // same backend) — mixing destinations mid-chain would strand pages.
+  // kNotSupported when the backend is a restore source only.
   [[nodiscard]] Status SetBackend(ConsistencyGroup* group, const std::string& backend_name);
 
   // --- Checkpoint / restore ------------------------------------------------
   // A full checkpoint begins only when fewer than
-  // `group->max_in_flight_epochs` earlier flushes are still in flight;
-  // otherwise the clock first advances to the earliest one's durability.
+  // `group->max_in_flight_epochs` earlier flushes (full or sls_memckpt) are
+  // still in flight; otherwise the clock first advances to the earliest
+  // one's durability.
   [[nodiscard]] Result<CheckpointResult> Checkpoint(ConsistencyGroup* group,
                                                     const std::string& name = "",
                                                     CheckpointMode mode = CheckpointMode::kFull);
@@ -137,7 +144,12 @@ class Sls {
   void StartPeriodicCheckpoints(ConsistencyGroup* group);
   void StopPeriodicCheckpoints(ConsistencyGroup* group);
   // epoch 0 = newest checkpoint with a manifest for this group. `backend`
-  // selects the restore source; null = the store backend.
+  // selects the restore source; null = the store backend. A destination
+  // other than the store becomes the group's destination when restored
+  // from; a source-only backend (a promoted standby) leaves the destination
+  // as it was. A destination that names objects differently from the source
+  // gets the whole image under fresh names at the next checkpoint, and a
+  // kLazy restore into such a group is refused (kNotSupported).
   [[nodiscard]] Result<RestoreResult> Restore(const std::string& group_name, uint64_t epoch = 0,
                                               RestoreMode mode = RestoreMode::kFull,
                                               CheckpointBackend* backend = nullptr);
@@ -154,18 +166,20 @@ class Sls {
                                                       std::vector<uint8_t> manifest,
                                                       MemoryResolverFn resolve);
 
-  // sls suspend / resume: checkpoint, then tear the processes down; restore
-  // later (possibly after reboot).
+  // sls suspend / resume: checkpoint, then tear the processes down and free
+  // the group's in-memory checkpoint; restore later (possibly after reboot).
   [[nodiscard]] Result<CheckpointResult> Suspend(ConsistencyGroup* group);
   [[nodiscard]] Result<RestoreResult> ResumeSuspended(const std::string& group_name,
                                                       RestoreMode mode = RestoreMode::kFull);
 
   // --- Aurora API (Table 3) ------------------------------------------------
   // sls_memckpt: atomic asynchronous checkpoint of the region containing
-  // `addr`, without whole-application serialization. When the flush or the
-  // commit fails (the device gave up after its retries), the call returns
-  // that error, and the region's frozen pages stay owed to the group: they
-  // flush with its next full checkpoint, as an aborted epoch's do.
+  // `addr`, without whole-application serialization: the checkpoint
+  // pipeline over that one region, in the group's in-flight window. When the
+  // flush or the commit fails (the device gave up after its retries), the
+  // call returns that error, and the region's frozen pages stay owed to the
+  // group: they flush with its next full checkpoint, as an aborted epoch's
+  // do.
   [[nodiscard]] Result<CheckpointResult> MemCheckpoint(Process* proc, uint64_t addr);
   // sls_journal: non-COW synchronous journal objects.
   [[nodiscard]] Result<Oid> JournalCreate(uint64_t capacity_bytes);
@@ -224,8 +238,12 @@ class Sls {
   AuroraFs* fs() { return fs_; }
 
  private:
-  // Checkpoint pipeline stages, in order. Each takes the shared context;
-  // fallible stages return Status and abort the pipeline.
+  // The checkpoint pipeline: runs the stages below, in order, over the
+  // scope `ctx` names. Each takes the shared context; fallible stages return
+  // Status and abort the pipeline. The region scope runs CkptHandoff in
+  // place of the group-only stages (collapse through resume) and skips the
+  // release and retention epilogue.
+  [[nodiscard]] Result<CheckpointResult> RunCheckpoint(CheckpointContext* ctx);
   void CkptCollapse(CheckpointContext* ctx);
   // Out-of-window warm pass: serializes the OS state before the stop begins
   // so the in-window pass mostly assembles cached blobs. Failures are
@@ -233,6 +251,8 @@ class Sls {
   void CkptPreSerialize(CheckpointContext* ctx);
   void CkptQuiesce(CheckpointContext* ctx);
   [[nodiscard]] Status CkptSerialize(CheckpointContext* ctx);
+  // sls_memckpt's syscall entry and flusher handoff, which open its stop.
+  void CkptHandoff(CheckpointContext* ctx);
   void CkptShadow(CheckpointContext* ctx);
   void CkptResume(CheckpointContext* ctx);
   void CkptRetainInMemory(CheckpointContext* ctx);  // kMemoryOnly epilogue
@@ -253,15 +273,18 @@ class Sls {
   [[nodiscard]] Status RestoreNamespaceStage(RestoreContext* ctx);
   [[nodiscard]] Status RestoreMaterialize(RestoreContext* ctx);
   [[nodiscard]] Status RestoreRebindGroup(RestoreContext* ctx);
+  // The destination a backend restore leaves the group with: the source,
+  // when it is a destination other than the store, else the group's own.
+  CheckpointDestination* RestoredDestination(const RestoreContext* ctx);
   // The rebind stage's bookkeeping, one per source kind.
   void RebindToBackend(RestoreContext* ctx, ConsistencyGroup* group);
   void RebindToSnapshot(ConsistencyGroup* group);
   void RebindToStream(ConsistencyGroup* group);
 
-  CheckpointBackend* GroupBackend(ConsistencyGroup* group) {
+  CheckpointDestination* GroupBackend(ConsistencyGroup* group) {
     return group->backend != nullptr ? group->backend : store_backend_;
   }
-  Oid EnsureMemoryOid(CheckpointBackend* backend, VmObject* obj);
+  Oid EnsureMemoryOid(CheckpointDestination* backend, VmObject* obj);
   std::vector<VmMap*> GroupMaps(ConsistencyGroup* group);
   // Repoints shm segments from a shadowed top to its new shadow.
   ShadowRebindFn RebindShm();
@@ -282,19 +305,11 @@ class Sls {
   AuroraFs* fs_;
 
   std::vector<std::unique_ptr<CheckpointBackend>> backends_;
-  CheckpointBackend* store_backend_ = nullptr;
+  CheckpointDestination* store_backend_ = nullptr;
 
   uint64_t next_group_id_ = 1;
   std::vector<std::unique_ptr<ConsistencyGroup>> groups_;
 
-  // In-memory snapshot per group: the newest checkpoint's frozen object
-  // per oid and its manifest, for RestoreFromMemory.
-  std::map<ConsistencyGroup*, std::map<uint64_t, std::shared_ptr<VmObject>>> snapshots_;
-  std::map<ConsistencyGroup*, std::vector<uint8_t>> last_manifest_blobs_;
-  // Per-group serialized-blob caches for the warm/assemble serialization
-  // passes (see SerializeMode).
-  std::map<ConsistencyGroup*, SerializeCache> serialize_caches_;
-  std::map<ConsistencyGroup*, SimTime> last_durable_;
   // One stderr line the first time an epoch aborts; counters track the rest.
   bool abort_logged_ = false;
   // Store compactor, created lazily by gc(); auto-GC runs it after each
@@ -303,12 +318,11 @@ class Sls {
   bool gc_auto_ = true;
 
   // The in-flight window (group->max_in_flight_epochs), shared by
-  // Checkpoint, CkptCommit and the periodic scheduler: forgets flushes
+  // RunCheckpoint, CkptCommit and the periodic scheduler: forgets flushes
   // durable by now, and returns now when the window has room for another
   // flush, else when its earliest flush becomes durable.
   SimTime PruneInFlight(ConsistencyGroup* group);
   void ScheduleNextPeriodic(ConsistencyGroup* group, std::shared_ptr<bool> alive);
-  std::map<ConsistencyGroup*, std::shared_ptr<bool>> periodic_;
 };
 
 }  // namespace aurora

@@ -181,6 +181,18 @@ Result<std::unique_ptr<ObjectStore>> ObjectStore::Open(BlockDevice* device, SimC
     for (Segment& seg : m.segments) {
       seg = MountSegState(seg.state, seg.lane, seg.cursor);
     }
+    // A machine with fewer flush lanes than the writer's never appends to
+    // the extra lanes' open segments again: seal them, so reclaim and GC
+    // can take them.
+    for (auto it = m.open_data_seg.begin(); it != m.open_data_seg.end();) {
+      if (it->first >= static_cast<uint32_t>(sim->FlushLanes()) && it->first != kGcLane) {
+        store->SegTransition(it->second, SegState::kSealed);
+        sim->metrics.counter("store.segments_sealed").Add();
+        it = m.open_data_seg.erase(it);
+      } else {
+        ++it;
+      }
+    }
     // The dedup index's reverse map is derived state, rebuilt here rather
     // than persisted.
     for (const auto& [key, entry] : m.dedup_index) {

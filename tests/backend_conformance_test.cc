@@ -1,6 +1,7 @@
-// Backend conformance: every CheckpointBackend must round-trip a group
+// Backend conformance: every checkpoint destination must round-trip a group
 // through checkpoint -> crash/teardown -> restore with identical process,
-// fd and memory state, and export the per-backend shipping metrics.
+// fd and memory state, and export the per-backend shipping metrics; so must
+// a restore straight from the standby's image table.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -35,36 +36,18 @@ struct Machine {
   std::unique_ptr<Sls> sls;
 };
 
-class BackendConformance : public ::testing::TestWithParam<const char*> {
- protected:
-  // Registers (if needed) and returns the backend under test.
-  CheckpointBackend* PrepareBackend(Machine& m) {
-    std::string which = GetParam();
-    if (which == "store") {
-      return m.sls->store_backend();
-    }
-    if (which == "memory") {
-      return m.sls->RegisterBackend(std::make_unique<MemoryBackend>(&m.sim));
-    }
-    // replica: continuous ingest standby behind a fault-injectable link.
-    link_ = std::make_unique<ReplicaLink>();
-    auto* standby = static_cast<ReplicaStandby*>(
-        m.sls->RegisterBackend(std::make_unique<ReplicaStandby>(&m.sim, link_.get())));
-    return m.sls->RegisterBackend(
-        std::make_unique<ReplicaBackend>(&m.sim, standby, link_.get()));
-  }
+constexpr uint64_t kRegionAddr = 0x400000;
+constexpr uint64_t kRegionBytes = 1 * kMiB;
 
-  std::unique_ptr<ReplicaLink> link_;
-};
-
-TEST_P(BackendConformance, CheckpointTeardownRestoreRoundTrip) {
-  Machine m;
-  CheckpointBackend* backend = PrepareBackend(m);
-
-  constexpr uint64_t kMem = 1 * kMiB;
+// Checkpoints a patterned one-process group twice into `destination`,
+// crashes it, restores it from `source` in `mode` and checks that the
+// process, fd and memory state match the second checkpoint.
+void RoundTrip(Machine& m, CheckpointDestination* destination, CheckpointBackend* source,
+               RestoreMode mode) {
+  constexpr uint64_t kMem = kRegionBytes;
   Process* proc = *m.kernel->CreateProcess("app");
   auto obj = VmObject::CreateAnonymous(kMem);
-  uint64_t addr = *proc->vm().Map(0x400000, kMem, kProtRead | kProtWrite, obj, 0, false);
+  uint64_t addr = *proc->vm().Map(kRegionAddr, kMem, kProtRead | kProtWrite, obj, 0, false);
 
   // Patterned memory so a wrong page is detectable, plus an fd with state.
   std::vector<uint8_t> pattern(kMem);
@@ -78,7 +61,7 @@ TEST_P(BackendConformance, CheckpointTeardownRestoreRoundTrip) {
 
   ConsistencyGroup* group = *m.sls->CreateGroup("app");
   ASSERT_TRUE(m.sls->Attach(group, proc).ok());
-  ASSERT_TRUE(m.sls->SetBackend(group, backend->name()).ok());
+  ASSERT_TRUE(m.sls->SetBackend(group, destination->name()).ok());
 
   auto c1 = m.sls->Checkpoint(group, "first");
   ASSERT_TRUE(c1.ok());
@@ -104,7 +87,7 @@ TEST_P(BackendConformance, CheckpointTeardownRestoreRoundTrip) {
   group->processes.clear();
   ASSERT_TRUE(m.kernel->AllProcesses().empty());
 
-  auto restored = m.sls->Restore("app", 0, RestoreMode::kFull, backend);
+  auto restored = m.sls->Restore("app", 0, mode, source);
   ASSERT_TRUE(restored.ok()) << restored.status().message();
   ASSERT_EQ(restored->group->processes.size(), 1u);
   Process* rp = restored->group->processes[0];
@@ -119,13 +102,138 @@ TEST_P(BackendConformance, CheckpointTeardownRestoreRoundTrip) {
   EXPECT_STREQ(pipe_buf, msg) << "buffered pipe data must survive";
 
   // Per-backend shipping metrics (satellite: sls stat / BENCH json rows).
-  std::string prefix = "backend." + backend->name() + ".";
+  std::string prefix = "backend." + destination->name() + ".";
   EXPECT_GT(m.sim.metrics.counter(prefix + "bytes_shipped").value(), 0u);
   EXPECT_GE(m.sim.metrics.counter(prefix + "epochs_committed").value(), 2u);
 }
 
+// The replication pair on `m`: a continuous-ingest standby behind a link,
+// and the primary-side destination that streams to it.
+struct ReplicaPair {
+  explicit ReplicaPair(Machine& m) {
+    standby = static_cast<ReplicaStandby*>(
+        m.sls->RegisterBackend(std::make_unique<ReplicaStandby>(&m.sim, &link)));
+    replica = static_cast<ReplicaBackend*>(
+        m.sls->RegisterBackend(std::make_unique<ReplicaBackend>(&m.sim, standby, &link)));
+  }
+
+  ReplicaLink link;
+  ReplicaStandby* standby = nullptr;
+  ReplicaBackend* replica = nullptr;
+};
+
+class BackendConformance : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(BackendConformance, CheckpointTeardownRestoreRoundTrip) {
+  Machine m;
+  if (std::string(GetParam()) == "store") {
+    RoundTrip(m, m.sls->store_backend(), m.sls->store_backend(), RestoreMode::kFull);
+    return;
+  }
+  ReplicaPair pair(m);
+  RoundTrip(m, pair.replica, pair.replica, RestoreMode::kFull);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformance,
-                         ::testing::Values("store", "memory", "replica"));
+                         ::testing::Values("store", "replica"));
+
+// Reads the one-process group's region as RoundTrip mapped it.
+std::vector<uint8_t> ReadRegion(ConsistencyGroup* group) {
+  std::vector<uint8_t> got(kRegionBytes);
+  EXPECT_EQ(group->processes.size(), 1u);
+  EXPECT_TRUE(group->processes[0]->vm().Read(kRegionAddr, got.data(), got.size()).ok());
+  return got;
+}
+
+// The standby is a restore source only: a group cannot checkpoint into it,
+// and a restore straight from it (not promoted, so through the cold image
+// table) rebuilds the image in both modes and leaves the group's
+// destination as it was. The replica names its objects in the standby, so
+// the group keeps the image's names: its next checkpoint ships only what
+// changed, even over a lazily paged image whose pages never faulted in, and
+// the image restores whole.
+TEST(StandbySource, ColdRestoreInFullAndLazyModeKeepsTheDestination) {
+  for (RestoreMode mode : {RestoreMode::kFull, RestoreMode::kLazy}) {
+    SCOPED_TRACE(mode == RestoreMode::kFull ? "full" : "lazy");
+    Machine m;
+    ReplicaPair pair(m);
+    RoundTrip(m, pair.replica, pair.standby, mode);
+    ASSERT_FALSE(pair.standby->promoted());
+    ConsistencyGroup* group = m.sls->FindGroup("app");
+    ASSERT_NE(group, nullptr);
+    EXPECT_EQ(group->backend, pair.replica);
+    EXPECT_EQ(m.sls->SetBackend(group, pair.standby->name()).code(), Errc::kNotSupported);
+    EXPECT_EQ(m.sim.metrics.CounterValue("repl.warm_restores"), 0u);
+
+    std::vector<uint8_t> want = ReadRegion(group);
+    auto again = m.sls->Restore("app", 0, mode, pair.standby);
+    ASSERT_TRUE(again.ok()) << again.status().message();
+    uint64_t page = 0x7e57;
+    ASSERT_TRUE(group->processes[0]->vm().Write(kRegionAddr, &page, sizeof(page)).ok());
+    std::memcpy(want.data(), &page, sizeof(page));
+    auto after = m.sls->Checkpoint(group, "after");
+    ASSERT_TRUE(after.ok());
+    ASSERT_FALSE(after->aborted);
+    for (Process* p : group->processes) {
+      m.kernel->DestroyProcess(p);
+    }
+    group->processes.clear();
+    auto back = m.sls->Restore("app", 0, RestoreMode::kFull, pair.replica);
+    ASSERT_TRUE(back.ok()) << back.status().message();
+    EXPECT_EQ(ReadRegion(back->group), want);
+  }
+}
+
+// A promotion on the standby's own machine makes a new group there, whose
+// destination is that machine's store: the standby's object names mean
+// nothing to it, so its first checkpoint writes the whole image under fresh
+// names, and the store restores it. A lazy restore from the standby, whose
+// image would keep paging from it, is refused before the running
+// incarnation is touched.
+TEST(StandbySource, PromotionIntoANewGroupCheckpointsIntoTheLocalStore) {
+  Machine primary;
+  Machine standby_host;
+  ReplicaLink link;
+  auto* standby = static_cast<ReplicaStandby*>(
+      standby_host.sls->RegisterBackend(std::make_unique<ReplicaStandby>(&standby_host.sim, &link)));
+  auto* replica = static_cast<ReplicaBackend*>(primary.sls->RegisterBackend(
+      std::make_unique<ReplicaBackend>(&primary.sim, standby, &link)));
+
+  Process* proc = *primary.kernel->CreateProcess("app");
+  auto obj = VmObject::CreateAnonymous(kRegionBytes);
+  ASSERT_TRUE(proc->vm().Map(kRegionAddr, kRegionBytes, kProtRead | kProtWrite, obj, 0, false).ok());
+  std::vector<uint8_t> image(kRegionBytes);
+  for (uint64_t i = 0; i < kRegionBytes; i++) {
+    image[i] = static_cast<uint8_t>(i * 7 + (i >> 12));
+  }
+  ASSERT_TRUE(proc->vm().Write(kRegionAddr, image.data(), image.size()).ok());
+  ConsistencyGroup* group = *primary.sls->CreateGroup("app");
+  ASSERT_TRUE(primary.sls->Attach(group, proc).ok());
+  ASSERT_TRUE(primary.sls->SetBackend(group, replica->name()).ok());
+  ASSERT_TRUE(primary.sls->Checkpoint(group, "shipped").ok());
+
+  auto promoted = standby_host.sls->Restore("app", 0, RestoreMode::kFull, standby);
+  ASSERT_TRUE(promoted.ok()) << promoted.status().message();
+  ConsistencyGroup* local = promoted->group;
+  EXPECT_EQ(local->backend, nullptr) << "a new group checkpoints into its machine's store";
+  auto ckpt = standby_host.sls->Checkpoint(local, "local");
+  ASSERT_TRUE(ckpt.ok()) << ckpt.status().message();
+  ASSERT_FALSE(ckpt->aborted);
+  for (Process* p : local->processes) {
+    standby_host.kernel->DestroyProcess(p);
+  }
+  local->processes.clear();
+  auto back = standby_host.sls->Restore("app");
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  EXPECT_EQ(ReadRegion(back->group), image);
+
+  Process* running = back->group->processes[0];
+  auto lazy = standby_host.sls->Restore("app", 0, RestoreMode::kLazy, standby);
+  ASSERT_FALSE(lazy.ok());
+  EXPECT_EQ(lazy.status().code(), Errc::kNotSupported);
+  ASSERT_EQ(back->group->processes.size(), 1u);
+  EXPECT_EQ(back->group->processes[0], running);
+}
 
 }  // namespace
 }  // namespace aurora

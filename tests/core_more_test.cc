@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include "src/base/sim_context.h"
 #include "src/core/cli.h"
@@ -760,6 +762,75 @@ TEST(SlsNamespace, OlderEpochRestoreAfterRebootThenCheckpointRestoresItsNames) {
 
 TEST(SlsNamespace, OlderEpochRestoreThenCheckpointRestoresItsNames) {
   OlderEpochRestoreThenCheckpoint(/*reboot_before_restore=*/false);
+}
+
+// Suspend frees the group's in-memory checkpoint with its processes: nothing
+// pins the region's memory any more, and there is no rollback in RAM left.
+// The backend still holds the image, so the group resumes from it.
+TEST(SlsLifecycle, SuspendFreesTheInMemoryCheckpoint) {
+  Machine m;
+  constexpr uint64_t kMem = 256 * kKiB;
+  Process* proc = *m.kernel->CreateProcess("suspended");
+  std::weak_ptr<VmObject> region;
+  uint64_t addr = 0;
+  {
+    auto obj = VmObject::CreateAnonymous(kMem);
+    region = obj;
+    addr = *proc->vm().Map(0x400000, kMem, kProtRead | kProtWrite, obj, 0, false);
+  }
+  std::vector<uint8_t> data(kMem, 0x5c);
+  ASSERT_TRUE(proc->vm().Write(addr, data.data(), data.size()).ok());
+  ConsistencyGroup* group = *m.sls->CreateGroup("suspended");
+  ASSERT_TRUE(m.sls->Attach(group, proc).ok());
+  ASSERT_TRUE(m.sls->Checkpoint(group).ok());
+
+  ASSERT_TRUE(m.sls->Suspend(group).ok());
+  EXPECT_TRUE(region.expired()) << "the suspended group's region is still pinned";
+  auto rolled = m.sls->RestoreFromMemory("suspended");
+  ASSERT_FALSE(rolled.ok());
+  EXPECT_EQ(rolled.status().code(), Errc::kNotFound);
+
+  auto resumed = m.sls->ResumeSuspended("suspended");
+  ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+  std::vector<uint8_t> got(kMem);
+  ASSERT_TRUE(resumed->group->processes[0]->vm().Read(addr, got.data(), got.size()).ok());
+  EXPECT_EQ(got, data);
+}
+
+// A periodic timer that finds its group suspended ends its chain and clears
+// the group's token, so arming the timer again after resume starts a new
+// chain instead of doing nothing.
+TEST(SlsLifecycle, PeriodicCheckpointsRearmAfterSuspend) {
+  Machine m;
+  Process* proc = *m.kernel->CreateProcess("periodic");
+  auto obj = VmObject::CreateAnonymous(256 * kKiB);
+  uint64_t addr = *proc->vm().Map(0x400000, 256 * kKiB, kProtRead | kProtWrite, obj, 0, false);
+  ConsistencyGroup* group = *m.sls->CreateGroup("periodic");
+  ASSERT_TRUE(m.sls->Attach(group, proc).ok());
+  group->period = 10 * kMillisecond;
+  m.sls->StartPeriodicCheckpoints(group);
+  m.sim.events.RunUntil(m.sim.clock.now() + 35 * kMillisecond);
+  ASSERT_GE(group->checkpoints_taken, 2u);
+
+  ASSERT_TRUE(m.sls->Suspend(group).ok());
+  // The next tick finds the group suspended and stops the chain.
+  m.sim.events.RunUntil(m.sim.clock.now() + 20 * kMillisecond);
+  auto resumed = m.sls->ResumeSuspended("periodic");
+  ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+  ASSERT_EQ(resumed->group, group);
+
+  m.sls->StartPeriodicCheckpoints(group);
+  uint64_t armed_at = group->checkpoints_taken;
+  uint64_t value = 0;
+  SimTime deadline = m.sim.clock.now() + 100 * kMillisecond;
+  while (m.sim.clock.now() < deadline) {
+    value++;
+    ASSERT_TRUE(group->processes[0]->vm().Write(addr, &value, sizeof(value)).ok());
+    m.sim.clock.Advance(500 * kMicrosecond);
+    m.sim.events.RunUntil(m.sim.clock.now());
+  }
+  m.sls->StopPeriodicCheckpoints(group);
+  EXPECT_GE(group->checkpoints_taken, armed_at + 8) << "the re-armed timer never fired";
 }
 
 }  // namespace

@@ -578,7 +578,7 @@ CapturedEpochs CaptureReplicaEpochs() {
   return out;
 }
 
-using ImageTable = std::map<uint64_t, MemoryBackend::ObjectImage>;
+using ImageTable = std::map<uint64_t, ReplicaStandby::ObjectImage>;
 
 bool SameImages(const ImageTable& a, const ImageTable& b) {
   if (a.size() != b.size()) {

@@ -1,11 +1,12 @@
 // Epoch-overlap backpressure: with the default in-flight limit of 1 a new
 // epoch never begins before the previous flush is durable, whether the
-// periodic timer or a direct Sls::Checkpoint call opens it; with limit 2
-// serialization overlaps the in-flight flush (and still commits in order),
-// reducing checkpoint-to-checkpoint stall.
+// periodic timer, a direct Sls::Checkpoint call or sls_memckpt opens it; with
+// limit 2 serialization overlaps the in-flight flush (and still commits in
+// order), reducing checkpoint-to-checkpoint stall.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "src/base/sim_context.h"
 #include "src/core/sls.h"
@@ -151,6 +152,82 @@ TEST(EpochOverlap, LimitTwoOverlapsAndCommitsInOrder) {
   // The whole point of overlap: less stall between checkpoints, so the same
   // wall-clock window fits more epochs than the serial pipeline.
   EXPECT_GT(h.size(), serial->ckpt_history.size());
+}
+
+// An app whose one 8 MiB region is dirty end to end, in a group with the
+// given in-flight limit: a flush of the region outlasts the calls that
+// follow it on the slow device.
+struct RegionApp {
+  RegionApp(Machine& m, uint32_t in_flight) {
+    proc = *m.kernel->CreateProcess("region");
+    auto obj = VmObject::CreateAnonymous(kMem);
+    addr = *proc->vm().Map(0x400000, kMem, kProtRead | kProtWrite, obj, 0, false);
+    uint64_t value = 0;
+    for (uint64_t off = 0; off < kMem; off += kPageSize) {
+      value++;
+      EXPECT_TRUE(proc->vm().Write(addr + off, &value, sizeof(value)).ok());
+    }
+    group = *m.sls->CreateGroup("region");
+    EXPECT_TRUE(m.sls->Attach(group, proc).ok());
+    group->max_in_flight_epochs = in_flight;
+  }
+
+  // Dirties one more page, so the next checkpoint has something to flush.
+  void Touch(uint64_t page) {
+    uint64_t value = ~page;
+    EXPECT_TRUE(proc->vm().Write(addr + page * kPageSize, &value, sizeof(value)).ok());
+  }
+
+  static constexpr uint64_t kMem = 8 * kMiB;
+  Process* proc = nullptr;
+  uint64_t addr = 0;
+  ConsistencyGroup* group = nullptr;
+};
+
+// sls_memckpt is the checkpoint pipeline over one region, so it shares the
+// group's window: with limit 1 a second back-to-back call begins only once
+// the first is durable; with limit 2 it begins at once.
+TEST(EpochOverlap, MemCheckpointsHonorTheInFlightLimit) {
+  for (uint32_t limit : {1u, 2u}) {
+    SCOPED_TRACE("limit " + std::to_string(limit));
+    Machine m;
+    RegionApp app(m, limit);
+    auto first = m.sls->MemCheckpoint(app.proc, app.addr);
+    ASSERT_TRUE(first.ok()) << first.status().message();
+    ASSERT_GT(first->durable_at, m.sim.clock.now() + 10 * kMillisecond)
+        << "the first flush must outlast the call that follows it";
+
+    app.Touch(1);
+    SimTime called = m.sim.clock.now();
+    auto second = m.sls->MemCheckpoint(app.proc, app.addr);
+    ASSERT_TRUE(second.ok()) << second.status().message();
+    const auto& h = app.group->ckpt_history;
+    ASSERT_EQ(h.size(), 2u) << "each sls_memckpt is an epoch of the window";
+    EXPECT_EQ(h[0].durable, first->durable_at);
+    if (limit == 1) {
+      EXPECT_GE(h[1].begin, first->durable_at);
+    } else {
+      EXPECT_EQ(h[1].begin, called);
+    }
+    EXPECT_GT(second->epoch, first->epoch);
+  }
+}
+
+// A full checkpoint issued while an sls_memckpt flush is in flight waits for
+// it under limit 1, as it would for another full checkpoint.
+TEST(EpochOverlap, FullCheckpointWaitsForAnInFlightMemCheckpoint) {
+  Machine m;
+  RegionApp app(m, 1);
+  auto atomic = m.sls->MemCheckpoint(app.proc, app.addr);
+  ASSERT_TRUE(atomic.ok()) << atomic.status().message();
+  ASSERT_GT(atomic->durable_at, m.sim.clock.now() + 10 * kMillisecond);
+
+  app.Touch(2);
+  auto full = m.sls->Checkpoint(app.group);
+  ASSERT_TRUE(full.ok()) << full.status().message();
+  const auto& h = app.group->ckpt_history;
+  ASSERT_EQ(h.size(), 2u);
+  EXPECT_GE(h[1].begin, atomic->durable_at);
 }
 
 }  // namespace

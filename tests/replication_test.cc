@@ -380,10 +380,10 @@ TEST(Replication, DemoteReturnsToIngestDuty) {
   EXPECT_FALSE(m.standby->promoted());
   EXPECT_EQ(m.sim.metrics.CounterValue("repl.demotions"), 1u);
 
-  // The promoted group now checkpoints locally on the new primary (restore
-  // re-pointed it at the standby's own table) — so failback is a fresh
-  // group on the recovered primary streaming over the link again, with the
-  // demoted standby back on ingest duty.
+  // The standby takes no checkpoints, so the promotion left the group's
+  // checkpoint destination as it was. Failback is a fresh group on the
+  // recovered primary streaming over the link again, with the demoted
+  // standby back on ingest duty.
   Process* proc2 = *m.kernel->CreateProcess("app2");
   auto obj2 = VmObject::CreateAnonymous(kMem);
   uint64_t addr2 = *proc2->vm().Map(0x400000, kMem, kProtRead | kProtWrite, obj2, 0, false);

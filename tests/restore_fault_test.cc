@@ -42,9 +42,9 @@ struct Machine {
 
 // Delegates to the real store backend but fails on command, one knob per
 // restore pipeline stage.
-class FailingBackend : public CheckpointBackend {
+class FailingBackend : public CheckpointDestination {
  public:
-  explicit FailingBackend(CheckpointBackend* inner) : inner_(inner) {}
+  explicit FailingBackend(CheckpointDestination* inner) : inner_(inner) {}
 
   const std::string& name() const override { return name_; }
   uint64_t current_epoch() const override { return inner_->current_epoch(); }
@@ -102,7 +102,7 @@ class FailingBackend : public CheckpointBackend {
   uint64_t fail_resolve_at = 0;  // 1-based resolver call index; 0 = never
 
  private:
-  CheckpointBackend* inner_;
+  CheckpointDestination* inner_;
   std::string name_ = "failing";
 };
 

@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -374,6 +375,35 @@ TEST(SegmentGc, AutoGcNeverChangesRestoredImage) {
   EXPECT_GT(gc_on.sim.metrics.counter("gc.runs").value(), 0u);
   EXPECT_EQ(gc_off.sim.metrics.counter("gc.runs").value(), 0u)
       << "auto-GC must not run for groups without a retention policy";
+}
+
+// A store remounted by a machine with fewer flush lanes than the one that
+// wrote it seals the extra lanes' open segments: once their blocks die they
+// are reclaimed instead of staying open, out of reach of reclaim and GC.
+TEST(SegmentGc, RemountWithFewerLanesReclaimsTheExtraLanesSegments) {
+  SimContext sim;
+  sim.flush_lanes = 4;
+  MemBlockDevice device{&sim.clock, kDeviceBlocks};
+  std::unique_ptr<ObjectStore> store = *ObjectStore::Format(&device, &sim, SmallSegments());
+  Oid oid = *store->CreateObject(ObjType::kMemory);
+  std::vector<uint8_t> data = Pattern(32 * kBlock, 9);
+  std::vector<ObjectStore::IoRun> runs{{0, data.data(), data.size()}};
+  ASSERT_TRUE(store->WriteAtBatch(oid, runs).ok());
+  ASSERT_TRUE(store->CommitCheckpoint("four-lanes").ok());
+  ASSERT_EQ(store->GetSegmentStats().segments_open, 4u) << "one open segment per lane";
+
+  sim.flush_lanes = 1;
+  store = *ObjectStore::Open(&device, &sim);
+  ASSERT_TRUE(store->DeleteObject(oid).ok());
+  ASSERT_TRUE(store->CommitCheckpoint("dead").ok());
+  std::vector<CheckpointInfo> ckpts = store->ListCheckpoints();
+  ASSERT_TRUE(store->DeleteCheckpointsBefore(ckpts.back().epoch).ok());
+  SegmentGc gc(store.get());
+  ASSERT_TRUE(gc.Run().ok());
+
+  SegmentStats after = store->GetSegmentStats();
+  EXPECT_EQ(after.segments_open, 1u) << "only lane 0 still appends";
+  EXPECT_EQ(after.segments_sealed, 0u) << "every dead segment is reclaimed";
 }
 
 }  // namespace

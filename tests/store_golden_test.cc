@@ -1,9 +1,10 @@
 // On-media bytes of the object store, pinned. The fixture store's device
 // image comes from a fixed script (tests/store_fixture.h), and the CRC32C of
-// every superblock slot, of the metadata blob each slot points at, of every
-// journal block and of the whole image must match values generated before
-// the store's formats moved into their own module. A changed encoder, or a
-// change in what the store chooses to write, shows up as a changed CRC.
+// every superblock slot, of the metadata blob each slot points at and of
+// every journal block, and a 64-bit FNV-1a digest of the whole image, must
+// match values generated before the store's formats moved into their own
+// module. A changed encoder, or a change in what the store chooses to
+// write, shows up as a changed digest.
 //
 // Only the public store API is used, and the few superblock fields needed
 // to find a slot's metadata blob are read at their fixed offsets, so this
@@ -30,13 +31,13 @@ uint64_t LeField(const std::vector<uint8_t>& b, size_t off, size_t width) {
 
 // What the test pins: per superblock slot, the slot's CRC, the epoch it
 // commits and its metadata blob's CRC; per journal block, its device block
-// and CRC; and the whole image's CRC.
+// and CRC; and the whole image's digest.
 struct ImageDigest {
   std::vector<uint32_t> slot_crc;
   std::vector<uint64_t> slot_epoch;
   std::vector<uint32_t> meta_crc;
   std::vector<std::pair<uint64_t, uint32_t>> journal;
-  uint32_t image_crc = 0;
+  uint64_t image_fnv = 0;
 
   bool operator==(const ImageDigest&) const = default;
 
@@ -53,7 +54,8 @@ struct ImageDigest {
                     static_cast<unsigned long long>(lba), crc);
       out += buf;
     }
-    std::snprintf(buf, sizeof(buf), "  image 0x%08x\n", image_crc);
+    std::snprintf(buf, sizeof(buf), "  image 0x%016llx\n",
+                  static_cast<unsigned long long>(image_fnv));
     return out + buf;
   }
 };
@@ -66,6 +68,18 @@ uint32_t DigestSealed(const std::vector<uint8_t>& b, size_t seal_end) {
   uint32_t crc = Crc32c(b.data(), seal_end - sizeof(uint32_t));
   return Crc32c(b.data() + seal_end, b.size() - seal_end, crc);
 }
+
+// 64-bit FNV-1a, chained over `len` bytes. Unlike a CRC it has no residue:
+// a CRC run over a sealed span (a message and its own CRC) ends in the same
+// state whatever the message holds, so a whole-image CRC cannot see a
+// changed span that was resealed, such as a metadata blob no slot points at.
+uint64_t Fnv1a(const uint8_t* data, size_t len, uint64_t hash) {
+  for (size_t i = 0; i < len; i++) {
+    hash = (hash ^ data[i]) * 0x100000001b3ull;
+  }
+  return hash;
+}
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
 
 // The superblock's fixed layout: u64 epoch at 8, u64 metadata block at 28,
 // u64 metadata length at 36, and the seal ending at 120.
@@ -94,15 +108,15 @@ ImageDigest DigestImage(BlockDevice* device) {
   }
   // Journal header and record blocks all start with the journal magic.
   const uint8_t magic[4] = {0x4a, 0x52, 0x55, 0x41};
-  uint32_t image = 0;
+  uint64_t image = kFnvBasis;
   for (uint64_t lba = 0; lba < device->block_count(); lba++) {
     EXPECT_TRUE(device->ReadSync(lba, block.data(), 1).ok());
     if (std::equal(magic, magic + 4, block.begin())) {
       d.journal.emplace_back(lba, Crc32c(block.data(), block.size()));
     }
-    image = Crc32c(block.data(), block.size(), image);
+    image = Fnv1a(block.data(), block.size(), image);
   }
-  d.image_crc = image;
+  d.image_fnv = image;
   return d;
 }
 
@@ -115,7 +129,8 @@ TEST(StoreGolden, FixtureImageIsByteIdentical) {
   // metas 3-6 were regenerated when the flush's content hashing and
   // compression left the clock for the flush lanes: decoding both images
   // showed that only the committed_at times of the superblocks and
-  // checkpoint records moved.
+  // checkpoint records moved. The image digest replaced a whole-image CRC,
+  // and was generated from the same image.
   ImageDigest want;
   want.slot_crc = {0xa732586e, 0x7975ff9e, 0x7aa39330, 0x5d3a4f7c,
                    0xbe30c8f1, 0x27d4ed60, 0x59a3a38f, 0xa732586e};
@@ -123,7 +138,7 @@ TEST(StoreGolden, FixtureImageIsByteIdentical) {
   want.meta_crc = {0x00000000, 0x35ef13df, 0x131cde07, 0x2339c837,
                    0xf615bb5e, 0x3860fc8e, 0x14d8e974, 0x00000000};
   want.journal = {{512, 0xfafb602c}, {513, 0xdf29d58d}, {514, 0x0491caa4}};
-  want.image_crc = 0x1456fdf2;
+  want.image_fnv = 0x5ad08d39d721adef;
   ImageDigest got = DigestImage(f->device.get());
   EXPECT_EQ(got, want) << "got:\n" << got.ToString() << "want:\n" << want.ToString();
 }

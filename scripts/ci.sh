@@ -48,6 +48,13 @@ for preset in default asan; do
   # changes a retained epoch, and interleaves cleanly with the scrubber.
   "${build_dir}/tests/segment_gc_test" >/dev/null
 
+  # The allocator is rebuilt from the persisted tables at every mount: every
+  # crash point recovers an exact epoch, a store reused after recovery
+  # changes no retained epoch, and the reference model checks the live
+  # bitmap against the tables after every operation and across reopens.
+  "${build_dir}/tests/crash_matrix_test" >/dev/null
+  "${build_dir}/tests/objstore_model_test" >/dev/null
+
   # The content-addressed flush contract: dedup hits install references,
   # the index + flush options survive remount, codecs round-trip, and GC
   # moves a shared block exactly once (DESIGN.md section 17).
@@ -202,7 +209,8 @@ done
 # with the dedup flush path around it, the crash/restore paths, the stop
 # path and segment-log GC, the epoch wire format with its replica and
 # failover paths, the store-format and manifest decoders with the object
-# store and SLS suites around them, every restore source (store,
+# store and SLS suites around them, the allocator rebuild under the
+# reference model, every restore source (store,
 # standby, in-memory snapshot and sls recv) directly, the device queues
 # with the flush lanes over them, and the checkpoint pipeline's window,
 # abort path and region scope (overlap, fault matrix, Aurora API). One list
@@ -212,7 +220,7 @@ ubsan_tests=(
   backend_conformance_test replication_test restore_fault_test extent_codec_test dedup_test
   store_golden_test store_format_test manifest_harness_test objstore_test core_more_test
   core_test integration_test storage_test lane_scaling_test overlap_test fault_matrix_test
-  api_test
+  api_test objstore_model_test
 )
 echo "=== configure/build: ubsan ==="
 cmake --preset ubsan

@@ -6,9 +6,9 @@ namespace aurora {
 
 namespace {
 
-// CheckpointBackend::InstallPager for every backend: only a parentless object
-// with an oid may be paged (a catch-all pager installed mid-chain would shadow
-// the links below it), and an existing pager stays.
+// CheckpointDestination::InstallPager for every destination: only a
+// parentless object with an oid may be paged (a catch-all pager installed
+// mid-chain would shadow the links below it), and an existing pager stays.
 bool BackWithPager(VmObject* base, VmObject::Pager pager) {
   if (base->parent() != nullptr || base->sls_oid() == 0) {
     return base->has_pager();
@@ -315,10 +315,6 @@ MemoryResolverFn ReplicaStandby::LazyResolver(SimContext* sim, SimDuration per_f
     obj->set_pager(ImagePager(oid.value, sim, per_fault));
     return ResolvedMemory{std::move(obj), false};
   };
-}
-
-bool ReplicaStandby::InstallPager(VmObject* base) {
-  return BackWithPager(base, ImagePager(base->sls_oid(), sim_, sim_->cost.MemCopy(kPageSize)));
 }
 
 uint64_t ReplicaStandby::newest_seen_epoch() const {

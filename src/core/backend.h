@@ -74,13 +74,6 @@ class CheckpointBackend {
   // end); kLazy resolvers install demand pagers.
   [[nodiscard]] virtual Result<MemoryResolverFn> MakeResolver(
       uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) = 0;
-
-  // --- Unified checkpoint/swap path (paper section 6) ----------------------
-  // Backs the fully-durable, parentless object `base` with this backend so
-  // dropped frames stream back on fault. Returns false when `base` cannot be
-  // safely paged (no oid, mid-chain, ...) — the caller must then keep its
-  // frames resident.
-  virtual bool InstallPager(VmObject* base) = 0;
 };
 
 // A checkpoint destination: a restore source that also takes checkpoints.
@@ -120,6 +113,13 @@ class CheckpointDestination : public CheckpointBackend {
   // Whether `source` holds this destination's objects under the names this
   // destination gave them, so a group restored from it keeps those names.
   virtual bool SharesNames(const CheckpointBackend* source) const { return source == this; }
+
+  // --- Unified checkpoint/swap path (paper section 6) ----------------------
+  // Backs the fully-durable, parentless object `base` with this destination
+  // so dropped frames stream back on fault. Returns false when `base` cannot
+  // be safely paged (no oid, mid-chain, ...) — the caller must then keep its
+  // frames resident.
+  virtual bool InstallPager(VmObject* base) = 0;
 };
 
 // -----------------------------------------------------------------------------
@@ -274,7 +274,6 @@ class ReplicaStandby : public CheckpointBackend {
   // the image table (kFull) or demand paging from it (kLazy).
   [[nodiscard]] Result<MemoryResolverFn> MakeResolver(
       uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) override;
-  bool InstallPager(VmObject* base) override;
 
   // The stream's object names are the standby's: the primary's
   // ReplicaBackend names each new region here, and the table records its

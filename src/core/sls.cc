@@ -139,7 +139,7 @@ ShadowRebindFn Sls::RebindShm() {
 
 Result<Sls::EvictStats> Sls::EvictPages(ConsistencyGroup* group, uint64_t target_pages) {
   EvictStats stats;
-  CheckpointBackend* backend = GroupBackend(group);
+  CheckpointDestination* backend = GroupBackend(group);
   // Paging policy: madvise(DONTNEED) regions first, normal ones next, and
   // WILLNEED regions only under continued pressure (paper section 6).
   for (int pass_hint : {kMadvDontneed, kMadvNormal, kMadvWillneed}) {
@@ -1022,6 +1022,11 @@ Result<RestoreResult> Sls::RestoreReceived(const std::string& group_name,
 Result<CheckpointResult> Sls::Suspend(ConsistencyGroup* group) {
   AURORA_ASSIGN_OR_RETURN(CheckpointResult result,
                           Checkpoint(group, "suspend:" + group->name()));
+  if (result.aborted) {
+    // The backend's image predates what the processes wrote since their
+    // last durable epoch: tearing them down now would lose those writes.
+    return Status::Error(Errc::kIoError, "suspend checkpoint aborted; the group keeps running");
+  }
   sim_->clock.AdvanceTo(result.durable_at);
   for (Process* proc : group->processes) {
     kernel_->DestroyProcess(proc);

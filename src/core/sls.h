@@ -168,6 +168,10 @@ class Sls {
 
   // sls suspend / resume: checkpoint, then tear the processes down and free
   // the group's in-memory checkpoint; restore later (possibly after reboot).
+  // When the checkpoint aborts (the device gave up after its retries),
+  // Suspend returns kIoError and leaves the group running, its in-memory
+  // checkpoint and owed shadows intact; a later checkpoint or suspend
+  // flushes them.
   [[nodiscard]] Result<CheckpointResult> Suspend(ConsistencyGroup* group);
   [[nodiscard]] Result<RestoreResult> ResumeSuspended(const std::string& group_name,
                                                       RestoreMode mode = RestoreMode::kFull);

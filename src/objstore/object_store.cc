@@ -116,29 +116,14 @@ Result<std::unique_ptr<ObjectStore>> ObjectStore::Format(BlockDevice* device, Si
     return Status::Error(Errc::kInvalidArgument, "unknown store codec");
   }
   auto store = std::unique_ptr<ObjectStore>(new ObjectStore(device, sim, options));
-  store->meta_.total_blocks = device->block_count() / store->DevBlocksPerStoreBlock();
-  if (store->meta_.total_blocks < 8) {
+  store->total_blocks_ = device->block_count() / store->DevBlocksPerStoreBlock();
+  if (store->total_blocks_ < 8) {
     return Status::Error(Errc::kInvalidArgument, "device too small");
   }
-  store->meta_.bitmap.assign((store->meta_.total_blocks + 7) / 8, 0);
-  // The superblock ring lives in device blocks [0, kSuperSlots); reserve
-  // every store block it touches, not just block 0 — with small store blocks
-  // the ring spans several of them, and handing those to the allocator would
-  // let later superblock writes corrupt committed data.
-  uint64_t ring_blocks =
-      (kSuperSlots + store->DevBlocksPerStoreBlock() - 1) / store->DevBlocksPerStoreBlock();
-  ring_blocks = std::max<uint64_t>(ring_blocks, 1);
-  for (uint64_t b = 0; b < ring_blocks; b++) {
-    store->BitSet(b, true);
-  }
-  if (ring_blocks > store->segment_blocks()) {
+  if (store->RingBlocks() > store->segment_blocks()) {
     return Status::Error(Errc::kInvalidArgument, "superblock ring exceeds one segment");
   }
-  store->InitSegments();
-  // Segment 0 is the first metadata segment; its cursor starts past the
-  // superblock ring.
-  store->SegTransition(0, SegState::kMeta, /*lane=*/0, /*cursor=*/ring_blocks);
-  store->meta_.open_meta_seg = 0;
+  AURORA_RETURN_IF_ERROR(store->Rebuild());
   AURORA_ASSIGN_OR_RETURN(SimTime done, store->CommitCheckpoint("format"));
   sim->clock.AdvanceTo(done);
   return store;
@@ -166,7 +151,7 @@ Result<std::unique_ptr<ObjectStore>> ObjectStore::Open(BlockDevice* device, SimC
             [](const Superblock& a, const Superblock& b) { return a.epoch > b.epoch; });
   for (const Superblock& sb : candidates) {
     store->meta_.options.block_size = sb.block_size;
-    store->meta_.total_blocks = sb.total_blocks;
+    store->total_blocks_ = sb.total_blocks;
     auto meta = store->ReadMeta(sb.meta_block, sb.meta_len);
     if (!meta.ok() && meta.status().code() == Errc::kNotSupported) {
       return meta.status();  // the layout is fixed at format time; no epoch can help
@@ -175,32 +160,12 @@ Result<std::unique_ptr<ObjectStore>> ObjectStore::Open(BlockDevice* device, SimC
       continue;  // torn metadata: fall back to the previous checkpoint
     }
     store->meta_ = std::move(*meta);
-    StoreMeta& m = store->meta_;
-    // Remount policy: the blob we recover from is durable, so no surviving
-    // pointer references an evacuated (zombie) segment — it comes back free.
-    for (Segment& seg : m.segments) {
-      seg = MountSegState(seg.state, seg.lane, seg.cursor);
-    }
-    // A machine with fewer flush lanes than the writer's never appends to
-    // the extra lanes' open segments again: seal them, so reclaim and GC
-    // can take them.
-    for (auto it = m.open_data_seg.begin(); it != m.open_data_seg.end();) {
-      if (it->first >= static_cast<uint32_t>(sim->FlushLanes()) && it->first != kGcLane) {
-        store->SegTransition(it->second, SegState::kSealed);
-        sim->metrics.counter("store.segments_sealed").Add();
-        it = m.open_data_seg.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    // The dedup index's reverse map is derived state, rebuilt here rather
-    // than persisted.
-    for (const auto& [key, entry] : m.dedup_index) {
-      store->dedup_by_phys_[entry.phys] = key;
-    }
-    m.epoch = sb.epoch + 1;
-    m.checkpoints.push_back(
+    store->meta_.epoch = sb.epoch + 1;
+    store->meta_.checkpoints.push_back(
         CheckpointRecord{sb.epoch, sb.name, sb.committed_at, sb.meta_block, sb.meta_len});
+    if (!store->Rebuild().ok()) {
+      continue;  // tables that contradict each other are as unusable as torn ones
+    }
     AURORA_RETURN_IF_ERROR(store->RecoverJournalOffsets());
     return store;
   }
@@ -213,35 +178,14 @@ Result<StoreMeta> ObjectStore::ReadMeta(uint64_t meta_block, uint64_t meta_len) 
   AURORA_RETURN_IF_ERROR(DevRead(0, DevLba(meta_block), raw.data(),
                                  static_cast<uint32_t>(nblocks * DevBlocksPerStoreBlock()),
                                  nullptr));
-  return DecodeMeta(raw.data(), meta_len, block_size(), meta_.total_blocks);
-}
-
-// --- Allocator --------------------------------------------------------------
-
-bool ObjectStore::BitGet(uint64_t block) const {
-  return (meta_.bitmap[block / 8] >> (block % 8)) & 1;
-}
-
-void ObjectStore::BitSet(uint64_t block, bool v) {
-  if (v) {
-    meta_.bitmap[block / 8] |= static_cast<uint8_t>(1u << (block % 8));
-  } else {
-    meta_.bitmap[block / 8] &= static_cast<uint8_t>(~(1u << (block % 8)));
-  }
+  return DecodeMeta(raw.data(), meta_len, block_size(), total_blocks_);
 }
 
 // --- Segment log -------------------------------------------------------------
 
-void ObjectStore::InitSegments() {
-  uint64_t nsegs = (meta_.total_blocks + segment_blocks() - 1) / segment_blocks();
-  meta_.segments.assign(nsegs, Segment{});
-  meta_.open_data_seg.clear();
-  meta_.reloc.clear();
-}
-
 uint64_t ObjectStore::SegCapacity(uint64_t seg) const {
   uint64_t base = SegBase(seg);
-  return std::min<uint64_t>(segment_blocks(), meta_.total_blocks - base);
+  return std::min<uint64_t>(segment_blocks(), total_blocks_ - base);
 }
 
 uint64_t ObjectStore::SegLiveBlocks(uint64_t seg) const {
@@ -249,13 +193,103 @@ uint64_t ObjectStore::SegLiveBlocks(uint64_t seg) const {
   uint64_t base = SegBase(seg);
   uint64_t end = base + SegCapacity(seg);
   for (uint64_t b = base; b < end; b++) {
-    live += BitGet(b) ? 1 : 0;
+    live += bitmap_[b] ? 1 : 0;
   }
   return live;
 }
 
-void ObjectStore::SegTransition(uint64_t seg, SegState to, uint32_t lane, uint64_t cursor) {
-  Segment& s = meta_.segments[seg];
+ObjectStore::Derived ObjectStore::DeriveAllocation() const {
+  const uint64_t nsegs = (total_blocks_ + segment_blocks() - 1) / segment_blocks();
+  Derived d;
+  d.live.assign(total_blocks_, false);
+  d.role.assign(nsegs, SegState::kFree);
+  d.high.assign(nsegs, 0);
+  auto mark = [&](uint64_t start, uint64_t nblocks, SegState role) {
+    for (uint64_t b = start; b < start + nblocks; b++) {
+      uint64_t seg = SegmentOf(b);
+      d.clash |= d.role[seg] != SegState::kFree && d.role[seg] != role;
+      d.role[seg] = role;
+      d.live[b] = true;
+      d.high[seg] = std::max(d.high[seg], b - SegBase(seg) + 1);
+    }
+  };
+  // The superblock ring lives in device blocks [0, kSuperSlots): every store
+  // block it touches is held, not just block 0. With small store blocks the
+  // ring spans several, and handing those out would let later superblock
+  // writes corrupt committed data.
+  mark(0, RingBlocks(), SegState::kMeta);
+  for (const CheckpointRecord& c : meta_.checkpoints) {
+    mark(c.meta_block, MetaRunBlocks(c.meta_len, block_size()), SegState::kMeta);
+  }
+  for (const auto& [oid, info] : meta_.objects) {
+    if (info.non_cow) {
+      mark(info.journal_start, info.journal_blocks, SegState::kJournal);
+    }
+    for (const auto& [logical, extent] : info.extents) {
+      mark(extent.phys, 1, SegState::kSealed);
+    }
+  }
+  for (const auto& [epoch, entries] : meta_.deadlists) {
+    for (const DeadEntry& e : entries) {
+      mark(e.phys, 1, SegState::kSealed);
+    }
+  }
+  for (const auto& [key, entry] : meta_.dedup_index) {
+    mark(entry.phys, 1, SegState::kSealed);
+  }
+  return d;
+}
+
+Status ObjectStore::Rebuild() {
+  if (RingBlocks() > total_blocks_) {
+    return Status::Error(Errc::kCorrupt, "superblock ring does not fit the store");
+  }
+  Derived d = DeriveAllocation();
+  // Open-segment entries per segment. A machine with fewer flush lanes than
+  // the writer's never appends to the extra lanes' segments again: they are
+  // not open.
+  std::vector<uint64_t> open(d.role.size(), 0);
+  for (auto it = meta_.open_data_seg.begin(); it != meta_.open_data_seg.end();) {
+    bool gone = it->first >= static_cast<uint32_t>(sim_->FlushLanes()) && it->first != kGcLane;
+    open[it->second] += gone ? 0 : 1;
+    it = gone ? meta_.open_data_seg.erase(it) : std::next(it);
+  }
+  bitmap_ = std::move(d.live);
+  segments_.assign(d.role.size(), Segment{});
+  for (uint64_t seg = 0; seg < segments_.size(); seg++) {
+    const SegState role = d.role[seg];
+    const uint64_t quarantined = meta_.quarantined.count(seg);
+    // An open or a quarantined segment holds data if anything, and is one
+    // lane's or quarantined, not both.
+    d.clash |= open[seg] + quarantined > 1 ||
+               (open[seg] + quarantined > 0 && role != SegState::kSealed &&
+                role != SegState::kFree);
+    if (d.clash) {
+      return Status::Error(Errc::kCorrupt, "the metadata gives a segment two roles");
+    }
+    if (open[seg] > 0) {
+      SegTransition(seg, SegState::kOpen, d.high[seg]);
+    } else if (role == SegState::kMeta) {
+      SegTransition(seg, SegState::kMeta, d.high[seg]);
+    } else if (role == SegState::kJournal) {
+      SegTransition(seg, SegState::kJournal, SegCapacity(seg));
+    } else if (role == SegState::kSealed || quarantined > 0) {
+      SegTransition(seg, SegState::kOpen, SegCapacity(seg));
+      SegTransition(seg, SegState::kSealed);
+      if (quarantined > 0) {
+        SegTransition(seg, SegState::kQuarantine);
+      }
+    }
+  }
+  dedup_by_phys_.clear();
+  for (const auto& [key, entry] : meta_.dedup_index) {
+    dedup_by_phys_[entry.phys] = key;
+  }
+  return Status::Ok();
+}
+
+void ObjectStore::SegTransition(uint64_t seg, SegState to, uint64_t cursor) {
+  Segment& s = segments_[seg];
   // The segment lifecycle graph. Quarantined segments are pinned: they never
   // become victims or free until the scrubber grows a repair story.
   bool allowed = false;
@@ -285,19 +319,15 @@ void ObjectStore::SegTransition(uint64_t seg, SegState to, uint32_t lane, uint64
   if (to == SegState::kFree) {
     s = Segment{};
   } else if (s.state == SegState::kFree) {
-    s = Segment{to, lane, cursor};
+    s = Segment{to, cursor};
   } else {
-    // seal / zombie / quarantine: only the state byte changes; lane and
-    // cursor must survive so the serialized segment table is byte-identical.
+    // seal / zombie / quarantine: only the state changes; the cursor keeps
+    // counting the blocks appended, which GC's utilization reads.
     s.state = to;
   }
-}
-
-Segment ObjectStore::MountSegState(SegState persisted, uint32_t lane, uint64_t cursor) {
-  if (persisted == SegState::kZombie) {
-    return Segment{};
+  if (to == SegState::kQuarantine) {
+    meta_.quarantined.insert(seg);
   }
-  return Segment{persisted, lane, cursor};
 }
 
 void ObjectStore::DedupAddRef(DedupEntry& entry) { entry.refs++; }
@@ -307,10 +337,10 @@ void ObjectStore::DedupDropRef(DedupEntry& entry) {
   entry.refs--;
 }
 
-Result<uint64_t> ObjectStore::AllocSegment(SegState state, uint32_t lane) {
-  for (uint64_t seg = 0; seg < meta_.segments.size(); seg++) {
-    if (meta_.segments[seg].state == SegState::kFree) {
-      SegTransition(seg, state, lane, 0);
+Result<uint64_t> ObjectStore::AllocSegment(SegState state) {
+  for (uint64_t seg = 0; seg < segments_.size(); seg++) {
+    if (segments_[seg].state == SegState::kFree) {
+      SegTransition(seg, state);
       sim_->metrics.counter("store.segments_opened").Add();
       return seg;
     }
@@ -321,62 +351,61 @@ Result<uint64_t> ObjectStore::AllocSegment(SegState state, uint32_t lane) {
 Result<uint64_t> ObjectStore::AppendBlock(uint32_t lane) {
   auto it = meta_.open_data_seg.find(lane);
   if (it == meta_.open_data_seg.end() ||
-      meta_.segments[it->second].cursor >= SegCapacity(it->second)) {
+      segments_[it->second].cursor >= SegCapacity(it->second)) {
     if (it != meta_.open_data_seg.end()) {
       SegTransition(it->second, SegState::kSealed);
       sim_->metrics.counter("store.segments_sealed").Add();
     }
-    AURORA_ASSIGN_OR_RETURN(uint64_t seg, AllocSegment(SegState::kOpen, lane));
+    AURORA_ASSIGN_OR_RETURN(uint64_t seg, AllocSegment(SegState::kOpen));
     it = meta_.open_data_seg.insert_or_assign(lane, seg).first;
   }
-  Segment& seg = meta_.segments[it->second];
-  uint64_t phys = SegBase(it->second) + seg.cursor;
-  seg.cursor++;
-  BitSet(phys, true);
-  stats_.blocks_allocated++;
-  sim_->metrics.counter("store.blocks_allocated").Add();
+  uint64_t phys = SegBase(it->second) + segments_[it->second].cursor++;
+  HoldRun(phys, 1);
   sim_->clock.Advance(sim_->cost.lock_acquire);
   return phys;
 }
 
 Result<uint64_t> ObjectStore::AllocMetaRun(uint64_t nblocks) {
   if (nblocks > segment_blocks()) {
-    return AllocSegmentRun(SegState::kMeta, nblocks);  // oversized blob (rare; giant tables)
+    return AllocSegmentRun(SegState::kMeta, nblocks);  // oversized blob (large tables)
   }
-  Segment* open = &meta_.segments[meta_.open_meta_seg];
-  if (open->cursor + nblocks > SegCapacity(meta_.open_meta_seg)) {
-    AURORA_ASSIGN_OR_RETURN(uint64_t seg, AllocSegment(SegState::kMeta, 0));
-    meta_.open_meta_seg = seg;
-    open = &meta_.segments[seg];
+  // A blob goes just past the newest blob's run (past the ring before any
+  // blob), or to the head of that run's segment once its tail is used up:
+  // blobs are pruned oldest first, so the head frees before the tail fills.
+  // Failing both, it opens a fresh meta segment.
+  auto free_run = [this, nblocks](uint64_t start) {
+    bool free = start + nblocks <= SegBase(SegmentOf(start)) + SegCapacity(SegmentOf(start));
+    for (uint64_t b = start; free && b < start + nblocks; b++) {
+      free = !bitmap_[b];
+    }
+    return free;
+  };
+  uint64_t end = RingBlocks();
+  if (!meta_.checkpoints.empty()) {
+    const CheckpointRecord& newest = meta_.checkpoints.back();
+    end = newest.meta_block + MetaRunBlocks(newest.meta_len, block_size());
   }
-  uint64_t start = SegBase(meta_.open_meta_seg) + open->cursor;
-  open->cursor += nblocks;
-  for (uint64_t b = 0; b < nblocks; b++) {
-    BitSet(start + b, true);
+  const uint64_t head = SegBase(SegmentOf(end - 1));
+  uint64_t start = end < head + SegCapacity(SegmentOf(head)) && free_run(end) ? end : head;
+  if (!free_run(start)) {
+    AURORA_ASSIGN_OR_RETURN(uint64_t seg, AllocSegment(SegState::kMeta));
+    start = SegBase(seg);
   }
-  stats_.blocks_allocated += nblocks;
-  sim_->metrics.counter("store.blocks_allocated").Add(nblocks);
+  Segment& seg = segments_[SegmentOf(start)];
+  seg.cursor = std::max(seg.cursor, start + nblocks - SegBase(SegmentOf(start)));
+  HoldRun(start, nblocks);
   return start;
 }
 
-void ObjectStore::FreeMetaRun(uint64_t start, uint64_t nblocks) {
-  // Commit-failure rollback. Rewind the open meta segment's cursor when the
-  // run is exactly its tail; otherwise the blocks just become dead and the
-  // segment reclaims when its last blob is pruned.
-  Segment& open = meta_.segments[meta_.open_meta_seg];
-  bool is_tail = SegmentOf(start) == meta_.open_meta_seg &&
-                 start + nblocks == SegBase(meta_.open_meta_seg) + open.cursor;
-  for (uint64_t b = 0; b < nblocks; b++) {
-    BitSet(start + b, false);
-    stats_.blocks_freed++;
-    sim_->metrics.counter("store.blocks_freed").Add();
-  }
-  if (is_tail) {
-    open.cursor -= nblocks;
-  } else {
-    for (uint64_t seg = SegmentOf(start); seg <= SegmentOf(start + nblocks - 1); seg++) {
-      MaybeReclaimSegment(seg);
-    }
+void ObjectStore::HoldRun(uint64_t start, uint64_t nblocks) {
+  std::fill_n(bitmap_.begin() + static_cast<ptrdiff_t>(start), nblocks, true);
+  stats_.blocks_allocated += nblocks;
+  sim_->metrics.counter("store.blocks_allocated").Add(nblocks);
+}
+
+void ObjectStore::FreeRun(uint64_t start, uint64_t nblocks) {
+  for (uint64_t b = start; b < start + nblocks; b++) {
+    FreeBlock(b);
   }
 }
 
@@ -384,8 +413,8 @@ Result<uint64_t> ObjectStore::AllocSegmentRun(SegState state, uint64_t nblocks) 
   const uint64_t s = segment_blocks();
   uint64_t nsegs = (nblocks + s - 1) / s;
   uint64_t run = 0;
-  for (uint64_t seg = 0; seg < meta_.segments.size(); seg++) {
-    run = (meta_.segments[seg].state == SegState::kFree && SegCapacity(seg) == s) ? run + 1 : 0;
+  for (uint64_t seg = 0; seg < segments_.size(); seg++) {
+    run = (segments_[seg].state == SegState::kFree && SegCapacity(seg) == s) ? run + 1 : 0;
     if (run < nsegs) {
       continue;
     }
@@ -393,26 +422,17 @@ Result<uint64_t> ObjectStore::AllocSegmentRun(SegState state, uint64_t nblocks) 
     uint64_t remaining = nblocks;
     for (uint64_t i = first; i <= seg; i++) {
       uint64_t take = std::min<uint64_t>(remaining, s);
-      SegTransition(i, state, 0, take);
+      SegTransition(i, state, take);
       remaining -= take;
     }
-    uint64_t start = SegBase(first);
-    for (uint64_t b = 0; b < nblocks; b++) {
-      BitSet(start + b, true);
-    }
-    stats_.blocks_allocated += nblocks;
-    sim_->metrics.counter("store.blocks_allocated").Add(nblocks);
-    return start;
+    HoldRun(SegBase(first), nblocks);
+    return SegBase(first);
   }
   return Status::Error(Errc::kNoSpace, "no contiguous free segment run");
 }
 
 void ObjectStore::FreeJournalRun(uint64_t start, uint64_t nblocks) {
-  for (uint64_t b = 0; b < nblocks; b++) {
-    BitSet(start + b, false);
-    stats_.blocks_freed++;
-    sim_->metrics.counter("store.blocks_freed").Add();
-  }
+  FreeRun(start, nblocks);
   for (uint64_t seg = SegmentOf(start); seg <= SegmentOf(start + nblocks - 1); seg++) {
     SegTransition(seg, SegState::kFree);
     sim_->metrics.counter("store.segments_reclaimed").Add();
@@ -420,12 +440,12 @@ void ObjectStore::FreeJournalRun(uint64_t start, uint64_t nblocks) {
 }
 
 void ObjectStore::MaybeReclaimSegment(uint64_t seg) {
-  const Segment& s = meta_.segments[seg];
+  const Segment& s = segments_[seg];
   // Only quiescent segments reclaim here: open segments are still appended
-  // to, journals are freed wholesale, the open meta segment keeps its append
-  // cursor, and zombies wait for the next durable commit (ReclaimZombies).
-  if (s.state != SegState::kSealed &&
-      (s.state != SegState::kMeta || seg == meta_.open_meta_seg)) {
+  // to, journals are freed wholesale and zombies wait for the next durable
+  // commit (ReclaimZombies). The meta segment the next blob appends to holds
+  // the newest blob, so it is never empty.
+  if (s.state != SegState::kSealed && s.state != SegState::kMeta) {
     return;
   }
   if (SegLiveBlocks(seg) != 0) {
@@ -436,8 +456,8 @@ void ObjectStore::MaybeReclaimSegment(uint64_t seg) {
 }
 
 void ObjectStore::ReclaimZombies() {
-  for (uint64_t seg = 0; seg < meta_.segments.size(); seg++) {
-    if (meta_.segments[seg].state == SegState::kZombie) {
+  for (uint64_t seg = 0; seg < segments_.size(); seg++) {
+    if (segments_[seg].state == SegState::kZombie) {
       SegTransition(seg, SegState::kFree);
       sim_->metrics.counter("store.segments_reclaimed").Add();
       sim_->metrics.counter("gc.segments_reclaimed").Add();
@@ -457,7 +477,7 @@ uint64_t ObjectStore::TranslatePhys(uint64_t phys, uint64_t view_epoch) const {
 }
 
 void ObjectStore::FreeBlock(uint64_t block) {
-  BitSet(block, false);
+  bitmap_[block] = false;
   stats_.blocks_freed++;
   sim_->metrics.counter("store.blocks_freed").Add();
   MaybeReclaimSegment(SegmentOf(block));
@@ -468,8 +488,8 @@ void ObjectStore::KillExtent(const Extent& extent) {
   if (rev != dedup_by_phys_.end()) {
     auto idx = meta_.dedup_index.find(rev->second);
     if (idx == meta_.dedup_index.end()) {
-      // Reverse-map stragglers cannot survive DeserializeMeta (the map is
-      // rebuilt from the index); tolerate one anyway rather than crash.
+      // Reverse-map stragglers cannot survive a mount (Rebuild derives the
+      // map from the index); tolerate one anyway rather than crash.
       dedup_by_phys_.erase(rev);
     } else if (idx->second.refs > 1) {
       // Other live extents still reference the block; just drop one ref.
@@ -568,7 +588,10 @@ Result<SimTime> ObjectStore::StoreBlockCow(uint32_t lane, const uint8_t* block, 
   SimTime wdone = cpu;
   Status wrote = DevWrite(lane, DevLba(phys), payload, ndev, &wdone, &cpu);
   lanes_.Occupy(static_cast<int>(lane), cpu);
-  AURORA_RETURN_IF_ERROR(wrote);
+  if (!wrote.ok()) {
+    FreeBlock(phys);  // no extent will ever point at it
+    return wrote;
+  }
   stats_.bytes_stored += static_cast<uint64_t>(ndev) * dev_bs;
   if (lane_bytes != nullptr) {
     *lane_bytes += static_cast<uint64_t>(ndev) * dev_bs;
@@ -582,18 +605,14 @@ Result<SimTime> ObjectStore::StoreBlockCow(uint32_t lane, const uint8_t* block, 
 }
 
 uint64_t ObjectStore::FreeBlocks() const {
-  uint64_t used = 0;
-  for (uint64_t b = 0; b < meta_.total_blocks; b++) {
-    used += BitGet(b) ? 1 : 0;
-  }
-  return meta_.total_blocks - used;
+  return static_cast<uint64_t>(std::count(bitmap_.begin(), bitmap_.end(), false));
 }
 
 uint64_t ObjectStore::UsedPhysicalBlocks() const {
   uint64_t used = 0;
-  for (uint64_t seg = 0; seg < meta_.segments.size(); seg++) {
-    if (meta_.segments[seg].state != SegState::kFree) {
-      used += meta_.segments[seg].cursor;
+  for (const Segment& seg : segments_) {
+    if (seg.state != SegState::kFree) {
+      used += seg.cursor;
     }
   }
   return used;
@@ -601,10 +620,10 @@ uint64_t ObjectStore::UsedPhysicalBlocks() const {
 
 SegmentStats ObjectStore::GetSegmentStats() const {
   SegmentStats out;
-  out.segments_total = meta_.segments.size();
+  out.segments_total = segments_.size();
   out.reloc_entries = meta_.reloc.size();
-  for (uint64_t seg = 0; seg < meta_.segments.size(); seg++) {
-    const Segment& s = meta_.segments[seg];
+  for (uint64_t seg = 0; seg < segments_.size(); seg++) {
+    const Segment& s = segments_[seg];
     switch (s.state) {
       case SegState::kFree: out.segments_free++; break;
       case SegState::kOpen: out.segments_open++; break;
@@ -662,7 +681,7 @@ Status ObjectStore::CheckDedupInvariants() const {
     if (rev == dedup_by_phys_.end() || !(rev->second == key)) {
       return Status::Error(Errc::kCorrupt, "dedup reverse map does not mirror index");
     }
-    if (!BitGet(entry.phys)) {
+    if (!bitmap_[entry.phys]) {
       return Status::Error(Errc::kCorrupt, "dedup entry points at a free block");
     }
     uint64_t expect = live_refs.count(entry.phys) != 0 ? live_refs[entry.phys] : 0;
@@ -678,6 +697,13 @@ Status ObjectStore::CheckDedupInvariants() const {
         return Status::Error(Errc::kCorrupt, "indexed block found on a deadlist");
       }
     }
+  }
+  return Status::Ok();
+}
+
+Status ObjectStore::CheckLiveBitmap() const {
+  if (DeriveAllocation().live != bitmap_) {
+    return Status::Error(Errc::kCorrupt, "the live bitmap is not the one the tables derive");
   }
   return Status::Ok();
 }
@@ -860,7 +886,7 @@ Status ObjectStore::ReadAt(Oid oid, uint64_t off, void* out, uint64_t len) {
 // --- Metadata / checkpoints ---------------------------------------------------
 
 Status ObjectStore::WriteSuperblock(uint64_t meta_block, uint64_t meta_len, SimTime* done) {
-  Superblock sb{meta_.epoch, block_size(), meta_.total_blocks, meta_block, meta_len,
+  Superblock sb{meta_.epoch, block_size(), total_blocks_, meta_block, meta_len,
                 sim_->clock.now(), ""};
   if (!meta_.checkpoints.empty() && meta_.checkpoints.back().epoch == meta_.epoch) {
     const char* name = meta_.checkpoints.back().name.c_str();
@@ -878,13 +904,12 @@ Result<SimTime> ObjectStore::CommitCheckpoint(const std::string& name) {
   // its own location; the superblock carries that.)
   CheckpointRecord record{meta_.epoch, name, sim_->clock.now()};
 
-  // The blob must record its own run's allocation, so the run is sized
-  // before the blob is encoded. AllocMetaRun only moves bits and
-  // fixed-width segment cursors, so it does not change the size.
-  uint64_t nblocks = MetaRunBlocks(EncodedMetaSize(meta_), block_size());
-  AURORA_ASSIGN_OR_RETURN(uint64_t meta_block, AllocMetaRun(nblocks));
+  // The blob records no allocation state, so its run is allocated once the
+  // blob is encoded.
   std::vector<uint8_t> blob = EncodeMeta(meta_);
   sim_->clock.Advance(sim_->cost.Serialize(blob.size()));
+  uint64_t nblocks = MetaRunBlocks(blob.size(), block_size());
+  AURORA_ASSIGN_OR_RETURN(uint64_t meta_block, AllocMetaRun(nblocks));
 
   record.meta_block = meta_block;
   record.meta_len = blob.size();
@@ -899,7 +924,7 @@ Result<SimTime> ObjectStore::CommitCheckpoint(const std::string& name) {
   if (!meta_wrote.ok()) {
     // A failed commit leaves the epoch open for another attempt; it must not
     // leak its metadata blocks or record a checkpoint nobody can read.
-    FreeMetaRun(meta_block, nblocks);
+    FreeRun(meta_block, nblocks);
     return meta_wrote;
   }
 
@@ -907,7 +932,7 @@ Result<SimTime> ObjectStore::CommitCheckpoint(const std::string& name) {
   Status super = WriteSuperblock(meta_block, blob.size(), &done);
   if (!super.ok()) {
     meta_.checkpoints.pop_back();
-    FreeMetaRun(meta_block, nblocks);
+    FreeRun(meta_block, nblocks);
     return super;
   }
 
@@ -951,9 +976,7 @@ Status ObjectStore::DeleteCheckpointsBefore(uint64_t epoch) {
   uint64_t newest = meta_.checkpoints.empty() ? 0 : meta_.checkpoints.back().epoch;
   for (auto it = meta_.checkpoints.begin(); it != meta_.checkpoints.end();) {
     if (it->epoch < epoch && it->epoch != newest) {
-      for (uint64_t b = 0; b < MetaRunBlocks(it->meta_len, block_size()); b++) {
-        FreeBlock(it->meta_block + b);
-      }
+      FreeRun(it->meta_block, MetaRunBlocks(it->meta_len, block_size()));
       epoch_cache_.erase(it->epoch);
       it = meta_.checkpoints.erase(it);
     } else {
@@ -1123,6 +1146,14 @@ Result<Oid> ObjectStore::CreateJournal(uint64_t capacity_bytes) {
   const uint32_t dev_bs = device_->block_size();
   uint64_t nblocks = (capacity_bytes + block_size() - 1) / block_size();
   AURORA_ASSIGN_OR_RETURN(uint64_t start, AllocSegmentRun(SegState::kJournal, nblocks));
+  // Persist the initial generation. A journal whose header never landed
+  // gives its run back.
+  auto header = EncodeJournalHeader(1, dev_bs);
+  Status wrote = DevWrite(0, DevLba(start), header.data(), 1, nullptr);
+  if (!wrote.ok()) {
+    FreeJournalRun(start, nblocks);
+    return wrote;
+  }
   Oid oid{meta_.next_oid++};
   ObjectInfo info;
   info.type = ObjType::kJournal;
@@ -1132,9 +1163,6 @@ Result<Oid> ObjectStore::CreateJournal(uint64_t capacity_bytes) {
   info.journal_blocks = nblocks;
   info.journal_gen = 1;
   info.journal_write_off = dev_bs;  // record area starts after the header
-  // Persist the initial generation.
-  auto header = EncodeJournalHeader(info.journal_gen, dev_bs);
-  AURORA_RETURN_IF_ERROR(DevWrite(0, DevLba(start), header.data(), 1, nullptr));
   meta_.objects[oid] = std::move(info);
   return oid;
 }

@@ -20,6 +20,11 @@
 //     pruning (or the background SegmentGc) drains them, so long-horizon
 //     runs see flat space usage instead of allocator exhaustion. Every
 //     segment-state change goes through SegTransition's lifecycle graph.
+//   * The blob persists only what cannot be derived (store_format.h). The
+//     allocation bitmap and the segment table are the allocator's own
+//     state, which Rebuild derives from the persisted tables at mount, and
+//     the next blob's place follows from the newest checkpoint record, so a
+//     commit's metadata does not grow with the device.
 #ifndef SRC_OBJSTORE_OBJECT_STORE_H_
 #define SRC_OBJSTORE_OBJECT_STORE_H_
 
@@ -60,6 +65,24 @@ struct StoreStats {
   uint64_t bytes_deduped = 0;            // logical bytes resolved by index hits
   uint64_t bytes_compressed_saved = 0;   // logical minus stored, codec wins only
   uint64_t dedup_hits = 0;
+};
+
+enum class SegState : uint8_t {
+  kFree = 0,     // no valid data, available to the allocator
+  kOpen = 1,     // a flush lane (or GC) is appending into it
+  kSealed = 2,   // full data segment; GC victim candidate
+  kMeta = 3,     // metadata blobs (+ the superblock ring in segment 0)
+  kJournal = 4,  // non-COW journal extents, updated in place
+  kZombie = 5,   // evacuated by GC; reclaimed after the next commit
+  // Failed its CRC walk during GC evacuation. Listed in StoreMeta::quarantined
+  // so a remount never re-selects it; it stays pinned (never reclaimed,
+  // never a victim) until the scrubber's repair story evolves.
+  kQuarantine = 6,
+};
+
+struct Segment {
+  SegState state = SegState::kFree;
+  uint64_t cursor = 0;  // blocks appended so far (next append offset)
 };
 
 // Point-in-time view of the segment log.
@@ -167,6 +190,10 @@ class ObjectStore {
   // fuse point and by the scrubber.
   uint64_t DedupEntries() const { return meta_.dedup_index.size(); }
   [[nodiscard]] Status CheckDedupInvariants() const;
+  // The allocator's invariant: the live bitmap is exactly the one Rebuild
+  // derives from the live tables, so a remount would hand out no block the
+  // running store holds and hold none it freed.
+  [[nodiscard]] Status CheckLiveBitmap() const;
   uint64_t FreeBlocks() const;
   // Physically occupied store blocks: every block below a non-free
   // segment's append cursor (dead-but-unreclaimed space included), which is
@@ -189,6 +216,10 @@ class ObjectStore {
   ObjectStore(BlockDevice* device, SimContext* sim, StoreOptions options);
 
   uint32_t DevBlocksPerStoreBlock() const { return block_size() / device_->block_size(); }
+  // Store blocks the superblock ring occupies at the head of segment 0.
+  uint64_t RingBlocks() const {
+    return (kSuperSlots + DevBlocksPerStoreBlock() - 1) / DevBlocksPerStoreBlock();
+  }
   uint64_t DevLba(uint64_t store_block) const {
     return store_block * DevBlocksPerStoreBlock();
   }
@@ -198,8 +229,6 @@ class ObjectStore {
   // blocks decrement their refcount; the last reference retires the block
   // through the deadlist keyed by the index's first_birth.
   void KillExtent(const Extent& extent);
-  bool BitGet(uint64_t block) const;
-  void BitSet(uint64_t block, bool v);
 
   // --- Flush-path dedup / compression (DESIGN.md section 17) ----------------
   // Stages one full store block of content: consult the dedup index (hit =
@@ -229,10 +258,37 @@ class ObjectStore {
   uint64_t SegBase(uint64_t seg) const { return seg * segment_blocks(); }
   uint64_t SegCapacity(uint64_t seg) const;
   uint64_t SegLiveBlocks(uint64_t seg) const;
-  void InitSegments();
+  // What the persisted tables reference: the live bit of every block (the
+  // superblock ring, live extents, deadlist entries, dedup entries, retained
+  // blob runs and journal runs), the role each segment plays by what it
+  // holds (kMeta, kJournal, kSealed for data, kFree for nothing), and each
+  // segment's blocks up to its highest live one. `clash` is set when a
+  // segment would play two roles.
+  struct Derived {
+    std::vector<bool> live;
+    std::vector<SegState> role;
+    std::vector<uint64_t> high;
+    bool clash = false;
+  };
+  Derived DeriveAllocation() const;
+  // The one rebuild of the allocator's state (bitmap, segment table, dedup
+  // reverse map) from meta_, at Format and at mount:
+  //   * the bitmap is the derived one;
+  //   * an open data segment of a lane this machine runs stays open with its
+  //     cursor just past its highest live block, and a meta segment's cursor
+  //     sits there too;
+  //   * every other segment holding something is full; listed segments are
+  //     quarantined, and a data segment with no live block (an evacuated
+  //     zombie among them) comes back free.
+  // Where the next blob goes follows from the newest checkpoint record
+  // (AllocMetaRun), so no open meta segment is kept.
+  // kCorrupt when the tables give a segment two roles (a data extent in the
+  // ring, a meta run or a journal run, an open-segment entry on a meta,
+  // journal or quarantined segment), so such a blob never mounts.
+  [[nodiscard]] Status Rebuild();
   // --- Sanctioned lifecycle mutations ---------------------------------------
   // Every segment-state and dedup-refcount change in src/objstore flows
-  // through these four functions; aurora_lint's typestate family rejects
+  // through these three functions; aurora_lint's typestate family rejects
   // direct field writes anywhere else. SegTransition validates the move
   // against the lifecycle graph
   //   free -> open|meta|journal, open -> sealed,
@@ -240,26 +296,21 @@ class ObjectStore {
   //   quarantine -> (pinned)
   // counting violations in store.bad_seg_transitions (and asserting in debug
   // builds), then applies it: entering kFree resets the record, leaving kFree
-  // installs the caller's lane/cursor, and every other move changes only the
-  // state byte so serialized segment tables stay byte-identical with the
-  // pre-refactor writes.
-  void SegTransition(uint64_t seg, SegState to, uint32_t lane = 0, uint64_t cursor = 0);
-  // Mount-time policy for one persisted segment record: zombies were fully
-  // evacuated before the blob we are recovering from committed, so no
-  // surviving pointer references them — they come back as free segments.
-  static Segment MountSegState(SegState persisted, uint32_t lane, uint64_t cursor);
+  // installs the caller's cursor, and every other move changes only the
+  // state. Entering kQuarantine also lists the segment in meta_.quarantined.
+  void SegTransition(uint64_t seg, SegState to, uint64_t cursor = 0);
   static void DedupAddRef(DedupEntry& entry);
   static void DedupDropRef(DedupEntry& entry);
-  [[nodiscard]] Result<uint64_t> AllocSegment(SegState state, uint32_t lane);
+  [[nodiscard]] Result<uint64_t> AllocSegment(SegState state);
   // Append one block into the lane's open data segment, opening a new one
   // when full. The only data-block allocator: the COW write path and the
   // compactor both place blocks through it.
   [[nodiscard]] Result<uint64_t> AppendBlock(uint32_t lane);
   // Contiguous run for a metadata blob, appended into meta segments.
   [[nodiscard]] Result<uint64_t> AllocMetaRun(uint64_t nblocks);
-  // Rollback for a failed commit: clears the run's bits and, when the run is
-  // the open meta segment's tail, rewinds its cursor.
-  void FreeMetaRun(uint64_t start, uint64_t nblocks);
+  // Marks a run of blocks live (allocated) or frees it block by block.
+  void HoldRun(uint64_t start, uint64_t nblocks);
+  void FreeRun(uint64_t start, uint64_t nblocks);
   // A run of whole, contiguous free segments moved to `state`: journals
   // (in-place extents stay out of GC's way) and oversized metadata blobs.
   [[nodiscard]] Result<uint64_t> AllocSegmentRun(SegState state, uint64_t nblocks);
@@ -337,11 +388,15 @@ class ObjectStore {
   SimContext* sim_;
   IoRetryPolicy retry_;
 
-  // The persisted tables: the object table, deadlists, checkpoint
-  // directory, allocation bitmap, segment log, dedup index and the flush
-  // options. EncodeMeta writes them in place at every commit.
+  // The persisted tables (store_format.h). EncodeMeta writes them in place
+  // at every commit.
   StoreMeta meta_;
-  // Reverse map of the dedup index (phys -> key), rebuilt at mount.
+  // The allocator's state, rebuilt from meta_ at mount: the store's size in
+  // blocks (the superblock's), one live bit per block and the segment table.
+  uint64_t total_blocks_ = 0;
+  std::vector<bool> bitmap_;
+  std::vector<Segment> segments_;
+  // Reverse map of the dedup index (phys -> key), rebuilt with the rest.
   std::unordered_map<uint64_t, ContentKey> dedup_by_phys_;
 
   // Completion time of the latest data write in the current epoch; commits

@@ -23,13 +23,7 @@ struct LiveGroup {
 
 }  // namespace
 
-uint64_t SegmentGc::quarantined_segments() const {
-  uint64_t n = 0;
-  for (const Segment& seg : store_->meta_.segments) {
-    n += seg.state == SegState::kQuarantine ? 1 : 0;
-  }
-  return n;
-}
+uint64_t SegmentGc::quarantined_segments() const { return store_->meta_.quarantined.size(); }
 
 bool SegmentGc::TakeTokens(uint64_t bytes) {
   if (config_.bytes_per_sec == 0) {
@@ -72,8 +66,8 @@ Result<GcRunReport> SegmentGc::Run() {
   // entry under the same old address (the address was reused after an earlier
   // relocation expired its segment), which the single-hop map cannot express.
   std::vector<std::pair<uint64_t, uint64_t>> victims;  // (live, seg)
-  for (uint64_t seg = 0; seg < s->meta_.segments.size(); seg++) {
-    const Segment& info = s->meta_.segments[seg];
+  for (uint64_t seg = 0; seg < s->segments_.size(); seg++) {
+    const Segment& info = s->segments_[seg];
     if (info.state != SegState::kSealed || info.cursor == 0) {
       continue;
     }
@@ -202,7 +196,7 @@ Result<GcRunReport> SegmentGc::Run() {
                                  &s->last_data_write_done_);
       if (!wrote.ok()) {
         // Undo the append's liveness; the gap stays dead until reclaim.
-        s->BitSet(new_phys, false);
+        s->bitmap_[new_phys] = false;
         evacuated = false;
         break;
       }
@@ -221,7 +215,7 @@ Result<GcRunReport> SegmentGc::Run() {
           s->dedup_by_phys_[new_phys] = key;
         }
       }
-      s->BitSet(old_phys, false);
+      s->bitmap_[old_phys] = false;
       if (group.min_birth < s->meta_.epoch) {
         // Some committed blob references the old address; translate until
         // every such epoch is pruned. Blocks born in the current epoch have

@@ -12,10 +12,10 @@
 // ObjectStore::ReadBlockVerified (the Scrubber's verification primitive)
 // before it is rewritten, so a latent corruption is detected — and the
 // segment quarantined with the damaged block left in place for the Scrubber
-// to report — rather than silently laundered under a fresh copy. Quarantine
-// is a persisted segment state (SegState::kQuarantine): it rides the
-// metadata blob through commits, so a remount still pins the segment away
-// from compaction and reuse until the operator intervenes.
+// to report — rather than silently laundered under a fresh copy. A
+// quarantined segment (SegState::kQuarantine) is listed in the metadata blob
+// (StoreMeta::quarantined), so a remount still pins it away from compaction
+// and reuse until the operator intervenes.
 //
 // Dedup interplay: slots are grouped by physical block before evacuation, so
 // a block shared by many extents (or still referenced from deadlists) moves
@@ -79,8 +79,8 @@ class SegmentGc {
 
   const GcConfig& config() const { return config_; }
   void set_config(const GcConfig& config) { config_ = config; }
-  // Segments with a damaged block, left untouched for the Scrubber. Derived
-  // from the store's persisted segment states, so it is remount-stable.
+  // Segments with a damaged block, left untouched for the Scrubber: the
+  // store's persisted quarantine list, so the count is remount-stable.
   uint64_t quarantined_segments() const;
 
  private:

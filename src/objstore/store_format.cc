@@ -18,26 +18,28 @@ constexpr uint32_t kJournalMagic = 0x4155524a;  // "AURJ"
 // v4: content-addressed dedup — per-extent stored_len/codec, per-deadentry
 //     stored_len, and the persisted dedup index (content key -> phys +
 //     refcount) serialized alongside the segment table.
-constexpr uint32_t kVersion = 4;
-// The meta blob's layout byte. 0 was the free-list allocator, retired; the
-// byte stays so the blob format (and kVersion) is unchanged.
+// v5: only what cannot be derived — the bitmap and the segment table are
+//     rebuilt at mount, the open meta segment and the blob's copy of the
+//     store size are gone, and a sparse list of quarantined segments is
+//     persisted instead.
+constexpr uint32_t kVersion = 5;
+// The meta blob's layout byte. 0 was the free-list allocator, retired.
 constexpr uint8_t kFreeListLayout = 0;
 constexpr uint8_t kSegmentLogLayout = 1;
 
 // Encoded element sizes of the metadata tables, which cap each table's
 // element count by the bytes left so a forged count fails before it loops
-// or allocates, and size a blob before it is encoded: object header
-// (without extents), extent, deadlist header, dead entry, checkpoint record
-// (empty name), segment, relocation entry, open-segment entry and dedup
-// entry.
+// or allocates: object header (without extents), extent, deadlist header,
+// dead entry, checkpoint record (empty name), relocation entry,
+// open-segment entry, quarantined segment and dedup entry.
 constexpr size_t kObjectBytes = 8 + 1 + 8 + 1 + 8 + 8 + 8 + 8;
 constexpr size_t kExtentBytes = 8 + 8 + 8 + 4 + 4 + 1;
 constexpr size_t kDeadlistBytes = 8 + 8;
 constexpr size_t kDeadEntryBytes = 8 + 8 + 4 + 4;
 constexpr size_t kCheckpointBytes = 8 + 8 + 8 + 8 + 8;
-constexpr size_t kSegmentBytes = 1 + 4 + 8;
 constexpr size_t kRelocBytes = 8 + 8 + 8;
 constexpr size_t kOpenSegBytes = 4 + 8;
+constexpr size_t kQuarantineBytes = 8;
 constexpr size_t kDedupBytes = 8 + 8 + 8 + 8 + 8 + 4 + 4 + 1;
 
 Status Corrupt(const char* what) { return Status::Error(Errc::kCorrupt, what); }
@@ -189,38 +191,25 @@ std::vector<uint8_t> EncodeMeta(const StoreMeta& m) {
     w.PutU64(c.meta_len);
   }
 
-  w.PutU64(m.total_blocks);
-  w.PutBytes(m.bitmap.data(), m.bitmap.size());
-
-  // v3 layout section. Everything here is fixed-width per element and the
-  // element counts cannot change between sizing and encoding a commit's
-  // blob (the metadata-run allocation moves cursors, never the segment
-  // count).
   w.PutU8(kSegmentLogLayout);
   w.PutU32(m.options.segment_blocks);
-  w.PutU64(m.segments.size());
-  for (const Segment& s : m.segments) {
-    w.PutU8(static_cast<uint8_t>(s.state));
-    w.PutU32(s.lane);
-    w.PutU64(s.cursor);
-  }
   w.PutU64(m.reloc.size());
   for (const auto& [old_phys, entry] : m.reloc) {
     w.PutU64(old_phys);
     w.PutU64(entry.new_phys);
     w.PutU64(entry.reloc_epoch);
   }
-  w.PutU64(m.open_meta_seg);
   w.PutU64(m.open_data_seg.size());
   for (const auto& [lane, seg] : m.open_data_seg) {
     w.PutU32(lane);
     w.PutU64(seg);
   }
+  w.PutU64(m.quarantined.size());
+  for (uint64_t seg : m.quarantined) {
+    w.PutU64(seg);
+  }
 
-  // v4 dedup index. Fixed-width per element and keyed by content, so the
-  // entry count is stable between sizing and encoding a commit's blob (the
-  // metadata-run allocation never stores or kills data blocks). The
-  // flush-path options ride along so a store formatted with dedup off
+  // The flush-path options ride along so a store formatted with dedup off
   // (ablation baseline) stays off after a remount instead of silently
   // picking up the defaults.
   w.PutU8(m.options.dedup ? 1 : 0);
@@ -237,28 +226,6 @@ std::vector<uint8_t> EncodeMeta(const StoreMeta& m) {
     w.PutU8(entry.codec);
   }
   return Seal(&w);
-}
-
-uint64_t EncodedMetaSize(const StoreMeta& m) {
-  uint64_t n = 4 + 8 + 8;  // magic, epoch, next oid
-  n += 8 + m.objects.size() * kObjectBytes;
-  for (const auto& [oid, info] : m.objects) {
-    n += info.extents.size() * kExtentBytes;
-  }
-  n += 8 + m.deadlists.size() * kDeadlistBytes;
-  for (const auto& [epoch, entries] : m.deadlists) {
-    n += entries.size() * kDeadEntryBytes;
-  }
-  n += 8 + m.checkpoints.size() * kCheckpointBytes;
-  for (const CheckpointRecord& c : m.checkpoints) {
-    n += c.name.size();
-  }
-  n += 8 + 8 + m.bitmap.size();  // total blocks, bitmap
-  n += 1 + 4 + 8 + m.segments.size() * kSegmentBytes;
-  n += 8 + m.reloc.size() * kRelocBytes;
-  n += 8 + 8 + m.open_data_seg.size() * kOpenSegBytes;
-  n += 1 + 1 + 8 + m.dedup_index.size() * kDedupBytes;
-  return n + sizeof(uint32_t);  // seal
 }
 
 Result<StoreMeta> DecodeMeta(const uint8_t* data, size_t len, uint32_t block_size,
@@ -360,13 +327,6 @@ Result<StoreMeta> DecodeMeta(const uint8_t* data, size_t len, uint32_t block_siz
     m.checkpoints.push_back(std::move(c));
   }
 
-  AURORA_ASSIGN_OR_RETURN(m.total_blocks, r.U64());
-  AURORA_ASSIGN_OR_RETURN(m.bitmap, r.Bytes());
-  if (m.total_blocks != total_blocks ||
-      m.bitmap.size() != total_blocks / 8 + (total_blocks % 8 != 0 ? 1 : 0)) {
-    return Corrupt("meta blob geometry differs from its superblock");
-  }
-
   AURORA_ASSIGN_OR_RETURN(uint8_t layout, r.U8());
   if (layout == kFreeListLayout) {
     return Status::Error(Errc::kNotSupported, "free-list layout retired");
@@ -376,21 +336,10 @@ Result<StoreMeta> DecodeMeta(const uint8_t* data, size_t len, uint32_t block_siz
   }
   AURORA_ASSIGN_OR_RETURN(m.options.segment_blocks, r.U32());
   const uint64_t seg_blocks = m.options.segment_blocks;
-  AURORA_ASSIGN_OR_RETURN(uint64_t nsegs, Count(&r, kSegmentBytes));
-  if (seg_blocks < 2 || nsegs != total_blocks / seg_blocks + (total_blocks % seg_blocks != 0)) {
-    return Corrupt("segment table does not cover the store");
+  if (seg_blocks < 2) {
+    return Corrupt("segment size out of range");
   }
-  m.segments.reserve(nsegs);
-  for (uint64_t i = 0; i < nsegs; i++) {
-    AURORA_ASSIGN_OR_RETURN(uint8_t state, r.U8());
-    AURORA_ASSIGN_OR_RETURN(uint32_t lane, r.U32());
-    AURORA_ASSIGN_OR_RETURN(uint64_t cursor, r.U64());
-    if (state > static_cast<uint8_t>(SegState::kQuarantine) ||
-        cursor > std::min(seg_blocks, total_blocks - i * seg_blocks)) {
-      return Corrupt("segment record out of range");
-    }
-    m.segments.push_back(Segment{static_cast<SegState>(state), lane, cursor});
-  }
+  const uint64_t nsegs = total_blocks / seg_blocks + (total_blocks % seg_blocks != 0);
   AURORA_ASSIGN_OR_RETURN(uint64_t nreloc, Count(&r, kRelocBytes));
   for (uint64_t i = 0; i < nreloc; i++) {
     AURORA_ASSIGN_OR_RETURN(uint64_t old_phys, r.U64());
@@ -404,7 +353,6 @@ Result<StoreMeta> DecodeMeta(const uint8_t* data, size_t len, uint32_t block_siz
       return Corrupt("duplicate relocation entry");
     }
   }
-  AURORA_ASSIGN_OR_RETURN(m.open_meta_seg, r.U64());
   AURORA_ASSIGN_OR_RETURN(uint64_t nopen, Count(&r, kOpenSegBytes));
   for (uint64_t i = 0; i < nopen; i++) {
     AURORA_ASSIGN_OR_RETURN(uint32_t lane, r.U32());
@@ -413,8 +361,13 @@ Result<StoreMeta> DecodeMeta(const uint8_t* data, size_t len, uint32_t block_siz
       return Corrupt("open-segment entry out of range");
     }
   }
-  if (m.open_meta_seg >= nsegs) {
-    return Corrupt("open meta segment out of range");
+  AURORA_ASSIGN_OR_RETURN(uint64_t nquarantined, Count(&r, kQuarantineBytes));
+  for (uint64_t i = 0; i < nquarantined; i++) {
+    AURORA_ASSIGN_OR_RETURN(uint64_t seg, r.U64());
+    if (seg >= nsegs || (!m.quarantined.empty() && seg <= *m.quarantined.rbegin())) {
+      return Corrupt("quarantined segment out of range or order");
+    }
+    m.quarantined.insert(m.quarantined.end(), seg);
   }
 
   AURORA_ASSIGN_OR_RETURN(m.options.dedup, Flag(&r));

@@ -2,24 +2,28 @@
 // ring, the metadata blob and the journal header and records.
 //
 // Every function here is pure over bytes. The encoders' output is pinned
-// byte for byte by tests/store_golden_test.cc, so images written by any
-// earlier build keep mounting. Every decoder is total: it checks each
-// field the rest of the store trusts (geometry, enum and bool bytes, stored
-// lengths, block numbers, table sizes, counts, duplicate keys) and returns
-// kCorrupt — kNotSupported for the retired free-list layout — instead of
-// crashing or allocating more than its input. Recovery picks the newest
-// superblock whose metadata verifies, so these decoders are the store's
-// trust boundary.
+// byte for byte by tests/store_golden_test.cc. The version field names the
+// format: an image of another version does not mount. Every decoder is
+// total: it checks each field the rest of the store trusts (geometry, enum
+// and bool bytes, stored lengths, block numbers, counts, duplicate keys)
+// and returns kCorrupt — kNotSupported for the retired free-list layout —
+// instead of crashing or allocating more than its input. Recovery picks the
+// newest superblock whose metadata verifies, so these decoders are the
+// store's trust boundary.
 //
-// The persisted tables are one value type, StoreMeta. ObjectStore holds its
-// live tables in one and EncodeMeta serializes it in place at every commit;
-// Open, historic-epoch reads and the scrubber all decode through DecodeMeta.
+// A metadata blob persists only what the store cannot derive, StoreMeta: the
+// object table, deadlists, checkpoint directory, relocation map, open data
+// segments, quarantined segments, dedup index and options. The allocation
+// bitmap and the segment table follow from those tables and are rebuilt at
+// mount (ObjectStore::Rebuild). Open, historic-epoch reads and the scrubber
+// all decode through DecodeMeta.
 #ifndef SRC_OBJSTORE_STORE_FORMAT_H_
 #define SRC_OBJSTORE_STORE_FORMAT_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -105,26 +109,6 @@ struct DedupEntry {
   bool operator==(const DedupEntry&) const = default;
 };
 
-enum class SegState : uint8_t {
-  kFree = 0,     // no valid data, available to the allocator
-  kOpen = 1,     // a flush lane (or GC) is appending into it
-  kSealed = 2,   // full data segment; GC victim candidate
-  kMeta = 3,     // metadata blobs (+ the superblock ring in segment 0)
-  kJournal = 4,  // non-COW journal extents, updated in place
-  kZombie = 5,   // evacuated by GC; reclaimed after the next commit
-  // Failed its CRC walk during GC evacuation. Persisted with the segment
-  // table so a remount never re-selects it; it stays pinned (never
-  // reclaimed, never a victim) until the scrubber's repair story evolves.
-  kQuarantine = 6,
-};
-
-struct Segment {
-  SegState state = SegState::kFree;
-  uint32_t lane = 0;    // owning flush lane while kOpen (kGcLane for GC)
-  uint64_t cursor = 0;  // blocks appended so far (next append offset)
-  bool operator==(const Segment&) const = default;
-};
-
 // Relocation map entry: blocks that used to live at the key physical block
 // were moved to `new_phys` during epoch `reloc_epoch`. Committed metadata
 // blobs older than reloc_epoch still reference the old location, so
@@ -144,21 +128,20 @@ struct CheckpointRecord {
   bool operator==(const CheckpointRecord&) const = default;
 };
 
-// Everything one metadata blob persists. `options.block_size` is the
-// superblock's: the blob does not carry it, and DecodeMeta fills it in.
+// Everything one metadata blob persists. The geometry is the superblock's:
+// DecodeMeta fills `options.block_size` in from it.
 struct StoreMeta {
   uint64_t epoch = 1;  // current, uncommitted epoch
   uint64_t next_oid = 1;
   std::unordered_map<Oid, ObjectInfo> objects;
   std::map<uint64_t, std::vector<DeadEntry>> deadlists;  // sealed per epoch
   std::vector<CheckpointRecord> checkpoints;
-  uint64_t total_blocks = 0;
-  std::vector<uint8_t> bitmap;  // one bit per store block (live/referenced)
   StoreOptions options;
-  std::vector<Segment> segments;
   std::map<uint64_t, RelocEntry> reloc;  // old phys -> current location
-  uint64_t open_meta_seg = 0;
   std::map<uint32_t, uint64_t> open_data_seg;  // lane -> open segment
+  // Segments whose GC evacuation failed its CRC walk: pinned, never a victim
+  // and never reclaimed, across remounts too.
+  std::set<uint64_t> quarantined;
   // Content-addressed dedup index, ordered by key so encoding is
   // deterministic.
   std::map<ContentKey, DedupEntry> dedup_index;
@@ -197,9 +180,6 @@ inline uint64_t MetaRunBlocks(uint64_t meta_len, uint32_t block_size) {
   return meta_len / block_size + (meta_len % block_size != 0 ? 1 : 0);
 }
 std::vector<uint8_t> EncodeMeta(const StoreMeta& meta);
-// EncodeMeta(meta).size(), counted without encoding: every table element is
-// fixed-width except a checkpoint record's name.
-uint64_t EncodedMetaSize(const StoreMeta& meta);
 // Decodes a blob of a store with `block_size`-byte blocks and
 // `total_blocks` blocks, as its superblock states them.
 [[nodiscard]] Result<StoreMeta> DecodeMeta(const uint8_t* data, size_t len, uint32_t block_size,

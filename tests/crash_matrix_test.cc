@@ -1,7 +1,11 @@
 // Crash matrix: sweep a power-loss crash over EVERY device write of a
 // deterministic two-checkpoint object-store workload, then mount and check
 // that the store always recovers to a checksummed prefix epoch — the exact
-// state of some committed checkpoint, never a torn mixture.
+// state of some committed checkpoint, never a torn mixture. The mount
+// rebuilds the allocator from the recovered tables, so each sweep then
+// writes and commits on the recovered store and checks that no retained
+// epoch changed: a rebuild that hands out a block some epoch still reads
+// fails there.
 //
 // The 8 KiB store-block configuration regression-tests the superblock-ring
 // reservation bug: the ring spans kSuperSlots device blocks, and with store
@@ -11,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 
 #include "src/base/sim_context.h"
 #include "src/objstore/object_store.h"
@@ -97,6 +102,47 @@ void ExpectContents(ObjectStore* store, Oid oid, const std::vector<uint8_t>& wan
   EXPECT_EQ(back, want) << "recovered object contents are not the committed epoch's";
 }
 
+// Every object of every retained epoch, read in full, by epoch and oid.
+using EpochImages = std::map<uint64_t, std::map<uint64_t, std::vector<uint8_t>>>;
+EpochImages ReadRetainedEpochs(ObjectStore* store) {
+  EpochImages out;
+  for (const CheckpointInfo& ckpt : store->ListCheckpoints()) {
+    auto oids = store->ObjectsAtEpoch(ckpt.epoch);
+    EXPECT_TRUE(oids.ok()) << "epoch " << ckpt.epoch << " unreadable";
+    for (Oid oid : oids.ok() ? *oids : std::vector<Oid>{}) {
+      auto size = store->SizeAtEpoch(ckpt.epoch, oid);
+      std::vector<uint8_t> bytes(size.ok() ? *size : 0);
+      EXPECT_TRUE(store->ReadAtEpoch(ckpt.epoch, oid, 0, bytes.data(), bytes.size()).ok());
+      out[ckpt.epoch][oid.value] = std::move(bytes);
+    }
+  }
+  return out;
+}
+
+// Reuse after recovery: overwrite `oid` on the recovered store (a fresh
+// object when the recovered epoch predates it) and commit. A second mount
+// must then read every retained epoch exactly as the first one did, and the
+// live bitmap must be the one the tables derive.
+void ExpectReuseKeepsRetainedEpochs(ObjectStore* store, MemBlockDevice* device, SimContext* sim,
+                                    Oid oid) {
+  const EpochImages before = ReadRetainedEpochs(store);
+  if (!store->Exists(oid)) {
+    oid = *store->CreateObject(ObjType::kMemory);
+  }
+  std::vector<uint8_t> data = Pattern(2 * store->block_size() + 100, 0x5a);
+  ASSERT_TRUE(store->WriteAt(oid, 0, data.data(), data.size()).ok());
+  ASSERT_TRUE(store->CommitCheckpoint("reuse").ok());
+  Status bitmap = store->CheckLiveBitmap();
+  EXPECT_TRUE(bitmap.ok()) << bitmap.message();
+
+  auto remounted = ObjectStore::Open(device, sim);
+  ASSERT_TRUE(remounted.ok()) << remounted.status().message();
+  EpochImages after = ReadRetainedEpochs(remounted->get());
+  for (const auto& [epoch, objects] : before) {
+    EXPECT_TRUE(after[epoch] == objects) << "epoch " << epoch << " changed after reuse";
+  }
+}
+
 void SweepCrashMatrix(uint32_t store_block) {
   const Workload w(store_block);
   const uint64_t device_blocks = (64 * kMiB) / kPageSize;
@@ -181,6 +227,7 @@ void SweepCrashMatrix(uint32_t store_block) {
         EXPECT_EQ(replayed->size(), w.records.size());
       }
     }
+    ExpectReuseKeepsRetainedEpochs(store, &device, &sim, ids.obj1);
   }
 }
 
@@ -298,6 +345,7 @@ TEST(CrashMatrix, EveryCrashPointDuringCompactionRecoversExactImage) {
       ExpectContents(store, ids.obj1, a);
       ExpectContents(store, ids.obj2, b);
     }
+    ExpectReuseKeepsRetainedEpochs(store, &device, &sim, ids.obj1);
   }
 }
 

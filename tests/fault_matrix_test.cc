@@ -18,7 +18,10 @@
 //  - Flush failure aborts only the in-flight epoch: the application keeps
 //    running on the last durable epoch and the dirty pages ride the next
 //    successful checkpoint. So do the pages of a failed sls_memckpt.
+//  - A suspend whose checkpoint aborts fails and leaves the group running.
 //  - A restore that fails closes its trace span at the time it failed.
+//  - A flush write or a journal header write that fails gives its
+//    allocation back: the live bitmap stays the one the tables derive.
 //  - The scrubber finds every injected flip that lands in a committed data
 //    block, with no false positives.
 #include <gtest/gtest.h>
@@ -423,6 +426,52 @@ TEST(FaultMatrix, ScrubDetectsEveryCommittedFlip) {
   EXPECT_EQ(clean_report->epochs.size(), clean_store->ListCheckpoints().size());
 }
 
+// A raw store on a 64 MiB device with 64 KiB blocks: one device write per
+// flushed block, so a total write outage fails exactly the write under test.
+std::unique_ptr<ObjectStore> RawStore(MemBlockDevice* device, SimContext* sim) {
+  StoreOptions raw;
+  raw.dedup = false;
+  raw.codec = CodecId::kRaw;
+  return *ObjectStore::Format(device, sim, raw);
+}
+
+TEST(FaultMatrix, FailedFlushWriteFreesItsBlock) {
+  SimContext sim;
+  MemBlockDevice device(&sim.clock, kDeviceBlocks);
+  auto store = RawStore(&device, &sim);
+  Oid oid = *store->CreateObject(ObjType::kMemory);
+  const uint64_t free_before = store->FreeBlocks();
+  const uint64_t live_before = store->GetSegmentStats().live_blocks;
+
+  device.InstallFaults(0x1EA4, {RateRule(0.0, 1.0)});
+  std::vector<uint8_t> block = Pattern(store->block_size(), 3);
+  auto wrote = store->WriteAt(oid, 0, block.data(), block.size());
+  device.ClearFaults();
+  ASSERT_FALSE(wrote.ok());
+  EXPECT_EQ(wrote.status().code(), Errc::kIoError);
+  EXPECT_EQ(store->FreeBlocks(), free_before) << "the failed write kept its block";
+  EXPECT_EQ(store->GetSegmentStats().live_blocks, live_before);
+  Status bitmap = store->CheckLiveBitmap();
+  EXPECT_TRUE(bitmap.ok()) << bitmap.message();
+}
+
+TEST(FaultMatrix, FailedJournalHeaderFreesItsRun) {
+  SimContext sim;
+  MemBlockDevice device(&sim.clock, kDeviceBlocks);
+  auto store = RawStore(&device, &sim);
+  const uint64_t free_before = store->FreeBlocks();
+
+  device.InstallFaults(0x10A1, {RateRule(0.0, 1.0)});
+  auto journal = store->CreateJournal(256 * kKiB);
+  device.ClearFaults();
+  ASSERT_FALSE(journal.ok());
+  EXPECT_EQ(journal.status().code(), Errc::kIoError);
+  EXPECT_EQ(store->FreeBlocks(), free_before) << "the failed journal kept its run";
+  EXPECT_EQ(store->GetSegmentStats().segments_journal, 0u);
+  Status bitmap = store->CheckLiveBitmap();
+  EXPECT_TRUE(bitmap.ok()) << bitmap.message();
+}
+
 // SLS machine with a raw MemBlockDevice so faults can be armed precisely.
 struct FaultMachine {
   FaultMachine() {
@@ -592,6 +641,47 @@ TEST(EpochAbort, FailedMemCheckpointPagesRideTheNextCheckpoint) {
   std::vector<uint8_t> got(kRegion);
   ASSERT_TRUE(restored->group->processes[0]->vm().Read(addr, got.data(), got.size()).ok());
   EXPECT_EQ(got, want) << "the failed memckpt's pages never reached the store";
+}
+
+// A suspend whose checkpoint aborts must not tear the group down: the image
+// on the device is older than what the processes wrote. The call fails, the
+// processes keep running with their in-memory checkpoint and owed shadows,
+// and a suspend after the outage persists what they wrote.
+TEST(EpochAbort, AbortedSuspendKeepsTheGroupRunning) {
+  FaultMachine m;
+  constexpr uint64_t kRegion = 128 * kKiB;
+  Process* proc = *m.kernel->CreateProcess("app");
+  auto obj = VmObject::CreateAnonymous(kRegion);
+  uint64_t addr = *proc->vm().Map(0x400000, kRegion, kProtRead | kProtWrite, obj, 0, false);
+  ConsistencyGroup* group = *m.sls->CreateGroup("app");
+  ASSERT_TRUE(m.sls->Attach(group, proc).ok());
+
+  std::vector<uint8_t> v1(kRegion, 0x11);
+  ASSERT_TRUE(proc->vm().Write(addr, v1.data(), v1.size()).ok());
+  ASSERT_TRUE(m.sls->Checkpoint(group, "one").ok());
+  ASSERT_TRUE(m.sls->Barrier(group).ok());
+  std::vector<uint8_t> v2(kRegion, 0x22);
+  ASSERT_TRUE(proc->vm().Write(addr, v2.data(), v2.size()).ok());
+
+  m.device->InstallFaults(0x5005, {RateRule(0.0, 1.0)});
+  auto suspended = m.sls->Suspend(group);
+  ASSERT_FALSE(suspended.ok()) << "a suspend that persisted nothing reported success";
+  EXPECT_EQ(suspended.status().code(), Errc::kIoError);
+  EXPECT_FALSE(group->suspended);
+  ASSERT_EQ(group->processes.size(), 1u);
+  std::vector<uint8_t> running(kRegion);
+  ASSERT_TRUE(proc->vm().Read(addr, running.data(), running.size()).ok());
+  EXPECT_EQ(running, v2);
+
+  m.device->ClearFaults();
+  auto retried = m.sls->Suspend(group);
+  ASSERT_TRUE(retried.ok()) << retried.status().message();
+  ASSERT_FALSE(retried->aborted);
+  auto resumed = m.sls->ResumeSuspended("app");
+  ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+  std::vector<uint8_t> got(kRegion);
+  ASSERT_TRUE(resumed->group->processes[0]->vm().Read(addr, got.data(), got.size()).ok());
+  EXPECT_EQ(got, v2) << "the writes since the last durable epoch were lost";
 }
 
 // A restore that fails closes its trace span where it failed, after the

@@ -1,5 +1,8 @@
 // Property test: the object store against a trivial in-memory reference
 // model, across random writes, epochs, object lifecycles and reopen cycles.
+// After every operation the live bitmap is the one the tables derive, and a
+// reopen, which rebuilds the allocator, holds exactly the blocks the commit
+// before it held.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -98,8 +101,12 @@ TEST_P(StoreModelTest, RandomOpsMatchReferenceModel) {
       // Crash + reopen: the live view reverts to the last committed epoch.
       ASSERT_TRUE(store->CommitCheckpoint("pre-crash").ok());
       model.epochs[store->current_epoch() - 1] = model.live;
+      const uint64_t free_after_commit = store->FreeBlocks();
       store = *ObjectStore::Open(&device, &sim);
+      ASSERT_EQ(store->FreeBlocks(), free_after_commit) << "step " << step;
     }
+    Status bitmap = store->CheckLiveBitmap();
+    ASSERT_TRUE(bitmap.ok()) << "step " << step << ": " << bitmap.message();
   }
 
   // Final: every committed epoch must read back exactly.

@@ -262,7 +262,7 @@ TEST_F(ObjStoreTest, PrunedEpochEvictsCachedTable) {
 }
 
 // The newest committed meta blob, located through the superblock ring, with
-// the offsets of its option bytes found by walking the v4 blob layout.
+// the offsets of its option bytes found by walking the v5 blob layout.
 struct NewestMetaBlob {
   uint64_t lba = 0;          // first device block of the blob
   uint32_t dev_blocks = 0;   // device blocks the blob spans
@@ -270,7 +270,7 @@ struct NewestMetaBlob {
   uint64_t len = 0;          // blob bytes, trailing CRC32C included
   size_t deadlists_off = 0;
   size_t layout_off = 0;
-  size_t segments_off = 0;
+  size_t reloc_off = 0;
   size_t codec_off = 0;
 };
 
@@ -286,7 +286,7 @@ NewestMetaBlob FindNewestMetaBlob(MemBlockDevice* device) {
   for (uint64_t s = 0; s < 8; s++) {
     EXPECT_TRUE(device->ReadSync(s, slot.data(), 1).ok());
     BinaryReader r(slot);
-    if (*r.U32() != 0x41555253 || *r.U32() != 4) {
+    if (*r.U32() != 0x41555253 || *r.U32() != 5) {
       continue;
     }
     uint64_t epoch = *r.U64();
@@ -323,15 +323,12 @@ NewestMetaBlob FindNewestMetaBlob(MemBlockDevice* device) {
     EXPECT_TRUE(r.String().ok());  // name
     skip(24);                      // committed_at, meta_block, meta_len
   }
-  skip(8);                      // total_blocks
-  EXPECT_TRUE(r.Bytes().ok());  // block bitmap
   out.layout_off = r.pos();
   skip(1 + 4);          // layout, segment_blocks
-  out.segments_off = r.pos();
-  skip(*r.U64() * 13);  // segments: state u8, lane u32, cursor u64
+  out.reloc_off = r.pos();
   skip(*r.U64() * 24);  // relocation map entries
-  skip(8);              // open meta segment
   skip(*r.U64() * 12);  // open data segments: lane u32, segment u64
+  skip(*r.U64() * 8);   // quarantined segments
   skip(1);              // dedup flag
   out.codec_off = r.pos();
   return out;
@@ -397,7 +394,7 @@ std::vector<uint8_t> Le64Bytes(uint64_t v) {
 
 TEST_F(ObjStoreTest, HugeMetaCountsAreCorrupt) {
   // A count read from the blob must not size an allocation before the bytes
-  // it counts are known to be there: a deadlist entry count or a segment
+  // it counts are known to be there: a deadlist entry count or a relocation
   // count of 2^40 or 2^63 is kCorrupt, not std::bad_alloc.
   NewestMetaBlob blob = FindNewestMetaBlob(device_.get());
   for (uint64_t count : {uint64_t{1} << 40, uint64_t{1} << 63}) {
@@ -410,7 +407,7 @@ TEST_F(ObjStoreTest, HugeMetaCountsAreCorrupt) {
     deadlist.insert(deadlist.end(), entries.begin(), entries.end());
     const std::pair<size_t, std::vector<uint8_t>> cases[] = {
         {blob.deadlists_off, deadlist},
-        {blob.segments_off, Le64Bytes(count)},
+        {blob.reloc_off, Le64Bytes(count)},
     };
     for (const auto& [off, patch] : cases) {
       WritePatchedBlob(device_.get(), blob, off, patch);

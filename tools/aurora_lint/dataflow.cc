@@ -906,8 +906,8 @@ void CheckTypestate(const std::string& path, const std::vector<Token>& toks,
     if (path.find(p) != std::string::npos) in_scope = true;
   }
   if (!in_scope) return;
-  static const std::set<std::string> kSanctioned = {"SegTransition", "MountSegState",
-                                                    "DedupAddRef", "DedupDropRef"};
+  static const std::set<std::string> kSanctioned = {"SegTransition", "DedupAddRef",
+                                                    "DedupDropRef"};
   for (const FunctionDef& f : funcs) {
     if (kSanctioned.count(f.name)) continue;
     std::vector<Stmt> stmts = ParseStatements(toks, f.body_begin, f.body_end);
@@ -921,7 +921,7 @@ void CheckTypestate(const std::string& path, const std::vector<Token>& toks,
         if (t.text == "state" && member && WritesThroughNext(toks, j, e)) {
           out->push_back({path, t.line, kRuleTypestateSegment,
                           "direct segment-state write outside the sanctioned transition "
-                          "API; route through SegTransition()/MountSegState()"});
+                          "API; route through SegTransition()"});
         }
         if (t.text == "refs" && member && WritesThroughNext(toks, j, e)) {
           out->push_back({path, t.line, kRuleTypestateDedup,

@@ -25,8 +25,8 @@
 //
 //   typestate          segment lifecycle states and dedup-index refcounts in
 //                      src/objstore may only change through the sanctioned
-//                      transition API (SegTransition / MountSegState /
-//                      DedupAddRef / DedupDropRef).
+//                      transition API (SegTransition / DedupAddRef /
+//                      DedupDropRef).
 //   gen                non-const methods of serialize-cache generation
 //                      classes must bump the generation on every path that
 //                      writes a member.

@@ -201,6 +201,24 @@ for preset in default asan; do
     echo "CI FAIL: torn promotions in replication bench (count = ${torn:-missing})" >&2
     exit 1
   fi
+
+  # A stale serialize-cache record (its generation matched, its bytes did
+  # not) means a VM or POSIX mutator changed serialized state without
+  # bumping its generation: no machine of the three benches may report one,
+  # in the warm pass or in the stopped window.
+  for bench in ablations soak replication; do
+    python3 - "${build_dir}/BENCH_${bench}.json" <<'PY'
+import json
+import sys
+
+path = sys.argv[1]
+for machine, section in json.load(open(path))["metrics"].items():
+    for key in ("ckpt.serialize_cache_stale", "ckpt.serialize_warm_stale"):
+        stale = section.get("counters", {}).get(key, 0)
+        if stale != 0:
+            sys.exit(f"CI FAIL: {key} = {stale} in {machine} of {path}")
+PY
+  done
 done
 
 # UBSan-only configuration: near-native speed, so the undefined-behavior

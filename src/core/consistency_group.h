@@ -38,22 +38,66 @@ struct RetentionPolicy {
 // match with differing bytes counts as stale (a missed generation bump) and
 // is recharged fresh, so a bookkeeping bug can cost time but never
 // correctness: the emitted manifest always carries freshly-serialized bytes.
-// See SerializeMode (src/core/serialize.h) for how the passes charge it.
+// A process record is split into sub-records, each guarded by its own
+// counter, so a change re-gathers only what it touched. See SerializeMode
+// (src/core/serialize.h) for how the passes charge it.
 struct SerializeCache {
   struct Entry {
     uint64_t gen = 0;
     std::vector<uint8_t> bytes;
     uint64_t pass = 0;  // last pass that touched this entry
   };
+  // Bytes [begin, end) of a process record.
+  struct Span {
+    size_t begin = 0;
+    size_t end = 0;
+    size_t size() const { return end - begin; }
+  };
+  // One map entry's bytes, keyed by its start address and generation stamp.
+  struct MapEntrySpan {
+    uint64_t start = 0;
+    uint64_t gen = 0;
+    Span bytes;
+  };
+  // Where a process record's sub-records lie, in manifest order: core fields
+  // and threads, the descriptor slots, the AIO list and the VM map (entry
+  // count, then one span per entry).
+  struct ProcessLayout {
+    Span core;
+    Span fds;
+    Span aio;
+    Span map;
+    std::vector<MapEntrySpan> entries;
+  };
+  // A process's cached record. Core and AIO are guarded by
+  // Process::mutation_gen, the slots by FdTable::generation and the map by
+  // VmMap::generation; when the map's generation moved, each entry is
+  // reused by its own stamp.
+  struct ProcessRecord {
+    uint64_t proc_gen = 0;  // Process::mutation_gen
+    uint64_t fds_gen = 0;
+    uint64_t vm_gen = 0;
+    std::vector<uint8_t> bytes;
+    ProcessLayout layout;
+    uint64_t pass = 0;  // last pass that touched this record
+  };
   std::map<std::pair<uint8_t, uint64_t>, Entry> entries;
+  std::map<uint64_t, ProcessRecord> processes;  // by pid
   uint64_t pass = 0;
 
   // Drops entries no pass has touched recently (exited processes, closed
   // descriptors) so the cache tracks the live entity set.
   void Prune() {
-    for (auto it = entries.begin(); it != entries.end();) {
+    PruneOld(&entries);
+    PruneOld(&processes);
+  }
+
+ private:
+  template <typename Map>
+  void PruneOld(Map* records) {
+    for (auto it = records->begin(); it != records->end();) {
       if (it->second.pass + 2 < pass) {
-        it = entries.erase(it);
+        it = records->erase(it);
       } else {
         ++it;
       }

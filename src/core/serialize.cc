@@ -1,6 +1,7 @@
 #include "src/core/serialize.h"
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <unordered_map>
 
@@ -122,10 +123,10 @@ void SerializeEntryChain(BinaryWriter* w, const VmMapEntry& entry,
 }
 
 // Serialization-cache entity kinds; combined with the entity's kernel
-// identity they key the cached blob.
+// identity they key the cached blob. Processes have their own records
+// (SerializeCache::processes).
 constexpr uint8_t kEntityFileObject = 1;
 constexpr uint8_t kEntityDescription = 2;
-constexpr uint8_t kEntityProcess = 3;
 
 SimDuration GatherCost(const CostModel& cost, int chases) {
   return cost.lock_acquire + cost.cacheline_miss * static_cast<SimDuration>(chases);
@@ -270,8 +271,20 @@ SimDuration SerializeDescription(const CostModel& cost, BinaryWriter* w,
   return GatherCost(cost, 4);
 }
 
+using ProcessLayout = SerializeCache::ProcessLayout;
+
+constexpr int kMapEntryChases = 6;  // map entry + object headers
+
+// Appends one process record to `w`, fills `layout` (offsets from the
+// record's start) and `core_fresh`, the fresh gather cost of its core
+// sub-record; returns the fresh gather cost of the whole record. Each map
+// entry's fresh gather is GatherCost(kMapEntryChases); the descriptor and
+// AIO sub-records charge only their marshal.
 SimDuration SerializeProcess(const CostModel& cost, BinaryWriter* w, const Process* proc,
-                             const EnsureOidFn& ensure_oid, SerializeStats* stats) {
+                             const EnsureOidFn& ensure_oid, SerializeStats* stats,
+                             ProcessLayout* layout, SimDuration* core_fresh) {
+  const size_t base = w->size();
+  auto offset = [&]() { return w->size() - base; };
   SimDuration fresh = GatherCost(cost, 30);  // proc structure, groups, session, credentials
   w->PutU64(proc->local_pid());
   w->PutString(proc->name());
@@ -316,6 +329,8 @@ SimDuration SerializeProcess(const CostModel& cost, BinaryWriter* w, const Proce
       stats->threads++;
     }
   }
+  layout->core = {0, offset()};
+  *core_fresh = fresh;
 
   uint64_t open_fds = 0;
   const auto& slots = proc->fds().slots();
@@ -331,6 +346,7 @@ SimDuration SerializeProcess(const CostModel& cost, BinaryWriter* w, const Proce
     w->PutU64(slots[fd].desc->kernel_id);
     w->PutBool(slots[fd].close_on_exec);
   }
+  layout->fds = {layout->core.end, offset()};
 
   uint64_t tracked_aios = 0;
   for (const AioRequest& aio : proc->aios) {
@@ -346,11 +362,15 @@ SimDuration SerializeProcess(const CostModel& cost, BinaryWriter* w, const Proce
     w->PutU64(aio.offset);
     w->PutU64(aio.length);
   }
+  layout->aio = {layout->fds.end, offset()};
 
   const auto& entries = proc->vm().entries();
   w->PutU64(entries.size());
+  layout->entries.clear();
+  layout->entries.reserve(entries.size());
   for (const auto& [start, entry] : entries) {
-    fresh += GatherCost(cost, 6);  // map entry + object headers
+    const size_t entry_begin = offset();
+    fresh += GatherCost(cost, kMapEntryChases);
     w->PutU64(entry.start);
     w->PutU64(entry.end);
     w->PutI64(entry.prot);
@@ -370,14 +390,127 @@ SimDuration SerializeProcess(const CostModel& cost, BinaryWriter* w, const Proce
       // file identity travels through the fd that mapped it in this
       // model. Anonymous mappings dominate the paper's workloads.)
     }
+    layout->entries.push_back({entry.start, entry.generation, {entry_begin, offset()}});
     if (stats != nullptr) {
       stats->vm_entries++;
     }
   }
+  layout->map = {layout->aio.end, offset()};
   if (stats != nullptr) {
     stats->processes++;
   }
   return fresh;
+}
+
+// Names of the per-entity counters one pass keeps (the in-window pass keeps
+// the historical ckpt.serialize_cache_* names).
+struct EntityCounters {
+  const char* hits;
+  const char* misses;
+  const char* stale;
+};
+
+EntityCounters CountersFor(SerializeMode mode) {
+  if (mode == SerializeMode::kWarmCache) {
+    return {"ckpt.serialize_warm_hits", "ckpt.serialize_warm_misses", "ckpt.serialize_warm_stale"};
+  }
+  return {"ckpt.serialize_cache_hits", "ckpt.serialize_cache_misses",
+          "ckpt.serialize_cache_stale"};
+}
+
+// What reusing `bytes` cached bytes costs: the warm pass pays one cache-line
+// touch for the generation check; the in-window pass pays the lookup plus a
+// block copy of the prepared bytes — no kernel-structure walk.
+SimDuration HitCost(const CostModel& cost, SerializeMode mode, size_t bytes) {
+  if (mode == SerializeMode::kWarmCache) {
+    return cost.cacheline_miss;
+  }
+  return cost.serialize_cache_lookup + cost.MemCopy(bytes);
+}
+
+// Charges one freshly built process record (`size` bytes at `bytes`, laid
+// out as `layout`) against the process's cached record, then refreshes that
+// record. An unchanged process is one lookup, like any other entity. A
+// changed one reuses, at the pass's hit cost, each sub-record whose counter
+// still matches and whose bytes confirm it; once the map's generation
+// moved, the map is reused entry by entry the same way. The rest pay their
+// fresh gather plus one marshal of their bytes, so with nothing reusable
+// the charge is exactly the whole record's fresh charge.
+void ChargeProcess(SimContext* sim, SerializeCache* cache, SerializeMode mode,
+                   const Process* proc, const uint8_t* bytes, size_t size,
+                   const ProcessLayout& layout, SimDuration core_fresh) {
+  const CostModel& cost = sim->cost;
+  const EntityCounters counters = CountersFor(mode);
+  const uint64_t proc_gen = proc->mutation_gen;
+  const uint64_t fds_gen = proc->fds().generation();
+  const uint64_t vm_gen = proc->vm().generation();
+  auto [it, inserted] = cache->processes.try_emplace(proc->pid());
+  SerializeCache::ProcessRecord& rec = it->second;
+  rec.pass = cache->pass;
+  auto same = [&](SerializeCache::Span now, SerializeCache::Span cached) {
+    return now.size() == cached.size() &&
+           std::memcmp(bytes + now.begin, rec.bytes.data() + cached.begin, now.size()) == 0;
+  };
+  const bool known = !inserted;
+  if (known && rec.proc_gen == proc_gen && rec.fds_gen == fds_gen && rec.vm_gen == vm_gen &&
+      same({0, size}, {0, rec.bytes.size()})) {
+    sim->clock.Advance(HitCost(cost, mode, size));
+    sim->metrics.counter(counters.hits).Add();
+    return;
+  }
+
+  SimDuration reused = 0;
+  SimDuration gathered = 0;
+  uint64_t missed_bytes = 0;
+  uint64_t sub_hits = 0;
+  uint64_t sub_misses = 0;
+  bool stale = false;
+  // One sub-record: reused when its counter matches and its bytes confirm
+  // it; a counter match with differing bytes is a missed bump (stale).
+  auto sub = [&](bool gen_match, SerializeCache::Span now, SerializeCache::Span cached,
+                 SimDuration fresh_cost) {
+    if (gen_match && same(now, cached)) {
+      reused += HitCost(cost, mode, now.size());
+      sub_hits++;
+      return;
+    }
+    stale = stale || gen_match;
+    gathered += fresh_cost;
+    missed_bytes += now.size();
+    sub_misses++;
+  };
+  const ProcessLayout& cached = rec.layout;
+  sub(known && rec.proc_gen == proc_gen, layout.core, cached.core, core_fresh);
+  sub(known && rec.fds_gen == fds_gen, layout.fds, cached.fds, 0);
+  sub(known && rec.proc_gen == proc_gen, layout.aio, cached.aio, 0);
+  if (known && rec.vm_gen == vm_gen && same(layout.map, cached.map)) {
+    reused += HitCost(cost, mode, layout.map.size());
+    sub_hits++;
+  } else {
+    stale = stale || (known && rec.vm_gen == vm_gen);
+    missed_bytes += sizeof(uint64_t);  // the entry count
+    // Both lists are in address order: walk the cached one alongside.
+    size_t c = 0;
+    for (const SerializeCache::MapEntrySpan& e : layout.entries) {
+      while (c < cached.entries.size() && cached.entries[c].start < e.start) {
+        c++;
+      }
+      const bool gen_match = c < cached.entries.size() && cached.entries[c].start == e.start &&
+                             cached.entries[c].gen == e.gen;
+      sub(gen_match, e.bytes, gen_match ? cached.entries[c].bytes : SerializeCache::Span{},
+          GatherCost(cost, kMapEntryChases));
+    }
+  }
+  sim->clock.Advance(reused + gathered + cost.Serialize(missed_bytes));
+  sim->metrics.counter(stale ? counters.stale : counters.misses).Add();
+  sim->metrics.counter("ckpt.serialize_subrecord_hits").Add(sub_hits);
+  sim->metrics.counter("ckpt.serialize_subrecord_misses").Add(sub_misses);
+
+  rec.proc_gen = proc_gen;
+  rec.fds_gen = fds_gen;
+  rec.vm_gen = vm_gen;
+  rec.bytes.assign(bytes, bytes + size);
+  rec.layout = layout;  // reuses the record's entry-span capacity
 }
 
 }  // namespace
@@ -395,45 +528,37 @@ Result<std::vector<uint8_t>> SerializeOsState(SimContext* sim, const Consistency
   w.PutU64(namespace_oid.value);
 
   // Entity records are always built fresh (the simulator's own CPU work is
-  // free); the cache decides only what simulated time each record costs.
-  // A cached blob that byte-matches the fresh record proves the entity was
-  // unchanged, so the emitted manifest is identical in every mode.
+  // free), in place in the manifest; the cache decides only what simulated
+  // time each record costs. A cached blob that byte-matches the fresh record
+  // proves the entity was unchanged, so the emitted manifest is identical in
+  // every mode. `emit` charges the record written since `begin`.
   uint64_t entity_bytes = 0;
-  auto emit = [&](uint8_t kind, uint64_t id, uint64_t gen, const BinaryWriter& sub,
+  const EntityCounters counters = CountersFor(mode);
+  auto emit = [&](uint8_t kind, uint64_t id, uint64_t gen, size_t begin,
                   SimDuration fresh_cost) {
-    entity_bytes += sub.size();
+    const size_t size = w.size() - begin;
+    entity_bytes += size;
     if (cache == nullptr) {
       sim->clock.Advance(fresh_cost);
-    } else {
-      auto key = std::make_pair(kind, id);
-      auto it = cache->entries.find(key);
-      bool gen_match = it != cache->entries.end() && it->second.gen == gen;
-      bool hit = gen_match && it->second.bytes == sub.data();
-      if (hit) {
-        // Unchanged entity. The warm pass pays one cache-line touch for the
-        // generation check; the in-window pass pays the lookup plus a block
-        // copy of the prepared blob — no kernel-structure walk.
-        if (mode == SerializeMode::kWarmCache) {
-          sim->clock.Advance(sim->cost.cacheline_miss);
-        } else {
-          sim->clock.Advance(sim->cost.serialize_cache_lookup +
-                             sim->cost.MemCopy(sub.size()));
-          sim->metrics.counter("ckpt.serialize_cache_hits").Add();
-        }
-        it->second.pass = cache->pass;
-      } else {
-        sim->clock.Advance(fresh_cost + sim->cost.Serialize(sub.size()));
-        if (mode == SerializeMode::kAssemble) {
-          // A generation match with differing bytes means a mutation path
-          // missed its generation bump: recharged fresh, flagged stale.
-          sim->metrics
-              .counter(gen_match ? "ckpt.serialize_cache_stale" : "ckpt.serialize_cache_misses")
-              .Add();
-        }
-        cache->entries[key] = SerializeCache::Entry{gen, sub.data(), cache->pass};
-      }
+      return;
     }
-    w.PutRaw(sub.data().data(), sub.size());
+    const uint8_t* bytes = w.data().data() + begin;
+    auto [it, inserted] = cache->entries.try_emplace(std::make_pair(kind, id));
+    SerializeCache::Entry& entry = it->second;
+    entry.pass = cache->pass;
+    const bool gen_match = !inserted && entry.gen == gen;
+    if (gen_match && entry.bytes.size() == size &&
+        std::memcmp(entry.bytes.data(), bytes, size) == 0) {
+      sim->clock.Advance(HitCost(sim->cost, mode, size));
+      sim->metrics.counter(counters.hits).Add();
+      return;
+    }
+    sim->clock.Advance(fresh_cost + sim->cost.Serialize(size));
+    // A generation match with differing bytes means a mutation path missed
+    // its generation bump: recharged fresh, flagged stale.
+    sim->metrics.counter(gen_match ? counters.stale : counters.misses).Add();
+    entry.gen = gen;
+    entry.bytes.assign(bytes, bytes + size);
   };
 
   // --- Gather --------------------------------------------------------------
@@ -480,28 +605,36 @@ Result<std::vector<uint8_t>> SerializeOsState(SimContext* sim, const Consistency
   // --- File objects ----------------------------------------------------------
   w.PutU64(g.objects.size());
   for (FileObject* obj : g.objects) {
-    BinaryWriter sub;
-    SimDuration fresh = SerializeFileObject(sim->cost, &sub, obj, g.object_kids, ensure_oid);
-    emit(kEntityFileObject, obj->kernel_id(), obj->generation(), sub, fresh);
+    const size_t begin = w.size();
+    SimDuration fresh = SerializeFileObject(sim->cost, &w, obj, g.object_kids, ensure_oid);
+    emit(kEntityFileObject, obj->kernel_id(), obj->generation(), begin, fresh);
   }
 
   // --- Open-file entries -------------------------------------------------------
   w.PutU64(g.descriptions.size());
   for (FileDescription* desc : g.descriptions) {
-    BinaryWriter sub;
-    SimDuration fresh = SerializeDescription(sim->cost, &sub, desc);
-    emit(kEntityDescription, desc->kernel_id, desc->generation, sub, fresh);
+    const size_t begin = w.size();
+    SimDuration fresh = SerializeDescription(sim->cost, &w, desc);
+    emit(kEntityDescription, desc->kernel_id, desc->generation, begin, fresh);
   }
 
   // --- Processes ---------------------------------------------------------------
+  // Each record is built in place in the manifest; its cached sub-records
+  // decide what it costs.
   w.PutU64(persisted_procs.size());
+  ProcessLayout layout;
   for (const Process* proc : persisted_procs) {
-    BinaryWriter sub;
-    SimDuration fresh = SerializeProcess(sim->cost, &sub, proc, ensure_oid, stats);
-    // Any checkpoint-visible process mutation bumps one of these three
-    // monotonic counters, so their sum keys the cached blob.
-    uint64_t gen = proc->mutation_gen + proc->vm().generation() + proc->fds().generation();
-    emit(kEntityProcess, proc->pid(), gen, sub, fresh);
+    const size_t begin = w.size();
+    SimDuration core_fresh = 0;
+    SimDuration fresh =
+        SerializeProcess(sim->cost, &w, proc, ensure_oid, stats, &layout, &core_fresh);
+    const size_t size = w.size() - begin;
+    entity_bytes += size;
+    if (cache == nullptr) {
+      sim->clock.Advance(fresh);
+    } else {
+      ChargeProcess(sim, cache, mode, proc, w.data().data() + begin, size, layout, core_fresh);
+    }
   }
 
   if (stats != nullptr) {

@@ -41,15 +41,19 @@ using EnsureOidFn = std::function<Oid(VmObject*)>;
 
 // How a cached serialization pass charges the cost model. The manifest bytes
 // are identical in every mode, and to a cacheless pass; only the simulated
-// time differs.
+// time differs. A changed process reuses its unchanged sub-records and map
+// entries at the mode's hit cost and pays a fresh gather for the rest
+// (SerializeCache::ProcessRecord).
 enum class SerializeMode {
   // Out-of-window warm pass: entities whose generation is unchanged since
   // the cached blob cost one cache-line touch; changed entities charge
-  // fresh. Fills the cache; the returned manifest is discarded.
+  // fresh. Fills the cache; the returned manifest is discarded. Counts
+  // ckpt.serialize_warm_{hits,misses,stale} per entity.
   kWarmCache,
   // In-window assemble pass: generation-matched entities charge a cache
   // lookup plus a memcpy of the cached blob instead of the kernel-structure
   // gather walk; only entities mutated since the warm pass reserialize.
+  // Counts ckpt.serialize_cache_{hits,misses,stale} per entity.
   kAssemble,
 };
 

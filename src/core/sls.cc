@@ -1097,7 +1097,7 @@ Status Sls::MemCtl(Process* proc, uint64_t addr, bool exclude) {
     return Status::Error(Errc::kNotFound, "no mapping at address");
   }
   entry->exclude_from_checkpoint = exclude;
-  proc->vm().TouchLayout();  // checkpoint-visible entry flag changed
+  proc->vm().TouchLayout(entry);  // checkpoint-visible entry flag changed
   return Status::Ok();
 }
 

@@ -74,6 +74,11 @@ Status FdTable::Close(int fd) {
   return Status::Ok();
 }
 
+void FdTable::CloseAll() {
+  slots_.clear();
+  generation_++;
+}
+
 Result<int> FdTable::Dup(int fd) {
   AURORA_ASSIGN_OR_RETURN(std::shared_ptr<FileDescription> desc, Get(fd));
   return Install(std::move(desc));

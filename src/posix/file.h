@@ -102,6 +102,8 @@ class FdTable {
   [[nodiscard]] Status Close(int fd);
 
   [[nodiscard]] Result<int> Dup(int fd);
+  // Closes every descriptor (process exit).
+  void CloseAll();
 
   // fork(): the table is copied, the descriptions are shared.
   FdTable Clone() const;
@@ -110,8 +112,8 @@ class FdTable {
   size_t OpenCount() const;
 
   // Serialization-cache generation: bumped whenever the table's shape
-  // changes (install/close/dup), so a process's cached blob — which embeds
-  // its fd table — invalidates on descriptor churn.
+  // changes (install/close/dup), so the descriptor sub-record of a process's
+  // cached record invalidates on descriptor churn.
   uint64_t generation() const { return generation_; }
 
  private:

@@ -90,6 +90,7 @@ void Kernel::DestroyProcess(Process* proc) {
   }
   for (Process* child : proc->children) {
     child->parent = nullptr;
+    child->mutation_gen++;  // the parent's local pid is serialized
   }
   pid_alloc_.Release(proc->pid());
   for (auto& t : proc->threads()) {
@@ -150,7 +151,7 @@ void Kernel::Exit(Process* proc, int status) {
   // Release the address space and descriptors now; the zombie keeps only
   // its identity and exit status for the parent to collect.
   proc->ReplaceVm(std::make_unique<VmMap>(sim_));
-  proc->fds() = FdTable();
+  proc->fds().CloseAll();
   if (proc->parent != nullptr) {
     proc->parent->PostSignal(kSigChld);
   } else {

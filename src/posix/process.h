@@ -98,9 +98,9 @@ class Process {
   const VmMap& vm() const { return *vm_; }
   void ReplaceVm(std::unique_ptr<VmMap> vm) {
     vm_ = std::move(vm);
-    // The serializer keys the cached process blob on mutation_gen plus the VM
-    // map's generation; a fresh map restarts at generation 1, which can
-    // collide with the replaced map's count and revive a stale blob.
+    // The new map's generation is a stamp no other map carries, so the
+    // serializer re-gathers the map; the process's own state changed too
+    // (exit, or a fork child taking its address space).
     mutation_gen++;
   }
 
@@ -123,8 +123,9 @@ class Process {
 
   // Serialization-cache generation for process-level state that is not
   // covered by the VM map's or fd table's own counters (signals, zombie
-  // transitions, AIO queue, thread resume states). The serializer keys a
-  // process's cached blob on the sum of all three counters.
+  // transitions, AIO queue, thread resume states). The serializer keys the
+  // cached process record's core and AIO sub-records on it, its descriptor
+  // sub-record on the fd table's counter and its map on the map's.
   uint64_t mutation_gen = 1;
 
   // Ephemeral processes belong to the consistency group but are not

@@ -6,6 +6,8 @@
 
 namespace aurora {
 
+uint64_t VmMap::next_stamp_ = 1;
+
 Result<uint64_t> VmMap::FindFreeRange(uint64_t hint, uint64_t size) const {
   uint64_t candidate = hint ? hint : map_cursor_;
   for (int attempts = 0; attempts < 2; attempts++) {
@@ -52,8 +54,8 @@ Result<uint64_t> VmMap::Map(uint64_t hint, uint64_t size, int prot,
   entry.offset = offset;
   entry.copy_on_write = copy_on_write;
   entry.object = std::move(object);
-  entries_[start] = std::move(entry);
-  generation_++;
+  VmMapEntry& placed = entries_[start] = std::move(entry);
+  Stamp(&placed);
   if (hint == 0) {
     map_cursor_ = start + size + kPageSize;
   }
@@ -68,7 +70,7 @@ Status VmMap::Unmap(uint64_t start, uint64_t size) {
   }
   pmap_.InvalidateRange(start, start + size, sim_->cost, &sim_->clock);
   entries_.erase(it);
-  generation_++;
+  Stamp();
   return Status::Ok();
 }
 
@@ -78,7 +80,7 @@ Status VmMap::Protect(uint64_t start, uint64_t size, int prot) {
     return Status::Error(Errc::kNotFound, "protect of unknown entry");
   }
   it->second.prot = prot;
-  generation_++;
+  Stamp(&it->second);
   pmap_.InvalidateRange(start, start + size, sim_->cost, &sim_->clock);
   return Status::Ok();
 }
@@ -101,7 +103,7 @@ Status VmMap::Advise(uint64_t addr, int hint) {
     return Status::Error(Errc::kNotFound, "no mapping at address");
   }
   entry->madvise_hint = hint;
-  generation_++;
+  Stamp(entry);
   return Status::Ok();
 }
 
@@ -244,8 +246,11 @@ Result<std::unique_ptr<VmMap>> VmMap::Fork() {
       entry.object = VmObject::CreateShadow(original);
       child_entry.object = VmObject::CreateShadow(original);
       clock->Advance(2 * (cost.small_alloc + cost.lock_acquire));
+      Stamp(&entry);
     }
-    child->entries_[start] = std::move(child_entry);
+    // Every child entry is the child map's own: none keeps a parent stamp.
+    VmMapEntry& placed = child->entries_[start] = std::move(child_entry);
+    child->Stamp(&placed);
   }
   // The parent's translations are stale for shadowed entries. Real fork
   // copies and write-protects the page tables; charge one PTE copy per
@@ -255,7 +260,7 @@ Result<std::unique_ptr<VmMap>> VmMap::Fork() {
   clock->Advance(cost.pte_protect * resident);
   pmap_.InvalidateAll(cost, clock);
   clock->Advance(cost.tlb_shootdown_ipi);
-  generation_++;
+  Stamp();
   return child;
 }
 

@@ -40,6 +40,10 @@ struct VmMapEntry {
   bool exclude_from_checkpoint = false;  // sls_mctl(MEMCTL_EXCLUDE)
   int madvise_hint = 0;                  // advisory paging hint
   std::shared_ptr<VmObject> object;
+  // Serialization-cache generation of this entry: set by every VmMap
+  // mutator that changes what a manifest records for it, from a counter
+  // whose values no map or entry repeats (see VmMap::generation).
+  uint64_t generation = 0;
 
   uint64_t size() const { return end - start; }
   uint64_t PageIndexOf(uint64_t addr) const { return (addr - start + offset) >> kPageShift; }
@@ -94,22 +98,35 @@ class VmMap {
   // Total resident pages across all distinct objects (top of chains only).
   uint64_t ResidentPages() const;
 
-  // Serialization-cache generation: bumped by layout mutations (map, unmap,
-  // protect, advise, fork), not by page faults — faults change page content,
-  // which the memory snapshot captures, but not the serialized map layout.
+  // Serialization-cache generation: restamped by layout mutations (map,
+  // unmap, protect, advise, fork), not by page faults — faults change page
+  // content, which the memory snapshot captures, but not the serialized map
+  // layout. Map and entry generations are stamps from one counter shared by
+  // every map, so a new map (ReplaceVm, fork, restore) never repeats a value
+  // a serialize cache holds for another.
   uint64_t generation() const { return generation_; }
-  // For callers that mutate checkpoint-visible entry state through
-  // FindEntry() (e.g. sls_mctl toggling exclude_from_checkpoint).
-  void TouchLayout() { generation_++; }
+  // For callers that mutate checkpoint-visible state of `entry` (one of this
+  // map's entries) through FindEntry() (e.g. sls_mctl toggling
+  // exclude_from_checkpoint).
+  void TouchLayout(VmMapEntry* entry) { Stamp(entry); }
 
  private:
   [[nodiscard]] Result<uint64_t> FindFreeRange(uint64_t hint, uint64_t size) const;
+  // Restamps the map and, when given, one entry the mutation changed.
+  void Stamp(VmMapEntry* entry = nullptr) {
+    generation_ = next_stamp_++;
+    if (entry != nullptr) {
+      entry->generation = generation_;
+    }
+  }
+
+  static uint64_t next_stamp_;
 
   SimContext* sim_;
   std::map<uint64_t, VmMapEntry> entries_;
   Pmap pmap_;
   VmFaultStats fault_stats_;  // aurora-lint: allow(gen): fault counters are diagnostics, not serialized
-  uint64_t generation_ = 1;
+  uint64_t generation_ = next_stamp_++;
   uint64_t map_cursor_ = 0x10000000;  // bump pointer for hint-less maps
 };
 

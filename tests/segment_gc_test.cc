@@ -4,6 +4,7 @@
 // the whole loop (DESIGN.md section 16).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -91,18 +92,27 @@ struct Churn {
 TEST(SegmentGc, CompactionKeepsChurnSpaceFlat) {
   Churn with_gc(SmallSegments());
   SegmentGc gc(with_gc.store.get());
-  uint64_t used_mid = 0;
-  const int kRounds = 60;
+  // Used blocks swing by about one segment from round to round, so steady
+  // state is the peak over a window of rounds, not one sample. The live set
+  // grows until every cold block is written (round 24) and the first cold
+  // copies die a cycle later (round 48), so the windows start past that: the
+  // peak of the last ten rounds must stay within 10 % of rounds 51-60's.
+  uint64_t peak_mid = 0;
+  uint64_t peak_end = 0;
+  const int kRounds = 90;
   for (int r = 1; r <= kRounds; r++) {
     with_gc.Round(r, 2);
     auto report = gc.Run();
     ASSERT_TRUE(report.ok());
-    if (r == kRounds / 2) {
-      used_mid = with_gc.store->UsedPhysicalBlocks();
+    uint64_t used = with_gc.store->UsedPhysicalBlocks();
+    if (r > 50 && r <= 60) {
+      peak_mid = std::max(peak_mid, used);
+    } else if (r > kRounds - 10) {
+      peak_end = std::max(peak_end, used);
     }
   }
   uint64_t used_end = with_gc.store->UsedPhysicalBlocks();
-  EXPECT_LE(used_end, used_mid + used_mid / 10)
+  EXPECT_LE(peak_end, peak_mid + peak_mid / 10)
       << "segment log grew past steady state despite GC";
   EXPECT_GT(with_gc.sim.metrics.counter("gc.segments_reclaimed").value(), 0u);
   EXPECT_GT(with_gc.sim.metrics.counter("gc.blocks_relocated").value(), 0u);

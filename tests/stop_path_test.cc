@@ -5,6 +5,8 @@
 
 #include <cstring>
 #include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -209,7 +211,9 @@ TEST(StopPath, IncrementalImageMatchesWrittenBytes) {
 }
 
 // The manifest bytes are identical in every serialization mode and to the
-// cacheless pass; only the charged time differs.
+// cacheless pass; only the charged time differs. That holds again after map
+// and descriptor churn between the passes, when the process record is
+// assembled from reused sub-records and map entries and fresh ones.
 TEST(StopPath, SerializerModesProduceIdenticalBytes) {
   Machine m;
   RichApp app = BuildRichApp(m, 1 * kMiB);
@@ -232,6 +236,339 @@ TEST(StopPath, SerializerModesProduceIdenticalBytes) {
 
   EXPECT_TRUE(*cold == *warm);
   EXPECT_TRUE(*cold == *assembled);
+
+  // Churn between the passes: new mappings, a protect, an unmap, a new and a
+  // closed descriptor, and a signal.
+  Process* proc = app.proc;
+  std::vector<uint64_t> arenas;
+  for (int i = 0; i < 4; i++) {
+    auto obj = VmObject::CreateAnonymous(2 * kPageSize);
+    arenas.push_back(*proc->vm().Map(0, 2 * kPageSize, kProtRead | kProtWrite, obj, 0, true));
+  }
+  for (int round = 0; round < 3; round++) {
+    ASSERT_TRUE(proc->vm().Protect(arenas[0], 2 * kPageSize, kProtRead).ok());
+    ASSERT_TRUE(proc->vm().Unmap(arenas[1 + round], 2 * kPageSize).ok());
+    int fd = *m.kernel->Open(*proc, "churn-" + std::to_string(round), kOpenRead, true);
+    cache.pass++;
+    warm = SerializeOsState(&m.sim, *group, 7, kInvalidOid, oids.Fn(), nullptr, &cache,
+                            SerializeMode::kWarmCache);
+    ASSERT_TRUE(warm.ok());
+    auto obj = VmObject::CreateAnonymous(kPageSize);
+    ASSERT_TRUE(proc->vm().Map(0, kPageSize, kProtRead | kProtWrite, obj, 0, true).ok());
+    ASSERT_TRUE(m.kernel->Close(*proc, fd).ok());
+    proc->PostSignal(10 + round);
+    cold = SerializeOsState(&m.sim, *group, 7, kInvalidOid, oids.Fn(), nullptr);
+    ASSERT_TRUE(cold.ok());
+    cache.pass++;
+    assembled = SerializeOsState(&m.sim, *group, 7, kInvalidOid, oids.Fn(), nullptr, &cache,
+                                 SerializeMode::kAssemble);
+    ASSERT_TRUE(assembled.ok());
+    EXPECT_TRUE(*cold == *assembled) << "round " << round;
+    cache.pass++;
+    warm = SerializeOsState(&m.sim, *group, 7, kInvalidOid, oids.Fn(), nullptr, &cache,
+                            SerializeMode::kWarmCache);
+    ASSERT_TRUE(warm.ok());
+    EXPECT_TRUE(*cold == *warm) << "round " << round;
+  }
+  EXPECT_GT(m.Counter("ckpt.serialize_subrecord_hits"), 0u) << "churn must reuse sub-records";
+  EXPECT_EQ(m.Counter("ckpt.serialize_cache_stale"), 0u);
+  EXPECT_EQ(m.Counter("ckpt.serialize_warm_stale"), 0u);
+}
+
+// Serialize-pass counters of one machine, as deltas between two takes.
+struct PassCounters {
+  explicit PassCounters(Machine* m) : machine(m) { Take(); }
+
+  // Returns the counters' growth since the previous Take.
+  std::map<std::string, uint64_t> Take() {
+    std::map<std::string, uint64_t> delta;
+    for (const char* name :
+         {"ckpt.serialize_warm_hits", "ckpt.serialize_warm_misses", "ckpt.serialize_warm_stale",
+          "ckpt.serialize_cache_hits", "ckpt.serialize_cache_misses",
+          "ckpt.serialize_cache_stale", "ckpt.serialize_subrecord_hits",
+          "ckpt.serialize_subrecord_misses"}) {
+      uint64_t now = machine->Counter(name);
+      delta[name] = now - last[name];
+      last[name] = now;
+    }
+    return delta;
+  }
+
+  Machine* machine;
+  std::map<std::string, uint64_t> last;
+};
+
+// Runs one serialize pass over `group` and returns its simulated duration.
+SimDuration TimedPass(Machine& m, const ConsistencyGroup& group, FakeOids& oids,
+                      SerializeCache& cache, SerializeMode mode) {
+  cache.pass++;
+  SimTime before = m.sim.clock.now();
+  EXPECT_TRUE(SerializeOsState(&m.sim, group, 3, kInvalidOid, oids.Fn(), nullptr, &cache, mode)
+                  .ok());
+  return m.sim.clock.now() - before;
+}
+
+// An unchanged process is still one lookup: over an unchanged RichApp the
+// cold, warm and in-window passes charge exactly what the whole-process
+// cache charged before the split (values measured with this sequence at
+// commit a4a53c8, the last one with that cache).
+TEST(StopPath, UnchangedAppChargesWhatTheWholeProcessCacheCharged) {
+  Machine m;
+  RichApp app = BuildRichApp(m, 1 * kMiB);
+  ConsistencyGroup* group = *m.sls->CreateGroup("app");
+  ASSERT_TRUE(m.sls->Attach(group, app.proc).ok());
+  FakeOids oids;
+  SerializeCache cache;
+
+  PassCounters counters(&m);
+  EXPECT_EQ(TimedPass(m, *group, oids, cache, SerializeMode::kWarmCache), 7912);  // cold
+  EXPECT_EQ(TimedPass(m, *group, oids, cache, SerializeMode::kWarmCache), 478);
+  EXPECT_EQ(TimedPass(m, *group, oids, cache, SerializeMode::kAssemble), 755);
+  EXPECT_EQ(TimedPass(m, *group, oids, cache, SerializeMode::kAssemble), 755);
+  auto d = counters.Take();
+  EXPECT_EQ(d["ckpt.serialize_warm_misses"], 6u) << "vnode, pipe, three descriptions, process";
+  EXPECT_EQ(d["ckpt.serialize_warm_hits"], 6u);
+  EXPECT_EQ(d["ckpt.serialize_cache_hits"], 12u);
+  EXPECT_EQ(d["ckpt.serialize_subrecord_hits"], 0u) << "an unchanged process is one lookup";
+}
+
+// A process with no descriptors and a 225-entry map (Table 6's firefox
+// count): a data region plus 224 small arenas.
+Process* MakeWideMapProcess(Machine& m) {
+  auto [proc, addr] = MakeAppProcess(m, 1 * kMiB);
+  for (int e = 1; e < 225; e++) {
+    uint64_t size = kPageSize * static_cast<uint64_t>(1 + e % 4);
+    auto obj = VmObject::CreateAnonymous(size);
+    EXPECT_TRUE(proc->vm().Map(0, size, kProtRead | kProtWrite, obj, 0, true).ok());
+  }
+  EXPECT_EQ(proc->vm().entries().size(), 225u);
+  return proc;
+}
+
+// On a 225-entry map one Map re-gathers that entry alone: the core, the
+// descriptor and AIO sub-records and the 225 untouched entries are reused
+// at hit cost. An Unmap leaves nothing to gather: the 225 remaining
+// entries are hits and only the entry count is marshaled again.
+TEST(StopPath, MapAndUnmapRegatherOnlyTheirEntry) {
+  Machine m;
+  Process* proc = MakeWideMapProcess(m);
+  ConsistencyGroup* group = *m.sls->CreateGroup("app");
+  ASSERT_TRUE(m.sls->Attach(group, proc).ok());
+  FakeOids oids;
+  SerializeCache cache;
+  PassCounters counters(&m);
+
+  const SimDuration cold = TimedPass(m, *group, oids, cache, SerializeMode::kWarmCache);
+  EXPECT_EQ(cold, 115668) << "one full gather of the process";
+  EXPECT_EQ(counters.Take()["ckpt.serialize_subrecord_misses"], 228u)
+      << "a new process is gathered fresh: core, descriptors, AIO and 225 entries";
+  EXPECT_EQ(TimedPass(m, *group, oids, cache, SerializeMode::kWarmCache), 2109);
+  EXPECT_EQ(counters.Take()["ckpt.serialize_warm_hits"], 1u);
+
+  auto obj = VmObject::CreateAnonymous(kPageSize);
+  uint64_t at = *proc->vm().Map(0, kPageSize, kProtRead | kProtWrite, obj, 0, true);
+  // 228 hits at one cache-line touch each (16 416 ns), one entry's gather
+  // (a lock and six chases, 450 ns), the marshal of that entry and the count
+  // (75 B, 41 ns) and of the manifest's glue (3 683 B, 2 046 ns).
+  const SimDuration mapped = TimedPass(m, *group, oids, cache, SerializeMode::kWarmCache);
+  EXPECT_EQ(mapped, 18953);
+  EXPECT_LT(mapped, cold / 6);
+  auto d = counters.Take();
+  EXPECT_EQ(d["ckpt.serialize_warm_misses"], 1u);
+  EXPECT_EQ(d["ckpt.serialize_subrecord_misses"], 1u) << "only the new entry is gathered";
+  EXPECT_EQ(d["ckpt.serialize_subrecord_hits"], 228u) << "core, fds, AIO and 225 entries";
+  EXPECT_EQ(d["ckpt.serialize_warm_stale"], 0u);
+
+  ASSERT_TRUE(proc->vm().Unmap(at, kPageSize).ok());
+  EXPECT_EQ(TimedPass(m, *group, oids, cache, SerializeMode::kWarmCache), 18457);
+  d = counters.Take();
+  EXPECT_EQ(d["ckpt.serialize_subrecord_misses"], 0u) << "an unmap gathers no entry";
+  EXPECT_EQ(d["ckpt.serialize_subrecord_hits"], 228u);
+
+  // The in-window pass reuses the same way, at a lookup plus a block copy
+  // per reused sub-record or entry.
+  obj = VmObject::CreateAnonymous(kPageSize);
+  ASSERT_TRUE(proc->vm().Map(0, kPageSize, kProtRead | kProtWrite, obj, 0, true).ok());
+  EXPECT_EQ(TimedPass(m, *group, oids, cache, SerializeMode::kAssemble), 24549);
+  d = counters.Take();
+  EXPECT_EQ(d["ckpt.serialize_cache_misses"], 1u) << "entities are counted whole in-window";
+  EXPECT_EQ(d["ckpt.serialize_subrecord_misses"], 1u);
+  EXPECT_EQ(d["ckpt.serialize_subrecord_hits"], 228u);
+  EXPECT_EQ(d["ckpt.serialize_cache_stale"], 0u);
+}
+
+// Opening or closing a descriptor re-gathers only the process's descriptor
+// sub-record (plus the new file object and description themselves).
+TEST(StopPath, DescriptorChurnRegathersOnlyTheDescriptorSubrecord) {
+  Machine m;
+  RichApp app = BuildRichApp(m, 1 * kMiB);
+  ConsistencyGroup* group = *m.sls->CreateGroup("app");
+  ASSERT_TRUE(m.sls->Attach(group, app.proc).ok());
+  FakeOids oids;
+  SerializeCache cache;
+  TimedPass(m, *group, oids, cache, SerializeMode::kWarmCache);
+  PassCounters counters(&m);
+
+  int fd = *m.kernel->Open(*app.proc, "extra.log", kOpenRead | kOpenWrite, true);
+  TimedPass(m, *group, oids, cache, SerializeMode::kWarmCache);
+  auto d = counters.Take();
+  EXPECT_EQ(d["ckpt.serialize_warm_misses"], 3u) << "the vnode, its description, the process";
+  EXPECT_EQ(d["ckpt.serialize_subrecord_misses"], 1u) << "only the descriptor slots";
+  EXPECT_EQ(d["ckpt.serialize_subrecord_hits"], 3u) << "core, AIO and the unchanged map";
+
+  ASSERT_TRUE(m.kernel->Close(*app.proc, fd).ok());
+  TimedPass(m, *group, oids, cache, SerializeMode::kAssemble);
+  d = counters.Take();
+  EXPECT_EQ(d["ckpt.serialize_cache_misses"], 1u) << "the process";
+  EXPECT_EQ(d["ckpt.serialize_subrecord_misses"], 1u);
+  EXPECT_EQ(d["ckpt.serialize_subrecord_hits"], 3u);
+  EXPECT_EQ(d["ckpt.serialize_warm_stale"] + d["ckpt.serialize_cache_stale"], 0u);
+}
+
+std::map<uint64_t, uint64_t> EntryStamps(const VmMap& map) {
+  std::map<uint64_t, uint64_t> out;
+  for (const auto& [start, entry] : map.entries()) {
+    out[start] = entry.generation;
+  }
+  return out;
+}
+
+// Every VmMap mutator stamps exactly the entry it changes (and restamps the
+// map); fork restamps the parent's shadowed entries and gives every child
+// entry a stamp of its own.
+TEST(StopPath, MapMutatorsStampExactlyTheEntryTheyChange) {
+  Machine m;
+  auto [proc, addr] = MakeAppProcess(m, 64 * kKiB);
+  ConsistencyGroup* group = *m.sls->CreateGroup("app");
+  ASSERT_TRUE(m.sls->Attach(group, proc).ok());
+  VmMap& map = proc->vm();
+  auto shared = VmObject::CreateAnonymous(2 * kPageSize);
+  uint64_t b = *map.Map(0, 2 * kPageSize, kProtRead | kProtWrite, shared, 0, false);
+  auto priv = VmObject::CreateAnonymous(2 * kPageSize);
+  uint64_t c = *map.Map(0, 2 * kPageSize, kProtRead | kProtWrite, priv, 0, true);
+
+  // Checks that exactly the entries in `changed` got new stamps since
+  // `before`, all distinct from every earlier stamp, and that the map's
+  // generation moved.
+  auto expect_restamped = [&](const std::map<uint64_t, uint64_t>& before, uint64_t map_gen,
+                              const std::set<uint64_t>& changed, const char* what) {
+    auto after = EntryStamps(map);
+    for (const auto& [start, stamp] : after) {
+      auto old = before.find(start);
+      if (changed.count(start) > 0) {
+        EXPECT_TRUE(old == before.end() || stamp > old->second) << what << " @" << start;
+      } else {
+        ASSERT_NE(old, before.end()) << what;
+        EXPECT_EQ(stamp, old->second) << what << " restamped an entry it did not change";
+      }
+    }
+    EXPECT_NE(map.generation(), map_gen) << what;
+  };
+
+  auto stamps = EntryStamps(map);
+  uint64_t gen = map.generation();
+  auto obj = VmObject::CreateAnonymous(kPageSize);
+  uint64_t d = *map.Map(0, kPageSize, kProtRead | kProtWrite, obj, 0, false);
+  expect_restamped(stamps, gen, {d}, "Map");
+
+  stamps = EntryStamps(map);
+  gen = map.generation();
+  ASSERT_TRUE(map.Protect(b, 2 * kPageSize, kProtRead).ok());
+  expect_restamped(stamps, gen, {b}, "Protect");
+
+  stamps = EntryStamps(map);
+  gen = map.generation();
+  ASSERT_TRUE(map.Advise(c, kMadvDontneed).ok());
+  expect_restamped(stamps, gen, {c}, "Advise");
+
+  stamps = EntryStamps(map);
+  gen = map.generation();
+  ASSERT_TRUE(m.sls->MemCtl(proc, addr, true).ok());
+  expect_restamped(stamps, gen, {addr}, "sls_mctl");
+
+  stamps = EntryStamps(map);
+  gen = map.generation();
+  ASSERT_TRUE(map.Unmap(d, kPageSize).ok());
+  stamps.erase(d);
+  expect_restamped(stamps, gen, {}, "Unmap");
+
+  // Fork: only the private writable entry is shadowed on the parent side.
+  stamps = EntryStamps(map);
+  gen = map.generation();
+  Process* child = *m.kernel->Fork(*proc);
+  expect_restamped(stamps, gen, {c}, "Fork");
+  std::set<uint64_t> parent_stamps;
+  for (const auto& [start, stamp] : EntryStamps(map)) {
+    parent_stamps.insert(stamp);
+  }
+  for (const auto& [start, stamp] : EntryStamps(child->vm())) {
+    EXPECT_EQ(parent_stamps.count(stamp), 0u) << "a child entry kept a parent stamp";
+  }
+  EXPECT_NE(child->vm().generation(), map.generation());
+}
+
+// ReplaceVm, fork and restore never revive a cached entry: a new map's
+// entries carry stamps no cached record holds, so they are gathered fresh
+// (misses), never confirmed against stale bytes.
+TEST(StopPath, ReplacedForkedAndRestoredMapsNeverReviveCachedEntries) {
+  Machine m;
+  auto [proc, addr] = MakeAppProcess(m, 64 * kKiB);
+  auto priv = VmObject::CreateAnonymous(4 * kPageSize);
+  ASSERT_TRUE(proc->vm().Map(0x800000, 4 * kPageSize, kProtRead | kProtWrite, priv, 0, true).ok());
+  ConsistencyGroup* group = *m.sls->CreateGroup("app");
+  ASSERT_TRUE(m.sls->Attach(group, proc).ok());
+  FakeOids oids;
+  SerializeCache cache;
+  TimedPass(m, *group, oids, cache, SerializeMode::kWarmCache);
+  PassCounters counters(&m);
+
+  // ReplaceVm: a fresh map with the same layout over different objects. A
+  // per-map counter would give these entries the stamps the cached ones
+  // carry.
+  auto fresh = std::make_unique<VmMap>(&m.sim);
+  ASSERT_TRUE(fresh->Map(addr, 64 * kKiB, kProtRead | kProtWrite,
+                         VmObject::CreateAnonymous(64 * kKiB), 0, false).ok());
+  ASSERT_TRUE(fresh->Map(0x800000, 4 * kPageSize, kProtRead | kProtWrite,
+                         VmObject::CreateAnonymous(4 * kPageSize), 0, true).ok());
+  proc->ReplaceVm(std::move(fresh));
+  TimedPass(m, *group, oids, cache, SerializeMode::kWarmCache);
+  auto d = counters.Take();
+  EXPECT_EQ(d["ckpt.serialize_subrecord_misses"], 4u)
+      << "the core and AIO sub-records (ReplaceVm bumps mutation_gen) and both new entries";
+  EXPECT_EQ(d["ckpt.serialize_warm_stale"], 0u);
+
+  // Fork: the parent's private entry is shadowed under a new object, and
+  // the child inherits the parent's descriptor table.
+  ASSERT_TRUE(m.kernel->Open(*proc, "shared.log", kOpenRead | kOpenWrite, true).ok());
+  Process* child = *m.kernel->Fork(*proc);
+  ASSERT_TRUE(m.sls->Attach(group, child).ok());
+  TimedPass(m, *group, oids, cache, SerializeMode::kAssemble);
+  d = counters.Take();
+  EXPECT_EQ(d["ckpt.serialize_cache_stale"], 0u);
+  EXPECT_EQ(d["ckpt.serialize_cache_misses"], 4u)
+      << "the parent, the new child, and the new vnode and its description";
+
+  // The child exits: its zombie gets an empty map and no descriptors, in a
+  // table whose counter moves on from the inherited one.
+  m.kernel->Exit(child, 0);
+  TimedPass(m, *group, oids, cache, SerializeMode::kWarmCache);
+  d = counters.Take();
+  EXPECT_EQ(d["ckpt.serialize_warm_stale"], 0u);
+
+  // Restore: checkpoints through the Sls pipeline (warm and in-window
+  // passes) before and after restoring the group over itself.
+  auto ckpt = m.sls->Checkpoint(group);
+  ASSERT_TRUE(ckpt.ok());
+  m.sim.clock.AdvanceTo(ckpt->durable_at);
+  ASSERT_TRUE(m.sls->Restore("app").ok());
+  for (int i = 0; i < 3; i++) {
+    ckpt = m.sls->Checkpoint(group);
+    ASSERT_TRUE(ckpt.ok());
+    m.sim.clock.AdvanceTo(ckpt->durable_at);
+  }
+  d = counters.Take();
+  EXPECT_EQ(d["ckpt.serialize_warm_stale"] + d["ckpt.serialize_cache_stale"], 0u);
+  EXPECT_GT(d["ckpt.serialize_cache_hits"], 0u);
 }
 
 // (c) Each mutating kernel op invalidates exactly the cached blobs it

@@ -9,6 +9,7 @@
 // bandwidth-bound after.
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -108,6 +109,12 @@ int main() {
                     static_cast<double>(row.bytes >= kGiB ? kGiB : (row.bytes >= kMiB ? kMiB : kKiB));
     std::printf("  %7.0f%3s | %9.0f %9.0f | %9.0f %9.0f | %10.0f %10.0f\n", scaled, label, incr,
                 row.incr_us, atomic_us, row.atomic_us, journal, row.journal_us);
+    // Every printed cell is also a results row, with the paper's value.
+    char size[16];
+    std::snprintf(size, sizeof(size), "%.0f%s", scaled, label);
+    report.AddResult(std::string(size) + " incr", incr, row.incr_us, "us");
+    report.AddResult(std::string(size) + " atomic", atomic_us, row.atomic_us, "us");
+    report.AddResult(std::string(size) + " journal", journal, row.journal_us, "us");
   }
   std::printf("\nShape checks: incremental slope ~23ns/page; journal = 26us + bytes/2.575GBps\n");
   return 0;

@@ -58,12 +58,13 @@ int main() {
   auto base = *source.cli->Checkpoint("webapp", "pre-migration");
 
   // Pre-copy: ship the full image once, then stream incremental deltas while
-  // the application keeps running (sls send's continuous mode).
-  MigrationSession precopy;
+  // the application keeps running (sls send's continuous mode). The session
+  // is a standby on the target: each round applies to its image table.
+  ReplicaStandby precopy(&target.sim, nullptr);
   auto full = *source.cli->Send("webapp");
   std::printf("pre-copy round 0: %.1f MiB (full image)\n",
               static_cast<double>(full.bytes.size()) / (1 << 20));
-  (void)target.cli->Recv(full, &precopy);
+  bool received = target.cli->Recv(full, &precopy).ok();
   uint64_t prev_epoch = base.epoch;
   for (int round = 1; round <= 3; round++) {
     (void)app->vm().DirtyRange(addr + 16 * kMiB, 64 * kPageSize);  // app still working
@@ -71,7 +72,7 @@ int main() {
     auto delta = *source.cli->Send("webapp", ckpt.epoch, prev_epoch);
     std::printf("pre-copy round %d: %.2f MiB (delta only)\n", round,
                 static_cast<double>(delta.bytes.size()) / (1 << 20));
-    (void)target.cli->Recv(delta, &precopy);
+    received = target.cli->Recv(delta, &precopy).ok() && received;
     prev_epoch = ckpt.epoch;
   }
 
@@ -82,7 +83,12 @@ int main() {
   std::printf("final delta: %.2f MiB over the 10 GbE link\n",
               static_cast<double>(stream.bytes.size()) / (1 << 20));
 
-  auto arrived = *target.cli->Recv(stream, &precopy);
+  auto final_round = target.cli->Recv(stream, &precopy);
+  if (!received || !final_round.ok()) {
+    std::printf("receive failed\n");
+    return 1;
+  }
+  RestoreResult& arrived = *final_round;
   double downtime_ms = ToMillis(source.sim.clock.now() - downtime_start);
 
   Process* rapp = arrived.group->processes[0];

@@ -4,6 +4,7 @@
 //
 // Build & run:  ./build/examples/serverless_warmstart
 #include <cstdio>
+#include <cstring>
 
 #include "src/base/sim_context.h"
 #include "src/core/sls.h"
@@ -51,6 +52,7 @@ int main() {
               static_cast<double>(snapshot.bytes_flushed) / (1 << 20));
 
   // --- Warm starts: restore on each invocation --------------------------------
+  bool ok = true;
   for (int invocation = 0; invocation < 3; invocation++) {
     SimStopwatch warm(sim.clock);
     auto instance = *sls.Restore("lambda", 0, RestoreMode::kLazy);
@@ -71,6 +73,7 @@ int main() {
     std::printf("invocation %d: restore %.2f ms, first request served by %.2f ms "
                 "(runtime says \"%s\")\n",
                 invocation, restore_ms, total_ms, ready);
+    ok = ok && std::strcmp(ready, "runtime-ready") == 0;
     // The instance exits after serving; the snapshot stays for the next one.
     for (Process* p : instance.group->processes) {
       kernel.DestroyProcess(p);
@@ -78,5 +81,5 @@ int main() {
     instance.group->processes.clear();
   }
   std::printf("warm starts skip the %.0f ms initialization entirely\n", cold_ms);
-  return 0;
+  return ok ? 0 : 1;
 }

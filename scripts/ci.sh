@@ -19,11 +19,22 @@ for preset in default asan; do
   cmake --build --preset "${preset}" -j "${jobs}"
   ctest --preset "${preset}"
 
+  # The five examples drive the whole stack end to end (migration runs sls
+  # recv's one receiver through three pre-copy rounds and a final delta);
+  # each exits non-zero when its own check fails.
+  build_dir="build"
+  [[ "${preset}" == "asan" ]] && build_dir="build-asan"
+  for example in quickstart kvstore_persistence migration timetravel_debugging \
+                 serverless_warmstart; do
+    if ! "${build_dir}/examples/${example}" >/dev/null; then
+      echo "CI FAIL: example ${example} exited non-zero" >&2
+      exit 1
+    fi
+  done
+
   # The lane-scaling contract is load-bearing (byte-identity + monotone
   # makespan); run it by name so a filter typo elsewhere can't silently
   # drop it from the suite.
-  build_dir="build"
-  [[ "${preset}" == "asan" ]] && build_dir="build-asan"
   "${build_dir}/tests/lane_scaling_test" >/dev/null
 
   # So are the checksum and content-key contracts: CRC32C values persist in
@@ -229,7 +240,7 @@ done
 # failover paths, the store-format and manifest decoders with the object
 # store and SLS suites around them, the allocator rebuild under the
 # reference model, every restore source (store,
-# standby, in-memory snapshot and sls recv) directly, the device queues
+# standby and in-memory snapshot) directly, the device queues
 # with the flush lanes over them, and the checkpoint pipeline's window,
 # abort path and region scope (overlap, fault matrix, Aurora API). One list
 # names each suite once: it is both built and run.

@@ -311,10 +311,20 @@ VmObject::Pager ReplicaStandby::ImagePager(uint64_t oid, SimContext* sim,
 
 MemoryResolverFn ReplicaStandby::LazyResolver(SimContext* sim, SimDuration per_fault) const {
   return [this, sim, per_fault](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
+    AURORA_RETURN_IF_ERROR(CheckPages(oid.value, size));
     auto obj = VmObject::CreateAnonymous(size);
     obj->set_pager(ImagePager(oid.value, sim, per_fault));
     return ResolvedMemory{std::move(obj), false};
   };
+}
+
+Status ReplicaStandby::CheckPages(uint64_t oid, uint64_t size) const {
+  auto img = objects_.find(oid);
+  if (img != objects_.end() && !img->second.pages.empty() &&
+      img->second.pages.rbegin()->first >= PagesOf(size)) {
+    return Status::Error(Errc::kCorrupt, "image page beyond the manifest's object size");
+  }
+  return Status::Ok();
 }
 
 uint64_t ReplicaStandby::newest_seen_epoch() const {
@@ -326,7 +336,7 @@ uint64_t ReplicaStandby::newest_seen_epoch() const {
 }
 
 Status ReplicaStandby::LeaseCheck() const {
-  if (link_->last_heartbeat() == 0) {
+  if (link_ == nullptr || link_->last_heartbeat() == 0) {
     return Status::Ok();  // never heard from a primary; nothing to wait out
   }
   if (sim_->clock.now() <= link_->last_heartbeat() + kLease) {
@@ -337,102 +347,119 @@ Status ReplicaStandby::LeaseCheck() const {
 }
 
 void ReplicaStandby::Pump() {
-  MetricsRegistry& metrics = sim_->metrics;
-  for (WireFrame& f : link_->TakeDeliverable()) {
-    Result<FrameHeader> head = PeekFrame(f.bytes);
-    if (!head.ok() || head->length != f.bytes.size()) {
-      // Nothing in a damaged header can be trusted to place the frame.
-      metrics.counter("repl.crc_failures").Add();
-      continue;
+  if (link_ != nullptr) {
+    for (WireFrame& f : link_->TakeDeliverable()) {
+      Place(std::move(f));
     }
-    const FrameId& id = head->id;
-    if (id.epoch <= applied_epoch_) {
-      // Replayed delivery of an epoch already applied: legal under
-      // at-least-once delivery, and ingest is idempotent.
-      metrics.counter("repl.dup_frames_ignored").Add();
-      continue;
-    }
-    PendingEpoch& p = pending_[id.epoch];
-    if (id.attempt < p.attempt) {
-      // Leftover of an aborted ship this epoch already superseded.
-      metrics.counter("repl.stale_attempt_frames").Add();
-      continue;
-    }
-    if (id.attempt > p.attempt) {
-      // Fresh re-ship after the primary aborted this epoch's stream: the
-      // new attempt supersedes whatever the old one delivered.
-      p = PendingEpoch{};
-      p.attempt = id.attempt;
-    }
-    if (p.frames.count(id.seq) > 0) {
-      metrics.counter("repl.dup_frames_ignored").Add();
-      continue;
-    }
-    p.last_arrival = std::max(p.last_arrival, f.arrival);
-    if (head->kind == FrameKind::kCommit) {
-      p.nframes = id.seq + 1;  // the commit frame is the epoch's last
-    }
-    p.frames.emplace(id.seq, std::move(f));
-    metrics.counter("repl.frames_ingested").Add();
   }
   ApplyReady();
+  MetricsRegistry& metrics = sim_->metrics;
   metrics.gauge("repl.pending_epochs").Set(static_cast<int64_t>(pending_.size()));
   metrics.gauge("repl.lag_epochs")
       .Set(static_cast<int64_t>(newest_seen_epoch() - applied_epoch_));
 }
 
+void ReplicaStandby::Place(WireFrame f) {
+  MetricsRegistry& metrics = sim_->metrics;
+  Result<FrameHeader> head = PeekFrame(f.bytes);
+  if (!head.ok() || head->length != f.bytes.size()) {
+    // Nothing in a damaged header can be trusted to place the frame.
+    metrics.counter("repl.crc_failures").Add();
+    return;
+  }
+  const FrameId& id = head->id;
+  if (id.epoch <= applied_epoch_) {
+    // Replayed delivery of an epoch already applied: legal under
+    // at-least-once delivery, and ingest is idempotent.
+    metrics.counter("repl.dup_frames_ignored").Add();
+    return;
+  }
+  PendingEpoch& p = pending_[id.epoch];
+  if (id.attempt < p.attempt) {
+    // Leftover of an aborted ship this epoch already superseded.
+    metrics.counter("repl.stale_attempt_frames").Add();
+    return;
+  }
+  if (id.attempt > p.attempt) {
+    // Fresh re-ship after the primary aborted this epoch's stream: the
+    // new attempt supersedes whatever the old one delivered.
+    p = PendingEpoch{};
+    p.attempt = id.attempt;
+  }
+  if (p.frames.count(id.seq) > 0) {
+    metrics.counter("repl.dup_frames_ignored").Add();
+    return;
+  }
+  p.last_arrival = std::max(p.last_arrival, f.arrival);
+  if (head->kind == FrameKind::kCommit) {
+    p.nframes = id.seq + 1;  // the commit frame is the epoch's last
+  }
+  p.frames.emplace(id.seq, std::move(f));
+  metrics.counter("repl.frames_ingested").Add();
+}
+
 void ReplicaStandby::ApplyReady() {
-  while (!pending_.empty()) {
-    // Epochs are cumulative deltas: apply strictly in order, starting from
-    // the first epoch this standby ever saw (the primary's full baseline).
-    uint64_t next = applied_epoch_ == 0 ? pending_.begin()->first : applied_epoch_ + 1;
-    auto it = pending_.find(next);
-    if (it == pending_.end()) {
-      break;
+  auto it = pending_.begin();
+  while (it != pending_.end()) {
+    const PendingEpoch& ready = it->second;
+    if (ready.nframes == 0 || ready.frames.size() < ready.nframes) {
+      ++it;  // still streaming (or the commit frame is still in flight)
+      continue;
     }
-    if (it->second.nframes == 0 || it->second.frames.size() < it->second.nframes) {
-      break;  // still streaming (or the commit frame is still in flight)
-    }
-    PendingEpoch p = std::move(it->second);
-    pending_.erase(it);
     std::vector<std::span<const uint8_t>> frames;
-    frames.reserve(p.frames.size());
-    for (const auto& [seq, f] : p.frames) {
+    frames.reserve(ready.frames.size());
+    for (const auto& [seq, f] : ready.frames) {
       frames.emplace_back(f.bytes);
     }
     Result<DecodedEpoch> decoded = DecodeEpoch(frames);
+    if (decoded.ok() && decoded->commit.since_epoch > applied_epoch_) {
+      ++it;  // a delta on an epoch not applied yet
+      continue;
+    }
+    uint64_t epoch = it->first;
     if (!decoded.ok()) {
       // Torn or corrupted epoch: discard it whole and poison the chain.
-      // Later epochs are deltas on top of this one, so nothing applies past
-      // the gap until the link (at-least-once) re-delivers this epoch intact.
-      poisoned_epoch_ = next;
+      pending_.erase(it);
+      poisoned_epoch_ = epoch;
       sim_->metrics.counter("repl.crc_failures").Add();
       sim_->metrics.counter("repl.epochs_rolled_back").Add();
       break;
     }
-    validated_epoch_ = next;
-    ApplyEpoch(*decoded, p.last_arrival);
-    if (poisoned_epoch_ == next) {
+    validated_epoch_ = epoch;
+    ApplyEpoch(*decoded, ready.last_arrival);
+    if (poisoned_epoch_ == epoch) {
       poisoned_epoch_ = 0;  // a clean re-delivery healed the chain
     }
+    // This epoch, and any below it, can no longer apply.
+    pending_.erase(pending_.begin(), pending_.upper_bound(applied_epoch_));
+    it = pending_.begin();
   }
 }
 
 void ReplicaStandby::ApplyEpoch(const DecodedEpoch& epoch, SimTime last_arrival) {
   SimTime start = std::max(sim_->clock.now(), std::max(ingest_busy_until_, last_arrival));
+  // Only a promotion hands out warm images, and sls recv never promotes the
+  // standby it feeds: a migration session keeps the image table alone.
+  bool warm_images = link_ != nullptr;
   uint64_t pages = 0;
   for (const DecodedObject& obj : epoch.objects) {
-    std::shared_ptr<VmObject>& warm = warm_[obj.oid];
-    if (warm == nullptr || warm->size() < obj.size) {
-      // VmObject sizes are fixed at creation: growth rebuilds the warm image
-      // at the new size from the image table, which holds every page
-      // patched into it so far.
-      uint64_t carried = 0;
-      warm = Materialize(obj.oid, obj.size, &carried);
+    VmObject* warm = nullptr;
+    if (warm_images) {
+      std::shared_ptr<VmObject>& image = warm_[obj.oid];
+      if (image == nullptr || image->size() < obj.size) {
+        // VmObject sizes are fixed at creation: growth rebuilds the warm
+        // image at the new size from the image table, which holds every
+        // page patched into it so far.
+        uint64_t carried = 0;
+        image = Materialize(obj.oid, obj.size, &carried);
+      }
+      warm = image.get();
     }
     for (const PageView& page : obj.pages) {
       StagePage(obj.oid, obj.size, page.pgidx, page.data);
-      warm->InstallPage(page.pgidx, page.data);
+      if (warm != nullptr) {
+        warm->InstallPage(page.pgidx, page.data);
+      }
     }
     pages += obj.pages.size();
   }
@@ -440,8 +467,8 @@ void ReplicaStandby::ApplyEpoch(const DecodedEpoch& epoch, SimTime last_arrival)
   // into the image table and the warm patch. It accumulates into the ingest
   // timeline rather than advancing the clock — a restore joins it once.
   uint64_t bytes = pages * kPageSize;
-  ingest_busy_until_ =
-      start + sim_->cost.ContentHash(bytes) + sim_->cost.MemCopy(2 * bytes);
+  ingest_busy_until_ = start + sim_->cost.ContentHash(bytes) +
+                       sim_->cost.MemCopy((warm_images ? 2 : 1) * bytes);
   const EpochCommit& commit = epoch.commit;
   SealAt(epoch.epoch, commit.group, commit.ckpt_name, commit.manifest, ingest_busy_until_);
   applied_epoch_ = epoch.epoch;
@@ -534,6 +561,7 @@ Result<MemoryResolverFn> ReplicaStandby::MakeResolver(uint64_t epoch, RestoreMod
     auto lanes = std::make_shared<LaneSchedule>(sim_->FlushLanes(), *stream_done);
     return MemoryResolverFn(
         [this, stream_done, lanes](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
+          AURORA_RETURN_IF_ERROR(CheckPages(oid.value, size));
           uint64_t pages = 0;
           auto obj = Materialize(oid.value, size, &pages);
           int lane = lanes->NextLane();
@@ -549,6 +577,7 @@ Result<MemoryResolverFn> ReplicaStandby::MakeResolver(uint64_t epoch, RestoreMod
   *stream_done = std::max(*stream_done, ingest_busy_until_);
   return MemoryResolverFn(
       [this, stream_done](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
+        AURORA_RETURN_IF_ERROR(CheckPages(oid.value, size));
         auto warm = warm_.find(oid.value);
         if (warm != warm_.end() && warm->second->size() >= size) {
           std::shared_ptr<VmObject> obj = std::move(warm->second);
@@ -572,9 +601,11 @@ std::vector<std::string> ReplicaStandby::Describe() const {
                 "  validated_epoch: " + std::to_string(validated_epoch_));
   out.push_back("pending_epochs: " + std::to_string(pending_.size()) +
                 "  lag_epochs: " + std::to_string(newest_seen_epoch() - applied_epoch_));
-  out.push_back("link: " + std::string(link_->partitioned() ? "partitioned" : "up") +
-                "  in_flight_frames: " + std::to_string(link_->in_flight()) +
-                "  last_heartbeat_ns: " + std::to_string(link_->last_heartbeat()));
+  if (link_ != nullptr) {
+    out.push_back("link: " + std::string(link_->partitioned() ? "partitioned" : "up") +
+                  "  in_flight_frames: " + std::to_string(link_->in_flight()) +
+                  "  last_heartbeat_ns: " + std::to_string(link_->last_heartbeat()));
+  }
   out.push_back("warm_objects: " + std::to_string(warm_.size()) +
                 "  pages_applied: " + std::to_string(pages_applied_total_));
   if (poisoned_epoch_ != 0) {
@@ -784,6 +815,7 @@ Result<MemoryResolverFn> ReplicaBackend::MakeResolver(uint64_t epoch, RestoreMod
     auto wire = std::make_shared<SimTime>(*stream_done);
     return MemoryResolverFn(
         [standby, sim, stream_done, lanes, wire](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
+          AURORA_RETURN_IF_ERROR(standby->CheckPages(oid.value, size));
           uint64_t pages = 0;
           auto obj = standby->Materialize(oid.value, size, &pages);
           SimTime done = LaneTransfer(sim->cost, lanes.get(), wire.get(), 0,

@@ -178,10 +178,12 @@ class StoreBackend : public CheckpointDestination {
 //       link can partition — cleanly or mid-epoch via a frame fuse.
 //   ReplicaStandby  (standby side)  — the replica state machine: reassembles
 //       frames into pending epochs, validates each complete one through
-//       DecodeEpoch, and applies them in order into warm VmObject images;
-//       tracks applied/validated watermarks; PrepareFailover() promotes on
-//       the last durable epoch with validated speculation (see DESIGN.md
-//       section 18 for the state machine and failover invariants).
+//       DecodeEpoch, and applies it once its base is applied, into the image
+//       table and warm VmObject images; tracks applied/validated watermarks;
+//       PrepareFailover() promotes on the last durable epoch with validated
+//       speculation (see DESIGN.md section 18 for the state machine and
+//       failover invariants). `sls recv` hands it a stream's frames instead
+//       of a link's: a migration session is a standby.
 // -----------------------------------------------------------------------------
 
 // One frame on the replica wire: its encoded bytes and when they are
@@ -244,7 +246,11 @@ class ReplicaLink {
 // A restore source only: it owns the applied image table, which serves the
 // cold and lazy restore paths, and the warm VmObject images on top make
 // failover O(dirty-since-last-applied-epoch). It takes no checkpoints, so a
-// group promoted from it keeps the checkpoint destination it had.
+// group restored from it keeps the checkpoint destination it had, and names
+// the image afresh there. `link` is null for a standby that `sls recv`
+// feeds from streams (a migration session); sls recv never promotes it, so
+// it keeps the image table alone and builds no warm images (a promotion
+// would copy cold from the table).
 class ReplicaStandby : public CheckpointBackend {
  public:
   ReplicaStandby(SimContext* sim, ReplicaLink* link, std::string name = "standby")
@@ -267,11 +273,14 @@ class ReplicaStandby : public CheckpointBackend {
   const std::string& name() const override { return name_; }
   [[nodiscard]] Result<LoadedManifest> LoadManifest(const std::string& group_name,
                                                     uint64_t epoch) override;
+  // A stream carries no file names, so there is nothing to roll back.
   [[nodiscard]] Status RestoreNamespace(uint64_t /*epoch*/, Oid /*ns_oid*/) override {
-    return Status::Error(Errc::kNotSupported, "standby holds no namespace");
+    return Status::Ok();
   }
   // Warm/delta restore for a prepared failover; otherwise a cold copy out of
-  // the image table (kFull) or demand paging from it (kLazy).
+  // the image table (kFull) or demand paging from it (kLazy). Every resolver
+  // over the table refuses an object whose image holds a page beyond the
+  // size the manifest gives it (kCorrupt; see CheckPages).
   [[nodiscard]] Result<MemoryResolverFn> MakeResolver(
       uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) override;
 
@@ -290,21 +299,31 @@ class ReplicaStandby : public CheckpointBackend {
   // The kLazy resolver over this table: every object pages in on demand
   // through ImagePager.
   MemoryResolverFn LazyResolver(SimContext* sim, SimDuration per_fault) const;
+  // kCorrupt when the image of `oid` holds a page at or beyond `size`, the
+  // size a manifest gives the object.
+  [[nodiscard]] Status CheckPages(uint64_t oid, uint64_t size) const;
 
   const std::map<uint64_t, ObjectImage>& object_table() const { return objects_; }
   [[nodiscard]] Result<const ImageRecord*> FindImage(const std::string& group_name,
                                                      uint64_t epoch) const;
 
   // --- Continuous ingest ---------------------------------------------------
-  // Drains the link, reassembles pending epochs by frame header (deduping
-  // replayed frames and whole replayed epochs), validates complete ones
-  // through DecodeEpoch and applies them in epoch order. A frame whose
-  // header does not parse cannot be placed and is dropped; its epoch waits
-  // for re-delivery. A validation failure rolls the epoch back and poisons
-  // the chain: later epochs are deltas on top of the lost one, so they wait
-  // until the at-least-once link re-delivers the lost epoch intact rather
-  // than composing into a torn image.
+  // Drains the link, places every frame and applies what is ready.
   void Pump();
+  // Places one frame into its pending epoch by its header, deduping
+  // replayed frames and whole replayed epochs. A frame whose header does
+  // not parse is dropped; its epoch waits for re-delivery.
+  void Place(WireFrame frame);
+  // Validates every complete pending epoch whole through DecodeEpoch and
+  // applies it once its base is applied: its commit's since_epoch is at
+  // most the applied epoch (0 = a full image). A replica stream's commits
+  // name the epoch before, so it applies in strict epoch order; an `sls
+  // send` delta may skip epochs. A validation failure rolls the epoch back
+  // and poisons the chain: later epochs are deltas on top of the lost one,
+  // so they wait until the at-least-once link re-delivers it intact rather
+  // than composing into a torn image. An epoch at or below the applied one
+  // can no longer apply and is dropped.
+  void ApplyReady();
 
   // Watermarks and lag.
   uint64_t last_applied_epoch() const { return applied_epoch_; }
@@ -358,8 +377,6 @@ class ReplicaStandby : public CheckpointBackend {
     SimTime last_arrival = 0;
   };
 
-  // Applies every contiguous complete epoch above the watermark.
-  void ApplyReady();
   void ApplyEpoch(const DecodedEpoch& epoch, SimTime last_arrival);
   void StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx, const uint8_t* data);
   // Seals an applied epoch under the primary's epoch number. Idempotent per

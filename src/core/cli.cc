@@ -427,78 +427,44 @@ Result<CheckpointStream> SlsCli::Send(const std::string& group_name, uint64_t ep
   return stream;
 }
 
-Result<RestoreResult> SlsCli::Recv(const CheckpointStream& stream, MigrationSession* session) {
+Result<RestoreResult> SlsCli::Recv(const CheckpointStream& stream, ReplicaStandby* session) {
   SimContext* sim = sls_->sim();
   SimStopwatch watch(sim->clock);
   sim->clock.Advance(sim->cost.NetTransfer(stream.bytes.size()));
 
-  // The whole epoch validates before anything is instantiated. Decoded
-  // pages point into `stream`.
+  // The stream is one whole epoch: it validates before any frame reaches
+  // the standby, so a refused stream leaves the session as it was.
   AURORA_ASSIGN_OR_RETURN(auto frames, SplitFrames(stream.bytes));
   AURORA_ASSIGN_OR_RETURN(DecodedEpoch epoch, DecodeEpoch(frames));
   const EpochCommit& commit = epoch.commit;
-  if (commit.since_epoch != 0 &&
-      (session == nullptr || session->last_epoch == 0 ||
-       commit.since_epoch > session->last_epoch)) {
-    return Status::Error(Errc::kBadState,
-                         "incremental stream without a matching base image");
-  }
-  // At-least-once delivery: a replayed stream (same source epoch the session
-  // already applied, or older) must be idempotent, not instantiate a second
-  // copy. The standby instance built from the first delivery stays as-is.
-  if (session != nullptr && epoch.epoch != 0 && epoch.epoch <= session->last_epoch) {
+  uint64_t applied = session != nullptr ? session->last_applied_epoch() : 0;
+  ConsistencyGroup* running = sls_->FindGroup(commit.group);
+  bool live = running != nullptr && !running->processes.empty();
+  ReplicaStandby own(sim, nullptr, "recv");
+  ReplicaStandby* standby = session != nullptr ? session : &own;
+  if (applied != 0 && epoch.epoch <= applied) {
+    // At-least-once delivery: a replayed epoch is idempotent. The instance
+    // the session restored stays as it is; when none runs (that restore
+    // failed), the session's epoch restores again.
     sim->metrics.counter("net.dup_epochs_ignored").Add();
-    ConsistencyGroup* dup_group = sls_->FindGroup(commit.group);
-    if (dup_group == nullptr) {
-      return Status::Error(Errc::kBadState, "replayed epoch for a group never instantiated");
+    if (live) {
+      return RestoreResult{running, applied, watch.Elapsed()};
     }
-    RestoreResult dup;
-    dup.group = dup_group;
-    dup.epoch = session->last_epoch;
-    dup.restore_time = watch.Elapsed();
-    return dup;
+  } else {
+    if (commit.since_epoch > applied) {
+      return Status::Error(Errc::kBadState, "incremental stream without a matching base image");
+    }
+    if (session == nullptr && live) {
+      return Status::Error(Errc::kExists, "group already running on this machine");
+    }
+    for (std::span<const uint8_t> frame : frames) {
+      standby->Place(WireFrame{{frame.begin(), frame.end()}, sim->clock.now()});
+    }
+    standby->ApplyReady();
   }
-
-  // Without a session a stream never replaces a running group; with one,
-  // each round supersedes the instance the previous round built.
-  AURORA_ASSIGN_OR_RETURN(RestoredGroup head, PeekManifest(commit.manifest));
-  ConsistencyGroup* running = sls_->FindGroup(head.name);
-  if (session == nullptr && running != nullptr && !running->processes.empty()) {
-    return Status::Error(Errc::kExists, "group already running on this machine");
-  }
-
-  std::map<uint64_t, std::shared_ptr<VmObject>> received;
-  auto resolve = [&epoch, session, &received](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-    auto obj = VmObject::CreateAnonymous(size);
-    // Base image from the previous round, if any (incremental composition).
-    if (session != nullptr) {
-      auto prior = session->source_objects.find(oid.value);
-      if (prior != session->source_objects.end()) {
-        for (const auto& [pgidx, frame] : prior->second->pages()) {
-          obj->InstallPage(pgidx, frame->data.data());
-        }
-      }
-    }
-    for (const DecodedObject& staged : epoch.objects) {
-      if (staged.oid != oid.value) {
-        continue;
-      }
-      for (const PageView& page : staged.pages) {
-        if (page.pgidx >= PagesOf(size)) {
-          return Status::Error(Errc::kCorrupt, "stream page beyond the manifest's object size");
-        }
-        obj->InstallPage(page.pgidx, page.data);
-      }
-    }
-    received[oid.value] = obj;
-    return ResolvedMemory{obj, false};
-  };
   AURORA_ASSIGN_OR_RETURN(RestoreResult result,
-                          sls_->RestoreReceived(head.name, commit.manifest, resolve));
-  if (session != nullptr) {
-    session->last_epoch = epoch.epoch;
-    session->source_objects = std::move(received);
-  }
+                          sls_->Restore(commit.group, standby->last_applied_epoch(),
+                                        RestoreMode::kFull, standby));
   result.restore_time = watch.Elapsed();
   return result;
 }

@@ -3,7 +3,6 @@
 #ifndef SRC_CORE_CLI_H_
 #define SRC_CORE_CLI_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -17,14 +16,6 @@ namespace aurora {
 // remote host.
 struct CheckpointStream {
   std::vector<uint8_t> bytes;
-};
-
-// Receiver-side state for continuous migration: the memory objects built by
-// the previous stream, keyed by source OID, so incremental streams ship
-// only the blocks that changed since the last shipped epoch.
-struct MigrationSession {
-  uint64_t last_epoch = 0;
-  std::map<uint64_t, std::shared_ptr<VmObject>> source_objects;
 };
 
 class SlsCli {
@@ -104,16 +95,23 @@ class SlsCli {
   // continuous high availability).
   [[nodiscard]] Result<CheckpointStream> Send(const std::string& group_name, uint64_t epoch = 0,
                                               uint64_t since_epoch = 0);
-  // sls recv: validates the whole stream, then instantiates it on *this*
-  // machine's SLS through Sls::RestoreReceived; a damaged stream is kCorrupt
-  // (kNotSupported for an unknown format version). Store OIDs are
-  // re-assigned locally at the first checkpoint after arrival.
-  // With a session, incremental streams compose onto the previously
-  // received image, the new round replaces the running instance, and the
-  // session is updated for the next round. Without one, a group already
-  // running here is refused (kExists) and left as it was.
+  // sls recv: validates the stream as one whole epoch, hands every frame to
+  // a ReplicaStandby, which applies the epoch to its image table, then
+  // restores the group from that standby (Sls::Restore). A damaged stream,
+  // or one that joins frames of more than one epoch, is kCorrupt
+  // (kNotSupported for an unknown format version) and reaches no standby.
+  // The image takes fresh object names at the first checkpoint after
+  // arrival.
+  // A migration session is the caller's standby: incremental streams apply
+  // onto the image it holds and each round replaces the running instance. A
+  // replayed epoch returns the running group; when the session's last
+  // restore left nothing running, the session's epoch restores again. A
+  // delta on an epoch the session has not applied is kBadState and leaves
+  // the session as it was. Without a session the stream gets a standby of
+  // its own for the call, and a group already running here is refused
+  // (kExists) and left as it was.
   [[nodiscard]] Result<RestoreResult> Recv(const CheckpointStream& stream,
-                                           MigrationSession* session = nullptr);
+                                           ReplicaStandby* session = nullptr);
 
  private:
   Sls* sls_;

@@ -1,5 +1,7 @@
 // The epoch wire format: how one checkpoint epoch crosses a wire, for both
-// `sls send` / `sls recv` migration and the warm-standby replica stream.
+// `sls send` / `sls recv` migration and the warm-standby replica stream. It
+// has one receiver, ReplicaStandby (src/core/backend.h), which `sls recv`
+// feeds a stream's frames as a replica link feeds it a link's.
 //
 // An epoch is a sequence of self-delimiting frames, each sealed by one
 // CRC32C over its bytes. All integers are little-endian.

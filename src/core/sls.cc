@@ -17,6 +17,13 @@ constexpr SimDuration kMemCkptHandoff = 72 * kMicrosecond;
 Sls::Sls(SimContext* sim, Kernel* kernel, ObjectStore* store, AuroraFs* fs)
     : sim_(sim), kernel_(kernel), store_(store), fs_(fs) {
   kernel_->set_rootfs(fs_);
+  // A process the kernel reaps on its own leaves its group, whose next
+  // checkpoint would otherwise serialize a destroyed process.
+  kernel_->set_on_reap([this, alive = std::weak_ptr<bool>(alive_)](Process* proc) {
+    if (!alive.expired()) {
+      AURORA_IGNORE_STATUS(Detach(proc), "a process in no group has no group to leave");
+    }
+  });
   auto store_backend = std::make_unique<StoreBackend>(sim_, store_, fs_);
   store_backend_ = store_backend.get();
   RegisterBackend(std::move(store_backend));
@@ -756,13 +763,11 @@ Status Sls::RestoreLoadManifest(RestoreContext* ctx) {
     ctx->manifest = std::move(loaded.blob);
     return Status::Ok();
   }
-  if (ctx->source == RestoreContext::Source::kSnapshot) {
-    if (ctx->old_group == nullptr || ctx->old_group->last_manifest_blob.empty()) {
-      return Status::Error(Errc::kNotFound, "no in-memory checkpoint for " + ctx->group_name);
-    }
-    ctx->manifest = ctx->old_group->last_manifest_blob;
+  if (ctx->old_group == nullptr || ctx->old_group->last_manifest_blob.empty()) {
+    return Status::Error(Errc::kNotFound, "no in-memory checkpoint for " + ctx->group_name);
   }
-  // In memory and on the wire the epoch is the one the manifest records.
+  ctx->manifest = ctx->old_group->last_manifest_blob;
+  // In memory the epoch is the one the manifest records.
   AURORA_ASSIGN_OR_RETURN(RestoredGroup head, PeekManifest(ctx->manifest));
   ctx->manifest_epoch = head.epoch;
   return Status::Ok();
@@ -781,7 +786,7 @@ Status Sls::RestoreBuildResolver(RestoreContext* ctx) {
     }
     AURORA_ASSIGN_OR_RETURN(ctx->resolve, ctx->backend->MakeResolver(ctx->manifest_epoch,
                                                                      ctx->mode, ctx->stream_done));
-  } else if (ctx->source == RestoreContext::Source::kSnapshot) {
+  } else {
     // The frozen objects are the image: they map as they are, whole chains
     // included. The rebind leaves the snapshot map as it is.
     const auto& snapshot = ctx->old_group->snapshot;
@@ -808,9 +813,8 @@ void Sls::RestoreTeardownOld(RestoreContext* ctx) {
 }
 
 Status Sls::RestoreNamespaceStage(RestoreContext* ctx) {
-  // Namespace first so vnode lookups by inode succeed. Only a backend holds
-  // a checkpoint's file names: a rollback in memory keeps the live file
-  // system, and a stream carries none.
+  // Namespace first so vnode lookups by inode succeed. A rollback in memory
+  // keeps the live file system.
   if (ctx->source != RestoreContext::Source::kBackend) {
     return Status::Ok();
   }
@@ -840,10 +844,8 @@ Status Sls::RestoreRebindGroup(RestoreContext* ctx) {
   // The one place a restore sets checkpoint bookkeeping, by source kind.
   if (ctx->source == RestoreContext::Source::kBackend) {
     RebindToBackend(ctx, group);
-  } else if (ctx->source == RestoreContext::Source::kSnapshot) {
-    RebindToSnapshot(group);
   } else {
-    RebindToStream(group);
+    RebindToSnapshot(group);
   }
   ctx->result.group = group;
   ctx->result.epoch = ctx->manifest_epoch;
@@ -867,11 +869,12 @@ void Sls::RebindToBackend(RestoreContext* ctx, ConsistencyGroup* group) {
     group->backend = destination;
   }
   if (!destination->SharesNames(ctx->backend)) {
-    // The image's object names are the source's and mean nothing to the
-    // destination, so the group rebinds as a received stream does. The
-    // restored tops are wrapped all the same, at the same cost.
-    WrapRestoredTops(group);
-    RebindToStream(group);
+    // The image's object names are the source's (a standby's, fed by a
+    // replica link or by sls recv). The restored tops stay live: the first
+    // checkpoint freezes each whole under one fresh name, which its later
+    // shadows share. A wrap here would name each top apart from its shadow,
+    // and a store block the shadow writes would then restore over the top.
+    RebindUnderFreshNames(group);
     return;
   }
   group->pending_collapse.clear();
@@ -948,10 +951,10 @@ void Sls::RebindToSnapshot(ConsistencyGroup* group) {
   }
 }
 
-void Sls::RebindToStream(ConsistencyGroup* group) {
-  // The sender's oids mean nothing here: this machine's first checkpoint
-  // names fresh objects and flushes the whole image once. Nothing is
-  // persisted yet, and there is no in-memory checkpoint to roll back to.
+void Sls::RebindUnderFreshNames(ConsistencyGroup* group) {
+  // This machine's first checkpoint names fresh objects and flushes the
+  // whole image once. Nothing is persisted yet, and there is no in-memory
+  // checkpoint to roll back to.
   for (Process* proc : group->processes) {
     for (auto& [start, entry] : proc->vm().entries()) {
       for (VmObject* obj = entry.object.get(); obj != nullptr; obj = obj->parent()) {
@@ -1005,17 +1008,6 @@ Result<RestoreResult> Sls::RestoreFromMemory(const std::string& group_name) {
   RestoreContext ctx;
   ctx.source = RestoreContext::Source::kSnapshot;
   ctx.group_name = group_name;
-  return RunRestore(&ctx);
-}
-
-Result<RestoreResult> Sls::RestoreReceived(const std::string& group_name,
-                                           std::vector<uint8_t> manifest,
-                                           MemoryResolverFn resolve) {
-  RestoreContext ctx;
-  ctx.source = RestoreContext::Source::kStream;
-  ctx.group_name = group_name;
-  ctx.manifest = std::move(manifest);
-  ctx.resolve = std::move(resolve);
   return RunRestore(&ctx);
 }
 

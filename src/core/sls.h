@@ -75,14 +75,13 @@ struct CheckpointContext {
 };
 
 // State threaded through the restore pipeline stages. Every restore runs the
-// same stages over one source, which supplies the epoch, the manifest and
-// the page resolver; the rebind stage sets the group's checkpoint
-// bookkeeping from the source's kind.
+// same stages over one of two sources, which supplies the epoch, the
+// manifest and the page resolver; the rebind stage sets the group's
+// checkpoint bookkeeping from the source's kind.
 struct RestoreContext {
   enum class Source {
-    kBackend,   // a registered backend at an epoch
+    kBackend,   // a backend at an epoch: the store, a replica or a standby
     kSnapshot,  // the group's in-memory snapshot (rollback, no backend reads)
-    kStream,    // a decoded `sls recv` epoch
   };
   Source source = Source::kBackend;
   std::string group_name;
@@ -91,10 +90,10 @@ struct RestoreContext {
   uint64_t epoch = 0;
   RestoreMode mode = RestoreMode::kFull;
   ConsistencyGroup* old_group = nullptr;
-  std::vector<uint8_t> manifest;  // kStream: supplied by the receiver
+  std::vector<uint8_t> manifest;
   uint64_t manifest_epoch = 0;
   Oid manifest_oid;
-  MemoryResolverFn resolve;  // kStream: supplied by the receiver
+  MemoryResolverFn resolve;
   // Completion of an eager backend restore's reads; the restore ends there.
   std::shared_ptr<SimTime> stream_done;
   RestoredGroup restored;
@@ -146,10 +145,11 @@ class Sls {
   // epoch 0 = newest checkpoint with a manifest for this group. `backend`
   // selects the restore source; null = the store backend. A destination
   // other than the store becomes the group's destination when restored
-  // from; a source-only backend (a promoted standby) leaves the destination
-  // as it was. A destination that names objects differently from the source
-  // gets the whole image under fresh names at the next checkpoint, and a
-  // kLazy restore into such a group is refused (kNotSupported).
+  // from; a source-only backend (a standby, promoted or fed by sls recv)
+  // leaves the destination as it was. A destination that names objects
+  // differently from the source gets the whole image under fresh names at
+  // the next checkpoint, and a kLazy restore into such a group is refused
+  // (kNotSupported).
   [[nodiscard]] Result<RestoreResult> Restore(const std::string& group_name, uint64_t epoch = 0,
                                               RestoreMode mode = RestoreMode::kFull,
                                               CheckpointBackend* backend = nullptr);
@@ -158,13 +158,6 @@ class Sls {
   // holds, and memory-only epochs still flush with the next full checkpoint.
   // kNotFound when the group has no in-memory checkpoint.
   [[nodiscard]] Result<RestoreResult> RestoreFromMemory(const std::string& group_name);
-  // Instantiates a received epoch (sls recv): `manifest` names `group_name`,
-  // and `resolve` builds each memory object from the received pages. A
-  // running incarnation of the group is replaced. The objects drop the
-  // sender's oids, so the first local checkpoint writes the whole image.
-  [[nodiscard]] Result<RestoreResult> RestoreReceived(const std::string& group_name,
-                                                      std::vector<uint8_t> manifest,
-                                                      MemoryResolverFn resolve);
 
   // sls suspend / resume: checkpoint, then tear the processes down and free
   // the group's in-memory checkpoint; restore later (possibly after reboot).
@@ -283,7 +276,9 @@ class Sls {
   // The rebind stage's bookkeeping, one per source kind.
   void RebindToBackend(RestoreContext* ctx, ConsistencyGroup* group);
   void RebindToSnapshot(ConsistencyGroup* group);
-  void RebindToStream(ConsistencyGroup* group);
+  // The source's object names mean nothing to the group's destination: the
+  // image is named afresh at the next checkpoint.
+  void RebindUnderFreshNames(ConsistencyGroup* group);
 
   CheckpointDestination* GroupBackend(ConsistencyGroup* group) {
     return group->backend != nullptr ? group->backend : store_backend_;
@@ -313,6 +308,10 @@ class Sls {
 
   uint64_t next_group_id_ = 1;
   std::vector<std::unique_ptr<ConsistencyGroup>> groups_;
+
+  // Expires with this Sls, so the kernel's reap notification never reaches
+  // a destroyed one.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   // One stderr line the first time an epoch aborts; counters track the rest.
   bool abort_logged_ = false;

@@ -741,33 +741,12 @@ Result<ObjectInfo*> ObjectStore::FindObject(Oid oid, bool journal) {
   return &it->second;
 }
 
-Result<ObjType> ObjectStore::TypeOf(Oid oid) const {
-  auto it = meta_.objects.find(oid);
-  if (it == meta_.objects.end()) {
-    return Status::Error(Errc::kNotFound, "no such object");
-  }
-  return it->second.type;
-}
-
 Result<uint64_t> ObjectStore::SizeOf(Oid oid) const {
   auto it = meta_.objects.find(oid);
   if (it == meta_.objects.end()) {
     return Status::Error(Errc::kNotFound, "no such object");
   }
   return it->second.size;
-}
-
-Status ObjectStore::SetSize(Oid oid, uint64_t size) {
-  AURORA_ASSIGN_OR_RETURN(ObjectInfo * info, FindObject(oid));
-  if (size < info->size) {
-    uint64_t first_dead = (size + block_size() - 1) / block_size();
-    for (auto ext = info->extents.lower_bound(first_dead); ext != info->extents.end();) {
-      KillExtent(ext->second);
-      ext = info->extents.erase(ext);
-    }
-  }
-  info->size = size;
-  return Status::Ok();
 }
 
 std::vector<Oid> ObjectStore::ListObjects() const {

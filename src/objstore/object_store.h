@@ -116,9 +116,7 @@ class ObjectStore {
   [[nodiscard]] Result<Oid> CreateObject(ObjType type, uint64_t size_hint = 0);
   [[nodiscard]] Status DeleteObject(Oid oid);
   bool Exists(Oid oid) const { return meta_.objects.count(oid) > 0; }
-  [[nodiscard]] Result<ObjType> TypeOf(Oid oid) const;
   [[nodiscard]] Result<uint64_t> SizeOf(Oid oid) const;
-  [[nodiscard]] Status SetSize(Oid oid, uint64_t size);
   std::vector<Oid> ListObjects() const;
 
   // Byte-granularity COW I/O against the current (uncommitted) epoch.

@@ -155,7 +155,7 @@ void Kernel::Exit(Process* proc, int status) {
   if (proc->parent != nullptr) {
     proc->parent->PostSignal(kSigChld);
   } else {
-    DestroyProcess(proc);
+    Reap(proc);
   }
 }
 
@@ -163,12 +163,19 @@ Result<std::pair<uint64_t, int>> Kernel::WaitAny(Process& parent) {
   for (Process* child : parent.children) {
     if (child->zombie) {
       auto result = std::make_pair(child->local_pid(), child->exit_status);
-      DestroyProcess(child);
+      Reap(child);
       parent.mutation_gen++;  // child list changed: serialized tree shrinks
       return result;
     }
   }
   return Status::Error(Errc::kWouldBlock, "no exited children");
+}
+
+void Kernel::Reap(Process* proc) {
+  if (on_reap_) {
+    on_reap_(proc);
+  }
+  DestroyProcess(proc);
 }
 
 void Kernel::CountSyscall(const char* name) {

@@ -4,6 +4,7 @@
 #define SRC_POSIX_KERNEL_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -60,6 +61,10 @@ class Kernel {
   // waitpid(2)-lite: reaps one zombie child of `parent`, returning
   // (local_pid, exit_status); kWouldBlock if none has exited.
   [[nodiscard]] Result<std::pair<uint64_t, int>> WaitAny(Process& parent);
+  // Called with every process the kernel reaps on its own (a waited-for
+  // zombie, an orphan's exit) just before destroying it. The SLS installs
+  // it to take the process out of its consistency group.
+  void set_on_reap(std::function<void(Process*)> on_reap) { on_reap_ = std::move(on_reap); }
 
   // --- Quiescing (paper section 5.1) --------------------------------------
   // Forces every thread of `procs` to the kernel boundary: IPIs to running
@@ -132,9 +137,11 @@ class Kernel {
  private:
   // Observability: bumps "kernel.syscalls" plus "kernel.syscall.<name>".
   void CountSyscall(const char* name);
+  void Reap(Process* proc);
 
   SimContext* sim_;
   Filesystem* rootfs_ = nullptr;
+  std::function<void(Process*)> on_reap_;
 
   IdAllocator pid_alloc_{2, kMaxPid};
   IdAllocator tid_alloc_{100000, 999999};

@@ -122,19 +122,6 @@ uint64_t Pmap::InvalidateObject(const VmObject* object, const CostModel& cost, S
   return n;
 }
 
-uint64_t Pmap::WriteProtectAll(const CostModel& cost, SimClock* clock) {
-  // The writable index *is* the set to downgrade; clean translations are
-  // never visited (incremental COW arming).
-  uint64_t n = 0;
-  for (uint64_t vpage : writable_) {
-    entries_[vpage].writable = false;
-    n++;
-  }
-  writable_.clear();
-  clock->Advance(cost.pte_protect * n);
-  return n;
-}
-
 uint64_t Pmap::WriteProtectRange(uint64_t start, uint64_t end, const CostModel& cost,
                                  SimClock* clock) {
   uint64_t n = 0;
@@ -145,16 +132,6 @@ uint64_t Pmap::WriteProtectRange(uint64_t start, uint64_t end, const CostModel& 
     n++;
   }
   clock->Advance(cost.pte_protect * n);
-  return n;
-}
-
-uint64_t Pmap::DirtyCount() const {
-  uint64_t n = 0;
-  for (const auto& [vpage, entry] : entries_) {
-    if (entry.dirty) {
-      n++;
-    }
-  }
   return n;
 }
 

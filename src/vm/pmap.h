@@ -29,7 +29,6 @@ class Pmap {
     uint64_t pgidx = 0;          // page index within the object
     VmPage* frame = nullptr;
     bool writable = false;
-    bool dirty = false;
   };
 
   // Installs a translation. Charges one PTE install.
@@ -48,10 +47,6 @@ class Pmap {
   // collapse destroys or moves that object's frames).
   uint64_t InvalidateObject(const VmObject* object, const CostModel& cost, SimClock* clock);
 
-  // Clears the writable bit on all writable translations (fork-style COW
-  // arming). Returns the count downgraded.
-  uint64_t WriteProtectAll(const CostModel& cost, SimClock* clock);
-
   // Write-protects translations in [start, end): read mappings of the now
   // frozen pages stay valid; the first write per page faults and promotes
   // into the new shadow. This is system shadowing's COW arming.
@@ -63,11 +58,6 @@ class Pmap {
   bool RemoveTranslation(uint64_t vpage, const VmPage* frame);
 
   uint64_t ResidentCount() const { return entries_.size(); }
-  uint64_t DirtyCount() const;
-  // Number of currently-writable translations. Writable PTEs only exist for
-  // pages written since the last write-protect sweep, so this is the address
-  // space's dirtied-since-last-epoch set.
-  uint64_t WritableCount() const { return writable_.size(); }
 
  private:
   std::map<uint64_t, Entry> entries_;  // keyed by page-aligned vaddr

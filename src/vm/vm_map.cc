@@ -177,7 +177,7 @@ Result<Pmap::Entry*> VmMap::Fault(uint64_t addr, bool write) {
   if (write && !writable) {
     return Status::Error(Errc::kBadState, "write fault on frozen mapping");
   }
-  Pmap::Entry pte{owner, pgidx, page, writable, /*dirty=*/write};
+  Pmap::Entry pte{owner, pgidx, page, writable};
   pmap_.Enter(vpage, pte, cost, clock);
   return pmap_.Lookup(vpage);
 }
@@ -193,7 +193,6 @@ Status VmMap::Write(uint64_t addr, const void* data, uint64_t len) {
       AURORA_ASSIGN_OR_RETURN(pte, Fault(addr, /*write=*/true));
     }
     std::memcpy(pte->frame->data.data() + in_page, src, chunk);
-    pte->dirty = true;
     addr += chunk;
     src += chunk;
     len -= chunk;

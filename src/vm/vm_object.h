@@ -96,12 +96,6 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   // write-protects precisely these pages; the old [lo, hi] range summary
   // re-protected everything between two distant dirty pages, so a sparse
   // dirty set paid for the whole span.
-  bool HasDirtyPages() const { return dirty_count_ > 0; }
-  uint64_t DirtyPageCount() const { return dirty_count_; }
-  bool IsPageDirty(uint64_t pgidx) const {
-    uint64_t w = pgidx >> 6;
-    return w < dirty_bits_.size() && ((dirty_bits_[w] >> (pgidx & 63)) & 1) != 0;
-  }
   // Maximal [lo, hi) runs of consecutive dirty page indices, ascending.
   std::vector<std::pair<uint64_t, uint64_t>> DirtyRuns() const;
   const std::map<uint64_t, std::unique_ptr<VmPage>>& pages() const { return pages_; }
@@ -175,11 +169,7 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
     if (w >= dirty_bits_.size()) {
       dirty_bits_.resize(w + 1, 0);
     }
-    uint64_t bit = 1ull << (pgidx & 63);
-    if ((dirty_bits_[w] & bit) == 0) {
-      dirty_bits_[w] |= bit;
-      dirty_count_++;
-    }
+    dirty_bits_[w] |= 1ull << (pgidx & 63);
   }
 
   static uint64_t next_id_;
@@ -192,7 +182,6 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   uint64_t backing_ino_ = 0;
   SimTime busy_until_ = 0;
   std::vector<uint64_t> dirty_bits_;  // bit per page index, grown lazily
-  uint64_t dirty_count_ = 0;
 
   std::shared_ptr<VmObject> parent_;
   int shadow_count_ = 0;  // number of shadows whose parent is this object

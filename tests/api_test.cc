@@ -126,6 +126,31 @@ TEST_F(ApiTest, ZombieSurvivesCheckpointRestore) {
   EXPECT_EQ(reaped->second, 9);
 }
 
+TEST_F(ApiTest, ReapedChildLeavesItsGroup) {
+  Process* child = *kernel_->Fork(*proc_);
+  ASSERT_TRUE(sls_->Attach(group_, child).ok());
+  auto first = sls_->Checkpoint(group_);
+  ASSERT_TRUE(first.ok());
+  kernel_->Exit(child, 0);
+  ASSERT_TRUE(kernel_->WaitAny(*proc_).ok());
+  EXPECT_EQ(group_->processes, std::vector<Process*>{proc_});
+  auto second = sls_->Checkpoint(group_);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->os_state.processes, first->os_state.processes - 1);
+}
+
+TEST_F(ApiTest, OrphanExitLeavesItsGroup) {
+  Process* orphan = *kernel_->CreateProcess("orphan");
+  ASSERT_TRUE(sls_->Attach(group_, orphan).ok());
+  auto first = sls_->Checkpoint(group_);
+  ASSERT_TRUE(first.ok());
+  kernel_->Exit(orphan, 0);
+  EXPECT_EQ(group_->processes, std::vector<Process*>{proc_});
+  auto second = sls_->Checkpoint(group_);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->os_state.processes, first->os_state.processes - 1);
+}
+
 // --- madvise policy -------------------------------------------------------------
 
 TEST_F(ApiTest, MadviseOrdersEviction) {

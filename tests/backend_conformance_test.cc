@@ -235,5 +235,48 @@ TEST(StandbySource, PromotionIntoANewGroupCheckpointsIntoTheLocalStore) {
   EXPECT_EQ(back->group->processes[0], running);
 }
 
+// A promoted image that is written before its first local checkpoint: the
+// store must hold the write and every page below it, so the image takes one
+// fresh name and the write lands in the same store object.
+TEST(StandbySource, WriteBeforeTheFirstLocalCheckpointKeepsThePromotedImage) {
+  Machine primary;
+  Machine standby_host;
+  ReplicaLink link;
+  auto* standby = static_cast<ReplicaStandby*>(
+      standby_host.sls->RegisterBackend(std::make_unique<ReplicaStandby>(&standby_host.sim, &link)));
+  auto* replica = static_cast<ReplicaBackend*>(primary.sls->RegisterBackend(
+      std::make_unique<ReplicaBackend>(&primary.sim, standby, &link)));
+
+  Process* proc = *primary.kernel->CreateProcess("app");
+  auto obj = VmObject::CreateAnonymous(kRegionBytes);
+  ASSERT_TRUE(proc->vm().Map(kRegionAddr, kRegionBytes, kProtRead | kProtWrite, obj, 0, false).ok());
+  std::vector<uint8_t> image(kRegionBytes);
+  for (uint64_t i = 0; i < kRegionBytes; i++) {
+    image[i] = static_cast<uint8_t>(i * 5 + (i >> 12));
+  }
+  ASSERT_TRUE(proc->vm().Write(kRegionAddr, image.data(), image.size()).ok());
+  ConsistencyGroup* group = *primary.sls->CreateGroup("app");
+  ASSERT_TRUE(primary.sls->Attach(group, proc).ok());
+  ASSERT_TRUE(primary.sls->SetBackend(group, replica->name()).ok());
+  ASSERT_TRUE(primary.sls->Checkpoint(group, "shipped").ok());
+
+  auto promoted = standby_host.sls->Restore("app", 0, RestoreMode::kFull, standby);
+  ASSERT_TRUE(promoted.ok()) << promoted.status().message();
+  const uint64_t word = 0x5e5e5e5e;
+  ASSERT_TRUE(
+      promoted->group->processes[0]->vm().Write(kRegionAddr + kPageSize, &word, sizeof(word)).ok());
+  std::memcpy(image.data() + kPageSize, &word, sizeof(word));
+  auto ckpt = standby_host.sls->Checkpoint(promoted->group, "local");
+  ASSERT_TRUE(ckpt.ok()) << ckpt.status().message();
+  ASSERT_FALSE(ckpt->aborted);
+  for (Process* p : promoted->group->processes) {
+    standby_host.kernel->DestroyProcess(p);
+  }
+  promoted->group->processes.clear();
+  auto back = standby_host.sls->Restore("app");
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  EXPECT_EQ(ReadRegion(back->group), image);
+}
+
 }  // namespace
 }  // namespace aurora

@@ -694,5 +694,210 @@ TEST(EpochStreamMutation, StandbyNeverAppliesAMutatedEpoch) {
   EXPECT_EQ(tally["never_applied"] + tally["applied_exactly"], mutants.size()) << summary;
 }
 
+// --- One receiver: a migration session is a standby -----------------------------------
+
+// Six checkpoints of the app, each after one more page of the second
+// process's private region changed; `models[i]` is the app at `epochs[i]`.
+struct CheckpointedRounds {
+  Machine source;
+  std::vector<uint64_t> epochs;
+  std::vector<AppModel> models;
+};
+
+std::unique_ptr<CheckpointedRounds> CheckpointSixRounds() {
+  auto rounds = std::make_unique<CheckpointedRounds>();
+  AppModel model = BuildApp(rounds->source, "app");
+  SlsCli cli(rounds->source.sls.get());
+  Process* writer = rounds->source.sls->FindGroup("app")->processes[1];
+  for (uint8_t round = 0; round < 6; round++) {
+    if (round > 0) {
+      std::vector<uint8_t> page = PagePattern(round);
+      EXPECT_TRUE(writer->vm().Write(kPrivateBase + round * kPageSize, page.data(), kPageSize).ok());
+      std::copy(page.begin(), page.end(),
+                model.private_by_pid[writer->local_pid()].begin() + round * kPageSize);
+    }
+    auto ckpt = cli.Checkpoint("app", "round" + std::to_string(round));
+    EXPECT_TRUE(ckpt.ok());
+    rounds->epochs.push_back(ckpt.ok() ? ckpt->epoch : 0);
+    rounds->models.push_back(model);
+  }
+  return rounds;
+}
+
+TEST(OneReceiver, SessionComposesDeltasWhoseEpochsSkipNumbers) {
+  auto rounds = CheckpointSixRounds();
+  const std::vector<uint64_t>& e = rounds->epochs;
+  ASSERT_GT(e[3], e[0] + 1) << "the deltas skip epochs";
+  SlsCli src(rounds->source.sls.get());
+  Machine dst;
+  SlsCli cli(dst.sls.get());
+  ReplicaStandby session(&dst.sim, nullptr);
+  // A full image at E1, then E4 since E1 and E6 since E4.
+  for (auto [round, since] : {std::pair{0, -1}, std::pair{3, 0}, std::pair{5, 3}}) {
+    auto stream = src.Send("app", e[round], since < 0 ? 0 : e[since]);
+    ASSERT_TRUE(stream.ok()) << stream.status().message();
+    auto restored = cli.Recv(*stream, &session);
+    ASSERT_TRUE(restored.ok()) << restored.status().message();
+    EXPECT_EQ(restored->epoch, e[round]);
+    EXPECT_EQ(session.last_applied_epoch(), e[round]);
+    EXPECT_EQ(session.pending_epochs(), 0u);
+    EXPECT_TRUE(MatchesModel(*restored, rounds->models[round])) << "round " << round;
+  }
+}
+
+TEST(OneReceiver, DeltaAboveTheSessionsEpochIsRefusedAndLeavesTheSessionAsItWas) {
+  auto rounds = CheckpointSixRounds();
+  const std::vector<uint64_t>& e = rounds->epochs;
+  SlsCli src(rounds->source.sls.get());
+  Machine dst;
+  SlsCli cli(dst.sls.get());
+  ReplicaStandby session(&dst.sim, nullptr);
+  auto full = src.Send("app", e[0]);
+  ASSERT_TRUE(full.ok());
+  auto first = cli.Recv(*full, &session);
+  ASSERT_TRUE(first.ok()) << first.status().message();
+  ImageTable table = session.object_table();
+
+  // E3 since E2: the session holds E1 only.
+  auto delta = src.Send("app", e[2], e[1]);
+  ASSERT_TRUE(delta.ok());
+  auto refused = cli.Recv(*delta, &session);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), Errc::kBadState);
+  EXPECT_EQ(session.last_applied_epoch(), e[0]);
+  EXPECT_TRUE(SameImages(session.object_table(), table));
+  EXPECT_EQ(session.pending_epochs(), 0u);
+  EXPECT_TRUE(MatchesModel(*first, rounds->models[0])) << "the running instance stays";
+
+  // The delta the session can take still applies on top of E1.
+  auto next = src.Send("app", e[2], e[0]);
+  ASSERT_TRUE(next.ok());
+  auto restored = cli.Recv(*next, &session);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  EXPECT_TRUE(MatchesModel(*restored, rounds->models[2]));
+}
+
+TEST(OneReceiver, StreamJoiningTwoEpochsIsRefusedAndLeavesTheSessionAsItWas) {
+  auto rounds = CheckpointSixRounds();
+  const std::vector<uint64_t>& e = rounds->epochs;
+  SlsCli src(rounds->source.sls.get());
+  auto full = src.Send("app", e[0]);
+  auto delta = src.Send("app", e[1], e[0]);
+  auto foreign = src.Send("app", e[5]);
+  ASSERT_TRUE(full.ok() && delta.ok() && foreign.ok());
+  // A legitimate delta with a whole full image of a later epoch behind it:
+  // every frame validates on its own.
+  CheckpointStream joined = *delta;
+  joined.bytes.insert(joined.bytes.end(), foreign->bytes.begin(), foreign->bytes.end());
+
+  Machine dst;
+  SlsCli cli(dst.sls.get());
+  ReplicaStandby session(&dst.sim, nullptr);
+  auto first = cli.Recv(*full, &session);
+  ASSERT_TRUE(first.ok()) << first.status().message();
+  ImageTable table = session.object_table();
+  auto refused = cli.Recv(joined, &session);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), Errc::kCorrupt);
+  EXPECT_EQ(session.last_applied_epoch(), e[0]);
+  EXPECT_TRUE(SameImages(session.object_table(), table));
+  EXPECT_EQ(session.pending_epochs(), 0u);
+  EXPECT_TRUE(MatchesModel(*first, rounds->models[0])) << "the running instance stays";
+
+  // The delta on its own is not a replay: it applies on top of E1.
+  auto restored = cli.Recv(*delta, &session);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  EXPECT_EQ(restored->epoch, e[1]);
+  EXPECT_TRUE(MatchesModel(*restored, rounds->models[1]));
+
+  // Without a session, two joined full images are refused too.
+  Machine fresh;
+  CheckpointStream two_full = *full;
+  two_full.bytes.insert(two_full.bytes.end(), foreign->bytes.begin(), foreign->bytes.end());
+  auto none = SlsCli(fresh.sls.get()).Recv(two_full);
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().code(), Errc::kCorrupt);
+  EXPECT_TRUE(fresh.kernel->AllProcesses().empty());
+}
+
+TEST(OneReceiver, ReplicaEpochArrivingBeforeItsPredecessorWaits) {
+  CapturedEpochs epochs = CaptureReplicaEpochs();
+  ImageTable in_order;
+  {
+    SimContext sim;
+    ReplicaLink link;
+    ReplicaStandby standby(&sim, &link);
+    for (const auto* frames : {&epochs.first, &epochs.second}) {
+      for (const WireFrame& f : *frames) {
+        ASSERT_TRUE(link.Push(f));
+      }
+      standby.Pump();
+    }
+    ASSERT_EQ(standby.last_applied_epoch(), 2u);
+    in_order = standby.object_table();
+  }
+  SimContext sim;
+  ReplicaLink link;
+  ReplicaStandby standby(&sim, &link);
+  for (const WireFrame& f : epochs.second) {
+    ASSERT_TRUE(link.Push(f));
+  }
+  standby.Pump();
+  EXPECT_EQ(standby.last_applied_epoch(), 0u) << "epoch 2 is a delta on epoch 1";
+  EXPECT_EQ(standby.pending_epochs(), 1u);
+  EXPECT_TRUE(standby.object_table().empty());
+  for (const WireFrame& f : epochs.first) {
+    ASSERT_TRUE(link.Push(f));
+  }
+  standby.Pump();
+  EXPECT_EQ(standby.last_applied_epoch(), 2u);
+  EXPECT_EQ(standby.pending_epochs(), 0u);
+  EXPECT_TRUE(SameImages(standby.object_table(), in_order));
+}
+
+TEST(OneReceiver, ColdRestoreRefusesAnImagePageBeyondTheManifestsObjectSize) {
+  // The first replica epoch, re-encoded with its first object's frame one
+  // page larger than the manifest sizes the object, holding that page. Every
+  // frame validates; only the resolver's page bound stands in the way.
+  CapturedEpochs epochs = CaptureReplicaEpochs();
+  std::vector<std::span<const uint8_t>> frames;
+  for (const WireFrame& f : epochs.first) {
+    frames.emplace_back(f.bytes);
+  }
+  auto decoded = DecodeEpoch(frames);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  ASSERT_FALSE(decoded->objects.empty());
+  FrameId id = PeekFrame(frames[0])->id;
+  std::vector<uint8_t> extra = PagePattern(5);
+  std::vector<WireFrame> forged;
+  for (size_t i = 0; i < decoded->objects.size(); i++) {
+    const DecodedObject& obj = decoded->objects[i];
+    std::vector<PageView> pages = obj.pages;
+    uint64_t size = obj.size;
+    if (i == 0) {
+      pages.push_back(PageView{PagesOf(size), extra.data()});
+      size += kPageSize;
+    }
+    id.seq = i;
+    AppendDataFrame(id, obj.oid, size, pages, nullptr, &forged.emplace_back().bytes);
+  }
+  id.seq = decoded->objects.size();
+  AppendCommitFrame(id, decoded->commit, &forged.emplace_back().bytes);
+
+  Machine m;
+  ReplicaLink link;
+  auto* standby = static_cast<ReplicaStandby*>(
+      m.sls->RegisterBackend(std::make_unique<ReplicaStandby>(&m.sim, &link)));
+  for (WireFrame& f : forged) {
+    ASSERT_TRUE(link.Push(std::move(f)));
+  }
+  standby->Pump();
+  ASSERT_EQ(standby->last_applied_epoch(), 1u) << "the forged epoch validates";
+  auto restored = m.sls->Restore("app", 0, RestoreMode::kFull, standby);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), Errc::kCorrupt);
+  EXPECT_TRUE(m.kernel->AllProcesses().empty());
+}
+
 }  // namespace
 }  // namespace aurora

@@ -459,7 +459,7 @@ TEST(MigrationChain, IncrementalStreamsShipOnlyDeltas) {
   auto base_ckpt = *src.sls->Checkpoint(src.sls->FindGroup("ha"), "base");
 
   // Round 0: full image to the standby.
-  MigrationSession session;
+  ReplicaStandby session(&dst.sim, nullptr);
   auto full = *src_cli.Send("ha");
   auto standby = dst_cli.Recv(full, &session);
   ASSERT_TRUE(standby.ok());
@@ -504,7 +504,7 @@ TEST(MigrationChain, IncrementalWithoutBaseRejected) {
   auto c1 = *src.sls->Checkpoint(src.sls->FindGroup("ha2"));
   auto c2 = *src.sls->Checkpoint(src.sls->FindGroup("ha2"));
   auto delta = *src_cli.Send("ha2", c2.epoch, c1.epoch);
-  MigrationSession empty_session;
+  ReplicaStandby empty_session(&dst.sim, nullptr);
   EXPECT_FALSE(dst_cli.Recv(delta, &empty_session).ok());
   EXPECT_FALSE(dst_cli.Recv(delta, nullptr).ok());
 }

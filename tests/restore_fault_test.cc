@@ -391,13 +391,21 @@ TEST(RestoreFault, SessionRecvOfAnUnknownDescriptorLeaksNothing) {
 
   Machine dst;
   SlsCli cli(dst.sls.get());
-  MigrationSession session;
+  ReplicaStandby session(&dst.sim, nullptr);
   ASSERT_TRUE(cli.Recv(first, &session).ok());
   RunningState before = CaptureRunning(dst, fd);
 
   auto res = cli.Recv(second, &session);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), Errc::kCorrupt);
+  ExpectRunningOrCleanlyGone(dst, before);
+
+  // At-least-once delivery brings the stream again. The session applied its
+  // epoch, but nothing runs it: the redelivery fails as the first did rather
+  // than passing as a replay.
+  auto again = cli.Recv(second, &session);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), Errc::kCorrupt);
   ExpectRunningOrCleanlyGone(dst, before);
 }
 

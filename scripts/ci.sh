@@ -213,6 +213,16 @@ for preset in default asan; do
     exit 1
   fi
 
+  # The paper's claims (bench/claims.json): fig3's orderings, fig4's band
+  # at 10 ms, fig6's WAL win and table7's floors against CRIU. The paper
+  # benches take about 26 s together, so only the default preset runs them.
+  if [[ "${preset}" == "default" ]]; then
+    for bench in fig3_filebench fig4_memcached_peak fig6_rocksdb table7_redis; do
+      (cd "${build_dir}" && "./bench/bench_${bench}" >/dev/null)
+    done
+    python3 scripts/check_claims.py "${build_dir}"
+  fi
+
   # A stale serialize-cache record (its generation matched, its bytes did
   # not) means a VM or POSIX mutator changed serialized state without
   # bumping its generation: no machine of the three benches may report one,

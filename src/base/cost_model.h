@@ -44,9 +44,7 @@ struct CostModel {
 
   // --- Storage devices (per NVMe device; striping aggregates bandwidth) ----
   SimDuration nvme_write_latency = 26 * kMicrosecond;
-  SimDuration nvme_read_latency = 10 * kMicrosecond;
   double nvme_write_bytes_per_ns = 2.575;  // aggregate striped write stream
-  double nvme_read_bytes_per_ns = 2.9;
 
   // --- Network -------------------------------------------------------------
   SimDuration net_rtt = 140 * kMicrosecond;      // 10 GbE round trip incl. client stack
@@ -81,17 +79,9 @@ struct CostModel {
   SimDuration Serialize(uint64_t bytes) const {
     return static_cast<SimDuration>(static_cast<double>(bytes) / serialize_bytes_per_ns);
   }
-  SimDuration CowFault() const {
-    return fault_entry + page_alloc + MemCopy(kPageSize) + pte_install;
-  }
-  SimDuration SoftFault() const { return fault_entry + pte_install; }
   SimDuration NvmeWrite(uint64_t bytes) const {
     return nvme_write_latency +
            static_cast<SimDuration>(static_cast<double>(bytes) / nvme_write_bytes_per_ns);
-  }
-  SimDuration NvmeRead(uint64_t bytes) const {
-    return nvme_read_latency +
-           static_cast<SimDuration>(static_cast<double>(bytes) / nvme_read_bytes_per_ns);
   }
   SimDuration NetTransfer(uint64_t bytes) const {
     return net_rtt / 2 +

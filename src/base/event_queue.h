@@ -37,7 +37,6 @@ class EventQueue {
 
   bool empty() const { return events_.empty(); }
   size_t size() const { return events_.size(); }
-  SimTime NextEventTime() const { return events_.top().when; }
 
   // Runs one event, advancing the clock to its firing time. Returns false if
   // the queue is empty.

@@ -43,8 +43,6 @@ class IdAllocator {
   }
 
   void Release(uint64_t id) { used_.erase(id); }
-  bool InUse(uint64_t id) const { return used_.count(id) > 0; }
-  size_t CountInUse() const { return used_.size(); }
 
  private:
   uint64_t first_;

@@ -222,54 +222,18 @@ Oid ReplicaStandby::NameObject(uint64_t size_hint) {
   return oid;
 }
 
-void ReplicaStandby::StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx,
-                               const uint8_t* data) {
-  ObjectImage& img = objects_[oid];
-  img.size = std::max(img.size, object_size);
-  img.pages[pgidx].assign(data, data + kPageSize);
-}
-
-void ReplicaStandby::SealAt(uint64_t epoch, std::string group, std::string ckpt_name,
-                            std::vector<uint8_t> manifest, SimTime committed_at) {
-  if (!group.empty()) {
-    // At-least-once ingest: resealing a (group, epoch) the table already
-    // holds keeps the original record instead of appending a duplicate.
-    for (const ImageRecord& rec : images_) {
-      if (rec.epoch == epoch && rec.group == group) {
-        sim_->metrics.counter("net.dup_epochs_ignored").Add();
-        return;
-      }
-    }
-  }
-  ImageRecord rec;
-  rec.epoch = epoch;
-  rec.group = std::move(group);
-  rec.ckpt_name = std::move(ckpt_name);
-  rec.committed_at = committed_at;
-  if (!manifest.empty()) {
-    rec.manifest_oid = Oid{next_oid_++};
-    rec.manifest = std::move(manifest);
-  }
-  images_.push_back(std::move(rec));
-}
-
 Result<const ReplicaStandby::ImageRecord*> ReplicaStandby::FindImage(
     const std::string& group_name, uint64_t epoch) const {
-  for (auto it = images_.rbegin(); it != images_.rend(); ++it) {
-    if (it->manifest.empty()) {
-      continue;  // manifest-less seal (sls_memckpt)
-    }
-    if (epoch != 0 && it->epoch != epoch) {
-      continue;
-    }
-    if (it->group == group_name) {
-      return &*it;
-    }
-    if (epoch != 0) {
-      break;
-    }
+  auto rec = images_.find(group_name);
+  if (rec == images_.end()) {
+    return Status::Error(Errc::kNotFound, "no checkpoint image for group " + group_name);
   }
-  return Status::Error(Errc::kNotFound, "no checkpoint image for group " + group_name);
+  if (epoch != 0 && epoch != rec->second.epoch) {
+    return Status::Error(Errc::kNotFound, "the standby holds only epoch " +
+                                              std::to_string(rec->second.epoch) + " of group " +
+                                              group_name);
+  }
+  return &rec->second;
 }
 
 Result<CheckpointBackend::LoadedManifest> ReplicaStandby::LoadManifest(
@@ -279,8 +243,9 @@ Result<CheckpointBackend::LoadedManifest> ReplicaStandby::LoadManifest(
   return LoadedManifest{rec->epoch, rec->manifest_oid, rec->manifest};
 }
 
-std::shared_ptr<VmObject> ReplicaStandby::Materialize(uint64_t oid, uint64_t size,
-                                                      uint64_t* pages) const {
+Result<std::shared_ptr<VmObject>> ReplicaStandby::Materialize(uint64_t oid, uint64_t size,
+                                                              uint64_t* pages) const {
+  AURORA_RETURN_IF_ERROR(CheckPages(oid, size));
   auto obj = VmObject::CreateAnonymous(size);
   auto img = objects_.find(oid);
   if (img != objects_.end()) {
@@ -439,28 +404,16 @@ void ReplicaStandby::ApplyReady() {
 void ReplicaStandby::ApplyEpoch(const DecodedEpoch& epoch, SimTime last_arrival) {
   SimTime start = std::max(sim_->clock.now(), std::max(ingest_busy_until_, last_arrival));
   // Only a promotion hands out warm images, and sls recv never promotes the
-  // standby it feeds: a migration session keeps the image table alone.
+  // standby it feeds: a migration session models none.
   bool warm_images = link_ != nullptr;
   uint64_t pages = 0;
   for (const DecodedObject& obj : epoch.objects) {
-    VmObject* warm = nullptr;
-    if (warm_images) {
-      std::shared_ptr<VmObject>& image = warm_[obj.oid];
-      if (image == nullptr || image->size() < obj.size) {
-        // VmObject sizes are fixed at creation: growth rebuilds the warm
-        // image at the new size from the image table, which holds every
-        // page patched into it so far.
-        uint64_t carried = 0;
-        image = Materialize(obj.oid, obj.size, &carried);
-      }
-      warm = image.get();
-    }
+    ObjectImage& img = objects_[obj.oid];
+    img.size = std::max(img.size, obj.size);
     for (const PageView& page : obj.pages) {
-      StagePage(obj.oid, obj.size, page.pgidx, page.data);
-      if (warm != nullptr) {
-        warm->InstallPage(page.pgidx, page.data);
-      }
+      img.pages[page.pgidx].assign(page.data, page.data + kPageSize);
     }
+    img.warm = img.warm || warm_images;
     pages += obj.pages.size();
   }
   // Ingest runs on the standby's own cores: CRC validation plus the copy
@@ -469,8 +422,13 @@ void ReplicaStandby::ApplyEpoch(const DecodedEpoch& epoch, SimTime last_arrival)
   uint64_t bytes = pages * kPageSize;
   ingest_busy_until_ = start + sim_->cost.ContentHash(bytes) +
                        sim_->cost.MemCopy((warm_images ? 2 : 1) * bytes);
+  // The group's newest epoch replaces its record; a commit without a
+  // manifest (sls_memckpt) seals nothing. The manifest takes its name from
+  // the object counter, as a store names it beside the memory objects.
   const EpochCommit& commit = epoch.commit;
-  SealAt(epoch.epoch, commit.group, commit.ckpt_name, commit.manifest, ingest_busy_until_);
+  if (!commit.manifest.empty()) {
+    images_[commit.group] = ImageRecord{epoch.epoch, Oid{next_oid_++}, commit.manifest};
+  }
   applied_epoch_ = epoch.epoch;
   pages_applied_total_ += pages;
   MetricsRegistry& metrics = sim_->metrics;
@@ -533,15 +491,12 @@ Result<ReplicaStandby::FailoverPlan> ReplicaStandby::PrepareFailover(bool force)
 
 void ReplicaStandby::Demote() {
   promoted_ = false;
-  warm_.clear();
-  // The previous warm set now belongs to the promoted incarnation: rebuild
-  // fresh images from the applied table, charged to the ingest timeline.
+  // The previous warm images now belong to the promoted incarnation: the
+  // model rebuilds every one from the table, charged to the ingest timeline.
   uint64_t pages = 0;
-  for (const auto& [oid, img] : objects_) {
-    if (img.size == 0 && img.pages.empty()) {
-      continue;
-    }
-    warm_[oid] = Materialize(oid, img.size, &pages);
+  for (auto& [oid, img] : objects_) {
+    img.warm = true;
+    pages += img.pages.size();
   }
   ingest_busy_until_ = std::max(ingest_busy_until_, sim_->clock.now()) +
                        sim_->cost.MemCopy(pages * kPageSize);
@@ -550,7 +505,7 @@ void ReplicaStandby::Demote() {
 
 Result<MemoryResolverFn> ReplicaStandby::MakeResolver(uint64_t epoch, RestoreMode mode,
                                                       std::shared_ptr<SimTime> stream_done) {
-  (void)epoch;  // images are written once; any epoch sees the same pages
+  (void)epoch;  // LoadManifest served the one epoch the table holds
   if (mode == RestoreMode::kLazy) {
     return LazyResolver(sim_, sim_->cost.MemCopy(kPageSize));
   }
@@ -561,9 +516,8 @@ Result<MemoryResolverFn> ReplicaStandby::MakeResolver(uint64_t epoch, RestoreMod
     auto lanes = std::make_shared<LaneSchedule>(sim_->FlushLanes(), *stream_done);
     return MemoryResolverFn(
         [this, stream_done, lanes](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-          AURORA_RETURN_IF_ERROR(CheckPages(oid.value, size));
           uint64_t pages = 0;
-          auto obj = Materialize(oid.value, size, &pages);
+          AURORA_ASSIGN_OR_RETURN(auto obj, Materialize(oid.value, size, &pages));
           int lane = lanes->NextLane();
           SimTime done = lanes->StartOn(lane, 0) + sim_->cost.MemCopy(pages * kPageSize);
           lanes->Occupy(lane, done);
@@ -571,25 +525,24 @@ Result<MemoryResolverFn> ReplicaStandby::MakeResolver(uint64_t epoch, RestoreMod
           return ResolvedMemory{std::move(obj), false};
         });
   }
-  // Warm failover: the continuously-patched images ARE the restored memory —
-  // no copy, the restore just joins the ingest timeline. Only objects the
-  // stream never shipped pages for materialize cold from the image table.
+  // Warm failover: the continuously-patched images ARE the restored memory,
+  // paid for at apply time, so handing one out charges nothing and the
+  // restore just joins the ingest timeline. Only objects the stream never
+  // shipped pages for since the last handout materialize cold.
   *stream_done = std::max(*stream_done, ingest_busy_until_);
   return MemoryResolverFn(
       [this, stream_done](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-        AURORA_RETURN_IF_ERROR(CheckPages(oid.value, size));
-        auto warm = warm_.find(oid.value);
-        if (warm != warm_.end() && warm->second->size() >= size) {
-          std::shared_ptr<VmObject> obj = std::move(warm->second);
-          warm_.erase(warm);
-          sim_->metrics.counter("repl.warm_restores").Add();
-          return ResolvedMemory{std::move(obj), false};
-        }
         uint64_t pages = 0;
-        auto obj = Materialize(oid.value, size, &pages);
-        *stream_done = std::max(*stream_done,
-                                ingest_busy_until_ + sim_->cost.MemCopy(pages * kPageSize));
-        sim_->metrics.counter("repl.cold_restores").Add();
+        AURORA_ASSIGN_OR_RETURN(auto obj, Materialize(oid.value, size, &pages));
+        auto img = objects_.find(oid.value);
+        if (img != objects_.end() && img->second.warm && img->second.size >= size) {
+          img->second.warm = false;
+          sim_->metrics.counter("repl.warm_restores").Add();
+        } else {
+          *stream_done = std::max(*stream_done,
+                                  ingest_busy_until_ + sim_->cost.MemCopy(pages * kPageSize));
+          sim_->metrics.counter("repl.cold_restores").Add();
+        }
         return ResolvedMemory{std::move(obj), false};
       });
 }
@@ -606,7 +559,9 @@ std::vector<std::string> ReplicaStandby::Describe() const {
                   "  in_flight_frames: " + std::to_string(link_->in_flight()) +
                   "  last_heartbeat_ns: " + std::to_string(link_->last_heartbeat()));
   }
-  out.push_back("warm_objects: " + std::to_string(warm_.size()) +
+  auto warm = std::count_if(objects_.begin(), objects_.end(),
+                            [](const auto& entry) { return entry.second.warm; });
+  out.push_back("warm_objects: " + std::to_string(warm) +
                 "  pages_applied: " + std::to_string(pages_applied_total_));
   if (poisoned_epoch_ != 0) {
     out.push_back("POISONED at epoch " + std::to_string(poisoned_epoch_) +
@@ -753,7 +708,7 @@ Result<SimTime> ReplicaBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_
 
 Result<CheckpointDestination::CommitInfo> ReplicaBackend::CommitEpoch(
     const std::string& ckpt_name, const std::vector<uint8_t>& manifest, Oid replaces_manifest) {
-  (void)replaces_manifest;  // the standby's image table is append-only
+  (void)replaces_manifest;  // the standby keeps only each group's newest record
   FrameId id = NextFrameId();
   std::string group;
   if (!manifest.empty()) {
@@ -805,7 +760,7 @@ Result<CheckpointBackend::LoadedManifest> ReplicaBackend::LoadManifest(
 
 Result<MemoryResolverFn> ReplicaBackend::MakeResolver(uint64_t epoch, RestoreMode mode,
                                                       std::shared_ptr<SimTime> stream_done) {
-  (void)epoch;
+  (void)epoch;  // LoadManifest served the one epoch the standby holds
   const ReplicaStandby* standby = standby_;
   SimContext* sim = sim_;
   if (mode == RestoreMode::kFull) {
@@ -815,9 +770,8 @@ Result<MemoryResolverFn> ReplicaBackend::MakeResolver(uint64_t epoch, RestoreMod
     auto wire = std::make_shared<SimTime>(*stream_done);
     return MemoryResolverFn(
         [standby, sim, stream_done, lanes, wire](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
-          AURORA_RETURN_IF_ERROR(standby->CheckPages(oid.value, size));
           uint64_t pages = 0;
-          auto obj = standby->Materialize(oid.value, size, &pages);
+          AURORA_ASSIGN_OR_RETURN(auto obj, standby->Materialize(oid.value, size, &pages));
           SimTime done = LaneTransfer(sim->cost, lanes.get(), wire.get(), 0,
                                       pages * (kPageSize + kPageHeaderBytes));
           *stream_done = std::max(*stream_done, done);

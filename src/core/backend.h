@@ -179,11 +179,12 @@ class StoreBackend : public CheckpointDestination {
 //   ReplicaStandby  (standby side)  — the replica state machine: reassembles
 //       frames into pending epochs, validates each complete one through
 //       DecodeEpoch, and applies it once its base is applied, into the image
-//       table and warm VmObject images; tracks applied/validated watermarks;
-//       PrepareFailover() promotes on the last durable epoch with validated
-//       speculation (see DESIGN.md section 18 for the state machine and
-//       failover invariants). `sls recv` hands it a stream's frames instead
-//       of a link's: a migration session is a standby.
+//       table, which keeps each group's newest applied epoch; tracks
+//       applied/validated watermarks; PrepareFailover() promotes on the last
+//       durable epoch with validated speculation (see DESIGN.md section 18
+//       for the state machine and failover invariants). `sls recv` hands it
+//       a stream's frames instead of a link's: a migration session is a
+//       standby.
 // -----------------------------------------------------------------------------
 
 // One frame on the replica wire: its encoded bytes and when they are
@@ -243,31 +244,34 @@ class ReplicaLink {
 };
 
 // Standby side: ingests the epoch stream, validates, applies, and promotes.
-// A restore source only: it owns the applied image table, which serves the
-// cold and lazy restore paths, and the warm VmObject images on top make
-// failover O(dirty-since-last-applied-epoch). It takes no checkpoints, so a
-// group restored from it keeps the checkpoint destination it had, and names
-// the image afresh there. `link` is null for a standby that `sls recv`
+// A restore source only. It keeps one image: each group's newest applied
+// epoch over one table that holds one host copy of each applied page. The
+// table serves the cold and lazy restore paths; the warm images that make
+// failover O(dirty-since-last-applied-epoch) are the model's, charged at
+// apply and at demotion, and a promotion hands them out as copies out of the
+// table. An older epoch is not held (kNotFound). It takes no checkpoints, so
+// a group restored from it keeps the checkpoint destination it had, and
+// names the image afresh there. `link` is null for a standby that `sls recv`
 // feeds from streams (a migration session); sls recv never promotes it, so
-// it keeps the image table alone and builds no warm images (a promotion
-// would copy cold from the table).
+// it models no warm images (a promotion would copy cold from the table).
 class ReplicaStandby : public CheckpointBackend {
  public:
   ReplicaStandby(SimContext* sim, ReplicaLink* link, std::string name = "standby")
       : sim_(sim), link_(link), name_(std::move(name)) {}
 
-  // One object of the applied image table, and one sealed epoch.
+  // One object of the image table. `warm` says whether the model's warm
+  // image of it is current: applied pages patched it, and no promotion has
+  // handed it out since.
   struct ObjectImage {
     uint64_t size = 0;
     std::map<uint64_t, std::vector<uint8_t>> pages;  // pgidx -> one 4 KiB page
+    bool warm = false;
   };
+  // A group's newest applied epoch.
   struct ImageRecord {
     uint64_t epoch = 0;
-    std::string group;
-    std::string ckpt_name;
     Oid manifest_oid;
     std::vector<uint8_t> manifest;
-    SimTime committed_at = 0;
   };
 
   const std::string& name() const override { return name_; }
@@ -278,9 +282,8 @@ class ReplicaStandby : public CheckpointBackend {
     return Status::Ok();
   }
   // Warm/delta restore for a prepared failover; otherwise a cold copy out of
-  // the image table (kFull) or demand paging from it (kLazy). Every resolver
-  // over the table refuses an object whose image holds a page beyond the
-  // size the manifest gives it (kCorrupt; see CheckPages).
+  // the image table (kFull) or demand paging from it (kLazy). The table holds
+  // only the epoch LoadManifest serves, so `epoch` is that one.
   [[nodiscard]] Result<MemoryResolverFn> MakeResolver(
       uint64_t epoch, RestoreMode mode, std::shared_ptr<SimTime> stream_done) override;
 
@@ -290,20 +293,21 @@ class ReplicaStandby : public CheckpointBackend {
   Oid NameObject(uint64_t size_hint);
 
   // A fresh object of `size` holding every applied page of `oid`; adds the
-  // pages copied to *pages.
-  std::shared_ptr<VmObject> Materialize(uint64_t oid, uint64_t size, uint64_t* pages) const;
+  // pages copied to *pages. kCorrupt when the image holds a page at or
+  // beyond `size`, the size a manifest gives the object.
+  [[nodiscard]] Result<std::shared_ptr<VmObject>> Materialize(uint64_t oid, uint64_t size,
+                                                              uint64_t* pages) const;
   // Demand pager over the image of `oid`: a fault copies the applied page
   // and charges `per_fault` to `sim`'s clock (a local copy, or a pull across
   // a link); a page the image lacks fails the fault.
   VmObject::Pager ImagePager(uint64_t oid, SimContext* sim, SimDuration per_fault) const;
   // The kLazy resolver over this table: every object pages in on demand
-  // through ImagePager.
+  // through ImagePager, and is refused as Materialize refuses it.
   MemoryResolverFn LazyResolver(SimContext* sim, SimDuration per_fault) const;
-  // kCorrupt when the image of `oid` holds a page at or beyond `size`, the
-  // size a manifest gives the object.
-  [[nodiscard]] Status CheckPages(uint64_t oid, uint64_t size) const;
 
   const std::map<uint64_t, ObjectImage>& object_table() const { return objects_; }
+  // The newest applied epoch of `group_name` when `epoch` is 0 or that
+  // epoch; kNotFound for any other.
   [[nodiscard]] Result<const ImageRecord*> FindImage(const std::string& group_name,
                                                      uint64_t epoch) const;
 
@@ -330,7 +334,8 @@ class ReplicaStandby : public CheckpointBackend {
   uint64_t last_validated_epoch() const { return validated_epoch_; }
   uint64_t newest_seen_epoch() const;
   uint64_t pending_epochs() const { return pending_.size(); }
-  // When the warm images are caught up with everything applied so far.
+  // When the modeled warm images are caught up with everything applied so
+  // far.
   SimTime ingest_busy_until() const { return ingest_busy_until_; }
 
   // --- Heartbeat lease -----------------------------------------------------
@@ -362,8 +367,9 @@ class ReplicaStandby : public CheckpointBackend {
   // this) — the overridden resolver then hands out the warm images.
   [[nodiscard]] Result<FailoverPlan> PrepareFailover(bool force = false);
   bool promoted() const { return promoted_; }
-  // Back to ingest duty: rebuilds warm images from the applied table (the
-  // previous ones now belong to the promoted incarnation).
+  // Back to ingest duty: the model rebuilds every warm image from the table
+  // (the previous ones now belong to the promoted incarnation), charged to
+  // the ingest timeline.
   void Demote();
 
   // Status lines for `sls repl`.
@@ -378,18 +384,15 @@ class ReplicaStandby : public CheckpointBackend {
   };
 
   void ApplyEpoch(const DecodedEpoch& epoch, SimTime last_arrival);
-  void StagePage(uint64_t oid, uint64_t object_size, uint64_t pgidx, const uint8_t* data);
-  // Seals an applied epoch under the primary's epoch number. Idempotent per
-  // (group, epoch): at-least-once delivery must not duplicate images.
-  void SealAt(uint64_t epoch, std::string group, std::string ckpt_name,
-              std::vector<uint8_t> manifest, SimTime committed_at);
+  // kCorrupt when the image of `oid` holds a page at or beyond `size`.
+  [[nodiscard]] Status CheckPages(uint64_t oid, uint64_t size) const;
 
   SimContext* sim_;
   ReplicaLink* link_;
   std::string name_;
   uint64_t next_oid_ = 1;
   std::map<uint64_t, ObjectImage> objects_;
-  std::vector<ImageRecord> images_;
+  std::map<std::string, ImageRecord> images_;  // group -> its newest applied epoch
   std::map<uint64_t, PendingEpoch> pending_;
   uint64_t applied_epoch_ = 0;
   uint64_t validated_epoch_ = 0;
@@ -400,9 +403,6 @@ class ReplicaStandby : public CheckpointBackend {
   SimTime ingest_busy_until_ = 0;
   uint64_t pages_applied_total_ = 0;  // lifetime pages patched into warm images
   bool promoted_ = false;
-  // Ready-to-run images, continuously patched at apply time. Handing one to
-  // the promoted incarnation removes it from the table.
-  std::map<uint64_t, std::shared_ptr<VmObject>> warm_;
 };
 
 // Primary side: ships every checkpoint epoch over the ReplicaLink, one data

@@ -436,6 +436,10 @@ Status Sls::CkptCommit(CheckpointContext* ctx) {
     // Collapse order matters: oldest (deepest) shadows first.
     group->pending_collapse = std::move(group->unflushed_frozen);
     group->unflushed_frozen.clear();
+  } else if (group->last_manifest.valid()) {
+    // The group's manifest stays live, so this epoch restores the group
+    // with the region's new bytes.
+    group->last_manifest_epoch = commit.epoch;
   }
   for (ShadowPair& pair : ctx->pairs) {
     group->pending_collapse.push_back(std::move(pair));
@@ -664,8 +668,8 @@ Result<CheckpointResult> Sls::RunCheckpoint(CheckpointContext* ctx) {
   }
   if (ctx->whole_group()) {
     CkptRelease(ctx);
-    ApplyRetention(ctx);
   }
+  ApplyRetention(ctx);
   return ctx->result;
 }
 

@@ -49,7 +49,6 @@ class Kernel {
   std::vector<Process*> AllProcesses();
 
   [[nodiscard]] Result<uint64_t> AllocateTid() { return tid_alloc_.Allocate(); }
-  void ReleaseTid(uint64_t tid) { tid_alloc_.Release(tid); }
 
   // Routes a signal by the pid the *application* knows (the local pid),
   // which is why the paper virtualizes ID allocation.

@@ -72,7 +72,6 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   uint64_t id() const { return id_; }
   VmObjectType type() const { return type_; }
   uint64_t size() const { return size_; }
-  uint64_t PageCount() const { return PagesOf(size_); }
 
   VmObject* parent() const { return parent_.get(); }
   const std::shared_ptr<VmObject>& parent_ref() const { return parent_; }

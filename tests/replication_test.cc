@@ -395,6 +395,118 @@ TEST(Replication, DemoteReturnsToIngestDuty) {
   EXPECT_EQ(m.standby->last_applied_epoch(), 2u);
 }
 
+// The warm-failover model's charges, pinned to the values this sequence
+// measured at commit fab389e, when the standby still patched a warm
+// VmObject beside each table entry: the images are now the model's, and
+// ingest, promotion and demotion charge exactly what they charged then.
+TEST(Replication, WarmFailoverChargesArePinned) {
+  ReplMachine m;
+  uint64_t addr = 0;
+  Process* proc = SetUpApp(m, &addr);
+  // Mapped but never written: it ships no pages, so the standby models no
+  // warm image of it and the first promotion copies it cold.
+  ASSERT_TRUE(proc->vm()
+                  .Map(0x800000, kMem, kProtRead | kProtWrite, VmObject::CreateAnonymous(kMem), 0,
+                       false)
+                  .ok());
+  ConsistencyGroup* group = m.sls->FindGroup("app");
+  WritePattern(proc, addr, Pattern(21));
+  ASSERT_TRUE(m.sls->Checkpoint(group, "first").ok());
+  WritePattern(proc, addr, Pattern(22));
+  ASSERT_TRUE(m.sls->Checkpoint(group, "second").ok());
+  EXPECT_EQ(m.standby->ingest_busy_until(), 1056518u);
+
+  SlsCli cli(m.sls.get());
+  CrashPrimaryHost(m);
+  auto first = cli.Promote("app", "replica", /*force=*/true);
+  ASSERT_TRUE(first.ok()) << first.status().message();
+  EXPECT_EQ(first->restore_time, 476959u);
+  EXPECT_EQ(m.sim.metrics.CounterValue("repl.warm_restores"), 1u) << "the written region";
+  EXPECT_EQ(m.sim.metrics.CounterValue("repl.cold_restores"), 1u) << "the unwritten one";
+  ASSERT_TRUE(cli.Demote("replica").ok());
+  EXPECT_EQ(m.standby->ingest_busy_until(), 1082732u);
+
+  // One more applied epoch, from the promoted incarnation, and a second
+  // promotion: the demotion modeled a warm image of every entry.
+  ASSERT_EQ(first->group->processes.size(), 1u);
+  WritePattern(first->group->processes[0], addr, Pattern(23));
+  ASSERT_TRUE(m.sls->Checkpoint(first->group, "third").ok());
+  EXPECT_EQ(m.standby->last_applied_epoch(), 3u);
+  EXPECT_EQ(m.standby->ingest_busy_until(), 1646289u);
+  CrashPrimaryHost(m);
+  auto second = cli.Promote("app", "replica", /*force=*/true);
+  ASSERT_TRUE(second.ok()) << second.status().message();
+  EXPECT_EQ(second->restore_time, 476959u);
+  EXPECT_EQ(m.sim.metrics.CounterValue("repl.warm_restores"), 3u) << "two more, both warm";
+  EXPECT_EQ(m.sim.metrics.CounterValue("repl.cold_restores"), 1u);
+  ASSERT_TRUE(cli.Demote("replica").ok());
+  EXPECT_EQ(m.standby->ingest_busy_until(), 1672503u);
+  EXPECT_EQ(ReadPromoted(*second, addr), Pattern(23));
+}
+
+// The table shares no page with a promoted image: a write to the promoted
+// group stays its own, and after the demotion a lazy restore from the
+// standby still pages in the applied bytes.
+TEST(Replication, PromotedWritesLeaveTheTableAsApplied) {
+  ReplMachine m;
+  uint64_t addr = 0;
+  Process* proc = SetUpApp(m, &addr);
+  WritePattern(proc, addr, Pattern(24));
+  ASSERT_TRUE(m.sls->Checkpoint(m.sls->FindGroup("app"), "applied").ok());
+
+  SlsCli cli(m.sls.get());
+  CrashPrimaryHost(m);
+  auto promoted = cli.Promote("app", "replica", /*force=*/true);
+  ASSERT_TRUE(promoted.ok()) << promoted.status().message();
+  ASSERT_EQ(promoted->group->processes.size(), 1u);
+  std::vector<uint8_t> page(kPageSize, 0xEE);
+  ASSERT_TRUE(promoted->group->processes[0]->vm().Write(addr, page.data(), page.size()).ok());
+  ASSERT_TRUE(cli.Demote("replica").ok());
+
+  auto lazy = m.sls->Restore("app", 0, RestoreMode::kLazy, m.standby);
+  ASSERT_TRUE(lazy.ok()) << lazy.status().message();
+  EXPECT_EQ(ReadPromoted(*lazy, addr), Pattern(24));
+}
+
+// The standby holds each group's newest applied epoch. An older one is
+// kNotFound from the standby in both modes and through the replica, before
+// the running group is touched; the newest still restores.
+TEST(Replication, OlderEpochIsRefusedAndTheGroupKeepsRunning) {
+  ReplMachine m;
+  uint64_t addr = 0;
+  Process* proc = SetUpApp(m, &addr);
+  ConsistencyGroup* group = m.sls->FindGroup("app");
+  WritePattern(proc, addr, Pattern(0xAA));
+  ASSERT_TRUE(m.sls->Checkpoint(group, "older").ok());
+  WritePattern(proc, addr, Pattern(0xBB));
+  ASSERT_TRUE(m.sls->Checkpoint(group, "newest").ok());
+  ASSERT_EQ(m.standby->last_applied_epoch(), 2u);
+  WritePattern(proc, addr, Pattern(0xCC));
+
+  struct Source {
+    CheckpointBackend* backend;
+    RestoreMode mode;
+  };
+  for (Source source : {Source{m.standby, RestoreMode::kFull}, Source{m.standby, RestoreMode::kLazy},
+                        Source{m.replica, RestoreMode::kFull}}) {
+    SCOPED_TRACE(source.backend->name() +
+                 (source.mode == RestoreMode::kFull ? " full" : " lazy"));
+    auto older = m.sls->Restore("app", 1, source.mode, source.backend);
+    ASSERT_FALSE(older.ok());
+    EXPECT_EQ(older.status().code(), Errc::kNotFound);
+    ASSERT_EQ(group->processes.size(), 1u);
+    EXPECT_EQ(group->processes[0], proc);
+    std::vector<uint8_t> got(kMem);
+    ASSERT_TRUE(proc->vm().Read(addr, got.data(), got.size()).ok());
+    EXPECT_EQ(got, Pattern(0xCC));
+  }
+
+  auto newest = m.sls->Restore("app", 2, RestoreMode::kFull, m.standby);
+  ASSERT_TRUE(newest.ok()) << newest.status().message();
+  EXPECT_EQ(newest->epoch, 2u);
+  EXPECT_EQ(ReadPromoted(*newest, addr), Pattern(0xBB));
+}
+
 TEST(Replication, ReplVerbReportsRoleWatermarksAndCounters) {
   ReplMachine m;
   uint64_t addr = 0;

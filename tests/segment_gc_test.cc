@@ -370,6 +370,44 @@ TEST(SegmentGc, RetentionPolicyDrivesPruneAndAutoGc) {
   EXPECT_NE((*gc_report)[0].find("segments:"), std::string::npos);
 }
 
+// sls_memckpt obeys the group's retention policy. A region commit leaves
+// the group's manifest live, so its epoch restores the group with the
+// region's bytes and counts against the policy like a full checkpoint.
+TEST(SegmentGc, RegionCheckpointsObeyTheRetentionPolicy) {
+  Machine m;
+  constexpr uint64_t kRegion = 256 * kKiB;
+  Process* proc = *m.kernel->CreateProcess("app");
+  uint64_t addr = *proc->vm().Map(0x400000, kRegion, kProtRead | kProtWrite,
+                                  VmObject::CreateAnonymous(kRegion), 0, false);
+  ConsistencyGroup* group = *m.sls->CreateGroup("app");
+  ASSERT_TRUE(m.sls->Attach(group, proc).ok());
+  m.sls->SetRetentionPolicy(group, RetentionPolicy{.keep_epochs = 3});
+  ASSERT_TRUE(proc->vm().DirtyRange(addr, kRegion).ok());
+  auto full = m.sls->Checkpoint(group);
+  ASSERT_TRUE(full.ok());
+  m.sim.clock.AdvanceTo(full->durable_at);
+
+  uint64_t v = 0;
+  for (uint64_t round = 1; round <= 10; round++) {
+    v = 0x5eed0000 + round;
+    ASSERT_TRUE(proc->vm().Write(addr + kPageSize, &v, sizeof(v)).ok());
+    auto region = m.sls->MemCheckpoint(proc, addr);
+    ASSERT_TRUE(region.ok()) << region.status().message();
+    m.sim.clock.AdvanceTo(region->durable_at);
+  }
+  EXPECT_EQ(m.store->ListCheckpoints().size(), 3u);
+
+  m.Reboot();
+  auto restored = m.sls->Restore("app");
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  uint64_t got = 0;
+  ASSERT_TRUE(
+      restored->group->processes[0]->vm().Read(addr + kPageSize, &got, sizeof(got)).ok());
+  EXPECT_EQ(got, v) << "the newest region checkpoint restores";
+  EXPECT_EQ(m.sls->Restore("app", full->epoch).status().code(), Errc::kNotFound)
+      << "the full checkpoint's epoch was pruned";
+}
+
 TEST(SegmentGc, AutoGcNeverChangesRestoredImage) {
   // GC-on vs GC-off: identical workloads, byte-identical restored heaps.
   Machine gc_on;

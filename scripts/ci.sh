@@ -99,8 +99,11 @@ for preset in default asan; do
   "${build_dir}/tests/store_format_test" >/dev/null
 
   # The manifest decoders under the same harness: no mutant crashes, leaves
-  # a half-built process or allocates past the test's bound.
+  # a half-built process or a registered inode, or allocates past the test's
+  # bound. The manifest golden pins the bytes of a group holding every record
+  # kind, and the simulated time its serialize and restore charge.
   "${build_dir}/tests/manifest_harness_test" >/dev/null
+  "${build_dir}/tests/manifest_golden_test" >/dev/null
 
   # Static-analysis gate: every tree — src, tools, tests, bench — must lint
   # clean under all six rule families, and the linter must prove its rules
@@ -257,9 +260,9 @@ done
 ubsan_tests=(
   lint_test base_test crash_matrix_test stop_path_test segment_gc_test epoch_stream_test
   backend_conformance_test replication_test restore_fault_test extent_codec_test dedup_test
-  store_golden_test store_format_test manifest_harness_test objstore_test core_more_test
-  core_test integration_test storage_test lane_scaling_test overlap_test fault_matrix_test
-  api_test objstore_model_test
+  store_golden_test store_format_test manifest_harness_test manifest_golden_test objstore_test
+  core_more_test core_test integration_test storage_test lane_scaling_test overlap_test
+  fault_matrix_test api_test objstore_model_test
 )
 echo "=== configure/build: ubsan ==="
 cmake --preset ubsan

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 #include <set>
+#include <tuple>
+#include <type_traits>
 #include <unordered_map>
 
 #include "src/base/serializer.h"
@@ -35,7 +38,7 @@ struct Gathered {
   std::set<uint64_t> object_kids;
   std::vector<FileDescription*> descriptions;
   std::set<uint64_t> description_kids;
-  std::vector<std::shared_ptr<VmObject>> memory;  // distinct chain links
+  std::vector<std::pair<uint64_t, uint64_t>> memory;  // distinct chain links' oids and sizes
   std::set<uint64_t> memory_ids;
 };
 
@@ -70,57 +73,634 @@ void GatherDescription(const std::shared_ptr<FileDescription>& desc, Gathered* o
   }
 }
 
-void GatherMemoryChain(const std::shared_ptr<VmObject>& top, Gathered* out) {
+void GatherMemoryChain(const std::shared_ptr<VmObject>& top, const EnsureOidFn& ensure_oid,
+                       Gathered* out) {
   std::shared_ptr<VmObject> obj = top;
   while (obj != nullptr && obj->type() == VmObjectType::kAnonymous) {
     if (out->memory_ids.insert(obj->id()).second) {
-      out->memory.push_back(obj);
+      out->memory.emplace_back(ensure_oid(obj.get()).value, obj->size());
     }
     obj = obj->parent_ref();
   }
 }
 
-void SerializeSockAddr(BinaryWriter* w, const SockAddr& a) {
-  w->PutU32(a.ip);
-  w->PutU16(a.port);
-  w->PutString(a.path);
+SimDuration GatherCost(const CostModel& cost, int chases) {
+  return cost.lock_acquire + cost.cacheline_miss * static_cast<SimDuration>(chases);
 }
 
-Result<SockAddr> ReadSockAddr(BinaryReader* r) {
-  SockAddr a;
-  AURORA_ASSIGN_OR_RETURN(a.ip, r->U32());
-  AURORA_ASSIGN_OR_RETURN(a.port, r->U16());
-  AURORA_ASSIGN_OR_RETURN(a.path, r->String());
-  return a;
+// --- The two adapters ----------------------------------------------------------------
+//
+// Every manifest record is declared once, as a field list templated on its
+// adapter: ManifestWriter runs the list to encode the record, and
+// ManifestReader runs the same list to decode it. Each field is named once,
+// with its wire width, which may be wider than the field (an int travels as
+// an i64). Only the adapters touch BinaryWriter and BinaryReader.
+
+class ManifestWriter {
+ public:
+  explicit ManifestWriter(BinaryWriter* w) : w_(w) {}
+
+  void U8(const auto& v) { w_->PutU8(static_cast<uint8_t>(v)); }
+  void U16(const auto& v) { w_->PutU16(static_cast<uint16_t>(v)); }
+  void U32(const auto& v) { w_->PutU32(static_cast<uint32_t>(v)); }
+  void U64(const auto& v) { w_->PutU64(static_cast<uint64_t>(v)); }
+  void I64(const auto& v) { w_->PutI64(static_cast<int64_t>(v)); }
+  void Bool(bool v) { w_->PutBool(v); }
+  void Bytes(const std::string& s) { w_->PutString(s); }
+  void Bytes(const std::vector<uint8_t>& b) { w_->PutBytes(b.data(), b.size()); }
+  void Bytes(const std::deque<uint8_t>& b) { Bytes(std::vector<uint8_t>(b.begin(), b.end())); }
+  void Raw(const auto& array) { w_->PutRaw(array.data(), array.size()); }
+  // A count of the elements that follow.
+  void Count(uint64_t n) { w_->PutU64(n); }
+  // A counted list: `each` encodes every element of `c`.
+  void List(const auto& c, size_t /*min_bytes*/, auto&& each) {
+    Count(c.size());
+    for (const auto& e : c) {
+      each(e);
+    }
+  }
+  size_t size() const { return w_->size(); }
+
+ private:
+  BinaryWriter* w_;
+};
+
+// Total: the first error sticks and every later field decodes as zero or
+// empty, so a list runs to its end without a check per field; a restore
+// checks ok() before each side effect.
+class ManifestReader {
+ public:
+  explicit ManifestReader(const std::vector<uint8_t>& bytes) : r_(bytes) {}
+
+  void U8(auto& v) { Set(v, Fixed(&BinaryReader::U8)); }
+  void U16(auto& v) { Set(v, Fixed(&BinaryReader::U16)); }
+  void U32(auto& v) { Set(v, Fixed(&BinaryReader::U32)); }
+  void U64(auto& v) { Set(v, Fixed(&BinaryReader::U64)); }
+  void I64(auto& v) { Set(v, Fixed(&BinaryReader::I64)); }
+  void Bool(bool& v) { v = Fixed(&BinaryReader::Bool); }
+  void Bytes(std::vector<uint8_t>& b) { b = Fixed(&BinaryReader::Bytes); }
+  void Bytes(auto& c) {
+    std::vector<uint8_t> bytes = Fixed(&BinaryReader::Bytes);
+    c.assign(bytes.begin(), bytes.end());
+  }
+  void Raw(auto& array) {
+    if (ok()) {
+      status_ = r_.Raw(array.data(), array.size());
+    }
+  }
+  // A count, bounded by the bytes left: each element takes at least
+  // `min_bytes` of them, so no count sizes work the manifest does not back.
+  uint64_t Count(size_t min_bytes) {
+    const uint64_t n = Fixed(&BinaryReader::U64);
+    if (n > r_.Remaining() / min_bytes) {
+      status_ = Status::Error(Errc::kCorrupt, "count overruns the manifest");
+      return 0;
+    }
+    return n;
+  }
+  // A counted list: `each` decodes every element appended to `c` (a map's
+  // elements decode as a key/value pair, then insert).
+  template <typename C>
+  void List(C& c, size_t min_bytes, auto&& each) {
+    for (uint64_t n = Count(min_bytes); n > 0 && ok(); n--) {
+      if constexpr (requires { c.emplace_back(); }) {
+        each(c.emplace_back());
+      } else {
+        std::pair<typename C::key_type, typename C::mapped_type> kv{};
+        each(kv);
+        c[kv.first] = kv.second;
+      }
+    }
+  }
+  bool ok() const { return status_.ok(); }
+  const Status& status() const { return status_; }
+
+ private:
+  template <typename T>
+  static void Set(T& field, auto wire) {
+    field = static_cast<T>(wire);
+  }
+  template <typename T>
+  T Fixed(Result<T> (BinaryReader::*read)()) {
+    if (!ok()) {
+      return T{};
+    }
+    Result<T> v = (r_.*read)();
+    if (!v.ok()) {
+      status_ = v.status();
+      return T{};
+    }
+    return std::move(v).value();
+  }
+
+  BinaryReader r_;
+  Status status_;
+};
+
+// --- Records -------------------------------------------------------------------------
+//
+// One field list per record, in wire order. A list takes the object it
+// encodes plus each field the object does not hold as a plain member: an
+// accessor, a constructor argument or a value derived at write time (a
+// kernel id, an oid, a count). The writer passes those values in; the reader
+// passes locals and applies them after the list. Adding a field is one line
+// in its list plus a kManifestVersion bump. A count's second argument is the
+// fewest bytes one of its elements takes.
+
+void HeaderFields(auto& io, auto&& magic, auto&& version, auto&& name, auto&& epoch,
+                  auto&& namespace_oid) {
+  io.U32(magic);
+  io.U32(version);
+  io.Bytes(name);
+  io.U64(epoch);
+  io.U64(namespace_oid);
 }
 
-// Emits the OID chain for a map entry's object: consecutive links sharing
-// one OID (live shadow over its frozen base) are logically one on-disk
-// region and are deduplicated; a vnode link terminates the chain.
-void SerializeEntryChain(BinaryWriter* w, const VmMapEntry& entry,
-                         const EnsureOidFn& ensure_oid) {
-  std::vector<uint64_t> oids;
-  uint64_t vnode_ino = 0;
-  std::shared_ptr<VmObject> cur = entry.object;
-  while (cur != nullptr) {
-    if (cur->type() == VmObjectType::kVnode) {
-      // Bottom link is a file mapping: record the inode; the file's data
-      // persists through the Aurora file system, not the checkpoint.
-      vnode_ino = cur->backing_ino();
-      break;
-    }
-    Oid oid = ensure_oid(cur.get());
-    if (oids.empty() || oids.back() != oid.value) {
-      oids.push_back(oid.value);
-    }
-    cur = cur->parent_ref();
-  }
-  w->PutU64(oids.size());
-  for (uint64_t oid : oids) {
-    w->PutU64(oid);
-  }
-  w->PutU64(vnode_ino);
+// Every distinct anonymous chain link: its oid and size.
+using MemoryTable = std::vector<std::pair<uint64_t, uint64_t>>;
+
+void MemoryTableFields(auto& io, auto& table) {
+  io.List(table, 2 * 8, [&](auto& e) {
+    io.U64(e.first);
+    io.U64(e.second);
+  });
 }
+
+// A file object's kernel id and type, then its type's list.
+void ObjectHead(auto& io, auto&& kid, auto&& type) {
+  io.U64(kid);
+  io.U8(type);
+}
+constexpr size_t kObjectBytes = 8 + 1 + 8;  // the shortest list is a kqueue's
+
+// An open-file entry; `object_kid` is 0 for none.
+void DescriptionFields(auto& io, auto& desc, auto&& kid, auto&& object_kid) {
+  io.U64(kid);
+  io.U64(object_kid);
+  io.U64(desc.offset);
+  io.I64(desc.open_flags);
+}
+constexpr size_t kDescriptionBytes = 4 * 8;
+
+// A process record is a core (this head, the core fields and the threads),
+// the descriptor slots, the AIO reads and the map entries; the serialize
+// cache charges each sub-record on its own.
+void ProcessHead(auto& io, auto&& local_pid, auto&& name) {
+  io.U64(local_pid);
+  io.Bytes(name);
+}
+
+// `parent_pid` (the parent's local pid, 0 for none) and `ephemeral_children`
+// are derived at write time. A restore links the tree once every process
+// exists, and posts a SIGCHLD per ephemeral child, as if the worker had
+// exited (paper section 3).
+void CoreFields(auto& io, auto& proc, auto&& parent_pid, auto&& ephemeral_children) {
+  io.U64(proc.pgid);
+  io.U64(proc.sid);
+  io.U64(parent_pid);
+  io.Bool(proc.zombie);
+  io.I64(proc.exit_status);
+  io.U64(ephemeral_children);
+  for (auto& sa : proc.sigactions) {
+    io.U64(sa.handler);
+    io.U64(sa.mask);
+    io.U32(sa.flags);
+  }
+  io.U64(proc.pending_signals);
+  io.List(proc.signal_queue, 8, [&](auto& signo) { io.I64(signo); });
+}
+// The head, the core fields, and the counts of the signal queue, threads,
+// slots, AIO reads and map entries.
+constexpr size_t kProcessBytes = 2 * 8 + 3 * 8 + 1 + 2 * 8 + kNumSignals * (8 + 8 + 4) + 6 * 8;
+
+// `state` is where quiesce found the thread: the writer passes resume_state
+// and the reader restores it into state.
+void ThreadFields(auto& io, auto& t, auto&& local_tid, auto& state) {
+  io.U64(local_tid);
+  for (auto& reg : t.cpu.gpr) {
+    io.U64(reg);
+  }
+  io.U64(t.cpu.rip);
+  io.U64(t.cpu.rsp);
+  io.U64(t.cpu.rflags);
+  io.Raw(t.cpu.fpu);
+  io.U64(t.sigmask);
+  io.U64(t.pending_signals);
+  io.I64(t.priority);
+  io.U8(state);
+}
+constexpr size_t kThreadBytes = 8 + 16 * 8 + 3 * 8 + 512 + 3 * 8 + 1;
+
+// An open descriptor; empty slots are not written.
+void SlotFields(auto& io, auto&& fd, auto&& desc_kid, auto&& cloexec) {
+  io.I64(fd);
+  io.U64(desc_kid);
+  io.Bool(cloexec);
+}
+constexpr size_t kSlotBytes = 8 + 8 + 1;
+
+// An in-flight AIO read; writes were drained into the checkpoint at quiesce
+// and are not written. A restored request is an in-flight read, reissued
+// after restore.
+void AioFields(auto& io, auto& aio) {
+  io.U64(aio.id);
+  io.I64(aio.fd);
+  io.U64(aio.offset);
+  io.U64(aio.length);
+}
+constexpr size_t kAioBytes = 4 * 8;
+
+// A map entry, then either the device marker (device payloads are
+// reinjected at restore; the vDSO marker covers platform-specific pages) or
+// the entry's oid chain, top first, and the inode of a file mapping's bottom
+// link (0 for an anonymous chain).
+void EntryFields(auto& io, auto& entry, auto& kind, auto& chain, auto&& vnode_ino) {
+  io.U64(entry.start);
+  io.U64(entry.end);
+  io.I64(entry.prot);
+  io.U64(entry.offset);
+  io.Bool(entry.copy_on_write);
+  io.Bool(entry.exclude_from_checkpoint);
+  io.I64(entry.madvise_hint);
+  io.U8(kind);
+  if (kind == EntryKind::kDevice) {
+    std::string marker = "vdso";
+    io.Bytes(marker);
+  } else {
+    io.List(chain, 8, [&](auto& oid) { io.U64(oid); });
+    io.U64(vnode_ino);
+  }
+}
+constexpr size_t kEntryBytes = 4 * 8 + 2 + 8 + 1 + 8;  // the shortest tail: a marker's length
+
+// --- The restore in progress -----------------------------------------------------------
+//
+// The records decoded so far, the links that resolve once every record is
+// in, and the rollback of a restore that fails: every process created lands
+// in the kernel's table at once, adopted shm objects land in the global
+// namespaces, restored vnodes take hidden references and missing inodes are
+// registered, and unless the restore finishes the destructor undoes all of
+// it. A registered inode's store object stays: after a reboot it holds a
+// checkpointed anonymous file's data, which a retry needs.
+
+using ObjectPtr = std::shared_ptr<FileObject>;
+
+// An in-flight SCM_RIGHTS message, its descriptions named by kernel id.
+struct ControlRecord {
+  std::vector<uint64_t> desc_kids;
+  uint64_t cred_pid = 0;
+};
+
+struct Restorer {
+  Restorer(SimContext* s, Kernel* k, AuroraFs* f, const MemoryResolverFn& r)
+      : sim(s), cost(s->cost), kernel(k), fs(f), resolve(r) {}
+  Restorer(const Restorer&) = delete;
+  Restorer& operator=(const Restorer&) = delete;
+  ~Restorer() {
+    if (finished) {
+      return;
+    }
+    for (Process* p : procs) {
+      kernel->DestroyProcess(p);
+    }
+    for (const auto& shm : shms) {
+      kernel->RemoveShm(shm.get());
+    }
+    for (Vnode* vn : vnode_refs) {
+      vn->DropHiddenRef();
+    }
+    for (uint64_t ino : registered_inos) {
+      fs->ForgetAnonymousIno(ino);
+    }
+  }
+
+  Result<ResolvedMemory> Resolve(uint64_t oid) {
+    auto it = memory_cache.find(oid);
+    if (it != memory_cache.end()) {
+      return it->second;
+    }
+    auto size = memory_sizes.find(oid);
+    AURORA_ASSIGN_OR_RETURN(
+        ResolvedMemory rm, resolve(Oid{oid}, size != memory_sizes.end() ? size->second : 0));
+    rm.object->set_sls_oid(oid);
+    memory_cache[oid] = rm;
+    return rm;
+  }
+
+  // The live vnode for `ino`, or an anonymous one registered for it: no
+  // namespace entry survived, but the hidden reference count kept its data
+  // object alive in the store. Descriptors and file mappings both bind here.
+  Result<std::shared_ptr<Vnode>> BindVnode(uint64_t ino) {
+    auto found = fs->LookupByIno(ino);
+    if (found.ok()) {
+      return *found;
+    }
+    AURORA_ASSIGN_OR_RETURN(std::shared_ptr<Vnode> vn, fs->RegisterAnonymousIno(ino));
+    registered_inos.push_back(ino);
+    return vn;
+  }
+
+  // A file object that decoded cleanly: charged `restore_cost` and kept.
+  Result<ObjectPtr> Restored(const ManifestReader& io, ObjectPtr obj, SimDuration restore_cost) {
+    AURORA_RETURN_IF_ERROR(io.status());
+    sim->clock.Advance(restore_cost);
+    return obj;
+  }
+
+  SimContext* sim;
+  const CostModel& cost;
+  Kernel* kernel;
+  AuroraFs* fs;
+  const MemoryResolverFn& resolve;
+  std::unordered_map<uint64_t, uint64_t> memory_sizes;  // by oid
+  std::unordered_map<uint64_t, ResolvedMemory> memory_cache;
+  uint64_t kid = 0;  // the file object being decoded
+  std::unordered_map<uint64_t, ObjectPtr> objects;
+  std::unordered_map<uint64_t, std::shared_ptr<FileDescription>> descriptions;
+  std::unordered_map<uint64_t, uint64_t> socket_peers;  // kid -> peer kid
+  struct PendingControl {
+    std::shared_ptr<Socket> socket;  // held: a later record may reuse its kid
+    size_t segment;
+    ControlRecord record;
+  };
+  std::vector<PendingControl> pending_controls;
+  // Each process, its parent's local pid and its ephemeral-child count.
+  std::vector<std::tuple<Process*, uint64_t, uint64_t>> tree;
+  // Undone unless the restore finishes.
+  std::vector<Process*> procs;
+  std::vector<std::shared_ptr<SharedMemory>> shms;
+  std::vector<Vnode*> vnode_refs;
+  std::vector<uint64_t> registered_inos;
+  bool finished = false;
+};
+
+// --- File-object codecs ----------------------------------------------------------------
+//
+// One codec per file type: its field list, and a WriteObject and a
+// ReadObject overload, which run the list in one direction each and do what
+// only that direction does. WriteObject returns what a fresh gather of the
+// object charges (pointer chasing through cold kernel structures, paper
+// 9.2); ReadObject charges the restore (Table 4). WithFileType picks the
+// codec of a type for both directions.
+
+// What a writer derives a file object's links from.
+struct WriteLinks {
+  const CostModel& cost;
+  const std::set<uint64_t>& object_kids;  // the file objects in this manifest
+  const EnsureOidFn& ensure_oid;
+};
+
+// Inode reference only: no name-cache or namei work at stop time.
+void VnodeFields(auto& io, auto&& ino, auto&& size, auto&& nlink) {
+  io.U64(ino);
+  io.U64(size);
+  io.U32(nlink);
+}
+SimDuration WriteObject(ManifestWriter& io, const Vnode& vn, const WriteLinks& w) {
+  VnodeFields(io, vn.ino(), vn.size(), vn.nlink());
+  return GatherCost(w.cost, kVnodeChases);
+}
+// Binds the live inode, keeping the larger size.
+Result<ObjectPtr> ReadObject(ManifestReader& io, Restorer& rs, std::type_identity<Vnode>) {
+  uint64_t ino = 0;
+  uint64_t size = 0;
+  uint32_t nlink = 0;
+  VnodeFields(io, ino, size, nlink);
+  AURORA_RETURN_IF_ERROR(io.status());
+  AURORA_ASSIGN_OR_RETURN(std::shared_ptr<Vnode> vn, rs.BindVnode(ino));
+  vn->set_size(std::max(vn->size(), size));
+  vn->set_nlink(nlink);
+  vn->AddHiddenRef();
+  rs.vnode_refs.push_back(vn.get());
+  return rs.Restored(io, vn, rs.cost.small_alloc + 26 * rs.cost.cacheline_miss);
+}
+
+void PipeFields(auto& io, auto& pipe) {
+  io.Bool(pipe.read_open);
+  io.Bool(pipe.write_open);
+  io.Bytes(pipe.buffer);
+}
+SimDuration WriteObject(ManifestWriter& io, const Pipe& pipe, const WriteLinks& w) {
+  PipeFields(io, pipe);
+  return GatherCost(w.cost, kPipeChases) + w.cost.Serialize(pipe.buffer.size());
+}
+Result<ObjectPtr> ReadObject(ManifestReader& io, Restorer& rs, std::type_identity<Pipe>) {
+  auto pipe = std::make_shared<Pipe>();
+  PipeFields(io, *pipe);
+  return rs.Restored(io, pipe,
+                     rs.cost.small_alloc * 2 + 32 * rs.cost.cacheline_miss +
+                         rs.cost.MemCopy(pipe->buffer.size()));
+}
+
+void SockAddrFields(auto& io, auto& a) {
+  io.U32(a.ip);
+  io.U16(a.port);
+  io.Bytes(a.path);
+}
+// The constructor's arguments, ahead of the fields.
+void SocketHead(auto& io, auto&& domain, auto&& proto) {
+  io.U8(domain);
+  io.U8(proto);
+}
+// `peer_kid` is the connected peer's kernel id when the peer is in the
+// manifest too (0 otherwise); `control(seg)` is the record of a segment's
+// SCM_RIGHTS message. The accept queue of a listening socket is omitted by
+// design (clients retransmit the SYN).
+void SocketFields(auto& io, auto& sock, uint64_t& peer_kid, auto&& control) {
+  io.U8(sock.state);
+  SockAddrFields(io, sock.local);
+  SockAddrFields(io, sock.peer_addr);
+  io.U32(sock.snd_seq);
+  io.U32(sock.rcv_seq);
+  io.I64(sock.backlog);
+  io.Bool(sock.external_sync_disabled);
+  io.Bool(sock.peer_shutdown);
+  io.U64(peer_kid);
+  io.List(sock.options, 2 * 8, [&](auto& opt) {
+    io.I64(opt.first);
+    io.I64(opt.second);
+  });
+  io.List(sock.recv_buf, 8 + (4 + 2 + 8) + 1, [&](auto& seg) {
+    io.Bytes(seg.data);
+    SockAddrFields(io, seg.from);
+    bool has_control = seg.control.has_value();
+    io.Bool(has_control);
+    if (has_control) {
+      ControlRecord& record = control(seg);
+      io.List(record.desc_kids, 8, [&](auto& kid) { io.U64(kid); });
+      io.U64(record.cred_pid);
+    }
+  });
+}
+SimDuration WriteObject(ManifestWriter& io, const Socket& sock, const WriteLinks& w) {
+  auto peer = sock.peer.lock();
+  uint64_t peer_kid =
+      peer != nullptr && w.object_kids.count(peer->kernel_id()) > 0 ? peer->kernel_id() : 0;
+  ControlRecord record;
+  SocketHead(io, sock.domain(), sock.proto());
+  SocketFields(io, sock, peer_kid, [&](const SockSegment& seg) -> ControlRecord& {
+    record = {{}, seg.control->cred_pid};
+    for (const auto& desc : seg.control->fds) {
+      record.desc_kids.push_back(desc->kernel_id);
+    }
+    return record;
+  });
+  SimDuration fresh = GatherCost(w.cost, kSocketChases);
+  for (const SockSegment& seg : sock.recv_buf) {
+    fresh += w.cost.Serialize(seg.data.size());
+  }
+  return fresh;
+}
+// recv_bytes sums the segments; the peer and the control messages link once
+// every description is in.
+Result<ObjectPtr> ReadObject(ManifestReader& io, Restorer& rs, std::type_identity<Socket>) {
+  SocketDomain domain{};
+  SocketProto proto{};
+  SocketHead(io, domain, proto);
+  auto sock = std::make_shared<Socket>(domain, proto);
+  uint64_t peer_kid = 0;
+  SocketFields(io, *sock, peer_kid, [&](SockSegment& seg) -> ControlRecord& {
+    seg.control = ControlMessage{};
+    rs.pending_controls.push_back({sock, sock->recv_buf.size() - 1, {}});
+    return rs.pending_controls.back().record;
+  });
+  for (const SockSegment& seg : sock->recv_buf) {
+    sock->recv_bytes += seg.data.size();
+  }
+  if (peer_kid != 0) {
+    rs.socket_peers[rs.kid] = peer_kid;
+  }
+  return rs.Restored(io, sock, rs.cost.small_alloc * 3 + 44 * rs.cost.cacheline_miss);
+}
+
+// KEvent::flags (a u16) travels as a u64.
+void KqueueFields(auto& io, auto& kq) {
+  io.List(kq.events(), 8 + 8 + 8 + 4 + 8 + 8, [&](auto& ev) {
+    io.U64(ev.ident);
+    io.I64(ev.filter);
+    io.U64(ev.flags);
+    io.U32(ev.fflags);
+    io.I64(ev.data);
+    io.U64(ev.udata);
+  });
+}
+SimDuration WriteObject(ManifestWriter& io, const Kqueue& kq, const WriteLinks& w) {
+  KqueueFields(io, kq);
+  return GatherCost(w.cost, kKqueueBaseChases) + kKeventCost * kq.events().size();
+}
+// Restore is a bulk copy into a fresh table (fast: Table 4).
+Result<ObjectPtr> ReadObject(ManifestReader& io, Restorer& rs, std::type_identity<Kqueue>) {
+  auto kq = std::make_shared<Kqueue>();
+  KqueueFields(io, *kq);
+  return rs.Restored(io, kq,
+                     rs.cost.small_alloc + rs.cost.MemCopy(kq->events().size() * sizeof(KEvent)));
+}
+
+void PtyFields(auto& io, auto& pty) {
+  io.I64(pty.index);
+  io.U32(pty.termios_iflag);
+  io.U32(pty.termios_oflag);
+  io.U32(pty.termios_cflag);
+  io.U32(pty.termios_lflag);
+  io.U16(pty.ws_rows);
+  io.U16(pty.ws_cols);
+  io.U64(pty.session_sid);
+  io.Bytes(pty.input);
+  io.Bytes(pty.output);
+}
+SimDuration WriteObject(ManifestWriter& io, const Pseudoterminal& pty, const WriteLinks& w) {
+  PtyFields(io, pty);
+  return GatherCost(w.cost, kPtyChases);
+}
+// Recreating the virtual device takes devfs locks (Table 4's slow pty
+// restore).
+Result<ObjectPtr> ReadObject(ManifestReader& io, Restorer& rs,
+                             std::type_identity<Pseudoterminal>) {
+  auto pty = std::make_shared<Pseudoterminal>();
+  PtyFields(io, *pty);
+  return rs.Restored(io, pty, kDevfsLockCost + rs.cost.small_alloc * 2);
+}
+
+// The constructor's argument, ahead of the fields.
+void ShmHead(auto& io, auto&& kind) { io.U8(kind); }
+// `vm_oid` names the backing object (0 for none).
+void ShmFields(auto& io, auto& shm, auto&& vm_oid) {
+  io.Bytes(shm.name);
+  io.I64(shm.key);
+  io.I64(shm.shmid);
+  io.U32(shm.mode);
+  io.U64(shm.size);
+  io.U64(vm_oid);
+}
+// SysV requires scanning the global namespace (Table 4).
+SimDuration WriteObject(ManifestWriter& io, const SharedMemory& shm, const WriteLinks& w) {
+  ShmHead(io, shm.kind());
+  ShmFields(io, shm, shm.object != nullptr ? w.ensure_oid(shm.object.get()).value : 0);
+  return GatherCost(w.cost, kShmChases) + kShmShadowCost +
+         (shm.kind() == SharedMemory::Kind::kSysV ? kSysvNamespaceScan : 0);
+}
+// shm_open re-registers a POSIX name in the POSIX shm namespace.
+Result<ObjectPtr> ReadObject(ManifestReader& io, Restorer& rs, std::type_identity<SharedMemory>) {
+  SharedMemory::Kind kind{};
+  ShmHead(io, kind);
+  auto shm = std::make_shared<SharedMemory>(kind);
+  uint64_t vm_oid = 0;
+  ShmFields(io, *shm, vm_oid);
+  AURORA_RETURN_IF_ERROR(io.status());
+  if (vm_oid != 0) {
+    AURORA_ASSIGN_OR_RETURN(ResolvedMemory rm, rs.Resolve(vm_oid));
+    shm->object = rm.object;
+  }
+  rs.kernel->AdoptShm(shm);
+  rs.shms.push_back(shm);
+  return rs.Restored(io, shm,
+                     rs.cost.small_alloc * 3 + 30 * rs.cost.cacheline_miss +
+                         (kind == SharedMemory::Kind::kPosix ? 1200 : 0));
+}
+
+void DeviceFields(auto& io, auto& dev) {
+  io.Bytes(dev.devname);
+  io.Bool(dev.whitelisted);
+}
+SimDuration WriteObject(ManifestWriter& io, const DeviceFile& dev, const WriteLinks& w) {
+  DeviceFields(io, dev);
+  return GatherCost(w.cost, 8);
+}
+Result<ObjectPtr> ReadObject(ManifestReader& io, Restorer& rs, std::type_identity<DeviceFile>) {
+  auto dev = std::make_shared<DeviceFile>();
+  DeviceFields(io, *dev);
+  if (io.ok() && !dev->whitelisted) {
+    return Status::Error(Errc::kNotSupported,
+                         "checkpoint holds a non-whitelisted device: " + dev->devname);
+  }
+  if (dev->devname == "hpet0") {
+    dev->device_memory = VmObject::CreateDevice(kPageSize);
+  }
+  return rs.Restored(io, dev, rs.cost.small_alloc);
+}
+
+// Calls f with the object type of `type` (as a std::type_identity); does
+// nothing for a type no codec has.
+void WithFileType(FileType type, auto&& f) {
+  switch (type) {
+    case FileType::kVnode:
+      return f(std::type_identity<Vnode>{});
+    case FileType::kPipe:
+      return f(std::type_identity<Pipe>{});
+    case FileType::kSocket:
+      return f(std::type_identity<Socket>{});
+    case FileType::kKqueue:
+      return f(std::type_identity<Kqueue>{});
+    case FileType::kPty:
+      return f(std::type_identity<Pseudoterminal>{});
+    case FileType::kShm:
+      return f(std::type_identity<SharedMemory>{});
+    case FileType::kDevice:
+      return f(std::type_identity<DeviceFile>{});
+  }
+}
+
+// --- Writing ---------------------------------------------------------------------------
 
 // Serialization-cache entity kinds; combined with the entity's kernel
 // identity they key the cached blob. Processes have their own records
@@ -128,277 +708,82 @@ void SerializeEntryChain(BinaryWriter* w, const VmMapEntry& entry,
 constexpr uint8_t kEntityFileObject = 1;
 constexpr uint8_t kEntityDescription = 2;
 
-SimDuration GatherCost(const CostModel& cost, int chases) {
-  return cost.lock_acquire + cost.cacheline_miss * static_cast<SimDuration>(chases);
-}
-
-// The per-entity serializers below write one record into a sub-writer and
-// return the cost a *fresh* gather of that entity charges (pointer chasing
-// through cold kernel structures plus buffer marshaling). They never advance
-// the clock themselves: the caller charges fresh, cached or elided cost
-// according to the serialization mode.
-
-SimDuration SerializeFileObject(const CostModel& cost, BinaryWriter* w, FileObject* obj,
-                                const std::set<uint64_t>& object_kids,
-                                const EnsureOidFn& ensure_oid) {
-  SimDuration fresh = 0;
-  w->PutU64(obj->kernel_id());
-  w->PutU8(static_cast<uint8_t>(obj->type()));
-  switch (obj->type()) {
-    case FileType::kVnode: {
-      fresh += GatherCost(cost, kVnodeChases);
-      auto* vn = static_cast<Vnode*>(obj);
-      // Inode reference only: no name-cache or namei work at stop time.
-      w->PutU64(vn->ino());
-      w->PutU64(vn->size());
-      w->PutU32(vn->nlink());
-      break;
-    }
-    case FileType::kPipe: {
-      fresh += GatherCost(cost, kPipeChases);
-      auto* pipe = static_cast<Pipe*>(obj);
-      w->PutBool(pipe->read_open);
-      w->PutBool(pipe->write_open);
-      std::vector<uint8_t> buf(pipe->buffer.begin(), pipe->buffer.end());
-      w->PutBytes(buf.data(), buf.size());
-      fresh += cost.Serialize(buf.size());
-      break;
-    }
-    case FileType::kSocket: {
-      fresh += GatherCost(cost, kSocketChases);
-      auto* sock = static_cast<Socket*>(obj);
-      w->PutU8(static_cast<uint8_t>(sock->domain()));
-      w->PutU8(static_cast<uint8_t>(sock->proto()));
-      w->PutU8(static_cast<uint8_t>(sock->state));
-      SerializeSockAddr(w, sock->local);
-      SerializeSockAddr(w, sock->peer_addr);
-      w->PutU32(sock->snd_seq);
-      w->PutU32(sock->rcv_seq);
-      w->PutI64(sock->backlog);
-      w->PutBool(sock->external_sync_disabled);
-      w->PutBool(sock->peer_shutdown);
-      auto peer = sock->peer.lock();
-      w->PutU64(peer != nullptr && object_kids.count(peer->kernel_id()) > 0
-                    ? peer->kernel_id()
-                    : 0);
-      w->PutU64(sock->options.size());
-      for (const auto& [k, v] : sock->options) {
-        w->PutI64(k);
-        w->PutI64(v);
-      }
-      // Buffered data; the accept queue of listening sockets is omitted by
-      // design (clients retransmit the SYN).
-      w->PutU64(sock->recv_buf.size());
-      for (const SockSegment& seg : sock->recv_buf) {
-        w->PutBytes(seg.data.data(), seg.data.size());
-        SerializeSockAddr(w, seg.from);
-        w->PutBool(seg.control.has_value());
-        if (seg.control.has_value()) {
-          w->PutU64(seg.control->fds.size());
-          for (const auto& desc : seg.control->fds) {
-            w->PutU64(desc->kernel_id);
-          }
-          w->PutU64(seg.control->cred_pid);
-        }
-        fresh += cost.Serialize(seg.data.size());
-      }
-      break;
-    }
-    case FileType::kKqueue: {
-      auto* kq = static_cast<Kqueue*>(obj);
-      fresh += GatherCost(cost, kKqueueBaseChases) + kKeventCost * kq->events().size();
-      w->PutU64(kq->events().size());
-      for (const KEvent& ev : kq->events()) {
-        w->PutU64(ev.ident);
-        w->PutI64(ev.filter);
-        w->PutU64(ev.flags);
-        w->PutU32(ev.fflags);
-        w->PutI64(ev.data);
-        w->PutU64(ev.udata);
-      }
-      break;
-    }
-    case FileType::kPty: {
-      fresh += GatherCost(cost, kPtyChases);
-      auto* pty = static_cast<Pseudoterminal*>(obj);
-      w->PutI64(pty->index);
-      w->PutU32(pty->termios_iflag);
-      w->PutU32(pty->termios_oflag);
-      w->PutU32(pty->termios_cflag);
-      w->PutU32(pty->termios_lflag);
-      w->PutU16(pty->ws_rows);
-      w->PutU16(pty->ws_cols);
-      w->PutU64(pty->session_sid);
-      std::vector<uint8_t> in(pty->input.begin(), pty->input.end());
-      std::vector<uint8_t> out(pty->output.begin(), pty->output.end());
-      w->PutBytes(in.data(), in.size());
-      w->PutBytes(out.data(), out.size());
-      break;
-    }
-    case FileType::kShm: {
-      fresh += GatherCost(cost, kShmChases) + kShmShadowCost;
-      auto* shm = static_cast<SharedMemory*>(obj);
-      if (shm->kind() == SharedMemory::Kind::kSysV) {
-        // SysV requires scanning the global namespace (Table 4).
-        fresh += kSysvNamespaceScan;
-      }
-      w->PutU8(static_cast<uint8_t>(shm->kind()));
-      w->PutString(shm->name);
-      w->PutI64(shm->key);
-      w->PutI64(shm->shmid);
-      w->PutU32(shm->mode);
-      w->PutU64(shm->size);
-      w->PutU64(shm->object != nullptr ? ensure_oid(shm->object.get()).value : 0);
-      break;
-    }
-    case FileType::kDevice: {
-      fresh += GatherCost(cost, 8);
-      auto* dev = static_cast<DeviceFile*>(obj);
-      w->PutString(dev->devname);
-      w->PutBool(dev->whitelisted);
-      break;
-    }
-  }
-  return fresh;
-}
-
-SimDuration SerializeDescription(const CostModel& cost, BinaryWriter* w,
-                                 const FileDescription* desc) {
-  w->PutU64(desc->kernel_id);
-  w->PutU64(desc->object != nullptr ? desc->object->kernel_id() : 0);
-  w->PutU64(desc->offset);
-  w->PutI64(desc->open_flags);
-  return GatherCost(cost, 4);
-}
+constexpr int kMapEntryChases = 6;  // map entry + object headers
 
 using ProcessLayout = SerializeCache::ProcessLayout;
 
-constexpr int kMapEntryChases = 6;  // map entry + object headers
-
-// Appends one process record to `w`, fills `layout` (offsets from the
-// record's start) and `core_fresh`, the fresh gather cost of its core
-// sub-record; returns the fresh gather cost of the whole record. Each map
-// entry's fresh gather is GatherCost(kMapEntryChases); the descriptor and
-// AIO sub-records charge only their marshal.
-SimDuration SerializeProcess(const CostModel& cost, BinaryWriter* w, const Process* proc,
-                             const EnsureOidFn& ensure_oid, SerializeStats* stats,
-                             ProcessLayout* layout, SimDuration* core_fresh) {
-  const size_t base = w->size();
-  auto offset = [&]() { return w->size() - base; };
+// Encodes one process record, fills `layout` (offsets from the record's
+// start) and `core_fresh`, the fresh gather cost of its core sub-record;
+// returns the fresh gather cost of the whole record. Each map entry's fresh
+// gather is GatherCost(kMapEntryChases); the descriptor and AIO sub-records
+// charge only their marshal.
+SimDuration EncodeProcess(const CostModel& cost, ManifestWriter& io, const Process& proc,
+                          const EnsureOidFn& ensure_oid, ProcessLayout* layout,
+                          SimDuration* core_fresh) {
+  const size_t base = io.size();
+  auto offset = [&]() { return io.size() - base; };
   SimDuration fresh = GatherCost(cost, 30);  // proc structure, groups, session, credentials
-  w->PutU64(proc->local_pid());
-  w->PutString(proc->name());
-  w->PutU64(proc->pgid);
-  w->PutU64(proc->sid);
-  w->PutU64(proc->parent != nullptr ? proc->parent->local_pid() : 0);
-  w->PutBool(proc->zombie);
-  w->PutI64(proc->exit_status);
-  uint64_t ephemeral_children = 0;
-  for (const Process* child : proc->children) {
-    ephemeral_children += child->ephemeral ? 1 : 0;
-  }
-  w->PutU64(ephemeral_children);
-
-  for (const SigAction& sa : proc->sigactions) {
-    w->PutU64(sa.handler);
-    w->PutU64(sa.mask);
-    w->PutU32(sa.flags);
-  }
-  w->PutU64(proc->pending_signals);
-  w->PutU64(proc->signal_queue.size());
-  for (int signo : proc->signal_queue) {
-    w->PutI64(signo);
-  }
-
-  w->PutU64(proc->threads().size());
-  for (const auto& t : proc->threads()) {
+  const auto ephemeral_children = std::count_if(proc.children.begin(), proc.children.end(),
+                                                [](const Process* c) { return c->ephemeral; });
+  ProcessHead(io, proc.local_pid(), proc.name());
+  CoreFields(io, proc, proc.parent != nullptr ? proc.parent->local_pid() : 0, ephemeral_children);
+  io.Count(proc.threads().size());
+  for (const auto& t : proc.threads()) {
     fresh += GatherCost(cost, 14);  // kernel stack registers + thread fields
-    w->PutU64(t->local_tid());
-    for (uint64_t r : t->cpu.gpr) {
-      w->PutU64(r);
-    }
-    w->PutU64(t->cpu.rip);
-    w->PutU64(t->cpu.rsp);
-    w->PutU64(t->cpu.rflags);
-    w->PutRaw(t->cpu.fpu.data(), t->cpu.fpu.size());
-    w->PutU64(t->sigmask);
-    w->PutU64(t->pending_signals);
-    w->PutI64(t->priority);
-    w->PutU8(static_cast<uint8_t>(t->resume_state));
-    if (stats != nullptr) {
-      stats->threads++;
-    }
+    ThreadFields(io, *t, t->local_tid(), t->resume_state);
   }
   layout->core = {0, offset()};
   *core_fresh = fresh;
 
-  uint64_t open_fds = 0;
-  const auto& slots = proc->fds().slots();
-  for (const auto& slot : slots) {
-    open_fds += slot.desc != nullptr ? 1 : 0;
-  }
-  w->PutU64(open_fds);
+  const auto& slots = proc.fds().slots();
+  io.Count(static_cast<uint64_t>(std::count_if(
+      slots.begin(), slots.end(), [](const auto& slot) { return slot.desc != nullptr; })));
   for (size_t fd = 0; fd < slots.size(); fd++) {
-    if (slots[fd].desc == nullptr) {
-      continue;
+    if (slots[fd].desc != nullptr) {
+      SlotFields(io, static_cast<int64_t>(fd), slots[fd].desc->kernel_id, slots[fd].close_on_exec);
     }
-    w->PutI64(static_cast<int64_t>(fd));
-    w->PutU64(slots[fd].desc->kernel_id);
-    w->PutBool(slots[fd].close_on_exec);
   }
   layout->fds = {layout->core.end, offset()};
 
-  uint64_t tracked_aios = 0;
-  for (const AioRequest& aio : proc->aios) {
-    tracked_aios += aio.op == AioRequest::Op::kRead ? 1 : 0;
-  }
-  w->PutU64(tracked_aios);
-  for (const AioRequest& aio : proc->aios) {
-    if (aio.op != AioRequest::Op::kRead) {
-      continue;  // writes were drained into the checkpoint at quiesce
+  auto is_read = [](const AioRequest& aio) { return aio.op == AioRequest::Op::kRead; };
+  io.Count(static_cast<uint64_t>(std::count_if(proc.aios.begin(), proc.aios.end(), is_read)));
+  for (const AioRequest& aio : proc.aios) {
+    if (is_read(aio)) {
+      AioFields(io, aio);
     }
-    w->PutU64(aio.id);
-    w->PutI64(aio.fd);
-    w->PutU64(aio.offset);
-    w->PutU64(aio.length);
   }
   layout->aio = {layout->fds.end, offset()};
 
-  const auto& entries = proc->vm().entries();
-  w->PutU64(entries.size());
+  const auto& entries = proc.vm().entries();
+  io.Count(entries.size());
   layout->entries.clear();
   layout->entries.reserve(entries.size());
+  std::vector<uint64_t> chain;
   for (const auto& [start, entry] : entries) {
     const size_t entry_begin = offset();
     fresh += GatherCost(cost, kMapEntryChases);
-    w->PutU64(entry.start);
-    w->PutU64(entry.end);
-    w->PutI64(entry.prot);
-    w->PutU64(entry.offset);
-    w->PutBool(entry.copy_on_write);
-    w->PutBool(entry.exclude_from_checkpoint);
-    w->PutI64(entry.madvise_hint);
-    if (entry.object->type() == VmObjectType::kDevice) {
-      w->PutU8(static_cast<uint8_t>(EntryKind::kDevice));
-      // Device payloads are reinjected at restore; the vDSO marker covers
-      // platform-specific pages.
-      w->PutString("vdso");
-    } else {
-      w->PutU8(static_cast<uint8_t>(EntryKind::kAnonChain));
-      SerializeEntryChain(w, entry, ensure_oid);
-      // (ino recorded by SerializeEntryChain's trailing field is 0; the
-      // file identity travels through the fd that mapped it in this
-      // model. Anonymous mappings dominate the paper's workloads.)
+    EntryKind kind =
+        entry.object->type() == VmObjectType::kDevice ? EntryKind::kDevice : EntryKind::kAnonChain;
+    // Consecutive links sharing one OID (a live shadow over its frozen base)
+    // are one on-disk region; a vnode link ends the chain: the file's data
+    // persists through the Aurora file system, not the checkpoint.
+    uint64_t vnode_ino = 0;
+    chain.clear();
+    for (auto cur = entry.object; kind == EntryKind::kAnonChain && cur != nullptr;
+         cur = cur->parent_ref()) {
+      if (cur->type() == VmObjectType::kVnode) {
+        vnode_ino = cur->backing_ino();
+        break;
+      }
+      const uint64_t oid = ensure_oid(cur.get()).value;
+      if (chain.empty() || chain.back() != oid) {
+        chain.push_back(oid);
+      }
     }
+    EntryFields(io, entry, kind, chain, vnode_ino);
     layout->entries.push_back({entry.start, entry.generation, {entry_begin, offset()}});
-    if (stats != nullptr) {
-      stats->vm_entries++;
-    }
   }
   layout->map = {layout->aio.end, offset()};
-  if (stats != nullptr) {
-    stats->processes++;
-  }
   return fresh;
 }
 
@@ -521,11 +906,8 @@ Result<std::vector<uint8_t>> SerializeOsState(SimContext* sim, const Consistency
                                               SerializeStats* stats, SerializeCache* cache,
                                               SerializeMode mode) {
   BinaryWriter w;
-  w.PutU32(kManifestMagic);
-  w.PutU32(kManifestVersion);
-  w.PutString(group.name());
-  w.PutU64(epoch);
-  w.PutU64(namespace_oid.value);
+  ManifestWriter io(&w);
+  HeaderFields(io, kManifestMagic, kManifestVersion, group.name(), epoch, namespace_oid.value);
 
   // Entity records are always built fresh (the simulator's own CPU work is
   // free), in place in the manifest; the cache decides only what simulated
@@ -576,7 +958,7 @@ Result<std::vector<uint8_t>> SerializeOsState(SimContext* sim, const Consistency
     }
     for (const auto& [start, entry] : proc->vm().entries()) {
       if (entry.object->type() == VmObjectType::kAnonymous) {
-        GatherMemoryChain(entry.object, &g);
+        GatherMemoryChain(entry.object, ensure_oid, &g);
       }
     }
   }
@@ -586,48 +968,44 @@ Result<std::vector<uint8_t>> SerializeOsState(SimContext* sim, const Consistency
     if (obj->type() == FileType::kShm) {
       auto* shm = static_cast<SharedMemory*>(obj);
       if (shm->object != nullptr) {
-        GatherMemoryChain(shm->object, &g);
+        GatherMemoryChain(shm->object, ensure_oid, &g);
       }
     }
   }
 
-  // --- Memory objects --------------------------------------------------------
-  w.PutU64(g.memory.size());
-  for (const auto& obj : g.memory) {
-    Oid oid = ensure_oid(obj.get());
-    w.PutU64(oid.value);
-    w.PutU64(obj->size());
-  }
-  if (stats != nullptr) {
-    stats->memory_objects = g.memory.size();
-  }
+  // --- Memory objects, file objects and open-file entries -------------------
+  MemoryTableFields(io, g.memory);
 
-  // --- File objects ----------------------------------------------------------
-  w.PutU64(g.objects.size());
+  io.Count(g.objects.size());
+  const WriteLinks links{sim->cost, g.object_kids, ensure_oid};
   for (FileObject* obj : g.objects) {
     const size_t begin = w.size();
-    SimDuration fresh = SerializeFileObject(sim->cost, &w, obj, g.object_kids, ensure_oid);
+    SimDuration fresh = 0;
+    ObjectHead(io, obj->kernel_id(), obj->type());
+    WithFileType(obj->type(), [&](auto type) {
+      fresh = WriteObject(io, static_cast<const typename decltype(type)::type&>(*obj), links);
+    });
     emit(kEntityFileObject, obj->kernel_id(), obj->generation(), begin, fresh);
   }
 
-  // --- Open-file entries -------------------------------------------------------
-  w.PutU64(g.descriptions.size());
+  io.Count(g.descriptions.size());
   for (FileDescription* desc : g.descriptions) {
     const size_t begin = w.size();
-    SimDuration fresh = SerializeDescription(sim->cost, &w, desc);
-    emit(kEntityDescription, desc->kernel_id, desc->generation, begin, fresh);
+    DescriptionFields(io, *desc, desc->kernel_id,
+                      desc->object != nullptr ? desc->object->kernel_id() : 0);
+    emit(kEntityDescription, desc->kernel_id, desc->generation, begin, GatherCost(sim->cost, 4));
   }
 
   // --- Processes ---------------------------------------------------------------
   // Each record is built in place in the manifest; its cached sub-records
   // decide what it costs.
-  w.PutU64(persisted_procs.size());
+  io.Count(persisted_procs.size());
   ProcessLayout layout;
   for (const Process* proc : persisted_procs) {
     const size_t begin = w.size();
     SimDuration core_fresh = 0;
     SimDuration fresh =
-        SerializeProcess(sim->cost, &w, proc, ensure_oid, stats, &layout, &core_fresh);
+        EncodeProcess(sim->cost, io, *proc, ensure_oid, &layout, &core_fresh);
     const size_t size = w.size() - begin;
     entity_bytes += size;
     if (cache == nullptr) {
@@ -638,6 +1016,12 @@ Result<std::vector<uint8_t>> SerializeOsState(SimContext* sim, const Consistency
   }
 
   if (stats != nullptr) {
+    for (const Process* proc : persisted_procs) {
+      stats->threads += proc->threads().size();
+      stats->vm_entries += proc->vm().entries().size();
+    }
+    stats->processes += persisted_procs.size();
+    stats->memory_objects = g.memory.size();
     stats->file_objects = g.objects.size();
     stats->descriptions = g.descriptions.size();
     stats->bytes = w.size();
@@ -656,520 +1040,217 @@ Result<std::vector<uint8_t>> SerializeOsState(SimContext* sim, const Consistency
 
 namespace {
 
-// The manifest header: magic, version, group name, epoch and namespace oid.
-// The one place it is parsed; `r` is left at the memory-object section.
-Result<RestoredGroup> ReadManifestHeader(BinaryReader* r) {
-  AURORA_ASSIGN_OR_RETURN(uint32_t magic, r->U32());
-  AURORA_ASSIGN_OR_RETURN(uint32_t version, r->U32());
-  if (magic != kManifestMagic || version != kManifestVersion) {
+// --- Reading ---------------------------------------------------------------------------
+
+// The manifest header, the one place it is decoded; `io` is left at the
+// memory-object table.
+Result<RestoredGroup> ReadHeader(ManifestReader& io) {
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  RestoredGroup out;
+  HeaderFields(io, magic, version, out.name, out.epoch, out.namespace_oid.value);
+  if (io.ok() && (magic != kManifestMagic || version != kManifestVersion)) {
     return Status::Error(Errc::kCorrupt, "bad manifest header");
   }
-  RestoredGroup out;
-  AURORA_ASSIGN_OR_RETURN(out.name, r->String());
-  AURORA_ASSIGN_OR_RETURN(out.epoch, r->U64());
-  AURORA_ASSIGN_OR_RETURN(out.namespace_oid.value, r->U64());
+  AURORA_RETURN_IF_ERROR(io.status());
   return out;
+}
+
+Status RestoreMapEntry(ManifestReader& io, Restorer& rs, Process* proc) {
+  VmMapEntry entry;
+  EntryKind kind{};
+  std::vector<uint64_t> chain;
+  uint64_t vnode_ino = 0;
+  EntryFields(io, entry, kind, chain, vnode_ino);
+  AURORA_RETURN_IF_ERROR(io.status());
+  std::shared_ptr<VmObject> top;  // built bottom-up
+  if (kind == EntryKind::kDevice) {
+    // Inject the *current* platform's vDSO/device pages (paper 5.3).
+    top = rs.kernel->vdso();
+    entry.prot &= ~kProtWrite;
+  } else {
+    if (vnode_ino != 0) {
+      AURORA_ASSIGN_OR_RETURN(std::shared_ptr<Vnode> vn, rs.BindVnode(vnode_ino));
+      top = vn->MakeVmObject();
+    }
+    for (size_t c = chain.size(); c-- > 0;) {
+      AURORA_ASSIGN_OR_RETURN(ResolvedMemory rm, rs.Resolve(chain[c]));
+      if (top != nullptr && !rm.chain_complete && rm.object->parent() == nullptr) {
+        // A damaged manifest can name one object twice, in one chain or
+        // across two; linking it below itself would make a cycle that a
+        // fault's chain walk never leaves.
+        for (const VmObject* o = top.get(); o != nullptr; o = o->parent()) {
+          if (o == rm.object.get()) {
+            return Status::Error(Errc::kCorrupt, "shadow chain links an object below itself");
+          }
+        }
+        rm.object->ReplaceParent(top);
+      }
+      top = rm.object;
+    }
+    if (top == nullptr) {
+      top = VmObject::CreateAnonymous(entry.end - entry.start);
+    }
+  }
+  AURORA_ASSIGN_OR_RETURN(uint64_t mapped,
+                          proc->vm().Map(entry.start, entry.end - entry.start, entry.prot, top,
+                                         entry.offset, entry.copy_on_write));
+  if (mapped != entry.start) {
+    return Status::Error(Errc::kBadState, "restored mapping landed at the wrong address");
+  }
+  VmMapEntry* mapped_entry = proc->vm().FindEntry(entry.start);
+  mapped_entry->exclude_from_checkpoint = entry.exclude_from_checkpoint;
+  mapped_entry->madvise_hint = entry.madvise_hint;
+  return Status::Ok();
+}
+
+Status RestoreProcess(ManifestReader& io, Restorer& rs) {
+  uint64_t local_pid = 0;
+  std::string name;
+  ProcessHead(io, local_pid, name);
+  AURORA_RETURN_IF_ERROR(io.status());
+  AURORA_ASSIGN_OR_RETURN(Process * proc, rs.kernel->CreateProcessForRestore(name, local_pid));
+  rs.procs.push_back(proc);
+  uint64_t parent = 0;
+  uint64_t ephemeral_children = 0;
+  CoreFields(io, *proc, parent, ephemeral_children);
+  if (ephemeral_children > Kernel::kMaxPid) {
+    return Status::Error(Errc::kCorrupt, "ephemeral-child count exceeds the pid space");
+  }
+  rs.tree.emplace_back(proc, parent, ephemeral_children);
+  for (uint64_t n = io.Count(kThreadBytes); n > 0 && io.ok(); n--) {
+    Thread& thread = proc->AddThread();
+    uint64_t local_tid = 0;
+    ThreadFields(io, thread, local_tid, thread.state);
+    thread.set_local_tid(local_tid);
+    rs.sim->clock.Advance(rs.cost.small_alloc + rs.cost.MemCopy(sizeof(CpuState)));
+  }
+  for (uint64_t n = io.Count(kSlotBytes); n > 0 && io.ok(); n--) {
+    int64_t fd = 0;
+    uint64_t desc_kid = 0;
+    bool cloexec = false;
+    SlotFields(io, fd, desc_kid, cloexec);
+    AURORA_RETURN_IF_ERROR(io.status());
+    auto it = rs.descriptions.find(desc_kid);
+    if (it == rs.descriptions.end()) {
+      return Status::Error(Errc::kCorrupt, "fd references unknown descriptor");
+    }
+    AURORA_RETURN_IF_ERROR(proc->fds().InstallAt(static_cast<int>(fd), it->second, cloexec));
+  }
+  io.List(proc->aios, kAioBytes, [&](AioRequest& aio) {
+    AioFields(io, aio);
+    aio.op = AioRequest::Op::kRead;
+    aio.state = AioRequest::State::kInFlight;
+  });
+  for (uint64_t n = io.Count(kEntryBytes); n > 0 && io.ok(); n--) {
+    AURORA_RETURN_IF_ERROR(RestoreMapEntry(io, rs, proc));
+  }
+  return io.status();
 }
 
 }  // namespace
 
 Result<RestoredGroup> PeekManifest(const std::vector<uint8_t>& manifest) {
-  BinaryReader r(manifest);
-  return ReadManifestHeader(&r);
+  ManifestReader io(manifest);
+  return ReadHeader(io);
 }
 
 Result<std::vector<std::pair<uint64_t, uint64_t>>> ManifestMemoryObjects(
     const std::vector<uint8_t>& manifest) {
-  BinaryReader r(manifest);
-  AURORA_RETURN_IF_ERROR(ReadManifestHeader(&r).status());
-  AURORA_ASSIGN_OR_RETURN(uint64_t count, r.U64());
-  if (count > r.Remaining() / 16) {  // each entry is a u64 oid and a u64 size
-    return Status::Error(Errc::kCorrupt, "memory-object count overruns the manifest");
-  }
-  std::vector<std::pair<uint64_t, uint64_t>> out;
-  out.reserve(count);
-  for (uint64_t i = 0; i < count; i++) {
-    AURORA_ASSIGN_OR_RETURN(uint64_t oid, r.U64());
-    AURORA_ASSIGN_OR_RETURN(uint64_t size, r.U64());
-    out.emplace_back(oid, size);
-  }
-  return out;
+  ManifestReader io(manifest);
+  AURORA_RETURN_IF_ERROR(ReadHeader(io).status());
+  MemoryTable memory;
+  MemoryTableFields(io, memory);
+  AURORA_RETURN_IF_ERROR(io.status());
+  return memory;
 }
 
 Result<RestoredGroup> RestoreOsState(SimContext* sim, Kernel* kernel, AuroraFs* fs,
                                      const std::vector<uint8_t>& manifest,
                                      const MemoryResolverFn& resolve) {
-  BinaryReader r(manifest);
-  AURORA_ASSIGN_OR_RETURN(RestoredGroup out, ReadManifestHeader(&r));
-
-  // A mid-restore failure (truncated manifest, resolver error, mapping
-  // conflict) must not leak half-built state: every process created below
-  // lands in the kernel's table immediately, adopted shm objects land in the
-  // global namespaces, and restored vnodes take hidden references. The guard
-  // rolls all of that back unless the restore runs to completion.
-  struct RestoreGuard {
-    Kernel* kernel;
-    std::vector<Process*> procs;
-    std::vector<const SharedMemory*> shms;
-    std::vector<Vnode*> vnode_refs;
-    bool armed = true;
-    ~RestoreGuard() {
-      if (!armed) {
-        return;
-      }
-      for (Process* p : procs) {
-        kernel->DestroyProcess(p);
-      }
-      for (const SharedMemory* s : shms) {
-        kernel->RemoveShm(s);
-      }
-      for (Vnode* v : vnode_refs) {
-        v->DropHiddenRef();
-      }
-    }
-  } guard{kernel};
-
-  // --- Memory objects ----------------------------------------------------------
-  std::unordered_map<uint64_t, uint64_t> memory_sizes;
-  AURORA_ASSIGN_OR_RETURN(uint64_t nmem, r.U64());
-  for (uint64_t i = 0; i < nmem; i++) {
-    AURORA_ASSIGN_OR_RETURN(uint64_t oid, r.U64());
-    AURORA_ASSIGN_OR_RETURN(uint64_t size, r.U64());
-    memory_sizes[oid] = size;
-  }
-  std::unordered_map<uint64_t, ResolvedMemory> memory_cache;
-  auto resolve_cached = [&](uint64_t oid) -> Result<ResolvedMemory> {
-    auto it = memory_cache.find(oid);
-    if (it != memory_cache.end()) {
-      return it->second;
-    }
-    uint64_t size = memory_sizes.count(oid) > 0 ? memory_sizes[oid] : 0;
-    AURORA_ASSIGN_OR_RETURN(ResolvedMemory rm, resolve(Oid{oid}, size));
-    rm.object->set_sls_oid(oid);
-    memory_cache[oid] = rm;
-    return rm;
-  };
-
-  // --- File objects -------------------------------------------------------------
-  struct PendingControl {
-    Socket* socket;
-    size_t segment;
-    std::vector<uint64_t> desc_kids;
-    uint64_t cred_pid;
-  };
-  std::unordered_map<uint64_t, std::shared_ptr<FileObject>> objects;
-  std::unordered_map<uint64_t, uint64_t> socket_peers;  // kid -> peer kid
-  std::vector<PendingControl> pending_controls;
-
-  AURORA_ASSIGN_OR_RETURN(uint64_t nobjects, r.U64());
-  for (uint64_t i = 0; i < nobjects; i++) {
-    AURORA_ASSIGN_OR_RETURN(uint64_t kid, r.U64());
-    AURORA_ASSIGN_OR_RETURN(uint8_t type_raw, r.U8());
-    auto type = static_cast<FileType>(type_raw);
-    std::shared_ptr<FileObject> obj;
-    switch (type) {
-      case FileType::kVnode: {
-        AURORA_ASSIGN_OR_RETURN(uint64_t ino, r.U64());
-        AURORA_ASSIGN_OR_RETURN(uint64_t size, r.U64());
-        AURORA_ASSIGN_OR_RETURN(uint32_t nlink, r.U32());
-        std::shared_ptr<Vnode> vn;
-        auto found = fs->LookupByIno(ino);
-        if (found.ok()) {
-          vn = *found;
-        } else {
-          // Anonymous file: no namespace entry survived, but the hidden
-          // reference count kept its data object alive in the store.
-          AURORA_ASSIGN_OR_RETURN(vn, fs->RegisterAnonymousIno(ino));
-        }
-        vn->set_size(std::max(vn->size(), size));
-        vn->set_nlink(nlink);
-        vn->AddHiddenRef();
-        guard.vnode_refs.push_back(vn.get());
-        sim->clock.Advance(sim->cost.small_alloc + 26 * sim->cost.cacheline_miss);
-        obj = vn;
-        break;
-      }
-      case FileType::kPipe: {
-        auto pipe = std::make_shared<Pipe>();
-        AURORA_ASSIGN_OR_RETURN(pipe->read_open, r.Bool());
-        AURORA_ASSIGN_OR_RETURN(pipe->write_open, r.Bool());
-        AURORA_ASSIGN_OR_RETURN(std::vector<uint8_t> buf, r.Bytes());
-        pipe->buffer.assign(buf.begin(), buf.end());
-        sim->clock.Advance(sim->cost.small_alloc * 2 + 32 * sim->cost.cacheline_miss +
-                           sim->cost.MemCopy(buf.size()));
-        obj = pipe;
-        break;
-      }
-      case FileType::kSocket: {
-        AURORA_ASSIGN_OR_RETURN(uint8_t domain, r.U8());
-        AURORA_ASSIGN_OR_RETURN(uint8_t proto, r.U8());
-        auto sock = std::make_shared<Socket>(static_cast<SocketDomain>(domain),
-                                             static_cast<SocketProto>(proto));
-        AURORA_ASSIGN_OR_RETURN(uint8_t state, r.U8());
-        sock->state = static_cast<SocketState>(state);
-        AURORA_ASSIGN_OR_RETURN(sock->local, ReadSockAddr(&r));
-        AURORA_ASSIGN_OR_RETURN(sock->peer_addr, ReadSockAddr(&r));
-        AURORA_ASSIGN_OR_RETURN(sock->snd_seq, r.U32());
-        AURORA_ASSIGN_OR_RETURN(sock->rcv_seq, r.U32());
-        AURORA_ASSIGN_OR_RETURN(int64_t backlog, r.I64());
-        sock->backlog = static_cast<int>(backlog);
-        AURORA_ASSIGN_OR_RETURN(sock->external_sync_disabled, r.Bool());
-        AURORA_ASSIGN_OR_RETURN(sock->peer_shutdown, r.Bool());
-        AURORA_ASSIGN_OR_RETURN(uint64_t peer_kid, r.U64());
-        if (peer_kid != 0) {
-          socket_peers[kid] = peer_kid;
-        }
-        AURORA_ASSIGN_OR_RETURN(uint64_t nopts, r.U64());
-        for (uint64_t k = 0; k < nopts; k++) {
-          AURORA_ASSIGN_OR_RETURN(int64_t key, r.I64());
-          AURORA_ASSIGN_OR_RETURN(int64_t value, r.I64());
-          sock->options[static_cast<int>(key)] = static_cast<int>(value);
-        }
-        AURORA_ASSIGN_OR_RETURN(uint64_t nsegs, r.U64());
-        for (uint64_t s = 0; s < nsegs; s++) {
-          SockSegment seg;
-          AURORA_ASSIGN_OR_RETURN(seg.data, r.Bytes());
-          AURORA_ASSIGN_OR_RETURN(seg.from, ReadSockAddr(&r));
-          AURORA_ASSIGN_OR_RETURN(bool has_control, r.Bool());
-          if (has_control) {
-            PendingControl pc;
-            pc.socket = sock.get();
-            pc.segment = static_cast<size_t>(s);
-            AURORA_ASSIGN_OR_RETURN(uint64_t nfds, r.U64());
-            for (uint64_t f = 0; f < nfds; f++) {
-              AURORA_ASSIGN_OR_RETURN(uint64_t dk, r.U64());
-              pc.desc_kids.push_back(dk);
-            }
-            AURORA_ASSIGN_OR_RETURN(pc.cred_pid, r.U64());
-            pending_controls.push_back(std::move(pc));
-            seg.control = ControlMessage{};  // filled in pass 2
-          }
-          sock->recv_bytes += seg.data.size();
-          sock->recv_buf.push_back(std::move(seg));
-        }
-        sim->clock.Advance(sim->cost.small_alloc * 3 + 44 * sim->cost.cacheline_miss);
-        obj = sock;
-        break;
-      }
-      case FileType::kKqueue: {
-        auto kq = std::make_shared<Kqueue>();
-        AURORA_ASSIGN_OR_RETURN(uint64_t nevents, r.U64());
-        for (uint64_t e = 0; e < nevents; e++) {
-          KEvent ev;
-          AURORA_ASSIGN_OR_RETURN(ev.ident, r.U64());
-          AURORA_ASSIGN_OR_RETURN(int64_t filter, r.I64());
-          ev.filter = static_cast<int16_t>(filter);
-          AURORA_ASSIGN_OR_RETURN(uint64_t flags, r.U64());
-          ev.flags = static_cast<uint16_t>(flags);
-          AURORA_ASSIGN_OR_RETURN(ev.fflags, r.U32());
-          AURORA_ASSIGN_OR_RETURN(ev.data, r.I64());
-          AURORA_ASSIGN_OR_RETURN(ev.udata, r.U64());
-          kq->Register(ev);
-        }
-        // Restore is a bulk copy into a fresh table (fast: Table 4).
-        sim->clock.Advance(sim->cost.small_alloc +
-                           sim->cost.MemCopy(nevents * sizeof(KEvent)));
-        obj = kq;
-        break;
-      }
-      case FileType::kPty: {
-        auto pty = std::make_shared<Pseudoterminal>();
-        AURORA_ASSIGN_OR_RETURN(int64_t index, r.I64());
-        pty->index = static_cast<int>(index);
-        AURORA_ASSIGN_OR_RETURN(pty->termios_iflag, r.U32());
-        AURORA_ASSIGN_OR_RETURN(pty->termios_oflag, r.U32());
-        AURORA_ASSIGN_OR_RETURN(pty->termios_cflag, r.U32());
-        AURORA_ASSIGN_OR_RETURN(pty->termios_lflag, r.U32());
-        AURORA_ASSIGN_OR_RETURN(pty->ws_rows, r.U16());
-        AURORA_ASSIGN_OR_RETURN(pty->ws_cols, r.U16());
-        AURORA_ASSIGN_OR_RETURN(pty->session_sid, r.U64());
-        AURORA_ASSIGN_OR_RETURN(std::vector<uint8_t> in, r.Bytes());
-        AURORA_ASSIGN_OR_RETURN(std::vector<uint8_t> outbuf, r.Bytes());
-        pty->input.assign(in.begin(), in.end());
-        pty->output.assign(outbuf.begin(), outbuf.end());
-        // Recreating the virtual device takes devfs locks (Table 4's slow
-        // pty restore).
-        sim->clock.Advance(kDevfsLockCost + sim->cost.small_alloc * 2);
-        obj = pty;
-        break;
-      }
-      case FileType::kShm: {
-        AURORA_ASSIGN_OR_RETURN(uint8_t kind, r.U8());
-        auto shm = std::make_shared<SharedMemory>(static_cast<SharedMemory::Kind>(kind));
-        AURORA_ASSIGN_OR_RETURN(shm->name, r.String());
-        AURORA_ASSIGN_OR_RETURN(int64_t key, r.I64());
-        shm->key = static_cast<int32_t>(key);
-        AURORA_ASSIGN_OR_RETURN(int64_t shmid, r.I64());
-        shm->shmid = static_cast<int32_t>(shmid);
-        AURORA_ASSIGN_OR_RETURN(shm->mode, r.U32());
-        AURORA_ASSIGN_OR_RETURN(shm->size, r.U64());
-        AURORA_ASSIGN_OR_RETURN(uint64_t vm_oid, r.U64());
-        if (vm_oid != 0) {
-          AURORA_ASSIGN_OR_RETURN(ResolvedMemory rm, resolve_cached(vm_oid));
-          shm->object = rm.object;
-        }
-        kernel->AdoptShm(shm);
-        guard.shms.push_back(shm.get());
-        sim->clock.Advance(sim->cost.small_alloc * 3 + 30 * sim->cost.cacheline_miss);
-        if (shm->kind() == SharedMemory::Kind::kPosix) {
-          // shm_open re-registers the name in the POSIX shm namespace.
-          sim->clock.Advance(1200);
-        }
-        obj = shm;
-        break;
-      }
-      case FileType::kDevice: {
-        auto dev = std::make_shared<DeviceFile>();
-        AURORA_ASSIGN_OR_RETURN(dev->devname, r.String());
-        AURORA_ASSIGN_OR_RETURN(dev->whitelisted, r.Bool());
-        if (!dev->whitelisted) {
-          return Status::Error(Errc::kNotSupported,
-                               "checkpoint holds a non-whitelisted device: " + dev->devname);
-        }
-        if (dev->devname == "hpet0") {
-          dev->device_memory = VmObject::CreateDevice(kPageSize);
-        }
-        sim->clock.Advance(sim->cost.small_alloc);
-        obj = dev;
-        break;
-      }
-      default:
-        return Status::Error(Errc::kCorrupt, "unknown file object type");
-    }
-    objects[kid] = std::move(obj);
+  ManifestReader io(manifest);
+  AURORA_ASSIGN_OR_RETURN(RestoredGroup out, ReadHeader(io));
+  MemoryTable memory;
+  MemoryTableFields(io, memory);
+  AURORA_RETURN_IF_ERROR(io.status());
+  Restorer rs(sim, kernel, fs, resolve);
+  for (const auto& [oid, size] : memory) {
+    rs.memory_sizes[oid] = size;
   }
 
-  // --- Open-file entries ----------------------------------------------------------
-  std::unordered_map<uint64_t, std::shared_ptr<FileDescription>> descriptions;
-  AURORA_ASSIGN_OR_RETURN(uint64_t ndescs, r.U64());
-  for (uint64_t i = 0; i < ndescs; i++) {
-    AURORA_ASSIGN_OR_RETURN(uint64_t kid, r.U64());
-    AURORA_ASSIGN_OR_RETURN(uint64_t object_kid, r.U64());
+  for (uint64_t n = io.Count(kObjectBytes); n > 0 && io.ok(); n--) {
+    FileType type{};
+    ObjectHead(io, rs.kid, type);
+    Result<ObjectPtr> obj = Status::Error(Errc::kCorrupt, "unknown file object type");
+    WithFileType(type, [&](auto t) { obj = ReadObject(io, rs, t); });
+    AURORA_RETURN_IF_ERROR(obj.status());
+    rs.objects[rs.kid] = std::move(obj).value();
+  }
+
+  for (uint64_t n = io.Count(kDescriptionBytes); n > 0 && io.ok(); n--) {
     auto desc = std::make_shared<FileDescription>();
-    AURORA_ASSIGN_OR_RETURN(desc->offset, r.U64());
-    AURORA_ASSIGN_OR_RETURN(int64_t flags, r.I64());
-    desc->open_flags = static_cast<int>(flags);
+    uint64_t kid = 0;
+    uint64_t object_kid = 0;
+    DescriptionFields(io, *desc, kid, object_kid);
+    AURORA_RETURN_IF_ERROR(io.status());
     if (object_kid != 0) {
-      auto it = objects.find(object_kid);
-      if (it == objects.end()) {
+      auto it = rs.objects.find(object_kid);
+      if (it == rs.objects.end()) {
         return Status::Error(Errc::kCorrupt, "description references unknown object");
       }
       desc->object = it->second;
     }
-    descriptions[kid] = std::move(desc);
+    rs.descriptions[kid] = std::move(desc);
     sim->clock.Advance(sim->cost.small_alloc);
   }
+  AURORA_RETURN_IF_ERROR(io.status());
 
-  // Pass 2: control messages and socket peers.
-  for (const PendingControl& pc : pending_controls) {
+  // Control messages and socket peers, now that every description is in.
+  for (Restorer::PendingControl& pc : rs.pending_controls) {
     ControlMessage cm;
-    cm.cred_pid = pc.cred_pid;
-    for (uint64_t dk : pc.desc_kids) {
-      auto it = descriptions.find(dk);
-      if (it == descriptions.end()) {
+    cm.cred_pid = pc.record.cred_pid;
+    for (uint64_t dk : pc.record.desc_kids) {
+      auto it = rs.descriptions.find(dk);
+      if (it == rs.descriptions.end()) {
         return Status::Error(Errc::kCorrupt, "control message references unknown descriptor");
       }
       cm.fds.push_back(it->second);
     }
     pc.socket->recv_buf[pc.segment].control = std::move(cm);
   }
-  for (const auto& [kid, peer_kid] : socket_peers) {
+  for (const auto& [kid, peer_kid] : rs.socket_peers) {
     // A later record may reuse a socket's kid, and a damaged peer kid may
     // name any object: link only two sockets.
-    auto a = objects.find(kid);
-    auto b = objects.find(peer_kid);
-    if (a != objects.end() && b != objects.end() && a->second->type() == FileType::kSocket &&
-        b->second->type() == FileType::kSocket) {
-      auto sa = std::static_pointer_cast<Socket>(a->second);
-      auto sb = std::static_pointer_cast<Socket>(b->second);
-      sa->peer = sb;
+    auto a = rs.objects.find(kid);
+    auto b = rs.objects.find(peer_kid);
+    if (a != rs.objects.end() && b != rs.objects.end() &&
+        a->second->type() == FileType::kSocket && b->second->type() == FileType::kSocket) {
+      std::static_pointer_cast<Socket>(a->second)->peer =
+          std::static_pointer_cast<Socket>(b->second);
     }
   }
 
-  // --- Processes ---------------------------------------------------------------------
-  struct ParentFixup {
-    Process* proc;
-    uint64_t parent_local_pid;
-  };
-  std::vector<ParentFixup> fixups;
-  std::vector<std::pair<Process*, uint64_t>> sigchld_posts;
-
-  AURORA_ASSIGN_OR_RETURN(uint64_t nprocs, r.U64());
-  for (uint64_t i = 0; i < nprocs; i++) {
-    AURORA_ASSIGN_OR_RETURN(uint64_t local_pid, r.U64());
-    AURORA_ASSIGN_OR_RETURN(std::string name, r.String());
-    AURORA_ASSIGN_OR_RETURN(Process * proc, kernel->CreateProcessForRestore(name, local_pid));
-    guard.procs.push_back(proc);
-    AURORA_ASSIGN_OR_RETURN(proc->pgid, r.U64());
-    AURORA_ASSIGN_OR_RETURN(proc->sid, r.U64());
-    AURORA_ASSIGN_OR_RETURN(uint64_t parent_local, r.U64());
-    if (parent_local != 0) {
-      fixups.push_back({proc, parent_local});
-    }
-    AURORA_ASSIGN_OR_RETURN(proc->zombie, r.Bool());
-    AURORA_ASSIGN_OR_RETURN(int64_t exit_status, r.I64());
-    proc->exit_status = static_cast<int>(exit_status);
-    AURORA_ASSIGN_OR_RETURN(uint64_t ephemeral_children, r.U64());
-    if (ephemeral_children > Kernel::kMaxPid) {
-      return Status::Error(Errc::kCorrupt, "ephemeral-child count exceeds the pid space");
-    }
-    if (ephemeral_children > 0) {
-      sigchld_posts.push_back({proc, ephemeral_children});
-    }
-
-    for (SigAction& sa : proc->sigactions) {
-      AURORA_ASSIGN_OR_RETURN(sa.handler, r.U64());
-      AURORA_ASSIGN_OR_RETURN(sa.mask, r.U64());
-      AURORA_ASSIGN_OR_RETURN(sa.flags, r.U32());
-    }
-    AURORA_ASSIGN_OR_RETURN(proc->pending_signals, r.U64());
-    AURORA_ASSIGN_OR_RETURN(uint64_t nqueued, r.U64());
-    for (uint64_t q = 0; q < nqueued; q++) {
-      AURORA_ASSIGN_OR_RETURN(int64_t signo, r.I64());
-      proc->signal_queue.push_back(static_cast<int>(signo));
-    }
-
-    AURORA_ASSIGN_OR_RETURN(uint64_t nthreads, r.U64());
-    for (uint64_t t = 0; t < nthreads; t++) {
-      Thread& thread = proc->AddThread();
-      AURORA_ASSIGN_OR_RETURN(uint64_t local_tid, r.U64());
-      thread.set_local_tid(local_tid);
-      for (uint64_t& reg : thread.cpu.gpr) {
-        AURORA_ASSIGN_OR_RETURN(reg, r.U64());
-      }
-      AURORA_ASSIGN_OR_RETURN(thread.cpu.rip, r.U64());
-      AURORA_ASSIGN_OR_RETURN(thread.cpu.rsp, r.U64());
-      AURORA_ASSIGN_OR_RETURN(thread.cpu.rflags, r.U64());
-      AURORA_RETURN_IF_ERROR(r.Raw(thread.cpu.fpu.data(), thread.cpu.fpu.size()));
-      AURORA_ASSIGN_OR_RETURN(thread.sigmask, r.U64());
-      AURORA_ASSIGN_OR_RETURN(thread.pending_signals, r.U64());
-      AURORA_ASSIGN_OR_RETURN(int64_t priority, r.I64());
-      thread.priority = static_cast<int>(priority);
-      AURORA_ASSIGN_OR_RETURN(uint8_t state, r.U8());
-      thread.state = static_cast<ThreadState>(state);
-      sim->clock.Advance(sim->cost.small_alloc + sim->cost.MemCopy(sizeof(CpuState)));
-    }
-
-    AURORA_ASSIGN_OR_RETURN(uint64_t nfds, r.U64());
-    for (uint64_t f = 0; f < nfds; f++) {
-      AURORA_ASSIGN_OR_RETURN(int64_t slot, r.I64());
-      AURORA_ASSIGN_OR_RETURN(uint64_t desc_kid, r.U64());
-      AURORA_ASSIGN_OR_RETURN(bool cloexec, r.Bool());
-      auto it = descriptions.find(desc_kid);
-      if (it == descriptions.end()) {
-        return Status::Error(Errc::kCorrupt, "fd references unknown descriptor");
-      }
-      AURORA_RETURN_IF_ERROR(
-          proc->fds().InstallAt(static_cast<int>(slot), it->second, cloexec));
-    }
-
-    AURORA_ASSIGN_OR_RETURN(uint64_t naios, r.U64());
-    for (uint64_t a = 0; a < naios; a++) {
-      AioRequest aio;
-      AURORA_ASSIGN_OR_RETURN(aio.id, r.U64());
-      AURORA_ASSIGN_OR_RETURN(int64_t fd, r.I64());
-      aio.fd = static_cast<int>(fd);
-      aio.op = AioRequest::Op::kRead;
-      aio.state = AioRequest::State::kInFlight;  // reissued after restore
-      AURORA_ASSIGN_OR_RETURN(aio.offset, r.U64());
-      AURORA_ASSIGN_OR_RETURN(aio.length, r.U64());
-      proc->aios.push_back(aio);
-    }
-
-    AURORA_ASSIGN_OR_RETURN(uint64_t nentries, r.U64());
-    for (uint64_t e = 0; e < nentries; e++) {
-      uint64_t start;
-      uint64_t end;
-      AURORA_ASSIGN_OR_RETURN(start, r.U64());
-      AURORA_ASSIGN_OR_RETURN(end, r.U64());
-      AURORA_ASSIGN_OR_RETURN(int64_t prot, r.I64());
-      AURORA_ASSIGN_OR_RETURN(uint64_t offset, r.U64());
-      AURORA_ASSIGN_OR_RETURN(bool cow, r.Bool());
-      AURORA_ASSIGN_OR_RETURN(bool exclude, r.Bool());
-      AURORA_ASSIGN_OR_RETURN(int64_t hint, r.I64());
-      AURORA_ASSIGN_OR_RETURN(uint8_t kind_raw, r.U8());
-      auto kind = static_cast<EntryKind>(kind_raw);
-      std::shared_ptr<VmObject> top;
-      if (kind == EntryKind::kDevice) {
-        AURORA_ASSIGN_OR_RETURN(std::string devname, r.String());
-        // Inject the *current* platform's vDSO/device pages (paper 5.3).
-        top = kernel->vdso();
-      } else {
-        AURORA_ASSIGN_OR_RETURN(uint64_t chain_len, r.U64());
-        if (chain_len > r.Remaining() / sizeof(uint64_t)) {
-          return Status::Error(Errc::kCorrupt, "shadow-chain length overruns the manifest");
-        }
-        std::vector<uint64_t> chain(chain_len);
-        for (uint64_t c = 0; c < chain_len; c++) {
-          AURORA_ASSIGN_OR_RETURN(chain[c], r.U64());
-        }
-        AURORA_ASSIGN_OR_RETURN(uint64_t vnode_ino, r.U64());
-        std::shared_ptr<VmObject> below;  // built bottom-up
-        if (vnode_ino != 0) {
-          std::shared_ptr<Vnode> vn;
-          auto found = fs->LookupByIno(vnode_ino);
-          if (found.ok()) {
-            vn = *found;
-          } else {
-            AURORA_ASSIGN_OR_RETURN(vn, fs->RegisterAnonymousIno(vnode_ino));
-          }
-          below = vn->MakeVmObject();
-        }
-        for (size_t c = chain.size(); c-- > 0;) {
-          AURORA_ASSIGN_OR_RETURN(ResolvedMemory rm, resolve_cached(chain[c]));
-          if (below != nullptr && !rm.chain_complete && rm.object->parent() == nullptr) {
-            // A damaged manifest can name one object twice, in one chain or
-            // across two; linking it below itself would make a cycle that a
-            // fault's chain walk never leaves.
-            for (const VmObject* o = below.get(); o != nullptr; o = o->parent()) {
-              if (o == rm.object.get()) {
-                return Status::Error(Errc::kCorrupt, "shadow chain links an object below itself");
-              }
-            }
-            rm.object->ReplaceParent(below);
-          }
-          below = rm.object;
-        }
-        top = below;
-        if (top == nullptr) {
-          top = VmObject::CreateAnonymous(end - start);
-        }
-      }
-      int mapped_prot = static_cast<int>(prot);
-      if (kind == EntryKind::kDevice) {
-        mapped_prot &= ~kProtWrite;
-      }
-      AURORA_ASSIGN_OR_RETURN(uint64_t mapped,
-                              proc->vm().Map(start, end - start, mapped_prot, top, offset, cow));
-      if (mapped != start) {
-        return Status::Error(Errc::kBadState, "restored mapping landed at the wrong address");
-      }
-      VmMapEntry* entry = proc->vm().FindEntry(start);
-      entry->exclude_from_checkpoint = exclude;
-      entry->madvise_hint = static_cast<int>(hint);
-    }
-
-    out.processes.push_back(proc);
+  for (uint64_t n = io.Count(kProcessBytes); n > 0 && io.ok(); n--) {
+    AURORA_RETURN_IF_ERROR(RestoreProcess(io, rs));
   }
+  AURORA_RETURN_IF_ERROR(io.status());
 
-  // Parent/child links by checkpoint-time local pid.
-  for (const ParentFixup& fix : fixups) {
-    for (Process* candidate : out.processes) {
-      if (candidate->local_pid() == fix.parent_local_pid) {
-        fix.proc->parent = candidate;
-        candidate->children.push_back(fix.proc);
+  // Parent/child links by checkpoint-time local pid, and the ephemeral
+  // children's SIGCHLDs.
+  for (const auto& [proc, parent_pid, ephemeral_children] : rs.tree) {
+    for (Process* candidate : rs.procs) {
+      if (parent_pid != 0 && candidate->local_pid() == parent_pid) {
+        proc->parent = candidate;
+        candidate->children.push_back(proc);
         break;
       }
     }
-  }
-  // Ephemeral children were dropped: their parents see SIGCHLD, as if the
-  // worker had exited unexpectedly (paper section 3).
-  for (auto& [proc, count] : sigchld_posts) {
-    for (uint64_t c = 0; c < count; c++) {
+    for (uint64_t c = 0; c < ephemeral_children; c++) {
       proc->PostSignal(kSigChld);
     }
   }
-  guard.armed = false;
+  rs.finished = true;
+  out.processes = rs.procs;
   return out;
 }
 

@@ -47,6 +47,13 @@ Result<std::shared_ptr<Vnode>> BufferedFs::RegisterAnonymousIno(uint64_t ino) {
   return vn;
 }
 
+void BufferedFs::ForgetAnonymousIno(uint64_t ino) {
+  auto it = files_.find(ino);
+  if (it != files_.end() && !it->second.linked) {
+    files_.erase(it);
+  }
+}
+
 Result<std::shared_ptr<Vnode>> BufferedFs::Lookup(const std::string& path) {
   auto it = names_.find(path);
   if (it == names_.end()) {
@@ -246,27 +253,6 @@ Status BufferedFs::Fsync(Vnode* vn) {
     }
   }
   return FsyncImpl(vn, dirty_len);
-}
-
-Result<SimTime> BufferedFs::FlushVnode(uint64_t ino) {
-  auto it = files_.find(ino);
-  if (it == files_.end()) {
-    return Status::Error(Errc::kNotFound, "no such inode");
-  }
-  SimTime done_at = sim_->clock.now();
-  for (auto& [idx, cb] : it->second.cache) {
-    if (!cb.dirty) {
-      continue;
-    }
-    auto done = PersistBlock(it->second.vnode.get(), idx, cb);
-    if (!done.ok()) {
-      return done.status();
-    }
-    done_at = std::max(done_at, *done);
-    cb.dirty = false;
-    dirty_bytes_ -= fs_block_size_;
-  }
-  return done_at;
 }
 
 void BufferedFs::DropCleanCache() {

@@ -44,12 +44,14 @@ class BufferedFs : public Filesystem {
   // transaction group / Aurora checkpoint). Returns the completion time of
   // the last write issued.
   [[nodiscard]] Result<SimTime> FlushAll();
-  [[nodiscard]] Result<SimTime> FlushVnode(uint64_t ino);
 
   // Restore paths: registers a file under a preexisting inode number, either
   // linked at `path` or anonymous (unlinked but referenced by a checkpoint).
   [[nodiscard]] Result<std::shared_ptr<Vnode>> CreateWithIno(const std::string& path, uint64_t ino);
   [[nodiscard]] Result<std::shared_ptr<Vnode>> RegisterAnonymousIno(uint64_t ino);
+  // Undoes RegisterAnonymousIno for a restore that failed: the inode leaves
+  // the table, and its backing store object stays for a retry to find.
+  void ForgetAnonymousIno(uint64_t ino);
 
   uint64_t DirtyBytes() const { return dirty_bytes_; }
 

@@ -34,9 +34,7 @@ ScrubEpochVerdict Scrubber::ScrubRecord(uint64_t epoch, const std::string& name,
       // relocated address now; the LIVE store's relocation map knows, the
       // historic blob does not.
       uint64_t phys = s->TranslatePhys(extent.phys, epoch);
-      if (report != nullptr) {
-        report->data_phys.insert(phys);
-      }
+      report->data_phys.insert(phys);
       Status read = s->ReadBlockVerified(phys, extent.crc, extent.stored_len, buf.data());
       Errc error;
       if (!read.ok() && read.code() == Errc::kCorrupt) {
@@ -48,9 +46,7 @@ ScrubEpochVerdict Scrubber::ScrubRecord(uint64_t epoch, const std::string& name,
       } else {
         continue;
       }
-      if (report != nullptr) {
-        report->bad_blocks.push_back(ScrubBadBlock{epoch, oid, logical, phys, error});
-      }
+      report->bad_blocks.push_back(ScrubBadBlock{epoch, oid, logical, phys, error});
     }
   }
 
@@ -69,15 +65,6 @@ Result<ScrubReport> Scrubber::ScrubAll() {
         ScrubRecord(record.epoch, record.name, record.meta_block, record.meta_len, &report));
   }
   return report;
-}
-
-Result<ScrubEpochVerdict> Scrubber::ScrubEpoch(uint64_t epoch) {
-  for (const CheckpointRecord& record : store_->meta_.checkpoints) {
-    if (record.epoch == epoch) {
-      return ScrubRecord(record.epoch, record.name, record.meta_block, record.meta_len, nullptr);
-    }
-  }
-  return Status::Error(Errc::kNotFound, "no such checkpoint");
 }
 
 }  // namespace aurora

@@ -67,8 +67,6 @@ class Scrubber {
 
   // Scrubs every committed checkpoint, oldest first.
   [[nodiscard]] Result<ScrubReport> ScrubAll();
-  // Scrubs one committed epoch; kNotFound if it is not in the directory.
-  [[nodiscard]] Result<ScrubEpochVerdict> ScrubEpoch(uint64_t epoch);
 
  private:
   ScrubEpochVerdict ScrubRecord(uint64_t epoch, const std::string& name, uint64_t meta_block,

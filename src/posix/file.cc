@@ -8,26 +8,6 @@ uint64_t FileDescription::next_kernel_id_ = 1;
 FileObject::FileObject() : kernel_id_(next_kernel_id_++) {}
 FileDescription::FileDescription() : kernel_id(next_kernel_id_++) {}
 
-const char* FileTypeName(FileType t) {
-  switch (t) {
-    case FileType::kVnode:
-      return "vnode";
-    case FileType::kPipe:
-      return "pipe";
-    case FileType::kSocket:
-      return "socket";
-    case FileType::kKqueue:
-      return "kqueue";
-    case FileType::kPty:
-      return "pty";
-    case FileType::kShm:
-      return "shm";
-    case FileType::kDevice:
-      return "device";
-  }
-  return "unknown";
-}
-
 Result<int> FdTable::Install(std::shared_ptr<FileDescription> desc, bool cloexec) {
   for (size_t i = 0; i < slots_.size(); i++) {
     if (slots_[i].desc == nullptr) {
@@ -88,16 +68,6 @@ FdTable FdTable::Clone() const {
   FdTable copy;
   copy.slots_ = slots_;  // descriptions shared, slots copied: fork semantics
   return copy;
-}
-
-size_t FdTable::OpenCount() const {
-  size_t n = 0;
-  for (const auto& slot : slots_) {
-    if (slot.desc != nullptr) {
-      n++;
-    }
-  }
-  return n;
 }
 
 }  // namespace aurora

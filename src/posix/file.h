@@ -26,8 +26,6 @@ enum class FileType : uint8_t {
   kDevice,
 };
 
-const char* FileTypeName(FileType t);
-
 // Base class for every kernel object a descriptor can reference. The
 // kernel_id is the analog of the object's kernel address: the SLS keys its
 // serialized-exactly-once table with it.
@@ -109,7 +107,6 @@ class FdTable {
   FdTable Clone() const;
 
   const std::vector<Slot>& slots() const { return slots_; }
-  size_t OpenCount() const;
 
   // Serialization-cache generation: bumped whenever the table's shape
   // changes (install/close/dup), so the descriptor sub-record of a process's

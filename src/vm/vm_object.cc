@@ -82,37 +82,6 @@ VmObject::LookupResult VmObject::LookupChain(uint64_t pgidx) {
   return result;
 }
 
-Result<VmPage*> VmObject::EnsureLocalPage(uint64_t pgidx) {
-  if (frozen_) {
-    return Status::Error(Errc::kBadState, "write to frozen VM object");
-  }
-  if (VmPage* page = LookupLocal(pgidx)) {
-    return page;
-  }
-  auto frame = std::make_unique<VmPage>();
-  // Copy from below in the chain if a version exists; otherwise the frame
-  // stays zero-filled (anonymous memory semantics).
-  if (parent_ != nullptr || pager_) {
-    LookupResult below;
-    if (pager_) {
-      if (pager_(pgidx, frame->data.data())) {
-        below.page = nullptr;  // already copied by the pager
-      } else if (parent_ != nullptr) {
-        below = parent_->LookupChain(pgidx);
-      }
-    } else {
-      below = parent_->LookupChain(pgidx);
-    }
-    if (below.page != nullptr) {
-      std::memcpy(frame->data.data(), below.page->data.data(), kPageSize);
-    }
-  }
-  VmPage* raw = frame.get();
-  pages_[pgidx] = std::move(frame);
-  NoteDirtyPage(pgidx);
-  return raw;
-}
-
 VmPage* VmObject::InstallPage(uint64_t pgidx, const uint8_t* data) {
   auto frame = std::make_unique<VmPage>();
   std::memcpy(frame->data.data(), data, kPageSize);
@@ -138,18 +107,6 @@ std::vector<std::pair<uint64_t, uint64_t>> VmObject::DirtyRuns() const {
   }
   return runs;
 }
-
-std::unique_ptr<VmPage> VmObject::TakePage(uint64_t pgidx) {
-  auto it = pages_.find(pgidx);
-  if (it == pages_.end()) {
-    return nullptr;
-  }
-  auto page = std::move(it->second);
-  pages_.erase(it);
-  return page;
-}
-
-void VmObject::RemovePage(uint64_t pgidx) { pages_.erase(pgidx); }
 
 Status VmObject::CollapseClassic(const CostModel& cost, SimClock* clock) {
   if (parent_ == nullptr) {

@@ -114,16 +114,8 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   };
   LookupResult LookupChain(uint64_t pgidx);
 
-  // Ensures this object has its own copy of page `pgidx`, copying from the
-  // chain below (or the pager / zero fill) if needed. This is the COW copy
-  // step of a write fault. Returns the page. Fails on frozen objects.
-  [[nodiscard]] Result<VmPage*> EnsureLocalPage(uint64_t pgidx);
-
   // Inserts/overwrites a page with the given contents (restore path).
   VmPage* InstallPage(uint64_t pgidx, const uint8_t* data);
-  // Moves a page frame out of this object (collapse and swap eviction).
-  std::unique_ptr<VmPage> TakePage(uint64_t pgidx);
-  void RemovePage(uint64_t pgidx);
   // Drops every resident frame (swap eviction of a fully durable object).
   // Stale translations are torn down through the frames' pv lists.
   uint64_t DropResidentPages() {

@@ -11,6 +11,8 @@
 #include "bench/bench_common.h"
 #include "src/base/checksum.h"
 #include "src/base/rng.h"
+#include "src/core/backend.h"
+#include "src/core/epoch_stream.h"
 #include "src/core/serialize.h"
 #include "src/objstore/extent_codec.h"
 #include "src/objstore/store_format.h"
@@ -171,25 +173,25 @@ BENCHMARK_CAPTURE(BM_LzDecompressContent, hex_records, &HexRecordInput)->Arg(655
 
 void BM_CowFaultPromotion(benchmark::State& state) {
   SimContext sim;
-  VmMap map(&sim);
   auto parent = VmObject::CreateAnonymous(4096 * kPageSize);
   uint8_t buf[kPageSize] = {1};
   for (uint64_t i = 0; i < 4096; i++) {
     parent->InstallPage(i, buf);
   }
   uint64_t i = 0;
-  std::shared_ptr<VmObject> shadow;
+  std::unique_ptr<VmMap> map;
   uint64_t addr = 0;
   for (auto _ : state) {
     if (i % 4096 == 0) {
       state.PauseTiming();
-      shadow = VmObject::CreateShadow(parent);
-      map = VmMap(&sim);
-      addr = *map.Map(0x1000000, shadow->size(), kProtRead | kProtWrite, shadow, 0, false);
+      // A fresh address space over a fresh shadow: a map is not assignable.
+      map = std::make_unique<VmMap>(&sim);
+      auto shadow = VmObject::CreateShadow(parent);
+      addr = *map->Map(0x1000000, shadow->size(), kProtRead | kProtWrite, shadow, 0, false);
       state.ResumeTiming();
     }
     uint64_t v = i;
-    benchmark::DoNotOptimize(map.Write(addr + (i % 4096) * kPageSize, &v, sizeof(v)).ok());
+    benchmark::DoNotOptimize(map->Write(addr + (i % 4096) * kPageSize, &v, sizeof(v)).ok());
     i++;
   }
 }
@@ -212,6 +214,72 @@ void BM_ShadowChainLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShadowChainLookup)->Arg(1)->Arg(2)->Arg(8);
+
+// Read faults through a two-deep shadow chain over a 20 MiB region, in a
+// scattered page order: each fault walks the chain to the base, which holds
+// the page, and maps it read-only. A fresh map every pass drops the
+// translations the previous pass installed.
+void BM_SoftFault(benchmark::State& state) {
+  constexpr uint64_t kPages = 20 * kMiB / kPageSize;
+  SimContext sim;
+  auto base = VmObject::CreateAnonymous(kPages * kPageSize);
+  std::vector<uint8_t> buf(kPageSize, 3);
+  for (uint64_t i = 0; i < kPages; i++) {
+    base->InstallPage(i, buf.data());
+  }
+  auto top = VmObject::CreateShadow(base);
+  std::unique_ptr<VmMap> map;
+  uint64_t addr = 0;
+  uint64_t i = 0;
+  for (auto _ : state) {
+    if (i % kPages == 0) {
+      state.PauseTiming();
+      map = std::make_unique<VmMap>(&sim);
+      addr = *map->Map(0x10000000, kPages * kPageSize, kProtRead | kProtWrite, top, 0, false);
+      state.ResumeTiming();
+    }
+    // 2053 is prime and does not divide kPages: one pass visits every page.
+    auto pte = map->Fault(addr + (i * 2053 % kPages) * kPageSize, /*write=*/false);
+    benchmark::DoNotOptimize(pte.ok() ? *pte : nullptr);
+    i++;
+  }
+}
+BENCHMARK(BM_SoftFault);
+
+// A promotion's copy of one 4 096-page object out of the standby's image
+// table (ReplicaStandby::Materialize), and the object's release.
+void BM_PromoteFromStandby(benchmark::State& state) {
+  constexpr uint64_t kPages = 4096;
+  SimContext sim;
+  ReplicaStandby standby(&sim, nullptr);
+  Oid oid = standby.NameObject(kPages * kPageSize);
+  std::vector<uint8_t> bytes(kPages * kPageSize);
+  for (size_t i = 0; i < bytes.size(); i++) {
+    bytes[i] = static_cast<uint8_t>(i * 131 + (i >> 12));
+  }
+  std::vector<PageView> views;
+  for (uint64_t p = 0; p < kPages; p++) {
+    views.push_back(PageView{p, bytes.data() + p * kPageSize});
+  }
+  std::vector<uint8_t> data;
+  std::vector<uint8_t> commit;
+  AppendDataFrame(FrameId{1, 1, 0}, oid.value, kPages * kPageSize, views, nullptr, &data);
+  AppendCommitFrame(FrameId{1, 1, 1}, EpochCommit{"gbench", "ckpt", {}, 0, 2}, &commit);
+  standby.Place(WireFrame{std::move(data), 0});
+  standby.Place(WireFrame{std::move(commit), 0});
+  standby.ApplyReady();
+  if (standby.last_applied_epoch() != 1) {
+    state.SkipWithError("the image epoch did not apply");
+    return;
+  }
+  for (auto _ : state) {
+    uint64_t pages = 0;
+    auto obj = standby.Materialize(oid.value, kPages * kPageSize, &pages);
+    benchmark::DoNotOptimize(obj.ok() ? obj->get() : nullptr);
+    benchmark::DoNotOptimize(pages);
+  }
+}
+BENCHMARK(BM_PromoteFromStandby);
 
 void BM_SerializeOsState(benchmark::State& state) {
   BenchMachine m(2 * kGiB);

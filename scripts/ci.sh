@@ -51,6 +51,12 @@ for preset in default asan; do
   # direct or sls_memckpt — waits for room in it before it begins.
   "${build_dir}/tests/overlap_test" >/dev/null
 
+  # The page index behind VM objects, page tables and the standby's image
+  # table must behave as the ordered map it replaced (the flush, collapse
+  # and invalidation orders follow its visits), and shared frames must copy
+  # before a write.
+  "${build_dir}/tests/page_index_test" >/dev/null
+
   # And the stop-path contract (clean epochs elide protection + shootdowns,
   # restored images equal the written bytes, cache invalidation per op).
   "${build_dir}/tests/stop_path_test" >/dev/null
@@ -254,15 +260,16 @@ done
 # store and SLS suites around them, the allocator rebuild under the
 # reference model, every restore source (store,
 # standby and in-memory snapshot) directly, the device queues
-# with the flush lanes over them, and the checkpoint pipeline's window,
-# abort path and region scope (overlap, fault matrix, Aurora API). One list
+# with the flush lanes over them, the checkpoint pipeline's window,
+# abort path and region scope (overlap, fault matrix, Aurora API), and the
+# page index's shifts and count-trailing-zeros under the VM suites. One list
 # names each suite once: it is both built and run.
 ubsan_tests=(
   lint_test base_test crash_matrix_test stop_path_test segment_gc_test epoch_stream_test
   backend_conformance_test replication_test restore_fault_test extent_codec_test dedup_test
   store_golden_test store_format_test manifest_harness_test manifest_golden_test objstore_test
   core_more_test core_test integration_test storage_test lane_scaling_test overlap_test
-  fault_matrix_test api_test objstore_model_test
+  fault_matrix_test api_test objstore_model_test page_index_test vm_test vm_more_test
 )
 echo "=== configure/build: ubsan ==="
 cmake --preset ubsan

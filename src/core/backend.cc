@@ -1,6 +1,7 @@
 #include "src/core/backend.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace aurora {
 
@@ -35,10 +36,10 @@ Result<SimTime> StoreBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t*
   // sparse dirty sets cost one COW block update per touched block, with
   // asynchronous RMW reads — the flush overlaps application execution.
   std::vector<ObjectStore::IoRun> runs;
-  runs.reserve(obj->pages().size());
-  for (const auto& [pgidx, frame] : obj->pages()) {
-    runs.push_back(ObjectStore::IoRun{pgidx * kPageSize, frame->data.data(), kPageSize});
-  }
+  runs.reserve(obj->ResidentPages());
+  obj->ForEachPage([&runs](uint64_t pgidx, const VmPage& page) {
+    runs.push_back(ObjectStore::IoRun{pgidx * kPageSize, page.data(), kPageSize});
+  });
   *pages += runs.size();
   if (runs.empty()) {
     return sim_->clock.now();
@@ -249,9 +250,9 @@ Result<std::shared_ptr<VmObject>> ReplicaStandby::Materialize(uint64_t oid, uint
   auto obj = VmObject::CreateAnonymous(size);
   auto img = objects_.find(oid);
   if (img != objects_.end()) {
-    for (const auto& [pgidx, data] : img->second.pages) {
-      obj->InstallPage(pgidx, data.data());
-    }
+    img->second.pages.ForEach([&obj](uint64_t pgidx, const PageFrame& frame) {
+      obj->InstallFrame(pgidx, frame);
+    });
     *pages += img->second.pages.size();
   }
   return obj;
@@ -264,12 +265,12 @@ VmObject::Pager ReplicaStandby::ImagePager(uint64_t oid, SimContext* sim,
     if (img == objects_.end()) {
       return false;
     }
-    auto page = img->second.pages.find(pgidx);
-    if (page == img->second.pages.end()) {
+    const PageFrame* page = img->second.pages.Find(pgidx);
+    if (page == nullptr) {
       return false;
     }
     sim->clock.Advance(per_fault);
-    std::copy(page->second.begin(), page->second.end(), out);
+    std::copy(page->data(), page->data() + kPageSize, out);
     return true;
   };
 }
@@ -286,7 +287,7 @@ MemoryResolverFn ReplicaStandby::LazyResolver(SimContext* sim, SimDuration per_f
 Status ReplicaStandby::CheckPages(uint64_t oid, uint64_t size) const {
   auto img = objects_.find(oid);
   if (img != objects_.end() && !img->second.pages.empty() &&
-      img->second.pages.rbegin()->first >= PagesOf(size)) {
+      *img->second.pages.LastKey() >= PagesOf(size)) {
     return Status::Error(Errc::kCorrupt, "image page beyond the manifest's object size");
   }
   return Status::Ok();
@@ -391,7 +392,7 @@ void ReplicaStandby::ApplyReady() {
       break;
     }
     validated_epoch_ = epoch;
-    ApplyEpoch(*decoded, ready.last_arrival);
+    ApplyEpoch(*decoded, &it->second);
     if (poisoned_epoch_ == epoch) {
       poisoned_epoch_ = 0;  // a clean re-delivery healed the chain
     }
@@ -401,20 +402,38 @@ void ReplicaStandby::ApplyReady() {
   }
 }
 
-void ReplicaStandby::ApplyEpoch(const DecodedEpoch& epoch, SimTime last_arrival) {
-  SimTime start = std::max(sim_->clock.now(), std::max(ingest_busy_until_, last_arrival));
+void ReplicaStandby::ApplyEpoch(const DecodedEpoch& epoch, PendingEpoch* source) {
+  SimTime start =
+      std::max(sim_->clock.now(), std::max(ingest_busy_until_, source->last_arrival));
   // Only a promotion hands out warm images, and sls recv never promotes the
   // standby it feeds: a migration session models none.
   bool warm_images = link_ != nullptr;
+  // Object i arrived in frame i. An `sls send` stream may carry a page as a
+  // reference into an earlier data frame of the epoch, so its frames stay
+  // until the apply ends; a replica stream ships raw pages only, and each of
+  // its frames is released as soon as its object is in the table, so the
+  // table and the epoch's frames are never both whole on the host.
+  bool release = true;
+  for (size_t i = 0; i < epoch.objects.size(); i++) {
+    const std::vector<uint8_t>& bytes = source->frames.at(i).bytes;
+    for (const PageView& page : epoch.objects[i].pages) {
+      release &= std::less_equal<>()(bytes.data(), page.data) &&
+                 std::less<>()(page.data, bytes.data() + bytes.size());
+    }
+  }
   uint64_t pages = 0;
-  for (const DecodedObject& obj : epoch.objects) {
+  for (size_t i = 0; i < epoch.objects.size(); i++) {
+    const DecodedObject& obj = epoch.objects[i];
     ObjectImage& img = objects_[obj.oid];
     img.size = std::max(img.size, obj.size);
     for (const PageView& page : obj.pages) {
-      img.pages[page.pgidx].assign(page.data, page.data + kPageSize);
+      img.pages[page.pgidx] = PageFrame::CopyOf(page.data);
     }
     img.warm = img.warm || warm_images;
     pages += obj.pages.size();
+    if (release) {
+      std::vector<uint8_t>().swap(source->frames.at(i).bytes);
+    }
   }
   // Ingest runs on the standby's own cores: CRC validation plus the copy
   // into the image table and the warm patch. It accumulates into the ingest
@@ -687,14 +706,14 @@ Result<Oid> ReplicaBackend::CreateMemoryObject(uint64_t size_hint) {
 Result<SimTime> ReplicaBackend::WriteObjectPages(Oid oid, VmObject* obj, uint64_t* pages,
                                                  uint64_t* bytes) {
   FrameId id = NextFrameId();
-  if (obj->pages().empty()) {
+  if (obj->ResidentPages() == 0) {
     return sim_->clock.now();
   }
   std::vector<PageView> views;
-  views.reserve(obj->pages().size());
-  for (const auto& [pgidx, pf] : obj->pages()) {
-    views.push_back(PageView{pgidx, pf->data.data()});
-  }
+  views.reserve(obj->ResidentPages());
+  obj->ForEachPage([&views](uint64_t pgidx, const VmPage& page) {
+    views.push_back(PageView{pgidx, page.data()});
+  });
   std::vector<uint8_t> frame;
   AppendDataFrame(id, oid.value, obj->size(), views, nullptr, &frame);
   *pages += views.size();

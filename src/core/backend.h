@@ -38,6 +38,8 @@
 #include "src/core/serialize.h"
 #include "src/fs/aurora_fs.h"
 #include "src/objstore/object_store.h"
+#include "src/vm/page_frame.h"
+#include "src/vm/page_index.h"
 
 namespace aurora {
 
@@ -245,11 +247,12 @@ class ReplicaLink {
 
 // Standby side: ingests the epoch stream, validates, applies, and promotes.
 // A restore source only. It keeps one image: each group's newest applied
-// epoch over one table that holds one host copy of each applied page. The
-// table serves the cold and lazy restore paths; the warm images that make
-// failover O(dirty-since-last-applied-epoch) are the model's, charged at
-// apply and at demotion, and a promotion hands them out as copies out of the
-// table. An older epoch is not held (kNotFound). It takes no checkpoints, so
+// epoch over one table that holds one host copy of each applied page, as a
+// PageFrame. The table serves the cold and lazy restore paths; the warm
+// images that make failover O(dirty-since-last-applied-epoch) are the
+// model's, charged at apply and at demotion, and a promotion hands them out
+// as the table's own frames, shared until the promoted group writes a page.
+// An older epoch is not held (kNotFound). It takes no checkpoints, so
 // a group restored from it keeps the checkpoint destination it had, and
 // names the image afresh there. `link` is null for a standby that `sls recv`
 // feeds from streams (a migration session); sls recv never promotes it, so
@@ -264,7 +267,7 @@ class ReplicaStandby : public CheckpointBackend {
   // handed it out since.
   struct ObjectImage {
     uint64_t size = 0;
-    std::map<uint64_t, std::vector<uint8_t>> pages;  // pgidx -> one 4 KiB page
+    PageIndex<PageFrame> pages;  // pgidx -> the applied bytes of that page
     bool warm = false;
   };
   // A group's newest applied epoch.
@@ -293,8 +296,10 @@ class ReplicaStandby : public CheckpointBackend {
   Oid NameObject(uint64_t size_hint);
 
   // A fresh object of `size` holding every applied page of `oid`; adds the
-  // pages copied to *pages. kCorrupt when the image holds a page at or
-  // beyond `size`, the size a manifest gives the object.
+  // pages the model copies to *pages. The object shares the table's frames:
+  // the host copies a page only when the object's owner writes it. kCorrupt
+  // when the image holds a page at or beyond `size`, the size a manifest
+  // gives the object.
   [[nodiscard]] Result<std::shared_ptr<VmObject>> Materialize(uint64_t oid, uint64_t size,
                                                               uint64_t* pages) const;
   // Demand pager over the image of `oid`: a fault copies the applied page
@@ -383,7 +388,10 @@ class ReplicaStandby : public CheckpointBackend {
     SimTime last_arrival = 0;
   };
 
-  void ApplyEpoch(const DecodedEpoch& epoch, SimTime last_arrival);
+  // Applies `epoch`, which DecodeEpoch read out of `source`'s frames, and
+  // releases the bytes of each of those data frames once its object is in
+  // the table.
+  void ApplyEpoch(const DecodedEpoch& epoch, PendingEpoch* source);
   // kCorrupt when the image of `oid` holds a page at or beyond `size`.
   [[nodiscard]] Status CheckPages(uint64_t oid, uint64_t size) const;
 

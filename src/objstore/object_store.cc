@@ -188,20 +188,22 @@ uint64_t ObjectStore::SegCapacity(uint64_t seg) const {
   return std::min<uint64_t>(segment_blocks(), total_blocks_ - base);
 }
 
-uint64_t ObjectStore::SegLiveBlocks(uint64_t seg) const {
-  uint64_t live = 0;
-  uint64_t base = SegBase(seg);
-  uint64_t end = base + SegCapacity(seg);
-  for (uint64_t b = base; b < end; b++) {
-    live += bitmap_[b] ? 1 : 0;
+void ObjectStore::SetLive(uint64_t block, bool live) {
+  if (bitmap_[block] != live) {
+    bitmap_[block] = live;
+    if (live) {
+      seg_live_[SegmentOf(block)]++;
+    } else {
+      seg_live_[SegmentOf(block)]--;
+    }
   }
-  return live;
 }
 
 ObjectStore::Derived ObjectStore::DeriveAllocation() const {
   const uint64_t nsegs = (total_blocks_ + segment_blocks() - 1) / segment_blocks();
   Derived d;
   d.live.assign(total_blocks_, false);
+  d.live_count.assign(nsegs, 0);
   d.role.assign(nsegs, SegState::kFree);
   d.high.assign(nsegs, 0);
   auto mark = [&](uint64_t start, uint64_t nblocks, SegState role) {
@@ -209,6 +211,7 @@ ObjectStore::Derived ObjectStore::DeriveAllocation() const {
       uint64_t seg = SegmentOf(b);
       d.clash |= d.role[seg] != SegState::kFree && d.role[seg] != role;
       d.role[seg] = role;
+      d.live_count[seg] += d.live[b] ? 0 : 1;
       d.live[b] = true;
       d.high[seg] = std::max(d.high[seg], b - SegBase(seg) + 1);
     }
@@ -255,6 +258,7 @@ Status ObjectStore::Rebuild() {
     it = gone ? meta_.open_data_seg.erase(it) : std::next(it);
   }
   bitmap_ = std::move(d.live);
+  seg_live_ = std::move(d.live_count);
   segments_.assign(d.role.size(), Segment{});
   for (uint64_t seg = 0; seg < segments_.size(); seg++) {
     const SegState role = d.role[seg];
@@ -398,7 +402,9 @@ Result<uint64_t> ObjectStore::AllocMetaRun(uint64_t nblocks) {
 }
 
 void ObjectStore::HoldRun(uint64_t start, uint64_t nblocks) {
-  std::fill_n(bitmap_.begin() + static_cast<ptrdiff_t>(start), nblocks, true);
+  for (uint64_t b = start; b < start + nblocks; b++) {
+    SetLive(b, true);
+  }
   stats_.blocks_allocated += nblocks;
   sim_->metrics.counter("store.blocks_allocated").Add(nblocks);
 }
@@ -477,7 +483,7 @@ uint64_t ObjectStore::TranslatePhys(uint64_t phys, uint64_t view_epoch) const {
 }
 
 void ObjectStore::FreeBlock(uint64_t block) {
-  bitmap_[block] = false;
+  SetLive(block, false);
   stats_.blocks_freed++;
   sim_->metrics.counter("store.blocks_freed").Add();
   MaybeReclaimSegment(SegmentOf(block));
@@ -702,8 +708,12 @@ Status ObjectStore::CheckDedupInvariants() const {
 }
 
 Status ObjectStore::CheckLiveBitmap() const {
-  if (DeriveAllocation().live != bitmap_) {
+  Derived d = DeriveAllocation();
+  if (d.live != bitmap_) {
     return Status::Error(Errc::kCorrupt, "the live bitmap is not the one the tables derive");
+  }
+  if (d.live_count != seg_live_) {
+    return Status::Error(Errc::kCorrupt, "a segment's live count is not its live blocks");
   }
   return Status::Ok();
 }

@@ -255,15 +255,19 @@ class ObjectStore {
   uint64_t SegmentOf(uint64_t block) const { return block / segment_blocks(); }
   uint64_t SegBase(uint64_t seg) const { return seg * segment_blocks(); }
   uint64_t SegCapacity(uint64_t seg) const;
-  uint64_t SegLiveBlocks(uint64_t seg) const;
+  uint64_t SegLiveBlocks(uint64_t seg) const { return seg_live_[seg]; }
+  // Sets one block's live bit, and its segment's live count when the bit
+  // flips: the only writer of either after Rebuild.
+  void SetLive(uint64_t block, bool live);
   // What the persisted tables reference: the live bit of every block (the
   // superblock ring, live extents, deadlist entries, dedup entries, retained
-  // blob runs and journal runs), the role each segment plays by what it
-  // holds (kMeta, kJournal, kSealed for data, kFree for nothing), and each
-  // segment's blocks up to its highest live one. `clash` is set when a
-  // segment would play two roles.
+  // blob runs and journal runs) and each segment's count of them, the role
+  // each segment plays by what it holds (kMeta, kJournal, kSealed for data,
+  // kFree for nothing), and each segment's blocks up to its highest live
+  // one. `clash` is set when a segment would play two roles.
   struct Derived {
     std::vector<bool> live;
+    std::vector<uint64_t> live_count;
     std::vector<SegState> role;
     std::vector<uint64_t> high;
     bool clash = false;
@@ -271,7 +275,7 @@ class ObjectStore {
   Derived DeriveAllocation() const;
   // The one rebuild of the allocator's state (bitmap, segment table, dedup
   // reverse map) from meta_, at Format and at mount:
-  //   * the bitmap is the derived one;
+  //   * the bitmap and each segment's live count are the derived ones;
   //   * an open data segment of a lane this machine runs stays open with its
   //     cursor just past its highest live block, and a meta segment's cursor
   //     sits there too;
@@ -390,9 +394,11 @@ class ObjectStore {
   // at every commit.
   StoreMeta meta_;
   // The allocator's state, rebuilt from meta_ at mount: the store's size in
-  // blocks (the superblock's), one live bit per block and the segment table.
+  // blocks (the superblock's), one live bit per block with each segment's
+  // count of them, and the segment table.
   uint64_t total_blocks_ = 0;
   std::vector<bool> bitmap_;
+  std::vector<uint64_t> seg_live_;  // set bits of bitmap_ per segment
   std::vector<Segment> segments_;
   // Reverse map of the dedup index (phys -> key), rebuilt with the rest.
   std::unordered_map<uint64_t, ContentKey> dedup_by_phys_;

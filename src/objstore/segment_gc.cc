@@ -196,7 +196,7 @@ Result<GcRunReport> SegmentGc::Run() {
                                  &s->last_data_write_done_);
       if (!wrote.ok()) {
         // Undo the append's liveness; the gap stays dead until reclaim.
-        s->bitmap_[new_phys] = false;
+        s->SetLive(new_phys, false);
         evacuated = false;
         break;
       }
@@ -215,7 +215,7 @@ Result<GcRunReport> SegmentGc::Run() {
           s->dedup_by_phys_[new_phys] = key;
         }
       }
-      s->bitmap_[old_phys] = false;
+      s->SetLive(old_phys, false);
       if (group.min_birth < s->meta_.epoch) {
         // Some committed blob references the old address; translate until
         // every such epoch is pruned. Blocks born in the current epoch have

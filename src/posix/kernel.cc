@@ -145,8 +145,11 @@ void Kernel::Exit(Process* proc, int status) {
   proc->exit_status = status;
   proc->zombie = true;
   proc->mutation_gen++;
+  // Quiesce skips exited threads, so resume_state, which the manifest
+  // records, is set here too: a restored zombie's threads stay exited.
   for (auto& t : proc->threads()) {
     t->state = ThreadState::kExited;
+    t->resume_state = ThreadState::kExited;
   }
   // Release the address space and descriptors now; the zombie keeps only
   // its identity and exit status for the parent to collect.

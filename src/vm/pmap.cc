@@ -1,7 +1,5 @@
 #include "src/vm/pmap.h"
 
-#include <algorithm>
-
 namespace aurora {
 
 namespace {
@@ -25,13 +23,18 @@ void PvAdd(VmPage* frame, Pmap* pmap, uint64_t vpage) {
   }
 }
 
+uint64_t VaddrOf(uint64_t vpn) { return vpn << kPageShift; }
+// The first virtual page number whose page starts at or after `vaddr`.
+uint64_t VpnAtOrAfter(uint64_t vaddr) {
+  return (vaddr >> kPageShift) + ((vaddr & (kPageSize - 1)) != 0 ? 1 : 0);
+}
+
 }  // namespace
 
 Pmap::~Pmap() {
   // Frames may outlive this pmap; their pv lists must not reference it.
-  for (auto& [vpage, entry] : entries_) {
-    PvRemove(entry.frame, this, vpage);
-  }
+  entries_.ForEach(
+      [this](uint64_t vpn, Entry& entry) { PvRemove(entry.frame, this, VaddrOf(vpn)); });
 }
 
 VmPage::~VmPage() {
@@ -51,86 +54,61 @@ void PvInvalidate(VmPage* frame) {
 
 void Pmap::Enter(uint64_t vpage, Entry entry, const CostModel& cost, SimClock* clock) {
   clock->Advance(cost.pte_install);
-  auto it = entries_.find(vpage);
-  if (it != entries_.end()) {
-    PvRemove(it->second.frame, this, vpage);
-  }
-  entries_[vpage] = entry;
-  if (entry.writable) {
-    writable_.insert(vpage);
-  } else {
-    writable_.erase(vpage);
-  }
+  const uint64_t vpn = vpage >> kPageShift;
+  Entry& slot = entries_[vpn];
+  PvRemove(slot.frame, this, vpage);
+  slot = entry;
+  entries_.SetMark(vpn, entry.writable);
   PvAdd(entry.frame, this, vpage);
 }
 
-Pmap::Entry* Pmap::Lookup(uint64_t vpage) {
-  auto it = entries_.find(vpage);
-  return it == entries_.end() ? nullptr : &it->second;
-}
+Pmap::Entry* Pmap::Lookup(uint64_t vpage) { return entries_.Find(vpage >> kPageShift); }
 
 bool Pmap::RemoveTranslation(uint64_t vpage, const VmPage* frame) {
-  auto it = entries_.find(vpage);
-  if (it == entries_.end() || it->second.frame != frame) {
-    return false;
-  }
   // pv maintenance is done by the caller (the frame's pv list is being
   // drained); just drop the translation.
-  entries_.erase(it);
-  writable_.erase(vpage);
-  return true;
+  const uint64_t vpn = vpage >> kPageShift;
+  return entries_.EraseIf(vpn, vpn + 1, [frame](uint64_t, const Entry& e) {
+    return e.frame == frame;
+  }) == 1;
 }
 
 uint64_t Pmap::InvalidateAll(const CostModel& cost, SimClock* clock) {
   uint64_t n = entries_.size();
-  for (auto& [vpage, entry] : entries_) {
-    PvRemove(entry.frame, this, vpage);
-  }
+  entries_.ForEach(
+      [this](uint64_t vpn, Entry& entry) { PvRemove(entry.frame, this, VaddrOf(vpn)); });
   clock->Advance(cost.pte_protect * n);
-  entries_.clear();
-  writable_.clear();
+  entries_.Clear();
   return n;
 }
 
 uint64_t Pmap::InvalidateRange(uint64_t start, uint64_t end, const CostModel& cost,
                                SimClock* clock) {
-  uint64_t n = 0;
-  auto it = entries_.lower_bound(start);
-  while (it != entries_.end() && it->first < end) {
-    PvRemove(it->second.frame, this, it->first);
-    writable_.erase(it->first);
-    it = entries_.erase(it);
-    n++;
-  }
+  uint64_t n = entries_.EraseIf(VpnAtOrAfter(start), VpnAtOrAfter(end),
+                                [this](uint64_t vpn, Entry& entry) {
+                                  PvRemove(entry.frame, this, VaddrOf(vpn));
+                                  return true;
+                                });
   clock->Advance(cost.pte_protect * n);
   return n;
 }
 
 uint64_t Pmap::InvalidateObject(const VmObject* object, const CostModel& cost, SimClock* clock) {
-  uint64_t n = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.object == object) {
-      PvRemove(it->second.frame, this, it->first);
-      writable_.erase(it->first);
-      it = entries_.erase(it);
-      n++;
-    } else {
-      ++it;
+  uint64_t n = entries_.EraseIf(0, ~0ull, [this, object](uint64_t vpn, Entry& entry) {
+    if (entry.object != object) {
+      return false;
     }
-  }
+    PvRemove(entry.frame, this, VaddrOf(vpn));
+    return true;
+  });
   clock->Advance(cost.pte_protect * n);
   return n;
 }
 
 uint64_t Pmap::WriteProtectRange(uint64_t start, uint64_t end, const CostModel& cost,
                                  SimClock* clock) {
-  uint64_t n = 0;
-  auto it = writable_.lower_bound(start);
-  while (it != writable_.end() && *it < end) {
-    entries_[*it].writable = false;
-    it = writable_.erase(it);
-    n++;
-  }
+  uint64_t n = entries_.TakeMarked(VpnAtOrAfter(start), VpnAtOrAfter(end),
+                                   [](uint64_t, Entry& entry) { entry.writable = false; });
   clock->Advance(cost.pte_protect * n);
   return n;
 }

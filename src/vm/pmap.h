@@ -9,20 +9,24 @@
 #define SRC_VM_PMAP_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <set>
 
 #include "src/base/cost_model.h"
 #include "src/base/sim_clock.h"
 #include "src/base/units.h"
+#include "src/vm/page_index.h"
 #include "src/vm/vm_object.h"
 
 namespace aurora {
 
+// Translations are keyed by page-aligned virtual address at the interface
+// and indexed by virtual page number. Pages' pv lists hold the pmap's
+// address, so a pmap is neither copied nor moved.
 class Pmap {
  public:
+  Pmap() = default;
   ~Pmap();
+  Pmap(const Pmap&) = delete;
+  Pmap& operator=(const Pmap&) = delete;
 
   struct Entry {
     VmObject* object = nullptr;  // nullptr => the shared zero page
@@ -60,11 +64,11 @@ class Pmap {
   uint64_t ResidentCount() const { return entries_.size(); }
 
  private:
-  std::map<uint64_t, Entry> entries_;  // keyed by page-aligned vaddr
-  // Index of the writable translations, maintained at fault/install time so
-  // checkpoint write-protect sweeps walk only the dirtied PTEs instead of
-  // every resident entry (stop time scales with dirtied state).
-  std::set<uint64_t> writable_;
+  // Keyed by virtual page number. A translation's mark says it is writable;
+  // the marks are maintained at fault/install time so checkpoint
+  // write-protect sweeps visit only the dirtied PTEs instead of every
+  // resident entry (stop time scales with dirtied state).
+  PageIndex<Entry> entries_;
 };
 
 }  // namespace aurora

@@ -150,7 +150,7 @@ Result<Pmap::Entry*> VmMap::Fault(uint64_t addr, bool write) {
         clock->AdvanceTo(found.owner->busy_until());
         clock->Advance(cost.lock_acquire);
       }
-      page = top->InstallPage(pgidx, found.page->data.data());
+      page = top->InstallPage(pgidx, found.page->data());
       clock->Advance(cost.MemCopy(kPageSize));
       // The old frame may be mapped read-only elsewhere; those translations
       // are stale now that the top object hides it (pmap_remove_all).
@@ -158,8 +158,7 @@ Result<Pmap::Entry*> VmMap::Fault(uint64_t addr, bool write) {
       fault_stats_.cow_faults++;
       sim_->metrics.counter("vm.cow_faults").Add();
     } else {
-      static const std::array<uint8_t, kPageSize> kZeros{};
-      page = top->InstallPage(pgidx, kZeros.data());
+      page = top->InstallFrame(pgidx, PageFrame::Zeroed());
       fault_stats_.zero_fills++;
       sim_->metrics.counter("vm.zero_fills").Add();
     }
@@ -192,7 +191,9 @@ Status VmMap::Write(uint64_t addr, const void* data, uint64_t len) {
     if (pte == nullptr || !pte->writable) {
       AURORA_ASSIGN_OR_RETURN(pte, Fault(addr, /*write=*/true));
     }
-    std::memcpy(pte->frame->data.data() + in_page, src, chunk);
+    // A frame the page shares (a restored image's, with the standby's
+    // table) is copied here, inside the same VmPage: no translation changes.
+    std::memcpy(pte->frame->MutableData() + in_page, src, chunk);
     addr += chunk;
     src += chunk;
     len -= chunk;
@@ -210,7 +211,7 @@ Status VmMap::Read(uint64_t addr, void* out, uint64_t len) {
     if (pte == nullptr) {
       AURORA_ASSIGN_OR_RETURN(pte, Fault(addr, /*write=*/false));
     }
-    std::memcpy(dst, pte->frame->data.data() + in_page, chunk);
+    std::memcpy(dst, pte->frame->data() + in_page, chunk);
     addr += chunk;
     dst += chunk;
     len -= chunk;

@@ -55,9 +55,13 @@ struct VmFaultStats {
   uint64_t zero_fills = 0;
 };
 
+// Pages' pv lists hold the address of the map's pmap, so a map is neither
+// copied nor moved; a fresh address space is a new VmMap.
 class VmMap {
  public:
   explicit VmMap(SimContext* sim) : sim_(sim) {}
+  VmMap(const VmMap&) = delete;
+  VmMap& operator=(const VmMap&) = delete;
 
   // Maps `object` at `hint` (or the next free range if hint is 0 or busy).
   // Returns the chosen start address.

@@ -1,6 +1,5 @@
 #include "src/vm/vm_object.h"
 
-#include <cstring>
 #include <utility>
 
 namespace aurora {
@@ -46,13 +45,13 @@ std::shared_ptr<VmObject> VmObject::CreateShadow(std::shared_ptr<VmObject> paren
 }
 
 VmPage* VmObject::LookupLocal(uint64_t pgidx) {
-  auto it = pages_.find(pgidx);
-  return it == pages_.end() ? nullptr : it->second.get();
+  std::unique_ptr<VmPage>* page = pages_.Find(pgidx);
+  return page == nullptr ? nullptr : page->get();
 }
 
 const VmPage* VmObject::LookupLocal(uint64_t pgidx) const {
-  auto it = pages_.find(pgidx);
-  return it == pages_.end() ? nullptr : it->second.get();
+  const std::unique_ptr<VmPage>* page = pages_.Find(pgidx);
+  return page == nullptr ? nullptr : page->get();
 }
 
 VmObject::LookupResult VmObject::LookupChain(uint64_t pgidx) {
@@ -66,12 +65,13 @@ VmObject::LookupResult VmObject::LookupChain(uint64_t pgidx) {
     }
     if (obj->pager_) {
       // Fault the page in from backing storage into the pager's object; it
-      // is then resident like any other page.
-      auto frame = std::make_unique<VmPage>();
-      if (obj->pager_(pgidx, frame->data.data())) {
-        VmPage* raw = frame.get();
-        obj->pages_[pgidx] = std::move(frame);
-        result.page = raw;
+      // is then resident like any other page. A pager may fill only part of
+      // the page (a file's tail), so the frame starts zeroed.
+      PageFrame frame = PageFrame::Zeroed();
+      if (obj->pager_(pgidx, frame.MutableData())) {
+        std::unique_ptr<VmPage>& slot = obj->pages_[pgidx];
+        slot = std::make_unique<VmPage>(std::move(frame));
+        result.page = slot.get();
         result.owner = obj;
         return result;
       }
@@ -83,12 +83,14 @@ VmObject::LookupResult VmObject::LookupChain(uint64_t pgidx) {
 }
 
 VmPage* VmObject::InstallPage(uint64_t pgidx, const uint8_t* data) {
-  auto frame = std::make_unique<VmPage>();
-  std::memcpy(frame->data.data(), data, kPageSize);
-  VmPage* raw = frame.get();
-  pages_[pgidx] = std::move(frame);
+  return InstallFrame(pgidx, PageFrame::CopyOf(data));
+}
+
+VmPage* VmObject::InstallFrame(uint64_t pgidx, PageFrame frame) {
+  std::unique_ptr<VmPage>& slot = pages_[pgidx];
+  slot = std::make_unique<VmPage>(std::move(frame));
   NoteDirtyPage(pgidx);
-  return raw;
+  return slot.get();
 }
 
 std::vector<std::pair<uint64_t, uint64_t>> VmObject::DirtyRuns() const {
@@ -120,13 +122,13 @@ Status VmObject::CollapseClassic(const CostModel& cost, SimClock* clock) {
   // This is the expensive direction: cost scales with the parent's
   // residency, which for a freshly frozen checkpoint base is the whole
   // application footprint.
-  for (auto it = parent->pages_.begin(); it != parent->pages_.end();) {
+  parent->pages_.ForEach([&](uint64_t pgidx, std::unique_ptr<VmPage>& page) {
     clock->Advance(cost.lock_acquire + cost.cacheline_miss);
-    if (pages_.count(it->first) == 0) {
-      pages_[it->first] = std::move(it->second);
+    if (pages_.Find(pgidx) == nullptr) {
+      pages_[pgidx] = std::move(page);
     }
-    it = parent->pages_.erase(it);
-  }
+  });
+  parent->pages_.Clear();
   // Splice the parent out: inherit its parent and pager.
   std::shared_ptr<VmObject> grandparent = parent->parent_;
   if (!pager_ && parent->pager_) {
@@ -148,11 +150,11 @@ Status VmObject::CollapseReversedIntoParent(const CostModel& cost, SimClock* clo
   // versions. Cost scales with the shadow's residency — the pages dirtied
   // in one checkpoint interval — which is why Aurora reverses the
   // direction (paper section 6).
-  for (auto it = pages_.begin(); it != pages_.end();) {
+  pages_.ForEach([&](uint64_t pgidx, std::unique_ptr<VmPage>& page) {
     clock->Advance(cost.lock_acquire + cost.cacheline_miss);
-    parent->pages_[it->first] = std::move(it->second);
-    it = pages_.erase(it);
-  }
+    parent->pages_[pgidx] = std::move(page);
+  });
+  pages_.Clear();
   parent->frozen_ = false;
   return Status::Ok();
 }

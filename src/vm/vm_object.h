@@ -11,10 +11,8 @@
 #ifndef SRC_VM_VM_OBJECT_H_
 #define SRC_VM_VM_OBJECT_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -23,22 +21,31 @@
 #include "src/base/result.h"
 #include "src/base/sim_clock.h"
 #include "src/base/units.h"
+#include "src/vm/page_frame.h"
+#include "src/vm/page_index.h"
 
 namespace aurora {
 
 class Pmap;
 
-// A physical page frame holding real data. Frames are uniquely owned by one
-// VmObject, as in Mach. `pv` is the FreeBSD-style reverse-mapping list: the
-// (pmap, vaddr) translations that currently reference this frame, so COW
-// promotion and collapse can invalidate every stale mapping of the frame.
+// A resident page. VmPages are uniquely owned by one VmObject, as in Mach,
+// and pmap translations point at them. Its bytes are a PageFrame, which the
+// standby's image table may share: readers take data(), and the one in-place
+// writer (VmMap::Write) takes MutableData(), whose private copy replaces the
+// bytes inside this same VmPage, so no translation changes. `pv` is the
+// FreeBSD-style reverse-mapping list: the (pmap, vaddr) translations that
+// currently reference this page, so COW promotion and collapse can
+// invalidate every stale mapping of it.
 struct VmPage {
-  VmPage() = default;
+  explicit VmPage(PageFrame bytes) : frame(std::move(bytes)) {}
   ~VmPage();
   VmPage(const VmPage&) = delete;
   VmPage& operator=(const VmPage&) = delete;
 
-  std::array<uint8_t, kPageSize> data{};
+  const uint8_t* data() const { return frame.data(); }
+  uint8_t* MutableData() { return frame.MutableData(); }
+
+  PageFrame frame;
   std::vector<std::pair<Pmap*, uint64_t>> pv;
 };
 
@@ -97,7 +104,13 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   // dirty set paid for the whole span.
   // Maximal [lo, hi) runs of consecutive dirty page indices, ascending.
   std::vector<std::pair<uint64_t, uint64_t>> DirtyRuns() const;
-  const std::map<uint64_t, std::unique_ptr<VmPage>>& pages() const { return pages_; }
+  // Visits every resident page of this object, `fn(pgidx, page)`, in
+  // ascending page order.
+  template <typename Fn>
+  void ForEachPage(Fn&& fn) const {
+    pages_.ForEach(
+        [&fn](uint64_t pgidx, const std::unique_ptr<VmPage>& page) { fn(pgidx, *page); });
+  }
 
   // Looks up a page in this object only. Null if absent.
   VmPage* LookupLocal(uint64_t pgidx);
@@ -114,13 +127,16 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   };
   LookupResult LookupChain(uint64_t pgidx);
 
-  // Inserts/overwrites a page with the given contents (restore path).
+  // Inserts/overwrites a page with a copy of the given contents.
   VmPage* InstallPage(uint64_t pgidx, const uint8_t* data);
+  // Inserts/overwrites a page whose bytes are `frame`, shared with whoever
+  // else holds it, and marks it dirty exactly as InstallPage does.
+  VmPage* InstallFrame(uint64_t pgidx, PageFrame frame);
   // Drops every resident frame (swap eviction of a fully durable object).
   // Stale translations are torn down through the frames' pv lists.
   uint64_t DropResidentPages() {
     uint64_t n = pages_.size();
-    pages_.clear();
+    pages_.Clear();
     return n;
   }
 
@@ -178,7 +194,7 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   int shadow_count_ = 0;  // number of shadows whose parent is this object
 
   Pager pager_;
-  std::map<uint64_t, std::unique_ptr<VmPage>> pages_;
+  PageIndex<std::unique_ptr<VmPage>> pages_;
 };
 
 }  // namespace aurora

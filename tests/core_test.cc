@@ -554,7 +554,7 @@ TEST(SlsCheckpoint, VdsoReinjectedOnRestore) {
 
   // "Software update" changes the platform vDSO before the restore.
   m.kernel->RegenerateVdso();
-  uint8_t current = m.kernel->vdso()->LookupLocal(0)->data[0];
+  uint8_t current = m.kernel->vdso()->LookupLocal(0)->data()[0];
   auto restored = m.sls->Restore("app");
   ASSERT_TRUE(restored.ok());
   uint8_t got = 0;

@@ -503,6 +503,41 @@ TEST(EpochStream, MigrationDedupsAcrossObjectsAndShipsASharedObjectOnce) {
   EXPECT_STREQ(got, note);
 }
 
+// The apply releases a replica stream's frames one by one, but an `sls send`
+// stream's pages may reference an earlier frame, so those frames stay until
+// the apply ends: a session fed a stream with references holds exactly the
+// bytes the stream decodes to.
+TEST(EpochStream, ReferencedPagesApplyExactlyIntoASession) {
+  auto app = SendApp();
+  auto frames = SplitFrames(app->stream.bytes);
+  ASSERT_TRUE(frames.ok());
+  auto decoded = DecodeEpoch(*frames);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  uint64_t pages = 0;
+  for (const DecodedObject& obj : decoded->objects) {
+    pages += obj.pages.size();
+  }
+  ASSERT_LT(app->stream.bytes.size(), pages * kPageSize) << "the stream carries references";
+
+  Machine dst;
+  ReplicaStandby session(&dst.sim, nullptr);
+  auto restored = SlsCli(dst.sls.get()).Recv(app->stream, &session);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  EXPECT_TRUE(MatchesModel(*restored, app->model));
+  uint64_t checked = 0;
+  for (const DecodedObject& obj : decoded->objects) {
+    auto image = session.object_table().find(obj.oid);
+    ASSERT_NE(image, session.object_table().end());
+    for (const PageView& page : obj.pages) {
+      const PageFrame* frame = image->second.pages.Find(page.pgidx);
+      ASSERT_NE(frame, nullptr);
+      EXPECT_EQ(std::memcmp(frame->data(), page.data, kPageSize), 0) << "page " << page.pgidx;
+      checked++;
+    }
+  }
+  EXPECT_EQ(checked, pages);
+}
+
 // --- Mutation harness: sls send / sls recv ----------------------------------------
 
 TEST(EpochStreamMutation, RecvRejectsOrRestoresExactlyEveryMutant) {
@@ -578,19 +613,24 @@ CapturedEpochs CaptureReplicaEpochs() {
   return out;
 }
 
-using ImageTable = std::map<uint64_t, ReplicaStandby::ObjectImage>;
+// A standby's image table as plain bytes: oid -> (size, pgidx -> page).
+using ImageTable =
+    std::map<uint64_t, std::pair<uint64_t, std::map<uint64_t, std::vector<uint8_t>>>>;
 
-bool SameImages(const ImageTable& a, const ImageTable& b) {
-  if (a.size() != b.size()) {
-    return false;
+ImageTable Snapshot(const ReplicaStandby& standby) {
+  ImageTable out;
+  for (const auto& [oid, image] : standby.object_table()) {
+    auto& [size, pages] = out[oid];
+    size = image.size;
+    image.pages.ForEach([&pages](uint64_t pgidx, const PageFrame& frame) {
+      pages[pgidx].assign(frame.data(), frame.data() + kPageSize);
+    });
   }
-  for (auto ia = a.begin(), ib = b.begin(); ia != a.end(); ++ia, ++ib) {
-    if (ia->first != ib->first || ia->second.size != ib->second.size ||
-        ia->second.pages != ib->second.pages) {
-      return false;
-    }
-  }
-  return true;
+  return out;
+}
+
+bool SameImages(const ReplicaStandby& standby, const ImageTable& expected) {
+  return Snapshot(standby) == expected;
 }
 
 TEST(EpochStreamMutation, StandbyNeverAppliesAMutatedEpoch) {
@@ -610,13 +650,13 @@ TEST(EpochStreamMutation, StandbyNeverAppliesAMutatedEpoch) {
     }
     standby.Pump();
     ASSERT_EQ(standby.last_applied_epoch(), 1u);
-    after_first = standby.object_table();
+    after_first = Snapshot(standby);
     for (const WireFrame& f : epochs.second) {
       ASSERT_TRUE(link.Push(f));
     }
     standby.Pump();
     ASSERT_EQ(standby.last_applied_epoch(), 2u);
-    after_second = standby.object_table();
+    after_second = Snapshot(standby);
   }
 
   // Mutate the second epoch as one stream, then cut it back into frames at
@@ -671,11 +711,11 @@ TEST(EpochStreamMutation, StandbyNeverAppliesAMutatedEpoch) {
       standby.Pump();
       bool applied = standby.last_applied_epoch() == 2;
       if (benign) {
-        bool exact = applied && SameImages(standby.object_table(), after_second);
+        bool exact = applied && SameImages(standby, after_second);
         tally.Add(exact ? "applied_exactly" : "benign_not_applied");
         continue;
       }
-      if (applied || !SameImages(standby.object_table(), after_first)) {
+      if (applied || !SameImages(standby, after_first)) {
         tally.Add("applied");
         continue;
       }
@@ -756,7 +796,7 @@ TEST(OneReceiver, DeltaAboveTheSessionsEpochIsRefusedAndLeavesTheSessionAsItWas)
   ASSERT_TRUE(full.ok());
   auto first = cli.Recv(*full, &session);
   ASSERT_TRUE(first.ok()) << first.status().message();
-  ImageTable table = session.object_table();
+  ImageTable table = Snapshot(session);
 
   // E3 since E2: the session holds E1 only.
   auto delta = src.Send("app", e[2], e[1]);
@@ -765,7 +805,7 @@ TEST(OneReceiver, DeltaAboveTheSessionsEpochIsRefusedAndLeavesTheSessionAsItWas)
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), Errc::kBadState);
   EXPECT_EQ(session.last_applied_epoch(), e[0]);
-  EXPECT_TRUE(SameImages(session.object_table(), table));
+  EXPECT_TRUE(SameImages(session, table));
   EXPECT_EQ(session.pending_epochs(), 0u);
   EXPECT_TRUE(MatchesModel(*first, rounds->models[0])) << "the running instance stays";
 
@@ -795,12 +835,12 @@ TEST(OneReceiver, StreamJoiningTwoEpochsIsRefusedAndLeavesTheSessionAsItWas) {
   ReplicaStandby session(&dst.sim, nullptr);
   auto first = cli.Recv(*full, &session);
   ASSERT_TRUE(first.ok()) << first.status().message();
-  ImageTable table = session.object_table();
+  ImageTable table = Snapshot(session);
   auto refused = cli.Recv(joined, &session);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), Errc::kCorrupt);
   EXPECT_EQ(session.last_applied_epoch(), e[0]);
-  EXPECT_TRUE(SameImages(session.object_table(), table));
+  EXPECT_TRUE(SameImages(session, table));
   EXPECT_EQ(session.pending_epochs(), 0u);
   EXPECT_TRUE(MatchesModel(*first, rounds->models[0])) << "the running instance stays";
 
@@ -834,7 +874,7 @@ TEST(OneReceiver, ReplicaEpochArrivingBeforeItsPredecessorWaits) {
       standby.Pump();
     }
     ASSERT_EQ(standby.last_applied_epoch(), 2u);
-    in_order = standby.object_table();
+    in_order = Snapshot(standby);
   }
   SimContext sim;
   ReplicaLink link;
@@ -852,7 +892,7 @@ TEST(OneReceiver, ReplicaEpochArrivingBeforeItsPredecessorWaits) {
   standby.Pump();
   EXPECT_EQ(standby.last_applied_epoch(), 2u);
   EXPECT_EQ(standby.pending_epochs(), 0u);
-  EXPECT_TRUE(SameImages(standby.object_table(), in_order));
+  EXPECT_TRUE(SameImages(standby, in_order));
 }
 
 TEST(OneReceiver, ColdRestoreRefusesAnImagePageBeyondTheManifestsObjectSize) {

@@ -152,7 +152,7 @@ TEST_F(AuroraFsTest, MmapPagerReadsFileData) {
   EXPECT_EQ(obj->backing_ino(), vn->ino());
   auto found = obj->LookupChain(1);
   ASSERT_NE(found.page, nullptr);
-  EXPECT_EQ(found.page->data[0], 2);
+  EXPECT_EQ(found.page->data()[0], 2);
 }
 
 // --- Baseline file systems -----------------------------------------------------

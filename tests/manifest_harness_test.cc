@@ -190,5 +190,29 @@ TEST(ManifestMutation, EveryMutantIsTypedOrRestores) {
   EXPECT_EQ(tally["left_inodes"], 0u) << tally.Summary();
 }
 
+// A zombie's threads have exited: a restore brings them back exited, and the
+// restored group's next quiesce finds none of them running. It runs after the
+// harness, whose manifest's kernel ids depend on the objects built before it.
+TEST(ManifestZombie, RestoredThreadsStayExited) {
+  App app = BuildApp();
+  Machine target;
+  auto restored = RestoreOsState(&target.sim, target.kernel.get(), target.fs.get(), app.manifest,
+                                 manifest_fixture::FreshMemory);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  std::vector<Process*> zombies;
+  for (Process* p : restored->processes) {
+    if (p->zombie) {
+      zombies.push_back(p);
+    }
+  }
+  ASSERT_EQ(zombies.size(), 1u);
+  ASSERT_FALSE(zombies[0]->threads().empty());
+  for (const auto& t : zombies[0]->threads()) {
+    EXPECT_EQ(t->state, ThreadState::kExited);
+  }
+  QuiesceStats stats = target.kernel->Quiesce(zombies);
+  EXPECT_EQ(stats.threads_in_user + stats.threads_in_syscall, 0u);
+}
+
 }  // namespace
 }  // namespace aurora

@@ -227,7 +227,7 @@ TEST_F(PosixTest, VdsoChangesAcrossRegeneration) {
   kernel_.RegenerateVdso();
   auto after = kernel_.vdso();
   EXPECT_NE(before.get(), after.get());
-  EXPECT_NE(before->LookupLocal(0)->data[0], after->LookupLocal(0)->data[0]);
+  EXPECT_NE(before->LookupLocal(0)->data()[0], after->LookupLocal(0)->data()[0]);
 }
 
 TEST_F(PosixTest, AioQuiesceDrainsWrites) {

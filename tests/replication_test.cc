@@ -444,8 +444,8 @@ TEST(Replication, WarmFailoverChargesArePinned) {
   EXPECT_EQ(ReadPromoted(*second, addr), Pattern(23));
 }
 
-// The table shares no page with a promoted image: a write to the promoted
-// group stays its own, and after the demotion a lazy restore from the
+// A write to the promoted group stays its own: it unshares the page it
+// writes from the table, and after the demotion a lazy restore from the
 // standby still pages in the applied bytes.
 TEST(Replication, PromotedWritesLeaveTheTableAsApplied) {
   ReplMachine m;
@@ -466,6 +466,84 @@ TEST(Replication, PromotedWritesLeaveTheTableAsApplied) {
   auto lazy = m.sls->Restore("app", 0, RestoreMode::kLazy, m.standby);
   ASSERT_TRUE(lazy.ok()) << lazy.status().message();
   EXPECT_EQ(ReadPromoted(*lazy, addr), Pattern(24));
+}
+
+// How many of the table's frames some restored object also holds, and how
+// many frames the table holds.
+std::pair<uint64_t, uint64_t> SharedTableFrames(const ReplicaStandby& standby) {
+  uint64_t shared = 0;
+  uint64_t total = 0;
+  for (const auto& [oid, image] : standby.object_table()) {
+    image.pages.ForEach([&](uint64_t, const PageFrame& frame) {
+      total++;
+      shared += frame.owners() > 1 ? 1 : 0;
+    });
+  }
+  return {shared, total};
+}
+
+// Materialize installs the table's own frames, so a restore from the
+// standby copies no page on the host: a materialized object shares every
+// page with the table, and a write into it unshares exactly the page it
+// writes while the table keeps the applied bytes. A promotion and a failback
+// restore through the replica share the frames too; the promoted group's
+// writes land in the shadow the restore puts over its image.
+TEST(Replication, RestoredImagesShareTheTablesFramesUntilWritten) {
+  ReplMachine m;
+  uint64_t addr = 0;
+  Process* proc = SetUpApp(m, &addr);
+  WritePattern(proc, addr, Pattern(24));
+  ASSERT_TRUE(m.sls->Checkpoint(m.sls->FindGroup("app"), "applied").ok());
+  const uint64_t pages = kMem / kPageSize;
+  EXPECT_EQ(SharedTableFrames(*m.standby), std::make_pair(uint64_t{0}, pages))
+      << "the apply copies each page out of its wire frame";
+  ASSERT_EQ(m.standby->object_table().size(), 1u);
+  const uint64_t oid = m.standby->object_table().begin()->first;
+  const std::vector<uint8_t> applied = Pattern(24);
+  auto table_as_applied = [&] {
+    for (const auto& [id, image] : m.standby->object_table()) {
+      image.pages.ForEach([&](uint64_t pgidx, const PageFrame& frame) {
+        EXPECT_EQ(std::memcmp(frame.data(), applied.data() + pgidx * kPageSize, kPageSize), 0)
+            << "table page " << pgidx;
+      });
+    }
+  };
+
+  {
+    uint64_t copied = 0;
+    auto obj = m.standby->Materialize(oid, kMem, &copied);
+    ASSERT_TRUE(obj.ok()) << obj.status().message();
+    EXPECT_EQ(copied, pages) << "the model still charges every page";
+    EXPECT_EQ(SharedTableFrames(*m.standby).first, pages);
+    VmMap map(&m.sim);
+    ASSERT_TRUE(map.Map(0x400000, kMem, kProtRead | kProtWrite, *obj, 0, false).ok());
+    uint64_t note = 0xFEEDFACE;
+    ASSERT_TRUE(map.Write(0x400000 + 3 * kPageSize + 8, &note, sizeof(note)).ok());
+    EXPECT_EQ(SharedTableFrames(*m.standby).first, pages - 1);
+    std::vector<uint8_t> want = applied;
+    std::memcpy(want.data() + 3 * kPageSize + 8, &note, sizeof(note));
+    std::vector<uint8_t> got(kMem);
+    ASSERT_TRUE(map.Read(0x400000, got.data(), got.size()).ok());
+    EXPECT_EQ(got, want);
+    table_as_applied();
+  }
+  EXPECT_EQ(SharedTableFrames(*m.standby).first, 0u) << "the object's frames went with it";
+
+  SlsCli cli(m.sls.get());
+  CrashPrimaryHost(m);
+  auto promoted = cli.Promote("app", "replica", /*force=*/true);
+  ASSERT_TRUE(promoted.ok()) << promoted.status().message();
+  EXPECT_EQ(SharedTableFrames(*m.standby).first, pages);
+  ASSERT_EQ(promoted->group->processes.size(), 1u);
+  WritePattern(promoted->group->processes[0], addr, Pattern(25));
+  EXPECT_EQ(ReadPromoted(*promoted, addr), Pattern(25));
+  table_as_applied();
+
+  ASSERT_TRUE(cli.Demote("replica").ok());
+  auto failback = m.sls->Restore("app", 0, RestoreMode::kFull, m.replica);
+  ASSERT_TRUE(failback.ok()) << failback.status().message();
+  EXPECT_EQ(SharedTableFrames(*m.standby).first, pages);
+  EXPECT_EQ(ReadPromoted(*failback, addr), applied);
 }
 
 // The standby holds each group's newest applied epoch. An older one is

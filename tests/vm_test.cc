@@ -68,8 +68,8 @@ TEST_F(VmTest, ShadowHidesParentPage) {
   shadow->InstallPage(0, b);
   found = shadow->LookupChain(0);
   EXPECT_EQ(found.owner, shadow.get());
-  EXPECT_EQ(found.page->data[0], 0xbb);
-  EXPECT_EQ(parent->LookupLocal(0)->data[0], 0xaa);
+  EXPECT_EQ(found.page->data()[0], 0xbb);
+  EXPECT_EQ(parent->LookupLocal(0)->data()[0], 0xaa);
 }
 
 TEST_F(VmTest, CowFaultCopiesFromChain) {
@@ -150,8 +150,8 @@ TEST_F(VmTest, CollapseClassicPreservesContents) {
   ASSERT_TRUE(shadow->CollapseClassic(sim_.cost, &sim_.clock).ok());
   EXPECT_EQ(shadow->parent(), nullptr);
   EXPECT_EQ(shadow->ResidentPages(), 2u);
-  EXPECT_EQ(shadow->LookupLocal(0)->data[0], 1);
-  EXPECT_EQ(shadow->LookupLocal(1)->data[0], 9) << "shadow's version must win";
+  EXPECT_EQ(shadow->LookupLocal(0)->data()[0], 1);
+  EXPECT_EQ(shadow->LookupLocal(1)->data()[0], 9) << "shadow's version must win";
 }
 
 TEST_F(VmTest, CollapseReversedPreservesContents) {
@@ -169,8 +169,8 @@ TEST_F(VmTest, CollapseReversedPreservesContents) {
 
   ASSERT_TRUE(shadow->CollapseReversedIntoParent(sim_.cost, &sim_.clock).ok());
   EXPECT_EQ(shadow->ResidentPages(), 0u);
-  EXPECT_EQ(parent->LookupLocal(0)->data[0], 1);
-  EXPECT_EQ(parent->LookupLocal(1)->data[0], 9);
+  EXPECT_EQ(parent->LookupLocal(0)->data()[0], 1);
+  EXPECT_EQ(parent->LookupLocal(1)->data()[0], 9);
 }
 
 TEST_F(VmTest, CollapseRefusedWhenParentShared) {
@@ -240,7 +240,7 @@ TEST_F(VmTest, SystemShadowSharedMemoryStaysShared) {
   auto frozen_page = pairs[0].frozen->LookupChain(0);
   ASSERT_NE(frozen_page.page, nullptr);
   uint32_t frozen_val;
-  std::memcpy(&frozen_val, frozen_page.page->data.data() + 64, sizeof(frozen_val));
+  std::memcpy(&frozen_val, frozen_page.page->data() + 64, sizeof(frozen_val));
   EXPECT_EQ(frozen_val, 0u);
 }
 
@@ -265,7 +265,7 @@ TEST_F(VmTest, SystemShadowCapturesPointInTime) {
   EXPECT_EQ(live, after);
   auto frozen = pairs[0].frozen->LookupChain(0);
   uint64_t snap;
-  std::memcpy(&snap, frozen.page->data.data(), sizeof(snap));
+  std::memcpy(&snap, frozen.page->data(), sizeof(snap));
   EXPECT_EQ(snap, before);
 }
 

@@ -223,13 +223,20 @@ for preset in default asan; do
   fi
 
   # The paper's claims (bench/claims.json): fig3's orderings, fig4's band
-  # at 10 ms, fig6's WAL win and table7's floors against CRIU. The paper
-  # benches take about 26 s together, so only the default preset runs them.
+  # at 10 ms, fig6's WAL win and table7's floors against CRIU. Then the
+  # results gate: every row of all eleven benches (these eight and the
+  # three above) must match its committed baseline in bench/baseline/; a
+  # change that moves a row on purpose regenerates that baseline with
+  # `scripts/check_baseline.py --write` and explains the move in
+  # EXPERIMENTS.md. The paper benches take about 40 s together and table5
+  # peaks at 4.2 GiB, so only the default preset runs them.
   if [[ "${preset}" == "default" ]]; then
-    for bench in fig3_filebench fig4_memcached_peak fig6_rocksdb table7_redis; do
+    for bench in fig3_filebench fig4_memcached_peak fig5_memcached_fixed fig6_rocksdb \
+                 table4_posix_objects table5_memory_objects table6_apps table7_redis; do
       (cd "${build_dir}" && "./bench/bench_${bench}" >/dev/null)
     done
     python3 scripts/check_claims.py "${build_dir}"
+    python3 scripts/check_baseline.py "${build_dir}"
   fi
 
   # A stale serialize-cache record (its generation matched, its bytes did

@@ -116,39 +116,38 @@ Result<MemoryResolverFn> StoreBackend::MakeResolver(uint64_t epoch, RestoreMode 
   ObjectStore* store = store_;
   if (mode == RestoreMode::kFull) {
     // Eager restore streams every object's blocks with pipelined reads; the
-    // caller advances to the stream's completion once at the end.
+    // caller advances to the stream's completion once at the end. An object
+    // the epoch lacks restores empty.
     return MemoryResolverFn(
         [store, epoch, stream_done](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
           auto obj = VmObject::CreateAnonymous(size);
-          auto blocks = store->BlocksAtEpoch(epoch, oid);
-          if (blocks.ok()) {
-            uint32_t bs = store->block_size();
-            std::vector<uint8_t> buf(bs);
-            for (uint64_t block : *blocks) {
-              AURORA_RETURN_IF_ERROR(
-                  store->ReadAtEpoch(epoch, oid, block * bs, buf.data(), bs, stream_done.get()));
-              for (uint64_t p = 0; p < bs / kPageSize; p++) {
-                obj->InstallPage(block * (bs / kPageSize) + p, buf.data() + p * kPageSize);
-              }
-            }
+          Status read = WalkStoredPages(store, epoch, oid, size, 0, stream_done.get(),
+                                        [&obj](uint64_t pgidx, const uint8_t* bytes) {
+                                          obj->InstallPage(pgidx, bytes);
+                                        });
+          if (!read.ok() && read.code() != Errc::kNotFound) {
+            return read;
           }
           return ResolvedMemory{std::move(obj), false};
         });
   }
+  // Lazy restore: a fault reads its page at the epoch when the epoch's table
+  // holds the page's block, and zero-fills it otherwise.
   return MemoryResolverFn([store, epoch](Oid oid, uint64_t size) -> Result<ResolvedMemory> {
     auto obj = VmObject::CreateAnonymous(size);
-    auto blocks = store->BlocksAtEpoch(epoch, oid);
-    auto present = std::make_shared<std::set<uint64_t>>();
-    if (blocks.ok()) {
-      present->insert(blocks->begin(), blocks->end());
-    }
-    uint32_t bs = store->block_size();
-    obj->set_pager([store, epoch, oid, present, bs](uint64_t pgidx, uint8_t* out) {
-      uint64_t block = pgidx * kPageSize / bs;
-      if (present->count(block) == 0) {
-        return false;
+    uint64_t pages_per_block = store->block_size() / kPageSize;
+    obj->set_pager([store, epoch, oid, pages_per_block](uint64_t pgidx) {
+      auto table = store->TableAt(epoch);
+      if (!table.ok()) {
+        return PageFrame();
       }
-      return store->ReadAtEpoch(epoch, oid, pgidx * kPageSize, out, kPageSize).ok();
+      auto info = (*table)->find(oid);
+      if (info == (*table)->end() || info->second.extents.count(pgidx / pages_per_block) == 0) {
+        return PageFrame();
+      }
+      PageFrame frame = PageFrame::Zeroed();
+      Status read = store->ReadAtEpoch(epoch, oid, pgidx * kPageSize, frame.MutableData(), kPageSize);
+      return read.ok() ? frame : PageFrame();
     });
     return ResolvedMemory{std::move(obj), false};
   });
@@ -157,8 +156,10 @@ Result<MemoryResolverFn> StoreBackend::MakeResolver(uint64_t epoch, RestoreMode 
 bool StoreBackend::InstallPager(VmObject* base) {
   ObjectStore* store = store_;
   Oid oid{base->sls_oid()};
-  return BackWithPager(base, [store, oid](uint64_t pgidx, uint8_t* out) {
-    return store->ReadAt(oid, pgidx * kPageSize, out, kPageSize).ok();
+  return BackWithPager(base, [store, oid](uint64_t pgidx) {
+    PageFrame frame = PageFrame::Zeroed();
+    Status read = store->ReadAt(oid, pgidx * kPageSize, frame.MutableData(), kPageSize);
+    return read.ok() ? frame : PageFrame();
   });
 }
 
@@ -260,18 +261,14 @@ Result<std::shared_ptr<VmObject>> ReplicaStandby::Materialize(uint64_t oid, uint
 
 VmObject::Pager ReplicaStandby::ImagePager(uint64_t oid, SimContext* sim,
                                            SimDuration per_fault) const {
-  return [this, oid, sim, per_fault](uint64_t pgidx, uint8_t* out) {
+  return [this, oid, sim, per_fault](uint64_t pgidx) {
     auto img = objects_.find(oid);
-    if (img == objects_.end()) {
-      return false;
-    }
-    const PageFrame* page = img->second.pages.Find(pgidx);
+    const PageFrame* page = img == objects_.end() ? nullptr : img->second.pages.Find(pgidx);
     if (page == nullptr) {
-      return false;
+      return PageFrame();
     }
     sim->clock.Advance(per_fault);
-    std::copy(page->data(), page->data() + kPageSize, out);
-    return true;
+    return *page;
   };
 }
 
@@ -820,20 +817,19 @@ Result<CheckpointBackend::LoadedManifest> LoadManifestFromStore(ObjectStore* sto
     if (epoch != 0 && c.epoch != epoch) {
       continue;
     }
-    auto oids = store->ObjectsAtEpoch(c.epoch);
-    if (!oids.ok()) {
+    auto table = store->TableAt(c.epoch);
+    if (!table.ok()) {
       continue;
     }
-    for (Oid oid : *oids) {
-      auto type = store->TypeAtEpoch(c.epoch, oid);
-      if (!type.ok() || *type != ObjType::kManifest) {
-        continue;
+    // The epoch's manifests by oid, read in ascending oid order.
+    std::map<Oid, uint64_t> manifests;
+    for (const auto& [oid, info] : **table) {
+      if (info.type == ObjType::kManifest) {
+        manifests.emplace(oid, info.size);
       }
-      auto size = store->SizeAtEpoch(c.epoch, oid);
-      if (!size.ok()) {
-        continue;
-      }
-      std::vector<uint8_t> blob(*size);
+    }
+    for (const auto& [oid, size] : manifests) {
+      std::vector<uint8_t> blob(size);
       if (!store->ReadAtEpoch(c.epoch, oid, 0, blob.data(), blob.size()).ok()) {
         continue;
       }
@@ -847,6 +843,30 @@ Result<CheckpointBackend::LoadedManifest> LoadManifestFromStore(ObjectStore* sto
     }
   }
   return Status::Error(Errc::kNotFound, "no checkpoint manifest for group " + group_name);
+}
+
+Status WalkStoredPages(ObjectStore* store, uint64_t epoch, Oid oid, uint64_t size,
+                       uint64_t since_epoch, SimTime* completion, const StoredPageFn& page) {
+  AURORA_ASSIGN_OR_RETURN(const ObjectTable* table, store->TableAt(epoch));
+  auto info = table->find(oid);
+  if (info == table->end()) {
+    return Status::Error(Errc::kNotFound, "object absent from checkpoint");
+  }
+  const uint32_t bs = store->block_size();
+  const uint64_t pages_per_block = bs / kPageSize;
+  std::vector<uint8_t> block(bs);
+  for (const auto& [logical, extent] : info->second.extents) {
+    if (extent.birth <= since_epoch) {
+      continue;
+    }
+    AURORA_RETURN_IF_ERROR(
+        store->ReadAtEpoch(epoch, oid, logical * bs, block.data(), bs, completion));
+    uint64_t first = logical * pages_per_block;
+    for (uint64_t p = 0; p < pages_per_block && first + p < PagesOf(size); p++) {
+      page(first + p, block.data() + p * kPageSize);
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace aurora

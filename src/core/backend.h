@@ -24,9 +24,9 @@
 #ifndef SRC_CORE_BACKEND_H_
 #define SRC_CORE_BACKEND_H_
 
+#include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -302,9 +302,10 @@ class ReplicaStandby : public CheckpointBackend {
   // gives the object.
   [[nodiscard]] Result<std::shared_ptr<VmObject>> Materialize(uint64_t oid, uint64_t size,
                                                               uint64_t* pages) const;
-  // Demand pager over the image of `oid`: a fault copies the applied page
-  // and charges `per_fault` to `sim`'s clock (a local copy, or a pull across
-  // a link); a page the image lacks fails the fault.
+  // Demand pager over the image of `oid`: a fault hands out the applied
+  // page's frame, shared with the table as Materialize shares it, and
+  // charges `per_fault` to `sim`'s clock (the model's local copy, or a pull
+  // across a link); a page the image lacks fails the fault.
   VmObject::Pager ImagePager(uint64_t oid, SimContext* sim, SimDuration per_fault) const;
   // The kLazy resolver over this table: every object pages in on demand
   // through ImagePager, and is refused as Materialize refuses it.
@@ -509,9 +510,23 @@ class ReplicaBackend : public CheckpointDestination {
 // lookup is implemented exactly once).
 // -----------------------------------------------------------------------------
 // Scans committed checkpoints newest-first for a manifest whose header names
-// `group_name`; `epoch` 0 = newest. Returns the manifest the scan read.
+// `group_name`; `epoch` 0 = newest. Within an epoch it reads the table's
+// manifest objects in ascending oid order. Returns the manifest the scan
+// read.
 [[nodiscard]] Result<CheckpointBackend::LoadedManifest> LoadManifestFromStore(
     ObjectStore* store, const std::string& group_name, uint64_t epoch);
+
+// The one split of stored blocks into pages: reads `oid` as `epoch` committed
+// it. For each extent born after `since_epoch` (0 = every extent), in
+// ascending block order, one whole-block ReadAtEpoch, pipelined into
+// *completion when it is set and synchronous otherwise; then `page(pgidx,
+// bytes)` for each of that block's pages below `size`, while the block's
+// buffer is live. kNotFound when the epoch or the object is absent. The
+// eager store resolver and `sls send` are its callers.
+using StoredPageFn = std::function<void(uint64_t pgidx, const uint8_t* bytes)>;
+[[nodiscard]] Status WalkStoredPages(ObjectStore* store, uint64_t epoch, Oid oid, uint64_t size,
+                                     uint64_t since_epoch, SimTime* completion,
+                                     const StoredPageFn& page);
 
 }  // namespace aurora
 

@@ -384,30 +384,25 @@ Result<CheckpointStream> SlsCli::Send(const std::string& group_name, uint64_t ep
   CheckpointStream stream;
   PageRefTable refs;
   FrameId id{loaded.epoch, 0, 0};
-  uint32_t bs = store->block_size();
-  uint64_t pages_per_block = bs / kPageSize;
-  std::vector<uint8_t> blocks_data;
+  std::vector<uint64_t> pgidxs;
+  std::vector<uint8_t> bytes;
   for (const auto& [oid, size] : memory) {
-    // A manifest object with no extents yields an empty block list, not an
-    // error; a real lookup failure must fail the migration rather than ship
-    // a silently empty object.
-    AURORA_ASSIGN_OR_RETURN(
-        std::vector<uint64_t> blocks,
-        since_epoch == 0 ? store->BlocksAtEpoch(loaded.epoch, Oid{oid})
-                         : store->ChangedBlocksSince(since_epoch, loaded.epoch, Oid{oid}));
-    blocks_data.resize(blocks.size() * bs);
-    std::vector<PageView> pages;
-    for (size_t i = 0; i < blocks.size(); i++) {
-      uint8_t* block = blocks_data.data() + i * bs;
-      AURORA_RETURN_IF_ERROR(
-          store->ReadAtEpoch(loaded.epoch, Oid{oid}, blocks[i] * bs, block, bs));
-      uint64_t first = blocks[i] * pages_per_block;
-      for (uint64_t p = 0; p < pages_per_block && first + p < PagesOf(size); p++) {
-        pages.push_back(PageView{first + p, block + p * kPageSize});
-      }
-    }
-    if (pages.empty()) {
+    // A manifest object with no extents ships no frame; one the epoch lacks
+    // fails the migration rather than ship a silently empty object.
+    pgidxs.clear();
+    bytes.clear();
+    AURORA_RETURN_IF_ERROR(WalkStoredPages(store, loaded.epoch, Oid{oid}, size, since_epoch,
+                                           nullptr, [&](uint64_t pgidx, const uint8_t* page) {
+                                             pgidxs.push_back(pgidx);
+                                             bytes.insert(bytes.end(), page, page + kPageSize);
+                                           }));
+    if (pgidxs.empty()) {
       continue;
+    }
+    std::vector<PageView> pages;
+    pages.reserve(pgidxs.size());
+    for (size_t i = 0; i < pgidxs.size(); i++) {
+      pages.push_back(PageView{pgidxs[i], bytes.data() + i * kPageSize});
     }
     AppendDataFrame(id, oid, size, pages, &refs, &stream.bytes);
     id.seq++;

@@ -180,6 +180,10 @@ class ConsistencyGroup {
   // Latest committed manifest for this group.
   Oid last_manifest;
   uint64_t last_manifest_epoch = 0;
+  // The store epoch the group's lazily restored image still pages from (0
+  // when none). A kLazy store restore sets it; retention keeps the epoch
+  // until the group is restored from a backend again or suspended.
+  uint64_t lazy_epoch = 0;
   // Namespace object the group's latest full checkpoint persisted; the next
   // one replaces it, so each group keeps one live.
   Oid last_namespace;

@@ -519,11 +519,17 @@ void Sls::ApplyRetention(CheckpointContext* ctx) {
   if (checkpoints.size() > policy.keep_epochs) {
     cutoff = checkpoints[checkpoints.size() - policy.keep_epochs].epoch;
   }
-  // Never prune any group's newest restorable manifest: clamp the cutoff to
-  // the oldest last-manifest epoch across every store-backed group.
+  // Never prune any group's newest restorable manifest, nor the epoch a
+  // lazily restored image still pages from: clamp the cutoff to the oldest
+  // such epoch across every store-backed group.
   for (const auto& group : groups_) {
-    if (group->last_manifest_epoch > 0 && GroupBackend(group.get()) == store_backend_) {
-      cutoff = std::min(cutoff, group->last_manifest_epoch);
+    if (GroupBackend(group.get()) != store_backend_) {
+      continue;
+    }
+    for (uint64_t pinned : {group->last_manifest_epoch, group->lazy_epoch}) {
+      if (pinned > 0) {
+        cutoff = std::min(cutoff, pinned);
+      }
     }
   }
   if (cutoff > 0) {
@@ -872,6 +878,8 @@ void Sls::RebindToBackend(RestoreContext* ctx, ConsistencyGroup* group) {
   if (destination != store_backend_) {
     group->backend = destination;
   }
+  group->lazy_epoch =
+      ctx->mode == RestoreMode::kLazy && ctx->backend == store_backend_ ? ctx->manifest_epoch : 0;
   if (!destination->SharesNames(ctx->backend)) {
     // The image's object names are the source's (a standby's, fed by a
     // replica link or by sls recv). The restored tops stay live: the first
@@ -1035,6 +1043,7 @@ Result<CheckpointResult> Sls::Suspend(ConsistencyGroup* group) {
   group->snapshot.clear();
   group->last_manifest_blob.clear();
   group->serialize_cache = SerializeCache{};
+  group->lazy_epoch = 0;
   group->suspended = true;
   return result;
 }

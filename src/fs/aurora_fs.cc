@@ -96,9 +96,13 @@ Result<Oid> AuroraFs::PersistNamespace(Oid replaces) {
 }
 
 Status AuroraFs::RestoreNamespace(uint64_t epoch, Oid ns_oid) {
-  AURORA_ASSIGN_OR_RETURN(uint64_t len, store_->SizeAtEpoch(epoch, ns_oid));
-  std::vector<uint8_t> blob(len);
-  AURORA_RETURN_IF_ERROR(store_->ReadAtEpoch(epoch, ns_oid, 0, blob.data(), len));
+  AURORA_ASSIGN_OR_RETURN(const ObjectTable* table, store_->TableAt(epoch));
+  auto info = table->find(ns_oid);
+  if (info == table->end()) {
+    return Status::Error(Errc::kNotFound, "name table absent from checkpoint");
+  }
+  std::vector<uint8_t> blob(info->second.size);
+  AURORA_RETURN_IF_ERROR(store_->ReadAtEpoch(epoch, ns_oid, 0, blob.data(), blob.size()));
   BinaryReader r(blob);
   AURORA_ASSIGN_OR_RETURN(uint64_t count, r.U64());
   for (uint64_t i = 0; i < count; i++) {

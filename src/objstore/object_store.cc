@@ -991,33 +991,28 @@ Status ObjectStore::DeleteCheckpointsBefore(uint64_t epoch) {
   return Status::Ok();
 }
 
-Result<const ObjectInfo*> ObjectStore::LoadEpochTable(uint64_t epoch, Oid oid) {
+Result<const ObjectTable*> ObjectStore::TableAt(uint64_t epoch) {
   auto cached = epoch_cache_.find(epoch);
   if (cached == epoch_cache_.end()) {
-    const CheckpointRecord* record = nullptr;
-    for (const CheckpointRecord& c : meta_.checkpoints) {
-      if (c.epoch == epoch) {
-        record = &c;
-        break;
-      }
-    }
-    if (record == nullptr) {
+    auto record = std::find_if(meta_.checkpoints.begin(), meta_.checkpoints.end(),
+                               [epoch](const CheckpointRecord& c) { return c.epoch == epoch; });
+    if (record == meta_.checkpoints.end()) {
       return Status::Error(Errc::kNotFound, "no such checkpoint");
     }
     AURORA_ASSIGN_OR_RETURN(StoreMeta meta, ReadMeta(record->meta_block, record->meta_len));
     cached = epoch_cache_.emplace(epoch, std::move(meta.objects)).first;
   }
-  auto obj = cached->second.find(oid);
-  if (obj == cached->second.end()) {
-    return Status::Error(Errc::kNotFound, "object absent from checkpoint");
-  }
-  return &obj->second;
+  return &cached->second;
 }
 
 Status ObjectStore::ReadAtEpoch(uint64_t epoch, Oid oid, uint64_t off, void* out, uint64_t len,
                                 SimTime* completion) {
-  AURORA_ASSIGN_OR_RETURN(const ObjectInfo* info, LoadEpochTable(epoch, oid));
-  return ReadExtents(*info, epoch, off, out, len, completion);
+  AURORA_ASSIGN_OR_RETURN(const ObjectTable* table, TableAt(epoch));
+  auto info = table->find(oid);
+  if (info == table->end()) {
+    return Status::Error(Errc::kNotFound, "object absent from checkpoint");
+  }
+  return ReadExtents(info->second, epoch, off, out, len, completion);
 }
 
 Status ObjectStore::ReadExtents(const ObjectInfo& info, uint64_t view_epoch, uint64_t off,
@@ -1055,76 +1050,6 @@ Status ObjectStore::ReadExtents(const ObjectInfo& info, uint64_t view_epoch, uin
     *completion = std::max(*completion, done);
   }
   return Status::Ok();
-}
-
-Result<uint64_t> ObjectStore::SizeAtEpoch(uint64_t epoch, Oid oid) {
-  AURORA_ASSIGN_OR_RETURN(const ObjectInfo* info, LoadEpochTable(epoch, oid));
-  return info->size;
-}
-
-Result<std::vector<Oid>> ObjectStore::ObjectsAtEpoch(uint64_t epoch) {
-  // Force the table into the cache via any object probe; a miss with
-  // kNotFound on the oid is fine, table-level failures are not.
-  auto probe = LoadEpochTable(epoch, Oid{0});
-  if (!probe.ok() && probe.status().code() != Errc::kNotFound) {
-    return probe.status();
-  }
-  auto cached = epoch_cache_.find(epoch);
-  if (cached == epoch_cache_.end()) {
-    return Status::Error(Errc::kNotFound, "no such checkpoint");
-  }
-  std::vector<Oid> out;
-  out.reserve(cached->second.size());
-  for (const auto& [oid, info] : cached->second) {
-    out.push_back(oid);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-Result<ObjType> ObjectStore::TypeAtEpoch(uint64_t epoch, Oid oid) {
-  AURORA_ASSIGN_OR_RETURN(const ObjectInfo* info, LoadEpochTable(epoch, oid));
-  return info->type;
-}
-
-Result<std::vector<uint64_t>> ObjectStore::BlocksAtEpoch(uint64_t epoch, Oid oid) {
-  AURORA_ASSIGN_OR_RETURN(const ObjectInfo* info, LoadEpochTable(epoch, oid));
-  std::vector<uint64_t> out;
-  out.reserve(info->extents.size());
-  for (const auto& [logical, extent] : info->extents) {
-    out.push_back(logical);
-  }
-  return out;
-}
-
-Result<std::vector<uint64_t>> ObjectStore::ChangedBlocksSince(uint64_t since_epoch,
-                                                              uint64_t epoch, Oid oid) {
-  AURORA_ASSIGN_OR_RETURN(const ObjectInfo* info, LoadEpochTable(epoch, oid));
-  std::vector<uint64_t> out;
-  for (const auto& [logical, extent] : info->extents) {
-    if (extent.birth > since_epoch) {
-      out.push_back(logical);
-    }
-  }
-  return out;
-}
-
-Result<bool> ObjectStore::ExistsAtEpoch(uint64_t epoch, Oid oid) {
-  auto info = LoadEpochTable(epoch, oid);
-  if (info.ok()) {
-    return true;
-  }
-  if (info.status().code() == Errc::kNotFound) {
-    // Distinguish "no checkpoint" from "object absent".
-    bool have_epoch = false;
-    for (const CheckpointRecord& c : meta_.checkpoints) {
-      have_epoch |= c.epoch == epoch;
-    }
-    if (have_epoch) {
-      return false;
-    }
-  }
-  return info.status();
 }
 
 // --- Journals ------------------------------------------------------------------

@@ -9,8 +9,8 @@
 //     one superblock; there is no log cleaner. Reclamation is deadlist-based
 //     like WAFL/ZFS: a block born at epoch B and overwritten at epoch K can
 //     be freed once no retained checkpoint's epoch lies in [B, K).
-//   * Execution history: every committed epoch remains readable
-//     (ReadAtEpoch) until explicitly deleted.
+//   * Execution history: every committed epoch remains readable (TableAt
+//     and ReadAtEpoch) until explicitly deleted.
 //   * Non-COW journal objects for the sls_journal API: preallocated extents
 //     updated in place with self-describing records, giving the 28 us
 //     synchronous 4 KiB append of section 7.
@@ -143,23 +143,20 @@ class ObjectStore {
   }
   [[nodiscard]] Status ReadAt(Oid oid, uint64_t off, void* out, uint64_t len);
 
+  // Execution history: the two historic reads. TableAt is the object table
+  // a committed epoch recorded (each object's type, size and extents with
+  // their birth epochs), decoded once through ReadMeta and cached until the
+  // epoch is pruned: kNotFound for an epoch the directory lacks, the blob's
+  // own error (kCorrupt) when it does not decode. The pointer stays valid
+  // until DeleteCheckpointsBefore prunes the epoch.
+  [[nodiscard]] Result<const ObjectTable*> TableAt(uint64_t epoch);
   // Reads from a committed checkpoint's view of the object (restore and
-  // lazy-restore paging). With `completion` null the call is synchronous;
-  // otherwise reads are pipelined asynchronously and the device completion
-  // time is reported through `completion` (restore streaming).
+  // lazy-restore paging); kNotFound when the epoch lacks it. With
+  // `completion` null the call is synchronous; otherwise reads are pipelined
+  // asynchronously and the device completion time is reported through
+  // `completion` (restore streaming).
   [[nodiscard]] Status ReadAtEpoch(uint64_t epoch, Oid oid, uint64_t off, void* out, uint64_t len,
                                    SimTime* completion = nullptr);
-  [[nodiscard]] Result<uint64_t> SizeAtEpoch(uint64_t epoch, Oid oid);
-  [[nodiscard]] Result<std::vector<Oid>> ObjectsAtEpoch(uint64_t epoch);
-  [[nodiscard]] Result<bool> ExistsAtEpoch(uint64_t epoch, Oid oid);
-  [[nodiscard]] Result<ObjType> TypeAtEpoch(uint64_t epoch, Oid oid);
-  // Logical block indices with data at that epoch (restore materialization).
-  [[nodiscard]] Result<std::vector<uint64_t>> BlocksAtEpoch(uint64_t epoch, Oid oid);
-  // Logical blocks whose contents changed after `since_epoch`, as of
-  // `epoch` (extent birth epochs drive incremental checkpoint shipping).
-  [[nodiscard]] Result<std::vector<uint64_t>> ChangedBlocksSince(uint64_t since_epoch,
-                                                                 uint64_t epoch,
-                                                                 Oid oid);
 
   // --- Checkpoints ----------------------------------------------------------
   // Seals the current epoch: serializes metadata, writes it COW, then writes
@@ -368,7 +365,6 @@ class ObjectStore {
   // The live table's entry for `oid`: kNotFound when it is absent or, with
   // `journal`, not a journal.
   [[nodiscard]] Result<ObjectInfo*> FindObject(Oid oid, bool journal = false);
-  [[nodiscard]] Result<const ObjectInfo*> LoadEpochTable(uint64_t epoch, Oid oid);
   // Reads an object's table entry as a blob of `view_epoch` recorded it,
   // translating through the relocation map. The live table is the view of
   // the current epoch, which no relocation entry postdates. With
@@ -415,8 +411,8 @@ class ObjectStore {
   LaneSchedule lanes_;
   uint64_t lane_cursor_ = 0;
 
-  // Cache of historic epoch tables for ReadAtEpoch.
-  std::map<uint64_t, std::unordered_map<Oid, ObjectInfo>> epoch_cache_;
+  // Cache of historic epoch tables for TableAt.
+  std::map<uint64_t, ObjectTable> epoch_cache_;
 
   StoreStats stats_;
 };

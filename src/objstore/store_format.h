@@ -86,6 +86,10 @@ struct ObjectInfo {
   bool operator==(const ObjectInfo&) const = default;
 };
 
+// One epoch's objects by oid: the live table, or a committed epoch's as its
+// blob recorded it (ObjectStore::TableAt).
+using ObjectTable = std::unordered_map<Oid, ObjectInfo>;
+
 struct DeadEntry {
   uint64_t birth = 0;
   uint64_t phys = 0;
@@ -133,7 +137,7 @@ struct CheckpointRecord {
 struct StoreMeta {
   uint64_t epoch = 1;  // current, uncommitted epoch
   uint64_t next_oid = 1;
-  std::unordered_map<Oid, ObjectInfo> objects;
+  ObjectTable objects;
   std::map<uint64_t, std::vector<DeadEntry>> deadlists;  // sealed per epoch
   std::vector<CheckpointRecord> checkpoints;
   StoreOptions options;

@@ -1,6 +1,6 @@
 #include "src/posix/vnode.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "src/base/units.h"
 
@@ -20,14 +20,16 @@ Status Vnode::Fsync() { return fs_->Fsync(this); }
 
 std::shared_ptr<VmObject> Vnode::MakeVmObject() {
   Vnode* vn = this;
-  auto obj = VmObject::CreateVnode(PageRound(size_), [vn](uint64_t pgidx, uint8_t* out) {
+  auto obj = VmObject::CreateVnode(PageRound(size_), [vn](uint64_t pgidx) {
     uint64_t off = pgidx * kPageSize;
     if (off >= vn->size()) {
-      return false;
+      return PageFrame();
     }
-    std::memset(out, 0, kPageSize);
-    auto got = vn->Read(off, out, std::min<uint64_t>(kPageSize, vn->size() - off));
-    return got.ok() && *got > 0;
+    // The file's tail page is read only up to its end, so the frame starts
+    // zeroed.
+    PageFrame frame = PageFrame::Zeroed();
+    auto got = vn->Read(off, frame.MutableData(), std::min<uint64_t>(kPageSize, vn->size() - off));
+    return got.ok() && *got > 0 ? frame : PageFrame();
   });
   obj->set_backing_ino(ino_);
   return obj;

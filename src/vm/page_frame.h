@@ -55,6 +55,8 @@ class PageFrame {
     }
   }
 
+  // Whether this frame holds no bytes (a default-constructed one).
+  bool empty() const { return rep_ == nullptr; }
   const uint8_t* data() const { return rep_->bytes; }
   // The bytes for writing: a private copy first when the frame is shared.
   uint8_t* MutableData() {

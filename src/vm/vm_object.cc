@@ -65,10 +65,10 @@ VmObject::LookupResult VmObject::LookupChain(uint64_t pgidx) {
     }
     if (obj->pager_) {
       // Fault the page in from backing storage into the pager's object; it
-      // is then resident like any other page. A pager may fill only part of
-      // the page (a file's tail), so the frame starts zeroed.
-      PageFrame frame = PageFrame::Zeroed();
-      if (obj->pager_(pgidx, frame.MutableData())) {
+      // is then resident like any other page, over the frame the pager
+      // handed over.
+      PageFrame frame = obj->pager_(pgidx);
+      if (!frame.empty()) {
         std::unique_ptr<VmPage>& slot = obj->pages_[pgidx];
         slot = std::make_unique<VmPage>(std::move(frame));
         result.page = slot.get();

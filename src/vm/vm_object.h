@@ -60,10 +60,12 @@ enum class VmObjectType : uint8_t {
 
 class VmObject : public std::enable_shared_from_this<VmObject> {
  public:
-  // Fetches a page's contents from backing storage (vnode pager or the
-  // object store for lazily restored objects). Returns true if the backing
-  // store had the page, false for zero fill.
-  using Pager = std::function<bool(uint64_t pgidx, uint8_t* out)>;
+  // Fetches a page from backing storage (vnode pager, the object store for
+  // lazily restored or evicted objects, or the standby's image table). It
+  // hands over the page's frame: a fresh one it filled, or one it shares
+  // with its source. An empty frame means the backing store lacks the page
+  // (zero fill).
+  using Pager = std::function<PageFrame(uint64_t pgidx)>;
 
   static std::shared_ptr<VmObject> CreateAnonymous(uint64_t size);
   static std::shared_ptr<VmObject> CreateVnode(uint64_t size, Pager pager);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/base/sim_context.h"
@@ -521,6 +524,101 @@ TEST(SlsCli, SendRecvMigratesAcrossMachines) {
   ASSERT_TRUE(roundtrip.ok());
   ASSERT_TRUE(roundtrip->group->processes[0]->vm().Read(addr + 100, buf, sizeof(buf)).ok());
   EXPECT_STREQ(buf, payload);
+}
+
+// Fills page `pgidx` of the region at `addr` with `byte`.
+void FillPage(Process* proc, uint64_t addr, uint64_t pgidx, uint8_t byte) {
+  std::vector<uint8_t> page(kPageSize, byte);
+  ASSERT_TRUE(proc->vm().Write(addr + pgidx * kPageSize, page.data(), page.size()).ok());
+}
+
+// The resident pages of the object chain mapped at `addr`, the topmost copy
+// of each.
+std::map<uint64_t, std::vector<uint8_t>> ResidentImage(Process* proc, uint64_t addr) {
+  std::map<uint64_t, std::vector<uint8_t>> pages;
+  VmMapEntry* entry = proc->vm().FindEntry(addr);
+  for (VmObject* obj = entry->object.get(); obj != nullptr; obj = obj->parent()) {
+    obj->ForEachPage([&pages](uint64_t pgidx, const VmPage& page) {
+      pages.emplace(pgidx, std::vector<uint8_t>(page.data(), page.data() + kPageSize));
+    });
+  }
+  return pages;
+}
+
+// A region that ends inside a 64 KiB store block: the store flushes whole
+// blocks, and the page walk hands out only the pages below the object's end.
+constexpr uint64_t kTailPages = 5;
+
+TEST(SlsStoredEpochs, StoreRestoreInstallsNoPagePastTheObjectsEnd) {
+  Machine m;
+  auto [proc, addr] = MakeAppProcess(m, kTailPages * kPageSize);
+  for (uint64_t p = 0; p < kTailPages; p++) {
+    FillPage(proc, addr, p, static_cast<uint8_t>(0xA0 + p));
+  }
+  ConsistencyGroup* group = *m.sls->CreateGroup("tail");
+  ASSERT_TRUE(m.sls->Attach(group, proc).ok());
+  ASSERT_TRUE(m.sls->Checkpoint(group).ok());
+
+  auto restored = m.sls->Restore("tail");
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  auto image = ResidentImage(restored->group->processes[0], addr);
+  EXPECT_LE(image.size(), kTailPages) << "a page past the object's end was installed";
+  for (uint64_t p = 0; p < kTailPages; p++) {
+    ASSERT_EQ(image.count(p), 1u) << "page " << p;
+    EXPECT_EQ(image[p], std::vector<uint8_t>(kPageSize, static_cast<uint8_t>(0xA0 + p)))
+        << "page " << p;
+  }
+}
+
+TEST(SlsStoredEpochs, SendRecvOfARegionEndingMidBlockIsByteExact) {
+  Machine src;
+  Machine dst;
+  auto [proc, addr] = MakeAppProcess(src, kTailPages * kPageSize);
+  std::vector<uint8_t> want(kTailPages * kPageSize);
+  for (uint64_t p = 0; p < kTailPages; p++) {
+    FillPage(proc, addr, p, static_cast<uint8_t>(0xB0 + p));
+    std::fill_n(want.begin() + p * kPageSize, kPageSize, static_cast<uint8_t>(0xB0 + p));
+  }
+  SlsCli src_cli(src.sls.get());
+  ASSERT_TRUE(src_cli.Attach("tail", proc).ok());
+  ASSERT_TRUE(src_cli.Checkpoint("tail", "sent").ok());
+  auto stream = src_cli.Send("tail");
+  ASSERT_TRUE(stream.ok()) << stream.status().message();
+
+  auto arrived = SlsCli(dst.sls.get()).Recv(*stream);
+  ASSERT_TRUE(arrived.ok()) << arrived.status().message();
+  Process* rp = arrived->group->processes[0];
+  std::vector<uint8_t> got(want.size());
+  ASSERT_TRUE(rp->vm().Read(addr, got.data(), got.size()).ok());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(ResidentImage(rp, addr).size(), kTailPages);
+}
+
+// A lazily restored image pages from the epoch it restored, so retention
+// keeps that epoch while the image runs: a page first touched after later
+// checkpoints still reads its checkpointed bytes.
+TEST(SlsStoredEpochs, LazyImageKeepsItsEpochUnderRetention) {
+  Machine m;
+  auto [proc, addr] = MakeAppProcess(m, 256 * kKiB);
+  FillPage(proc, addr, 16, 0xA);
+  ConsistencyGroup* group = *m.sls->CreateGroup("lazy");
+  ASSERT_TRUE(m.sls->Attach(group, proc).ok());
+  auto first = m.sls->Checkpoint(group);
+  ASSERT_TRUE(first.ok());
+
+  auto lazy = m.sls->Restore("lazy", 0, RestoreMode::kLazy);
+  ASSERT_TRUE(lazy.ok()) << lazy.status().message();
+  m.sls->SetRetentionPolicy(lazy->group, RetentionPolicy{.keep_epochs = 1});
+  Process* rp = lazy->group->processes[0];
+  for (uint8_t round = 1; round <= 3; round++) {
+    FillPage(rp, addr, 0, round);
+    ASSERT_TRUE(m.sls->Checkpoint(lazy->group).ok());
+  }
+  auto kept = m.store->TableAt(first->epoch);
+  EXPECT_TRUE(kept.ok()) << "retention pruned the epoch the lazy image pages from";
+  std::vector<uint8_t> got(kPageSize);
+  ASSERT_TRUE(rp->vm().Read(addr + 16 * kPageSize, got.data(), got.size()).ok());
+  EXPECT_EQ(got, std::vector<uint8_t>(kPageSize, 0xA));
 }
 
 TEST(SlsCli, SuspendResume) {

@@ -107,11 +107,13 @@ using EpochImages = std::map<uint64_t, std::map<uint64_t, std::vector<uint8_t>>>
 EpochImages ReadRetainedEpochs(ObjectStore* store) {
   EpochImages out;
   for (const CheckpointInfo& ckpt : store->ListCheckpoints()) {
-    auto oids = store->ObjectsAtEpoch(ckpt.epoch);
-    EXPECT_TRUE(oids.ok()) << "epoch " << ckpt.epoch << " unreadable";
-    for (Oid oid : oids.ok() ? *oids : std::vector<Oid>{}) {
-      auto size = store->SizeAtEpoch(ckpt.epoch, oid);
-      std::vector<uint8_t> bytes(size.ok() ? *size : 0);
+    auto table = store->TableAt(ckpt.epoch);
+    EXPECT_TRUE(table.ok()) << "epoch " << ckpt.epoch << " unreadable";
+    if (!table.ok()) {
+      continue;
+    }
+    for (const auto& [oid, info] : **table) {
+      std::vector<uint8_t> bytes(info.size);
       EXPECT_TRUE(store->ReadAtEpoch(ckpt.epoch, oid, 0, bytes.data(), bytes.size()).ok());
       out[ckpt.epoch][oid.value] = std::move(bytes);
     }

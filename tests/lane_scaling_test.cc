@@ -76,10 +76,8 @@ LaneRun RunAppendCheckpoint(Machine& m) {
   LaneRun run;
   SimTime resume_at = t0 + ckpt->stop_time;
   run.flush_makespan = ckpt->durable_at > resume_at ? ckpt->durable_at - resume_at : 0;
-  std::vector<Oid> oids = *m.store->ObjectsAtEpoch(ckpt->epoch);
-  std::sort(oids.begin(), oids.end());
-  for (Oid oid : oids) {
-    std::vector<uint8_t> data(*m.store->SizeAtEpoch(ckpt->epoch, oid));
+  for (const auto& [oid, info] : **m.store->TableAt(ckpt->epoch)) {
+    std::vector<uint8_t> data(info.size);
     if (!data.empty()) {
       EXPECT_TRUE(m.store->ReadAtEpoch(ckpt->epoch, oid, 0, data.data(), data.size()).ok());
     }

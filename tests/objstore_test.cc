@@ -149,6 +149,36 @@ TEST_F(ObjStoreTest, SameEpochOverwriteFreesImmediately) {
   EXPECT_EQ(store_->FreeBlocks(), free1);
 }
 
+// TableAt is a committed epoch's table as its blob recorded it: each
+// object's type, size and extents with their births. An epoch the directory
+// lacks, the open one included, is kNotFound.
+TEST_F(ObjStoreTest, TableAtServesCommittedEpochsOnly) {
+  const uint32_t bs = store_->block_size();
+  auto oid = *store_->CreateObject(ObjType::kMemory);
+  auto data = Pattern(bs, 5);
+  ASSERT_TRUE(store_->WriteAt(oid, 0, data.data(), data.size()).ok());
+  ASSERT_TRUE(store_->WriteAt(oid, 2 * bs, data.data(), data.size()).ok());
+  uint64_t e1 = store_->current_epoch();
+  ASSERT_TRUE(store_->CommitCheckpoint("e1").ok());
+  ASSERT_TRUE(store_->WriteAt(oid, 2 * bs, data.data(), 100).ok());
+  uint64_t e2 = store_->current_epoch();
+  ASSERT_TRUE(store_->CommitCheckpoint("e2").ok());
+
+  auto table = store_->TableAt(e2);
+  ASSERT_TRUE(table.ok()) << table.status().message();
+  ASSERT_EQ((*table)->count(oid), 1u);
+  const ObjectInfo& info = (*table)->at(oid);
+  EXPECT_EQ(info.type, ObjType::kMemory);
+  EXPECT_EQ(info.size, 3 * bs);
+  ASSERT_EQ(info.extents.size(), 2u);
+  EXPECT_EQ(info.extents.at(0).birth, e1);
+  EXPECT_EQ(info.extents.at(2).birth, e2);
+  EXPECT_EQ((*store_->TableAt(e1))->at(oid).extents.at(2).birth, e1);
+
+  EXPECT_EQ(store_->TableAt(store_->current_epoch()).status().code(), Errc::kNotFound);
+  EXPECT_EQ(store_->TableAt(e2 + 100).status().code(), Errc::kNotFound);
+}
+
 TEST_F(ObjStoreTest, DeleteObjectThenRecoverEarlierEpoch) {
   auto oid = *store_->CreateObject(ObjType::kManifest);
   auto data = Pattern(64 * kKiB, 4);
@@ -160,9 +190,9 @@ TEST_F(ObjStoreTest, DeleteObjectThenRecoverEarlierEpoch) {
 
   EXPECT_FALSE(store_->Exists(oid));
   // But it is still readable at the earlier checkpoint.
-  auto exists = store_->ExistsAtEpoch(e, oid);
-  ASSERT_TRUE(exists.ok());
-  EXPECT_TRUE(*exists);
+  auto table = store_->TableAt(e);
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ((*table)->count(oid), 1u);
   std::vector<uint8_t> back(data.size());
   ASSERT_TRUE(store_->ReadAtEpoch(e, oid, 0, back.data(), back.size()).ok());
   EXPECT_EQ(back, data);
@@ -255,7 +285,7 @@ TEST_F(ObjStoreTest, PrunedEpochEvictsCachedTable) {
   // The pruned epoch must report kNotFound, never serve the stale cached
   // table (its blocks may already be reallocated).
   EXPECT_EQ(store_->ReadAtEpoch(e1, oid, 0, back.data(), back.size()).code(), Errc::kNotFound);
-  EXPECT_EQ(store_->ExistsAtEpoch(e1, oid).status().code(), Errc::kNotFound);
+  EXPECT_EQ(store_->TableAt(e1).status().code(), Errc::kNotFound);
   // The surviving checkpoint stays readable.
   ASSERT_TRUE(store_->ReadAtEpoch(e2, oid, 0, back.data(), back.size()).ok());
   EXPECT_EQ(back, v2);

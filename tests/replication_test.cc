@@ -544,6 +544,19 @@ TEST(Replication, RestoredImagesShareTheTablesFramesUntilWritten) {
   ASSERT_TRUE(failback.ok()) << failback.status().message();
   EXPECT_EQ(SharedTableFrames(*m.standby).first, pages);
   EXPECT_EQ(ReadPromoted(*failback, addr), applied);
+
+  // A lazy restore's pager hands out the table's frames as pages fault in.
+  // The group's writes land in the shadow above the restored base, which
+  // keeps sharing them as the group's in-memory checkpoint.
+  auto lazy = m.sls->Restore("app", 0, RestoreMode::kLazy, m.replica);
+  ASSERT_TRUE(lazy.ok()) << lazy.status().message();
+  EXPECT_EQ(SharedTableFrames(*m.standby).first, 0u) << "no page has faulted in yet";
+  EXPECT_EQ(ReadPromoted(*lazy, addr), applied);
+  EXPECT_EQ(SharedTableFrames(*m.standby).first, pages) << "a fault copied the table's page";
+  WritePattern(lazy->group->processes[0], addr, Pattern(26));
+  EXPECT_EQ(SharedTableFrames(*m.standby).first, pages);
+  EXPECT_EQ(ReadPromoted(*lazy, addr), Pattern(26));
+  table_as_applied();
 }
 
 // The standby holds each group's newest applied epoch. An older one is

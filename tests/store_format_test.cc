@@ -172,7 +172,7 @@ TEST(StoreFormatRepro, StoredLengthPastItsBlockIsCorrupt) {
   auto report = Scrubber(store->get()).ScrubAll();
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->clean());
-  EXPECT_EQ((*store)->ObjectsAtEpoch(old.epoch).status().code(), Errc::kCorrupt);
+  EXPECT_EQ((*store)->TableAt(old.epoch).status().code(), Errc::kCorrupt);
 }
 
 TEST(StoreFormatRepro, WrappingJournalRecordLengthIsCorrupt) {
@@ -408,14 +408,13 @@ void ExerciseDevice(FixtureStore* f, Tally* tally) {
     tally->Add(report.ok() && report->clean() ? "scrub_clean" : "scrub_found_damage");
     std::vector<uint8_t> block(FixtureStore::kBlock);
     for (const CheckpointInfo& c : s->ListCheckpoints()) {
-      auto oids = s->ObjectsAtEpoch(c.epoch);
-      if (!oids.ok()) {
+      auto table = s->TableAt(c.epoch);
+      if (!table.ok()) {
         tally->Add("epoch_rejected");
         continue;
       }
-      for (Oid oid : *oids) {
-        auto blocks = s->BlocksAtEpoch(c.epoch, oid);
-        for (uint64_t logical : blocks.ok() ? *blocks : std::vector<uint64_t>{}) {
+      for (const auto& [oid, info] : **table) {
+        for (const auto& [logical, extent] : info.extents) {
           if (logical >= (uint64_t{1} << 40)) {
             continue;  // a damaged key past any offset a read can name
           }
